@@ -48,6 +48,12 @@ go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 echo "== warm StarJoin/bitmap allocations bounded and flat =="
 go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/
 
+echo "== warm array scan allocates no more than before the chunk kernel =="
+go test -run TestWarmArrayScanBoundedAllocs -count=1 ./internal/core/
+
+echo "== chunk kernel differential (random geometry x spec x selection x degree x overlay) =="
+go test -run 'TestKernel' -count=1 ./internal/core/
+
 echo "== cluster shard differential (merge == single-node) =="
 go test -count=1 -run 'ShardUnionEqualsFull|ClusterBitIdentical' \
     ./internal/core/ ./internal/cluster/

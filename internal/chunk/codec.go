@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
-	"sort"
 )
 
 // Cell is one valid array cell within a chunk: its offsetInChunk and its
@@ -147,11 +146,7 @@ func (OffsetCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) (
 		alloc = heapCells
 	}
 	cells := alloc(len(data) / offsetPairSize)
-	for i := range cells {
-		cells[i].Offset = binary.LittleEndian.Uint32(data[i*offsetPairSize:])
-		cells[i].Value = int64(binary.LittleEndian.Uint64(data[i*offsetPairSize+4:]))
-	}
-	if err := checkSorted(cells, capacity); err != nil {
+	if err := decodeOffsetPairs(data, capacity, cells); err != nil {
 		return nil, err
 	}
 	return cells, nil
@@ -169,22 +164,56 @@ func (OffsetCodec) DecodeInto(data []byte, capacity int, dst []Cell) ([]Cell, er
 		dst = make([]Cell, n)
 	}
 	cells := dst[:n]
-	for i := range cells {
-		cells[i].Offset = binary.LittleEndian.Uint32(data[i*offsetPairSize:])
-		cells[i].Value = int64(binary.LittleEndian.Uint64(data[i*offsetPairSize+4:]))
-	}
-	if err := checkSorted(cells, capacity); err != nil {
+	if err := decodeOffsetPairs(data, capacity, cells); err != nil {
 		return nil, err
 	}
 	return cells, nil
+}
+
+// decodeOffsetPairs fills cells from len(cells) fixed-width pairs,
+// validating in the same pass what checkSorted validates for Encode:
+// offsets strictly ascending and, since the last is then the largest,
+// below capacity.
+func decodeOffsetPairs(data []byte, capacity int, cells []Cell) error {
+	prev := int64(-1)
+	for i := range cells {
+		p := data[i*offsetPairSize:]
+		_ = p[offsetPairSize-1]
+		off := binary.LittleEndian.Uint32(p)
+		if int64(off) <= prev {
+			return fmt.Errorf("chunk: cells not strictly sorted at %d (%d then %d)", i, prev, off)
+		}
+		prev = int64(off)
+		cells[i] = Cell{Offset: off, Value: int64(binary.LittleEndian.Uint64(p[4:]))}
+	}
+	if prev >= int64(capacity) {
+		return fmt.Errorf("chunk: cell offset %d >= capacity %d", prev, capacity)
+	}
+	return nil
+}
+
+// LowerBound returns the position of the first cell at or after from
+// whose offset is >= offset (len(cells) when there is none). Probes of
+// ascending offsets pass the previous result as from, so each search
+// covers only the cells not yet passed.
+func LowerBound(cells []Cell, from int, offset uint32) int {
+	lo, hi := from, len(cells)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if cells[mid].Offset < offset {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 // SearchCells binary-searches offset-sorted cells for the given offset,
 // as the selection algorithm probes chunks (§4.2). It returns the cell
 // value and whether a valid cell exists at that offset.
 func SearchCells(cells []Cell, offset uint32) (int64, bool) {
-	i := sort.Search(len(cells), func(i int) bool { return cells[i].Offset >= offset })
-	if i < len(cells) && cells[i].Offset == offset {
+	if i := LowerBound(cells, 0, offset); i < len(cells) && cells[i].Offset == offset {
 		return cells[i].Value, true
 	}
 	return 0, false

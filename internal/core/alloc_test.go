@@ -65,3 +65,39 @@ func TestWarmStarJoinBoundedAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmArrayScanBoundedAllocs gates the array side the same way: a
+// warm sequential Query 1 may not allocate more than it did before the
+// chunk kernel landed (89 and 497 objects on these two fixtures at the
+// parent commit). The kernel's tables come from the query arena and the
+// geometry copies are taken once per query, so what is left per chunk is
+// the storage layer's page bookkeeping — 5 objects; the coordinate
+// rebuild's per-chunk ChunkStart slice made it 6 — and the slope check
+// catches an allocation creeping back into the per-chunk callback.
+func TestWarmArrayScanBoundedAllocs(t *testing.T) {
+	spec := GroupByAttrs(3, 0)
+	attrs := [][]int{{3}, {4}, {2}}
+	measure := func(dims []int, parent float64) (allocs float64, chunks int) {
+		fx := buildFixture(t, 9, dims, attrs, 0.4, []int{2, 3, 2})
+		run := func() {
+			res, _, err := ArrayConsolidate(fx.arr, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.Release()
+		}
+		run() // warm the arena pool
+		allocs = testing.AllocsPerRun(50, run)
+		chunks = fx.arr.Geometry().NumChunks()
+		t.Logf("%d chunks: %.1f allocs/op (parent %.0f)", chunks, allocs, parent)
+		if allocs > parent {
+			t.Errorf("%d chunks: warm scan allocates %.1f objects, parent commit %.0f", chunks, allocs, parent)
+		}
+		return allocs, chunks
+	}
+	small, smallChunks := measure([]int{5, 6, 4}, 89)
+	big, bigChunks := measure([]int{10, 12, 8}, 497)
+	if slope := (big - small) / float64(bigChunks-smallChunks); slope > 5.5 {
+		t.Errorf("warm scan allocates %.2f objects per extra chunk, want the storage layer's 5", slope)
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/array"
@@ -101,77 +102,65 @@ func ArrayConsolidate(a *array.Array, spec GroupSpec) (*Result, Metrics, error) 
 // chunk scan checks ctx between chunks, so a canceled query stops after
 // the batch in flight instead of finishing the whole array.
 func ArrayConsolidateContext(ctx context.Context, a *array.Array, spec GroupSpec) (*Result, Metrics, error) {
-	return arrayConsolidateRange(ctx, a, spec, 0, a.Geometry().NumChunks())
+	return arrayConsolidate(ctx, a, spec, 1, 0, a.Geometry().NumChunks())
 }
 
-// arrayConsolidateRange scans the half-open chunk range [lo, hi) — the
-// whole directory for a plain query, one shard's contiguous slice under
-// a cluster Restriction.
-func arrayConsolidateRange(ctx context.Context, a *array.Array, spec GroupSpec, lo, hi int) (*Result, Metrics, error) {
+// runKernel runs body with a chunk kernel that aggregates into a fresh
+// result cube. One pooled arena per call — so per sequential query or
+// per parallel worker — holds the cube, the kernel's tables and store's
+// decode scratch; the result carries it until Release. store must be the
+// caller's alone: a.Store() for a sequential run, a clone per worker.
+func runKernel(a *array.Array, store *chunk.Store, spec GroupSpec, sel *chunkSelection,
+	body func(k *chunkKernel, m *Metrics) error) (*Result, Metrics, error) {
 	var m Metrics
-	// One pooled arena per query: decode scratch and the result cube live
-	// in it, and the result carries it until Release.
 	ar := queryArenas.Get()
 	gm, err := newArrayGroupMapperIn(a, spec, ar)
 	if err != nil {
 		queryArenas.Put(ar)
 		return nil, m, err
 	}
-	a.Store().SetArena(ar)
-	g := a.Geometry()
-	shape := g.ChunkShape()
-	n := g.NumDims()
-	coords := make([]int, n)
-	err = a.Store().ScanChunkRange(ctx, lo, hi, func(cn int, cells []chunk.Cell) error {
-		m.ChunksRead++
-		// The chunk's start coordinates are fixed for every cell in it,
-		// so per cell only the in-chunk digits of offsetInChunk need
-		// extracting.
-		start := g.ChunkStart(cn)
-		for _, c := range cells {
-			off := int(c.Offset)
-			for i := n - 1; i >= 0; i-- {
-				side := shape[i]
-				coords[i] = start[i] + off%side
-				off /= side
-			}
-			gm.result.add(gm.cellIndex(coords), c.Value)
-		}
-		m.CellsScanned += int64(len(cells))
-		return nil
-	})
-	if err != nil {
+	store.SetArena(ar)
+	if err := body(newChunkKernel(a.Geometry(), gm, sel, ar), &m); err != nil {
 		// Detach before recycling: the caller keeps the array, and its
 		// store must not write into an arena another query may now own.
-		a.Store().SetArena(nil)
+		store.SetArena(nil)
 		gm.result.Release()
 		return nil, m, err
 	}
 	return gm.result, m, nil
 }
 
-// dimChunkLists buckets one dimension's selected base indices by the
-// chunk coordinate along that dimension: entry c holds the in-chunk
-// coordinates selected inside chunk-slab c, ascending.
-type dimChunkLists struct {
-	chunkCoords []int   // chunk coordinates with at least one selected index
-	inChunk     [][]int // parallel to chunkCoords
-}
-
-// bucketIndexList splits a sorted base-index list by chunk slab.
-func bucketIndexList(list []int, chunkSide int) dimChunkLists {
-	var out dimChunkLists
-	for _, idx := range list {
-		cc := idx / chunkSide
-		n := len(out.chunkCoords)
-		if n == 0 || out.chunkCoords[n-1] != cc {
-			out.chunkCoords = append(out.chunkCoords, cc)
-			out.inChunk = append(out.inChunk, nil)
-			n++
-		}
-		out.inChunk[n-1] = append(out.inChunk[n-1], idx%chunkSide)
+// arrayConsolidate scans the half-open chunk range [lo, hi) — the whole
+// directory for a plain query, one shard's contiguous slice under a
+// cluster Restriction — sequentially, or split across workers with the
+// same proportional formula shards use, so a sharded run nests cleanly
+// inside it. Each worker owns a cloned chunk-store cursor and a private
+// cube; the partials merge at the end (every tracked aggregate is
+// distributive). The buffer pool is shared and thread-safe, so workers
+// contend only on page fetches.
+func arrayConsolidate(ctx context.Context, a *array.Array, spec GroupSpec, workers, lo, hi int) (*Result, Metrics, error) {
+	scan := func(ctx context.Context, store *chunk.Store, lo, hi int) (*Result, Metrics, error) {
+		return runKernel(a, store, spec, nil, func(k *chunkKernel, m *Metrics) error {
+			return store.ScanChunkRange(ctx, lo, hi, func(cn int, cells []chunk.Cell) error {
+				m.ChunksRead++
+				m.CellsScanned += int64(len(cells))
+				return k.consolidate(cn, cells)
+			})
+		})
 	}
-	return out
+	span := hi - lo
+	workers = ClampWorkers(workers, span)
+	if workers <= 1 {
+		return scan(ctx, a.Store(), lo, hi)
+	}
+	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
+		p.res, p.m, p.err = scan(ctx, a.Store().Clone(), lo+span*w/workers, lo+span*(w+1)/workers)
+		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
+	})
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return mergeParts(parts)
 }
 
 // intersectSorted intersects two ascending int slices.
@@ -268,127 +257,65 @@ func ArraySelectConsolidate(a *array.Array, sels []Selection, spec GroupSpec) (*
 // ArraySelectConsolidateContext is ArraySelectConsolidate with
 // cancellation, checked once per candidate chunk before it is read.
 func ArraySelectConsolidateContext(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return arraySelectConsolidateRange(ctx, a, sels, spec, 0, a.Geometry().NumChunks())
+	return arraySelectConsolidate(ctx, a, sels, spec, 1, 0, a.Geometry().NumChunks())
 }
 
-// arraySelectConsolidateRange is the §4.2 probe limited to candidate
-// chunks with lo <= chunkNum < hi: the cross-product enumeration is
-// unchanged, but chunks outside the window are skipped unread, so a
-// shard probes only its own slice of the directory.
-func arraySelectConsolidateRange(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec, lo, hi int) (*Result, Metrics, error) {
-	var m Metrics
-	ar := queryArenas.Get()
-	gm, err := newArrayGroupMapperIn(a, spec, ar)
-	if err != nil {
-		queryArenas.Put(ar)
-		return nil, m, err
-	}
-	a.Store().SetArena(ar)
+// arraySelectConsolidate is the §4.2 algorithm over the candidate chunks
+// with lo <= chunkNum < hi (a shard probes only its own slice of the
+// directory; chunks outside it, or without valid cells, are skipped
+// unread). The candidates are materialized once in chunk-number order
+// and claimed from an atomic dispenser — by the one sequential reader,
+// or by workers each folding into a private cube merged at the end
+// (per-chunk cost varies wildly with density, so static ranges would
+// balance poorly).
+func arraySelectConsolidate(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec, workers, lo, hi int) (*Result, Metrics, error) {
 	lists, err := selectionIndexLists(a, sels)
 	if err != nil {
-		a.Store().SetArena(nil)
-		gm.result.Release()
-		return nil, m, err
+		return nil, Metrics{}, err
 	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return gm.result, m, nil // some predicate selected nothing
-		}
-	}
-
-	g := a.Geometry()
-	shape := g.ChunkShape()
-	n := g.NumDims()
-	buckets := make([]dimChunkLists, n)
-	for i := range lists {
-		buckets[i] = bucketIndexList(lists[i], shape[i])
-	}
-
-	// Enumerate chunk-coordinate combinations in lexicographic order,
-	// which is ascending chunk-number order.
-	chunkSel := make([]int, n) // position into buckets[i].chunkCoords
-	chunkCoords := make([]int, n)
-	coords := make([]int, n)
-	inChunkSel := make([]int, n)
-	store := a.Store()
-
-	var probeChunk func() error
-	probeChunk = func() error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		for i := range chunkCoords {
-			chunkCoords[i] = buckets[i].chunkCoords[chunkSel[i]]
-		}
-		cn := g.ChunkNumber(chunkCoords)
-		if cn < lo || cn >= hi {
-			return nil // another shard's chunk: skip without reading
-		}
-		if store.ChunkCells(cn) == 0 {
-			return nil // chunk holds no valid cells: skip without reading
-		}
-		cells, err := store.ReadChunk(cn)
-		if err != nil {
-			return err
-		}
-		m.ChunksRead++
-
-		// Cross product of in-chunk coordinate lists, lexicographic =
-		// ascending offsetInChunk.
-		inLists := make([][]int, n)
-		for i := range inLists {
-			inLists[i] = buckets[i].inChunk[chunkSel[i]]
-		}
-		for i := range inChunkSel {
-			inChunkSel[i] = 0
-		}
-		for {
-			offset := 0
-			for i := 0; i < n; i++ {
-				offset = offset*shape[i] + inLists[i][inChunkSel[i]]
-			}
-			m.Probes++
-			if v, ok := chunk.SearchCells(cells, uint32(offset)); ok {
-				m.ProbeHits++
-				for i := 0; i < n; i++ {
-					coords[i] = chunkCoords[i]*shape[i] + inLists[i][inChunkSel[i]]
+	sel := newChunkSelection(a.Geometry(), lists)
+	base := a.Store()
+	candidates := sel.candidateChunks(func(cn int) bool {
+		return cn >= lo && cn < hi && base.ChunkCells(cn) > 0
+	})
+	var claimed atomic.Int64
+	// ReadChunk, not the scan path's scratch read: the candidate chunks
+	// are exactly the working set the shared decoded-chunk cache exists
+	// to retain.
+	fold := func(ctx context.Context, store *chunk.Store) (*Result, Metrics, error) {
+		return runKernel(a, store, spec, sel, func(k *chunkKernel, m *Metrics) error {
+			for {
+				t := claimed.Add(1) - 1
+				if t >= int64(len(candidates)) {
+					return nil
 				}
-				gm.result.add(gm.cellIndex(coords), v)
-			}
-			// Advance the odometer.
-			i := n - 1
-			for ; i >= 0; i-- {
-				inChunkSel[i]++
-				if inChunkSel[i] < len(inLists[i]) {
-					break
+				if err := ctx.Err(); err != nil {
+					return err
 				}
-				inChunkSel[i] = 0
+				cn := candidates[t]
+				cells, err := store.ReadChunk(cn)
+				if err != nil {
+					return err
+				}
+				m.ChunksRead++
+				if err := k.consolidateSelected(cn, cells, m); err != nil {
+					return err
+				}
 			}
-			if i < 0 {
-				return nil
-			}
-		}
+		})
 	}
-
-	for {
-		if err := probeChunk(); err != nil {
-			a.Store().SetArena(nil)
-			gm.result.Release()
-			return nil, m, err
-		}
-		i := n - 1
-		for ; i >= 0; i-- {
-			chunkSel[i]++
-			if chunkSel[i] < len(buckets[i].chunkCoords) {
-				break
-			}
-			chunkSel[i] = 0
-		}
-		if i < 0 {
-			break
-		}
+	workers = ClampWorkers(workers, len(candidates))
+	if workers <= 1 {
+		return fold(ctx, base)
 	}
-	return gm.result, m, nil
+	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
+		p.res, p.m, p.err = fold(ctx, base.Clone())
+		p.rows, p.io = p.m.ProbeHits+p.m.CellsScanned, p.m.ChunksRead
+	})
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	return mergeParts(parts)
 }
 
 // SelectionSelectivity estimates the fraction of the cube's cells that

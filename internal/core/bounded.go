@@ -56,62 +56,34 @@ func ArrayConsolidateBounded(a *array.Array, spec GroupSpec, maxCells int) ([]Ro
 	}
 	firstCard := len(labels[0])
 
-	// Identify the dimension position of the first grouped dim and its
-	// per-base-index group table, to filter cells per pass.
+	// Per pass the first grouped dimension's table is shifted so the slab
+	// starts at group 0, and a mask keeps the kernel to the base indexes
+	// that map into the slab.
 	firstDim := gm.result.groupDims[0]
 	firstTab := gm.maps[firstDim]
+	slabTab := make([]int32, len(firstTab))
+	sel := &chunkSelection{masks: make([][]bool, len(gm.maps))}
+	sel.masks[firstDim] = make([]bool, len(firstTab))
+	slabMaps := append([][]int32(nil), gm.maps...)
+	slabMaps[firstDim] = slabTab
 
-	g := a.Geometry()
-	shape := g.ChunkShape()
-	n := g.NumDims()
 	var rows []Row
-	coords := make([]int, n)
-
 	for lo := 0; lo < firstCard; lo += slabWidth {
-		hi := lo + slabWidth
-		if hi > firstCard {
-			hi = firstCard
+		hi := min(lo+slabWidth, firstCard)
+		for b, fg := range firstTab {
+			slabTab[b] = fg - int32(lo)
+			sel.masks[firstDim][b] = int(fg) >= lo && int(fg) < hi
 		}
-		// A fresh mapper per slab with the first dimension's labels
-		// restricted to [lo, hi).
 		slabLabels := append([][]string{labels[0][lo:hi]}, labels[1:]...)
 		slab, err := newResult(gm.result.groupDims, slabLabels)
 		if err != nil {
 			return nil, m, err
 		}
+		k := newChunkKernel(a.Geometry(), &groupMapper{maps: slabMaps, result: slab}, sel, nil)
 		err = a.Store().ScanChunks(func(cn int, cells []chunk.Cell) error {
 			m.ChunksRead++
-			start := g.ChunkStart(cn)
-			for _, c := range cells {
-				off := int(c.Offset)
-				for i := n - 1; i >= 0; i-- {
-					side := shape[i]
-					coords[i] = start[i] + off%side
-					off /= side
-				}
-				fg := int(firstTab[coords[firstDim]])
-				if fg < lo || fg >= hi {
-					continue
-				}
-				// Compute the slab-local index: like cellIndex but with
-				// the first grouped dim offset by lo.
-				idx := 0
-				li := 0
-				for i, tab := range gm.maps {
-					if tab == nil {
-						continue
-					}
-					gidx := int(tab[coords[i]])
-					if i == firstDim {
-						gidx -= lo
-					}
-					idx += gidx * slab.strides[li]
-					li++
-				}
-				slab.add(idx, c.Value)
-			}
 			m.CellsScanned += int64(len(cells))
-			return nil
+			return k.consolidate(cn, cells)
 		})
 		if err != nil {
 			return nil, m, err

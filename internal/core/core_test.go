@@ -47,8 +47,17 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 	density float64, chunkShape []int) *fixture {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	fx := &fixture{bp: storage.NewBufferPool(storage.NewMemDiskManager(), 8192)}
+	fx := newFixtureDims(t, rng, dimSizes, attrCards)
+	facts := randomFacts(rng, dimSizes, density)
+	fx.load(t, facts, facts, chunkShape)
+	return fx
+}
 
+// newFixtureDims starts a fixture: the buffer pool and the dimension
+// tables.
+func newFixtureDims(t testing.TB, rng *rand.Rand, dimSizes []int, attrCards [][]int) *fixture {
+	t.Helper()
+	fx := &fixture{bp: storage.NewBufferPool(storage.NewMemDiskManager(), 8192)}
 	for i, size := range dimSizes {
 		var attrs []string
 		for li := range attrCards[i] {
@@ -71,9 +80,13 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 		}
 		fx.dims = append(fx.dims, dt)
 	}
+	return fx
+}
 
-	// Facts.
-	var facts sliceFacts
+// randomFacts holds each cube cell with probability density, in
+// row-major key order.
+func randomFacts(rng *rand.Rand, dimSizes []int, density float64) *sliceFacts {
+	facts := &sliceFacts{}
 	coords := make([]int64, len(dimSizes))
 	var walk func(d int)
 	walk = func(d int) {
@@ -90,15 +103,23 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 		}
 	}
 	walk(0)
+	return facts
+}
 
-	// Fact file.
-	ff, err := factfile.Create(fx.bp, catalog.FactRecordSize(len(dimSizes)), 4)
+// load finishes a fixture: the fact file and bitmap indexes over
+// fileFacts, the OLAP array over arrayFacts. The two differ only when a
+// test lays a delta overlay over the array and wants the relational
+// side to already hold the merged state.
+func (fx *fixture) load(t testing.TB, fileFacts, arrayFacts *sliceFacts, chunkShape []int) {
+	t.Helper()
+	n := len(fx.dims)
+	ff, err := factfile.Create(fx.bp, catalog.FactRecordSize(n), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := make([]byte, catalog.FactRecordSize(len(dimSizes)))
-	for i := range facts.keys {
-		if err := catalog.EncodeFact(rec, facts.keys[i], facts.measures[i]); err != nil {
+	rec := make([]byte, catalog.FactRecordSize(n))
+	for i := range fileFacts.keys {
+		if err := catalog.EncodeFact(rec, fileFacts.keys[i], fileFacts.measures[i]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ff.Append(rec); err != nil {
@@ -107,20 +128,17 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 	}
 	fx.ff = ff
 
-	// Array.
-	arr, err := array.Build(fx.bp, fx.dims, &facts, array.BuildConfig{ChunkShape: chunkShape})
+	arr, err := array.Build(fx.bp, fx.dims, arrayFacts, array.BuildConfig{ChunkShape: chunkShape})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx.arr = arr
 
-	// Bitmap indexes.
 	bm, err := BuildBitmapIndexes(ff, fx.dims)
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx.bmaps = MemBitmapSource(bm)
-	return fx
 }
 
 func defaultFixture(t testing.TB, seed int64) *fixture {
@@ -285,8 +303,8 @@ func TestArraySelectChunkSkipping(t *testing.T) {
 	if m.ChunksRead >= total {
 		t.Fatalf("selection read all %d chunks", total)
 	}
-	if m.Probes == 0 {
-		t.Fatal("selection did no probes")
+	if m.Probes+m.CellsScanned == 0 {
+		t.Fatal("selection neither probed nor filter-scanned a cell")
 	}
 	if m.ProbeHits > m.Probes {
 		t.Fatal("more hits than probes")

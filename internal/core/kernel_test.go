@@ -1,0 +1,296 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/chunk"
+)
+
+// kernelCase is one random cube of the kernel differential: a fixture
+// whose fact file already holds the state the array reaches once its
+// pending overlay (if any) is merged on read.
+type kernelCase struct {
+	fx         *fixture
+	attrCards  [][]int
+	validCells int64
+}
+
+// randomKernelCase draws a geometry of 1-5 dimensions with sizes that
+// need not be multiples of the chunk side (sides of 1 included), fills
+// it, and for overlay cases lays random upserts and deletes over the
+// array while the fact file gets the merged cells.
+func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
+	n := 1 + rng.Intn(5)
+	dimSizes := make([]int, n)
+	shape := make([]int, n)
+	attrCards := make([][]int, n)
+	for d := range dimSizes {
+		dimSizes[d] = 1 + rng.Intn(9)
+		if n <= 2 {
+			dimSizes[d] += rng.Intn(24) // room for chunks big enough to be worth probing
+		}
+		shape[d] = 1 + rng.Intn(dimSizes[d])
+		attrCards[d] = []int{1 + rng.Intn(dimSizes[d]), 1 + rng.Intn(3)}
+	}
+	fx := newFixtureDims(t, rng, dimSizes, attrCards)
+	base := randomFacts(rng, dimSizes, []float64{0.05, 0.4, 0.95}[rng.Intn(3)])
+	if !overlay {
+		fx.load(t, base, base, shape)
+		return kernelCase{fx, attrCards, int64(len(base.keys))}
+	}
+
+	// The test keys are 0..size-1 and the array indexes them in key
+	// order, so a key vector doubles as the cell's coordinates.
+	g, err := chunk.NewGeometry(dimSizes, shape)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type cellID struct{ cn, off int }
+	merged := map[cellID]int64{}
+	keysOf := map[cellID][]int64{}
+	locate := func(keys []int64) cellID {
+		coords := make([]int, n)
+		for d, k := range keys {
+			coords[d] = int(k)
+		}
+		cn, off := g.Locate(coords)
+		id := cellID{cn, off}
+		keysOf[id] = keys
+		return id
+	}
+	for i, keys := range base.keys {
+		merged[locate(keys)] = base.measures[i]
+	}
+	ov := map[int][]chunk.OverlayCell{}
+	touched := map[cellID]bool{}
+	for i := rng.Intn(int(g.NumCells())/2 + 2); i > 0; i-- {
+		keys := make([]int64, n)
+		for d := range keys {
+			keys[d] = int64(rng.Intn(dimSizes[d]))
+		}
+		id := locate(keys)
+		if touched[id] {
+			continue
+		}
+		touched[id] = true
+		oc := chunk.OverlayCell{Offset: uint32(id.off), Value: rng.Int63n(1000) - 200, Delete: rng.Intn(3) == 0}
+		ov[id.cn] = append(ov[id.cn], oc)
+		if oc.Delete {
+			delete(merged, id)
+		} else {
+			merged[id] = oc.Value
+		}
+	}
+	for cn := range ov {
+		sort.Slice(ov[cn], func(i, j int) bool { return ov[cn][i].Offset < ov[cn][j].Offset })
+	}
+	ids := make([]cellID, 0, len(merged))
+	for id := range merged {
+		ids = append(ids, id)
+	}
+	sort.Slice(ids, func(i, j int) bool {
+		return ids[i].cn < ids[j].cn || ids[i].cn == ids[j].cn && ids[i].off < ids[j].off
+	})
+	file := &sliceFacts{}
+	for _, id := range ids {
+		file.keys = append(file.keys, keysOf[id])
+		file.measures = append(file.measures, merged[id])
+	}
+	fx.load(t, file, base, shape)
+	for d, dim := range fx.arr.Dims() {
+		for idx, key := range dim.Keys {
+			if key != int64(idx) {
+				t.Fatalf("dimension %d indexes key %d at %d; the overlay assumed key order", d, key, idx)
+			}
+		}
+	}
+	fx.arr.Store().SetOverlay(ov)
+	return kernelCase{fx, attrCards, int64(len(merged))}
+}
+
+// randomSpec mixes Collapse, GroupByKey and GroupByLevel.
+func randomSpec(rng *rand.Rand, n int) GroupSpec {
+	spec := make(GroupSpec, n)
+	for d := range spec {
+		spec[d] = DimGroup{Target: GroupTarget(rng.Intn(3)), Level: rng.Intn(2)}
+	}
+	return spec
+}
+
+// randomSelections draws, per dimension, no predicate, one that matches
+// nothing, one naming every value of a level, or a random subset of a
+// level's values — few values leave a chunk a small cross product to
+// probe, many make filtering it cheaper.
+func randomSelections(rng *rand.Rand, attrCards [][]int) []Selection {
+	var sels []Selection
+	for d, cards := range attrCards {
+		level := rng.Intn(len(cards))
+		value := func(v int) string { return fmt.Sprintf("V%d_%d_%d", d, level, v) }
+		var values []string
+		switch rng.Intn(6) {
+		case 0, 1:
+			continue
+		case 2:
+			values = []string{"absent"}
+		case 3:
+			for v := 0; v < cards[level]; v++ {
+				values = append(values, value(v))
+			}
+		default:
+			for v := 0; v < cards[level]; v++ {
+				if rng.Intn(cards[level]) < 2 {
+					values = append(values, value(v))
+				}
+			}
+			if len(values) == 0 {
+				values = []string{value(0)}
+			}
+		}
+		sels = append(sels, Selection{Dim: d, Level: level, Values: values})
+	}
+	return sels
+}
+
+// TestKernelDifferential drives the one chunk kernel through every array
+// path — full scans, selections that probe some chunks and filter
+// others, sequential and parallel, bounded, with and without a pending
+// delta overlay — over random geometries, and holds each answer to the
+// reference consolidator's, cell for cell.
+func TestKernelDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	var probed, filtered int64
+	for trial := 0; trial < 60; trial++ {
+		c := randomKernelCase(t, rng, trial%2 == 1)
+		fx := c.fx
+		n := len(fx.dims)
+		for q := 0; q < 4; q++ {
+			spec := randomSpec(rng, n)
+			sels := randomSelections(rng, c.attrCards)
+			name := fmt.Sprintf("trial %d %v spec %v sels %v", trial, fx.arr.Geometry(), spec, sels)
+
+			want, err := ReferenceConsolidate(fx.ff, fx.dims, nil, spec)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			wantSel, err := ReferenceConsolidate(fx.ff, fx.dims, sels, spec)
+			if err != nil {
+				t.Fatalf("%s: reference: %v", name, err)
+			}
+			var seq Metrics
+			for _, deg := range []int{1, 2, 8} {
+				res, m, err := ArrayConsolidateRestricted(context.Background(), fx.arr, spec, deg, Restriction{})
+				if err != nil {
+					t.Fatalf("%s degree %d: scan: %v", name, deg, err)
+				}
+				if got := res.SortedRows(); !RowsEqual(got, want) {
+					t.Fatalf("%s degree %d: scan != reference: %s", name, deg, DiffRows(got, want))
+				}
+				if m.CellsScanned != c.validCells || m.Probes != 0 {
+					t.Fatalf("%s degree %d: scan counted %d cells and %d probes, want %d and 0",
+						name, deg, m.CellsScanned, m.Probes, c.validCells)
+				}
+
+				res, m, err = ArraySelectConsolidateRestricted(context.Background(), fx.arr, sels, spec, deg, Restriction{})
+				if err != nil {
+					t.Fatalf("%s degree %d: select: %v", name, deg, err)
+				}
+				if got := res.SortedRows(); !RowsEqual(got, wantSel) {
+					t.Fatalf("%s degree %d: select != reference: %s", name, deg, DiffRows(got, wantSel))
+				}
+				if deg == 1 {
+					seq = m
+					probed += m.Probes
+					filtered += m.CellsScanned
+				} else if m.Probes != seq.Probes || m.ProbeHits != seq.ProbeHits ||
+					m.CellsScanned != seq.CellsScanned || m.ChunksRead != seq.ChunksRead {
+					t.Fatalf("%s degree %d: select counters %+v, sequential %+v", name, deg, m, seq)
+				}
+			}
+			if maxCells := 1 + rng.Intn(40); len(want) > 0 {
+				rows, _, err := ArrayConsolidateBounded(fx.arr, spec, maxCells)
+				if err == nil && !RowsEqual(rows, want) {
+					t.Fatalf("%s: bounded(%d) != reference: %s", name, maxCells, DiffRows(rows, want))
+				}
+			}
+		}
+	}
+	if probed == 0 || filtered == 0 {
+		t.Fatalf("selections probed %d candidates and filter-scanned %d cells; the cases must exercise both", probed, filtered)
+	}
+}
+
+// TestKernelRejectsCellOutsideBounds feeds the scan a stored cell whose
+// offset is inside the chunk's capacity but past the clipped extent of a
+// partial edge chunk. Nothing on the read path validated that before the
+// kernel; it used to index a dimension table out of range and panic.
+func TestKernelRejectsCellOutsideBounds(t *testing.T) {
+	// 6x6, full, in 4x4 chunks: chunk 3 covers rows and columns 4..7, of
+	// which 4 and 5 exist; offset 2 is row 4, column 6.
+	fx := buildFixture(t, 5, []int{6, 6}, [][]int{{2}, {2}}, 1, []int{4, 4})
+	arr := fx.arr.Clone()
+	arr.Store().SetOverlay(map[int][]chunk.OverlayCell{3: {{Offset: 2, Value: 7}}})
+	const want = "chunk 3: offset 2 outside array bounds"
+
+	spec := GroupByAttrs(2, 0)
+	for _, deg := range []int{1, 2} {
+		_, _, err := ArrayConsolidateRestricted(context.Background(), arr, spec, deg, Restriction{})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("degree %d: scan error = %v, want %q", deg, err, want)
+		}
+	}
+	// A selection meets the same cell where it filter-scans the chunk
+	// (four candidates against five cells here).
+	sels := []Selection{{Dim: 0, Level: 0, Values: []string{"V0_0_0", "V0_0_1"}}}
+	if _, _, err := ArraySelectConsolidate(arr, sels, spec); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("select error = %v, want %q", err, want)
+	}
+	if _, _, err := ArrayConsolidateBounded(arr, spec, 2); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("bounded error = %v, want %q", err, want)
+	}
+	// An offset past the chunk capacity cannot come out of a decoder, but
+	// the kernel must not trust that either.
+	arr.Store().SetOverlay(map[int][]chunk.OverlayCell{0: {{Offset: 16, Value: 7}}})
+	if _, _, err := ArrayConsolidate(arr, spec); err == nil || !strings.Contains(err.Error(), "chunk 0: offset 16 outside") {
+		t.Fatalf("scan error = %v, want offset 16 of chunk 0 rejected", err)
+	}
+}
+
+// scanFixture is a quarter of the paper's Data Set 1 — the same
+// 20x20x20x10 chunks at 10 % density, 40x40x40x25 instead of x100 — with
+// ten attribute values per dimension, so grouping all four gives the
+// 10 000-group cube of the benchmark's wide statement.
+func scanFixture(tb testing.TB) *fixture {
+	return buildFixture(tb, 77, []int{40, 40, 40, 25},
+		[][]int{{10}, {10}, {10}, {10}}, 0.1, []int{20, 20, 20, 10})
+}
+
+// BenchmarkArrayScanKernel times the warm sequential Query 1 — page
+// read, decode and the chunk kernel — per valid cell, for a narrow
+// (one grouped dimension) and a wide (all four, 10 000 groups) cube.
+func BenchmarkArrayScanKernel(b *testing.B) {
+	fx := scanFixture(b)
+	narrow := GroupSpec{{Target: GroupByLevel}, {}, {}, {}}
+	for _, c := range []struct {
+		name string
+		spec GroupSpec
+	}{{"narrow", narrow}, {"wide", GroupByAttrs(4, 0)}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				res, m, err := ArrayConsolidate(fx.arr, c.spec)
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+				cells += m.CellsScanned
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+		})
+	}
+}

@@ -37,11 +37,11 @@ func TestNaiveSelectReadsMoreChunks(t *testing.T) {
 	sels := []Selection{{Dim: 1, Level: 0, Values: []string{val}}}
 	spec := GroupSpec{{Target: Collapse}, {Target: Collapse}}
 
-	_, opt, err := ArraySelectConsolidate(fx.arr, sels, spec)
+	optRes, opt, err := ArraySelectConsolidate(fx.arr, sels, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, naive, err := ArraySelectConsolidateNaive(fx.arr, sels, spec)
+	naiveRes, naive, err := ArraySelectConsolidateNaive(fx.arr, sels, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,8 +49,10 @@ func TestNaiveSelectReadsMoreChunks(t *testing.T) {
 		t.Fatalf("naive read %d chunks, optimized %d — expected chunk thrashing",
 			naive.ChunksRead, opt.ChunksRead)
 	}
-	if naive.Probes != opt.Probes {
-		t.Fatalf("probe counts differ: naive %d vs optimized %d", naive.Probes, opt.Probes)
+	// The optimized path probes a chunk or filter-scans it, whichever is
+	// cheaper there, so only the answers are comparable, not the probes.
+	if got, want := optRes.SortedRows(), naiveRes.SortedRows(); !RowsEqual(got, want) {
+		t.Fatalf("optimized != naive: %s", DiffRows(got, want))
 	}
 }
 

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"repro/internal/array"
 	"repro/internal/catalog"
@@ -223,38 +222,5 @@ func SelectionChunks(a *array.Array, sels []Selection) ([]int, error) {
 	if err != nil {
 		return nil, err
 	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			return nil, nil // some predicate selects nothing: no chunks
-		}
-	}
-	g := a.Geometry()
-	shape := g.ChunkShape()
-	n := g.NumDims()
-	buckets := make([]dimChunkLists, n)
-	for i := range lists {
-		buckets[i] = bucketIndexList(lists[i], shape[i])
-	}
-	var out []int
-	chunkSel := make([]int, n)
-	chunkCoords := make([]int, n)
-	for {
-		for i := range chunkCoords {
-			chunkCoords[i] = buckets[i].chunkCoords[chunkSel[i]]
-		}
-		out = append(out, g.ChunkNumber(chunkCoords))
-		i := n - 1
-		for ; i >= 0; i-- {
-			chunkSel[i]++
-			if chunkSel[i] < len(buckets[i].chunkCoords) {
-				break
-			}
-			chunkSel[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-	sort.Ints(out)
-	return out, nil
+	return newChunkSelection(a.Geometry(), lists).candidateChunks(nil), nil
 }

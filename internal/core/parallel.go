@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"runtime"
 	"runtime/pprof"
@@ -12,7 +13,6 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/catalog"
-	"repro/internal/chunk"
 	"repro/internal/factfile"
 )
 
@@ -61,7 +61,8 @@ type workerPartial struct {
 // them. The derived context is canceled as soon as any worker fails, so
 // siblings abandon their partitions promptly; the caller's cancellation
 // propagates the same way. Worker errors are reported in worker order
-// (caller cancellation wins) for determinism.
+// (caller cancellation wins) for determinism, a failure ahead of the
+// context.Canceled it induced in the siblings.
 func runWorkers(ctx context.Context, workers int, fn func(ctx context.Context, w int, p *workerPartial)) ([]workerPartial, error) {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -91,10 +92,18 @@ func runWorkers(ctx context.Context, workers int, fn func(ctx context.Context, w
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	var canceled error
 	for w := range parts {
-		if parts[w].err != nil {
-			return nil, parts[w].err
+		switch err := parts[w].err; {
+		case err == nil:
+		case !errors.Is(err, context.Canceled):
+			return nil, err
+		case canceled == nil:
+			canceled = err
 		}
+	}
+	if canceled != nil {
+		return nil, canceled
 	}
 	return parts, nil
 }
@@ -150,10 +159,7 @@ func mergeParts(parts []workerPartial) (*Result, Metrics, error) {
 
 // ArrayConsolidateParallel is ArrayConsolidate with the chunk scan
 // partitioned across workers — the parallelization the paper lists as
-// future work (§6). Each worker owns a cloned chunk-store cursor and a
-// private result cube; the partials merge at the end (every tracked
-// aggregate is distributive). The buffer pool is shared and thread-safe,
-// so workers contend only on page fetches.
+// future work (§6).
 func ArrayConsolidateParallel(a *array.Array, spec GroupSpec, workers int) (*Result, Metrics, error) {
 	return ArrayConsolidateParallelContext(context.Background(), a, spec, workers)
 }
@@ -163,211 +169,13 @@ func ArrayConsolidateParallel(a *array.Array, spec GroupSpec, workers int) (*Res
 // scan checks the derived context before every chunk, and the first
 // failure cancels the siblings.
 func ArrayConsolidateParallelContext(ctx context.Context, a *array.Array, spec GroupSpec, workers int) (*Result, Metrics, error) {
-	return arrayConsolidateParallelRange(ctx, a, spec, workers, 0, a.Geometry().NumChunks())
-}
-
-// arrayConsolidateParallelRange fans the half-open chunk range
-// [rlo, rhi) out across workers — the whole directory for a plain
-// query, one shard's slice under a cluster Restriction. Workers split
-// the window with the same proportional formula shards use, so a
-// sharded run nests cleanly inside it.
-func arrayConsolidateParallelRange(ctx context.Context, a *array.Array, spec GroupSpec, workers, rlo, rhi int) (*Result, Metrics, error) {
-	g := a.Geometry()
-	span := rhi - rlo
-	workers = ClampWorkers(workers, span)
-	if workers <= 1 {
-		return arrayConsolidateRange(ctx, a, spec, rlo, rhi)
-	}
-	shape := g.ChunkShape()
-	n := g.NumDims()
-	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
-		// Per-worker arena: cube and decode scratch are thread-local, so
-		// the allocator needs no locking; mergeParts recycles it.
-		ar := queryArenas.Get()
-		gm, err := newArrayGroupMapperIn(a, spec, ar)
-		if err != nil {
-			queryArenas.Put(ar)
-			p.err = err
-			return
-		}
-		p.res = gm.result
-		store := a.Store().Clone()
-		store.SetArena(ar)
-		lo := rlo + span*w/workers
-		hi := rlo + span*(w+1)/workers
-		coords := make([]int, n)
-		p.err = store.ScanChunkRange(ctx, lo, hi, func(cn int, cells []chunk.Cell) error {
-			p.m.ChunksRead++
-			start := g.ChunkStart(cn)
-			for _, c := range cells {
-				off := int(c.Offset)
-				for i := n - 1; i >= 0; i-- {
-					side := shape[i]
-					coords[i] = start[i] + off%side
-					off /= side
-				}
-				gm.result.add(gm.cellIndex(coords), c.Value)
-			}
-			p.m.CellsScanned += int64(len(cells))
-			return nil
-		})
-		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
-	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return mergeParts(parts)
-}
-
-// selChunkTask is one candidate chunk of the parallel selection path:
-// its chunk number plus the per-dimension positions into the selection
-// buckets, captured so a worker can rebuild the in-chunk coordinate
-// lists without re-walking the odometer.
-type selChunkTask struct {
-	cn  int
-	sel []int
+	return arrayConsolidate(ctx, a, spec, workers, 0, a.Geometry().NumChunks())
 }
 
 // ArraySelectConsolidateParallelContext is ArraySelectConsolidateContext
-// with the candidate chunks fanned out to workers. The candidate list is
-// materialized once from the §4.2 cross-product enumeration; workers
-// claim chunks from an atomic dispenser (probe cost varies wildly with
-// chunk density, so static ranges would load-balance poorly), each
-// probing into a thread-local result cube merged at the end.
+// with the candidate chunks fanned out to workers.
 func ArraySelectConsolidateParallelContext(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec, workers int) (*Result, Metrics, error) {
-	return arraySelectConsolidateParallelRange(ctx, a, sels, spec, workers, 0, a.Geometry().NumChunks())
-}
-
-// arraySelectConsolidateParallelRange is the parallel §4.2 probe with
-// candidate chunks limited to [rlo, rhi) — a shard's slice of the
-// chunk directory under a cluster Restriction.
-func arraySelectConsolidateParallelRange(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec, workers, rlo, rhi int) (*Result, Metrics, error) {
-	var m Metrics
-	lists, err := selectionIndexLists(a, sels)
-	if err != nil {
-		return nil, m, err
-	}
-	for _, l := range lists {
-		if len(l) == 0 {
-			// Some predicate selected nothing: empty result, no scan.
-			gm, err := newArrayGroupMapper(a, spec)
-			if err != nil {
-				return nil, m, err
-			}
-			return gm.result, m, nil
-		}
-	}
-
-	g := a.Geometry()
-	shape := g.ChunkShape()
-	n := g.NumDims()
-	buckets := make([]dimChunkLists, n)
-	for i := range lists {
-		buckets[i] = bucketIndexList(lists[i], shape[i])
-	}
-
-	// Materialize the candidate chunks in ascending chunk-number order
-	// (the sequential enumeration order), skipping empty chunks without
-	// reading them, exactly as the sequential path does.
-	var tasks []selChunkTask
-	chunkSel := make([]int, n)
-	chunkCoords := make([]int, n)
-	store := a.Store()
-	for {
-		for i := range chunkCoords {
-			chunkCoords[i] = buckets[i].chunkCoords[chunkSel[i]]
-		}
-		if cn := g.ChunkNumber(chunkCoords); cn >= rlo && cn < rhi && store.ChunkCells(cn) > 0 {
-			tasks = append(tasks, selChunkTask{cn: cn, sel: append([]int(nil), chunkSel...)})
-		}
-		i := n - 1
-		for ; i >= 0; i-- {
-			chunkSel[i]++
-			if chunkSel[i] < len(buckets[i].chunkCoords) {
-				break
-			}
-			chunkSel[i] = 0
-		}
-		if i < 0 {
-			break
-		}
-	}
-
-	workers = ClampWorkers(workers, len(tasks))
-	if workers <= 1 {
-		return arraySelectConsolidateRange(ctx, a, sels, spec, rlo, rhi)
-	}
-
-	var next atomic.Int64
-	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
-		ar := queryArenas.Get()
-		gm, err := newArrayGroupMapperIn(a, spec, ar)
-		if err != nil {
-			queryArenas.Put(ar)
-			p.err = err
-			return
-		}
-		p.res = gm.result
-		store := a.Store().Clone()
-		store.SetArena(ar)
-		coords := make([]int, n)
-		inChunkSel := make([]int, n)
-		inLists := make([][]int, n)
-		for {
-			t := next.Add(1) - 1
-			if t >= int64(len(tasks)) {
-				return
-			}
-			if err := ctx.Err(); err != nil {
-				p.err = err
-				return
-			}
-			task := tasks[t]
-			// ReadChunk (not the scratch path): the probe working set is
-			// exactly what the shared chunk cache exists to retain, matching
-			// the sequential selection path's caching behavior.
-			cells, err := store.ReadChunk(task.cn)
-			if err != nil {
-				p.err = err
-				return
-			}
-			p.m.ChunksRead++
-			for i := range inLists {
-				inLists[i] = buckets[i].inChunk[task.sel[i]]
-				inChunkSel[i] = 0
-			}
-			for {
-				offset := 0
-				for i := 0; i < n; i++ {
-					offset = offset*shape[i] + inLists[i][inChunkSel[i]]
-				}
-				p.m.Probes++
-				if v, ok := chunk.SearchCells(cells, uint32(offset)); ok {
-					p.m.ProbeHits++
-					for i := 0; i < n; i++ {
-						coords[i] = buckets[i].chunkCoords[task.sel[i]]*shape[i] + inLists[i][inChunkSel[i]]
-					}
-					gm.result.add(gm.cellIndex(coords), v)
-				}
-				i := n - 1
-				for ; i >= 0; i-- {
-					inChunkSel[i]++
-					if inChunkSel[i] < len(inLists[i]) {
-						break
-					}
-					inChunkSel[i] = 0
-				}
-				if i < 0 {
-					break
-				}
-			}
-			p.rows, p.io = p.m.ProbeHits, p.m.ChunksRead
-		}
-	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return mergeParts(parts)
+	return arraySelectConsolidate(ctx, a, sels, spec, workers, 0, a.Geometry().NumChunks())
 }
 
 // StarJoinConsolidateParallelContext is StarJoinConsolidateContext with

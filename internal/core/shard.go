@@ -103,10 +103,7 @@ func ArrayConsolidateRestricted(ctx context.Context, a *array.Array, spec GroupS
 		return nil, Metrics{}, err
 	}
 	lo, hi := r.ChunkRange(a.Geometry().NumChunks())
-	if workers > 1 {
-		return arrayConsolidateParallelRange(ctx, a, spec, workers, lo, hi)
-	}
-	return arrayConsolidateRange(ctx, a, spec, lo, hi)
+	return arrayConsolidate(ctx, a, spec, max(workers, 1), lo, hi)
 }
 
 // ArraySelectConsolidateRestricted is the unified entry point of the
@@ -116,10 +113,7 @@ func ArraySelectConsolidateRestricted(ctx context.Context, a *array.Array, sels 
 		return nil, Metrics{}, err
 	}
 	lo, hi := r.ChunkRange(a.Geometry().NumChunks())
-	if workers > 1 {
-		return arraySelectConsolidateParallelRange(ctx, a, sels, spec, workers, lo, hi)
-	}
-	return arraySelectConsolidateRange(ctx, a, sels, spec, lo, hi)
+	return arraySelectConsolidate(ctx, a, sels, spec, max(workers, 1), lo, hi)
 }
 
 // StarJoinConsolidateRestricted is the unified entry point of the §4.3

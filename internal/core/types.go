@@ -276,9 +276,17 @@ func (r *Result) SortedRows() []Row {
 // Metrics counts the work an algorithm did; the benchmark harness reports
 // them next to wall-clock times.
 type Metrics struct {
-	// Array-side counters.
+	// Array-side counters. A full consolidation visits every valid cell
+	// of every chunk it reads, so its CellsScanned is the valid-cell count
+	// of its chunk range and it never probes. A selection decides per
+	// candidate chunk: a probed chunk adds one Probe per element of its
+	// cross product and one ProbeHit per element that is a valid cell; a
+	// filter-scanned chunk adds all its valid cells to CellsScanned and
+	// nothing to the probe counters (how many passed the mask is not
+	// counted). Every counter is a per-chunk sum, so it is the same at any
+	// parallel degree and conserves across shards.
 	ChunksRead   int64 // chunks fetched and decoded
-	CellsScanned int64 // valid cells visited by scans
+	CellsScanned int64 // valid cells visited by scans and filter-scans
 	Probes       int64 // binary-search probes of chunk cells
 	ProbeHits    int64 // probes that found a valid cell
 

@@ -236,10 +236,17 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 	p.estProbes = candCells
 	p.estDeg = clampUnits(p.degree, int(candChunks))
 
+	// Per candidate chunk the kernel probes the cross product or, when
+	// one masked pass over the chunk's cells is cheaper, filter-scans it
+	// (core's chunkKernel.consolidateSelected): charge the cheaper of the
+	// two at the average chunk, so a dense selection never costs more CPU
+	// than the full scan of the chunks it touches.
+	cpu := min(candCells*cpuProbeCost,
+		candChunks*float64(a.ValidCells)/float64(a.NumChunks)*cpuCellCost)
 	perChunk := float64(a.EncodedBytes) / storage.PageSize / float64(a.NumChunks)
 	p.est = Cost{
 		IO:   candChunks*perChunk + float64(values)*btreeProbeIO,
-		CPU:  candCells * cpuProbeCost / float64(p.estDeg),
+		CPU:  cpu / float64(p.estDeg),
 		Rows: int64(p.estSel*float64(a.ValidCells) + 0.5),
 	}
 	return p.est
@@ -320,9 +327,13 @@ func (p *arrayPlan) Annotate(d *PlanDesc, rs RunStats) {
 		c.ActDetail = fmt.Sprintf("chunks=%d", m.ChunksRead) + parallelDetail(m)
 		return
 	}
-	// array-probe: candidate cells probed, hits survive.
+	// array-probe: candidate cells probed, hits survive. Chunks the
+	// kernel filter-scanned instead report their cells as scanned.
 	c.ActRows = m.ProbeHits
 	c.ActDetail = fmt.Sprintf("chunks=%d probes=%d hits=%d", m.ChunksRead, m.Probes, m.ProbeHits)
+	if m.CellsScanned > 0 {
+		c.ActDetail += fmt.Sprintf(" scanned=%d", m.CellsScanned)
+	}
 	c.ActDetail += parallelDetail(m)
 }
 
