@@ -12,6 +12,7 @@ package repro
 // tables; these benchmarks expose the same series to `go test -bench`.
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"strconv"
@@ -32,7 +33,7 @@ func benchSelect(arr *array.Array, spec *query.Spec, naive bool) (*core.Result, 
 	if naive {
 		return core.ArraySelectConsolidateNaive(arr, spec.Selections, spec.Group)
 	}
-	return core.ArraySelectConsolidate(arr, spec.Selections, spec.Group)
+	return core.ArrayConsolidate(context.Background(), arr, core.ScanSpec{Selections: spec.Selections, Group: spec.Group})
 }
 
 var (
@@ -274,7 +275,7 @@ func BenchmarkParallelConsolidate(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, _, err := core.ArrayConsolidateParallel(arr, spec.Group, workers); err != nil {
+				if _, _, err := core.ArrayConsolidate(context.Background(), arr, core.ScanSpec{Group: spec.Group, Workers: workers}); err != nil {
 					b.Fatal(err)
 				}
 			}

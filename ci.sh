@@ -28,8 +28,10 @@ go test -run TestExplainAnalyzeGolden -count=1 ./internal/exec/
 echo "== metrics endpoint smoke =="
 go test -run TestMetricsEndpoint -count=1 .
 
-echo "== go test -race (concurrent sessions + storage + server + cluster + cache + obs) =="
-go test -race ./internal/exec/... ./internal/storage/... ./internal/server/... ./internal/cluster/... ./internal/cache/... ./internal/obs/... ./client/... .
+# Every package, so the differential suites (codec, compaction, shard
+# union, cluster, chunk kernel, replacer) all run under the detector too.
+echo "== go test -race (every package) =="
+go test -race ./...
 
 echo "== parallel differential suite under -race (GOMAXPROCS=4) =="
 GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
@@ -37,9 +39,6 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
 
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
-
-echo "== codec differential (every codec x engine x degree bit-identical) =="
-go test -count=1 -run 'TestCodecDifferential|TestCompactionRecode' .
 
 echo "== fuzz smoke (store directory + codec decoders, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
@@ -50,16 +49,6 @@ go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/
 
 echo "== warm array scan allocates no more than before the chunk kernel =="
 go test -run TestWarmArrayScanBoundedAllocs -count=1 ./internal/core/
-
-echo "== chunk kernel differential (random geometry x spec x selection x degree x overlay) =="
-go test -run 'TestKernel' -count=1 ./internal/core/
-
-echo "== cluster shard differential (merge == single-node) =="
-go test -count=1 -run 'ShardUnionEqualsFull|ClusterBitIdentical' \
-    ./internal/core/ ./internal/cluster/
-
-echo "== replacer differential + stress under -race =="
-go test -race -count=1 -run 'Replacer' ./internal/storage/
 
 echo "== arena package under gccheckmark =="
 GODEBUG=gccheckmark=1 go test -count=1 ./internal/arena/

@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/exec"
@@ -29,7 +28,9 @@ func (db *DB) Cube(sql string) ([]CuboidResult, error) {
 	if len(spec.Selections) > 0 {
 		return nil, fmt.Errorf("repro: Cube does not take selections")
 	}
-	arr, err := exec.OpenArray(db.bp, db.cat)
+	// A clone from the execution context carries the pending deltas, so
+	// the cube agrees with what queries see.
+	arr, err := db.ex.Context().ArrayClone()
 	if err != nil {
 		return nil, err
 	}
@@ -61,7 +62,9 @@ func (db *DB) Cube(sql string) ([]CuboidResult, error) {
 // QueryParallel evaluates a selection-free consolidation on the OLAP
 // array with the chunk scan spread over the given number of workers
 // (0 = GOMAXPROCS) — the parallelization sketched as future work in §6
-// of the paper.
+// of the paper. It is QueryOn(sql, ArrayEngine) in a session whose
+// parallel degree is workers; Metrics.ParallelDegree reports how many
+// actually ran.
 func (db *DB) QueryParallel(sql string, workers int) (*Result, error) {
 	spec, err := query.ParseAndCompile(sql, db.cat.Schema)
 	if err != nil {
@@ -70,23 +73,7 @@ func (db *DB) QueryParallel(sql string, workers int) (*Result, error) {
 	if len(spec.Selections) > 0 {
 		return nil, fmt.Errorf("repro: QueryParallel does not take selections")
 	}
-	arr, err := exec.OpenArray(db.bp, db.cat)
-	if err != nil {
-		return nil, err
-	}
-	before := db.bp.Stats()
-	start := time.Now()
-	res, metrics, err := core.ArrayConsolidateParallel(arr, spec.Group, workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{
-		Rows:       res.SortedRows(),
-		GroupAttrs: spec.GroupAttrs,
-		Aggs:       spec.Aggs,
-		Plan:       "array-consolidate-parallel",
-		Metrics:    metrics,
-		Elapsed:    time.Since(start),
-		IO:         db.bp.Stats().Sub(before),
-	}, nil
+	ex := exec.NewSessionExecutor(db.ex.Context())
+	ex.SetParallel(workers)
+	return ex.Execute(spec, ArrayEngine)
 }

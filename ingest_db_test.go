@@ -95,6 +95,35 @@ func TestIngestDifferential(t *testing.T) {
 			}
 		}
 	}
+
+	// QueryParallel and Cube read the array too, and must see the same
+	// pending deltas the executor's array engine does.
+	for name, db := range map[string]*DB{"delta": dbDelta, "compacted": dbCompact} {
+		want, err := db.QueryOn(retailQuery, ArrayEngine)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for _, deg := range []int{1, 2} {
+			got, err := db.QueryParallel(retailQuery, deg)
+			if err != nil {
+				t.Fatalf("%s QueryParallel(%d): %v", name, deg, err)
+			}
+			if !core.RowsEqual(got.Rows, want.Rows) {
+				t.Fatalf("%s QueryParallel(%d) vs array engine: %s", name, deg,
+					core.DiffRows(got.Rows, want.Rows))
+			}
+		}
+		cuboids, err := db.Cube(retailQuery)
+		if err != nil {
+			t.Fatalf("%s Cube: %v", name, err)
+		}
+		for _, c := range cuboids {
+			if len(c.GroupAttrs) == len(want.GroupAttrs) && !core.RowsEqual(c.Rows, want.Rows) {
+				t.Fatalf("%s Cube base cuboid vs array engine: %s", name,
+					core.DiffRows(c.Rows, want.Rows))
+			}
+		}
+	}
 }
 
 // TestIngestArithmetic pins the ingest semantics down to exact sums and

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -240,7 +241,7 @@ func (h *Harness) EnumerationAblation() (*Figure, error) {
 			return nil
 		}
 		if err := runDirect("chunk-ordered", func() (*core.Result, core.Metrics, error) {
-			return core.ArraySelectConsolidate(arr, spec.Selections, spec.Group)
+			return core.ArrayConsolidate(context.Background(), arr, core.ScanSpec{Selections: spec.Selections, Group: spec.Group})
 		}); err != nil {
 			return nil, err
 		}

@@ -32,17 +32,17 @@ func TestWarmStarJoinBoundedAllocs(t *testing.T) {
 		run  func(fx *fixture)
 	}{
 		{"starjoin-consolidate", func(fx *fixture) {
-			if _, _, err := StarJoinConsolidate(fx.ff, fx.dims, spec); err != nil {
+			if _, _, err := StarJoinConsolidate(bg, fx.ff, fx.dims, ScanSpec{Group: spec}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"starjoin-select", func(fx *fixture) {
-			if _, _, err := StarJoinSelectConsolidate(fx.ff, fx.dims, sels, spec); err != nil {
+			if _, _, err := StarJoinConsolidate(bg, fx.ff, fx.dims, ScanSpec{Selections: sels, Group: spec}); err != nil {
 				t.Fatal(err)
 			}
 		}},
 		{"bitmap-select", func(fx *fixture) {
-			if _, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, sels, spec); err != nil {
+			if _, _, err := BitmapSelectConsolidate(bg, fx.ff, fx.dims, fx.bmaps, ScanSpec{Selections: sels, Group: spec}); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -80,7 +80,7 @@ func TestWarmArrayScanBoundedAllocs(t *testing.T) {
 	measure := func(dims []int, parent float64) (allocs float64, chunks int) {
 		fx := buildFixture(t, 9, dims, attrs, 0.4, []int{2, 3, 2})
 		run := func() {
-			res, _, err := ArrayConsolidate(fx.arr, spec)
+			res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 			if err != nil {
 				t.Fatal(err)
 			}

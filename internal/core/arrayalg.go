@@ -89,29 +89,52 @@ func (gm *groupMapper) cellIndex(coords []int) int {
 	return idx
 }
 
-// ArrayConsolidate evaluates a consolidation query on the OLAP Array ADT
-// with the algorithm of §4.1: load the IndexToIndex arrays, then scan the
-// input array once, mapping every valid cell's indices to its result cell
-// and aggregating in place. The star join and the aggregation are fused;
-// every lookup is position-based.
-func ArrayConsolidate(a *array.Array, spec GroupSpec) (*Result, Metrics, error) {
-	return ArrayConsolidateContext(context.Background(), a, spec)
+// ArrayConsolidate evaluates a consolidation on the OLAP Array ADT, over
+// the chunk range s.Restriction resolves to and at the parallel degree
+// s.Workers.
+//
+// Without selections it is the algorithm of §4.1: load the IndexToIndex
+// arrays, then scan the input array once, mapping every valid cell's
+// indices to its result cell and aggregating in place. The star join
+// and the aggregation are fused; every lookup is position-based.
+//
+// With selections it is the algorithm of §4.2:
+//
+//  1. probe the per-attribute B-trees for the selected values' index
+//     lists and merge them into a final list per dimension;
+//  2. enumerate the cross-product of the final lists in chunk-number
+//     order, skipping chunks that overlap no cross-product element (or
+//     hold no valid cells) without reading them;
+//  3. within a chunk, generate elements in increasing chunk-offset order
+//     and probe the offset-sorted cells by binary search, aggregating
+//     the hits into the result cube.
+//
+// ctx is checked before every chunk read, so a canceled query stops
+// after the chunk in flight.
+func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metrics, error) {
+	if err := validateArray(a, &s); err != nil {
+		return nil, Metrics{}, err
+	}
+	lo, hi := s.Restriction.ChunkRange(a.Geometry().NumChunks())
+	if len(s.Selections) > 0 {
+		return arraySelect(ctx, a, s, lo, hi)
+	}
+	return arrayScan(ctx, a, s, lo, hi)
 }
 
-// ArrayConsolidateContext is ArrayConsolidate with cancellation: the
-// chunk scan checks ctx between chunks, so a canceled query stops after
-// the batch in flight instead of finishing the whole array.
-func ArrayConsolidateContext(ctx context.Context, a *array.Array, spec GroupSpec) (*Result, Metrics, error) {
-	return arrayConsolidate(ctx, a, spec, 1, 0, a.Geometry().NumChunks())
+// validateArray checks s against a's dimensions.
+func validateArray(a *array.Array, s *ScanSpec) error {
+	dims := a.Dims()
+	return s.validate(len(dims), func(i int) (string, int) { return dims[i].Name, len(dims[i].Levels) })
 }
 
 // runKernel runs body with a chunk kernel that aggregates into a fresh
-// result cube. One pooled arena per call — so per sequential query or
-// per parallel worker — holds the cube, the kernel's tables and store's
-// decode scratch; the result carries it until Release. store must be the
-// caller's alone: a.Store() for a sequential run, a clone per worker.
-func runKernel(a *array.Array, store *chunk.Store, spec GroupSpec, sel *chunkSelection,
-	body func(k *chunkKernel, m *Metrics) error) (*Result, Metrics, error) {
+// result cube, reading through a private clone of a's chunk store. One
+// pooled arena per call — so per sequential query or per parallel
+// worker — holds the cube, the kernel's tables and the clone's decode
+// scratch; the result carries it until Release.
+func runKernel(a *array.Array, spec GroupSpec, sel *chunkSelection,
+	body func(store *chunk.Store, k *chunkKernel, m *Metrics) error) (*Result, Metrics, error) {
 	var m Metrics
 	ar := queryArenas.Get()
 	gm, err := newArrayGroupMapperIn(a, spec, ar)
@@ -119,48 +142,34 @@ func runKernel(a *array.Array, store *chunk.Store, spec GroupSpec, sel *chunkSel
 		queryArenas.Put(ar)
 		return nil, m, err
 	}
+	store := a.Store().Clone()
 	store.SetArena(ar)
-	if err := body(newChunkKernel(a.Geometry(), gm, sel, ar), &m); err != nil {
-		// Detach before recycling: the caller keeps the array, and its
-		// store must not write into an arena another query may now own.
-		store.SetArena(nil)
+	if err := body(store, newChunkKernel(a.Geometry(), gm, sel, ar), &m); err != nil {
 		gm.result.Release()
 		return nil, m, err
 	}
 	return gm.result, m, nil
 }
 
-// arrayConsolidate scans the half-open chunk range [lo, hi) — the whole
+// arrayScan is §4.1 over the half-open chunk range [lo, hi) — the whole
 // directory for a plain query, one shard's contiguous slice under a
-// cluster Restriction — sequentially, or split across workers with the
-// same proportional formula shards use, so a sharded run nests cleanly
-// inside it. Each worker owns a cloned chunk-store cursor and a private
-// cube; the partials merge at the end (every tracked aggregate is
-// distributive). The buffer pool is shared and thread-safe, so workers
-// contend only on page fetches.
-func arrayConsolidate(ctx context.Context, a *array.Array, spec GroupSpec, workers, lo, hi int) (*Result, Metrics, error) {
-	scan := func(ctx context.Context, store *chunk.Store, lo, hi int) (*Result, Metrics, error) {
-		return runKernel(a, store, spec, nil, func(k *chunkKernel, m *Metrics) error {
-			return store.ScanChunkRange(ctx, lo, hi, func(cn int, cells []chunk.Cell) error {
+// Restriction — split across the workers by splitRange, the same
+// formula that cut the shard's slice. Each worker aggregates into a
+// private cube; the partials merge at the end (every tracked aggregate
+// is distributive). The buffer pool is shared and thread-safe, so
+// workers contend only on page fetches.
+func arrayScan(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*Result, Metrics, error) {
+	return runParts(ctx, s.Workers, hi-lo, func(ctx context.Context, w, n int, p *workerPartial) {
+		wlo, whi := splitRange(lo, hi, w, n)
+		p.res, p.m, p.err = runKernel(a, s.Group, nil, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
+			return store.ScanChunkRange(ctx, wlo, whi, func(cn int, cells []chunk.Cell) error {
 				m.ChunksRead++
 				m.CellsScanned += int64(len(cells))
 				return k.consolidate(cn, cells)
 			})
 		})
-	}
-	span := hi - lo
-	workers = ClampWorkers(workers, span)
-	if workers <= 1 {
-		return scan(ctx, a.Store(), lo, hi)
-	}
-	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
-		p.res, p.m, p.err = scan(ctx, a.Store().Clone(), lo+span*w/workers, lo+span*(w+1)/workers)
 		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
 	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return mergeParts(parts)
 }
 
 // intersectSorted intersects two ascending int slices.
@@ -207,7 +216,8 @@ func unionSorted(a, b []int) []int {
 // §4.2: for each dimension, the B-tree index lists of the selected values
 // are retrieved and merged (values on one attribute union; predicates on
 // different attributes of the same dimension intersect). Dimensions with
-// no predicate yield the full index range.
+// no predicate yield the full index range. The selections must have
+// passed ScanSpec.validate.
 func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
 	dims := a.Dims()
 	lists := make([][]int, len(dims))
@@ -219,16 +229,9 @@ func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
 		lists[i] = all
 	}
 	for _, s := range sels {
-		if s.Dim < 0 || s.Dim >= len(dims) {
-			return nil, fmt.Errorf("core: selection on dimension %d of %d", s.Dim, len(dims))
-		}
-		d := dims[s.Dim]
-		if s.Level < 0 || s.Level >= len(d.Levels) {
-			return nil, fmt.Errorf("core: dimension %s has no attribute level %d", d.Name, s.Level)
-		}
 		var merged []int
 		for _, v := range s.Values {
-			list, err := d.Levels[s.Level].IndexList(v)
+			list, err := dims[s.Dim].Levels[s.Level].IndexList(v)
 			if err != nil {
 				return nil, err
 			}
@@ -239,37 +242,15 @@ func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
 	return lists, nil
 }
 
-// ArraySelectConsolidate evaluates a consolidation with selection on the
-// OLAP Array ADT with the algorithm of §4.2:
-//
-//  1. probe the per-attribute B-trees for the selected values' index
-//     lists and merge them into a final list per dimension;
-//  2. enumerate the cross-product of the final lists in chunk-number
-//     order, skipping chunks that overlap no cross-product element (or
-//     hold no valid cells) without reading them;
-//  3. within a chunk, generate elements in increasing chunk-offset order
-//     and probe the offset-sorted cells by binary search, aggregating
-//     the hits into the result cube.
-func ArraySelectConsolidate(a *array.Array, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return ArraySelectConsolidateContext(context.Background(), a, sels, spec)
-}
-
-// ArraySelectConsolidateContext is ArraySelectConsolidate with
-// cancellation, checked once per candidate chunk before it is read.
-func ArraySelectConsolidateContext(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return arraySelectConsolidate(ctx, a, sels, spec, 1, 0, a.Geometry().NumChunks())
-}
-
-// arraySelectConsolidate is the §4.2 algorithm over the candidate chunks
-// with lo <= chunkNum < hi (a shard probes only its own slice of the
-// directory; chunks outside it, or without valid cells, are skipped
-// unread). The candidates are materialized once in chunk-number order
-// and claimed from an atomic dispenser — by the one sequential reader,
-// or by workers each folding into a private cube merged at the end
-// (per-chunk cost varies wildly with density, so static ranges would
-// balance poorly).
-func arraySelectConsolidate(ctx context.Context, a *array.Array, sels []Selection, spec GroupSpec, workers, lo, hi int) (*Result, Metrics, error) {
-	lists, err := selectionIndexLists(a, sels)
+// arraySelect is §4.2 over the candidate chunks with lo <= chunkNum < hi
+// (a shard probes only its own slice of the directory; chunks outside
+// it, or without valid cells, are skipped unread). The candidates are
+// materialized once in chunk-number order and claimed from an atomic
+// dispenser — by the one sequential reader, or by workers each folding
+// into a private cube merged at the end (per-chunk cost varies wildly
+// with density, so static ranges would balance poorly).
+func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*Result, Metrics, error) {
+	lists, err := selectionIndexLists(a, s.Selections)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
@@ -279,11 +260,11 @@ func arraySelectConsolidate(ctx context.Context, a *array.Array, sels []Selectio
 		return cn >= lo && cn < hi && base.ChunkCells(cn) > 0
 	})
 	var claimed atomic.Int64
-	// ReadChunk, not the scan path's scratch read: the candidate chunks
-	// are exactly the working set the shared decoded-chunk cache exists
-	// to retain.
-	fold := func(ctx context.Context, store *chunk.Store) (*Result, Metrics, error) {
-		return runKernel(a, store, spec, sel, func(k *chunkKernel, m *Metrics) error {
+	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {
+		// ReadChunk, not the scan path's scratch read: the candidate chunks
+		// are exactly the working set the shared decoded-chunk cache exists
+		// to retain.
+		p.res, p.m, p.err = runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
 			for {
 				t := claimed.Add(1) - 1
 				if t >= int64(len(candidates)) {
@@ -303,25 +284,17 @@ func arraySelectConsolidate(ctx context.Context, a *array.Array, sels []Selectio
 				}
 			}
 		})
-	}
-	workers = ClampWorkers(workers, len(candidates))
-	if workers <= 1 {
-		return fold(ctx, base)
-	}
-	parts, err := runWorkers(ctx, workers, func(ctx context.Context, w int, p *workerPartial) {
-		p.res, p.m, p.err = fold(ctx, base.Clone())
 		p.rows, p.io = p.m.ProbeHits+p.m.CellsScanned, p.m.ChunksRead
 	})
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	return mergeParts(parts)
 }
 
 // SelectionSelectivity estimates the fraction of the cube's cells that
 // satisfy the selections, assuming independence — the S = s^r of §5.6.
 // Used by the harness to label benchmark series.
 func SelectionSelectivity(a *array.Array, sels []Selection) (float64, error) {
+	if err := validateArray(a, &ScanSpec{Selections: sels}); err != nil {
+		return 0, err
+	}
 	lists, err := selectionIndexLists(a, sels)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -21,7 +22,7 @@ import (
 func ArrayConsolidateBounded(a *array.Array, spec GroupSpec, maxCells int) ([]Row, Metrics, error) {
 	var m Metrics
 	if maxCells <= 0 {
-		res, m, err := ArrayConsolidate(a, spec)
+		res, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: spec})
 		if err != nil {
 			return nil, m, err
 		}
@@ -35,7 +36,7 @@ func ArrayConsolidateBounded(a *array.Array, spec GroupSpec, maxCells int) ([]Ro
 	labels := gm.result.labels
 	if len(labels) == 0 {
 		// Fully collapsed: one cell, no partitioning needed.
-		res, m, err := ArrayConsolidate(a, spec)
+		res, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: spec})
 		if err != nil {
 			return nil, m, err
 		}

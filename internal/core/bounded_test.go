@@ -8,7 +8,7 @@ import (
 func TestBoundedConsolidateMatchesPlain(t *testing.T) {
 	fx := defaultFixture(t, 61)
 	spec := GroupByAttrs(3, 0)
-	plain, _, err := ArrayConsolidate(fx.arr, spec)
+	plain, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestQuickBoundedEqualsPlain(t *testing.T) {
 	f := func(seed int64, boundRaw uint16) bool {
 		fx := buildFixture(t, seed, []int{5, 6, 4}, [][]int{{3}, {4}, {2}}, 0.4, []int{2, 3, 2})
 		spec := GroupByAttrs(3, 0)
-		plain, _, err := ArrayConsolidate(fx.arr, spec)
+		plain, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 		if err != nil {
 			return false
 		}

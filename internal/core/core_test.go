@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -12,6 +13,9 @@ import (
 	"repro/internal/factfile"
 	"repro/internal/storage"
 )
+
+// bg is the context of every test run that does not cancel.
+var bg = context.Background()
 
 // sliceFacts adapts in-memory facts to array.FactSource.
 type sliceFacts struct {
@@ -49,7 +53,7 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 	rng := rand.New(rand.NewSource(seed))
 	fx := newFixtureDims(t, rng, dimSizes, attrCards)
 	facts := randomFacts(rng, dimSizes, density)
-	fx.load(t, facts, facts, chunkShape)
+	fx.load(t, facts, chunkShape)
 	return fx
 }
 
@@ -106,35 +110,38 @@ func randomFacts(rng *rand.Rand, dimSizes []int, density float64) *sliceFacts {
 	return facts
 }
 
-// load finishes a fixture: the fact file and bitmap indexes over
-// fileFacts, the OLAP array over arrayFacts. The two differ only when a
-// test lays a delta overlay over the array and wants the relational
-// side to already hold the merged state.
-func (fx *fixture) load(t testing.TB, fileFacts, arrayFacts *sliceFacts, chunkShape []int) {
+// newFactFile writes facts over n dimensions to a fresh fact file.
+func newFactFile(t testing.TB, bp *storage.BufferPool, n int, facts *sliceFacts) *factfile.File {
 	t.Helper()
-	n := len(fx.dims)
-	ff, err := factfile.Create(fx.bp, catalog.FactRecordSize(n), 4)
+	ff, err := factfile.Create(bp, catalog.FactRecordSize(n), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := make([]byte, catalog.FactRecordSize(n))
-	for i := range fileFacts.keys {
-		if err := catalog.EncodeFact(rec, fileFacts.keys[i], fileFacts.measures[i]); err != nil {
+	for i := range facts.keys {
+		if err := catalog.EncodeFact(rec, facts.keys[i], facts.measures[i]); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ff.Append(rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	fx.ff = ff
+	return ff
+}
 
-	arr, err := array.Build(fx.bp, fx.dims, arrayFacts, array.BuildConfig{ChunkShape: chunkShape})
+// load finishes a fixture: the fact file, the OLAP array and the bitmap
+// indexes over facts.
+func (fx *fixture) load(t testing.TB, facts *sliceFacts, chunkShape []int) {
+	t.Helper()
+	fx.ff = newFactFile(t, fx.bp, len(fx.dims), facts)
+
+	arr, err := array.Build(fx.bp, fx.dims, facts, array.BuildConfig{ChunkShape: chunkShape})
 	if err != nil {
 		t.Fatal(err)
 	}
 	fx.arr = arr
 
-	bm, err := BuildBitmapIndexes(ff, fx.dims)
+	bm, err := BuildBitmapIndexes(fx.ff, fx.dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,52 +156,43 @@ func defaultFixture(t testing.TB, seed int64) *fixture {
 		[]int{3, 2, 4})
 }
 
+// engines names the three run functions, for tests that drive every
+// engine through one table of ScanSpecs.
+var engines = []string{"array", "starjoin", "bitmap"}
+
+// run hands s to the named engine over the fixture's data. The array
+// engine's pending deltas ride on the array itself, so with an overlay
+// it reads the overlay's clone.
+func (fx *fixture) run(ctx context.Context, engine string, s ScanSpec) (*Result, Metrics, error) {
+	switch engine {
+	case "array":
+		arr := fx.arr
+		if s.Overlay != nil {
+			arr = s.Overlay.Arr
+		}
+		return ArrayConsolidate(ctx, arr, s)
+	case "starjoin":
+		return StarJoinConsolidate(ctx, fx.ff, fx.dims, s)
+	case "bitmap":
+		return BitmapSelectConsolidate(ctx, fx.ff, fx.dims, fx.bmaps, s)
+	}
+	panic("unknown engine " + engine)
+}
+
 func checkAllPlansEqual(t *testing.T, fx *fixture, sels []Selection, spec GroupSpec) {
 	t.Helper()
 	want, err := ReferenceConsolidate(fx.ff, fx.dims, sels, spec)
 	if err != nil {
 		t.Fatalf("reference: %v", err)
 	}
-
-	if len(sels) == 0 {
-		res, _, err := ArrayConsolidate(fx.arr, spec)
+	for _, eng := range engines {
+		res, _, err := fx.run(bg, eng, ScanSpec{Selections: sels, Group: spec})
 		if err != nil {
-			t.Fatalf("ArrayConsolidate: %v", err)
+			t.Fatalf("%s: %v", eng, err)
 		}
 		if got := res.SortedRows(); !RowsEqual(got, want) {
-			t.Fatalf("ArrayConsolidate != reference: %s", DiffRows(got, want))
+			t.Fatalf("%s != reference: %s", eng, DiffRows(got, want))
 		}
-		res2, _, err := StarJoinConsolidate(fx.ff, fx.dims, spec)
-		if err != nil {
-			t.Fatalf("StarJoinConsolidate: %v", err)
-		}
-		if got := res2.SortedRows(); !RowsEqual(got, want) {
-			t.Fatalf("StarJoinConsolidate != reference: %s", DiffRows(got, want))
-		}
-	}
-
-	res3, _, err := ArraySelectConsolidate(fx.arr, sels, spec)
-	if err != nil {
-		t.Fatalf("ArraySelectConsolidate: %v", err)
-	}
-	if got := res3.SortedRows(); !RowsEqual(got, want) {
-		t.Fatalf("ArraySelectConsolidate != reference: %s", DiffRows(got, want))
-	}
-
-	res4, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, sels, spec)
-	if err != nil {
-		t.Fatalf("BitmapSelectConsolidate: %v", err)
-	}
-	if got := res4.SortedRows(); !RowsEqual(got, want) {
-		t.Fatalf("BitmapSelectConsolidate != reference: %s", DiffRows(got, want))
-	}
-
-	res5, _, err := StarJoinSelectConsolidate(fx.ff, fx.dims, sels, spec)
-	if err != nil {
-		t.Fatalf("StarJoinSelectConsolidate: %v", err)
-	}
-	if got := res5.SortedRows(); !RowsEqual(got, want) {
-		t.Fatalf("StarJoinSelectConsolidate != reference: %s", DiffRows(got, want))
 	}
 }
 
@@ -219,7 +217,7 @@ func TestConsolidationFullCollapse(t *testing.T) {
 	checkAllPlansEqual(t, fx, nil, spec)
 
 	// The single global row must equal the fact sum.
-	res, _, err := ArrayConsolidate(fx.arr, spec)
+	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +274,7 @@ func TestSelectionWithCollapseGroup(t *testing.T) {
 
 func TestArrayConsolidateMetrics(t *testing.T) {
 	fx := defaultFixture(t, 9)
-	_, m, err := ArrayConsolidate(fx.arr, GroupByAttrs(3, 0))
+	_, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -295,7 +293,7 @@ func TestArraySelectChunkSkipping(t *testing.T) {
 	// Pick an attribute value that exists.
 	val := fx.arr.Dims()[0].Levels[0].Dict[0]
 	sels := []Selection{{Dim: 0, Level: 0, Values: []string{val}}}
-	_, m, err := ArraySelectConsolidate(fx.arr, sels, GroupSpec{{Target: Collapse}, {Target: Collapse}})
+	_, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: GroupSpec{{Target: Collapse}, {Target: Collapse}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +316,7 @@ func TestBitmapSelectMetrics(t *testing.T) {
 		{Dim: 0, Level: 0, Values: []string{"V0_0_0"}},
 		{Dim: 1, Level: 0, Values: []string{"V1_0_0"}},
 	}
-	res, m, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, sels, GroupByAttrs(3, 0))
+	res, m, err := BitmapSelectConsolidate(bg, fx.ff, fx.dims, fx.bmaps, ScanSpec{Selections: sels, Group: GroupByAttrs(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -353,7 +351,7 @@ func TestSelectionSelectivity(t *testing.T) {
 
 func TestResultRowAggregates(t *testing.T) {
 	fx := defaultFixture(t, 13)
-	res, _, err := ArrayConsolidate(fx.arr, GroupByAttrs(3, 0))
+	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -384,28 +382,28 @@ func TestResultRowAggregates(t *testing.T) {
 
 func TestGroupSpecErrors(t *testing.T) {
 	fx := defaultFixture(t, 14)
-	if _, _, err := ArrayConsolidate(fx.arr, GroupSpec{{Target: GroupByKey}}); err == nil {
+	if _, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupSpec{{Target: GroupByKey}}}); err == nil {
 		t.Fatal("short spec accepted")
 	}
 	bad := GroupSpec{{Target: GroupByLevel, Level: 9}, {Target: Collapse}, {Target: Collapse}}
-	if _, _, err := ArrayConsolidate(fx.arr, bad); err == nil {
+	if _, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: bad}); err == nil {
 		t.Fatal("bad level accepted by array plan")
 	}
-	if _, _, err := StarJoinConsolidate(fx.ff, fx.dims, bad); err == nil {
+	if _, _, err := StarJoinConsolidate(bg, fx.ff, fx.dims, ScanSpec{Group: bad}); err == nil {
 		t.Fatal("bad level accepted by star join")
 	}
 	badSel := []Selection{{Dim: 9, Level: 0, Values: []string{"x"}}}
-	if _, _, err := ArraySelectConsolidate(fx.arr, badSel, GroupByAttrs(3, 0)); err == nil {
+	if _, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: badSel, Group: GroupByAttrs(3, 0)}); err == nil {
 		t.Fatal("bad selection dim accepted by array plan")
 	}
-	if _, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, badSel, GroupByAttrs(3, 0)); err == nil {
+	if _, _, err := BitmapSelectConsolidate(bg, fx.ff, fx.dims, fx.bmaps, ScanSpec{Selections: badSel, Group: GroupByAttrs(3, 0)}); err == nil {
 		t.Fatal("bad selection dim accepted by bitmap plan")
 	}
 	badSel2 := []Selection{{Dim: 0, Level: 9, Values: []string{"x"}}}
-	if _, _, err := ArraySelectConsolidate(fx.arr, badSel2, GroupByAttrs(3, 0)); err == nil {
+	if _, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: badSel2, Group: GroupByAttrs(3, 0)}); err == nil {
 		t.Fatal("bad selection level accepted by array plan")
 	}
-	if _, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, badSel2, GroupByAttrs(3, 0)); err == nil {
+	if _, _, err := BitmapSelectConsolidate(bg, fx.ff, fx.dims, fx.bmaps, ScanSpec{Selections: badSel2, Group: GroupByAttrs(3, 0)}); err == nil {
 		t.Fatal("bad selection level accepted by bitmap plan")
 	}
 }
@@ -477,25 +475,9 @@ func TestQuickAllPlansAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		r1, _, err := ArraySelectConsolidate(fx.arr, sels, spec)
-		if err != nil || !RowsEqual(r1.SortedRows(), want) {
-			return false
-		}
-		r2, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, fx.bmaps, sels, spec)
-		if err != nil || !RowsEqual(r2.SortedRows(), want) {
-			return false
-		}
-		r3, _, err := StarJoinSelectConsolidate(fx.ff, fx.dims, sels, spec)
-		if err != nil || !RowsEqual(r3.SortedRows(), want) {
-			return false
-		}
-		if len(sels) == 0 {
-			r4, _, err := ArrayConsolidate(fx.arr, spec)
-			if err != nil || !RowsEqual(r4.SortedRows(), want) {
-				return false
-			}
-			r5, _, err := StarJoinConsolidate(fx.ff, fx.dims, spec)
-			if err != nil || !RowsEqual(r5.SortedRows(), want) {
+		for _, eng := range engines {
+			res, _, err := fx.run(bg, eng, ScanSpec{Selections: sels, Group: spec})
+			if err != nil || !RowsEqual(res.SortedRows(), want) {
 				return false
 			}
 		}
@@ -540,7 +522,7 @@ func TestLOBBitmapSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _, err := BitmapSelectConsolidate(fx.ff, fx.dims, src, sels, GroupByAttrs(3, 0))
+	res, _, err := BitmapSelectConsolidate(bg, fx.ff, fx.dims, src, ScanSpec{Selections: sels, Group: GroupByAttrs(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

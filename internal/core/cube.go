@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -43,7 +44,7 @@ func subsetKey(dims []int) string {
 // up from its smallest already-materialized parent in the cube lattice —
 // the aggregates are distributive, so no second array scan is needed.
 func ArrayCube(a *array.Array, spec GroupSpec) ([]Cuboid, Metrics, error) {
-	base, m, err := ArrayConsolidate(a, spec)
+	base, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: spec})
 	if err != nil {
 		return nil, m, err
 	}
@@ -162,7 +163,7 @@ func CubeNaive(a *array.Array, spec GroupSpec) ([]Cuboid, Metrics, error) {
 				subSpec[i] = DimGroup{Target: Collapse}
 			}
 		}
-		res, m, err := ArrayConsolidate(a, subSpec)
+		res, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: subSpec})
 		if err != nil {
 			return nil, total, err
 		}

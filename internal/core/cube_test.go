@@ -10,7 +10,7 @@ import (
 func TestRollUpMatchesDirectConsolidation(t *testing.T) {
 	fx := defaultFixture(t, 41)
 	spec := GroupByAttrs(3, 0)
-	base, _, err := ArrayConsolidate(fx.arr, spec)
+	base, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -20,11 +20,11 @@ func TestRollUpMatchesDirectConsolidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, _, err := ArrayConsolidate(fx.arr, GroupSpec{
+	direct, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupSpec{
 		{Target: GroupByLevel, Level: 0},
 		{Target: Collapse},
 		{Target: GroupByLevel, Level: 0},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,11 +114,11 @@ func TestArrayCubeWithMixedSpec(t *testing.T) {
 func TestMergePartialResults(t *testing.T) {
 	fx := defaultFixture(t, 45)
 	spec := GroupByAttrs(3, 0)
-	whole, _, err := ArrayConsolidate(fx.arr, spec)
+	whole, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, m, err := ArrayConsolidateParallel(fx.arr, spec, 4)
+	par, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: 4})
 	if err != nil {
 		t.Fatalf("parallel: %v", err)
 	}
@@ -130,7 +130,7 @@ func TestMergePartialResults(t *testing.T) {
 	}
 	// Degenerate worker counts.
 	for _, w := range []int{0, 1, 1000} {
-		p, _, err := ArrayConsolidateParallel(fx.arr, spec, w)
+		p, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: w})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
@@ -139,9 +139,9 @@ func TestMergePartialResults(t *testing.T) {
 		}
 	}
 	// Merge validation.
-	other, _, _ := ArrayConsolidate(fx.arr, GroupSpec{
+	other, _, _ := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupSpec{
 		{Target: Collapse}, {Target: Collapse}, {Target: Collapse},
-	})
+	}})
 	if err := whole.Merge(other); err == nil {
 		t.Fatal("Merge of incompatible results succeeded")
 	}
@@ -153,11 +153,11 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 	f := func(seed int64, workersRaw uint8) bool {
 		fx := buildFixture(t, seed, []int{6, 7, 5}, [][]int{{3}, {2}, {4}}, 0.3, []int{2, 3, 2})
 		spec := GroupByAttrs(3, 0)
-		serial, _, err := ArrayConsolidate(fx.arr, spec)
+		serial, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 		if err != nil {
 			return false
 		}
-		par, _, err := ArrayConsolidateParallel(fx.arr, spec, int(workersRaw)%8+1)
+		par, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: int(workersRaw)%8 + 1})
 		if err != nil {
 			return false
 		}
@@ -171,7 +171,7 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 func TestMaterializeResultRoundtrip(t *testing.T) {
 	fx := defaultFixture(t, 46)
 	spec := GroupByAttrs(3, 0)
-	res, _, err := ArrayConsolidate(fx.arr, spec)
+	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,9 +192,9 @@ func TestMaterializeResultRoundtrip(t *testing.T) {
 
 	// Re-consolidating the materialized result over everything must
 	// reproduce the original grand total (sum is distributive).
-	reagg, _, err := ArrayConsolidate(arr, GroupSpec{
+	reagg, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: GroupSpec{
 		{Target: Collapse}, {Target: Collapse}, {Target: Collapse},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +209,9 @@ func TestMaterializeResultRoundtrip(t *testing.T) {
 
 	// Grouping the materialized array by its label attribute must match
 	// rolling up the original result.
-	grouped, _, err := ArrayConsolidate(arr, GroupSpec{
+	grouped, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: GroupSpec{
 		{Target: GroupByLevel, Level: 0}, {Target: Collapse}, {Target: Collapse},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,9 +239,9 @@ func TestMaterializeResultRoundtrip(t *testing.T) {
 
 func TestMaterializeResultErrors(t *testing.T) {
 	fx := defaultFixture(t, 47)
-	res, _, err := ArrayConsolidate(fx.arr, GroupSpec{
+	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupSpec{
 		{Target: Collapse}, {Target: Collapse}, {Target: Collapse},
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestMaterializeResultErrors(t *testing.T) {
 	if _, _, err := MaterializeResult(bp, res, MaterializeOptions{}); err == nil {
 		t.Fatal("materializing a collapsed result succeeded")
 	}
-	res2, _, err := ArrayConsolidate(fx.arr, GroupByAttrs(3, 0))
+	res2, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0)})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,15 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/chunk"
+	"repro/internal/factfile"
 )
 
 // kernelCase is one random cube of the kernel differential: a fixture
@@ -39,16 +40,32 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 	}
 	fx := newFixtureDims(t, rng, dimSizes, attrCards)
 	base := randomFacts(rng, dimSizes, []float64{0.05, 0.4, 0.95}[rng.Intn(3)])
+	fx.load(t, base, shape)
 	if !overlay {
-		fx.load(t, base, base, shape)
 		return kernelCase{fx, attrCards, int64(len(base.keys))}
 	}
+	fold, merged, validCells := layOverlay(t, rng, fx)
+	fx.arr, fx.ff = fold.Arr, merged
+	return kernelCase{fx, attrCards, validCells}
+}
 
+// layOverlay puts a loaded fixture mid-ingest. It draws random upserts
+// and deletes and returns them as an OverlayFold — a clone of fx.arr
+// with the deltas pending, plus the chunks they touch — next to a fact
+// file holding the state once they are merged, and that state's cell
+// count. fx itself is unchanged, so its fact file is now stale in the
+// touched chunks.
+func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture) (*OverlayFold, *factfile.File, int64) {
+	g := fx.arr.Geometry()
+	n := g.NumDims()
 	// The test keys are 0..size-1 and the array indexes them in key
 	// order, so a key vector doubles as the cell's coordinates.
-	g, err := chunk.NewGeometry(dimSizes, shape)
-	if err != nil {
-		t.Fatal(err)
+	for d, dim := range fx.arr.Dims() {
+		for idx, key := range dim.Keys {
+			if key != int64(idx) {
+				t.Fatalf("dimension %d indexes key %d at %d; the overlay assumes key order", d, key, idx)
+			}
+		}
 	}
 	type cellID struct{ cn, off int }
 	merged := map[cellID]int64{}
@@ -63,15 +80,21 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 		keysOf[id] = keys
 		return id
 	}
-	for i, keys := range base.keys {
-		merged[locate(keys)] = base.measures[i]
+	err := fx.ff.Scan(func(_ uint64, rec []byte) error {
+		keys := make([]int64, n)
+		v, err := catalog.DecodeFact(rec, keys)
+		merged[locate(keys)] = v
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	ov := map[int][]chunk.OverlayCell{}
 	touched := map[cellID]bool{}
 	for i := rng.Intn(int(g.NumCells())/2 + 2); i > 0; i-- {
 		keys := make([]int64, n)
 		for d := range keys {
-			keys[d] = int64(rng.Intn(dimSizes[d]))
+			keys[d] = int64(rng.Intn(g.Dims()[d]))
 		}
 		id := locate(keys)
 		if touched[id] {
@@ -86,9 +109,14 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 			merged[id] = oc.Value
 		}
 	}
+	fold := &OverlayFold{Arr: fx.arr.Clone()}
 	for cn := range ov {
 		sort.Slice(ov[cn], func(i, j int) bool { return ov[cn][i].Offset < ov[cn][j].Offset })
+		fold.Chunks = append(fold.Chunks, cn)
 	}
+	sort.Ints(fold.Chunks)
+	fold.Arr.Store().SetOverlay(ov)
+
 	ids := make([]cellID, 0, len(merged))
 	for id := range merged {
 		ids = append(ids, id)
@@ -101,16 +129,7 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 		file.keys = append(file.keys, keysOf[id])
 		file.measures = append(file.measures, merged[id])
 	}
-	fx.load(t, file, base, shape)
-	for d, dim := range fx.arr.Dims() {
-		for idx, key := range dim.Keys {
-			if key != int64(idx) {
-				t.Fatalf("dimension %d indexes key %d at %d; the overlay assumed key order", d, key, idx)
-			}
-		}
-	}
-	fx.arr.Store().SetOverlay(ov)
-	return kernelCase{fx, attrCards, int64(len(merged))}
+	return fold, newFactFile(t, fx.bp, n, file), int64(len(merged))
 }
 
 // randomSpec mixes Collapse, GroupByKey and GroupByLevel.
@@ -183,7 +202,7 @@ func TestKernelDifferential(t *testing.T) {
 			}
 			var seq Metrics
 			for _, deg := range []int{1, 2, 8} {
-				res, m, err := ArrayConsolidateRestricted(context.Background(), fx.arr, spec, deg, Restriction{})
+				res, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: deg})
 				if err != nil {
 					t.Fatalf("%s degree %d: scan: %v", name, deg, err)
 				}
@@ -195,7 +214,7 @@ func TestKernelDifferential(t *testing.T) {
 						name, deg, m.CellsScanned, m.Probes, c.validCells)
 				}
 
-				res, m, err = ArraySelectConsolidateRestricted(context.Background(), fx.arr, sels, spec, deg, Restriction{})
+				res, m, err = ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: spec, Workers: deg})
 				if err != nil {
 					t.Fatalf("%s degree %d: select: %v", name, deg, err)
 				}
@@ -238,7 +257,7 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 
 	spec := GroupByAttrs(2, 0)
 	for _, deg := range []int{1, 2} {
-		_, _, err := ArrayConsolidateRestricted(context.Background(), arr, spec, deg, Restriction{})
+		_, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec, Workers: deg})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("degree %d: scan error = %v, want %q", deg, err, want)
 		}
@@ -246,7 +265,7 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 	// A selection meets the same cell where it filter-scans the chunk
 	// (four candidates against five cells here).
 	sels := []Selection{{Dim: 0, Level: 0, Values: []string{"V0_0_0", "V0_0_1"}}}
-	if _, _, err := ArraySelectConsolidate(arr, sels, spec); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Selections: sels, Group: spec}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("select error = %v, want %q", err, want)
 	}
 	if _, _, err := ArrayConsolidateBounded(arr, spec, 2); err == nil || !strings.Contains(err.Error(), want) {
@@ -255,7 +274,7 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 	// An offset past the chunk capacity cannot come out of a decoder, but
 	// the kernel must not trust that either.
 	arr.Store().SetOverlay(map[int][]chunk.OverlayCell{0: {{Offset: 16, Value: 7}}})
-	if _, _, err := ArrayConsolidate(arr, spec); err == nil || !strings.Contains(err.Error(), "chunk 0: offset 16 outside") {
+	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec}); err == nil || !strings.Contains(err.Error(), "chunk 0: offset 16 outside") {
 		t.Fatalf("scan error = %v, want offset 16 of chunk 0 rejected", err)
 	}
 }
@@ -283,7 +302,7 @@ func BenchmarkArrayScanKernel(b *testing.B) {
 			b.ReportAllocs()
 			var cells int64
 			for i := 0; i < b.N; i++ {
-				res, m, err := ArrayConsolidate(fx.arr, c.spec)
+				res, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: c.spec})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -14,6 +14,9 @@ import (
 // generates cross-product elements chunk by chunk.
 func ArraySelectConsolidateNaive(a *array.Array, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
 	var m Metrics
+	if err := validateArray(a, &ScanSpec{Selections: sels}); err != nil {
+		return nil, m, err
+	}
 	gm, err := newArrayGroupMapper(a, spec)
 	if err != nil {
 		return nil, m, err

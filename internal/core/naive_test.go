@@ -13,7 +13,7 @@ func TestNaiveSelectMatchesOptimized(t *testing.T) {
 	}
 	for i, sels := range cases {
 		spec := GroupByAttrs(3, 0)
-		want, _, err := ArraySelectConsolidate(fx.arr, sels, spec)
+		want, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: spec})
 		if err != nil {
 			t.Fatalf("case %d optimized: %v", i, err)
 		}
@@ -37,7 +37,7 @@ func TestNaiveSelectReadsMoreChunks(t *testing.T) {
 	sels := []Selection{{Dim: 1, Level: 0, Values: []string{val}}}
 	spec := GroupSpec{{Target: Collapse}, {Target: Collapse}}
 
-	optRes, opt, err := ArraySelectConsolidate(fx.arr, sels, spec)
+	optRes, opt, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: spec})
 	if err != nil {
 		t.Fatal(err)
 	}

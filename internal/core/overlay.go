@@ -7,7 +7,6 @@ import (
 	"repro/internal/array"
 	"repro/internal/catalog"
 	"repro/internal/chunk"
-	"repro/internal/factfile"
 )
 
 func errDimMismatch(arr, rel int) error {
@@ -31,62 +30,6 @@ func errDimMismatch(arr, rel int) error {
 type OverlayFold struct {
 	Arr    *array.Array
 	Chunks []int
-}
-
-// StarJoinConsolidateRestrictedOverlay is StarJoinConsolidateRestricted
-// with an optional delta-overlay fold (nil behaves identically).
-func StarJoinConsolidateRestrictedOverlay(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
-	sels []Selection, spec GroupSpec, workers int, r Restriction, fold *OverlayFold) (*Result, Metrics, error) {
-	if err := r.Validate(); err != nil {
-		return nil, Metrics{}, err
-	}
-	df, err := newDirtyFilter(fold, dims)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	var res *Result
-	var m Metrics
-	if workers > 1 {
-		res, m, err = starJoinParallel(ctx, ff, dims, sels, spec, workers, r, df)
-	} else {
-		lo, hi := r.TupleRange(ff)
-		res, m, err = starJoin(ctx, ff, dims, sels, spec, lo, hi, df)
-	}
-	if err != nil {
-		return nil, m, err
-	}
-	if err := foldOverlay(ctx, fold, dims, sels, spec, r, res, &m); err != nil {
-		res.Release()
-		return nil, m, err
-	}
-	return res, m, nil
-}
-
-// BitmapSelectConsolidateRestrictedOverlay is
-// BitmapSelectConsolidateRestricted with an optional delta-overlay fold
-// (nil behaves identically).
-func BitmapSelectConsolidateRestrictedOverlay(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
-	src BitmapIndexSource, sels []Selection, spec GroupSpec, workers int, r Restriction, fold *OverlayFold) (*Result, Metrics, error) {
-	if err := r.Validate(); err != nil {
-		return nil, Metrics{}, err
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	df, err := newDirtyFilter(fold, dims)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	lo, hi := r.TupleRange(ff)
-	res, m, err := bitmapSelect(ctx, ff, dims, src, sels, spec, workers, lo, hi, df)
-	if err != nil {
-		return nil, m, err
-	}
-	if err := foldOverlay(ctx, fold, dims, sels, spec, r, res, &m); err != nil {
-		res.Release()
-		return nil, m, err
-	}
-	return res, m, nil
 }
 
 // dirtyFilter decides, per fact tuple, whether the tuple's cell lands
@@ -143,35 +86,17 @@ func (df *dirtyFilter) dirty(keys []int64, coords []int) bool {
 }
 
 // foldOverlay re-aggregates the touched chunks from the merged array
-// into base, replacing the tuples the dirty filter skipped. It builds
-// its own group state (buildRelGroupState's label order is
-// deterministic — first-seen in dimension-table scan order — so the
-// fold cube Merges into the scan cube), walks the touched chunks inside
-// the restriction's chunk range, and applies the same selection
-// predicates the scan did. A nil fold is a no-op.
-func foldOverlay(ctx context.Context, fold *OverlayFold, dims []*catalog.DimensionTable,
-	sels []Selection, spec GroupSpec, r Restriction, base *Result, m *Metrics) error {
-	if fold == nil || len(fold.Chunks) == 0 {
-		return nil
-	}
-	ar := queryArenas.Get()
-	st, err := buildRelGroupState(dims, spec, ar)
-	if err != nil {
-		queryArenas.Put(ar)
-		return err
-	}
-	defer st.result.Release()
-	filters, err := selectionKeySets(dims, sels)
-	if err != nil {
-		return err
-	}
+// through t — whose cube is the scan's merged result — replacing the
+// tuples the dirty filter skipped: each cell of a touched chunk inside
+// the restriction's chunk range becomes a tuple (its coordinates' keys,
+// its value) and takes the same path a fact record does, so the scan's
+// selections apply to it unchanged.
+func (t *tupleAgg) foldOverlay(ctx context.Context, fold *OverlayFold, r Restriction, m *Metrics) error {
 	g := fold.Arr.Geometry()
 	lo, hi := r.ChunkRange(g.NumChunks())
 	store := fold.Arr.Store()
 	adims := fold.Arr.Dims()
-	n := g.NumDims()
-	coords := make([]int, n)
-	keys := make([]int64, n)
+	coords := make([]int, len(adims))
 	for _, cn := range fold.Chunks {
 		if cn < lo || cn >= hi {
 			continue
@@ -187,29 +112,13 @@ func foldOverlay(ctx context.Context, fold *OverlayFold, dims []*catalog.Dimensi
 		m.CellsScanned += int64(len(cells))
 		for _, c := range cells {
 			g.Decompose(cn, int(c.Offset), coords)
-			for i := 0; i < n; i++ {
-				keys[i] = adims[i].Keys[coords[i]]
+			for i, d := range adims {
+				t.keys[i] = d.Keys[coords[i]]
 			}
-			pass := true
-			for i, f := range filters {
-				if f != nil {
-					if _, ok := f[keys[i]]; !ok {
-						pass = false
-						break
-					}
-				}
-			}
-			if !pass {
-				continue
-			}
-			idx, ok := st.groupIndex(keys)
-			if !ok {
-				continue
-			}
-			st.result.add(idx, c.Value)
+			t.add(t.keys, c.Value)
 		}
 	}
-	return base.Merge(st.result)
+	return nil
 }
 
 // SelectionChunks returns the sorted candidate chunk numbers the §4.2
@@ -218,6 +127,9 @@ func foldOverlay(ctx context.Context, fold *OverlayFold, dims []*catalog.Dimensi
 // executor to scope result-cache version vectors: an ingest into a
 // chunk outside this set cannot invalidate the cached result.
 func SelectionChunks(a *array.Array, sels []Selection) ([]int, error) {
+	if err := validateArray(a, &ScanSpec{Selections: sels}); err != nil {
+		return nil, err
+	}
 	lists, err := selectionIndexLists(a, sels)
 	if err != nil {
 		return nil, err

@@ -41,7 +41,6 @@ func parallelCases() []parallelCase {
 // the sequential totals.
 func TestParallelEqualsSequentialAllEngines(t *testing.T) {
 	fx := defaultFixture(t, 42)
-	ctx := context.Background()
 	degrees := []int{1, 2, 8}
 
 	for _, tc := range parallelCases() {
@@ -50,44 +49,15 @@ func TestParallelEqualsSequentialAllEngines(t *testing.T) {
 			if err != nil {
 				t.Fatalf("reference: %v", err)
 			}
-
-			type engineRun struct {
-				name string
-				run  func(workers int) (*Result, Metrics, error)
-			}
-			var engines []engineRun
-			if len(tc.sels) == 0 {
-				engines = append(engines,
-					engineRun{"array-scan", func(w int) (*Result, Metrics, error) {
-						return ArrayConsolidateParallelContext(ctx, fx.arr, tc.spec, w)
-					}},
-					engineRun{"starjoin", func(w int) (*Result, Metrics, error) {
-						return StarJoinConsolidateParallelContext(ctx, fx.ff, fx.dims, tc.spec, w)
-					}},
-				)
-			} else {
-				engines = append(engines,
-					engineRun{"array-select", func(w int) (*Result, Metrics, error) {
-						return ArraySelectConsolidateParallelContext(ctx, fx.arr, tc.sels, tc.spec, w)
-					}},
-					engineRun{"starjoin-select", func(w int) (*Result, Metrics, error) {
-						return StarJoinSelectConsolidateParallelContext(ctx, fx.ff, fx.dims, tc.sels, tc.spec, w)
-					}},
-					engineRun{"bitmap-select", func(w int) (*Result, Metrics, error) {
-						return BitmapSelectConsolidateParallelContext(ctx, fx.ff, fx.dims, fx.bmaps, tc.sels, tc.spec, w)
-					}},
-				)
-			}
-
 			for _, eng := range engines {
 				var seqM Metrics
 				for i, deg := range degrees {
-					res, m, err := eng.run(deg)
+					res, m, err := fx.run(bg, eng, ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: deg})
 					if err != nil {
-						t.Fatalf("%s degree %d: %v", eng.name, deg, err)
+						t.Fatalf("%s degree %d: %v", eng, deg, err)
 					}
 					if got := res.SortedRows(); !RowsEqual(got, want) {
-						t.Fatalf("%s degree %d != reference: %s", eng.name, deg, DiffRows(got, want))
+						t.Fatalf("%s degree %d != reference: %s", eng, deg, DiffRows(got, want))
 					}
 					if i == 0 {
 						seqM = m
@@ -97,19 +67,44 @@ func TestParallelEqualsSequentialAllEngines(t *testing.T) {
 					// more than the sequential pass did.
 					if m.TuplesScanned != seqM.TuplesScanned {
 						t.Errorf("%s degree %d: TuplesScanned = %d, want %d",
-							eng.name, deg, m.TuplesScanned, seqM.TuplesScanned)
+							eng, deg, m.TuplesScanned, seqM.TuplesScanned)
 					}
 					if m.CellsScanned != seqM.CellsScanned {
 						t.Errorf("%s degree %d: CellsScanned = %d, want %d",
-							eng.name, deg, m.CellsScanned, seqM.CellsScanned)
+							eng, deg, m.CellsScanned, seqM.CellsScanned)
 					}
 					if m.ProbeHits != seqM.ProbeHits {
 						t.Errorf("%s degree %d: ProbeHits = %d, want %d",
-							eng.name, deg, m.ProbeHits, seqM.ProbeHits)
+							eng, deg, m.ProbeHits, seqM.ProbeHits)
 					}
 				}
 			}
 		})
+	}
+}
+
+// TestZeroScanSpecIsSequential pins the zero value: a ScanSpec that sets
+// nothing but the grouping runs every engine over the whole data set,
+// sequentially — Workers 0 is not "every core" — and agrees with the
+// reference.
+func TestZeroScanSpecIsSequential(t *testing.T) {
+	fx := defaultFixture(t, 46)
+	spec := GroupByAttrs(3, 0)
+	want, err := ReferenceConsolidate(fx.ff, fx.dims, nil, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range engines {
+		res, m, err := fx.run(bg, eng, ScanSpec{Group: spec})
+		if err != nil {
+			t.Fatalf("%s: %v", eng, err)
+		}
+		if got := res.SortedRows(); !RowsEqual(got, want) {
+			t.Fatalf("%s != reference: %s", eng, DiffRows(got, want))
+		}
+		if m.ParallelDegree > 1 || len(m.WorkerRows) != 0 {
+			t.Errorf("%s: zero ScanSpec ran at degree %d with worker rows %v", eng, m.ParallelDegree, m.WorkerRows)
+		}
 	}
 }
 
@@ -122,7 +117,7 @@ func TestParallelClampNoIdleWorkers(t *testing.T) {
 	ctx := context.Background()
 	const degree = 1000
 
-	res, m, err := ArrayConsolidateParallelContext(ctx, fx.arr, GroupByAttrs(3, 0), degree)
+	res, m, err := ArrayConsolidate(ctx, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0), Workers: degree})
 	if err != nil {
 		t.Fatalf("array: %v", err)
 	}
@@ -137,7 +132,7 @@ func TestParallelClampNoIdleWorkers(t *testing.T) {
 		t.Fatalf("clamped array run != reference: %s", DiffRows(got, want))
 	}
 
-	res2, m2, err := StarJoinConsolidateParallelContext(ctx, fx.ff, fx.dims, GroupByAttrs(3, 0), degree)
+	res2, m2, err := StarJoinConsolidate(ctx, fx.ff, fx.dims, ScanSpec{Group: GroupByAttrs(3, 0), Workers: degree})
 	if err != nil {
 		t.Fatalf("starjoin: %v", err)
 	}
@@ -149,26 +144,21 @@ func TestParallelClampNoIdleWorkers(t *testing.T) {
 	}
 }
 
-// TestClampWorkers pins the clamp arithmetic.
+// TestClampWorkers pins the clamp arithmetic, including the one meaning
+// of a degree below 1: sequential, whatever GOMAXPROCS is.
 func TestClampWorkers(t *testing.T) {
-	cases := []struct{ workers, units, wantMax int }{
-		{4, 2, 2},   // capped at units
-		{4, 100, 4}, // unchanged
-		{1, 100, 1}, // sequential stays sequential
-		{7, 0, 1},   // no units -> 1
+	cases := []struct{ workers, units, want int }{
+		{4, 2, 2},    // capped at units
+		{4, 100, 4},  // unchanged
+		{1, 100, 1},  // sequential stays sequential
+		{7, 0, 1},    // no units -> 1
+		{0, 100, 1},  // the zero value is sequential
+		{-3, 100, 1}, // and so is anything below it
 	}
 	for _, c := range cases {
-		if got := ClampWorkers(c.workers, c.units); got != c.wantMax {
-			t.Errorf("ClampWorkers(%d, %d) = %d, want %d", c.workers, c.units, got, c.wantMax)
+		if got := clampWorkers(c.workers, c.units); got != c.want {
+			t.Errorf("clampWorkers(%d, %d) = %d, want %d", c.workers, c.units, got, c.want)
 		}
-	}
-	// 0 and negative resolve to GOMAXPROCS then clamp; with 1 unit the
-	// answer is always 1.
-	if got := ClampWorkers(0, 1); got != 1 {
-		t.Errorf("ClampWorkers(0, 1) = %d, want 1", got)
-	}
-	if got := ClampWorkers(-3, 1); got != 1 {
-		t.Errorf("ClampWorkers(-3, 1) = %d, want 1", got)
 	}
 }
 
@@ -182,30 +172,12 @@ func TestParallelCancelPropagates(t *testing.T) {
 	sels := []Selection{{Dim: 0, Level: 1, Values: []string{"V0_1_0"}}}
 	spec := GroupByAttrs(3, 0)
 
-	runs := []struct {
-		name string
-		run  func() error
-	}{
-		{"array-scan", func() error {
-			_, _, err := ArrayConsolidateParallelContext(ctx, fx.arr, spec, 4)
-			return err
-		}},
-		{"array-select", func() error {
-			_, _, err := ArraySelectConsolidateParallelContext(ctx, fx.arr, sels, spec, 4)
-			return err
-		}},
-		{"starjoin", func() error {
-			_, _, err := StarJoinConsolidateParallelContext(ctx, fx.ff, fx.dims, spec, 4)
-			return err
-		}},
-		{"starjoin-select", func() error {
-			_, _, err := StarJoinSelectConsolidateParallelContext(ctx, fx.ff, fx.dims, sels, spec, 4)
-			return err
-		}},
-	}
-	for _, r := range runs {
-		if err := r.run(); !errors.Is(err, context.Canceled) {
-			t.Errorf("%s: err = %v, want context.Canceled", r.name, err)
+	for _, eng := range engines {
+		for _, sels := range [][]Selection{nil, sels} {
+			_, _, err := fx.run(ctx, eng, ScanSpec{Selections: sels, Group: spec, Workers: 4})
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s sels=%v: err = %v, want context.Canceled", eng, sels, err)
+			}
 		}
 	}
 }
@@ -214,7 +186,7 @@ func TestParallelCancelPropagates(t *testing.T) {
 // its degree, per-worker rows, and an efficiency in (0, 1].
 func TestParallelDegreeRecorded(t *testing.T) {
 	fx := defaultFixture(t, 45)
-	res, m, err := ArrayConsolidateParallelContext(context.Background(), fx.arr, GroupByAttrs(3, 0), 2)
+	res, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0), Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -237,118 +237,187 @@ func (s *aggSet) grow() {
 	}
 }
 
-// StarJoinConsolidate evaluates a consolidation with the relational
-// StarJoin operator of §4.3: build an in-memory hash table per dimension
-// (key -> group-by value), then scan the fact file once; for each tuple,
-// probe every dimension hash, locate the group in the aggregation hash
-// table, and fold the measure in.
-func StarJoinConsolidate(ff *factfile.File, dims []*catalog.DimensionTable, spec GroupSpec) (*Result, Metrics, error) {
-	return starJoin(context.Background(), ff, dims, nil, spec, 0, ff.NumTuples(), nil)
+// tupleAgg is the relational engines' per-tuple step (§4.3), written
+// once: take a fact tuple's dimension keys, drop the tuple if it lands
+// in a delta-touched chunk or fails a selection, probe the dimension
+// hashes for its group, probe the aggregation hash, and fold the
+// measure in. The star join's scan (one aggregator per worker) and the
+// bitmap algorithm's fetch feed it fact records, the overlay fold feeds
+// it array cells. An aggregator serves one scan on one goroutine.
+type tupleAgg struct {
+	relGroupState                      // the shared dimension hashes, this aggregator's own cube
+	filters       []map[int64]struct{} // per dim: the keys a selection admits (nil = all)
+	df            *dirtyFilter         // nil = no tuple is stale
+	coords        []int                // df's scratch
+	keys          []int64              // the current tuple's dimension keys
+	agg           *aggSet
+	tuples        int64 // records seen
+
+	// record is the fact-file callback (ScanRange and FetchBits share
+	// its shape): decode one record and add it, checking ctx every
+	// cancelCheckInterval records. A closure built here, once, rather
+	// than a method value: the scan reaches it in one indirect call, and
+	// the compiler inlines the record decoding into it.
+	record func(tup uint64, rec []byte) error
 }
 
-// StarJoinConsolidateContext is StarJoinConsolidate with cancellation,
-// checked every cancelCheckInterval fact tuples of the scan.
-func StarJoinConsolidateContext(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, spec GroupSpec) (*Result, Metrics, error) {
-	return starJoin(ctx, ff, dims, nil, spec, 0, ff.NumTuples(), nil)
-}
-
-// StarJoinSelectConsolidate is StarJoinConsolidate with selection
-// predicates applied during the fact scan (no bitmap index): each
-// selected dimension contributes an in-memory set of qualifying keys and
-// non-members are dropped tuple by tuple. This is the "no index"
-// relational baseline the bitmap algorithm of §4.5 is built to beat.
-func StarJoinSelectConsolidate(ff *factfile.File, dims []*catalog.DimensionTable, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return starJoin(context.Background(), ff, dims, sels, spec, 0, ff.NumTuples(), nil)
-}
-
-// StarJoinSelectConsolidateContext is StarJoinSelectConsolidate with
-// cancellation, checked every cancelCheckInterval fact tuples.
-func StarJoinSelectConsolidateContext(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return starJoin(ctx, ff, dims, sels, spec, 0, ff.NumTuples(), nil)
-}
-
-// starJoin scans the half-open tuple range [tLo, tHi) of the fact file
-// — the full file for a plain query, one shard's extent-aligned slice
-// under a cluster Restriction. With a dirty filter attached, tuples
-// landing in delta-touched chunks are skipped (the caller folds those
-// chunks from the merged array afterwards).
-func starJoin(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, sels []Selection, spec GroupSpec, tLo, tHi uint64, df *dirtyFilter) (*Result, Metrics, error) {
-	var m Metrics
-	// One pooled arena per query: the dimension hash tables, the
-	// aggregation set, and the result cube live in it; the result
-	// carries it until Release.
-	ar := queryArenas.Get()
-	st, err := buildRelGroupState(dims, spec, ar)
-	if err != nil {
-		queryArenas.Put(ar)
-		return nil, m, err
+// newTupleAgg builds an aggregator over the shared hashes that folds
+// into res, with its aggregation set carved from res's arena.
+func newTupleAgg(ctx context.Context, hashes []*dimHash, res *Result, filters []map[int64]struct{}, df *dirtyFilter) *tupleAgg {
+	keys := make([]int64, len(hashes))
+	t := &tupleAgg{
+		relGroupState: relGroupState{hashes: hashes, result: res},
+		filters:       filters,
+		df:            df,
+		keys:          keys,
+		agg:           newAggSetIn(res.mem),
 	}
-	filters, err := selectionKeySets(dims, sels)
-	if err != nil {
-		st.result.Release()
-		return nil, m, err
-	}
-
-	n := len(dims)
-	keys := make([]int64, n)
-	var dfCoords []int
 	if df != nil {
-		dfCoords = make([]int, n)
+		t.coords = make([]int, len(hashes))
 	}
-	agg := newAggSetIn(ar)
-	err = ff.ScanRange(tLo, tHi, func(_ uint64, rec []byte) error {
-		if m.TuplesScanned%cancelCheckInterval == 0 {
+	t.record = func(_ uint64, rec []byte) error {
+		if t.tuples%cancelCheckInterval == 0 {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
 		}
-		m.TuplesScanned++
+		t.tuples++
 		for i := range keys {
 			keys[i] = catalog.FactKey(rec, i)
 		}
-		if df != nil && df.dirty(keys, dfCoords) {
-			return nil
-		}
-		for i, f := range filters {
-			if f != nil {
-				if _, ok := f[keys[i]]; !ok {
-					return nil
-				}
+		t.add(keys, catalog.FactMeasure(rec, len(keys)))
+		return nil
+	}
+	return t
+}
+
+// add folds in one tuple: its dimension keys (t.keys, or scratch of the
+// same length) and its measure.
+func (t *tupleAgg) add(keys []int64, v int64) {
+	if t.df != nil && t.df.dirty(keys, t.coords) {
+		return
+	}
+	for i, f := range t.filters {
+		if f != nil {
+			if _, ok := f[keys[i]]; !ok {
+				return
 			}
 		}
-		idx, ok := st.groupIndex(keys)
-		if !ok {
-			return nil
+	}
+	idx, ok := t.groupIndex(keys)
+	if !ok {
+		return
+	}
+	// The aggregation-hash probe: membership is tracked in a real hash
+	// table so the per-tuple hashing cost is paid as in the paper's
+	// operator; the accumulator array is its entry payload.
+	t.agg.add(idx)
+	t.result.add(idx, v)
+}
+
+// relConsolidate is the frame both relational engines run in: validate
+// the spec, build the dimension hashes once, give each worker an
+// aggregator over its extent-aligned tuple range [lo, hi) of the
+// restriction's window, merge the partial cubes, and — when deltas are
+// pending — fold the touched chunks back in from the merged array.
+//
+// The fact file's O(1) addressing makes starting mid-file free, and
+// extent alignment means neither shards nor workers ever share a page.
+// The hashes and key sets are write-free after construction and shared
+// read-only. They live with worker 0's cube in one arena, which travels
+// with the merged result; the other workers aggregate into clones of
+// that cube in arenas of their own, recycled as they merge.
+//
+// filterScan says whether scan needs the selections applied tuple by
+// tuple (the star join) or has already applied them (the bitmap fetch).
+func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, s ScanSpec, workers int, filterScan bool,
+	scan func(ctx context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error) (*Result, Metrics, error) {
+	err := s.validate(len(dims), func(i int) (string, int) { return dims[i].Schema.Name, len(dims[i].Schema.Attrs) })
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	df, err := newDirtyFilter(s.Overlay, dims)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	ar := queryArenas.Get()
+	st, err := buildRelGroupState(dims, s.Group, ar)
+	if err != nil {
+		queryArenas.Put(ar)
+		return nil, Metrics{}, err
+	}
+	var filters []map[int64]struct{}
+	if filterScan || df != nil {
+		if filters, err = selectionKeySets(dims, s.Selections); err != nil {
+			st.result.Release()
+			return nil, Metrics{}, err
 		}
-		// The aggregation-hash probe: membership is tracked in a real
-		// hash table so the per-tuple hashing cost is paid as in the
-		// paper's operator; the accumulator array is its entry payload.
-		agg.add(idx)
-		st.result.add(idx, catalog.FactMeasure(rec, n))
-		return nil
+	}
+	scanFilters := filters
+	if !filterScan {
+		scanFilters = nil
+	}
+
+	extLo, extHi := s.Restriction.ExtentRange(ff.NumExtents())
+	perExt, perPage := uint64(ff.ExtentTuples()), int64(ff.TuplesPerPage())
+	res, m, err := runParts(ctx, workers, extHi-extLo, func(ctx context.Context, w, n int, p *workerPartial) {
+		p.res = st.result
+		if w > 0 {
+			war := queryArenas.Get()
+			if p.res, p.err = st.result.emptyCloneIn(war); p.err != nil {
+				queryArenas.Put(war)
+				return
+			}
+		}
+		t := newTupleAgg(ctx, st.hashes, p.res, scanFilters, df)
+		lo, hi := splitRange(extLo, extHi, w, n)
+		p.err = scan(ctx, t, uint64(lo)*perExt, uint64(hi)*perExt, &p.m)
+		p.rows, p.io = t.tuples, (t.tuples+perPage-1)/perPage
 	})
 	if err != nil {
-		st.result.Release()
-		return nil, m, err
+		return nil, m, err // runParts released every cube, st.result among them
 	}
-	return st.result, m, nil
+	if df != nil {
+		// The stale tuples were skipped; what the merged array holds in
+		// their chunks goes through the same aggregator, selections
+		// applied, nothing dirty.
+		t := newTupleAgg(ctx, st.hashes, res, filters, nil)
+		if err := t.foldOverlay(ctx, s.Overlay, s.Restriction, &m); err != nil {
+			res.Release()
+			return nil, m, err
+		}
+	}
+	return res, m, nil
+}
+
+// StarJoinConsolidate evaluates a consolidation with the relational
+// StarJoin operator of §4.3: build an in-memory hash table per dimension
+// (key -> group-by value), then scan the fact file once; for each tuple,
+// probe every dimension hash, locate the group in the aggregation hash
+// table, and fold the measure in. Selections are applied during the scan
+// (no bitmap index): each selected dimension contributes an in-memory
+// set of qualifying keys and non-members are dropped tuple by tuple —
+// the "no index" relational baseline the bitmap algorithm of §4.5 is
+// built to beat. s.Workers partitions the scan by extent ranges.
+func StarJoinConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, s ScanSpec) (*Result, Metrics, error) {
+	return relConsolidate(ctx, ff, dims, s, s.Workers, true,
+		func(_ context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error {
+			err := ff.ScanRange(lo, hi, t.record)
+			m.TuplesScanned = t.tuples
+			return err
+		})
 }
 
 // selectionKeySets builds, per dimension, the set of dimension keys
-// satisfying the selections (nil for unselected dimensions).
+// satisfying the (validated) selections: a nil set for an unselected
+// dimension, no sets at all without selections.
 func selectionKeySets(dims []*catalog.DimensionTable, sels []Selection) ([]map[int64]struct{}, error) {
 	if len(sels) == 0 {
-		return make([]map[int64]struct{}, len(dims)), nil
+		return nil, nil
 	}
 	// Group selections per dimension.
 	byDim := make([][]Selection, len(dims))
 	for _, s := range sels {
-		if s.Dim < 0 || s.Dim >= len(dims) {
-			return nil, fmt.Errorf("core: selection on dimension %d of %d", s.Dim, len(dims))
-		}
-		if s.Level < 0 || s.Level >= len(dims[s.Dim].Schema.Attrs) {
-			return nil, fmt.Errorf("core: dimension %s has no attribute level %d", dims[s.Dim].Schema.Name, s.Level)
-		}
 		byDim[s.Dim] = append(byDim[s.Dim], s)
 	}
 	out := make([]map[int64]struct{}, len(dims))
@@ -437,111 +506,72 @@ type BitmapIndexSource interface {
 // AND in the bitmaps of the selected values dimension by dimension, then
 // fetch exactly the qualifying tuples from the fact file and aggregate
 // them (with the same per-dimension group hash tables as the star join).
-func BitmapSelectConsolidate(ff *factfile.File, dims []*catalog.DimensionTable,
-	src BitmapIndexSource, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return BitmapSelectConsolidateContext(context.Background(), ff, dims, src, sels, spec)
-}
-
-// BitmapSelectConsolidateContext is BitmapSelectConsolidate with
-// cancellation, checked between bitmap retrievals and every
-// cancelCheckInterval fetched tuples.
-func BitmapSelectConsolidateContext(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
-	src BitmapIndexSource, sels []Selection, spec GroupSpec) (*Result, Metrics, error) {
-	return bitmapSelect(ctx, ff, dims, src, sels, spec, 1, 0, ff.NumTuples(), nil)
-}
-
-// bitmapSelect is the §4.5 algorithm with a parallel degree for the
-// bitmap word loops: workers > 1 splits each AND/OR across word ranges
-// (bitmap.ParallelAnd/Or fall back to the sequential loop on small
-// bitmaps, so operation counts never depend on the degree). Retrieval
-// and fetch are inherently sequential here. The fact fetch visits only
-// set bits inside [tLo, tHi) — the full file for a plain query, one
-// shard's extent-aligned slice under a cluster Restriction (the bitmap
-// phase itself is whole-file: bitmaps index global tuple numbers).
-func bitmapSelect(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
-	src BitmapIndexSource, sels []Selection, spec GroupSpec, workers int, tLo, tHi uint64, df *dirtyFilter) (*Result, Metrics, error) {
-	var m Metrics
-	// The working bitmaps (ResultBitmap + per-predicate merge buffer),
-	// the dimension hash tables, and the result cube all live in one
-	// pooled query arena, released with the result.
-	ar := queryArenas.Get()
-	st, err := buildRelGroupState(dims, spec, ar)
-	if err != nil {
-		queryArenas.Put(ar)
-		return nil, m, err
-	}
-
-	nt := ff.NumTuples()
-	result := bitmap.NewFrom(nt, arena.Make[uint64](ar, bitmap.WordsFor(nt)))
-	result.SetAll()
-	merged := bitmap.NewFrom(nt, arena.Make[uint64](ar, bitmap.WordsFor(nt)))
-	for _, s := range sels {
-		if err := ctx.Err(); err != nil {
-			st.result.Release()
-			return nil, m, err
-		}
-		if s.Dim < 0 || s.Dim >= len(dims) {
-			st.result.Release()
-			return nil, m, fmt.Errorf("core: selection on dimension %d of %d", s.Dim, len(dims))
-		}
-		dt := dims[s.Dim]
-		if s.Level < 0 || s.Level >= len(dt.Schema.Attrs) {
-			st.result.Release()
-			return nil, m, fmt.Errorf("core: dimension %s has no attribute level %d", dt.Schema.Name, s.Level)
-		}
-		// Values within one predicate union (OR), then AND into the
-		// running ResultBitmap. Only the selected values' bitmaps are
-		// retrieved from the index.
-		merged.ClearAll()
-		for _, v := range s.Values {
-			bm, ok, err := src.BitmapFor(dt.Schema.Name, dt.Schema.Attrs[s.Level], v)
-			if err != nil {
-				st.result.Release()
-				return nil, m, err
-			}
-			if ok {
-				m.BitmapsRead++
-				merged.ParallelOr(bm, workers)
+//
+// s.Workers splits the bitmap word loops only: each AND/OR runs across
+// word ranges (bitmap.ParallelAnd/Or fall back to the sequential loop on
+// small bitmaps, so operation counts never depend on the degree), while
+// retrieval and the fetch stay sequential — the LOB readers are not
+// shareable and the fetch is I/O-ordered. Under a Restriction the fetch
+// visits only set bits inside the shard's tuple window; the bitmap phase
+// itself is whole-file, since bitmaps index global tuple numbers. ctx is
+// checked between bitmap retrievals and during the fetch.
+func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
+	src BitmapIndexSource, s ScanSpec) (*Result, Metrics, error) {
+	return relConsolidate(ctx, ff, dims, s, 1, false,
+		func(ctx context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error {
+			// The working bitmaps (ResultBitmap + per-predicate merge
+			// buffer) share the query arena with the hash tables and the
+			// cube.
+			ar, nt := t.result.mem, ff.NumTuples()
+			result := bitmap.NewFrom(nt, arena.Make[uint64](ar, bitmap.WordsFor(nt)))
+			result.SetAll()
+			merged := bitmap.NewFrom(nt, arena.Make[uint64](ar, bitmap.WordsFor(nt)))
+			for _, sel := range s.Selections {
+				if err := ctx.Err(); err != nil {
+					return err
+				}
+				// Values within one predicate union (OR), then AND into
+				// the running ResultBitmap. Only the selected values'
+				// bitmaps are retrieved from the index.
+				schema := dims[sel.Dim].Schema
+				merged.ClearAll()
+				for _, v := range sel.Values {
+					bm, ok, err := src.BitmapFor(schema.Name, schema.Attrs[sel.Level], v)
+					if err != nil {
+						return err
+					}
+					if ok {
+						m.BitmapsRead++
+						merged.ParallelOr(bm, s.Workers)
+						m.BitmapANDs++
+					}
+				}
+				result.ParallelAnd(merged, s.Workers)
 				m.BitmapANDs++
 			}
-		}
-		result.ParallelAnd(merged, workers)
-		m.BitmapANDs++
-	}
+			err := ff.FetchBits(rangeBits{bits: result, lo: lo, hi: hi}, t.record)
+			m.TuplesFetched = t.tuples
+			return err
+		})
+}
 
-	n := len(dims)
-	keys := make([]int64, n)
-	var dfCoords []int
-	if df != nil {
-		dfCoords = make([]int, n)
+// rangeBits restricts a bitmap to the half-open tuple range [lo, hi):
+// positions outside the window are never reported, so FetchBits fetches
+// only the shard's tuples. Implements factfile.BitIterator.
+type rangeBits struct {
+	bits   *bitmap.Bitmap
+	lo, hi uint64
+}
+
+func (r rangeBits) NextSet(from uint64) (uint64, bool) {
+	if from < r.lo {
+		from = r.lo
 	}
-	agg := newAggSetIn(ar)
-	err = ff.FetchBits(rangeBits{bits: result, lo: tLo, hi: tHi}, func(_ uint64, rec []byte) error {
-		if m.TuplesFetched%cancelCheckInterval == 0 {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-		}
-		m.TuplesFetched++
-		for i := range keys {
-			keys[i] = catalog.FactKey(rec, i)
-		}
-		if df != nil && df.dirty(keys, dfCoords) {
-			return nil
-		}
-		idx, ok := st.groupIndex(keys)
-		if !ok {
-			return nil
-		}
-		agg.add(idx)
-		st.result.add(idx, catalog.FactMeasure(rec, n))
-		return nil
-	})
-	if err != nil {
-		st.result.Release()
-		return nil, m, err
+	pos, ok := r.bits.NextSet(from)
+	if !ok || pos >= r.hi {
+		return 0, false
 	}
-	return st.result, m, nil
+	return pos, true
 }
 
 // MemBitmapSource adapts an in-memory index map to BitmapIndexSource.

@@ -1,8 +1,11 @@
 package core
 
 import (
-	"context"
+	"fmt"
+	"math/rand"
 	"testing"
+
+	"repro/internal/factfile"
 )
 
 // TestRestrictionValidate rejects out-of-range shard indexes and accepts
@@ -53,81 +56,64 @@ func TestRestrictionRangesPartition(t *testing.T) {
 // TestShardUnionEqualsFull is the cluster's correctness core: for every
 // engine, running each shard's restricted consolidation and merging the
 // partials with Result.Merge must reproduce the unrestricted run
-// bit-for-bit, at every shard count and worker degree.
+// bit-for-bit, at every shard count and worker degree — with the data
+// at rest, and again with deltas pending over a fact file that is stale
+// wherever they touched.
 func TestShardUnionEqualsFull(t *testing.T) {
 	fx := defaultFixture(t, 77)
-	ctx := context.Background()
+	fold, mergedFF, _ := layOverlay(t, rand.New(rand.NewSource(77)), fx)
+	if len(fold.Chunks) == 0 {
+		t.Fatal("the overlay touched no chunk")
+	}
+	states := []struct {
+		name    string
+		overlay *OverlayFold
+		truth   *factfile.File
+	}{{"at-rest", nil, fx.ff}, {"deltas-pending", fold, mergedFF}}
 
 	for _, tc := range parallelCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := ReferenceConsolidate(fx.ff, fx.dims, tc.sels, tc.spec)
-			if err != nil {
-				t.Fatalf("reference: %v", err)
-			}
-
-			type engineRun struct {
-				name string
-				run  func(workers int, r Restriction) (*Result, Metrics, error)
-			}
-			var engines []engineRun
-			if len(tc.sels) == 0 {
-				engines = append(engines,
-					engineRun{"array-scan", func(w int, r Restriction) (*Result, Metrics, error) {
-						return ArrayConsolidateRestricted(ctx, fx.arr, tc.spec, w, r)
-					}},
-				)
-			} else {
-				engines = append(engines,
-					engineRun{"array-select", func(w int, r Restriction) (*Result, Metrics, error) {
-						return ArraySelectConsolidateRestricted(ctx, fx.arr, tc.sels, tc.spec, w, r)
-					}},
-					engineRun{"bitmap-select", func(w int, r Restriction) (*Result, Metrics, error) {
-						return BitmapSelectConsolidateRestricted(ctx, fx.ff, fx.dims, fx.bmaps, tc.sels, tc.spec, w, r)
-					}},
-				)
-			}
-			engines = append(engines,
-				engineRun{"starjoin", func(w int, r Restriction) (*Result, Metrics, error) {
-					return StarJoinConsolidateRestricted(ctx, fx.ff, fx.dims, tc.sels, tc.spec, w, r)
-				}},
-			)
-
-			for _, eng := range engines {
-				for _, shards := range []int{1, 2, 3, 5} {
-					for _, workers := range []int{1, 4} {
-						var merged *Result
-						var scanned int64
-						fullM := Metrics{}
-						for i := 0; i < shards; i++ {
-							res, m, err := eng.run(workers, Restriction{Shard: i, Shards: shards})
+			for _, st := range states {
+				want, err := ReferenceConsolidate(st.truth, fx.dims, tc.sels, tc.spec)
+				if err != nil {
+					t.Fatalf("reference: %v", err)
+				}
+				for _, eng := range engines {
+					for _, shards := range []int{1, 2, 3, 5} {
+						for _, workers := range []int{1, 4} {
+							name := fmt.Sprintf("%s %s shards=%d workers=%d", st.name, eng, shards, workers)
+							scan := ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers, Overlay: st.overlay}
+							var merged *Result
+							var scanned int64
+							for i := 0; i < shards; i++ {
+								scan.Restriction = Restriction{Shard: i, Shards: shards}
+								res, m, err := fx.run(bg, eng, scan)
+								if err != nil {
+									t.Fatalf("%s shard %d: %v", name, i, err)
+								}
+								scanned += m.TuplesScanned + m.CellsScanned
+								if merged == nil {
+									merged = res
+									continue
+								}
+								if err := merged.Merge(res); err != nil {
+									t.Fatalf("%s merge shard %d: %v", name, i, err)
+								}
+							}
+							if got := merged.SortedRows(); !RowsEqual(got, want) {
+								t.Fatalf("%s != reference: %s", name, DiffRows(got, want))
+							}
+							// Counter conservation: the shards together scan
+							// exactly what one unrestricted pass scans.
+							scan.Restriction = Restriction{}
+							_, fm, err := fx.run(bg, eng, scan)
 							if err != nil {
-								t.Fatalf("%s shard %d/%d workers=%d: %v", eng.name, i, shards, workers, err)
+								t.Fatalf("%s unrestricted: %v", name, err)
 							}
-							scanned += m.TuplesScanned + m.CellsScanned
-							if merged == nil {
-								merged, fullM = res, m
-								continue
-							}
-							if err := merged.Merge(res); err != nil {
-								t.Fatalf("%s merge shard %d/%d: %v", eng.name, i, shards, err)
+							if wantScan := fm.TuplesScanned + fm.CellsScanned; scanned != wantScan {
+								t.Errorf("%s scanned %d tuples+cells, want %d", name, scanned, wantScan)
 							}
 						}
-						if got := merged.SortedRows(); !RowsEqual(got, want) {
-							t.Fatalf("%s shards=%d workers=%d != reference: %s",
-								eng.name, shards, workers, DiffRows(got, want))
-						}
-						// Counter conservation: the shards together scan
-						// exactly what one unrestricted pass scans.
-						full, fm, err := eng.run(workers, Restriction{})
-						if err != nil {
-							t.Fatalf("%s unrestricted: %v", eng.name, err)
-						}
-						_ = full
-						if wantScan := fm.TuplesScanned + fm.CellsScanned; scanned != wantScan {
-							t.Errorf("%s shards=%d workers=%d scanned %d tuples+cells, want %d",
-								eng.name, shards, workers, scanned, wantScan)
-						}
-						_ = fullM
 					}
 				}
 			}
@@ -135,24 +121,18 @@ func TestShardUnionEqualsFull(t *testing.T) {
 	}
 }
 
-// TestRestrictedRejectsBadShard checks every entry point validates the
+// TestRestrictedRejectsBadShard checks every engine validates the
 // restriction before touching data.
 func TestRestrictedRejectsBadShard(t *testing.T) {
 	fx := defaultFixture(t, 78)
-	ctx := context.Background()
 	bad := Restriction{Shard: 5, Shards: 3}
 	spec := GroupByAttrs(3, 0)
 	sels := []Selection{{Dim: 0, Level: 1, Values: []string{"V0_1_0"}}}
-	if _, _, err := ArrayConsolidateRestricted(ctx, fx.arr, spec, 1, bad); err == nil {
-		t.Error("ArrayConsolidateRestricted accepted bad shard")
-	}
-	if _, _, err := ArraySelectConsolidateRestricted(ctx, fx.arr, sels, spec, 1, bad); err == nil {
-		t.Error("ArraySelectConsolidateRestricted accepted bad shard")
-	}
-	if _, _, err := StarJoinConsolidateRestricted(ctx, fx.ff, fx.dims, nil, spec, 1, bad); err == nil {
-		t.Error("StarJoinConsolidateRestricted accepted bad shard")
-	}
-	if _, _, err := BitmapSelectConsolidateRestricted(ctx, fx.ff, fx.dims, fx.bmaps, sels, spec, 1, bad); err == nil {
-		t.Error("BitmapSelectConsolidateRestricted accepted bad shard")
+	for _, eng := range engines {
+		for _, sels := range [][]Selection{nil, sels} {
+			if _, _, err := fx.run(bg, eng, ScanSpec{Selections: sels, Group: spec, Workers: 1, Restriction: bad}); err == nil {
+				t.Errorf("%s sels=%v accepted a bad shard", eng, sels)
+			}
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"regexp"
 	"testing"
 
@@ -19,7 +20,7 @@ func TestMetricsConsistencyAcrossEngines(t *testing.T) {
 	engines := []Engine{Auto, ArrayEngine, StarJoinEngine, BitmapEngine}
 	facts := int64(cat.Stats.FactTuples)
 	for _, eng := range engines {
-		qr, err := e.ExecuteSQL(testQ2, eng)
+		qr, err := e.ExecuteSQLContext(context.Background(), testQ2, eng)
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
@@ -88,7 +89,7 @@ func TestExplainAnalyzeActualsMatchCounters(t *testing.T) {
 	e := NewExecutor(bp, cat)
 
 	for _, eng := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine} {
-		qr, err := e.ExecuteSQL("explain analyze "+testQ2, eng)
+		qr, err := e.ExecuteSQLContext(context.Background(), "explain analyze "+testQ2, eng)
 		if err != nil {
 			t.Fatalf("engine %v: %v", eng, err)
 		}
@@ -133,7 +134,7 @@ func TestExplainAnalyzeActualsMatchCounters(t *testing.T) {
 	}
 
 	// Plain EXPLAIN must stay plan-only: no rows, no actuals.
-	qr, err := e.ExecuteSQL("explain "+testQ2, ArrayEngine)
+	qr, err := e.ExecuteSQLContext(context.Background(), "explain "+testQ2, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

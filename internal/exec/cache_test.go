@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -30,7 +31,7 @@ func TestFingerprintNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(spec, plan, 7)
+		return fingerprint(spec, plan, core.Restriction{}, 7)
 	}
 	if fp(a) != fp(b) {
 		t.Fatalf("normalized fingerprints differ:\n%s\n%s", fp(a), fp(b))
@@ -49,7 +50,7 @@ func TestFingerprintNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(spec, plan, 7) == fingerprint(spec, plan, 8) {
+	if fingerprint(spec, plan, core.Restriction{}, 7) == fingerprint(spec, plan, core.Restriction{}, 8) {
 		t.Fatal("stats generation not part of the fingerprint")
 	}
 }
@@ -84,7 +85,7 @@ func TestExecutorResultCacheHitAndEpoch(t *testing.T) {
 		return total
 	}
 
-	first, err := e.ExecuteSQL(testQ2, Auto)
+	first, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func TestExecutorResultCacheHitAndEpoch(t *testing.T) {
 	}
 	execsAfterFirst := engineExecs()
 
-	second, err := e.ExecuteSQL(testQ2, Auto)
+	second, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +112,7 @@ func TestExecutorResultCacheHitAndEpoch(t *testing.T) {
 	}
 
 	// EXPLAIN ANALYZE of the warm query must report the hit.
-	qr, err := e.ExecuteSQL("explain analyze "+testQ2, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), "explain analyze "+testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +127,7 @@ func TestExecutorResultCacheHitAndEpoch(t *testing.T) {
 	if err := e.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	third, err := e.ExecuteSQL(testQ2, Auto)
+	third, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestExecutorCacheOptOut(t *testing.T) {
 	e.SetCacheEnabled(false)
 
 	for i := 0; i < 2; i++ {
-		qr, err := e.ExecuteSQL(testQ2, Auto)
+		qr, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -155,7 +156,7 @@ func TestExecutorCacheOptOut(t *testing.T) {
 	}
 	// The opted-out session must not have populated the cache either.
 	e2 := NewSessionExecutor(e.Context())
-	qr, err := e2.ExecuteSQL(testQ2, Auto)
+	qr, err := e2.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -196,16 +196,10 @@ func (e *Executor) Explain(spec *query.Spec, engine Engine) (*Explanation, error
 	return expl, err
 }
 
-// ExplainSQL parses, compiles, and plans a query without running it. A
-// leading EXPLAIN keyword is accepted and ignored.
-func (e *Executor) ExplainSQL(sql string, engine Engine) (*Explanation, error) {
-	return e.ExplainSQLContext(context.Background(), sql, engine)
-}
-
-// ExplainSQLContext is ExplainSQL with cancellation. Planning never
+// ExplainSQLContext parses, compiles, and plans a query without running
+// it. A leading EXPLAIN keyword is accepted and ignored. Planning never
 // blocks on I/O beyond the catalog, so the context is checked once up
-// front; the variant exists so callers holding a request context can
-// pass it uniformly.
+// front.
 func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Engine) (*Explanation, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -249,12 +243,6 @@ func (e *Executor) SetSlowQueryLog(l *slog.Logger, min time.Duration) {
 // the result carries only the plan fields.
 func (e *Executor) Execute(spec *query.Spec, engine Engine) (*QueryResult, error) {
 	return e.executeSpec(context.Background(), spec, engine, "")
-}
-
-// ExecuteContext is Execute with cancellation: when ctx is canceled the
-// operator loop stops at its next check and ctx's error is returned.
-func (e *Executor) ExecuteContext(ctx context.Context, spec *query.Spec, engine Engine) (*QueryResult, error) {
-	return e.executeSpec(ctx, spec, engine, "")
 }
 
 // executeSpec is Execute with the query text threaded through for the
@@ -317,7 +305,7 @@ func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Eng
 	if st := e.ctx.Catalog().Stats; st != nil {
 		statsGen = st.CollectedUnix
 	}
-	key := fingerprint(spec, plan, statsGen)
+	key := fingerprint(spec, plan, shard, statsGen)
 	// With live ingest, the fingerprint alone is not enough: two
 	// executions of the same query can observe different delta states.
 	// The suffix folds in the versions of the touched chunks the query
@@ -548,16 +536,11 @@ func fingerprintHash(fp string) string {
 	return strconv.FormatUint(h.Sum64(), 16)
 }
 
-// ExecuteSQL parses, compiles, and executes a SQL-subset query.
-func (e *Executor) ExecuteSQL(sql string, engine Engine) (*QueryResult, error) {
-	return e.ExecuteSQLContext(context.Background(), sql, engine)
-}
-
-// ExecuteSQLContext is ExecuteSQL with cancellation: a canceled ctx
-// stops the operator loop at its next check (between chunk batches on
-// the array side, every few thousand tuples on the relational side) and
-// returns ctx's error — how a dropped client connection stops
-// server-side work.
+// ExecuteSQLContext parses, compiles, and executes a SQL-subset query. A
+// canceled ctx stops the operator loop at its next check (between chunk
+// batches on the array side, every few thousand tuples on the
+// relational side) and returns ctx's error — how a dropped client
+// connection stops server-side work.
 func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Engine) (*QueryResult, error) {
 	spec, err := query.ParseAndCompile(sql, e.ctx.Catalog().Schema)
 	if err != nil {

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/catalog"
@@ -74,7 +75,7 @@ func TestExecutorAllEnginesAgree(t *testing.T) {
 		var rows [][]core.Row
 		var plans []string
 		for _, eng := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine} {
-			qr, err := e.ExecuteSQL(sql, eng)
+			qr, err := e.ExecuteSQLContext(context.Background(), sql, eng)
 			if err != nil {
 				t.Fatalf("engine %v: %v", eng, err)
 			}
@@ -115,7 +116,7 @@ func TestExecutorPlanNames(t *testing.T) {
 		{testQ2, Auto, "array-select-consolidate"},
 	}
 	for _, c := range cases {
-		qr, err := e.ExecuteSQL(c.sql, c.engine)
+		qr, err := e.ExecuteSQLContext(context.Background(), c.sql, c.engine)
 		if err != nil {
 			t.Fatalf("%v on %q: %v", c.engine, c.sql, err)
 		}
@@ -128,21 +129,21 @@ func TestExecutorPlanNames(t *testing.T) {
 func TestExecutorAutoWithoutArray(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, false, true)
 	e := NewExecutor(bp, cat)
-	qr, err := e.ExecuteSQL(testQ2, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qr.Plan != "bitmap-factfile" {
 		t.Fatalf("auto plan = %s, want bitmap-factfile", qr.Plan)
 	}
-	qr, err = e.ExecuteSQL(testQ1, Auto)
+	qr, err = e.ExecuteSQLContext(context.Background(), testQ1, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qr.Plan != "starjoin" {
 		t.Fatalf("auto plan = %s, want starjoin", qr.Plan)
 	}
-	if _, err := e.ExecuteSQL(testQ1, ArrayEngine); err == nil {
+	if _, err := e.ExecuteSQLContext(context.Background(), testQ1, ArrayEngine); err == nil {
 		t.Fatal("array engine without array succeeded")
 	}
 }
@@ -150,14 +151,14 @@ func TestExecutorAutoWithoutArray(t *testing.T) {
 func TestExecutorAutoWithoutBitmaps(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, false, false)
 	e := NewExecutor(bp, cat)
-	qr, err := e.ExecuteSQL(testQ2, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if qr.Plan != "starjoin-filter" {
 		t.Fatalf("auto plan = %s, want starjoin-filter", qr.Plan)
 	}
-	if _, err := e.ExecuteSQL(testQ2, BitmapEngine); err == nil {
+	if _, err := e.ExecuteSQLContext(context.Background(), testQ2, BitmapEngine); err == nil {
 		t.Fatal("bitmap engine without indexes succeeded")
 	}
 }
@@ -168,14 +169,14 @@ func TestExecutorColdVsWarmIO(t *testing.T) {
 	if err := e.DropCaches(); err != nil {
 		t.Fatalf("DropCaches: %v", err)
 	}
-	cold, err := e.ExecuteSQL(testQ1, ArrayEngine)
+	cold, err := e.ExecuteSQLContext(context.Background(), testQ1, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.IO.PhysicalReads == 0 {
 		t.Fatal("cold run did no physical reads")
 	}
-	warm, err := e.ExecuteSQL(testQ1, ArrayEngine)
+	warm, err := e.ExecuteSQLContext(context.Background(), testQ1, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func TestExecutorColdVsWarmIO(t *testing.T) {
 func TestExecutorQueryResultFields(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	e := NewExecutor(bp, cat)
-	qr, err := e.ExecuteSQL(testQ2, BitmapEngine)
+	qr, err := e.ExecuteSQLContext(context.Background(), testQ2, BitmapEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +280,7 @@ func TestBuildArrayWithCodecNames(t *testing.T) {
 			t.Fatalf("BuildArray(%q): forced store reports %v", codec, st.Codecs)
 		}
 		e := NewExecutor(bp, cat)
-		qr, err := e.ExecuteSQL(testQ1, ArrayEngine)
+		qr, err := e.ExecuteSQLContext(context.Background(), testQ1, ArrayEngine)
 		if err != nil || len(qr.Rows) == 0 {
 			t.Fatalf("query on %q-coded array: %v", codec, err)
 		}

@@ -7,12 +7,13 @@ import (
 )
 
 // Intra-query parallelism plumbing. The degree flows: session option
-// (SetParallel) -> Executor atomic -> plan() injects the resolved degree
-// into each candidate plan -> Estimate clamps it to that plan's work
-// units (chunks for the array, extents for the star join) and discounts
-// the CPU term -> Run passes it to the core parallel algorithms, which
-// clamp again against the actual objects and record the degree that ran
-// in Metrics.ParallelDegree.
+// (SetParallel) -> Executor atomic -> plan() resolves it (0 becomes
+// GOMAXPROCS) into the Workers of the one core.ScanSpec every candidate
+// plan carries -> Estimate clamps it to that plan's work units (chunks
+// for the array, extents for the star join) and discounts the CPU term
+// -> Run hands the ScanSpec to the engine, which clamps again against
+// the actual objects and records the degree that ran in
+// Metrics.ParallelDegree.
 
 // SetParallel sets this executor's intra-query parallel degree: the
 // number of workers the operator loops may fan out to. 0 (the default)

@@ -20,13 +20,13 @@ func TestExecutorParallelEqualsSequential(t *testing.T) {
 	for _, sql := range []string{testQ1, testQ2} {
 		for _, eng := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine, Auto} {
 			e.SetParallel(1)
-			base, err := e.ExecuteSQL(sql, eng)
+			base, err := e.ExecuteSQLContext(context.Background(), sql, eng)
 			if err != nil {
 				t.Fatalf("engine %v sequential: %v", eng, err)
 			}
 			for _, deg := range []int{2, 8} {
 				e.SetParallel(deg)
-				qr, err := e.ExecuteSQL(sql, eng)
+				qr, err := e.ExecuteSQLContext(context.Background(), sql, eng)
 				if err != nil {
 					t.Fatalf("engine %v degree %d: %v", eng, deg, err)
 				}
@@ -47,7 +47,7 @@ func TestExplainShowsParallelDegree(t *testing.T) {
 	e := NewExecutor(bp, cat)
 
 	e.SetParallel(4)
-	x, err := e.ExplainSQL(fig8Query(0), ArrayEngine)
+	x, err := e.ExplainSQLContext(context.Background(), fig8Query(0), ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestExplainShowsParallelDegree(t *testing.T) {
 	}
 
 	e.SetParallel(1)
-	x, err = e.ExplainSQL(fig8Query(0), ArrayEngine)
+	x, err = e.ExplainSQLContext(context.Background(), fig8Query(0), ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestExplainAnalyzeParallelDetail(t *testing.T) {
 	e := NewExecutor(bp, cat)
 	e.SetParallel(2)
 
-	qr, err := e.ExecuteSQL("explain analyze "+testQ1, ArrayEngine)
+	qr, err := e.ExecuteSQLContext(context.Background(), "explain analyze "+testQ1, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +115,7 @@ func TestParallelStress(t *testing.T) {
 	e := NewExecutor(bp, cat)
 
 	// The reference answer, computed sequentially up front.
-	base, err := e.ExecuteSQL(testQ2, Auto)
+	base, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}

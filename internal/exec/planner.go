@@ -148,15 +148,20 @@ func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, wor
 	schema := cat.Schema
 	st := cat.Stats
 
-	deg := e.parallelDegree()
+	// The one scan every candidate would run: what the query selects and
+	// groups, at the session's degree (or the sub-query's), over r's slice.
+	ps := planScan{schema: schema, scan: core.ScanSpec{
+		Selections:  spec.Selections,
+		Group:       spec.Group,
+		Workers:     e.parallelDegree(),
+		Restriction: r,
+	}}
 	if workers > 0 {
-		deg = workers
+		ps.scan.Workers = workers
 	}
-	newArray := func() Plan { return &arrayPlan{spec: spec, schema: schema, degree: deg, shard: r} }
-	newStar := func() Plan { return &starJoinPlan{spec: spec, schema: schema, degree: deg, shard: r} }
-	newBitmap := func() Plan {
-		return &bitmapPlan{spec: spec, schema: schema, cat: cat, degree: deg, shard: r}
-	}
+	newArray := func() Plan { return &arrayPlan{planScan: ps} }
+	newStar := func() Plan { return &starJoinPlan{planScan: ps} }
+	newBitmap := func() Plan { return &bitmapPlan{planScan: ps} }
 
 	var chosen Plan
 	forced := engine != Auto
@@ -202,15 +207,15 @@ func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, wor
 		} else {
 			chosen = plans[0] // legacy heuristic: preference order
 		}
-		return chosen, e.explain(spec, chosen, plans, false, st), nil
+		return chosen, e.explain(&ps.scan, chosen, plans, false, st), nil
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown engine %v", engine)
 	}
-	return chosen, e.explain(spec, chosen, []Plan{chosen}, forced, st), nil
+	return chosen, e.explain(&ps.scan, chosen, []Plan{chosen}, forced, st), nil
 }
 
-// explain assembles the Explanation for a planning decision.
-func (e *Executor) explain(spec *query.Spec, chosen Plan, plans []Plan, forced bool, st *catalog.Stats) *Explanation {
+// explain assembles the Explanation for a planning decision over scan.
+func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, forced bool, st *catalog.Stats) *Explanation {
 	x := &Explanation{
 		Chosen:      chosen.Name(),
 		Engine:      chosen.Engine(),
@@ -232,7 +237,7 @@ func (e *Executor) explain(spec *query.Spec, chosen Plan, plans []Plan, forced b
 		})
 	}
 	if usable {
-		fr := selectionFractions(st, len(st.Dimensions), spec.Selections)
+		fr := selectionFractions(st, len(st.Dimensions), scan.Selections)
 		x.Selectivity = combinedSelectivity(fr)
 		sort.SliceStable(x.Candidates, func(i, j int) bool {
 			return x.Candidates[i].Cost.Total() < x.Candidates[j].Cost.Total()
@@ -242,10 +247,8 @@ func (e *Executor) explain(spec *query.Spec, chosen Plan, plans []Plan, forced b
 	if pa, ok := chosen.(interface{ chosenDegree() int }); ok {
 		x.Degree = pa.chosenDegree()
 	}
-	if pr, ok := chosen.(interface{ restriction() core.Restriction }); ok {
-		if r := pr.restriction(); r.Active() {
-			x.Shard = r.String()
-		}
+	if scan.Restriction.Active() {
+		x.Shard = scan.Restriction.String()
 	}
 	x.Tree = chosen.Explain()
 	return x

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -82,7 +83,7 @@ func TestPlannerCrossover(t *testing.T) {
 
 	plans := make([]string, 5)
 	for k := 0; k <= 4; k++ {
-		qr, err := e.ExecuteSQL(fig8Query(k), Auto)
+		qr, err := e.ExecuteSQLContext(context.Background(), fig8Query(k), Auto)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
@@ -135,7 +136,7 @@ func TestPlannerCrossover(t *testing.T) {
 		{1, StarJoinEngine, "starjoin-filter"},       // never cheapest
 	}
 	for _, c := range forced {
-		qr, err := e.ExecuteSQL(fig8Query(c.k), c.engine)
+		qr, err := e.ExecuteSQLContext(context.Background(), fig8Query(c.k), c.engine)
 		if err != nil {
 			t.Fatalf("forced %v at k=%d: %v", c.engine, c.k, err)
 		}
@@ -194,6 +195,9 @@ func TestCostModelCrossover(t *testing.T) {
 		}
 		return spec
 	}
+	scanOf := func(spec *query.Spec, schema *catalog.StarSchema) planScan {
+		return planScan{schema: schema, scan: core.ScanSpec{Selections: spec.Selections, Group: spec.Group}}
+	}
 
 	for _, c := range []struct {
 		k          int
@@ -203,9 +207,9 @@ func TestCostModelCrossover(t *testing.T) {
 		{4, true},  // S = 1e-4: bitmap must win
 	} {
 		spec := specFor(c.k)
-		ac := (&arrayPlan{spec: spec, schema: schema}).Estimate(st)
-		bc := (&bitmapPlan{spec: spec, schema: schema}).Estimate(st)
-		sc := (&starJoinPlan{spec: spec, schema: schema}).Estimate(st)
+		ac := (&arrayPlan{planScan: scanOf(spec, schema)}).Estimate(st)
+		bc := (&bitmapPlan{planScan: scanOf(spec, schema)}).Estimate(st)
+		sc := (&starJoinPlan{planScan: scanOf(spec, schema)}).Estimate(st)
 		if (bc.Total() < ac.Total()) != c.bitmapWins {
 			t.Errorf("k=%d: array %v vs bitmap %v, want bitmapWins=%v", c.k, ac, bc, c.bitmapWins)
 		}
@@ -217,7 +221,7 @@ func TestCostModelCrossover(t *testing.T) {
 	}
 
 	// Rows estimates follow S·|fact|.
-	if r := (&bitmapPlan{spec: specFor(4), schema: schema}).Estimate(st).Rows; r != 64 {
+	if r := (&bitmapPlan{planScan: scanOf(specFor(4), schema)}).Estimate(st).Rows; r != 64 {
 		t.Errorf("k=4 estimated rows = %d, want 64", r)
 	}
 }
@@ -264,7 +268,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	e := NewExecutor(bp, cat)
 
-	qr, err := e.ExecuteSQL("explain "+testQ2, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), "explain "+testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,7 +312,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 func TestExplainSQLAndKeywordCase(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	e := NewExecutor(bp, cat)
-	x, err := e.ExplainSQL(testQ1, Auto)
+	x, err := e.ExplainSQLContext(context.Background(), testQ1, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func TestExplainSQLAndKeywordCase(t *testing.T) {
 	}
 	// The EXPLAIN keyword is case-insensitive like the rest of the
 	// grammar.
-	qr, err := e.ExecuteSQL("EXPLAIN "+testQ1, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), "EXPLAIN "+testQ1, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,7 +338,7 @@ func TestPlannerHeuristicFallback(t *testing.T) {
 	cat.Stats = nil
 	e := NewExecutor(bp, cat)
 
-	qr, err := e.ExecuteSQL(testQ2, Auto)
+	qr, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,7 +397,7 @@ func TestSharedContextConcurrentSessions(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	root := NewExecutor(bp, cat)
 
-	want, err := root.ExecuteSQL(testQ2, Auto)
+	want, err := root.ExecuteSQLContext(context.Background(), testQ2, Auto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -408,7 +412,7 @@ func TestSharedContextConcurrentSessions(t *testing.T) {
 			e := NewSessionExecutor(root.Context())
 			for i := 0; i < 10; i++ {
 				eng := []Engine{Auto, ArrayEngine, StarJoinEngine, BitmapEngine}[(g+i)%4]
-				qr, err := e.ExecuteSQL(testQ2, eng)
+				qr, err := e.ExecuteSQLContext(context.Background(), testQ2, eng)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d engine %v: %w", g, eng, err)
 					return
@@ -432,7 +436,7 @@ func TestSharedContextConcurrentSessions(t *testing.T) {
 func TestInvalidateHandlesBumpsGeneration(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	e := NewExecutor(bp, cat)
-	if _, err := e.ExecuteSQL(testQ2, Auto); err != nil {
+	if _, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto); err != nil {
 		t.Fatal(err)
 	}
 	g0 := e.Context().Generation()
@@ -447,7 +451,7 @@ func TestInvalidateHandlesBumpsGeneration(t *testing.T) {
 		t.Fatalf("generation unchanged across DropCaches: %d", g2)
 	}
 	// Queries still work after both forms of invalidation.
-	if _, err := e.ExecuteSQL(testQ2, Auto); err != nil {
+	if _, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto); err != nil {
 		t.Fatal(err)
 	}
 }

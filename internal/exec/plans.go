@@ -7,7 +7,7 @@ import (
 
 	"repro/internal/catalog"
 	"repro/internal/core"
-	"repro/internal/query"
+	"repro/internal/factfile"
 	"repro/internal/storage"
 )
 
@@ -147,32 +147,47 @@ func selectionDetail(schema *catalog.StarSchema, s core.Selection) string {
 	return fmt.Sprintf("%s.%s in %v", d.Name, attr, s.Values)
 }
 
-// arrayPlan evaluates on the OLAP Array ADT: ArrayConsolidate (§4.1)
-// without selections, ArraySelectConsolidate (§4.2) with them.
-type arrayPlan struct {
-	spec   *query.Spec
+// planScan is the state every plan carries: the scan the planner built
+// for the query, and what Estimate last predicted for it.
+type planScan struct {
+	// scan is what Run hands the engine: the query's selections and
+	// grouping, the session's parallel degree (0, on a plan built outside
+	// the executor, is sequential) and the shard restriction (cluster data
+	// servers; the zero value is the whole database). Estimate ignores
+	// the restriction: sub-query costing is the coordinator's concern,
+	// and keeping the estimates whole-database keeps EXPLAIN goldens
+	// stable.
+	scan   core.ScanSpec
 	schema *catalog.StarSchema
-	// degree is the session's parallel degree, injected by the planner;
-	// 0 (a plan built outside the executor) means sequential. estDeg is
-	// the degree clamped to this plan's work units by Estimate.
-	degree int
-	// shard restricts Run to one shard's chunk range (cluster data
-	// servers); the zero value means the whole array. Estimate ignores
-	// it: sub-query costing is the coordinator's concern, and keeping
-	// the estimates whole-array keeps EXPLAIN goldens stable.
-	shard core.Restriction
 
-	est        Cost
-	estSel     float64
+	est    Cost
+	estSel float64
+	// estDeg is scan.Workers clamped to the plan's work units by
+	// Estimate; 0 until then.
+	estDeg int
+}
+
+// chosenDegree reports the parallel degree EXPLAIN shows for the plan.
+func (p *planScan) chosenDegree() int {
+	if p.estDeg > 0 {
+		return p.estDeg
+	}
+	return max(p.scan.Workers, 1)
+}
+
+// arrayPlan evaluates on the OLAP Array ADT: §4.1 without selections,
+// §4.2 with them.
+type arrayPlan struct {
+	planScan
+
 	estChunks  float64 // chunks predicted to be read (select path)
 	estProbes  float64 // candidate cells predicted to be probed
-	estDeg     int
 	haveEst    bool
 	totalChunk int
 }
 
 func (p *arrayPlan) Name() string {
-	if len(p.spec.Selections) > 0 {
+	if len(p.scan.Selections) > 0 {
 		return "array-select-consolidate"
 	}
 	return "array-consolidate"
@@ -187,12 +202,12 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 	}
 	p.haveEst = true
 	p.totalChunk = a.NumChunks
-	if len(p.spec.Selections) == 0 {
+	if len(p.scan.Selections) == 0 {
 		// Full consolidation decodes every chunk: the compressed payload
 		// is the I/O, one aggregation step per valid cell is the CPU. The
 		// CPU divides across the chunk-parallel workers; the I/O does not
 		// (the buffer pool is shared).
-		p.estDeg = clampUnits(p.degree, a.NumChunks)
+		p.estDeg = clampUnits(p.scan.Workers, a.NumChunks)
 		p.est = Cost{
 			IO:   float64(a.EncodedBytes) / storage.PageSize,
 			CPU:  float64(a.ValidCells) * cpuCellCost / float64(p.estDeg),
@@ -203,7 +218,7 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 		return p.est
 	}
 
-	fr := selectionFractions(st, len(a.DimSizes), p.spec.Selections)
+	fr := selectionFractions(st, len(a.DimSizes), p.scan.Selections)
 	p.estSel = combinedSelectivity(fr)
 
 	// §4.2 reads only chunks overlapping the selected members. Members
@@ -229,12 +244,12 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 		}
 		candChunks *= along
 	}
-	for _, s := range p.spec.Selections {
+	for _, s := range p.scan.Selections {
 		values += len(s.Values)
 	}
 	p.estChunks = candChunks
 	p.estProbes = candCells
-	p.estDeg = clampUnits(p.degree, int(candChunks))
+	p.estDeg = clampUnits(p.scan.Workers, int(candChunks))
 
 	// Per candidate chunk the kernel probes the cross product or, when
 	// one masked pass over the chunk's cells is cheaper, filter-scans it
@@ -252,30 +267,12 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 	return p.est
 }
 
-// chosenDegree reports the parallel degree EXPLAIN shows for this plan.
-func (p *arrayPlan) chosenDegree() int {
-	if p.estDeg > 0 {
-		return p.estDeg
-	}
-	if p.degree > 0 {
-		return p.degree
-	}
-	return 1
-}
-
 func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
 	arr, err := ec.ArrayClone()
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}
-	deg := p.degree
-	if deg < 1 {
-		deg = 1 // plans built outside the executor run sequentially
-	}
-	if len(p.spec.Selections) > 0 {
-		return core.ArraySelectConsolidateRestricted(ctx, arr, p.spec.Selections, p.spec.Group, deg, p.shard)
-	}
-	return core.ArrayConsolidateRestricted(ctx, arr, p.spec.Group, deg, p.shard)
+	return core.ArrayConsolidate(ctx, arr, p.scan)
 }
 
 func (p *arrayPlan) Explain() PlanDesc {
@@ -284,7 +281,7 @@ func (p *arrayPlan) Explain() PlanDesc {
 		Detail:  "aggregate chunk-ordered cells",
 		EstRows: p.est.Rows,
 	}
-	if len(p.spec.Selections) == 0 {
+	if len(p.scan.Selections) == 0 {
 		root.Children = []PlanDesc{{
 			Name:    "array-scan",
 			Detail:  fmt.Sprintf("decode all %d chunks", p.totalChunk),
@@ -299,7 +296,7 @@ func (p *arrayPlan) Explain() PlanDesc {
 		EstRows: p.est.Rows,
 		EstIO:   p.est.IO,
 	}
-	for _, s := range p.spec.Selections {
+	for _, s := range p.scan.Selections {
 		probe.Children = append(probe.Children, PlanDesc{
 			Name:   "index-list",
 			Detail: selectionDetail(p.schema, s),
@@ -321,7 +318,7 @@ func (p *arrayPlan) Annotate(d *PlanDesc, rs RunStats) {
 	c := &d.Children[0]
 	c.Analyzed = true
 	c.ActIO = float64(rs.IO.PhysicalReads)
-	if len(p.spec.Selections) == 0 {
+	if len(p.scan.Selections) == 0 {
 		// array-scan: every valid cell visited once.
 		c.ActRows = m.CellsScanned
 		c.ActDetail = fmt.Sprintf("chunks=%d", m.ChunksRead) + parallelDetail(m)
@@ -350,18 +347,11 @@ func parallelDetail(m core.Metrics) string {
 // starJoinPlan evaluates relationally with the StarJoin operator (§4.3),
 // filtering during the scan when selections are present.
 type starJoinPlan struct {
-	spec   *query.Spec
-	schema *catalog.StarSchema
-	degree int
-	shard  core.Restriction
-
-	est    Cost
-	estSel float64
-	estDeg int
+	planScan
 }
 
 func (p *starJoinPlan) Name() string {
-	if len(p.spec.Selections) > 0 {
+	if len(p.scan.Selections) > 0 {
 		return "starjoin-filter"
 	}
 	return "starjoin"
@@ -370,12 +360,12 @@ func (p *starJoinPlan) Name() string {
 func (p *starJoinPlan) Engine() Engine { return StarJoinEngine }
 
 func (p *starJoinPlan) Estimate(st *catalog.Stats) Cost {
-	fr := selectionFractions(st, len(st.Dimensions), p.spec.Selections)
+	fr := selectionFractions(st, len(st.Dimensions), p.scan.Selections)
 	p.estSel = combinedSelectivity(fr)
 	// The star join always scans the whole fact file and hashes every
 	// dimension, whatever the selectivity. The per-tuple join/group CPU
 	// divides across extent-partitioned workers.
-	p.estDeg = clampUnits(p.degree, extentUnits(st.FactPages))
+	p.estDeg = clampUnits(p.scan.Workers, extentUnits(st.FactPages))
 	p.est = Cost{
 		IO:   float64(st.FactPages + st.DimensionPages()),
 		CPU:  float64(st.FactTuples) * cpuTupleCost / float64(p.estDeg),
@@ -384,35 +374,30 @@ func (p *starJoinPlan) Estimate(st *catalog.Stats) Cost {
 	return p.est
 }
 
-// chosenDegree reports the parallel degree EXPLAIN shows for this plan.
-func (p *starJoinPlan) chosenDegree() int {
-	if p.estDeg > 0 {
-		return p.estDeg
-	}
-	if p.degree > 0 {
-		return p.degree
-	}
-	return 1
-}
-
 func (p *starJoinPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
-	dims, err := ec.Dimensions()
+	ff, dims, scan, err := p.relationalInputs(ec)
 	if err != nil {
 		return nil, core.Metrics{}, err
+	}
+	return core.StarJoinConsolidate(ctx, ff, dims, scan)
+}
+
+// relationalInputs opens what both relational engines read — the fact
+// file and the dimension tables — and completes the plan's scan with
+// the delta overlay as of now (planning must not snapshot it: the same
+// plan may run later, or never).
+func (p *planScan) relationalInputs(ec *ExecContext) (*factfile.File, []*catalog.DimensionTable, core.ScanSpec, error) {
+	scan := p.scan
+	dims, err := ec.Dimensions()
+	if err != nil {
+		return nil, nil, scan, err
 	}
 	ff, err := ec.FactFile()
 	if err != nil {
-		return nil, core.Metrics{}, err
+		return nil, nil, scan, err
 	}
-	deg := p.degree
-	if deg < 1 {
-		deg = 1
-	}
-	fold, err := ec.OverlayFold()
-	if err != nil {
-		return nil, core.Metrics{}, err
-	}
-	return core.StarJoinConsolidateRestrictedOverlay(ctx, ff, dims, p.spec.Selections, p.spec.Group, deg, p.shard, fold)
+	scan.Overlay, err = ec.OverlayFold()
+	return ff, dims, scan, err
 }
 
 func (p *starJoinPlan) Explain() PlanDesc {
@@ -421,7 +406,7 @@ func (p *starJoinPlan) Explain() PlanDesc {
 		Detail: "full scan, hash-join every dimension",
 		EstIO:  p.est.IO,
 	}
-	for _, s := range p.spec.Selections {
+	for _, s := range p.scan.Selections {
 		scan.Children = append(scan.Children, PlanDesc{
 			Name:   "filter",
 			Detail: selectionDetail(p.schema, s),
@@ -456,27 +441,23 @@ func (p *starJoinPlan) Annotate(d *PlanDesc, rs RunStats) {
 // tuples in ascending tuple order. The planner only builds it for
 // queries with selections that every index covers.
 type bitmapPlan struct {
-	spec   *query.Spec
-	schema *catalog.StarSchema
-	cat    *catalog.Catalog
-	// degree only splits the bitmap word loops; retrieval and the fetch
-	// are sequential, so the plan neither claims a CPU discount nor
-	// reports a parallel degree in EXPLAIN.
-	degree int
-	shard  core.Restriction
+	planScan
 
-	est     Cost
-	estSel  float64
 	estBits float64 // predicted bitmap pages
 	estFtch float64 // predicted fetch pages
 }
+
+// chosenDegree is always 1: scan.Workers only splits the bitmap word
+// loops, while retrieval and the fetch are sequential, so the plan
+// claims no CPU discount and EXPLAIN reports no parallel degree.
+func (p *bitmapPlan) chosenDegree() int { return 1 }
 
 func (p *bitmapPlan) Name() string { return "bitmap-factfile" }
 
 func (p *bitmapPlan) Engine() Engine { return BitmapEngine }
 
 func (p *bitmapPlan) Estimate(st *catalog.Stats) Cost {
-	fr := selectionFractions(st, len(st.Dimensions), p.spec.Selections)
+	fr := selectionFractions(st, len(st.Dimensions), p.scan.Selections)
 	p.estSel = combinedSelectivity(fr)
 	q := p.estSel * float64(st.FactTuples)
 
@@ -484,7 +465,7 @@ func (p *bitmapPlan) Estimate(st *catalog.Stats) Cost {
 	// index blob; amortized per-value pages from the index statistics,
 	// floored (a bitmap read always touches at least part of a page).
 	var bits float64
-	for _, s := range p.spec.Selections {
+	for _, s := range p.scan.Selections {
 		per := bitmapFloorIO
 		d := &p.schema.Dimensions[s.Dim]
 		if s.Level >= 0 && s.Level < len(d.Attrs) && st.Bitmaps != nil {
@@ -514,11 +495,7 @@ func (p *bitmapPlan) Estimate(st *catalog.Stats) Cost {
 }
 
 func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
-	dims, err := ec.Dimensions()
-	if err != nil {
-		return nil, core.Metrics{}, err
-	}
-	ff, err := ec.FactFile()
+	ff, dims, scan, err := p.relationalInputs(ec)
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}
@@ -526,20 +503,16 @@ func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, co
 		Lob:  storage.NewLOBStore(ec.BufferPool()),
 		Refs: ec.Catalog().BitmapIndexes,
 	}
-	fold, err := ec.OverlayFold()
-	if err != nil {
-		return nil, core.Metrics{}, err
-	}
-	return core.BitmapSelectConsolidateRestrictedOverlay(ctx, ff, dims, src, p.spec.Selections, p.spec.Group, p.degree, p.shard, fold)
+	return core.BitmapSelectConsolidate(ctx, ff, dims, src, scan)
 }
 
 func (p *bitmapPlan) Explain() PlanDesc {
 	and := PlanDesc{
 		Name:   "bitmap-and",
-		Detail: fmt.Sprintf("AND %d selection bitmaps", len(p.spec.Selections)),
+		Detail: fmt.Sprintf("AND %d selection bitmaps", len(p.scan.Selections)),
 		EstIO:  p.estBits,
 	}
-	for _, s := range p.spec.Selections {
+	for _, s := range p.scan.Selections {
 		and.Children = append(and.Children, PlanDesc{
 			Name:   "bitmap",
 			Detail: selectionDetail(p.schema, s),

@@ -85,9 +85,3 @@ func (e *Executor) shardFor(ctx context.Context) (core.Restriction, int) {
 	}
 	return e.defaultRestriction(), 0
 }
-
-// restriction exposes each plan's shard restriction to the fingerprint
-// and the explainer without widening the Plan interface.
-func (p *arrayPlan) restriction() core.Restriction    { return p.shard }
-func (p *starJoinPlan) restriction() core.Restriction { return p.shard }
-func (p *bitmapPlan) restriction() core.Restriction   { return p.shard }

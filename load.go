@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/array"
@@ -139,13 +140,13 @@ func (db *DB) BuildBitmapIndexes() error {
 // Query parses, plans (Auto), and executes a consolidation query in the
 // engine's SQL subset.
 func (db *DB) Query(sql string) (*Result, error) {
-	return db.ex.ExecuteSQL(sql, Auto)
+	return db.ex.ExecuteSQLContext(context.Background(), sql, Auto)
 }
 
 // QueryOn executes a query on an explicitly chosen engine — how the
 // benchmark harness compares the paper's algorithms on identical data.
 func (db *DB) QueryOn(sql string, engine Engine) (*Result, error) {
-	return db.ex.ExecuteSQL(sql, engine)
+	return db.ex.ExecuteSQLContext(context.Background(), sql, engine)
 }
 
 // SizeReport describes the on-disk footprint of the database objects —

@@ -24,6 +24,7 @@
 package repro
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"net/http"
@@ -563,5 +564,5 @@ func (db *DB) DropCaches() error { return db.ex.DropCaches() }
 // selectivity, every candidate plan's cost, and the chosen plan tree.
 // A leading EXPLAIN keyword in sql is accepted and ignored.
 func (db *DB) Explain(sql string) (*Explanation, error) {
-	return db.ex.ExplainSQL(sql, Auto)
+	return db.ex.ExplainSQLContext(context.Background(), sql, Auto)
 }
