@@ -40,9 +40,10 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
 
-echo "== fuzz smoke (store directory + codec decoders, 10s each) =="
+echo "== fuzz smoke (store directory, codec decoders, wire frame decoders, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
+go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
 
 echo "== warm StarJoin/bitmap allocations bounded and flat =="
 go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/
@@ -154,7 +155,7 @@ for i in 0 1 2; do
     fi
     shard_addrs="${shard_addrs:+$shard_addrs,}$a"
 done
-"$smokedir/olapd" -coordinator -shards "$shard_addrs" -listen 127.0.0.1:0 \
+"$smokedir/olapd" -coordinator -shards "$shard_addrs" -listen 127.0.0.1:0 -obs 127.0.0.1:0 \
     2>"$smokedir/coord.log" &
 coord_pid=$!
 coord=$(wait_addr "$smokedir/coord.log")
@@ -176,6 +177,21 @@ if ! diff "$smokedir/cluster.rows" "$smokedir/single.rows"; then
     echo "cluster rows differ from single-node" >&2
     exit 1
 fi
+
+# The coordinator is an olapd like any other: a meta-command it has no
+# backend for earns one "not supported" line and the session goes on to
+# answer the next query; its /metrics carries the server's counters.
+printf 'delta\n%s\n\n' "$cluster_q" \
+    | "$smokedir/olapcli" -connect "$coord" >"$smokedir/coordrepl.out" 2>"$smokedir/coordrepl.err"
+if [ "$(grep -c "not supported" "$smokedir/coordrepl.err")" -ne 1 ]; then
+    echo "coordinator REPL: want one 'not supported' line for delta, got:" >&2
+    cat "$smokedir/coordrepl.err" >&2
+    exit 1
+fi
+grep -q "plan=scatter-gather\[3\]" "$smokedir/coordrepl.out"
+coord_obs=$(sed -n 's/.*msg="observability endpoint" addr=\([^ ]*\).*/\1/p' "$smokedir/coord.log")
+curl -sf "http://$coord_obs/metrics" | grep -q "^server_queries_accepted_total"
+curl -sf "http://$coord_obs/metrics" | grep -q "^cluster_queries_total"
 
 kill -TERM "$coord_pid"
 rc=0

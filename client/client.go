@@ -54,6 +54,9 @@ const (
 	CodeCanceled  = ErrorCode(wire.CodeCanceled)
 	CodeExec      = ErrorCode(wire.CodeExec)
 	CodeShutdown  = ErrorCode(wire.CodeShutdown)
+	// CodeUnsupported: the server's backend does not have the operation
+	// (Ingest against a coordinator, SetPartial against a plain olapd).
+	CodeUnsupported = ErrorCode(wire.CodeUnsupported)
 )
 
 // String implements fmt.Stringer.
@@ -79,14 +82,11 @@ func IsCode(err error, code ErrorCode) bool {
 	return errors.As(err, &e) && e.Code == code
 }
 
-// Row is one aggregated result row.
-type Row struct {
-	Groups []string
-	Sum    int64
-	Count  int64
-	Min    int64
-	Max    int64
-}
+// Row is one aggregated result row: the group labels plus the full
+// aggregate state (Groups, Sum, Count, Min, Max). It is the protocol's
+// own row type, so batches cross between the wire and the caller
+// without a copy.
+type Row = wire.Row
 
 // Result is a completed query's result set with its plan provenance.
 type Result struct {
@@ -202,13 +202,10 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 		}
 		c.server = ack.Server
 	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
+		err := c.serverError(context.Background(), fb.Bytes())
 		fb.Release()
 		nc.Close()
-		if err != nil {
-			return nil, err
-		}
-		return nil, &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
+		return nil, err
 	default:
 		fb.Release()
 		nc.Close()
@@ -250,7 +247,7 @@ func (c *Conn) readFrame() (wire.FrameType, *wire.Buffer, error) {
 // Ping round-trips a Ping frame; an error means the connection is dead.
 func (c *Conn) Ping() error {
 	if c.broken.Load() {
-		return errors.New("client: connection is broken")
+		return errBroken
 	}
 	c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
 	defer c.nc.SetReadDeadline(time.Time{})
@@ -269,49 +266,101 @@ func (c *Conn) Ping() error {
 	return nil
 }
 
-// SetOption flips a per-session server switch by name; the options
-// today are "CACHE" ("on"/"off"), "PARALLEL" (a worker count), and
-// "TRACE" ("on"/"off"). The round-trip runs under the dial timeout (or
-// ctx, whichever fires first).
-func (c *Conn) SetOption(ctx context.Context, name, value string) error {
+// errBroken is returned by every request on a connection whose stream
+// can no longer be trusted.
+var errBroken = errors.New("client: connection is broken")
+
+// nextRequest allots the next request ID, refusing on a broken connection
+// or a context that is already done.
+func (c *Conn) nextRequest(ctx context.Context) (uint32, error) {
 	if c.broken.Load() {
-		return errors.New("client: connection is broken")
+		return 0, errBroken
 	}
 	if err := ctx.Err(); err != nil {
-		return err
+		return 0, err
 	}
 	c.nextID++
-	id := c.nextID
-	so := &wire.SetOption{ID: id, Name: name, Value: value}
-	c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
-	defer c.nc.SetReadDeadline(time.Time{})
-	if err := c.writeFrame(wire.FrameSetOption, so.Encode()); err != nil {
+	return c.nextID, nil
+}
+
+// serverError turns an Error frame's payload into the typed *Error. A
+// cancellation the caller itself asked for surfaces as ctx's error.
+func (c *Conn) serverError(ctx context.Context, payload []byte) error {
+	ef, err := wire.DecodeError(payload)
+	if err != nil {
+		c.broken.Store(true)
 		return err
+	}
+	if ef.Code == wire.CodeCanceled && ctx.Err() != nil {
+		return ctx.Err()
+	}
+	return &Error{Code: ErrorCode(ef.Code), Message: ef.Message, QueryID: ef.QueryID}
+}
+
+// roundTrip sends one request frame and reads its one reply: a frame of
+// type want carrying the request's ID is handed to decode, an Error
+// frame becomes the typed *Error, and anything else breaks the
+// connection. A cancelable request is one the server may block on: ctx
+// firing sends a Cancel frame (see watchCancel). The others are
+// metadata reads answered on the server's frame loop and run under the
+// dial timeout instead.
+func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.FrameType,
+	encode func(id uint32) []byte, want wire.FrameType, decode func(payload []byte) error) error {
+	id, err := c.nextRequest(ctx)
+	if err != nil {
+		return err
+	}
+	if !cancelable {
+		c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
+		defer c.nc.SetReadDeadline(time.Time{})
+	}
+	if err := c.writeFrame(reqType, encode(id)); err != nil {
+		return err
+	}
+	if cancelable {
+		stop := c.watchCancel(ctx, id)
+		defer stop()
 	}
 	t, fb, err := c.readFrame()
 	if err != nil {
+		if ctx.Err() != nil { // grace expired with no acknowledgement
+			return ctx.Err()
+		}
 		return err
 	}
 	defer fb.Release()
 	switch t {
-	case wire.FrameOptionAck:
-		ack, err := wire.DecodeOptionAck(fb.Bytes())
-		if err != nil || ack.ID != id {
+	case want:
+		if got := wire.RequestID(fb.Bytes()); got != id {
+			err = fmt.Errorf("answers request %d, not %d", got, id)
+		} else {
+			err = decode(fb.Bytes())
+		}
+		if err != nil {
 			c.broken.Store(true)
-			return fmt.Errorf("client: bad option ack: %v", err)
+			return fmt.Errorf("client: bad %s frame: %v", t, err)
 		}
 		return nil
 	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
-		if err != nil {
-			c.broken.Store(true)
-			return err
-		}
-		return &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
+		return c.serverError(ctx, fb.Bytes())
 	default:
 		c.broken.Store(true)
 		return fmt.Errorf("client: unexpected %s frame", t)
 	}
+}
+
+// SetOption flips a per-session server switch by name; the options
+// today are "CACHE" ("on"/"off"), "PARALLEL" (a worker count), "TRACE"
+// ("on"/"off"), and against a coordinator "PARTIAL" ("on"/"off"). The
+// round-trip runs under the dial timeout (or ctx, whichever fires
+// first).
+func (c *Conn) SetOption(ctx context.Context, name, value string) error {
+	return c.roundTrip(ctx, false, wire.FrameSetOption,
+		func(id uint32) []byte { return (&wire.SetOption{ID: id, Name: name, Value: value}).Encode() },
+		wire.FrameOptionAck, func(p []byte) error {
+			_, err := wire.DecodeOptionAck(p)
+			return err
+		})
 }
 
 // SetCache turns this connection's server-side query-cache
@@ -351,7 +400,7 @@ func (c *Conn) SetTrace(ctx context.Context, on bool) error {
 // The option only has effect against a cluster coordinator: on, a query
 // that loses shards mid-flight still answers with the surviving shards'
 // merge, and Result.Partial carries the per-shard completeness report.
-// Plain olapd servers reject the option with a protocol error.
+// Plain olapd servers reject the option with CodeUnsupported.
 func (c *Conn) SetPartial(ctx context.Context, on bool) error {
 	v := "on"
 	if !on {
@@ -367,57 +416,29 @@ func (c *Conn) SetPartial(ctx context.Context, on bool) error {
 // ring). The round-trip runs under the dial timeout (or ctx, whichever
 // fires first).
 func (c *Conn) Profiles(ctx context.Context, queryID string, limit int) (string, error) {
-	if c.broken.Load() {
-		return "", errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
 	if limit < 0 {
 		limit = 0
 	}
-	c.nextID++
-	id := c.nextID
-	gp := &wire.GetProfiles{ID: id, QueryID: queryID, Limit: uint32(limit)}
-	c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
-	defer c.nc.SetReadDeadline(time.Time{})
-	if err := c.writeFrame(wire.FrameGetProfiles, gp.Encode()); err != nil {
-		return "", err
-	}
-	t, fb, err := c.readFrame()
-	if err != nil {
-		return "", err
-	}
-	defer fb.Release()
-	switch t {
-	case wire.FrameProfilesResult:
-		pr, err := wire.DecodeProfilesResult(fb.Bytes())
-		if err != nil || pr.ID != id {
-			c.broken.Store(true)
-			return "", fmt.Errorf("client: bad profiles result: %v", err)
-		}
-		return pr.JSON, nil
-	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
-		if err != nil {
-			c.broken.Store(true)
-			return "", err
-		}
-		return "", &Error{Code: ErrorCode(ef.Code), Message: ef.Message, QueryID: ef.QueryID}
-	default:
-		c.broken.Store(true)
-		return "", fmt.Errorf("client: unexpected %s frame", t)
-	}
+	var out string
+	err := c.roundTrip(ctx, false, wire.FrameGetProfiles,
+		func(id uint32) []byte {
+			return (&wire.GetProfiles{ID: id, QueryID: queryID, Limit: uint32(limit)}).Encode()
+		},
+		wire.FrameProfilesResult, func(p []byte) error {
+			pr, err := wire.DecodeProfilesResult(p)
+			if err == nil {
+				out = pr.JSON
+			}
+			return err
+		})
+	return out, err
 }
 
-// IngestCell is one cell state for Ingest, addressed by dimension keys:
-// set the cell's measure to Value, or delete it. States are absolute,
-// so resending a batch after an ambiguous failure is idempotent.
-type IngestCell struct {
-	Keys   []int64
-	Value  int64
-	Delete bool
-}
+// IngestCell is one cell state for Ingest, addressed by dimension keys
+// (Keys): set the cell's measure to Value, or Delete it. States are
+// absolute, so resending a batch after an ambiguous failure is
+// idempotent. Like Row it is the protocol's own type.
+type IngestCell = wire.IngestCell
 
 // DeltaStats is the server's delta-store snapshot: the cells and bytes
 // awaiting compaction, the dirty/touched chunk counts, the backpressure
@@ -437,99 +458,32 @@ type DeltaStats struct {
 // while the server's delta store is over budget; canceling ctx sends a
 // Cancel frame that releases the wait server-side.
 func (c *Conn) Ingest(ctx context.Context, cells []IngestCell) error {
-	if c.broken.Load() {
-		return errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	c.nextID++
-	id := c.nextID
-	f := &wire.Ingest{ID: id, Cells: make([]wire.IngestCell, len(cells))}
-	for i, cell := range cells {
-		f.Cells[i] = wire.IngestCell{Keys: cell.Keys, Value: cell.Value, Delete: cell.Delete}
-	}
-	if err := c.writeFrame(wire.FrameIngest, f.Encode()); err != nil {
-		return err
-	}
-	stop := c.watchCancel(ctx, id)
-	defer stop()
-	t, fb, err := c.readFrame()
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return err
-	}
-	defer fb.Release()
-	switch t {
-	case wire.FrameIngestAck:
-		ack, err := wire.DecodeIngestAck(fb.Bytes())
-		if err != nil || ack.ID != id {
-			c.broken.Store(true)
-			return fmt.Errorf("client: bad ingest ack: %v", err)
-		}
-		return nil
-	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
-		if err != nil {
-			c.broken.Store(true)
+	return c.roundTrip(ctx, true, wire.FrameIngest,
+		func(id uint32) []byte { return (&wire.Ingest{ID: id, Cells: cells}).Encode() },
+		wire.FrameIngestAck, func(p []byte) error {
+			_, err := wire.DecodeIngestAck(p)
 			return err
-		}
-		if ef.Code == wire.CodeCanceled && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
-	default:
-		c.broken.Store(true)
-		return fmt.Errorf("client: unexpected %s frame", t)
-	}
+		})
 }
 
 // DeltaStats reads the server's delta-store counters. The round-trip
 // runs under the dial timeout (or ctx, whichever fires first).
 func (c *Conn) DeltaStats(ctx context.Context) (*DeltaStats, error) {
-	if c.broken.Load() {
-		return nil, errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	c.nextID++
-	id := c.nextID
-	c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
-	defer c.nc.SetReadDeadline(time.Time{})
-	if err := c.writeFrame(wire.FrameDeltaStats, (&wire.DeltaStatsReq{ID: id}).Encode()); err != nil {
-		return nil, err
-	}
-	t, fb, err := c.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	defer fb.Release()
-	switch t {
-	case wire.FrameDeltaStatsResult:
-		r, err := wire.DecodeDeltaStatsResult(fb.Bytes())
-		if err != nil || r.ID != id {
-			c.broken.Store(true)
-			return nil, fmt.Errorf("client: bad delta-stats result: %v", err)
-		}
-		return &DeltaStats{
-			Cells: r.Cells, Bytes: r.Bytes,
-			DirtyChunks: r.DirtyChunks, TouchedChunks: r.TouchedChunks,
-			BudgetBytes: r.BudgetBytes, Compactions: r.Compactions,
-		}, nil
-	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
-		if err != nil {
-			c.broken.Store(true)
-			return nil, err
-		}
-		return nil, &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
-	default:
-		c.broken.Store(true)
-		return nil, fmt.Errorf("client: unexpected %s frame", t)
-	}
+	var out *DeltaStats
+	err := c.roundTrip(ctx, false, wire.FrameDeltaStats,
+		func(id uint32) []byte { return (&wire.DeltaStatsReq{ID: id}).Encode() },
+		wire.FrameDeltaStatsResult, func(p []byte) error {
+			r, err := wire.DecodeDeltaStatsResult(p)
+			if err == nil {
+				out = &DeltaStats{
+					Cells: r.Cells, Bytes: r.Bytes,
+					DirtyChunks: r.DirtyChunks, TouchedChunks: r.TouchedChunks,
+					BudgetBytes: r.BudgetBytes, Compactions: r.Compactions,
+				}
+			}
+			return err
+		})
+	return out, err
 }
 
 // Compact asks the server to fold its accumulated deltas into the chunk
@@ -537,46 +491,17 @@ func (c *Conn) DeltaStats(ctx context.Context) (*DeltaStats, error) {
 // abandons the wait client-side only — the compaction itself is not
 // interruptible.
 func (c *Conn) Compact(ctx context.Context) (time.Duration, error) {
-	if c.broken.Load() {
-		return 0, errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	c.nextID++
-	id := c.nextID
-	if err := c.writeFrame(wire.FrameCompact, (&wire.CompactReq{ID: id}).Encode()); err != nil {
-		return 0, err
-	}
-	stop := c.watchCancel(ctx, id)
-	defer stop()
-	t, fb, err := c.readFrame()
-	if err != nil {
-		if ctx.Err() != nil {
-			return 0, ctx.Err()
-		}
-		return 0, err
-	}
-	defer fb.Release()
-	switch t {
-	case wire.FrameCompactAck:
-		ack, err := wire.DecodeCompactAck(fb.Bytes())
-		if err != nil || ack.ID != id {
-			c.broken.Store(true)
-			return 0, fmt.Errorf("client: bad compact ack: %v", err)
-		}
-		return time.Duration(ack.ElapsedNS), nil
-	case wire.FrameError:
-		ef, err := wire.DecodeError(fb.Bytes())
-		if err != nil {
-			c.broken.Store(true)
-			return 0, err
-		}
-		return 0, &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
-	default:
-		c.broken.Store(true)
-		return 0, fmt.Errorf("client: unexpected %s frame", t)
-	}
+	var elapsed time.Duration
+	err := c.roundTrip(ctx, true, wire.FrameCompact,
+		func(id uint32) []byte { return (&wire.CompactReq{ID: id}).Encode() },
+		wire.FrameCompactAck, func(p []byte) error {
+			ack, err := wire.DecodeCompactAck(p)
+			if err == nil {
+				elapsed = time.Duration(ack.ElapsedNS)
+			}
+			return err
+		})
+	return elapsed, err
 }
 
 // watchCancel arms ctx-cancellation for request id: when ctx fires, a
@@ -628,14 +553,10 @@ func (c *Conn) Query(ctx context.Context, sql string, engine Engine) (*Result, e
 // error.
 func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 	hdr *Result, onBatch func(rows []Row) error) error {
-	if c.broken.Load() {
-		return errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
+	id, err := c.nextRequest(ctx)
+	if err != nil {
 		return err
 	}
-	c.nextID++
-	id := c.nextID
 	// Mint the query's identity here, before the frame leaves: the ID
 	// names this execution in the server's trace, flight recorder, and
 	// slow-query log even if the connection dies before the response.
@@ -668,14 +589,10 @@ func (c *Conn) SubQuery(ctx context.Context, sql string, engine Engine,
 func (c *Conn) SubQueryFunc(ctx context.Context, sql string, engine Engine,
 	traceID string, shard, shards, workers int,
 	hdr *Result, onBatch func(rows []Row) error) error {
-	if c.broken.Load() {
-		return errors.New("client: connection is broken")
-	}
-	if err := ctx.Err(); err != nil {
+	id, err := c.nextRequest(ctx)
+	if err != nil {
 		return err
 	}
-	c.nextID++
-	id := c.nextID
 	qid := traceID
 	if qid == "" {
 		qid = obs.NewQueryID()
@@ -737,11 +654,7 @@ func (c *Conn) streamQuery(ctx context.Context, id uint32, qid string,
 			if draining {
 				continue // canceled; drop the remaining stream
 			}
-			rows := make([]Row, len(rb.Rows))
-			for i, r := range rb.Rows {
-				rows[i] = Row{Groups: r.Groups, Sum: r.Sum, Count: r.Count, Min: r.Min, Max: r.Max}
-			}
-			if err := onBatch(rows); err != nil {
+			if err := onBatch(rb.Rows); err != nil {
 				batchErr = err
 				batchCanceled = true
 				c.writeFrame(wire.FrameCancel, (&wire.Cancel{ID: id}).Encode())
@@ -770,19 +683,12 @@ func (c *Conn) streamQuery(ctx context.Context, id uint32, qid string,
 			hdr.Partial = d.Partial
 			return nil
 		case wire.FrameError:
-			ef, err := wire.DecodeError(fb.Bytes())
+			err := c.serverError(ctx, fb.Bytes())
 			fb.Release()
-			if err != nil {
-				c.broken.Store(true)
-				return err
-			}
 			if batchErr != nil {
 				return batchErr
 			}
-			if ef.Code == wire.CodeCanceled && (ctx.Err() != nil) {
-				return ctx.Err()
-			}
-			return &Error{Code: ErrorCode(ef.Code), Message: ef.Message, QueryID: ef.QueryID}
+			return err
 		default:
 			fb.Release()
 			c.broken.Store(true)
@@ -794,55 +700,21 @@ func (c *Conn) streamQuery(ctx context.Context, id uint32, qid string,
 // Explain asks the server to plan (and for EXPLAIN ANALYZE, run) sql
 // and returns the rendered explanation.
 func (c *Conn) Explain(ctx context.Context, sql string, engine Engine) (*Explanation, error) {
-	if c.broken.Load() {
-		return nil, errors.New("client: connection is broken")
+	var out *Explanation
+	err := c.roundTrip(ctx, true, wire.FrameExplain,
+		func(id uint32) []byte { return (&wire.Explain{ID: id, Engine: wire.Engine(engine), SQL: sql}).Encode() },
+		wire.FrameExplainResult, func(p []byte) error {
+			er, err := wire.DecodeExplainResult(p)
+			if err == nil {
+				out = &Explanation{Chosen: er.Chosen, Engine: Engine(er.Engine), Text: er.Text}
+			}
+			return err
+		})
+	if err == nil {
+		err = ctx.Err() // answered, but the caller had already given up
 	}
-	if err := ctx.Err(); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	c.nextID++
-	id := c.nextID
-	ex := &wire.Explain{ID: id, Engine: wire.Engine(engine), SQL: sql}
-	if err := c.writeFrame(wire.FrameExplain, ex.Encode()); err != nil {
-		return nil, err
-	}
-	stop := c.watchCancel(ctx, id)
-	defer stop()
-	for {
-		t, fb, err := c.readFrame()
-		if err != nil {
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return nil, err
-		}
-		switch t {
-		case wire.FrameExplainResult:
-			er, err := wire.DecodeExplainResult(fb.Bytes())
-			fb.Release()
-			if err != nil || er.ID != id {
-				c.broken.Store(true)
-				return nil, fmt.Errorf("client: bad explain result: %v", err)
-			}
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			return &Explanation{Chosen: er.Chosen, Engine: Engine(er.Engine), Text: er.Text}, nil
-		case wire.FrameError:
-			ef, err := wire.DecodeError(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.broken.Store(true)
-				return nil, err
-			}
-			if ef.Code == wire.CodeCanceled && (ctx.Err() != nil) {
-				return nil, ctx.Err()
-			}
-			return nil, &Error{Code: ErrorCode(ef.Code), Message: ef.Message}
-		default:
-			fb.Release()
-			c.broken.Store(true)
-			return nil, fmt.Errorf("client: unexpected %s frame", t)
-		}
-	}
+	return out, nil
 }

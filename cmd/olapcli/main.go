@@ -1,7 +1,8 @@
 // Command olapcli runs consolidation queries against a database produced
 // by olapgen (or any program using the repro API), either embedded
 // (-db, opening the files in-process) or remote (-connect, speaking the
-// wire protocol to an olapd).
+// wire protocol to an olapd or a cluster coordinator) — the same REPL,
+// meta-commands and rendering either way.
 //
 // Usage:
 //
@@ -9,8 +10,8 @@
 //	olapcli -db sales.db            # interactive: one query per line
 //	olapcli -connect 127.0.0.1:7432 # same REPL over a server
 //
-// Each result prints the plan the engine chose, the wall time, page I/O,
-// and the rows.
+// Each result prints the plan the engine chose, the wall time, the rows
+// and, embedded, the page I/O.
 package main
 
 import (
@@ -30,11 +31,40 @@ import (
 
 	repro "repro"
 	"repro/client"
+	"repro/internal/server"
 )
 
-// traceMode mirrors the session's TRACE switch so result rendering
-// knows to print the span tree (flag -trace, meta-command "trace on").
-var traceMode bool
+// session is what the CLI drives: the protocol's request frames as
+// methods. A *client.Conn is one as it stands; embedded mode adapts the
+// session olapd itself would open over the database, so both modes run
+// the same loop, the same meta-commands and the same renderer, and a
+// backend answers what it does not have with "not supported".
+type session interface {
+	Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error)
+	Explain(ctx context.Context, sql string, engine client.Engine) (*client.Explanation, error)
+	SetOption(ctx context.Context, name, value string) error
+	Ingest(ctx context.Context, cells []client.IngestCell) error
+	DeltaStats(ctx context.Context) (*client.DeltaStats, error)
+	Compact(ctx context.Context) (time.Duration, error)
+	Profiles(ctx context.Context, queryID string, limit int) (string, error)
+}
+
+// embedded is a server.Session with the shard window dropped from Query.
+type embedded struct{ server.Session }
+
+func (e embedded) Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error) {
+	return e.Session.Query(ctx, sql, engine, nil)
+}
+
+// cli is one run's state: the session, the per-statement flags, and in
+// embedded mode the database — for what no request frame carries (the
+// stats command, the I/O and estimate detail on the plan line).
+type cli struct {
+	s       session
+	db      *repro.DB
+	engine  client.Engine
+	maxRows int
+}
 
 func main() {
 	path := flag.String("db", "olap.db", "database path")
@@ -48,55 +78,73 @@ func main() {
 	trace := flag.Bool("trace", false, "trace every query and print its span tree")
 	partial := flag.Bool("partial", false, "coordinator only: accept partial answers when shards fail (PARTIAL session option)")
 	flag.Parse()
-	traceMode = *trace
-
-	if *connect != "" {
-		os.Exit(remoteMain(*connect, *engineName, *maxRows, *workers, *partial))
-	}
-	if *partial {
-		fmt.Fprintln(os.Stderr, "olapcli: -partial only applies with -connect (it is a wire session option)")
-		os.Exit(2)
-	}
 
 	engine, err := parseEngine(*engineName)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
 		os.Exit(2)
 	}
-	db, err := repro.Open(repro.Options{Path: *path})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-		os.Exit(1)
+	c := &cli{engine: engine, maxRows: *maxRows}
+	var banner string
+	if *connect != "" {
+		conn, err := client.Dial(*connect, client.Config{})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
+			os.Exit(1)
+		}
+		defer conn.Close()
+		c.s = conn
+		banner = fmt.Sprintf("connected to %s (%s)", *connect, conn.Server())
+	} else {
+		db, err := repro.Open(repro.Options{Path: *path})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
+			os.Exit(1)
+		}
+		defer db.Close()
+		if *metricsAddr != "" {
+			go func() {
+				mux := http.NewServeMux()
+				mux.Handle("/metrics", db.MetricsHandler())
+				if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
+					fmt.Fprintf(os.Stderr, "olapcli: metrics server: %v\n", err)
+				}
+			}()
+			fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (Prometheus text; ?format=json)\n", *metricsAddr)
+		}
+		if *cacheMB > 0 {
+			db.EnableQueryCache(int64(*cacheMB) << 20)
+		}
+		var cfg server.Config
+		if *slowMS > 0 {
+			cfg.SlowQueryLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
+			cfg.SlowQueryMin = time.Duration(*slowMS) * time.Millisecond
+		}
+		c.s, c.db = embedded{server.Local{DB: db}.NewSession(&cfg)}, db
+		banner = "repro OLAP engine"
 	}
-	defer db.Close()
 
-	if *metricsAddr != "" {
-		go func() {
-			mux := http.NewServeMux()
-			mux.Handle("/metrics", db.MetricsHandler())
-			if err := http.ListenAndServe(*metricsAddr, mux); err != nil {
-				fmt.Fprintf(os.Stderr, "olapcli: metrics server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "metrics on http://%s/metrics (Prometheus text; ?format=json)\n", *metricsAddr)
-	}
-	if *slowMS > 0 {
-		db.SetSlowQueryLog(slog.New(slog.NewTextHandler(os.Stderr, nil)),
-			time.Duration(*slowMS)*time.Millisecond)
-	}
-	if *cacheMB > 0 {
-		db.EnableQueryCache(int64(*cacheMB) << 20)
-	}
+	// The session flags are session options on either side of the wire.
+	var opts [][2]string
 	if *workers > 0 {
-		db.SetParallel(*workers)
+		opts = append(opts, [2]string{"PARALLEL", strconv.Itoa(*workers)})
 	}
-	if traceMode {
-		db.SetTrace(true)
+	if *trace {
+		opts = append(opts, [2]string{"TRACE", "on"})
+	}
+	if *partial {
+		opts = append(opts, [2]string{"PARTIAL", "on"})
+	}
+	for _, o := range opts {
+		if err := c.s.SetOption(context.Background(), o[0], o[1]); err != nil {
+			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
+			os.Exit(1)
+		}
 	}
 
 	if flag.NArg() > 0 {
 		for _, sql := range flag.Args() {
-			if err := runQuery(db, sql, engine, *maxRows); err != nil {
+			if err := c.runQuery(sql); err != nil {
 				fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
 				os.Exit(1)
 			}
@@ -104,8 +152,9 @@ func main() {
 		return
 	}
 
-	fmt.Println("repro OLAP engine — one query per line, blank line or ^D to exit")
-	if s := db.Schema(); s != nil {
+	fmt.Println(banner + " — one query per line, blank line or ^D to exit")
+	if c.db != nil && c.db.Schema() != nil {
+		s := c.db.Schema()
 		fmt.Printf("schema: fact %s(%s + %s), dimensions:", s.Fact.Name,
 			strings.Join(dimKeys(s), ", "), s.Fact.Measure)
 		for _, d := range s.Dimensions {
@@ -120,270 +169,153 @@ func main() {
 		if !scanner.Scan() {
 			break
 		}
-		sql := strings.TrimSpace(scanner.Text())
-		if sql == "" {
+		line := strings.TrimSpace(scanner.Text())
+		if line == "" {
 			break
 		}
-		if strings.EqualFold(sql, "stats") {
-			printStats(db)
-			continue
+		// A line is a meta-command when its first word names one (the rest,
+		// lower-cased, is the argument), a statement otherwise.
+		word, arg, _ := strings.Cut(line, " ")
+		run, isMeta := metaCommands[strings.ToLower(word)]
+		if isMeta {
+			err = run(c, strings.ToLower(strings.TrimSpace(arg)))
+		} else {
+			err = c.runQuery(line)
 		}
-		// "delta" shows the HTAP delta store's counters; "compact" folds
-		// the accumulated deltas into the chunk store now.
-		if strings.EqualFold(sql, "delta") {
-			st := db.DeltaStats()
-			printDeltaStats(st.Cells, st.Bytes, int64(st.DirtyChunks),
-				int64(st.TouchedChunks), st.BudgetBytes, db.CompactionsTotal())
-			continue
-		}
-		if strings.EqualFold(sql, "compact") {
-			start := time.Now()
-			if err := db.Compact(); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				fmt.Printf("compacted in %v\n", time.Since(start).Round(time.Microsecond))
-			}
-			continue
-		}
-		// "insert k1,k2,...=v [k,...=v ...]" ingests cell states through
-		// the HTAP delta path (value "del" deletes the cell).
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "insert "); ok {
-			cells, err := parseInsertCells(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			if err := db.InsertCells(cells); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			fmt.Printf("ingested %d cells\n", len(cells))
-			continue
-		}
-		// "recent" lists the flight recorder's latest query profiles;
-		// "profile <id>" dumps one as JSON.
-		if strings.EqualFold(sql, "recent") {
-			printRecent(db.FlightRecorder().Recent(10))
-			continue
-		}
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "profile "); ok {
-			printProfile(db.FlightRecorder().Profile(strings.TrimSpace(v)))
-			continue
-		}
-		// "trace on|off" toggles per-query span collection and rendering.
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "trace "); ok {
-			switch strings.TrimSpace(v) {
-			case "on", "off":
-				traceMode = strings.TrimSpace(v) == "on"
-				db.SetTrace(traceMode)
-				fmt.Printf("trace %s\n", strings.TrimSpace(v))
-			default:
-				fmt.Fprintf(os.Stderr, "error: trace wants on|off, got %q\n", v)
-			}
-			continue
-		}
-		// "parallel n" sets the intra-query worker degree (0 = default).
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "parallel "); ok {
-			if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
-				db.SetParallel(n)
-				fmt.Printf("parallel %d\n", n)
-			} else {
-				fmt.Fprintf(os.Stderr, "error: parallel wants a non-negative integer, got %q\n", v)
-			}
-			continue
-		}
-		if err := runQuery(db, sql, engine, *maxRows); err != nil {
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "error: %v\n", err)
 		}
 	}
 }
 
-// remoteMain is the -connect mode: the same one-shot/REPL loop, but
-// every query travels the wire protocol to an olapd. Returns the
-// process exit code.
-func remoteMain(addr, engineName string, maxRows, workers int, partial bool) int {
-	engine, err := client.ParseEngine(engineName)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-		return 2
-	}
-	conn, err := client.Dial(addr, client.Config{})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-		return 1
-	}
-	defer conn.Close()
-	if workers > 0 {
-		if err := conn.SetParallel(context.Background(), workers); err != nil {
-			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-			return 1
-		}
-	}
-	if traceMode {
-		if err := conn.SetTrace(context.Background(), true); err != nil {
-			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-			return 1
-		}
-	}
-	if partial {
-		if err := conn.SetPartial(context.Background(), true); err != nil {
-			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-			return 1
-		}
-	}
-
-	if flag.NArg() > 0 {
-		for _, sql := range flag.Args() {
-			if err := runRemoteQuery(conn, sql, engine, maxRows); err != nil {
-				fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
-				return 1
+// metaCommands is the REPL's meta-command table. Each runs against the
+// session, so each works wherever the backend has the operation: all of
+// them embedded and against an olapd except partial (a coordinator's
+// option), and against a coordinator trace, parallel and partial; stats
+// reads the embedded database directly.
+var metaCommands = map[string]func(c *cli, arg string) error{
+	// trace on|off: collect and print every query's span tree.
+	"trace": func(c *cli, arg string) error { return c.setOption("TRACE", arg) },
+	// cache on|off: the session's query-cache participation.
+	"cache": func(c *cli, arg string) error { return c.setOption("CACHE", arg) },
+	// partial on|off: answer with the surviving shards' merge when a shard
+	// fails, with the per-shard completeness report.
+	"partial": func(c *cli, arg string) error { return c.setOption("PARTIAL", arg) },
+	// parallel n: the intra-query worker degree (0 = default).
+	"parallel": func(c *cli, arg string) error { return c.setOption("PARALLEL", arg) },
+	// delta: the HTAP delta store's counters.
+	"delta": func(c *cli, _ string) error {
+		st, err := c.s.DeltaStats(context.Background())
+		if err == nil {
+			budget := "unlimited"
+			if st.BudgetBytes > 0 {
+				budget = strconv.FormatInt(st.BudgetBytes, 10)
 			}
+			fmt.Printf("delta: cells=%d bytes=%d dirty_chunks=%d touched_chunks=%d budget=%s compactions=%d\n",
+				st.Cells, st.Bytes, st.DirtyChunks, st.TouchedChunks, budget, st.Compactions)
 		}
-		return 0
-	}
-
-	fmt.Printf("connected to %s (%s) — one query per line, blank line or ^D to exit\n",
-		addr, conn.Server())
-	scanner := bufio.NewScanner(os.Stdin)
-	scanner.Buffer(make([]byte, 1<<20), 1<<20)
-	for {
-		fmt.Print("olap> ")
-		if !scanner.Scan() {
-			break
+		return err
+	},
+	// compact: fold the accumulated deltas into the chunk store now.
+	"compact": func(c *cli, _ string) error {
+		elapsed, err := c.s.Compact(context.Background())
+		if err == nil {
+			fmt.Printf("compacted in %v\n", elapsed.Round(time.Microsecond))
 		}
-		sql := strings.TrimSpace(scanner.Text())
-		if sql == "" {
-			break
+		return err
+	},
+	// insert k1,k2,...=v [k,...=v ...]: ingest cell states through the HTAP
+	// delta path (value "del" deletes the cell).
+	"insert": func(c *cli, arg string) error {
+		cells, err := parseInsertCells(arg)
+		if err == nil {
+			err = c.s.Ingest(context.Background(), cells)
 		}
-		// "cache on" / "cache off" flips the session's server-side
-		// query-cache participation (the wire CACHE option).
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "cache "); ok {
-			v = strings.TrimSpace(v)
-			if v == "on" || v == "off" {
-				if err := conn.SetCache(context.Background(), v == "on"); err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				} else {
-					fmt.Printf("cache %s\n", v)
-				}
-				continue
-			}
-		}
-		// "trace on|off" flips the server-side TRACE session option:
-		// every query returns its rendered span tree with the result.
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "trace "); ok {
-			v = strings.TrimSpace(v)
-			if v == "on" || v == "off" {
-				if err := conn.SetTrace(context.Background(), v == "on"); err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				} else {
-					traceMode = v == "on"
-					fmt.Printf("trace %s\n", v)
-				}
-				continue
-			}
-		}
-		// "partial on|off" flips the coordinator's PARTIAL session
-		// option: answer with the surviving shards' merge when a shard
-		// fails, and report per-shard completeness with the result.
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "partial "); ok {
-			v = strings.TrimSpace(v)
-			if v == "on" || v == "off" {
-				if err := conn.SetPartial(context.Background(), v == "on"); err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				} else {
-					fmt.Printf("partial %s\n", v)
-				}
-				continue
-			}
-		}
-		// "delta" reads the server's delta-store counters; "compact" asks
-		// it to fold the accumulated deltas now.
-		if strings.EqualFold(sql, "delta") {
-			st, err := conn.DeltaStats(context.Background())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				printDeltaStats(st.Cells, st.Bytes, st.DirtyChunks,
-					st.TouchedChunks, st.BudgetBytes, st.Compactions)
-			}
-			continue
-		}
-		if strings.EqualFold(sql, "compact") {
-			elapsed, err := conn.Compact(context.Background())
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-			} else {
-				fmt.Printf("compacted in %v\n", elapsed.Round(time.Microsecond))
-			}
-			continue
-		}
-		// "insert k1,k2,...=v [...]" ships cell states to the server's
-		// ingest path over the wire Ingest frame ("del" deletes).
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "insert "); ok {
-			cells, err := parseInsertCells(v)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
-			remote := make([]client.IngestCell, len(cells))
-			for i, c := range cells {
-				remote[i] = client.IngestCell{Keys: c.Keys, Value: c.Value, Delete: c.Delete}
-			}
-			if err := conn.Ingest(context.Background(), remote); err != nil {
-				fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				continue
-			}
+		if err == nil {
 			fmt.Printf("ingested %d cells\n", len(cells))
-			continue
 		}
-		// "recent" and "profile <id>" read the server's flight recorder.
-		if strings.EqualFold(sql, "recent") {
-			printRemoteProfiles(conn, "", 10)
-			continue
+		return err
+	},
+	// recent: the flight recorder's latest query profiles, one per line.
+	"recent": func(c *cli, _ string) error {
+		raw, err := c.s.Profiles(context.Background(), "", 10)
+		if err != nil {
+			return err
 		}
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "profile "); ok {
-			printRemoteProfiles(conn, strings.TrimSpace(v), 0)
-			continue
+		var got struct {
+			Recent []*repro.QueryProfile `json:"recent"`
 		}
-		// "parallel n" sets the server-side worker degree for this
-		// session (the wire PARALLEL option; 0 = server default).
-		if v, ok := strings.CutPrefix(strings.ToLower(sql), "parallel "); ok {
-			if n, err := strconv.Atoi(strings.TrimSpace(v)); err == nil && n >= 0 {
-				if err := conn.SetParallel(context.Background(), n); err != nil {
-					fmt.Fprintf(os.Stderr, "error: %v\n", err)
-				} else {
-					fmt.Printf("parallel %d\n", n)
-				}
-			} else {
-				fmt.Fprintf(os.Stderr, "error: parallel wants a non-negative integer, got %q\n", v)
-			}
-			continue
+		if err := json.Unmarshal([]byte(raw), &got); err != nil {
+			return err
 		}
-		if err := runRemoteQuery(conn, sql, engine, maxRows); err != nil {
-			fmt.Fprintf(os.Stderr, "error: %v\n", err)
+		printRecent(got.Recent)
+		return nil
+	},
+	// profile <id>: one query's profile as JSON.
+	"profile": func(c *cli, arg string) error {
+		raw, err := c.s.Profiles(context.Background(), arg, 0)
+		if err != nil {
+			return err
 		}
-	}
-	return 0
+		var buf bytes.Buffer
+		if json.Indent(&buf, []byte(raw), "", "  ") != nil {
+			buf.Reset()
+			buf.WriteString(raw)
+		}
+		fmt.Println(buf.String())
+		return nil
+	},
+	// stats: the cross-layer engine snapshot.
+	"stats": func(c *cli, _ string) error {
+		if c.db == nil {
+			return fmt.Errorf("%w: stats reads an embedded database (-db); a server exports the same on /metrics",
+				server.ErrUnsupported)
+		}
+		printStats(c.db)
+		return nil
+	},
 }
 
-// runRemoteQuery executes one query (or EXPLAIN) over the wire and
-// renders it like the embedded path does.
-func runRemoteQuery(conn *client.Conn, sql string, engine client.Engine, maxRows int) error {
+func (c *cli) setOption(name, value string) error {
+	err := c.s.SetOption(context.Background(), name, value)
+	if err == nil {
+		fmt.Printf("%s %s\n", strings.ToLower(name), value)
+	}
+	return err
+}
+
+// runQuery executes one statement (or EXPLAIN) and renders it.
+func (c *cli) runQuery(sql string) error {
 	ctx := context.Background()
 	if strings.HasPrefix(strings.ToLower(strings.TrimSpace(sql)), "explain") {
-		expl, err := conn.Explain(ctx, sql, engine)
+		// EXPLAIN: the planner's candidates and the chosen tree. EXPLAIN
+		// ANALYZE ran the query too, so the tree carries per-operator
+		// actuals and ends with the run summary.
+		expl, err := c.s.Explain(ctx, sql, c.engine)
 		if err != nil {
 			return err
 		}
 		fmt.Print(expl.Text)
 		return nil
 	}
-	res, err := conn.Query(ctx, sql, engine)
+	res, err := c.s.Query(ctx, sql, c.engine)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("plan=%s engine=%s elapsed=%v rows=%d query_id=%s\n",
-		res.Plan, res.Engine, res.Elapsed, len(res.Rows), res.QueryID)
+	// Embedded, the execution's flight-recorder profile has what no result
+	// frame carries: the cache verdict, page I/O and the planner's estimate.
+	var cached, detail string
+	if c.db != nil {
+		if p := c.db.FlightRecorder().Profile(res.QueryID); p != nil {
+			if p.CacheHit {
+				cached = " cached"
+			}
+			detail = fmt.Sprintf(" io={logical=%d physical=%d} est={io=%.1f rows=%d}",
+				p.LogicalReads, p.PhysicalReads, p.EstIO, p.EstRows)
+		}
+	}
+	fmt.Printf("plan=%s%s engine=%s elapsed=%v rows=%d%s query_id=%s\n",
+		res.Plan, cached, res.Engine, res.Elapsed, len(res.Rows), detail, res.QueryID)
 	aggNames := make([]string, len(res.Aggs))
 	for i, a := range res.Aggs {
 		aggNames[i] = repro.AggFunc(a).String()
@@ -392,14 +324,16 @@ func runRemoteQuery(conn *client.Conn, sql string, engine client.Engine, maxRows
 		fmt.Printf("%s | %s\n", strings.Join(res.GroupAttrs, ", "), strings.Join(aggNames, ", "))
 	}
 	for i, r := range res.Rows {
-		if maxRows > 0 && i >= maxRows {
-			fmt.Printf("... (%d more rows)\n", len(res.Rows)-maxRows)
+		if c.maxRows > 0 && i >= c.maxRows {
+			fmt.Printf("... (%d more rows)\n", len(res.Rows)-c.maxRows)
 			break
 		}
 		vals := make([]string, len(res.Aggs))
 		for j, a := range res.Aggs {
 			row := repro.Row{Sum: r.Sum, Count: r.Count, Min: r.Min, Max: r.Max}
 			if repro.AggFunc(a) == repro.Avg {
+				// Display the exact mean; Row.Value(Avg) would round to the
+				// nearest integer.
 				vals[j] = fmt.Sprintf("%.2f", row.Avg())
 			} else {
 				vals[j] = fmt.Sprintf("%d", row.Value(repro.AggFunc(a)))
@@ -468,49 +402,18 @@ func printRecent(profiles []*repro.QueryProfile) {
 	}
 }
 
-// printProfile dumps one profile as indented JSON (the "profile <id>"
-// meta-command).
-func printProfile(p *repro.QueryProfile) {
-	if p == nil {
-		fmt.Fprintln(os.Stderr, "error: no such query (aged out of the flight recorder?)")
-		return
-	}
-	b, err := json.MarshalIndent(p, "", "  ")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
-	}
-	fmt.Println(string(b))
-}
-
-// printRemoteProfiles fetches flight-recorder JSON over the wire and
-// pretty-prints it ("recent" / "profile <id>" in -connect mode).
-func printRemoteProfiles(conn *client.Conn, queryID string, limit int) {
-	raw, err := conn.Profiles(context.Background(), queryID, limit)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "error: %v\n", err)
-		return
-	}
-	var buf bytes.Buffer
-	if err := json.Indent(&buf, []byte(raw), "", "  "); err != nil {
-		fmt.Println(raw)
-		return
-	}
-	fmt.Println(buf.String())
-}
-
 // parseInsertCells parses the "insert" meta-command's argument: one or
 // more whitespace-separated assignments "k1,k2,...,kn=value", where the
 // keys are the fact's dimension keys in schema order and value "del"
 // deletes the cell.
-func parseInsertCells(arg string) ([]repro.IngestCell, error) {
-	var cells []repro.IngestCell
+func parseInsertCells(arg string) ([]client.IngestCell, error) {
+	var cells []client.IngestCell
 	for _, tok := range strings.Fields(arg) {
 		keysStr, valStr, ok := strings.Cut(tok, "=")
 		if !ok {
 			return nil, fmt.Errorf("insert wants k1,k2,...=value, got %q", tok)
 		}
-		var cell repro.IngestCell
+		var cell client.IngestCell
 		for _, k := range strings.Split(keysStr, ",") {
 			key, err := strconv.ParseInt(strings.TrimSpace(k), 10, 64)
 			if err != nil {
@@ -533,17 +436,6 @@ func parseInsertCells(arg string) ([]repro.IngestCell, error) {
 		return nil, fmt.Errorf("insert wants at least one k1,k2,...=value assignment")
 	}
 	return cells, nil
-}
-
-// printDeltaStats renders the delta store's counters (the "delta"
-// meta-command, local and remote).
-func printDeltaStats(cells, bytes, dirty, touched, budget, compactions int64) {
-	budgetStr := "unlimited"
-	if budget > 0 {
-		budgetStr = fmt.Sprintf("%d", budget)
-	}
-	fmt.Printf("delta: cells=%d bytes=%d dirty_chunks=%d touched_chunks=%d budget=%s compactions=%d\n",
-		cells, bytes, dirty, touched, budgetStr, compactions)
 }
 
 // printStats renders the cross-layer engine snapshot (the interactive
@@ -598,74 +490,7 @@ func dimKeys(s *repro.StarSchema) []string {
 	return out
 }
 
-func parseEngine(name string) (repro.Engine, error) {
-	switch strings.ToLower(name) {
-	case "auto":
-		return repro.Auto, nil
-	case "array":
-		return repro.ArrayEngine, nil
-	case "starjoin":
-		return repro.StarJoinEngine, nil
-	case "bitmap":
-		return repro.BitmapEngine, nil
-	default:
-		return repro.Auto, fmt.Errorf("unknown engine %q", name)
-	}
-}
-
-func runQuery(db *repro.DB, sql string, engine repro.Engine, maxRows int) error {
-	res, err := db.QueryOn(sql, engine)
-	if err != nil {
-		return err
-	}
-	if strings.HasPrefix(strings.ToLower(strings.TrimSpace(sql)), "explain") && res.Explanation != nil {
-		// EXPLAIN: render the planner's candidates and the chosen tree.
-		// EXPLAIN ANALYZE ran the query too, so the tree carries per-
-		// operator actuals and the run summary is worth printing.
-		fmt.Print(res.Explanation.String())
-		if res.Explanation.Analyzed {
-			fmt.Printf("executed: elapsed=%v io={%s} rows=%d\n",
-				res.Elapsed, res.IO.String(), len(res.Rows))
-		}
-		return nil
-	}
-	cached := ""
-	if res.Cached {
-		cached = " cached"
-	}
-	qid := ""
-	if res.QueryID != "" {
-		qid = " query_id=" + res.QueryID
-	}
-	fmt.Printf("plan=%s%s elapsed=%v io={%s} rows=%d est={io=%.1f cpu=%.1f rows=%d}%s\n",
-		res.Plan, cached, res.Elapsed, res.IO.String(), len(res.Rows),
-		res.Metrics.EstCostIO, res.Metrics.EstCostCPU, res.Metrics.EstRows, qid)
-	aggNames := make([]string, len(res.Aggs))
-	for i, a := range res.Aggs {
-		aggNames[i] = a.String()
-	}
-	if len(res.GroupAttrs) > 0 || len(aggNames) > 0 {
-		fmt.Printf("%s | %s\n", strings.Join(res.GroupAttrs, ", "), strings.Join(aggNames, ", "))
-	}
-	for i, r := range res.Rows {
-		if maxRows > 0 && i >= maxRows {
-			fmt.Printf("... (%d more rows)\n", len(res.Rows)-maxRows)
-			break
-		}
-		vals := make([]string, len(res.Aggs))
-		for j, a := range res.Aggs {
-			if a == repro.Avg {
-				// Display the exact mean; Row.Value(Avg) would round to
-				// the nearest integer.
-				vals[j] = fmt.Sprintf("%.2f", r.Avg())
-			} else {
-				vals[j] = fmt.Sprintf("%d", r.Value(a))
-			}
-		}
-		fmt.Printf("%s | %s\n", strings.Join(r.Groups, ", "), strings.Join(vals, ", "))
-	}
-	if traceMode && res.Trace != nil {
-		fmt.Printf("trace %s:\n%s", res.QueryID, res.Trace.String())
-	}
-	return nil
+// parseEngine maps an -engine flag value, in any case, to its constant.
+func parseEngine(name string) (client.Engine, error) {
+	return client.ParseEngine(strings.ToLower(name))
 }

@@ -1,17 +1,25 @@
 package main
 
 import (
+	"context"
 	"testing"
 
 	repro "repro"
+	"repro/client"
+	"repro/internal/server"
 )
 
+// embeddedCLI is the cli main builds for -db mode.
+func embeddedCLI(db *repro.DB) *cli {
+	return &cli{s: embedded{server.Local{DB: db}.NewSession(&server.Config{})}, db: db, maxRows: 10}
+}
+
 func TestParseEngine(t *testing.T) {
-	cases := map[string]repro.Engine{
-		"auto":     repro.Auto,
-		"ARRAY":    repro.ArrayEngine,
-		"starjoin": repro.StarJoinEngine,
-		"Bitmap":   repro.BitmapEngine,
+	cases := map[string]client.Engine{
+		"auto":     client.Auto,
+		"ARRAY":    client.Array,
+		"starjoin": client.StarJoin,
+		"Bitmap":   client.Bitmap,
 	}
 	for name, want := range cases {
 		got, err := parseEngine(name)
@@ -49,10 +57,10 @@ func TestRunQueryAgainstDB(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if err := runQuery(db, "select sum(v), a from f, d group by a", repro.Auto, 10); err != nil {
+	if err := embeddedCLI(db).runQuery("select sum(v), a from f, d group by a"); err != nil {
 		t.Fatalf("runQuery: %v", err)
 	}
-	if err := runQuery(db, "not sql", repro.Auto, 10); err == nil {
+	if err := embeddedCLI(db).runQuery("not sql"); err == nil {
 		t.Fatal("runQuery accepted garbage")
 	}
 	if got := dimKeys(schema); len(got) != 1 || got[0] != "k" {
@@ -113,7 +121,7 @@ func TestInsertMetaCommandLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertCells(cells); err != nil {
+	if err := embeddedCLI(db).s.Ingest(context.Background(), cells); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.Compact(); err != nil {

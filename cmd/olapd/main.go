@@ -18,9 +18,10 @@
 //
 // Cluster roles: with -shard-range i/n the process is a data server
 // answering every query with shard i of n's slice of the rows; with
-// -coordinator -shards a,b,c it serves the same wire protocol but owns
-// no database — queries scatter to the shard servers as sub-queries and
-// the partials are merged before streaming back.
+// -coordinator -shards a,b,c it serves the same wire protocol through
+// the same server (admission, drain, metrics) but owns no database —
+// queries scatter to the shard servers as sub-queries and the partials
+// are merged before streaming back.
 //
 //	olapd -shard-range 0/3 -db sales.db -listen 127.0.0.1:7433
 //	olapd -coordinator -shards 127.0.0.1:7433,127.0.0.1:7434,127.0.0.1:7435
@@ -73,32 +74,58 @@ func main() {
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
-	if *coordinator {
-		coordinatorMain(log, *listen, *obsAddr, *shards, *retries, *retryBackoff, *workers, *batchRows, *drainTimeout)
-		return
+	fatal := func(err error) {
+		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
+		os.Exit(1)
 	}
 
+	// The two roles differ only in the backend behind the server, how it
+	// closes, and what the startup line and the obs endpoint say about it.
+	var be server.Backend
+	var closeBackend func() error
+	var attrs []any
+	mux := http.NewServeMux()
 	shardIdx, shardCnt, err := parseShardRange(*shardRange)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
-		os.Exit(1)
+		fatal(err)
 	}
-	db, err := repro.Open(repro.Options{
-		Path:             *path,
-		Replacer:         *replacer,
-		DeltaBudgetBytes: int64(*deltaMaxMB) << 20,
-		DisableRecodec:   !*recodec,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
-		os.Exit(1)
-	}
-
-	if *cacheMB > 0 {
-		db.EnableQueryCache(int64(*cacheMB) << 20)
-	}
-	if *compactInterval > 0 {
-		db.StartCompactor(*compactInterval)
+	if *coordinator {
+		addrs := splitAddrs(*shards)
+		co, err := cluster.New(cluster.Config{
+			Shards:       addrs,
+			Retries:      *retries,
+			RetryBackoff: *retryBackoff,
+			Workers:      *workers,
+		})
+		if err != nil {
+			fatal(fmt.Errorf("-coordinator requires -shards host:port,host:port,...: %w", err))
+		}
+		be, closeBackend = co, func() error { co.Close(); return nil }
+		attrs = []any{slog.String("role", "coordinator"), slog.Int("shards", len(addrs))}
+	} else {
+		db, err := repro.Open(repro.Options{
+			Path:             *path,
+			Replacer:         *replacer,
+			DeltaBudgetBytes: int64(*deltaMaxMB) << 20,
+			DisableRecodec:   !*recodec,
+		})
+		if err != nil {
+			fatal(err)
+		}
+		if *cacheMB > 0 {
+			db.EnableQueryCache(int64(*cacheMB) << 20)
+		}
+		if *compactInterval > 0 {
+			db.StartCompactor(*compactInterval)
+		}
+		be, closeBackend = server.Local{DB: db}, db.Close
+		attrs = []any{slog.String("db", *path)}
+		if shardCnt > 1 {
+			attrs = append(attrs, slog.String("shard", fmt.Sprintf("%d/%d", shardIdx, shardCnt)))
+		}
+		// The flight recorder: the last N completed queries' profiles and
+		// the slowest seen, as JSON (?id=<query-id> for one, ?n= to cap).
+		mux.Handle("/debug/queries", db.FlightRecorder().Handler())
 	}
 
 	cfg := server.Config{
@@ -114,27 +141,18 @@ func main() {
 		cfg.SlowQueryLog = log
 		cfg.SlowQueryMin = time.Duration(*slowMS) * time.Millisecond
 	}
-	srv := server.New(db, cfg)
+	srv := server.New(be, cfg)
 	if err := srv.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
-		db.Close()
-		os.Exit(1)
+		closeBackend()
+		fatal(err)
 	}
-	attrs := []any{slog.String("addr", srv.Addr().String()), slog.String("db", *path)}
-	if shardCnt > 1 {
-		attrs = append(attrs, slog.String("shard", fmt.Sprintf("%d/%d", shardIdx, shardCnt)))
-	}
-	log.Info("olapd serving", attrs...)
+	log.Info("olapd serving", append([]any{slog.String("addr", srv.Addr().String())}, attrs...)...)
 
 	if *obsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", db.MetricsHandler())
+		mux.Handle("/metrics", obs.Handler(be.Registry()))
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
-		// The flight recorder: the last N completed queries' profiles and
-		// the slowest seen, as JSON (?id=<query-id> for one, ?n= to cap).
-		mux.Handle("/debug/queries", db.FlightRecorder().Handler())
 		// Profiling. Executor and worker goroutines run under pprof labels
 		// (query_id, engine, fingerprint, worker), so CPU samples here can
 		// be cut per query.
@@ -146,9 +164,8 @@ func main() {
 		// Listen explicitly so ":0" reports the bound port in the log.
 		lis, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "olapd: obs listen: %v\n", err)
-			db.Close()
-			os.Exit(1)
+			closeBackend()
+			fatal(fmt.Errorf("obs listen: %w", err))
 		}
 		go func() {
 			if err := http.Serve(lis, mux); err != nil {
@@ -168,10 +185,10 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Warn("drain timeout; canceling remaining queries", slog.Any("err", err))
 	}
-	// With every query finished (or hard-canceled), the WAL can close.
-	if err := db.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: close: %v\n", err)
-		os.Exit(1)
+	// With every query finished (or hard-canceled), the WAL — or the
+	// coordinator's shard pools — can close.
+	if err := closeBackend(); err != nil {
+		fatal(fmt.Errorf("close: %w", err))
 	}
 	log.Info("olapd stopped")
 }
@@ -190,68 +207,13 @@ func parseShardRange(s string) (idx, cnt int, err error) {
 	return idx, cnt, nil
 }
 
-// coordinatorMain runs the cluster coordinator: no database, queries
-// scatter to the shard servers.
-func coordinatorMain(log *slog.Logger, listen, obsAddr, shardList string,
-	retries int, retryBackoff time.Duration, workers, batchRows int, drainTimeout time.Duration) {
+// splitAddrs parses the -shards list.
+func splitAddrs(list string) []string {
 	var addrs []string
-	for _, a := range strings.Split(shardList, ",") {
+	for _, a := range strings.Split(list, ",") {
 		if a = strings.TrimSpace(a); a != "" {
 			addrs = append(addrs, a)
 		}
 	}
-	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "olapd: -coordinator requires -shards host:port,host:port,...")
-		os.Exit(1)
-	}
-	reg := obs.NewRegistry()
-	co, err := cluster.New(cluster.Config{
-		Shards:       addrs,
-		Retries:      retries,
-		RetryBackoff: retryBackoff,
-		Workers:      workers,
-		Registry:     reg,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
-		os.Exit(1)
-	}
-	fe := cluster.NewFrontend(co, cluster.FrontendConfig{Addr: listen, BatchRows: batchRows})
-	if err := fe.Start(); err != nil {
-		fmt.Fprintf(os.Stderr, "olapd: %v\n", err)
-		os.Exit(1)
-	}
-	log.Info("olapd serving", slog.String("addr", fe.Addr().String()),
-		slog.String("role", "coordinator"), slog.Int("shards", len(addrs)))
-
-	if obsAddr != "" {
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", obs.Handler(reg))
-		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-			fmt.Fprintln(w, "ok")
-		})
-		lis, err := net.Listen("tcp", obsAddr)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "olapd: obs listen: %v\n", err)
-			os.Exit(1)
-		}
-		go func() {
-			if err := http.Serve(lis, mux); err != nil {
-				log.Error("obs server", slog.Any("err", err))
-			}
-		}()
-		log.Info("observability endpoint", slog.String("addr", lis.Addr().String()))
-	}
-
-	sig := make(chan os.Signal, 1)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	s := <-sig
-	log.Info("draining", slog.String("signal", s.String()))
-
-	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := fe.Shutdown(ctx); err != nil {
-		log.Warn("drain timeout; canceling remaining queries", slog.Any("err", err))
-	}
-	log.Info("olapd stopped")
+	return addrs
 }

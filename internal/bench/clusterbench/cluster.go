@@ -114,7 +114,7 @@ func RunCluster(opts ClusterOptions) (*ClusterFigure, error) {
 		defer db.Close()
 		fig.Facts = facts
 		for i := 0; i < opts.MaxShards; i++ {
-			srv := server.New(db, server.Config{Addr: "127.0.0.1:0"})
+			srv := server.New(server.Local{DB: db}, server.Config{Addr: "127.0.0.1:0"})
 			if err := srv.Start(); err != nil {
 				return nil, fmt.Errorf("shard server %d: %w", i, err)
 			}

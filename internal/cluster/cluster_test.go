@@ -117,7 +117,7 @@ func (s *shardServer) Start() error {
 	if s.srv != nil {
 		return nil
 	}
-	srv := server.New(s.db, server.Config{Addr: s.addr})
+	srv := server.New(server.Local{DB: s.db}, server.Config{Addr: s.addr})
 	if err := srv.Start(); err != nil {
 		return err
 	}
@@ -497,14 +497,15 @@ func TestClusterCancelFansOutToAllShards(t *testing.T) {
 	}
 }
 
-// TestFrontendServesWireProtocol drives the coordinator through its own
-// wire frontend: plain clients query it like any olapd, partial mode
-// arrives via SetPartial, the completeness report rides ResultDone, and
-// EXPLAIN shows the scatter topology.
+// TestFrontendServesWireProtocol drives the coordinator behind the one
+// wire server: plain clients query it like any olapd, partial mode
+// arrives via SetPartial, the completeness report rides ResultDone,
+// EXPLAIN shows the scatter topology, and the operations it does not
+// have answer with a typed code on a connection that stays usable.
 func TestFrontendServesWireProtocol(t *testing.T) {
 	db := newTestDB(t)
 	co, shards := startCluster(t, db, 3, Config{Retries: -1})
-	fe := NewFrontend(co, FrontendConfig{})
+	fe := server.New(co, server.Config{})
 	if err := fe.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -542,6 +543,31 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 		t.Fatalf("explain text = %q", expl.Text)
 	}
 
+	// What a coordinator does not have: CodeUnsupported under the request's
+	// own ID, and the same connection goes on serving.
+	ctx := context.Background()
+	unsupported := []struct {
+		name string
+		op   func() error
+	}{
+		{"DeltaStats", func() error { _, err := c.DeltaStats(ctx); return err }},
+		{"Ingest", func() error { return c.Ingest(ctx, []client.IngestCell{{Keys: []int64{0, 0, 0}, Value: 1}}) }},
+		{"Compact", func() error { _, err := c.Compact(ctx); return err }},
+		{"Profiles", func() error { _, err := c.Profiles(ctx, "", 10); return err }},
+		{"SetCache", func() error { return c.SetCache(ctx, false) }},
+	}
+	for _, u := range unsupported {
+		if err := u.op(); !client.IsCode(err, client.CodeUnsupported) {
+			t.Fatalf("%s on a coordinator: err = %v, want CodeUnsupported", u.name, err)
+		}
+		if err := c.Ping(); err != nil {
+			t.Fatalf("Ping after %s: %v", u.name, err)
+		}
+		if _, err := c.Query(ctx, retailQuery, client.Array); err != nil {
+			t.Fatalf("Query after %s: %v", u.name, err)
+		}
+	}
+
 	// Lose a shard: strict queries fail, PARTIAL queries answer with the
 	// report on the wire.
 	shards[0].Stop()
@@ -566,8 +592,11 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer dc.Close()
-	if err := dc.SetPartial(context.Background(), true); err == nil {
-		t.Fatal("plain olapd accepted the PARTIAL option")
+	if err := dc.SetPartial(ctx, true); !client.IsCode(err, client.CodeUnsupported) {
+		t.Fatalf("PARTIAL on a plain olapd: err = %v, want CodeUnsupported", err)
+	}
+	if err := dc.Ping(); err != nil {
+		t.Fatalf("Ping after the refused option: %v", err)
 	}
 }
 

@@ -55,7 +55,8 @@ type Config struct {
 	// Workers overrides each shard's intra-query parallel degree per
 	// sub-query; 0 keeps the shard server's own default.
 	Workers int
-	// Registry, when non-nil, receives the coordinator's metrics.
+	// Registry receives the coordinator's metrics (and, when it is served,
+	// the server's); nil selects a fresh one.
 	Registry *obs.Registry
 }
 
@@ -71,6 +72,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 100 * time.Millisecond
+	}
+	if c.Registry == nil {
+		c.Registry = obs.NewRegistry()
 	}
 	return c
 }
@@ -88,26 +92,19 @@ type ShardReport struct {
 	Err      string `json:"err,omitempty"`
 }
 
-// Result is one distributed query's merged answer.
+// Result is one distributed query's merged answer. The embedded
+// client.Result is what a client of the coordinator receives: Plan is
+// the cluster plan label scatter-gather[n](<shard plan>), Elapsed the
+// whole distributed execution coordinator-side, QueryID the identity
+// stamped into every shard's trace and flight recorder, Trace the
+// coordinator's rendered scatter/gather span tree when tracing was
+// requested, and Partial the report below as JSON when incomplete.
 type Result struct {
-	// Plan is the cluster plan label: scatter-gather[n](<shard plan>).
-	Plan       string
-	Engine     client.Engine
-	GroupAttrs []string
-	Aggs       []uint8
-	Rows       []client.Row
-	// Elapsed is the whole distributed execution, coordinator-side.
-	Elapsed time.Duration
+	client.Result
 	// ScatterNS is the slowest shard's sub-query wait (the scatter
 	// barrier); GatherNS is the coordinator-side merge + sort.
 	ScatterNS int64
 	GatherNS  int64
-	// QueryID is the distributed query's identity, stamped into every
-	// shard's trace and flight recorder.
-	QueryID string
-	// Trace is the coordinator's rendered span tree (scatter/gather
-	// breakdown), filled when tracing was requested.
-	Trace string
 	// Reports is the per-shard completeness report, one entry per shard
 	// in shard order. Complete is true when every shard answered.
 	Reports  []ShardReport
@@ -158,24 +155,23 @@ func New(cfg Config) (*Coordinator, error) {
 		co.pools[i] = client.NewPool(addr, cfg.Client, cfg.MaxIdlePerShard)
 		co.up[i].Store(true) // optimistic until a sub-query says otherwise
 	}
-	if reg := cfg.Registry; reg != nil {
-		co.queries = reg.Counter("cluster_queries_total", "distributed queries coordinated")
-		co.partials = reg.Counter("cluster_queries_partial_total", "distributed queries answered partially")
-		co.failures = reg.Counter("cluster_queries_failed_total", "distributed queries that failed")
-		co.retries = reg.Counter("cluster_subquery_retries_total", "shard sub-query retry attempts")
-		co.scatterH = reg.Histogram("cluster_scatter_seconds", "slowest shard sub-query wait per query", nil)
-		co.gatherH = reg.Histogram("cluster_gather_seconds", "coordinator merge + sort time per query", nil)
-		for i := range co.up {
-			i := i
-			reg.GaugeFunc(fmt.Sprintf("cluster_shard_up_%d", i),
-				fmt.Sprintf("last-known reachability of shard %d (%s)", i, cfg.Shards[i]),
-				func() float64 {
-					if co.up[i].Load() {
-						return 1
-					}
-					return 0
-				})
-		}
+	reg := cfg.Registry
+	co.queries = reg.Counter("cluster_queries_total", "distributed queries coordinated")
+	co.partials = reg.Counter("cluster_queries_partial_total", "distributed queries answered partially")
+	co.failures = reg.Counter("cluster_queries_failed_total", "distributed queries that failed")
+	co.retries = reg.Counter("cluster_subquery_retries_total", "shard sub-query retry attempts")
+	co.scatterH = reg.Histogram("cluster_scatter_seconds", "slowest shard sub-query wait per query", nil)
+	co.gatherH = reg.Histogram("cluster_gather_seconds", "coordinator merge + sort time per query", nil)
+	for i := range co.up {
+		i := i
+		reg.GaugeFunc(fmt.Sprintf("cluster_shard_up_%d", i),
+			fmt.Sprintf("last-known reachability of shard %d (%s)", i, cfg.Shards[i]),
+			func() float64 {
+				if co.up[i].Load() {
+					return 1
+				}
+				return 0
+			})
 	}
 	return co, nil
 }
@@ -243,9 +239,7 @@ func (co *Coordinator) subQueryShard(ctx context.Context, i int, sql string,
 			rep.Err = err.Error()
 			return nil, lastErr
 		}
-		if co.retries != nil {
-			co.retries.Inc()
-		}
+		co.retries.Inc()
 		// Exponential backoff with the pool's jitter, so a fleet of
 		// retries against a restarting shard spreads out.
 		backoff := client.Jitter(co.cfg.RetryBackoff << uint(attempt))
@@ -300,7 +294,7 @@ type QueryOpts struct {
 	// 0 falls back to Config.Workers.
 	Workers int
 	// TraceID, when non-empty, is the distributed query's identity (a
-	// frontend client's minted ID); empty mints a fresh one.
+	// served client's minted ID); empty mints a fresh one.
 	TraceID string
 }
 
@@ -308,9 +302,7 @@ type QueryOpts struct {
 // QueryOpts for partial-answer, tracing, and worker overrides.
 func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engine,
 	opts QueryOpts) (*Result, error) {
-	if co.queries != nil {
-		co.queries.Inc()
-	}
+	co.queries.Inc()
 	partial, traceOn := opts.Partial, opts.Trace
 	workers := opts.Workers
 	if workers <= 0 {
@@ -330,16 +322,13 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 	engine, _, err := co.resolveEngine(ctx, sql, engine)
 	planSp.End()
 	if err != nil {
-		if co.failures != nil {
-			co.failures.Inc()
-		}
+		co.failures.Inc()
 		return nil, err
 	}
 
 	n := len(co.pools)
 	out := &Result{
-		Engine:  engine,
-		QueryID: qid,
+		Result:  client.Result{Engine: engine, QueryID: qid},
 		Reports: make([]ShardReport, n),
 	}
 	for i := range out.Reports {
@@ -347,7 +336,7 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 	}
 
 	// Scatter: one goroutine per shard, all under one cancelable
-	// context so a caller cancel (or the frontend's Cancel frame) fans
+	// context so a caller cancel (or a served client's Cancel frame) fans
 	// out to every shard as wire Cancel frames.
 	scatterSp := tr.Root.Child("scatter")
 	sctx, cancel := context.WithCancel(ctx)
@@ -368,9 +357,7 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 	wg.Wait()
 	scatterSp.End()
 	out.ScatterNS = scatterSp.Duration.Nanoseconds()
-	if co.scatterH != nil {
-		co.scatterH.ObserveDuration(scatterSp.Duration)
-	}
+	co.scatterH.ObserveDuration(scatterSp.Duration)
 
 	// Classify the failures before merging.
 	okCount := 0
@@ -384,21 +371,17 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 		}
 	}
 	if okCount == 0 {
-		if co.failures != nil {
-			co.failures.Inc()
-		}
+		co.failures.Inc()
 		return nil, fmt.Errorf("cluster: all %d shards failed: shard %d (%s): %w",
 			n, firstFailed, co.cfg.Shards[firstFailed], firstErr)
 	}
 	if okCount < n && !partial {
-		if co.failures != nil {
-			co.failures.Inc()
-		}
+		co.failures.Inc()
 		return nil, fmt.Errorf("cluster: shard %d (%s) failed (set PARTIAL on to accept %d/%d shards): %w",
 			firstFailed, co.cfg.Shards[firstFailed], okCount, n, firstErr)
 	}
 	out.Complete = okCount == n
-	if !out.Complete && co.partials != nil {
+	if !out.Complete {
 		co.partials.Inc()
 	}
 
@@ -452,9 +435,7 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 	})
 	gatherSp.End()
 	out.GatherNS = time.Since(gatherStart).Nanoseconds()
-	if co.gatherH != nil {
-		co.gatherH.ObserveDuration(gatherSp.Duration)
-	}
+	co.gatherH.ObserveDuration(gatherSp.Duration)
 
 	out.Plan = fmt.Sprintf("scatter-gather[%d](%s)", n, shardPlan)
 	out.Elapsed = time.Since(start)
@@ -462,6 +443,7 @@ func (co *Coordinator) Query(ctx context.Context, sql string, engine client.Engi
 	if traceOn {
 		out.Trace = tr.String()
 	}
+	out.Partial = out.PartialJSON()
 	return out, nil
 }
 

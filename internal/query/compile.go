@@ -200,11 +200,25 @@ func Compile(q *Query, schema *catalog.StarSchema) (*Spec, error) {
 	return spec, nil
 }
 
-// ParseAndCompile is the one-call front door used by the executor.
+// Error is what ParseAndCompile returns for a statement it rejects — bad
+// syntax, or names the schema does not have. Callers that run the
+// statement in the same call (the executor's SQL entry points) use
+// errors.As to tell a bad statement from a failed execution.
+type Error struct{ Err error }
+
+func (e *Error) Error() string { return e.Err.Error() }
+func (e *Error) Unwrap() error { return e.Err }
+
+// ParseAndCompile is the one-call front door used by the executor. Its
+// errors are all *Error.
 func ParseAndCompile(sql string, schema *catalog.StarSchema) (*Spec, error) {
 	q, err := Parse(sql)
 	if err != nil {
-		return nil, err
+		return nil, &Error{err}
 	}
-	return Compile(q, schema)
+	spec, err := Compile(q, schema)
+	if err != nil {
+		return nil, &Error{err}
+	}
+	return spec, nil
 }

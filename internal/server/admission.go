@@ -30,15 +30,9 @@ type admission struct {
 	queued int
 }
 
-// newAdmission creates a controller with maxConcurrent run slots and a
-// wait queue of queueDepth.
+// newAdmission creates a controller with maxConcurrent (>= 1) run slots
+// and a wait queue of queueDepth (>= 0); Config.withDefaults sees to both.
 func newAdmission(maxConcurrent, queueDepth int) *admission {
-	if maxConcurrent < 1 {
-		maxConcurrent = 1
-	}
-	if queueDepth < 0 {
-		queueDepth = 0
-	}
 	return &admission{
 		slots:      make(chan struct{}, maxConcurrent),
 		queueDepth: queueDepth,

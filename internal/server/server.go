@@ -1,37 +1,38 @@
-// Package server is olapd's network front-end: a TCP listener speaking
-// the internal/wire protocol, mapping one connection to one read
-// Session over a shared database. Every query passes the admission
-// controller (bounded concurrency, bounded wait queue, typed
-// rejections), runs with a per-query context that a client Cancel frame
-// or disconnect cancels, and streams its result back row-batch-at-a-
-// time. Shutdown drains: the listener closes, new queries are refused
-// with wire.CodeShutdown, and in-flight queries finish before the
-// caller gets control back to close the WAL.
+// Package server is olapd's network front-end, and the only one: a TCP
+// listener speaking the internal/wire protocol, mapping one connection
+// to one Session of a Backend — an embedded database (Local) or a
+// cluster coordinator. Every query passes the admission controller
+// (bounded concurrency, bounded wait queue, typed rejections), runs with
+// a per-query context that a client Cancel frame or disconnect cancels,
+// and streams its result back row-batch-at-a-time. Shutdown drains: the
+// listener closes, new queries are refused with wire.CodeShutdown, and
+// in-flight queries finish before the caller gets control back to close
+// the backend.
 package server
 
 import (
 	"bufio"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"log/slog"
 	"net"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	repro "repro"
+	"repro/client"
 	"repro/internal/obs"
-	"repro/internal/query"
 	"repro/internal/wire"
 )
 
-// ServerName is the banner sent in the HelloAck frame.
-const ServerName = "repro-olapd/1"
+// maxInflight bounds the requests one connection may have running or
+// queued at once; past it a request is refused with wire.CodeAdmission
+// on the frame loop, before it is decoded or given a goroutine. A
+// constant, not a setting: client.Conn runs one request plus its Cancel.
+const maxInflight = 16
 
 // Config tunes a Server. The zero value listens on a random loopback
 // port with capacity-of-the-machine admission limits.
@@ -54,7 +55,8 @@ type Config struct {
 	// wire.DefaultBatchRows.
 	BatchRows int
 	// SlowQueryLog, when non-nil, receives structured reports of
-	// queries at or above SlowQueryMin, session by session.
+	// queries at or above SlowQueryMin, session by session. This and the
+	// fields below are session defaults, applied by Backend.NewSession.
 	SlowQueryLog *slog.Logger
 	// SlowQueryMin is the slow-query threshold.
 	SlowQueryMin time.Duration
@@ -98,16 +100,16 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Server serves the wire protocol over TCP for one open database.
+// Server serves the wire protocol over TCP for one Backend.
 type Server struct {
-	db  *repro.DB
+	be  Backend
 	cfg Config
 	lis net.Listener
 	adm *admission
 
 	// Lifecycle. draining closes first (Shutdown) and gates new
 	// queries; the listener closes with it. connWG tracks connection
-	// loops, queryWG in-flight queries (including their result
+	// loops, queryWG in-flight requests (including their result
 	// streaming).
 	mu       sync.Mutex
 	conns    map[*conn]struct{}
@@ -119,31 +121,30 @@ type Server struct {
 	queryWG sync.WaitGroup
 
 	// Metrics.
-	connsActive   atomic.Int64
-	connsTotal    *obs.Counter
-	qAccepted     *obs.Counter
-	qQueued       *obs.Counter
-	qRejected     *obs.Counter
-	qCanceled     *obs.Counter
-	qFailed       *obs.Counter
-	bytesIn       *obs.Counter
-	bytesOut      *obs.Counter
-	frameLatency  *obs.Histogram
-	activeQueries atomic.Int64
+	connsActive  atomic.Int64
+	connsTotal   *obs.Counter
+	qAccepted    *obs.Counter
+	qQueued      *obs.Counter
+	qRejected    *obs.Counter
+	qCanceled    *obs.Counter
+	qFailed      *obs.Counter
+	bytesIn      *obs.Counter
+	bytesOut     *obs.Counter
+	frameLatency *obs.Histogram
 }
 
-// New creates a server over db and registers its metrics in the
-// database's registry. Call Start to listen.
-func New(db *repro.DB, cfg Config) *Server {
+// New creates a server over be and registers its metrics in the
+// backend's registry. Call Start to listen.
+func New(be Backend, cfg Config) *Server {
 	s := &Server{
-		db:       db,
+		be:       be,
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[*conn]struct{}),
 		draining: make(chan struct{}),
 	}
 	s.adm = newAdmission(s.cfg.MaxConcurrent, s.cfg.QueueDepth)
 
-	reg := db.Registry()
+	reg := be.Registry()
 	reg.GaugeFunc("server_connections_active", "client connections currently open",
 		func() float64 { return float64(s.connsActive.Load()) })
 	reg.GaugeFunc("server_queries_active", "queries currently holding an admission slot",
@@ -203,20 +204,7 @@ func (s *Server) acceptLoop() {
 		}
 		s.connsTotal.Inc()
 		s.connsActive.Add(1)
-		c := &conn{
-			srv:  s,
-			nc:   nc,
-			sess: s.db.Session(),
-		}
-		if s.cfg.SlowQueryLog != nil {
-			c.sess.SetSlowQueryLog(s.cfg.SlowQueryLog, s.cfg.SlowQueryMin)
-		}
-		if s.cfg.Workers > 0 {
-			c.sess.SetParallel(s.cfg.Workers)
-		}
-		if s.cfg.ShardCount > 1 {
-			c.sess.SetShardRange(s.cfg.ShardIndex, s.cfg.ShardCount) // validated in Start
-		}
+		c := &conn{srv: s, nc: countedConn{nc, s.bytesIn, s.bytesOut}, sess: s.be.NewSession(&s.cfg)}
 		c.ctx, c.cancel = context.WithCancel(context.Background())
 		s.mu.Lock()
 		s.conns[c] = struct{}{}
@@ -233,8 +221,8 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// beginQuery registers one in-flight query, refusing when the server is
-// draining (the flag and the WaitGroup are updated under one lock so
+// beginQuery registers one in-flight request, refusing when the server
+// is draining (the flag and the WaitGroup are updated under one lock so
 // Shutdown's Wait cannot miss a late Add).
 func (s *Server) beginQuery() bool {
 	s.qmu.Lock()
@@ -243,13 +231,7 @@ func (s *Server) beginQuery() bool {
 		return false
 	}
 	s.queryWG.Add(1)
-	s.activeQueries.Add(1)
 	return true
-}
-
-func (s *Server) endQuery() {
-	s.activeQueries.Add(-1)
-	s.queryWG.Done()
 }
 
 // Shutdown drains the server: the listener closes, new queries are
@@ -257,7 +239,8 @@ func (s *Server) endQuery() {
 // (their result streams included), then every connection is closed.
 // When ctx expires first, remaining queries are canceled hard and
 // ctx's error is returned. After Shutdown returns the caller may close
-// the database — and with it the WAL — knowing no query is mid-flight.
+// the backend — a database's WAL, a coordinator's shard pools — knowing
+// no query is mid-flight.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.qmu.Lock()
 	if !s.drained {
@@ -293,71 +276,98 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	return err
 }
 
-// countingReader / countingWriter feed the bytes-in/out counters.
-type countingReader struct {
-	r net.Conn
-	c *obs.Counter
+// countedConn feeds the bytes-in/out counters.
+type countedConn struct {
+	net.Conn
+	in, out *obs.Counter
 }
 
-func (cr countingReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.c.Add(int64(n))
+func (c countedConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.in.Add(int64(n))
 	return n, err
 }
 
-type countingWriter struct {
-	w net.Conn
-	c *obs.Counter
-}
-
-func (cw countingWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.c.Add(int64(n))
+func (c countedConn) Write(p []byte) (int, error) {
+	n, err := c.Conn.Write(p)
+	c.out.Add(int64(n))
 	return n, err
 }
 
 // conn is one client connection: its session, its buffered reader, and
-// the registry of in-flight query cancel functions Cancel frames probe.
+// the registry of in-flight request cancel functions Cancel frames probe.
 type conn struct {
 	srv    *Server
 	nc     net.Conn
-	sess   *repro.Session
+	sess   Session
 	ctx    context.Context // canceled on disconnect or hard shutdown
 	cancel context.CancelFunc
 
 	r *bufio.Reader
 
-	wmu sync.Mutex // serializes frames from concurrent query goroutines
+	wmu sync.Mutex // serializes frames from concurrent request goroutines
 
-	// traceOn mirrors the session's TRACE option for the frame loop:
-	// when set, ResultDone frames carry the rendered span tree. Atomic
-	// because option frames race in-flight query goroutines.
-	traceOn atomic.Bool
-
+	// inflight holds the requests that run on their own goroutine. Only
+	// the frame loop adds entries, so its size check needs no more than
+	// imu; each request removes its own.
 	imu      sync.Mutex
 	inflight map[uint32]context.CancelFunc
-	qwg      sync.WaitGroup // this connection's query goroutines
+	qwg      sync.WaitGroup
 }
 
-// writeFrame writes one frame under the write deadline; any error
-// poisons the connection (the caller's read loop will notice the close).
+// writeFrame writes one frame under the write deadline. A failed or
+// timed-out write may have left part of a frame on the stream, so it
+// closes the connection: the frame loop's read fails, everything in
+// flight is canceled, and later writers fail at once instead of each
+// waiting out the deadline against a peer that stopped reading.
 func (c *conn) writeFrame(t wire.FrameType, payload []byte) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
 	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-	return wire.WriteFrame(countingWriter{c.nc, c.srv.bytesOut}, t, payload)
+	err := wire.WriteFrame(c.nc, t, payload)
+	if err != nil {
+		c.nc.Close()
+	}
+	return err
 }
 
-func (c *conn) writeError(id uint32, code wire.ErrorCode, msg string) {
-	c.writeFrame(wire.FrameError, (&wire.ErrorFrame{ID: id, Code: code, Message: msg}).Encode())
-}
-
-// writeQueryError is writeError for failures inside an identified
-// execution: the frame carries the query ID so clients can join the
-// error against /debug/queries and the slow-query log.
-func (c *conn) writeQueryError(id uint32, code wire.ErrorCode, msg, queryID string) {
+func (c *conn) writeError(id uint32, code wire.ErrorCode, msg, queryID string) {
 	c.writeFrame(wire.FrameError,
 		(&wire.ErrorFrame{ID: id, Code: code, Message: msg, QueryID: queryID}).Encode())
+}
+
+// fail answers request id with err as a typed Error frame and reports
+// the code it chose: canceled when the request's context is done,
+// CodeUnsupported for ErrUnsupported, a *client.Error's own code (a
+// shard's typed failure relayed by a coordinator, a backend's parse or
+// option rejection), CodeExec otherwise. queryID, when known, lets the
+// client join the error against /debug/queries and the slow-query log.
+func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) wire.ErrorCode {
+	code, msg := wire.CodeExec, err.Error()
+	var ce *client.Error
+	switch {
+	case ctx.Err() != nil:
+		code, msg = wire.CodeCanceled, "canceled"
+	case errors.Is(err, ErrUnsupported):
+		code = wire.CodeUnsupported
+	case errors.As(err, &ce):
+		code = wire.ErrorCode(ce.Code)
+		if err == error(ce) {
+			msg = ce.Message // the code travels in its own field
+		}
+	}
+	c.writeError(id, code, msg, queryID)
+	return code
+}
+
+// reply answers request id with the frame, or with fail when the
+// backend returned an error.
+func (c *conn) reply(ctx context.Context, id uint32, err error, t wire.FrameType, payload func() []byte) {
+	if err != nil {
+		c.fail(ctx, id, "", err)
+		return
+	}
+	c.writeFrame(t, payload())
 }
 
 // readFrame reads one frame into a pooled buffer the caller must
@@ -374,318 +384,251 @@ func (c *conn) readFrame() (wire.FrameType, *wire.Buffer, error) {
 	return wire.ReadFrameBuffer(c.r)
 }
 
-func (c *conn) serve() {
-	defer c.nc.Close()
-	defer c.cancel() // disconnect cancels every in-flight query
-	c.r = bufio.NewReader(countingReader{c.nc, c.srv.bytesIn})
-	c.inflight = make(map[uint32]context.CancelFunc)
-
-	// Handshake, under the read timeout from the first byte.
+// handshake reads the Hello frame, under the read timeout from the
+// first byte, and answers it.
+func (c *conn) handshake() bool {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
 	t, fb, err := wire.ReadFrameBuffer(c.r)
 	if err != nil {
-		return
+		return false
 	}
+	defer fb.Release()
 	if t != wire.FrameHello {
-		fb.Release()
-		c.writeError(0, wire.CodeProtocol, fmt.Sprintf("expected hello, got %s", t))
-		return
+		c.writeError(0, wire.CodeProtocol, fmt.Sprintf("expected hello, got %s", t), "")
+		return false
 	}
 	hello, err := wire.DecodeHello(fb.Bytes())
-	fb.Release() // decoders copy what they keep; the buffer is done
 	if err != nil {
-		c.writeError(0, wire.CodeProtocol, err.Error())
-		return
+		c.writeError(0, wire.CodeProtocol, err.Error(), "")
+		return false
 	}
 	if hello.Version != wire.Version {
 		c.writeError(0, wire.CodeProtocol,
-			fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version))
-		return
+			fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version), "")
+		return false
 	}
-	ack := &wire.HelloAck{Version: wire.Version, Server: ServerName}
-	if err := c.writeFrame(wire.FrameHelloAck, ack.Encode()); err != nil {
-		return
-	}
+	ack := &wire.HelloAck{Version: wire.Version, Server: c.srv.be.Banner()}
+	return c.writeFrame(wire.FrameHelloAck, ack.Encode()) == nil
+}
 
+func (c *conn) serve() {
+	defer c.nc.Close()
+	defer c.cancel() // disconnect cancels every in-flight request
+	c.r = bufio.NewReader(c.nc)
+	c.inflight = make(map[uint32]context.CancelFunc)
+	if !c.handshake() {
+		return
+	}
 	for {
 		t, fb, err := c.readFrame()
 		if err != nil {
 			break
 		}
-		start := time.Now()
-		// Every arm decodes (or ignores) the payload synchronously before
-		// anything blocks, and the decoded structs hold copies, so the
-		// pooled buffer is released inside the arm — the spawned query
-		// goroutines never see it.
-		switch t {
-		case wire.FrameQuery:
-			q, err := wire.DecodeQuery(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-				goto out
-			}
-			c.qwg.Add(1)
-			go func() {
-				defer c.qwg.Done()
-				c.handleQuery(q, nil)
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-			}()
-		case wire.FrameSubQuery:
-			sq, err := wire.DecodeSubQuery(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-				goto out
-			}
-			if sq.Shards > 1 && sq.Shard >= sq.Shards {
-				c.writeError(sq.ID, wire.CodeProtocol,
-					fmt.Sprintf("shard %d out of range 0..%d", sq.Shard, sq.Shards-1))
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-				break
-			}
-			c.qwg.Add(1)
-			go func() {
-				defer c.qwg.Done()
-				c.handleQuery(&wire.Query{ID: sq.ID, Engine: sq.Engine, SQL: sq.SQL, TraceID: sq.TraceID}, sq)
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-			}()
-		case wire.FrameExplain:
-			ex, err := wire.DecodeExplain(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-				goto out
-			}
-			c.qwg.Add(1)
-			go func() {
-				defer c.qwg.Done()
-				c.handleExplain(ex)
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-			}()
-		case wire.FrameCancel:
-			cf, err := wire.DecodeCancel(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				goto out
-			}
+		// Both paths decode the payload before they return and the decoded
+		// structs hold copies, so the pooled buffer is released here — the
+		// spawned request goroutines never see it.
+		ok := c.dispatch(t, fb.Bytes(), time.Now())
+		fb.Release()
+		if !ok {
+			break
+		}
+	}
+	c.cancel()
+	c.qwg.Wait() // let request goroutines finish their final writes
+}
+
+// dispatch handles one request frame and reports whether the connection
+// survives it; a frame that is malformed or of an unknown type ends it.
+// Requests that may block get a goroutine (spawn); Cancel, Ping and the
+// metadata requests — options, delta stats, profiles — are answered here
+// on the frame loop, without admission.
+func (c *conn) dispatch(t wire.FrameType, p []byte, start time.Time) bool {
+	id := wire.RequestID(p)
+	var run func(context.Context) // set by the requests that may block
+	var err error
+	switch t {
+	case wire.FrameQuery, wire.FrameSubQuery, wire.FrameExplain, wire.FrameIngest, wire.FrameCompact:
+		// Refused before the payload is decoded, so a peer that pipelines
+		// without reading cannot park one goroutine and one decoded
+		// statement per frame behind the write lock.
+		if !c.maySpawn(id) {
+			c.srv.frameLatency.ObserveDuration(time.Since(start))
+			return true
+		}
+	}
+	switch t {
+	case wire.FrameQuery:
+		var q *wire.Query
+		q, err = wire.DecodeQuery(p)
+		run = func(ctx context.Context) { c.handleQuery(ctx, q, nil) }
+	case wire.FrameSubQuery:
+		var sq *wire.SubQuery
+		if sq, err = wire.DecodeSubQuery(p); err == nil {
+			q := &wire.Query{ID: id, Engine: sq.Engine, SQL: sq.SQL, TraceID: sq.TraceID}
+			win := &ShardWindow{Shard: int(sq.Shard), Shards: int(sq.Shards), Workers: int(sq.Workers)}
+			run = func(ctx context.Context) { c.handleQuery(ctx, q, win) }
+		}
+	case wire.FrameExplain:
+		var ex *wire.Explain
+		ex, err = wire.DecodeExplain(p)
+		run = func(ctx context.Context) { c.handleExplain(ctx, ex) }
+	case wire.FrameIngest:
+		// Ingest and Compact skip query admission — writes land in the
+		// delta store, not the scan pipeline — but like every spawned
+		// request they are drain-tracked, and a Cancel frame or disconnect
+		// releases an ingest's backpressure wait.
+		var ing *wire.Ingest
+		ing, err = wire.DecodeIngest(p)
+		run = func(ctx context.Context) {
+			c.reply(ctx, id, c.sess.Ingest(ctx, ing.Cells),
+				wire.FrameIngestAck, (&wire.IngestAck{ID: id, Cells: uint32(len(ing.Cells))}).Encode)
+		}
+	case wire.FrameCompact:
+		_, err = wire.DecodeCompactReq(p)
+		run = func(ctx context.Context) {
+			elapsed, cerr := c.sess.Compact(ctx)
+			c.reply(ctx, id, cerr, wire.FrameCompactAck, (&wire.CompactAck{ID: id, ElapsedNS: elapsed.Nanoseconds()}).Encode)
+		}
+	case wire.FramePing:
+		c.writeFrame(wire.FramePong, nil)
+	case wire.FrameCancel:
+		if _, err = wire.DecodeCancel(p); err == nil {
 			c.imu.Lock()
-			if cancel, ok := c.inflight[cf.ID]; ok {
+			if cancel, ok := c.inflight[id]; ok {
 				cancel()
 			}
 			c.imu.Unlock()
-			c.srv.frameLatency.ObserveDuration(time.Since(start))
-		case wire.FramePing:
-			fb.Release()
-			c.writeFrame(wire.FramePong, nil)
-			c.srv.frameLatency.ObserveDuration(time.Since(start))
-		case wire.FrameSetOption:
-			so, err := wire.DecodeSetOption(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				goto out
-			}
-			// Handled synchronously on the frame loop: options are
-			// metadata, not queries, so they skip admission. An unknown
-			// name or value is a per-request error, not a protocol
-			// violation — the connection stays up.
-			c.handleSetOption(so)
-			c.srv.frameLatency.ObserveDuration(time.Since(start))
-		case wire.FrameGetProfiles:
-			gp, err := wire.DecodeGetProfiles(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				goto out
-			}
-			c.handleGetProfiles(gp)
-			c.srv.frameLatency.ObserveDuration(time.Since(start))
-		case wire.FrameIngest:
-			ing, err := wire.DecodeIngest(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-				goto out
-			}
-			// Off the frame loop: an ingest may block on delta-store
-			// backpressure, and a Cancel frame (or disconnect) must be able
-			// to release it.
-			c.qwg.Add(1)
-			go func() {
-				defer c.qwg.Done()
-				c.handleIngest(ing)
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-			}()
-		case wire.FrameDeltaStats:
-			dsr, err := wire.DecodeDeltaStatsReq(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				goto out
-			}
-			// Metadata, served on the frame loop like SetOption.
-			c.handleDeltaStats(dsr)
-			c.srv.frameLatency.ObserveDuration(time.Since(start))
-		case wire.FrameCompact:
-			cr, err := wire.DecodeCompactReq(fb.Bytes())
-			fb.Release()
-			if err != nil {
-				c.writeError(0, wire.CodeProtocol, err.Error())
-				goto out
-			}
-			c.qwg.Add(1)
-			go func() {
-				defer c.qwg.Done()
-				c.handleCompact(cr)
-				c.srv.frameLatency.ObserveDuration(time.Since(start))
-			}()
-		default:
-			fb.Release()
-			c.writeError(0, wire.CodeProtocol, fmt.Sprintf("unexpected %s frame", t))
-			goto out
 		}
+	case wire.FrameSetOption:
+		var so *wire.SetOption
+		if so, err = wire.DecodeSetOption(p); err == nil {
+			// An unknown name or value is a per-request error, not a
+			// protocol violation — the connection stays up.
+			c.reply(c.ctx, id, c.sess.SetOption(c.ctx, so.Name, so.Value),
+				wire.FrameOptionAck, (&wire.OptionAck{ID: id}).Encode)
+		}
+	case wire.FrameGetProfiles:
+		var gp *wire.GetProfiles
+		if gp, err = wire.DecodeGetProfiles(p); err == nil {
+			js, serr := c.sess.Profiles(c.ctx, gp.QueryID, int(gp.Limit))
+			c.reply(c.ctx, id, serr, wire.FrameProfilesResult, (&wire.ProfilesResult{ID: id, JSON: js}).Encode)
+		}
+	case wire.FrameDeltaStats:
+		if _, err = wire.DecodeDeltaStatsReq(p); err == nil {
+			st, serr := c.sess.DeltaStats(c.ctx)
+			c.reply(c.ctx, id, serr, wire.FrameDeltaStatsResult, func() []byte {
+				return (&wire.DeltaStatsResult{
+					ID: id, Cells: st.Cells, Bytes: st.Bytes, DirtyChunks: st.DirtyChunks,
+					TouchedChunks: st.TouchedChunks, BudgetBytes: st.BudgetBytes, Compactions: st.Compactions,
+				}).Encode()
+			})
+		}
+	default:
+		id, err = 0, fmt.Errorf("unexpected %s frame", t)
 	}
-out:
-	c.cancel()
-	c.qwg.Wait() // let query goroutines finish their final writes
+	switch {
+	case err != nil:
+		c.writeError(id, wire.CodeProtocol, err.Error(), "")
+	case run != nil:
+		c.spawn(id, run, start)
+		return true // spawn observes the latency when the request ends
+	}
+	c.srv.frameLatency.ObserveDuration(time.Since(start))
+	return err == nil
 }
 
-// handleSetOption applies one session option: CACHE on|off,
-// PARALLEL n, or TRACE on|off. The session switch takes effect for the
-// next query (an in-flight query keeps the setting it started with).
-func (c *conn) handleSetOption(so *wire.SetOption) {
-	switch strings.ToUpper(so.Name) {
-	case "TRACE":
-		switch strings.ToLower(so.Value) {
-		case "on":
-			c.sess.SetTrace(true)
-			c.traceOn.Store(true)
-		case "off":
-			c.sess.SetTrace(false)
-			c.traceOn.Store(false)
-		default:
-			c.writeError(so.ID, wire.CodeProtocol,
-				fmt.Sprintf("bad value %q for option TRACE (want on|off)", so.Value))
-			return
-		}
-	case "CACHE":
-		switch strings.ToLower(so.Value) {
-		case "on":
-			c.sess.SetCache(true)
-		case "off":
-			c.sess.SetCache(false)
-		default:
-			c.writeError(so.ID, wire.CodeProtocol,
-				fmt.Sprintf("bad value %q for option CACHE (want on|off)", so.Value))
-			return
-		}
-	case "PARALLEL":
-		n, err := strconv.Atoi(strings.TrimSpace(so.Value))
-		if err != nil || n < 0 {
-			c.writeError(so.ID, wire.CodeProtocol,
-				fmt.Sprintf("bad value %q for option PARALLEL (want a non-negative integer)", so.Value))
-			return
-		}
-		if n == 0 && c.srv.cfg.Workers > 0 {
-			// 0 resets to the server's configured default, not GOMAXPROCS.
-			n = c.srv.cfg.Workers
-		}
-		c.sess.SetParallel(n)
-	default:
-		c.writeError(so.ID, wire.CodeProtocol, fmt.Sprintf("unknown session option %q", so.Name))
+// maySpawn reports whether request id may start, answering it here when
+// not: the connection is at maxInflight (counted by ID, so an ID already
+// in flight is refused too rather than hidden behind its twin).
+func (c *conn) maySpawn(id uint32) bool {
+	c.imu.Lock()
+	n := len(c.inflight)
+	_, dup := c.inflight[id]
+	c.imu.Unlock()
+	switch {
+	case n >= maxInflight:
+		c.srv.qRejected.Inc()
+		c.writeError(id, wire.CodeAdmission,
+			fmt.Sprintf("connection already has %d requests in flight", maxInflight), "")
+	case dup:
+		c.writeError(id, wire.CodeProtocol, fmt.Sprintf("request id %d is already in flight", id), "")
+	}
+	return n < maxInflight && !dup
+}
+
+// spawn runs a request on its own goroutine, registered with the drain
+// tracker (Shutdown waits for it, result stream included) and under a
+// context that a Cancel frame for id, a disconnect, or a hard shutdown
+// cancels. Both registrations happen here, on the frame loop: a drain
+// that has begun refuses the request, and a Cancel frame that follows it
+// immediately cannot miss it.
+func (c *conn) spawn(id uint32, run func(context.Context), start time.Time) {
+	if !c.srv.beginQuery() {
+		c.writeError(id, wire.CodeShutdown, "server is draining", "")
+		c.srv.frameLatency.ObserveDuration(time.Since(start))
 		return
 	}
-	c.writeFrame(wire.FrameOptionAck, (&wire.OptionAck{ID: so.ID}).Encode())
-}
-
-// registerQuery exposes a query's cancel function to Cancel frames.
-func (c *conn) registerQuery(id uint32, cancel context.CancelFunc) {
+	ctx, cancel := context.WithCancel(c.ctx)
 	c.imu.Lock()
 	c.inflight[id] = cancel
 	c.imu.Unlock()
+	c.qwg.Add(1)
+	go func() {
+		defer c.qwg.Done()
+		defer c.srv.queryWG.Done()
+		run(ctx)
+		c.imu.Lock()
+		delete(c.inflight, id)
+		c.imu.Unlock()
+		cancel()
+		c.srv.frameLatency.ObserveDuration(time.Since(start))
+	}()
 }
 
-func (c *conn) unregisterQuery(id uint32) {
-	c.imu.Lock()
-	delete(c.inflight, id)
-	c.imu.Unlock()
-}
-
-// engineOf maps a wire engine byte onto the repro engine constants.
-func engineOf(e wire.Engine) (repro.Engine, error) {
-	switch e {
-	case wire.Auto:
-		return repro.Auto, nil
-	case wire.Array:
-		return repro.ArrayEngine, nil
-	case wire.StarJoin:
-		return repro.StarJoinEngine, nil
-	case wire.Bitmap:
-		return repro.BitmapEngine, nil
-	default:
-		return repro.Auto, fmt.Errorf("unknown engine %d", uint8(e))
-	}
-}
-
-// wireEngineOf maps a repro engine back to its wire byte.
-func wireEngineOf(e repro.Engine) wire.Engine {
-	switch e {
-	case repro.ArrayEngine:
-		return wire.Array
-	case repro.StarJoinEngine:
-		return wire.StarJoin
-	case repro.BitmapEngine:
-		return wire.Bitmap
-	default:
-		return wire.Auto
-	}
-}
-
-// admit runs the admission protocol for one request and reports whether
-// the caller may proceed (it then owns one slot and one queryWG entry).
-// On refusal the typed error frame has already been written.
-func (c *conn) admit(ctx context.Context, id uint32) bool {
-	if !c.srv.beginQuery() {
-		c.writeError(id, wire.CodeShutdown, "server is draining")
-		return false
-	}
+// admit takes an admission slot for one request, reporting how long it
+// queued and whether the caller may proceed (it then owns the slot). On
+// refusal the typed error frame has already been written.
+func (c *conn) admit(ctx context.Context, id uint32) (time.Duration, bool) {
+	start := time.Now()
 	err := c.srv.adm.acquire(ctx, c.srv.draining, func() { c.srv.qQueued.Inc() })
-	if err != nil {
-		c.srv.endQuery()
-		switch {
-		case errors.Is(err, ErrRejected):
-			c.srv.qRejected.Inc()
-			c.writeError(id, wire.CodeAdmission,
-				fmt.Sprintf("server at %d concurrent queries with %d queued",
-					c.srv.cfg.MaxConcurrent, c.srv.cfg.QueueDepth))
-		case errors.Is(err, ErrDraining):
-			c.writeError(id, wire.CodeShutdown, "server is draining")
-		default: // context canceled while queued
-			c.srv.qCanceled.Inc()
-			c.writeError(id, wire.CodeCanceled, "canceled while queued")
-		}
-		return false
+	switch {
+	case err == nil:
+		c.srv.qAccepted.Inc()
+		return time.Since(start), true
+	case errors.Is(err, ErrRejected):
+		c.srv.qRejected.Inc()
+		c.writeError(id, wire.CodeAdmission, fmt.Sprintf("server at %d concurrent queries with %d queued",
+			c.srv.cfg.MaxConcurrent, c.srv.cfg.QueueDepth), "")
+	case errors.Is(err, ErrDraining):
+		c.writeError(id, wire.CodeShutdown, "server is draining", "")
+	default: // context canceled while queued
+		c.srv.qCanceled.Inc()
+		c.writeError(id, wire.CodeCanceled, "canceled while queued", "")
 	}
-	c.srv.qAccepted.Inc()
-	return true
+	return 0, false
 }
 
-// handleQuery executes one Query frame end to end: admission, parse
-// classification, execution under the per-query context, and the
-// result stream (header, row batches, done). sub, when non-nil, is the
-// SubQuery frame the request arrived on: the query runs restricted to
-// that shard window (overriding any server-wide shard range) with the
-// coordinator's worker override.
-func (c *conn) handleQuery(q *wire.Query, sub *wire.SubQuery) {
-	engine, err := engineOf(q.Engine)
-	if err != nil {
-		c.writeError(q.ID, wire.CodeProtocol, err.Error())
+// failQuery is fail plus the canceled/failed query counters.
+func (c *conn) failQuery(ctx context.Context, id uint32, queryID string, err error) {
+	if c.fail(ctx, id, queryID, err) == wire.CodeCanceled {
+		c.srv.qCanceled.Inc()
+	} else {
+		c.srv.qFailed.Inc()
+	}
+}
+
+// handleQuery executes one Query frame end to end: admission, the
+// backend call under the per-query context, and the result stream
+// (header, row batches, done). win, when non-nil, is the shard window of
+// the SubQuery frame the request arrived on.
+func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow) {
+	switch {
+	case q.Engine > wire.Bitmap:
+		c.writeError(q.ID, wire.CodeProtocol, fmt.Sprintf("unknown engine %d", uint8(q.Engine)), "")
+		return
+	case win != nil && win.Shards > 1 && win.Shard >= win.Shards:
+		c.writeError(q.ID, wire.CodeProtocol,
+			fmt.Sprintf("shard %d out of range 0..%d", win.Shard, win.Shards-1), "")
 		return
 	}
 	// The query's identity for tracing and the flight recorder:
@@ -694,267 +637,67 @@ func (c *conn) handleQuery(q *wire.Query, sub *wire.SubQuery) {
 	if qid == "" {
 		qid = obs.NewQueryID()
 	}
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-	c.registerQuery(q.ID, cancel)
-	defer c.unregisterQuery(q.ID)
-
-	admitStart := time.Now()
-	if !c.admit(ctx, q.ID) {
+	wait, ok := c.admit(ctx, q.ID)
+	if !ok {
 		return
 	}
-	defer c.srv.adm.release()
-	defer c.srv.endQuery()
-	admissionWait := time.Since(admitStart)
-
-	// Classify parse errors before execution so clients can tell a bad
-	// query from a failed one.
-	if _, err := query.ParseAndCompile(q.SQL, c.srv.db.Schema()); err != nil {
-		c.srv.qFailed.Inc()
-		c.writeQueryError(q.ID, wire.CodeParse, err.Error(), qid)
-		return
-	}
-
-	// Hand the identity and the measured admission wait to the executor:
-	// it grafts the wait into the span tree and stamps the ID through the
-	// trace, slow-query log, flight recorder, and pprof labels.
-	ctx = obs.ContextWithQueryTag(ctx, &obs.QueryTag{
-		ID:            qid,
-		TraceOn:       c.traceOn.Load(),
-		AdmissionWait: admissionWait,
-	})
-	var res *repro.Result
-	if sub != nil {
-		res, err = c.sess.QueryOnShardContext(ctx, q.SQL, engine,
-			int(sub.Shard), int(sub.Shards), int(sub.Workers))
-	} else {
-		res, err = c.sess.QueryOnContext(ctx, q.SQL, engine)
-	}
+	// Hand the identity and the measured admission wait to the backend:
+	// an executor grafts the wait into the span tree and stamps the ID
+	// through the trace, slow-query log, flight recorder, and pprof
+	// labels; a coordinator stamps it into every shard's sub-query.
+	ctx = obs.ContextWithQueryTag(ctx, &obs.QueryTag{ID: qid, AdmissionWait: wait})
+	res, err := c.sess.Query(ctx, q.SQL, client.Engine(q.Engine), win)
+	// The result is fully materialised, so the run slot goes back before
+	// the first frame: a client that stops reading holds its connection
+	// and a drain entry for up to WriteTimeout, never a slot.
+	c.srv.adm.release()
 	if err != nil {
-		if ctx.Err() != nil {
-			c.srv.qCanceled.Inc()
-			c.writeQueryError(q.ID, wire.CodeCanceled, "query canceled", qid)
-		} else {
-			c.srv.qFailed.Inc()
-			c.writeQueryError(q.ID, wire.CodeExec, err.Error(), qid)
-		}
+		c.failQuery(ctx, q.ID, qid, err)
 		return
 	}
 
-	hdr := &wire.ResultHeader{
-		ID:         q.ID,
-		Plan:       res.Plan,
-		Engine:     wireEngineOf(engineOfPlan(res)),
-		GroupAttrs: res.GroupAttrs,
-	}
-	for _, a := range res.Aggs {
-		hdr.Aggs = append(hdr.Aggs, uint8(a))
-	}
-	if err := c.writeFrame(wire.FrameResultHeader, hdr.Encode()); err != nil {
+	hdr := &wire.ResultHeader{ID: q.ID, Plan: res.Plan, Engine: wire.Engine(res.Engine),
+		GroupAttrs: res.GroupAttrs, Aggs: res.Aggs}
+	if c.writeFrame(wire.FrameResultHeader, hdr.Encode()) != nil {
 		return
 	}
 	batch := c.srv.cfg.BatchRows
 	for off := 0; off < len(res.Rows); off += batch {
-		// Cancellation between chunk batches: a canceled client stops
-		// the stream without waiting for the remaining rows.
+		// Cancellation between batches: a canceled client stops the
+		// stream without waiting for the remaining rows.
 		if ctx.Err() != nil {
 			c.srv.qCanceled.Inc()
-			c.writeQueryError(q.ID, wire.CodeCanceled, "query canceled mid-stream", qid)
+			c.writeError(q.ID, wire.CodeCanceled, "query canceled mid-stream", qid)
 			return
 		}
-		end := off + batch
-		if end > len(res.Rows) {
-			end = len(res.Rows)
-		}
-		rb := &wire.RowBatch{ID: q.ID, Rows: make([]wire.Row, 0, end-off)}
-		for _, r := range res.Rows[off:end] {
-			rb.Rows = append(rb.Rows, wire.Row{
-				Groups: r.Groups, Sum: r.Sum, Count: r.Count, Min: r.Min, Max: r.Max,
-			})
-		}
-		if err := c.writeFrame(wire.FrameRowBatch, rb.Encode()); err != nil {
+		rb := &wire.RowBatch{ID: q.ID, Rows: res.Rows[off:min(off+batch, len(res.Rows))]}
+		if c.writeFrame(wire.FrameRowBatch, rb.Encode()) != nil {
 			return
 		}
 	}
-	done := &wire.ResultDone{
-		ID:        q.ID,
-		ElapsedNS: res.Elapsed.Nanoseconds(),
-		Rows:      int64(len(res.Rows)),
-		QueryID:   res.QueryID,
-	}
-	if c.traceOn.Load() && res.Trace != nil {
-		done.Trace = res.Trace.String()
-	}
+	done := &wire.ResultDone{ID: q.ID, ElapsedNS: res.Elapsed.Nanoseconds(), Rows: int64(len(res.Rows)),
+		QueryID: res.QueryID, Trace: res.Trace, Partial: res.Partial}
 	c.writeFrame(wire.FrameResultDone, done.Encode())
 }
 
-// handleIngest applies one Ingest frame's cell batch through the
-// database's HTAP delta path and acknowledges with the applied count.
-// It skips query admission — writes land in the delta store, not the
-// scan pipeline — but still registers with the drain tracker (shutdown
-// waits for it) and the cancel registry (a Cancel frame or disconnect
-// releases a backpressure wait).
-func (c *conn) handleIngest(ing *wire.Ingest) {
-	if !c.srv.beginQuery() {
-		c.writeError(ing.ID, wire.CodeShutdown, "server is draining")
+// handleExplain answers an Explain frame with the backend's rendered
+// explanation; it is admitted like a query because EXPLAIN ANALYZE runs
+// one.
+func (c *conn) handleExplain(ctx context.Context, ex *wire.Explain) {
+	if ex.Engine > wire.Bitmap {
+		c.writeError(ex.ID, wire.CodeProtocol, fmt.Sprintf("unknown engine %d", uint8(ex.Engine)), "")
 		return
 	}
-	defer c.srv.endQuery()
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-	c.registerQuery(ing.ID, cancel)
-	defer c.unregisterQuery(ing.ID)
-
-	cells := make([]repro.IngestCell, len(ing.Cells))
-	for i, wc := range ing.Cells {
-		cells[i] = repro.IngestCell{Keys: wc.Keys, Value: wc.Value, Delete: wc.Delete}
-	}
-	if err := c.srv.db.InsertCellsContext(ctx, cells); err != nil {
-		if ctx.Err() != nil {
-			c.writeError(ing.ID, wire.CodeCanceled, "ingest canceled")
-		} else {
-			c.writeError(ing.ID, wire.CodeExec, err.Error())
-		}
+	if _, ok := c.admit(ctx, ex.ID); !ok {
 		return
 	}
-	c.writeFrame(wire.FrameIngestAck,
-		(&wire.IngestAck{ID: ing.ID, Cells: uint32(len(ing.Cells))}).Encode())
-}
-
-// handleDeltaStats answers a DeltaStats frame with the delta store's
-// current counters plus the lifetime compaction count.
-func (c *conn) handleDeltaStats(req *wire.DeltaStatsReq) {
-	st := c.srv.db.DeltaStats()
-	out := &wire.DeltaStatsResult{
-		ID:            req.ID,
-		Cells:         st.Cells,
-		Bytes:         st.Bytes,
-		DirtyChunks:   int64(st.DirtyChunks),
-		TouchedChunks: int64(st.TouchedChunks),
-		BudgetBytes:   st.BudgetBytes,
-		Compactions:   c.srv.db.CompactionsTotal(),
-	}
-	c.writeFrame(wire.FrameDeltaStatsResult, out.Encode())
-}
-
-// handleCompact runs one explicit compaction and acknowledges with its
-// elapsed time. Like ingest it tracks draining but skips admission; the
-// database serializes concurrent compactions internally.
-func (c *conn) handleCompact(req *wire.CompactReq) {
-	if !c.srv.beginQuery() {
-		c.writeError(req.ID, wire.CodeShutdown, "server is draining")
-		return
-	}
-	defer c.srv.endQuery()
-	start := time.Now()
-	if err := c.srv.db.Compact(); err != nil {
-		c.writeError(req.ID, wire.CodeExec, err.Error())
-		return
-	}
-	c.writeFrame(wire.FrameCompactAck,
-		(&wire.CompactAck{ID: req.ID, ElapsedNS: time.Since(start).Nanoseconds()}).Encode())
-}
-
-// handleGetProfiles answers a GetProfiles frame from the database's
-// flight recorder: one profile by query ID, or the recent/slowest sets
-// (the same shape /debug/queries serves). Like SetOption it is
-// metadata, served on the frame loop without admission.
-func (c *conn) handleGetProfiles(gp *wire.GetProfiles) {
-	fr := c.srv.db.FlightRecorder()
-	var payload any
-	if gp.QueryID != "" {
-		p := fr.Profile(gp.QueryID)
-		if p == nil {
-			c.writeError(gp.ID, wire.CodeExec, fmt.Sprintf("no profile for query %q", gp.QueryID))
-			return
-		}
-		payload = p
-	} else {
-		payload = struct {
-			Recent  []*obs.QueryProfile `json:"recent"`
-			Slowest []*obs.QueryProfile `json:"slowest"`
-		}{fr.Recent(int(gp.Limit)), fr.Slowest()}
-	}
-	b, err := json.Marshal(payload)
+	expl, err := c.sess.Explain(ctx, ex.SQL, client.Engine(ex.Engine))
+	c.srv.adm.release()
 	if err != nil {
-		c.writeError(gp.ID, wire.CodeExec, err.Error())
+		c.failQuery(ctx, ex.ID, "", err)
 		return
 	}
-	c.writeFrame(wire.FrameProfilesResult, (&wire.ProfilesResult{ID: gp.ID, JSON: string(b)}).Encode())
-}
-
-// engineOfPlan recovers the executed engine family from the result's
-// explanation (the planner always fills it).
-func engineOfPlan(res *repro.Result) repro.Engine {
-	if res.Explanation != nil {
-		return res.Explanation.Engine
-	}
-	return repro.Auto
-}
-
-// handleExplain answers an Explain frame with the rendered explanation;
-// EXPLAIN ANALYZE text executes the query too and appends the run
-// summary, mirroring olapcli's local rendering.
-func (c *conn) handleExplain(ex *wire.Explain) {
-	engine, err := engineOf(ex.Engine)
-	if err != nil {
-		c.writeError(ex.ID, wire.CodeProtocol, err.Error())
-		return
-	}
-	ctx, cancel := context.WithCancel(c.ctx)
-	defer cancel()
-	c.registerQuery(ex.ID, cancel)
-	defer c.unregisterQuery(ex.ID)
-
-	if !c.admit(ctx, ex.ID) {
-		return
-	}
-	defer c.srv.adm.release()
-	defer c.srv.endQuery()
-
-	spec, err := query.ParseAndCompile(ex.SQL, c.srv.db.Schema())
-	if err != nil {
-		c.srv.qFailed.Inc()
-		c.writeError(ex.ID, wire.CodeParse, err.Error())
-		return
-	}
-
-	var expl *repro.Explanation
-	var tail string
-	if spec.Analyze {
-		res, err := c.sess.QueryOnContext(ctx, ex.SQL, engine)
-		if err != nil {
-			if ctx.Err() != nil {
-				c.srv.qCanceled.Inc()
-				c.writeError(ex.ID, wire.CodeCanceled, "query canceled")
-			} else {
-				c.srv.qFailed.Inc()
-				c.writeError(ex.ID, wire.CodeExec, err.Error())
-			}
-			return
-		}
-		expl = res.Explanation
-		tail = fmt.Sprintf("executed: elapsed=%v io={%s} rows=%d\n",
-			res.Elapsed, res.IO.String(), len(res.Rows))
-	} else {
-		expl, err = c.sess.ExplainOnContext(ctx, ex.SQL, engine)
-		if err != nil {
-			if ctx.Err() != nil {
-				c.srv.qCanceled.Inc()
-				c.writeError(ex.ID, wire.CodeCanceled, "query canceled")
-			} else {
-				c.srv.qFailed.Inc()
-				c.writeError(ex.ID, wire.CodeExec, err.Error())
-			}
-			return
-		}
-	}
-	out := &wire.ExplainResult{
-		ID:     ex.ID,
-		Chosen: expl.Chosen,
-		Engine: wireEngineOf(expl.Engine),
-		Text:   expl.String() + tail,
-	}
+	out := &wire.ExplainResult{ID: ex.ID, Chosen: expl.Chosen, Engine: wire.Engine(expl.Engine), Text: expl.Text}
 	if !strings.HasSuffix(out.Text, "\n") {
 		out.Text += "\n"
 	}

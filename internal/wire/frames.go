@@ -111,9 +111,10 @@ type Cancel struct {
 }
 
 // SetOption flips a per-session switch by name: "CACHE" on|off,
-// "PARALLEL" n, or "TRACE" on|off (case-insensitive); unknown names or
-// values are answered with Error{CodeProtocol} and the session
-// continues.
+// "PARALLEL" n, "TRACE" on|off, or "PARTIAL" on|off (case-insensitive);
+// unknown names or values are answered with Error{CodeProtocol}, an
+// option the backend does not have with Error{CodeUnsupported}, and the
+// session continues.
 type SetOption struct {
 	ID    uint32
 	Name  string
@@ -489,7 +490,7 @@ func DecodeResultHeader(p []byte) (*ResultHeader, error) {
 		GroupAttrs: d.strings(),
 	}
 	n := d.uvarint()
-	for i := uint64(0); i < n; i++ {
+	for i := uint64(0); i < n && d.err == nil; i++ { // a hostile count stops at the payload's end
 		f.Aggs = append(f.Aggs, d.u8())
 	}
 	if err := d.done(); err != nil {

@@ -22,8 +22,11 @@
 // which then answers with Error{CodeCanceled}. Ping/Pong carry no
 // payload and exist for connection-pool health checks. SetOption
 // (id, name, value) flips a per-session switch — CACHE on|off,
-// PARALLEL n, or TRACE on|off — and is acknowledged with OptionAck (id)
-// or rejected with Error{CodeProtocol} without dropping the connection.
+// PARALLEL n, TRACE on|off, or PARTIAL on|off — and is acknowledged with
+// OptionAck (id) or rejected without dropping the connection: with
+// Error{CodeProtocol} for an unknown name or a bad value, with
+// Error{CodeUnsupported} for an option the server's backend does not
+// have (CACHE on a coordinator, PARTIAL on a plain olapd).
 //
 // Clustering: a SubQuery frame is a Query restricted to one shard's
 // slice of the data (shard i of n, with an optional worker override) —
@@ -184,6 +187,10 @@ const (
 	CodeExec ErrorCode = 5
 	// CodeShutdown: the server is draining and accepts no new queries.
 	CodeShutdown ErrorCode = 6
+	// CodeUnsupported: the server's backend does not have the requested
+	// operation (Ingest on a coordinator, the PARTIAL option on a plain
+	// olapd). The request did nothing and the connection stays usable.
+	CodeUnsupported ErrorCode = 7
 )
 
 // String implements fmt.Stringer.
@@ -201,6 +208,8 @@ func (c ErrorCode) String() string {
 		return "exec"
 	case CodeShutdown:
 		return "shutting-down"
+	case CodeUnsupported:
+		return "unsupported"
 	default:
 		return fmt.Sprintf("code(%d)", uint16(c))
 	}
@@ -224,6 +233,17 @@ func (e *Error) Error() string {
 func IsCode(err error, code ErrorCode) bool {
 	var we *Error
 	return errors.As(err, &we) && we.Code == code
+}
+
+// RequestID reads the request ID that opens the payload of every frame
+// but Hello, HelloAck, Ping and Pong, without decoding the rest: how a
+// peer correlates (or refuses) a frame before paying for its body. A
+// payload too short to hold one reads as 0.
+func RequestID(payload []byte) uint32 {
+	if len(payload) < 4 {
+		return 0
+	}
+	return binary.BigEndian.Uint32(payload)
 }
 
 // headerSize is the fixed frame prefix: 4-byte big-endian payload
