@@ -51,6 +51,15 @@ go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/
 echo "== warm array scan allocates no more than before the chunk kernel =="
 go test -run TestWarmArrayScanBoundedAllocs -count=1 ./internal/core/
 
+echo "== a decoded row batch costs a fixed handful of allocations =="
+go test -run TestRowBatchDecodeAllocs -count=1 ./internal/wire/
+
+echo "== a served cache hit allocates a fixed number of objects, none per row =="
+go test -run TestServedHitAllocs -count=1 ./internal/server/
+
+echo "== served cache hit: µs/hit (1 row) and ns/row (10 000 rows) =="
+go test -run '^$' -bench BenchmarkServedHit -benchtime 2000x ./internal/server/ | grep -E '^Benchmark'
+
 echo "== arena package under gccheckmark =="
 GODEBUG=gccheckmark=1 go test -count=1 ./internal/arena/
 
@@ -98,6 +107,13 @@ if [ -z "$hits" ] || [ "$hits" -lt 1 ]; then
     echo "query cache did not hit on the repeated query (hits=${hits:-absent})" >&2
     exit 1
 fi
+# The hit was written from the entry's frame image, in one flush.
+image=$(curl -sf "http://$obs/metrics" | sed -n 's/^cache_result_image_bytes //p')
+if [ -z "$image" ] || [ "$image" = 0 ]; then
+    echo "the cached result holds no frame image (cache_result_image_bytes=${image:-absent})" >&2
+    exit 1
+fi
+curl -sf "http://$obs/metrics" | grep -q "^server_response_flushes_total [1-9]"
 
 # TRACE on: the query ID printed by the client must appear verbatim in
 # the flight recorder behind /debug/queries, and the result must carry

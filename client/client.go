@@ -174,6 +174,10 @@ type Conn struct {
 	pingDue time.Time
 }
 
+// readBufferSize matches what the server writes at a time, so a long
+// result stream costs a read per that many bytes, not two per row batch.
+const readBufferSize = 64 << 10
+
 // Dial connects and performs the protocol handshake.
 func Dial(addr string, cfg Config) (*Conn, error) {
 	cfg = cfg.withDefaults()
@@ -181,7 +185,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{nc: nc, br: bufio.NewReader(nc), cfg: cfg}
+	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufferSize), cfg: cfg}
 	nc.SetDeadline(time.Now().Add(cfg.DialTimeout))
 	if err := c.writeFrame(wire.FrameHello, (&wire.Hello{Version: wire.Version}).Encode()); err != nil {
 		nc.Close()

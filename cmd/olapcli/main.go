@@ -49,11 +49,21 @@ type session interface {
 	Profiles(ctx context.Context, queryID string, limit int) (string, error)
 }
 
-// embedded is a server.Session with the shard window dropped from Query.
+// embedded is a server.Session with the shard window dropped from Query
+// and the rows read back out of the frames a server would have sent.
 type embedded struct{ server.Session }
 
 func (e embedded) Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error) {
-	return e.Session.Query(ctx, sql, engine, nil)
+	res, err := e.Session.Query(ctx, sql, engine, nil)
+	if err != nil {
+		return nil, err
+	}
+	if res.Frames != nil {
+		if res.Rows, err = res.Frames.Rows(); err != nil {
+			return nil, err
+		}
+	}
+	return &res.Result, nil
 }
 
 // cli is one run's state: the session, the per-statement flags, and in

@@ -36,7 +36,8 @@ import (
 type entry struct {
 	key    string
 	val    any
-	bytes  int64
+	bytes  int64   // what the entry holds, image included
+	image  int64   // the part of bytes added by AddImage
 	weight float64 // estimated I/O saved per hit (page reads)
 	epoch  uint64
 }
@@ -51,11 +52,12 @@ const evictionSample = 5
 // result, bounded by bytes, with cost-aware LRU eviction and epoch
 // invalidation. Safe for concurrent use.
 type ResultCache struct {
-	mu       sync.Mutex
-	maxBytes int64
-	bytes    int64
-	entries  map[string]*list.Element // -> *entry
-	lru      *list.List               // front = most recently used
+	mu         sync.Mutex
+	maxBytes   int64
+	bytes      int64
+	imageBytes int64                    // sum of the entries' image
+	entries    map[string]*list.Element // -> *entry
+	lru        *list.List               // front = most recently used
 
 	hits, misses, evictions, invalidated *obs.Counter
 }
@@ -107,10 +109,10 @@ func (c *ResultCache) Get(key string, epoch uint64) (any, bool) {
 // under. bytes is the entry's memory estimate; weight is the estimated
 // I/O (page reads) a hit saves, which drives eviction order. Values
 // larger than a quarter of the budget are not cached — one giant result
-// must not flush the whole working set.
-func (c *ResultCache) Put(key string, val any, bytes int64, weight float64, epoch uint64) {
+// must not flush the whole working set — and Put reports false.
+func (c *ResultCache) Put(key string, val any, bytes int64, weight float64, epoch uint64) bool {
 	if bytes > c.maxBytes/4 {
-		return
+		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -120,6 +122,36 @@ func (c *ResultCache) Put(key string, val any, bytes int64, weight float64, epoc
 	e := &entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch}
 	c.entries[key] = c.lru.PushFront(e)
 	c.bytes += bytes
+	c.evictLocked()
+	return true
+}
+
+// AddImage charges n more bytes to the entry under key — a rendering of
+// val its owner now keeps beside it — provided the entry still holds
+// val. The bytes count against the budget like the entry's own and
+// leave with it; an entry that was evicted or replaced meanwhile is not
+// charged (its owner's bytes die with the last query reading them).
+func (c *ResultCache) AddImage(key string, val any, n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	el, ok := c.entries[key]
+	if !ok {
+		return
+	}
+	e := el.Value.(*entry)
+	if e.val != val {
+		return
+	}
+	e.bytes += n
+	e.image += n
+	c.bytes += n
+	c.imageBytes += n
+	c.evictLocked()
+}
+
+// evictLocked brings the cache back under its budget, always keeping
+// the most recent entry.
+func (c *ResultCache) evictLocked() {
 	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
 		c.removeLocked(c.evictVictimLocked())
 		c.evictions.Inc()
@@ -156,6 +188,7 @@ func (c *ResultCache) removeLocked(el *list.Element) {
 	c.lru.Remove(el)
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
+	c.imageBytes -= e.image
 }
 
 // Clear discards every entry, keeping the counters: the cold-cache
@@ -166,7 +199,7 @@ func (c *ResultCache) Clear() {
 	defer c.mu.Unlock()
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
-	c.bytes = 0
+	c.bytes, c.imageBytes = 0, 0
 }
 
 // Bytes reports the retained entry bytes.
@@ -174,6 +207,13 @@ func (c *ResultCache) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
+}
+
+// ImageBytes reports the part of Bytes charged through AddImage.
+func (c *ResultCache) ImageBytes() int64 {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.imageBytes
 }
 
 // Len reports the number of cached entries.

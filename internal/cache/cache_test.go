@@ -84,6 +84,41 @@ func TestResultCacheOversizeSkipped(t *testing.T) {
 	}
 }
 
+// TestResultCacheImageAccounting: an image is charged to the entry that
+// holds its value, counts against the budget, leaves with the entry, and
+// is not charged to an entry that meanwhile holds another value.
+func TestResultCacheImageAccounting(t *testing.T) {
+	c := NewResultCache(1000, obs.NewRegistry())
+	a, b := new(int), new(int)
+	if !c.Put("a", a, 200, 1, 1) || !c.Put("b", b, 200, 1, 1) {
+		t.Fatal("Put refused an entry within budget")
+	}
+	c.AddImage("a", a, 300)
+	if c.Bytes() != 700 || c.ImageBytes() != 300 {
+		t.Fatalf("after one image: bytes %d, image bytes %d", c.Bytes(), c.ImageBytes())
+	}
+	c.AddImage("a", b, 50)       // "a" holds another value
+	c.AddImage("missing", a, 50) // no such entry
+	if c.Bytes() != 700 || c.ImageBytes() != 300 {
+		t.Fatalf("an image was charged to the wrong entry: bytes %d, image bytes %d", c.Bytes(), c.ImageBytes())
+	}
+	// b's image takes the cache over budget: a, least recently used, goes
+	// and takes its image with it.
+	c.AddImage("b", b, 400)
+	if _, ok := c.Get("a", 1); ok || c.Bytes() != 600 || c.ImageBytes() != 400 {
+		t.Fatalf("after the evicting image: bytes %d, image bytes %d, len %d", c.Bytes(), c.ImageBytes(), c.Len())
+	}
+	c.Put("b", a, 100, 1, 1) // replacing the value drops the old image
+	if c.Bytes() != 100 || c.ImageBytes() != 0 {
+		t.Fatalf("after replacing b: bytes %d, image bytes %d", c.Bytes(), c.ImageBytes())
+	}
+	c.AddImage("b", a, 10)
+	c.Clear()
+	if c.Bytes() != 0 || c.ImageBytes() != 0 {
+		t.Fatalf("after Clear: bytes %d, image bytes %d", c.Bytes(), c.ImageBytes())
+	}
+}
+
 func TestChunkCacheEpochAndLRU(t *testing.T) {
 	c := NewChunkCache(cellBytes*10, obs.NewRegistry())
 	v1 := c.View(1, nil)

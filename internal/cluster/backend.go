@@ -47,7 +47,7 @@ func unsupported(what string) error {
 // Query runs one distributed query. The distributed query's identity is
 // the one the server put on ctx (the client's minted ID, when it sent
 // one), so the shards' traces and profiles stitch to the client's.
-func (s *session) Query(ctx context.Context, sql string, engine client.Engine, win *server.ShardWindow) (*client.Result, error) {
+func (s *session) Query(ctx context.Context, sql string, engine client.Engine, win *server.ShardWindow) (*server.Result, error) {
 	if win != nil {
 		return nil, unsupported("is not a shard of another coordinator")
 	}
@@ -59,7 +59,7 @@ func (s *session) Query(ctx context.Context, sql string, engine client.Engine, w
 	if err != nil {
 		return nil, err
 	}
-	return &res.Result, nil
+	return &server.Result{Result: res.Result, NumRows: len(res.Rows)}, nil
 }
 
 func (s *session) Explain(ctx context.Context, sql string, engine client.Engine) (*client.Explanation, error) {

@@ -50,6 +50,11 @@ type ExecContext struct {
 	recorder *obs.FlightRecorder
 	sampler  *obs.Sampler
 
+	// memo remembers resolved statements by their text. Entries carry
+	// the generation and statistics time they were planned under, so a
+	// load, build or commit retires them; DropCaches empties it outright.
+	memo stmtMemo
+
 	mu   sync.Mutex
 	gen  uint64 // bumped by InvalidateHandles; lets callers spot stale handles
 	dims []*catalog.DimensionTable
@@ -147,6 +152,16 @@ func (c *ExecContext) recordQuery(engine Engine, elapsed float64) {
 // Catalog returns the shared catalog.
 func (c *ExecContext) Catalog() *catalog.Catalog { return c.cat }
 
+// statsGen is the planner statistics' generation: a plan, a memoised
+// statement or a cached result made under one is not reused under
+// another.
+func (c *ExecContext) statsGen() int64 {
+	if st := c.cat.Stats; st != nil {
+		return st.CollectedUnix
+	}
+	return 0
+}
+
 // Generation returns the invalidation generation; it increases every
 // time InvalidateHandles (or DropCaches) discards the cached handles.
 func (c *ExecContext) Generation() uint64 {
@@ -179,6 +194,14 @@ func (c *ExecContext) EnableQueryCache(totalBytes int64) {
 		func() float64 {
 			if rc, _ := c.caches(); rc != nil {
 				return float64(rc.Bytes())
+			}
+			return 0
+		})
+	c.reg.GaugeFunc("cache_result_image_bytes",
+		"bytes of cache_result_bytes that are encoded row-frame images",
+		func() float64 {
+			if rc, _ := c.caches(); rc != nil {
+				return float64(rc.ImageBytes())
 			}
 			return 0
 		})
@@ -259,12 +282,14 @@ func (c *ExecContext) InvalidateHandles() {
 func (c *ExecContext) invalidateLocked() {
 	c.gen++
 	c.dims, c.ff, c.arr = nil, nil, nil
+	c.memo.clear() // its entries just went stale; free them now
 }
 
-// DropCaches empties the buffer pool and both query-cache layers,
-// emulating the paper's cold-cache measurement protocol, and drops the
-// cached object handles so the next query re-opens (and re-reads) the
-// master structures. It does NOT bump the invalidation generation:
+// DropCaches empties the buffer pool, both query-cache layers and the
+// statement memo, emulating the paper's cold-cache measurement protocol,
+// and drops the cached object handles so the next query re-parses,
+// re-plans and re-opens (and re-reads) the master structures. It does
+// NOT bump the invalidation generation:
 // nothing changed, the caches are merely cold — bumping here would
 // needlessly invalidate entries that survive in other tiers (and it
 // used to, see the regression test).
@@ -273,6 +298,7 @@ func (c *ExecContext) DropCaches() error {
 	c.dims, c.ff, c.arr = nil, nil, nil
 	rc, cc := c.resCache, c.chunkCache
 	c.mu.Unlock()
+	c.memo.clear()
 	if rc != nil {
 		rc.Clear()
 	}

@@ -7,10 +7,12 @@ import (
 	"log/slog"
 	"runtime/pprof"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/arena"
+	"repro/internal/cache"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/obs"
@@ -86,6 +88,11 @@ type QueryResult struct {
 	// Metrics and IO then describe the execution that produced the rows;
 	// Elapsed is this call's own wall time.
 	Cached bool
+
+	// entry is the result-cache entry that holds Rows — the one a hit
+	// read, or the one this execution stored — and so owns their image.
+	// Nil when the result is in no entry (cache off, or too big to keep).
+	entry *cachedResult
 }
 
 // cachedResult is what the result cache retains per fingerprint: the
@@ -97,6 +104,44 @@ type cachedResult struct {
 	io      storage.Stats
 	elapsed time.Duration
 	epoch   uint64
+
+	// Where the entry lives, for charging the image to it.
+	rc  *cache.ResultCache
+	key string
+
+	// image is rows as some consumer rendered them (see
+	// QueryResult.Image), built by the first query that asks and
+	// immutable afterwards; imageTag is the rendering's parameter.
+	imageMu  sync.Mutex
+	image    []byte
+	imageTag int
+}
+
+// Image returns build(Rows). For a result held by a result-cache entry
+// the rendering is done once, kept on the entry and charged to it in
+// the cache's byte budget, so every later hit on the entry gets the
+// same bytes back without touching the rows; tag names the rendering's
+// parameters, and a caller asking under another tag gets its own build.
+// The returned bytes are shared: read only.
+//
+// This is how the server keeps a result's encoded row frames beside its
+// rows without the executor knowing the wire format.
+func (qr *QueryResult) Image(tag int, build func(rows []core.Row) []byte) []byte {
+	cr := qr.entry
+	if cr == nil {
+		return build(qr.Rows)
+	}
+	cr.imageMu.Lock()
+	defer cr.imageMu.Unlock()
+	if cr.image != nil && cr.imageTag == tag {
+		return cr.image
+	}
+	img := build(cr.rows)
+	if cr.image == nil && len(img) > 0 {
+		cr.image, cr.imageTag = img, tag
+		cr.rc.AddImage(cr.key, cr, int64(cap(img)))
+	}
+	return img
 }
 
 // resultBytes estimates the retained size of a materialized result.
@@ -190,12 +235,6 @@ func (e *Executor) HasBitmapIndexes(spec *query.Spec) bool {
 	return true
 }
 
-// Explain plans the query without running it.
-func (e *Executor) Explain(spec *query.Spec, engine Engine) (*Explanation, error) {
-	_, expl, err := e.plan(spec, engine, e.defaultRestriction(), 0)
-	return expl, err
-}
-
 // ExplainSQLContext parses, compiles, and plans a query without running
 // it. A leading EXPLAIN keyword is accepted and ignored. Planning never
 // blocks on I/O beyond the catalog, so the context is checked once up
@@ -208,7 +247,47 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 	if err != nil {
 		return nil, err
 	}
-	return e.Explain(spec, engine)
+	_, expl, err := e.plan(spec, engine, e.defaultRestriction(), 0)
+	return expl, err
+}
+
+// statement resolves sql to its statement: from the memo when it holds
+// this text as planned under the same engine, shard window, degree and
+// catalog generation (hit), otherwise by parsing, compiling and planning
+// it now and offering the outcome to the memo.
+func (e *Executor) statement(ctx context.Context, sql string, engine Engine, epoch uint64) (st *statement, hit bool, err error) {
+	shard, workers := e.shardFor(ctx)
+	if workers <= 0 {
+		workers = e.parallelDegree()
+	}
+	k := stmtKey{sql: sql, engine: engine, shard: shard, workers: workers}
+	if st := e.ctx.memo.get(k, epoch, e.ctx.statsGen()); st != nil {
+		return st, true, nil
+	}
+	spec, err := query.ParseAndCompile(sql, e.ctx.Catalog().Schema)
+	if err != nil {
+		return nil, false, err
+	}
+	if st, err = e.prepare(spec, engine, shard, workers, epoch); err != nil {
+		return nil, false, err
+	}
+	e.ctx.memo.put(k, st)
+	return st, false, nil
+}
+
+// prepare plans a compiled query into a statement.
+func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restriction, workers int, epoch uint64) (*statement, error) {
+	statsGen := e.ctx.statsGen()
+	plan, expl, err := e.plan(spec, engine, shard, workers)
+	if err != nil {
+		return nil, err
+	}
+	fp := fingerprint(spec, plan, shard, statsGen)
+	return &statement{
+		spec: spec, plan: plan, expl: expl, est: expl.ChosenCost(),
+		fingerprint: fp, fpHash: fingerprintHash(fp),
+		epoch: epoch, statsGen: statsGen,
+	}, nil
 }
 
 // SetCacheEnabled opts this executor in or out of the database's query
@@ -242,20 +321,48 @@ func (e *Executor) SetSlowQueryLog(l *slog.Logger, min time.Duration) {
 // an EXPLAIN (and not ANALYZE), the query is planned but not run, and
 // the result carries only the plan fields.
 func (e *Executor) Execute(spec *query.Spec, engine Engine) (*QueryResult, error) {
-	return e.executeSpec(context.Background(), spec, engine, "")
+	ctx := context.Background()
+	prof, tr := e.beginQuery(ctx, "")
+	planSp := tr.Root.Child("plan")
+	rc, epoch := e.ctx.resultCache()
+	shard, workers := e.shardFor(ctx)
+	st, err := e.prepare(spec, engine, shard, workers, epoch)
+	if err != nil {
+		return nil, err
+	}
+	return e.run(ctx, prof, tr, planSp, st, rc, epoch)
 }
 
-// executeSpec is Execute with the query text threaded through for the
-// slow-query log (empty when the caller started from a compiled Spec).
-//
-// It owns the query's whole observable lifecycle: the trace (seeded
-// with the server-measured admission wait when one rode in on the
-// context's QueryTag), the sampling decision, and the flight-recorder
-// profile every exit path publishes through finishQuery.
-func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Engine, sql string) (*QueryResult, error) {
+// ExecuteSQLContext parses, compiles, and executes a SQL-subset query —
+// or, for a statement the memo has seen, goes straight from its text to
+// the result-cache probe. A canceled ctx stops the operator loop at its
+// next check (between chunk batches on the array side, every few
+// thousand tuples on the relational side) and returns ctx's error — how
+// a dropped client connection stops server-side work.
+func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Engine) (*QueryResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	prof, tr := e.beginQuery(ctx, sql)
+	planSp := tr.Root.Child("plan")
+	rc, epoch := e.ctx.resultCache()
+	st, hit, err := e.statement(ctx, sql, engine, epoch)
+	if err != nil {
+		return nil, err
+	}
+	prof.Memo = "miss"
+	if hit {
+		prof.Memo = "hit"
+	}
+	planSp.Set("memo", prof.Memo)
+	return e.run(ctx, prof, tr, planSp, st, rc, epoch)
+}
+
+// beginQuery opens a query's observable lifecycle: the flight-recorder
+// profile every exit path of run publishes through finishQuery, and the
+// trace — seeded with the server-measured admission wait when one rode
+// in on the context's QueryTag — with its sampling decision made.
+func (e *Executor) beginQuery(ctx context.Context, sql string) (*obs.QueryProfile, *obs.Trace) {
 	prof := &obs.QueryProfile{Start: time.Now(), SQL: sql}
 	traceOn := e.traceOn.Load()
 	if tag := obs.QueryTagFromContext(ctx); tag != nil {
@@ -273,24 +380,33 @@ func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Eng
 	if prof.AdmissionWait > 0 {
 		tr.Root.ChildAt("admission-wait", prof.Start.Add(-prof.AdmissionWait), prof.AdmissionWait)
 	}
-	planSp := tr.Root.Child("plan")
-	shard, shardWorkers := e.shardFor(ctx)
-	plan, expl, err := e.plan(spec, engine, shard, shardWorkers)
+	return prof, tr
+}
+
+// run executes a resolved statement: result-cache probe, singleflight,
+// engine. planSp is the open span that covered resolving st; rc and
+// epoch are the result cache and generation st was resolved under. The
+// statement is shared with every other execution of the same text, so
+// everything this run reports — the cache hit, ANALYZE's actuals — goes
+// into its own copy of the explanation.
+func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trace, planSp *obs.Span,
+	st *statement, rc *cache.ResultCache, epoch uint64) (*QueryResult, error) {
 	planSp.End()
 	prof.PlanTime = planSp.Duration
-	if err != nil {
-		return nil, err
-	}
+	spec, plan, est := st.spec, st.plan, st.est
 	prof.Plan = plan.Name()
 	prof.Engine = plan.Engine().String()
+	expl := *st.expl
+	if spec.Analyze {
+		expl.Tree = st.expl.Tree.clone() // Annotate writes into it
+	}
 	qr := &QueryResult{
 		QueryID:     prof.QueryID,
 		GroupAttrs:  spec.GroupAttrs,
 		Aggs:        spec.Aggs,
 		Plan:        plan.Name(),
-		Explanation: expl,
+		Explanation: &expl,
 	}
-	est := expl.ChosenCost()
 	qr.Metrics.EstCostIO = est.IO
 	qr.Metrics.EstCostCPU = est.CPU
 	qr.Metrics.EstRows = est.Rows
@@ -298,27 +414,26 @@ func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Eng
 		qr.QueryID = ""
 		return qr, nil
 	}
+	expl.Memo = prof.Memo
 	prof.EstIO = est.IO
 	prof.EstRows = est.Rows
 
-	statsGen := int64(0)
-	if st := e.ctx.Catalog().Stats; st != nil {
-		statsGen = st.CollectedUnix
-	}
-	key := fingerprint(spec, plan, shard, statsGen)
 	// With live ingest, the fingerprint alone is not enough: two
 	// executions of the same query can observe different delta states.
 	// The suffix folds in the versions of the touched chunks the query
 	// could read, so an ingest batch invalidates only the cached results
 	// it could actually change; it is empty when nothing was ever
 	// ingested, keeping legacy keys byte-identical.
-	key += e.ctx.deltaKeySuffix(spec.Selections)
-	prof.Fingerprint = fingerprintHash(key)
+	key := st.fingerprint
+	prof.Fingerprint = st.fpHash
+	if suffix := e.ctx.deltaKeySuffix(spec.Selections); suffix != "" {
+		key += suffix
+		prof.Fingerprint = fingerprintHash(key)
+	}
 
-	rc, epoch := e.ctx.resultCache()
 	prof.CacheEpoch = epoch
 	if rc == nil || e.cacheOff.Load() {
-		rqr, rerr := e.runPlan(ctx, tr, prof, spec, plan, expl, qr)
+		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr)
 		return e.finishQuery(tr, prof, rqr, rerr)
 	}
 
@@ -349,7 +464,7 @@ func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Eng
 		if v, ok := rc.Get(key, epoch); ok {
 			return v.(*cachedResult), nil
 		}
-		lqr, err := e.runPlan(ctx, tr, prof, spec, plan, expl, qr)
+		lqr, err := e.runPlan(ctx, tr, prof, st, qr)
 		if err != nil {
 			return nil, err
 		}
@@ -360,8 +475,12 @@ func (e *Executor) executeSpec(ctx context.Context, spec *query.Spec, engine Eng
 			io:      lqr.IO,
 			elapsed: lqr.Elapsed,
 			epoch:   epoch,
+			rc:      rc,
+			key:     key,
 		}
-		rc.Put(key, cr, resultBytes(lqr.Rows), est.IO, epoch)
+		if rc.Put(key, cr, resultBytes(lqr.Rows), est.IO, epoch) {
+			lqr.entry = cr
+		}
 		return cr, nil
 	})
 	if err != nil {
@@ -436,6 +555,7 @@ func (e *Executor) finishQuery(tr *obs.Trace, prof *obs.QueryProfile, qr *QueryR
 // not engine spans.
 func (e *Executor) cachedQueryResult(qr *QueryResult, cr *cachedResult, elapsed time.Duration) *QueryResult {
 	qr.Rows = cr.rows
+	qr.entry = cr
 	qr.Metrics = cr.metrics
 	qr.IO = cr.io
 	qr.Elapsed = elapsed
@@ -452,8 +572,8 @@ func (e *Executor) cachedQueryResult(qr *QueryResult, cr *cachedResult, elapsed 
 // the labels through the context. Trace closing, profile recording,
 // and slow-query logging happen in finishQuery, not here — the leader
 // of a singleflight runs this while its followers wait outside.
-func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryProfile, spec *query.Spec, plan Plan, expl *Explanation, qr *QueryResult) (*QueryResult, error) {
-	est := expl.ChosenCost()
+func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryProfile, st *statement, qr *QueryResult) (*QueryResult, error) {
+	spec, plan, est, expl := st.spec, st.plan, st.est, qr.Explanation
 	ioBefore := e.ctx.BufferPool().Stats()
 	start := time.Now()
 	run := tr.Root.Child("execute")
@@ -534,17 +654,4 @@ func fingerprintHash(fp string) string {
 	h := fnv.New64a()
 	h.Write([]byte(fp))
 	return strconv.FormatUint(h.Sum64(), 16)
-}
-
-// ExecuteSQLContext parses, compiles, and executes a SQL-subset query. A
-// canceled ctx stops the operator loop at its next check (between chunk
-// batches on the array side, every few thousand tuples on the
-// relational side) and returns ctx's error — how a dropped client
-// connection stops server-side work.
-func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Engine) (*QueryResult, error) {
-	spec, err := query.ParseAndCompile(sql, e.ctx.Catalog().Schema)
-	if err != nil {
-		return nil, err
-	}
-	return e.executeSpec(ctx, spec, engine, sql)
 }

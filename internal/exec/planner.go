@@ -61,6 +61,11 @@ type Explanation struct {
 	// under.
 	CacheHit   bool
 	CacheEpoch uint64
+	// Memo is "hit" when the executed statement's text was found in the
+	// statement memo and so skipped parse, compile and plan, "miss" when
+	// it was planned for this run; empty for a plan-only EXPLAIN and for
+	// a query that arrived already compiled.
+	Memo string
 }
 
 // String renders the explanation: the choice, the candidate costs, and
@@ -86,6 +91,9 @@ func (x *Explanation) String() string {
 	fmt.Fprintf(&b, "  [%s]\n", mode)
 	if x.CacheHit {
 		fmt.Fprintf(&b, "cache: hit (epoch %d)\n", x.CacheEpoch)
+	}
+	if x.Memo != "" {
+		fmt.Fprintf(&b, "memo: %s\n", x.Memo)
 	}
 	fmt.Fprintf(&b, "candidates:\n")
 	for _, c := range x.Candidates {

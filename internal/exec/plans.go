@@ -45,6 +45,19 @@ type PlanDesc struct {
 	ActDetail string // operator-specific measured counters
 }
 
+// clone copies the tree, so one run's Annotate leaves the original —
+// the statement memo's, shared by every run — untouched.
+func (d PlanDesc) clone() PlanDesc {
+	if len(d.Children) > 0 {
+		kids := make([]PlanDesc, len(d.Children))
+		for i := range d.Children {
+			kids[i] = d.Children[i].clone()
+		}
+		d.Children = kids
+	}
+	return d
+}
+
 // RunStats is what one plan execution measured: the algorithm's own
 // counters, the buffer pool I/O delta, wall time, and result size.
 // Annotate maps it onto the operator tree.

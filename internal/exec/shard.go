@@ -33,7 +33,7 @@ type SubQuery struct {
 type subQueryKey struct{}
 
 // ContextWithSubQuery attaches a sub-query restriction to the context;
-// executeSpec picks it up in preference to the executor's default shard
+// a query picks it up in preference to the executor's default shard
 // range.
 func ContextWithSubQuery(ctx context.Context, sq SubQuery) context.Context {
 	return context.WithValue(ctx, subQueryKey{}, sq)

@@ -27,6 +27,10 @@ type QueryProfile struct {
 
 	CacheHit   bool   `json:"cache_hit"`
 	CacheEpoch uint64 `json:"cache_epoch,omitempty"`
+	// Memo is "hit" when the statement's text was in the executor's
+	// statement memo (parse, compile and plan skipped; PlanTime is then
+	// the lookup), "miss" when it was planned for this run.
+	Memo string `json:"memo,omitempty"`
 
 	Rows          int     `json:"rows"`
 	EstIO         float64 `json:"est_io,omitempty"`

@@ -13,6 +13,7 @@ import (
 	"repro/client"
 	"repro/internal/obs"
 	"repro/internal/query"
+	"repro/internal/wire"
 )
 
 // Backend is what a Server serves. The server owns everything about a
@@ -45,13 +46,26 @@ type Session interface {
 	// Query returns the materialised result. win, when non-nil, is a
 	// SubQuery frame's shard window. The query's identity and measured
 	// admission wait ride ctx as an obs.QueryTag.
-	Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*client.Result, error)
+	Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*Result, error)
 	Explain(ctx context.Context, sql string, engine client.Engine) (*client.Explanation, error)
 	SetOption(ctx context.Context, name, value string) error
 	Ingest(ctx context.Context, cells []client.IngestCell) error
 	DeltaStats(ctx context.Context) (*client.DeltaStats, error)
 	Compact(ctx context.Context) (time.Duration, error)
 	Profiles(ctx context.Context, queryID string, limit int) (string, error)
+}
+
+// Result is a backend's answer to Query: the client's result, with the
+// rows carried one of two ways. A backend whose rows already are client
+// rows (a coordinator's merge) leaves them in Rows and the server encodes
+// them batch by batch. A backend that keeps results across queries hands
+// over Frames instead — the row batches as encoded once for every request
+// that gets this result, at the Config's BatchRows — and leaves Rows
+// empty. NumRows counts the rows either way.
+type Result struct {
+	client.Result
+	Frames  wire.RowImage
+	NumRows int
 }
 
 // ShardWindow restricts one query to shard Shard of Shards, with
@@ -103,7 +117,11 @@ func (l Local) Registry() *obs.Registry { return l.DB.Registry() }
 
 // NewSession implements Backend.
 func (l Local) NewSession(cfg *Config) Session {
-	s := &localSession{db: l.DB, sess: l.DB.Session(), workers: cfg.Workers}
+	s := &localSession{db: l.DB, sess: l.DB.Session(), workers: cfg.Workers, batchRows: cfg.BatchRows}
+	if s.batchRows <= 0 {
+		s.batchRows = wire.DefaultBatchRows
+	}
+	s.encode = func(rows []repro.Row) []byte { return wire.AppendRowImage(nil, rows, s.batchRows) }
 	s.sess.SetSlowQueryLog(cfg.SlowQueryLog, cfg.SlowQueryMin) // nil: none
 	s.sess.SetParallel(cfg.Workers)                            // 0: the engine default
 	s.sess.SetShardRange(cfg.ShardIndex, cfg.ShardCount)       // validated in Start; <= 1: none
@@ -116,6 +134,11 @@ type localSession struct {
 	db      *repro.DB
 	sess    *repro.Session
 	workers int // what PARALLEL 0 resets to; 0 means the engine default
+
+	// encode renders a result's rows as the RowBatch frames the server
+	// sends, batchRows to a frame.
+	batchRows int
+	encode    func(rows []repro.Row) []byte
 }
 
 // statementError types a rejected statement as CodeParse, so clients can
@@ -128,7 +151,11 @@ func statementError(err error) error {
 	return err
 }
 
-func (s *localSession) Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*client.Result, error) {
+// Query never copies the rows: they go to the server as their frame
+// image, which a result held by the database's result cache has built
+// once (by the query that put it there, or the first to hit it) and
+// every later hit reuses.
+func (s *localSession) Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*Result, error) {
 	var res *repro.Result
 	var err error
 	if win != nil {
@@ -139,24 +166,22 @@ func (s *localSession) Query(ctx context.Context, sql string, engine client.Engi
 	if err != nil {
 		return nil, statementError(err)
 	}
-	out := &client.Result{
-		Plan:       res.Plan,
-		GroupAttrs: res.GroupAttrs,
-		Aggs:       make([]uint8, len(res.Aggs)),
-		Rows:       make([]client.Row, len(res.Rows)),
-		Elapsed:    res.Elapsed,
-		QueryID:    res.QueryID,
+	out := &Result{
+		Result: client.Result{
+			Plan:       res.Plan,
+			GroupAttrs: res.GroupAttrs,
+			Aggs:       make([]uint8, len(res.Aggs)),
+			Elapsed:    res.Elapsed,
+			QueryID:    res.QueryID,
+		},
+		Frames:  res.Image(s.batchRows, s.encode),
+		NumRows: len(res.Rows),
 	}
 	if res.Explanation != nil {
 		out.Engine = client.Engine(res.Explanation.Engine)
 	}
 	for i, a := range res.Aggs {
 		out.Aggs[i] = uint8(a)
-	}
-	// The one pass over the rows: res may be a shared result-cache entry,
-	// and the server encodes batches straight from out.Rows.
-	for i, r := range res.Rows {
-		out.Rows[i] = client.Row{Groups: r.Groups, Sum: r.Sum, Count: r.Count, Min: r.Min, Max: r.Max}
 	}
 	if res.Trace != nil && s.sess.TraceEnabled() {
 		out.Trace = res.Trace.String()

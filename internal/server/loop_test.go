@@ -16,9 +16,11 @@ import (
 )
 
 // newWideDB builds a two-dimensional database whose full consolidation
-// has n*n groups with long labels — a result of several MiB, more than
-// the socket buffers between a server and a client that stops reading.
-func newWideDB(t testing.TB, n int) *repro.DB {
+// has n*n groups, with labels padded by pad bytes (long labels make a
+// result of several MiB, more than the socket buffers between a server
+// and a client that stops reading); agroup and bgroup split each
+// dimension in ten.
+func newWideDB(t testing.TB, n, pad int) *repro.DB {
 	t.Helper()
 	db, err := repro.Open(repro.Options{})
 	if err != nil {
@@ -28,18 +30,19 @@ func newWideDB(t testing.TB, n int) *repro.DB {
 	schema := &repro.StarSchema{
 		Fact: repro.FactSchema{Name: "fact", Dims: []string{"a", "b"}, Measure: "v"},
 		Dimensions: []repro.DimensionSchema{
-			{Name: "a", Key: "ak", Attrs: []string{"aname"}},
-			{Name: "b", Key: "bk", Attrs: []string{"bname"}},
+			{Name: "a", Key: "ak", Attrs: []string{"aname", "agroup"}},
+			{Name: "b", Key: "bk", Attrs: []string{"bname", "bgroup"}},
 		},
 	}
 	if err := db.CreateStarSchema(schema); err != nil {
 		t.Fatal(err)
 	}
-	pad := strings.Repeat("x", 60)
+	padding := strings.Repeat("x", pad)
 	for _, dim := range []string{"a", "b"} {
 		rows := make([]repro.DimensionRow, n)
 		for k := range rows {
-			rows[k] = repro.DimensionRow{Key: int64(k), Attrs: []string{fmt.Sprintf("%s%04d-%s", dim, k, pad)}}
+			rows[k] = repro.DimensionRow{Key: int64(k),
+				Attrs: []string{fmt.Sprintf("%s%04d-%s", dim, k, padding), fmt.Sprintf("%sg%d", dim, k*10/n)}}
 		}
 		if err := db.LoadDimension(dim, rows); err != nil {
 			t.Fatal(err)
@@ -112,7 +115,7 @@ func waitFor(t testing.TB, what string, limit time.Duration, cond func() bool) {
 // out, the server closes that connection instead of leaving a torn
 // stream behind.
 func TestServerStalledReaderFreesSlot(t *testing.T) {
-	db := newWideDB(t, 200)
+	db := newWideDB(t, 200, 60)
 	srv := New(Local{DB: db}, Config{MaxConcurrent: 1, QueueDepth: 4, WriteTimeout: 3 * time.Second})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
@@ -149,6 +152,10 @@ func TestServerStalledReaderFreesSlot(t *testing.T) {
 			err, srv.adm.running(), srv.adm.waiting())
 	}
 	conn.Close()
+	// The second query's goroutine leaves the registry a moment after its
+	// last frame reaches the client; then only the stalled stream is left
+	// (none at all would mean the result fit the socket buffers).
+	waitFor(t, "exactly the stalled stream to be in flight", 2*time.Second, func() bool { return inflightRequests(srv) <= 1 })
 	if n := inflightRequests(srv); n != 1 {
 		t.Fatalf("%d requests in flight, want the 1 stalled stream (did the result fit the socket buffers?)", n)
 	}

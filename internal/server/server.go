@@ -13,6 +13,7 @@ package server
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -27,6 +28,12 @@ import (
 	"repro/internal/obs"
 	"repro/internal/wire"
 )
+
+// writeBufferSize is each connection's write buffer: a response's frames
+// collect in it and reach the socket when it fills and when the response
+// ends, so a short result is one write and a long one a write per this
+// many bytes rather than one per frame.
+const writeBufferSize = 64 << 10
 
 // maxInflight bounds the requests one connection may have running or
 // queued at once; past it a request is refused with wire.CodeAdmission
@@ -49,7 +56,7 @@ type Config struct {
 	// and the handshake. 0 selects 30s. Idle waits between requests are
 	// not bounded — a REPL may sit quiet for minutes.
 	ReadTimeout time.Duration
-	// WriteTimeout bounds one frame write. 0 selects 30s.
+	// WriteTimeout bounds one write to the socket. 0 selects 30s.
 	WriteTimeout time.Duration
 	// BatchRows is the result rows per RowBatch frame; 0 selects
 	// wire.DefaultBatchRows.
@@ -130,6 +137,7 @@ type Server struct {
 	qFailed      *obs.Counter
 	bytesIn      *obs.Counter
 	bytesOut     *obs.Counter
+	flushes      *obs.Counter
 	frameLatency *obs.Histogram
 }
 
@@ -159,6 +167,8 @@ func New(be Backend, cfg Config) *Server {
 	s.qFailed = reg.Counter("server_queries_failed_total", "queries that failed to parse or execute")
 	s.bytesIn = reg.Counter("server_bytes_in_total", "bytes read from clients")
 	s.bytesOut = reg.Counter("server_bytes_out_total", "bytes written to clients")
+	s.flushes = reg.Counter("server_response_flushes_total",
+		"responses completed: each flushed its connection's write buffer once")
 	s.frameLatency = reg.Histogram("server_frame_seconds",
 		"request frame handling latency (read to final response)", nil)
 	return s
@@ -305,7 +315,12 @@ type conn struct {
 
 	r *bufio.Reader
 
-	wmu sync.Mutex // serializes frames from concurrent request goroutines
+	// Frames from concurrent request goroutines are serialized by wmu and
+	// collect in w, which writes to the socket through socketWriter. hdr
+	// is the scratch a frame's header and request ID are assembled in.
+	wmu sync.Mutex
+	w   *bufio.Writer
+	hdr [9]byte
 
 	// inflight holds the requests that run on their own goroutine. Only
 	// the frame loop adds entries, so its size check needs no more than
@@ -315,20 +330,56 @@ type conn struct {
 	qwg      sync.WaitGroup
 }
 
-// writeFrame writes one frame under the write deadline. A failed or
-// timed-out write may have left part of a frame on the stream, so it
-// closes the connection: the frame loop's read fails, everything in
-// flight is canceled, and later writers fail at once instead of each
-// waiting out the deadline against a peer that stopped reading.
-func (c *conn) writeFrame(t wire.FrameType, payload []byte) error {
+// socketWriter is what a connection's write buffer empties into. Every
+// write to the socket gets its own deadline, so a peer that stops reading
+// stalls a response for WriteTimeout at most however many writes the
+// response takes. A failed or timed-out write may have left part of a
+// frame on the stream, so it closes the connection: the frame loop's
+// read fails, everything in flight is canceled, and later writers fail
+// at once (the buffer keeps the error) instead of each waiting out the
+// deadline against a peer that is gone.
+type socketWriter struct{ c *conn }
+
+func (w socketWriter) Write(p []byte) (int, error) {
+	nc := w.c.nc
+	nc.SetWriteDeadline(time.Now().Add(w.c.srv.cfg.WriteTimeout))
+	n, err := nc.Write(p)
+	if err != nil {
+		nc.Close()
+	}
+	return n, err
+}
+
+// putFrame buffers one frame and, when it ends a response, flushes. A
+// RowBatch payload comes without its leading request ID — it is a batch
+// of a row image, shared by every request for that result — and gets id
+// stamped in front of it here; every other payload carries its own.
+func (c *conn) putFrame(t wire.FrameType, id uint32, payload []byte, flush bool) error {
 	c.wmu.Lock()
 	defer c.wmu.Unlock()
-	c.nc.SetWriteDeadline(time.Now().Add(c.srv.cfg.WriteTimeout))
-	err := wire.WriteFrame(c.nc, t, payload)
-	if err != nil {
-		c.nc.Close()
+	n, head := len(payload), c.hdr[:5]
+	if t == wire.FrameRowBatch {
+		n, head = n+4, c.hdr[:9]
+		binary.BigEndian.PutUint32(c.hdr[5:], id)
+	}
+	if n > wire.MaxPayload {
+		return fmt.Errorf("server: %s frame payload %d exceeds %d bytes", t, n, wire.MaxPayload)
+	}
+	binary.BigEndian.PutUint32(c.hdr[:], uint32(n))
+	c.hdr[4] = byte(t)
+	c.w.Write(head)
+	_, err := c.w.Write(payload) // the buffer's error is sticky: this reports the header's too
+	if flush && err == nil {
+		c.srv.flushes.Inc()
+		err = c.w.Flush()
 	}
 	return err
+}
+
+// writeFrame sends a frame that ends a response — for all but a query's
+// result stream, the whole response.
+func (c *conn) writeFrame(t wire.FrameType, payload []byte) error {
+	return c.putFrame(t, 0, payload, true)
 }
 
 func (c *conn) writeError(id uint32, code wire.ErrorCode, msg, queryID string) {
@@ -415,6 +466,7 @@ func (c *conn) serve() {
 	defer c.nc.Close()
 	defer c.cancel() // disconnect cancels every in-flight request
 	c.r = bufio.NewReader(c.nc)
+	c.w = bufio.NewWriterSize(socketWriter{c}, writeBufferSize)
 	c.inflight = make(map[uint32]context.CancelFunc)
 	if !c.handshake() {
 		return
@@ -658,11 +710,15 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow)
 
 	hdr := &wire.ResultHeader{ID: q.ID, Plan: res.Plan, Engine: wire.Engine(res.Engine),
 		GroupAttrs: res.GroupAttrs, Aggs: res.Aggs}
-	if c.writeFrame(wire.FrameResultHeader, hdr.Encode()) != nil {
+	if c.putFrame(wire.FrameResultHeader, 0, hdr.Encode(), false) != nil {
 		return
 	}
-	batch := c.srv.cfg.BatchRows
-	for off := 0; off < len(res.Rows); off += batch {
+	// The row batches come out of the backend's image of them when it has
+	// one; otherwise each batch of its rows is encoded, into the same
+	// form, as its turn comes.
+	img, batch := res.Frames, c.srv.cfg.BatchRows
+	var scratch wire.RowImage
+	for off := 0; off < len(res.Rows) || len(img) > 0; off += batch {
 		// Cancellation between batches: a canceled client stops the
 		// stream without waiting for the remaining rows.
 		if ctx.Err() != nil {
@@ -670,12 +726,17 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow)
 			c.writeError(q.ID, wire.CodeCanceled, "query canceled mid-stream", qid)
 			return
 		}
-		rb := &wire.RowBatch{ID: q.ID, Rows: res.Rows[off:min(off+batch, len(res.Rows))]}
-		if c.writeFrame(wire.FrameRowBatch, rb.Encode()) != nil {
+		if off < len(res.Rows) {
+			scratch = wire.AppendRowImage(scratch[:0], res.Rows[off:min(off+batch, len(res.Rows))], batch)
+			img = scratch
+		}
+		var body []byte
+		body, img = img.Next()
+		if c.putFrame(wire.FrameRowBatch, q.ID, body, false) != nil {
 			return
 		}
 	}
-	done := &wire.ResultDone{ID: q.ID, ElapsedNS: res.Elapsed.Nanoseconds(), Rows: int64(len(res.Rows)),
+	done := &wire.ResultDone{ID: q.ID, ElapsedNS: res.Elapsed.Nanoseconds(), Rows: int64(res.NumRows),
 		QueryID: res.QueryID, Trace: res.Trace, Partial: res.Partial}
 	c.writeFrame(wire.FrameResultDone, done.Encode())
 }

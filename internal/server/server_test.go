@@ -439,13 +439,14 @@ func TestServerBytesAndFrameMetrics(t *testing.T) {
 	if snap.Counter("server_connections_total") != 1 {
 		t.Fatalf("connections_total = %d", snap.Counter("server_connections_total"))
 	}
-	var frames int64
-	for _, h := range snap.Histograms {
-		if h.Name == "server_frame_seconds" {
-			frames = h.Count
+	// The request's latency is observed when its goroutine ends, a moment
+	// after the last frame reached the client.
+	waitFor(t, "the query's frame latency to be observed", 2*time.Second, func() bool {
+		for _, h := range db.Registry().Snapshot().Histograms {
+			if h.Name == "server_frame_seconds" {
+				return h.Count > 0
+			}
 		}
-	}
-	if frames == 0 {
-		t.Fatal("frame latency histogram empty")
-	}
+		return false
+	})
 }

@@ -295,14 +295,25 @@ func (d *dec) str() string {
 	return s
 }
 
+// maxPrealloc caps what a decoder allocates up front from a count it
+// read off the wire, in elements; a frame that really holds more grows
+// by append as its bytes prove it.
+const maxPrealloc = 4096
+
+// prealloc bounds a claimed element count by what the remaining bytes of
+// the payload can hold at minBytes per element, and by maxPrealloc.
+func prealloc(n uint64, remaining, minBytes int) int {
+	return int(min(n, uint64(remaining/minBytes), maxPrealloc))
+}
+
 func (d *dec) strings() []string {
 	n := d.uvarint()
 	if d.err != nil || n > uint64(len(d.b)) { // each string needs >= 1 byte
 		d.fail()
 		return nil
 	}
-	out := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
+	out := make([]string, 0, prealloc(n, len(d.b), 1))
+	for i := uint64(0); i < n && d.err == nil; i++ {
 		out = append(out, d.str())
 	}
 	return out
@@ -499,12 +510,24 @@ func DecodeResultHeader(p []byte) (*ResultHeader, error) {
 	return f, nil
 }
 
-// Encode renders the RowBatch payload.
-func (f *RowBatch) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = binary.AppendUvarint(b, uint64(len(f.Rows)))
-	for i := range f.Rows {
-		r := &f.Rows[i]
+// rowLike is any row type laid out like Row, so the engine's own row
+// type is encoded where it lies, without this package importing it.
+type rowLike interface {
+	~struct {
+		Groups []string
+		Sum    int64
+		Count  int64
+		Min    int64
+		Max    int64
+	}
+}
+
+// appendRows appends a RowBatch payload's part after the request ID:
+// the row count and the rows.
+func appendRows[R rowLike](b []byte, rows []R) []byte {
+	b = binary.AppendUvarint(b, uint64(len(rows)))
+	for i := range rows {
+		r := Row(rows[i])
 		b = appendStrings(b, r.Groups)
 		b = binary.AppendVarint(b, r.Sum)
 		b = binary.AppendVarint(b, r.Count)
@@ -514,23 +537,151 @@ func (f *RowBatch) Encode() []byte {
 	return b
 }
 
+// Encode renders the RowBatch payload.
+func (f *RowBatch) Encode() []byte {
+	return appendRows(binary.BigEndian.AppendUint32(nil, f.ID), f.Rows)
+}
+
+// RowImage is a result's RowBatch frames encoded ahead of the request
+// that will carry them: per batch, the 4-byte big-endian length of the
+// payload's part after the request ID, then that part. A server keeps
+// one beside a cached result and answers every hit by writing, per
+// batch, a frame header, the request's ID and the stored bytes — the
+// same bytes RowBatch.Encode would have produced.
+type RowImage []byte
+
+// AppendRowImage appends rows to img in batches of batchRows.
+func AppendRowImage[R rowLike](img RowImage, rows []R, batchRows int) RowImage {
+	for len(rows) > 0 {
+		n := min(batchRows, len(rows))
+		at := len(img)
+		img = appendRows(append(img, 0, 0, 0, 0), rows[:n])
+		binary.BigEndian.PutUint32(img[at:], uint32(len(img)-at-4))
+		rows = rows[n:]
+	}
+	return img
+}
+
+// Next splits off the image's first batch: its payload after the request
+// ID, and the rest of the image. The image must not be empty.
+func (img RowImage) Next() (body []byte, rest RowImage) {
+	n := 4 + binary.BigEndian.Uint32(img)
+	return img[4:n:n], img[n:]
+}
+
+// Rows decodes the image back into its rows (a caller that holds a
+// server session in process, such as an embedded REPL, has no socket to
+// read them from).
+func (img RowImage) Rows() ([]Row, error) {
+	var rows []Row
+	for len(img) > 0 {
+		if len(img) < 4 || uint64(len(img)-4) < uint64(binary.BigEndian.Uint32(img)) {
+			return nil, fmt.Errorf("wire: truncated row image")
+		}
+		var body []byte
+		body, img = img.Next()
+		d := &dec{b: body}
+		batch := d.rows()
+		if err := d.done(); err != nil {
+			return nil, err
+		}
+		rows = append(rows, batch...)
+	}
+	return rows, nil
+}
+
+// rows reads a row count and that many rows. The whole batch costs a
+// fixed number of allocations: one string holding a copy of the rest of
+// the payload, which every label is a substring of, and one []string
+// that every row's Groups is a slice of — capped at its own length, so
+// a caller appending to one row's Groups cannot write into the next's.
+// Holding on to any one label therefore keeps its batch's bytes alive.
+//
+// This is the client's hot loop (and a coordinator's, per shard), so it
+// walks the string copy by index instead of going field by field through
+// the cursor.
+func (d *dec) rows() []Row {
+	n := d.uvarint()
+	if d.err != nil {
+		return nil
+	}
+	text := string(d.b)
+	rows := make([]Row, 0, prealloc(n, len(d.b), 5)) // a row is a count and four varints at least
+	var groups []string
+	at := 0 // the next unread byte of text; negative once a field was malformed
+	for i := uint64(0); i < n && at >= 0; i++ {
+		var g uint64
+		if g, at = uvarintAt(text, at); at < 0 || g > uint64(len(text)-at) { // each label needs >= 1 byte
+			at = -1
+			break
+		}
+		if groups == nil {
+			// Rows of one result all have the same number of labels.
+			groups = make([]string, 0, prealloc(g*(n-i), len(text)-at, 1))
+		}
+		first := len(groups)
+		for ; g > 0; g-- {
+			var l uint64
+			if l, at = uvarintAt(text, at); at < 0 || l > uint64(len(text)-at) {
+				at = -1
+				break
+			}
+			groups = append(groups, text[at:at+int(l)])
+			at += int(l)
+		}
+		r := Row{Groups: groups[first:len(groups):len(groups)]}
+		r.Sum, at = varintAt(text, at)
+		r.Count, at = varintAt(text, at)
+		r.Min, at = varintAt(text, at)
+		r.Max, at = varintAt(text, at)
+		rows = append(rows, r)
+	}
+	if at < 0 {
+		d.fail()
+		return nil
+	}
+	d.b = d.b[at:]
+	return rows
+}
+
+// uvarintAt reads a uvarint from s at offset at and returns the offset
+// after it, or a negative offset when at is negative already (so a chain
+// of reads needs one check at its end), the varint is cut short, or it
+// overflows 64 bits.
+func uvarintAt(s string, at int) (uint64, int) {
+	if at < 0 {
+		return 0, -1
+	}
+	var v uint64
+	for shift := uint(0); at < len(s) && shift < 64; shift += 7 {
+		b := s[at]
+		at++
+		if b < 0x80 {
+			if shift == 63 && b > 1 {
+				return 0, -1
+			}
+			return v | uint64(b)<<shift, at
+		}
+		v |= uint64(b&0x7f) << shift
+	}
+	return 0, -1
+}
+
+// varintAt is uvarintAt for a zigzag-encoded signed value.
+func varintAt(s string, at int) (int64, int) {
+	u, at := uvarintAt(s, at)
+	v := int64(u >> 1)
+	if u&1 != 0 {
+		v = ^v
+	}
+	return v, at
+}
+
 // DecodeRowBatch parses a RowBatch payload.
 func DecodeRowBatch(p []byte) (*RowBatch, error) {
 	d := &dec{b: p}
 	f := &RowBatch{ID: d.u32()}
-	n := d.uvarint()
-	if d.err == nil && n <= uint64(len(d.b)) { // each row needs >= 1 byte
-		f.Rows = make([]Row, 0, n)
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		f.Rows = append(f.Rows, Row{
-			Groups: d.strings(),
-			Sum:    d.varint(),
-			Count:  d.varint(),
-			Min:    d.varint(),
-			Max:    d.varint(),
-		})
-	}
+	f.Rows = d.rows()
 	if err := d.done(); err != nil {
 		return nil, err
 	}
@@ -675,8 +826,8 @@ func DecodeIngest(p []byte) (*Ingest, error) {
 	d := &dec{b: p}
 	f := &Ingest{ID: d.u32()}
 	n := d.uvarint()
-	if d.err == nil && n <= uint64(len(d.b)) { // each cell needs >= 1 byte
-		f.Cells = make([]IngestCell, 0, n)
+	if d.err == nil {
+		f.Cells = make([]IngestCell, 0, prealloc(n, len(d.b), 3)) // a cell is a key count, a value and a flag at least
 	}
 	for i := uint64(0); i < n && d.err == nil; i++ {
 		nk := d.uvarint()
@@ -684,8 +835,8 @@ func DecodeIngest(p []byte) (*Ingest, error) {
 			d.fail()
 			break
 		}
-		c := IngestCell{Keys: make([]int64, 0, nk)}
-		for k := uint64(0); k < nk; k++ {
+		c := IngestCell{Keys: make([]int64, 0, prealloc(nk, len(d.b), 1))}
+		for k := uint64(0); k < nk && d.err == nil; k++ {
 			c.Keys = append(c.Keys, d.varint())
 		}
 		c.Value = d.varint()
