@@ -4,18 +4,19 @@ import (
 	"fmt"
 
 	"repro/internal/array"
-	"repro/internal/exec"
 )
 
 // The OLAP Array ADT's direct function set (§3.5 of the paper): a Read
 // function, a subset-sum function, and a slicing function, addressed by
 // dimension keys. These bypass the SQL layer and operate on the array
-// exactly as Paradise-SQL method invocations did.
+// exactly as Paradise-SQL method invocations did. Each call reads a
+// clone of the shared array handle with the delta overlay's snapshot
+// attached, so it sees ingested cells before and after compaction.
 
 // ArrayGet reads one cell of the OLAP array by dimension keys; ok is
 // false when any key is unknown or the cell holds no data.
 func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
-	arr, err := exec.OpenArray(db.bp, db.cat)
+	arr, err := db.ex.Context().ArrayClone()
 	if err != nil {
 		return 0, false, err
 	}
@@ -27,7 +28,7 @@ func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
 // array indices through the dimension B-trees; only chunks overlapping
 // the box are read.
 func (db *DB) ArraySum(loKeys, hiKeys []int64) (int64, error) {
-	arr, err := exec.OpenArray(db.bp, db.cat)
+	arr, err := db.ex.Context().ArrayClone()
 	if err != nil {
 		return 0, err
 	}
@@ -52,7 +53,7 @@ type ArraySliceCell struct {
 // ArraySlice returns every valid cell whose key along the named
 // dimension equals key — the ADT's slicing function.
 func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
-	arr, err := exec.OpenArray(db.bp, db.cat)
+	arr, err := db.ex.Context().ArrayClone()
 	if err != nil {
 		return nil, err
 	}

@@ -60,6 +60,9 @@ go test -run TestServedHitAllocs -count=1 ./internal/server/
 echo "== served cache hit: µs/hit (1 row) and ns/row (10 000 rows) =="
 go test -run '^$' -bench BenchmarkServedHit -benchtime 2000x ./internal/server/ | grep -E '^Benchmark'
 
+echo "== overlay fold: µs/query and array cells visited per query, one slab's deltas pending =="
+go test -run '^$' -bench BenchmarkOverlayFold -benchtime 1x ./internal/core/ | grep -E '^Benchmark'
+
 echo "== arena package under gccheckmark =="
 GODEBUG=gccheckmark=1 go test -count=1 ./internal/arena/
 

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"strings"
 	"testing"
 )
 
@@ -164,5 +165,73 @@ func TestCompactionKeepsCache(t *testing.T) {
 		if res.Rows[i].Sum != fresh.Rows[i].Sum {
 			t.Fatalf("row %d: cached sum %d != fresh sum %d", i, res.Rows[i].Sum, fresh.Rows[i].Sum)
 		}
+	}
+}
+
+// TestSupersededEntriesLeaveTheCache runs one statement after each of N
+// ingest batches into a chunk it reads: every run keys its result under
+// a new delta-version suffix, and the entry under the previous suffix —
+// which nothing will ask for again — must go when the new one is stored,
+// not wait for the LRU. A statement the ingest cannot reach keeps its
+// one entry, and keeps being served from it.
+func TestSupersededEntriesLeaveTheCache(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	db.EnableQueryCache(16 << 20)
+
+	otherBlock := strings.Replace(timeSelectQuery, "y0", "y1", 1)
+	queryCached(t, db, otherBlock)
+	for i := int64(0); i < 8; i++ {
+		if err := db.UpdateCell([]int64{4, 0, 0}, 1000+i); err != nil {
+			t.Fatal(err)
+		}
+		if queryCached(t, db, timeSelectQuery) {
+			t.Fatalf("run %d served a result from before its ingest", i)
+		}
+		if !queryCached(t, db, timeSelectQuery) || !queryCached(t, db, otherBlock) {
+			t.Fatalf("run %d: a repeat with no ingest in its reach was not served from the cache", i)
+		}
+		if n := db.Stats().ResultCache.Entries; n != 2 {
+			t.Fatalf("after %d ingests and re-runs the cache holds %d entries, want 2 (one per statement)", i+1, n)
+		}
+	}
+}
+
+// TestCandidateChunksResolvedOncePerStatement: with deltas pending, the
+// cache key of a selection needs the statement's candidate chunks. They
+// are resolved once and kept with the memoised statement, so a repeat
+// that is served from the cache walks no B-tree at all.
+func TestCandidateChunksResolvedOncePerStatement(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	db.EnableQueryCache(16 << 20)
+	// Before any ingest nobody needs them: a relational plan walks none.
+	before := db.MetricsSnapshot().Counter("btree_node_reads_total")
+	if _, err := db.QueryOn(timeSelectQuery, BitmapEngine); err != nil {
+		t.Fatal(err)
+	}
+	if n := db.MetricsSnapshot().Counter("btree_node_reads_total") - before; n != 0 {
+		t.Fatalf("a bitmap-plan selection with nothing ever ingested read %d B-tree nodes", n)
+	}
+	if err := db.UpdateCell([]int64{4, 0, 0}, 999); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ { // the third run is a memo hit
+		queryCached(t, db, timeSelectQuery)
+	}
+	before = db.MetricsSnapshot().Counter("btree_node_reads_total")
+	if !queryCached(t, db, timeSelectQuery) {
+		t.Fatal("repeat not served from the cache")
+	}
+	if n := db.MetricsSnapshot().Counter("btree_node_reads_total") - before; n != 0 {
+		t.Fatalf("a cached repeat of a memoised statement read %d B-tree nodes", n)
 	}
 }

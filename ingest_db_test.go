@@ -3,6 +3,8 @@ package repro
 import (
 	"context"
 	"path/filepath"
+	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -122,6 +124,41 @@ func TestIngestDifferential(t *testing.T) {
 				t.Fatalf("%s Cube base cuboid vs array engine: %s", name,
 					core.DiffRows(c.Rows, want.Rows))
 			}
+		}
+
+		// So do the ADT's direct functions: an ingested cell is visible
+		// while its delta is pending and reads the same once compacted.
+		for _, c := range []struct {
+			keys []int64
+			want int64
+			ok   bool
+		}{
+			{[]int64{4, 0, 0}, 999, true},
+			{[]int64{1, 0, 0}, 50, true},
+			{[]int64{0, 0, 0}, 0, false},
+			{[]int64{11, 7, 5}, 777, true},
+		} {
+			if v, ok, err := db.ArrayGet(c.keys); err != nil || ok != c.ok || v != c.want {
+				t.Fatalf("%s ArrayGet(%v) = %d, %v, %v; want %d, %v", name, c.keys, v, ok, err, c.want, c.ok)
+			}
+		}
+		var total int64
+		for _, r := range want.Rows {
+			total += r.Sum
+		}
+		if sum, err := db.ArraySum([]int64{0, 0, 0}, []int64{11, 7, 5}); err != nil || sum != total {
+			t.Fatalf("%s ArraySum(whole cube) = %d, %v; the array engine sums %d", name, sum, err, total)
+		}
+		slice, err := db.ArraySlice("product", 1)
+		if err != nil {
+			t.Fatalf("%s ArraySlice: %v", name, err)
+		}
+		found := false
+		for _, c := range slice {
+			found = found || c.Keys[1] == 0 && c.Keys[2] == 0 && c.Value == 50
+		}
+		if !found {
+			t.Fatalf("%s ArraySlice(product=1) misses the ingested cell (1,0,0)=50: %v", name, slice)
 		}
 	}
 }
@@ -289,5 +326,57 @@ func TestIngestBackpressure(t *testing.T) {
 	}
 	if err := db.InsertCells([]IngestCell{{Keys: []int64{2, 0, 0}, Value: 4}}); err != nil {
 		t.Fatalf("insert after drain: %v", err)
+	}
+}
+
+// TestOverlayFoldIsObservable checks that what pending deltas cost a
+// relational query shows in all three views of it — the EXPLAIN ANALYZE
+// tree, the trace and the flight-recorder profile — and that a statement
+// whose selection cannot reach a touched chunk reports no fold at all.
+func TestOverlayFoldIsObservable(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	db.SetTrace(true)
+	// One touched chunk, in the time block the y0 statement selects.
+	if err := db.UpdateCell([]int64{4, 0, 0}, 999); err != nil {
+		t.Fatal(err)
+	}
+
+	scrub := regexp.MustCompile(`time=[0-9][^ )]*`)
+	for _, eng := range []Engine{StarJoinEngine, BitmapEngine} {
+		res, err := db.QueryOn("explain analyze "+timeSelectQuery, eng)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		m := res.Metrics
+		if m.OverlayTouched != 1 || m.ChunksRead != 1 || m.Probes+m.CellsScanned == 0 {
+			t.Fatalf("%v: fold counters %+v, want one touched chunk folded", eng, m)
+		}
+		const want = "    overlay-fold [re-aggregate reachable delta-touched chunks from the merged array]" +
+			" (act rows=12 io=0.0 time=<t> touched=1 folded=1 probes=0 hits=0 scanned=12)\n"
+		if got := scrub.ReplaceAllString(res.Explanation.String(), "time=<t>"); !strings.Contains(got, want) {
+			t.Errorf("%v: EXPLAIN ANALYZE lacks the fold line\n%s--- in ---\n%s", eng, want, got)
+		}
+		if tree := res.Trace.String(); !strings.Contains(tree, "overlay-fold") || !strings.Contains(tree, "folded=1") {
+			t.Errorf("%v: trace has no overlay-fold span:\n%s", eng, tree)
+		}
+		p := db.FlightRecorder().Profile(res.QueryID)
+		if p == nil || p.FoldTouched != 1 || p.FoldChunks != 1 || p.FoldScanned != m.CellsScanned ||
+			p.FoldProbes != m.Probes || p.FoldTime <= 0 || p.FoldTime > p.ExecTime {
+			t.Errorf("%v: profile %+v does not carry the fold", eng, p)
+		}
+
+		other, err := db.QueryOn("explain analyze "+strings.Replace(timeSelectQuery, "y0", "y1", 1), eng)
+		if err != nil {
+			t.Fatalf("%v: %v", eng, err)
+		}
+		if om := other.Metrics; om.OverlayTouched != 0 || om.ChunksRead != 0 ||
+			strings.Contains(other.Explanation.String(), "overlay-fold") {
+			t.Errorf("%v: a statement that cannot reach the touched chunk paid for a fold: %+v", eng, om)
+		}
 	}
 }

@@ -149,6 +149,16 @@ func (c *ResultCache) AddImage(key string, val any, n int64) {
 	c.evictLocked()
 }
 
+// Remove discards the entry under key, if any: its owner knows nothing
+// will ask for it again.
+func (c *ResultCache) Remove(key string) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if el, ok := c.entries[key]; ok {
+		c.removeLocked(el)
+	}
+}
+
 // evictLocked brings the cache back under its budget, always keeping
 // the most recent entry.
 func (c *ResultCache) evictLocked() {

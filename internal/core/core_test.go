@@ -58,8 +58,16 @@ func buildFixture(t testing.TB, seed int64, dimSizes []int, attrCards [][]int,
 }
 
 // newFixtureDims starts a fixture: the buffer pool and the dimension
-// tables.
+// tables, attribute values drawn from rng.
 func newFixtureDims(t testing.TB, rng *rand.Rand, dimSizes []int, attrCards [][]int) *fixture {
+	t.Helper()
+	return newFixtureDimsFunc(t, dimSizes, attrCards, func(i, li int, _ int64) int { return rng.Intn(attrCards[i][li]) })
+}
+
+// newFixtureDimsFunc is newFixtureDims with value choosing the attribute
+// value (its number within the level) of key k at level li of
+// dimension i.
+func newFixtureDimsFunc(t testing.TB, dimSizes []int, attrCards [][]int, value func(i, li int, k int64) int) *fixture {
 	t.Helper()
 	fx := &fixture{bp: storage.NewBufferPool(storage.NewMemDiskManager(), 8192)}
 	for i, size := range dimSizes {
@@ -73,12 +81,12 @@ func newFixtureDims(t testing.TB, rng *rand.Rand, dimSizes []int, attrCards [][]
 		if err != nil {
 			t.Fatal(err)
 		}
-		for k := 0; k < size; k++ {
+		for k := int64(0); k < int64(size); k++ {
 			vals := make([]string, len(attrs))
-			for li, card := range attrCards[i] {
-				vals[li] = fmt.Sprintf("V%d_%d_%d", i, li, rng.Intn(card))
+			for li := range vals {
+				vals[li] = fmt.Sprintf("V%d_%d_%d", i, li, value(i, li, k))
 			}
-			if err := dt.Insert(int64(k), vals); err != nil {
+			if err := dt.Insert(k, vals); err != nil {
 				t.Fatal(err)
 			}
 		}

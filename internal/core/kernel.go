@@ -155,6 +155,8 @@ func (k *chunkKernel) digit(d, base int) int32 {
 		return cellUnselected
 	case k.maps[d] == nil:
 		return 0
+	case k.maps[d][base] < 0:
+		return cellUnselected // the overlay fold's table: no dimension row
 	}
 	return k.maps[d][base] * k.strides[d]
 }
@@ -251,7 +253,11 @@ func (k *chunkKernel) consolidateSelected(cn int, cells []chunk.Cell, m *Metrics
 		if last < len(cells) && cells[last].Offset == off {
 			m.ProbeHits++
 			q, r := splitOffset(off, k.loMagic, k.loSize)
-			k.res.add(int(k.hi[q]+k.lo[r]), cells[last].Value)
+			// The lists hold only in-bounds selected indexes, so a
+			// negative sum is a group table's unselected entry.
+			if idx := k.hi[q] + k.lo[r]; idx >= 0 {
+				k.res.add(int(idx), cells[last].Value)
+			}
 		}
 		d := len(pos) - 1
 		for ; d >= 0; d-- {
@@ -297,6 +303,19 @@ func newChunkSelection(g *chunk.Geometry, lists [][]int) *chunkSelection {
 		}
 	}
 	return s
+}
+
+// reaches reports whether chunk cn overlaps the selection's cross
+// product, i.e. is one of its candidate chunks.
+func (s *chunkSelection) reaches(cn int) bool {
+	for d := len(s.inChunk) - 1; d >= 0; d-- {
+		slabs := len(s.inChunk[d])
+		if len(s.inChunk[d][cn%slabs]) == 0 {
+			return false
+		}
+		cn /= slabs
+	}
+	return true
 }
 
 // candidateChunks returns, ascending, the numbers of the chunks that

@@ -44,7 +44,7 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 	if !overlay {
 		return kernelCase{fx, attrCards, int64(len(base.keys))}
 	}
-	fold, merged, validCells := layOverlay(t, rng, fx)
+	fold, merged, validCells := layOverlay(t, rng, fx, nil)
 	fx.arr, fx.ff = fold.Arr, merged
 	return kernelCase{fx, attrCards, validCells}
 }
@@ -54,8 +54,9 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 // with the deltas pending, plus the chunks they touch — next to a fact
 // file holding the state once they are merged, and that state's cell
 // count. fx itself is unchanged, so its fact file is now stale in the
-// touched chunks.
-func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture) (*OverlayFold, *factfile.File, int64) {
+// touched chunks. within, when set, keeps the deltas to the chunks it
+// accepts.
+func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture, within func(cn int) bool) (*OverlayFold, *factfile.File, int64) {
 	g := fx.arr.Geometry()
 	n := g.NumDims()
 	// The test keys are 0..size-1 and the array indexes them in key
@@ -97,7 +98,7 @@ func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture) (*OverlayFold, *factf
 			keys[d] = int64(rng.Intn(g.Dims()[d]))
 		}
 		id := locate(keys)
-		if touched[id] {
+		if touched[id] || within != nil && !within(id.cn) {
 			continue
 		}
 		touched[id] = true
@@ -109,13 +110,7 @@ func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture) (*OverlayFold, *factf
 			merged[id] = oc.Value
 		}
 	}
-	fold := &OverlayFold{Arr: fx.arr.Clone()}
-	for cn := range ov {
-		sort.Slice(ov[cn], func(i, j int) bool { return ov[cn][i].Offset < ov[cn][j].Offset })
-		fold.Chunks = append(fold.Chunks, cn)
-	}
-	sort.Ints(fold.Chunks)
-	fold.Arr.Store().SetOverlay(ov)
+	fold := pendingOverlay(fx, ov)
 
 	ids := make([]cellID, 0, len(merged))
 	for id := range merged {
@@ -130,6 +125,19 @@ func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture) (*OverlayFold, *factf
 		file.measures = append(file.measures, merged[id])
 	}
 	return fold, newFactFile(t, fx.bp, n, file), int64(len(merged))
+}
+
+// pendingOverlay returns a clone of fx.arr with ov (cells in any order)
+// pending over it, and the chunks ov touches.
+func pendingOverlay(fx *fixture, ov map[int][]chunk.OverlayCell) *OverlayFold {
+	fold := &OverlayFold{Arr: fx.arr.Clone()}
+	for cn := range ov {
+		sort.Slice(ov[cn], func(i, j int) bool { return ov[cn][i].Offset < ov[cn][j].Offset })
+		fold.Chunks = append(fold.Chunks, cn)
+	}
+	sort.Ints(fold.Chunks)
+	fold.Arr.Store().SetOverlay(ov)
+	return fold
 }
 
 // randomSpec mixes Collapse, GroupByKey and GroupByLevel.
@@ -310,6 +318,100 @@ func BenchmarkArrayScanKernel(b *testing.B) {
 				cells += m.CellsScanned
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(cells), "ns/cell")
+		})
+	}
+}
+
+// foldFixture is scanFixture with each attribute's values laid out in
+// key order — members sharing a value are neighbours, as §5.1 loads
+// them — so a selection reaches few chunks, and with upserts pending in
+// the 8 chunks of the newest last-dimension slab: the state the htap
+// workload's writer leaves. The fact file is stale wherever they landed.
+func foldFixture(tb testing.TB) (*fixture, *OverlayFold) {
+	dimSizes, cards := []int{40, 40, 40, 25}, [][]int{{10}, {10}, {10}, {10}}
+	fx := newFixtureDimsFunc(tb, dimSizes, cards, func(i, li int, k int64) int {
+		return int(k) * cards[i][li] / dimSizes[i]
+	})
+	rng := rand.New(rand.NewSource(77))
+	fx.load(tb, randomFacts(rng, dimSizes, 0.1), []int{20, 20, 20, 10})
+
+	g := fx.arr.Geometry()
+	ov := map[int][]chunk.OverlayCell{}
+	seen := map[[2]int]bool{}
+	for i := 0; i < 4000; i++ {
+		cn, off := g.Locate([]int{rng.Intn(40), rng.Intn(40), rng.Intn(40), 20 + rng.Intn(5)})
+		if !seen[[2]int{cn, off}] {
+			seen[[2]int{cn, off}] = true
+			ov[cn] = append(ov[cn], chunk.OverlayCell{Offset: uint32(off), Value: rng.Int63n(1000)})
+		}
+	}
+	fold := pendingOverlay(fx, ov)
+	if len(fold.Chunks) != 8 {
+		tb.Fatalf("the deltas touched chunks %v, want the 8 of the last slab", fold.Chunks)
+	}
+	return fx, fold
+}
+
+// foldCases select, over foldFixture: one chunk of the touched slab; a
+// block of six chunks, two of them touched; one chunk of an untouched
+// slab; and everything.
+var foldCases = []struct {
+	name   string
+	sels   []Selection
+	folded int64 // touched chunks the selection reaches
+}{
+	{"point", []Selection{{0, 0, []string{"V0_0_0"}}, {1, 0, []string{"V1_0_0"}}, {2, 0, []string{"V2_0_0"}}, {3, 0, []string{"V3_0_9"}}}, 1},
+	{"mid", []Selection{{0, 0, []string{"V0_0_0"}}, {1, 0, []string{"V1_0_0"}}}, 2},
+	{"disjoint", []Selection{{0, 0, []string{"V0_0_0"}}, {3, 0, []string{"V3_0_0"}}}, 0},
+	{"noselection", nil, 8},
+}
+
+// TestFoldReadsOnlyReachableChunks pins what pending deltas cost a
+// relational run: it reads the touched chunks its selection can reach
+// and no others, and answers as the array engine does.
+func TestFoldReadsOnlyReachableChunks(t *testing.T) {
+	fx, fold := foldFixture(t)
+	spec := GroupSpec{{Target: GroupByLevel}, {}, {}, {Target: GroupByKey}}
+	for _, c := range foldCases {
+		scan := ScanSpec{Selections: c.sels, Group: spec, Overlay: fold}
+		want, _, err := fx.run(bg, "array", scan)
+		if err != nil {
+			t.Fatalf("%s array: %v", c.name, err)
+		}
+		for _, eng := range []string{"starjoin", "bitmap"} {
+			res, m, err := fx.run(bg, eng, scan)
+			if err != nil {
+				t.Fatalf("%s %s: %v", c.name, eng, err)
+			}
+			if got, want := res.SortedRows(), want.SortedRows(); !RowsEqual(got, want) {
+				t.Errorf("%s %s != array engine: %s", c.name, eng, DiffRows(got, want))
+			}
+			if m.ChunksRead != c.folded || m.OverlayTouched != 8 {
+				t.Errorf("%s %s folded %d of %d touched chunks, want %d of 8", c.name, eng, m.ChunksRead, m.OverlayTouched, c.folded)
+			}
+		}
+	}
+}
+
+// BenchmarkOverlayFold times a warm bitmap-plan query with the newest
+// slab's deltas pending, and counts the array cells the fold visits for
+// it (probes plus filter-scanned cells).
+func BenchmarkOverlayFold(b *testing.B) {
+	fx, fold := foldFixture(b)
+	spec := GroupSpec{{Target: GroupByLevel}, {}, {}, {}}
+	for _, c := range foldCases {
+		b.Run(c.name, func(b *testing.B) {
+			var cells int64
+			for i := 0; i < b.N; i++ {
+				res, m, err := fx.run(bg, "bitmap", ScanSpec{Selections: c.sels, Group: spec, Overlay: fold})
+				if err != nil {
+					b.Fatal(err)
+				}
+				res.Release()
+				cells += m.Probes + m.CellsScanned
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "µs/query")
+			b.ReportMetric(float64(cells)/float64(b.N), "cells/query")
 		})
 	}
 }

@@ -3,15 +3,13 @@ package core
 import (
 	"context"
 	"fmt"
+	"time"
 
+	"repro/internal/arena"
 	"repro/internal/array"
 	"repro/internal/catalog"
 	"repro/internal/chunk"
 )
-
-func errDimMismatch(arr, rel int) error {
-	return fmt.Errorf("core: overlay fold array has %d dims, query has %d", arr, rel)
-}
 
 // OverlayFold carries what the relational engines need to agree with
 // the array engine while a delta overlay is live. Arr is an array clone
@@ -19,13 +17,15 @@ func errDimMismatch(arr, rel int) error {
 // merged); Chunks is the sorted set of chunks EVER touched by ingest —
 // not just currently-dirty ones, because fact tuples falling in a
 // once-touched chunk stay stale forever (compaction folds deltas into
-// the array, never back into the fact file).
+// the array, never back into the fact file) — which the caller may
+// narrow to those the query's selections can reach: a tuple that passes
+// them lies in one of their candidate chunks.
 //
 // The relational engines handle a fold in two moves: every fact tuple
-// whose cell lands in a touched chunk is skipped during the scan, and
-// afterwards the touched chunks are re-aggregated from the merged array
-// — so the result is bit-identical to the array engine's, before and
-// after any number of compactions. The skip relies on the engine's
+// whose cell lands in a listed chunk is skipped during the scan, and
+// afterwards foldOverlay re-aggregates those chunks from the merged
+// array — so the result is bit-identical to the array engine's, before
+// and after any number of compactions. The skip relies on the engine's
 // load-time invariant that fact tuples and valid cells are 1:1.
 type OverlayFold struct {
 	Arr    *array.Array
@@ -49,7 +49,7 @@ func newDirtyFilter(fold *OverlayFold, dims []*catalog.DimensionTable) (*dirtyFi
 		return nil, nil
 	}
 	if fold.Arr.NumDims() != len(dims) {
-		return nil, errDimMismatch(fold.Arr.NumDims(), len(dims))
+		return nil, fmt.Errorf("core: overlay fold array has %d dims, query has %d", fold.Arr.NumDims(), len(dims))
 	}
 	adims := fold.Arr.Dims()
 	df := &dirtyFilter{
@@ -85,20 +85,50 @@ func (df *dirtyFilter) dirty(keys []int64, coords []int) bool {
 	return hit
 }
 
-// foldOverlay re-aggregates the touched chunks from the merged array
-// through t — whose cube is the scan's merged result — replacing the
-// tuples the dirty filter skipped: each cell of a touched chunk inside
-// the restriction's chunk range becomes a tuple (its coordinates' keys,
-// its value) and takes the same path a fact record does, so the scan's
-// selections apply to it unchanged.
-func (t *tupleAgg) foldOverlay(ctx context.Context, fold *OverlayFold, r Restriction, m *Metrics) error {
-	g := fold.Arr.Geometry()
-	lo, hi := r.ChunkRange(g.NumChunks())
-	store := fold.Arr.Store()
-	adims := fold.Arr.Dims()
-	coords := make([]int, len(adims))
-	for _, cn := range fold.Chunks {
-		if cn < lo || cn >= hi {
+// foldOverlay re-aggregates, into res — the scan's merged cube — what
+// the merged array holds in the touched chunks the query can reach,
+// replacing the tuples the dirty filter skipped. It is the array
+// engine's kernel aggregating into the relational cube, so the result is
+// the array engine's by construction: the group tables are each array
+// index's key looked up once in the scan's dimension hashes (no
+// dimension row = the unselected sentinel, keeping the inner-join drop),
+// the selection is the §4.2 index lists, and only chunks inside the
+// restriction's range that overlap the cross product are read.
+func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Result, m *Metrics) error {
+	a, g := s.Overlay.Arr, s.Overlay.Arr.Geometry()
+	if err := validateArray(a, s); err != nil {
+		return err
+	}
+	start := time.Now()
+	gm := &groupMapper{maps: make([][]int32, len(hashes)), result: res}
+	for d, h := range hashes {
+		if h == nil {
+			continue
+		}
+		keys := a.Dims()[d].Keys
+		gm.maps[d] = arena.Make[int32](res.mem, len(keys))
+		for b, key := range keys {
+			code, ok := h.lookup(key)
+			if !ok {
+				code = cellUnselected
+			}
+			gm.maps[d][b] = code
+		}
+	}
+	var sel *chunkSelection
+	if len(s.Selections) > 0 {
+		lists, err := selectionIndexLists(a, s.Selections)
+		if err != nil {
+			return err
+		}
+		sel = newChunkSelection(g, lists)
+	}
+	k := newChunkKernel(g, gm, sel, res.mem)
+	lo, hi := s.Restriction.ChunkRange(g.NumChunks())
+	store := a.Store()
+	m.OverlayTouched = int64(len(s.Overlay.Chunks))
+	for _, cn := range s.Overlay.Chunks {
+		if cn < lo || cn >= hi || sel != nil && !sel.reaches(cn) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
@@ -109,15 +139,17 @@ func (t *tupleAgg) foldOverlay(ctx context.Context, fold *OverlayFold, r Restric
 			return err
 		}
 		m.ChunksRead++
-		m.CellsScanned += int64(len(cells))
-		for _, c := range cells {
-			g.Decompose(cn, int(c.Offset), coords)
-			for i, d := range adims {
-				t.keys[i] = d.Keys[coords[i]]
-			}
-			t.add(t.keys, c.Value)
+		if sel != nil {
+			err = k.consolidateSelected(cn, cells, m)
+		} else {
+			m.CellsScanned += int64(len(cells))
+			err = k.consolidate(cn, cells)
+		}
+		if err != nil {
+			return err
 		}
 	}
+	m.OverlayFoldNS = time.Since(start).Nanoseconds()
 	return nil
 }
 

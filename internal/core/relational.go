@@ -242,14 +242,13 @@ func (s *aggSet) grow() {
 // in a delta-touched chunk or fails a selection, probe the dimension
 // hashes for its group, probe the aggregation hash, and fold the
 // measure in. The star join's scan (one aggregator per worker) and the
-// bitmap algorithm's fetch feed it fact records, the overlay fold feeds
-// it array cells. An aggregator serves one scan on one goroutine.
+// bitmap algorithm's fetch feed it fact records. An aggregator serves
+// one scan on one goroutine.
 type tupleAgg struct {
 	relGroupState                      // the shared dimension hashes, this aggregator's own cube
 	filters       []map[int64]struct{} // per dim: the keys a selection admits (nil = all)
 	df            *dirtyFilter         // nil = no tuple is stale
 	coords        []int                // df's scratch
-	keys          []int64              // the current tuple's dimension keys
 	agg           *aggSet
 	tuples        int64 // records seen
 
@@ -269,7 +268,6 @@ func newTupleAgg(ctx context.Context, hashes []*dimHash, res *Result, filters []
 		relGroupState: relGroupState{hashes: hashes, result: res},
 		filters:       filters,
 		df:            df,
-		keys:          keys,
 		agg:           newAggSetIn(res.mem),
 	}
 	if df != nil {
@@ -291,8 +289,7 @@ func newTupleAgg(ctx context.Context, hashes []*dimHash, res *Result, filters []
 	return t
 }
 
-// add folds in one tuple: its dimension keys (t.keys, or scratch of the
-// same length) and its measure.
+// add folds in one tuple: its dimension keys and its measure.
 func (t *tupleAgg) add(keys []int64, v int64) {
 	if t.df != nil && t.df.dirty(keys, t.coords) {
 		return
@@ -319,7 +316,8 @@ func (t *tupleAgg) add(keys []int64, v int64) {
 // the spec, build the dimension hashes once, give each worker an
 // aggregator over its extent-aligned tuple range [lo, hi) of the
 // restriction's window, merge the partial cubes, and — when deltas are
-// pending — fold the touched chunks back in from the merged array.
+// pending — fold the touched chunks the query can reach back in from the
+// merged array (foldOverlay).
 //
 // The fact file's O(1) addressing makes starting mid-file free, and
 // extent alignment means neither shards nor workers ever share a page.
@@ -347,15 +345,11 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 		return nil, Metrics{}, err
 	}
 	var filters []map[int64]struct{}
-	if filterScan || df != nil {
+	if filterScan {
 		if filters, err = selectionKeySets(dims, s.Selections); err != nil {
 			st.result.Release()
 			return nil, Metrics{}, err
 		}
-	}
-	scanFilters := filters
-	if !filterScan {
-		scanFilters = nil
 	}
 
 	extLo, extHi := s.Restriction.ExtentRange(ff.NumExtents())
@@ -369,7 +363,7 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 				return
 			}
 		}
-		t := newTupleAgg(ctx, st.hashes, p.res, scanFilters, df)
+		t := newTupleAgg(ctx, st.hashes, p.res, filters, df)
 		lo, hi := splitRange(extLo, extHi, w, n)
 		p.err = scan(ctx, t, uint64(lo)*perExt, uint64(hi)*perExt, &p.m)
 		p.rows, p.io = t.tuples, (t.tuples+perPage-1)/perPage
@@ -378,11 +372,9 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 		return nil, m, err // runParts released every cube, st.result among them
 	}
 	if df != nil {
-		// The stale tuples were skipped; what the merged array holds in
-		// their chunks goes through the same aggregator, selections
-		// applied, nothing dirty.
-		t := newTupleAgg(ctx, st.hashes, res, filters, nil)
-		if err := t.foldOverlay(ctx, s.Overlay, s.Restriction, &m); err != nil {
+		// The stale tuples were skipped; the merged array's cells in
+		// their chunks replace them.
+		if err := foldOverlay(ctx, &s, st.hashes, res, &m); err != nil {
 			res.Release()
 			return nil, m, err
 		}

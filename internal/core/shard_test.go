@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/catalog"
 	"repro/internal/factfile"
 )
 
@@ -58,27 +59,63 @@ func TestRestrictionRangesPartition(t *testing.T) {
 // partials with Result.Merge must reproduce the unrestricted run
 // bit-for-bit, at every shard count and worker degree — with the data
 // at rest, and again with deltas pending over a fact file that is stale
-// wherever they touched.
+// wherever they touched. The pending states place the deltas every way
+// the overlay fold distinguishes: anywhere (which is all a statement
+// without a selection can see), only in chunks outside the selection's
+// candidates, in chunks of which the selection reaches a strict subset,
+// and anywhere with a grouped dimension's key missing its dimension row
+// (the inner join drops its cells; the array engine, which has the key
+// in its own tables, sits that one out).
 func TestShardUnionEqualsFull(t *testing.T) {
 	fx := defaultFixture(t, 77)
-	fold, mergedFF, _ := layOverlay(t, rand.New(rand.NewSource(77)), fx)
-	if len(fold.Chunks) == 0 {
-		t.Fatal("the overlay touched no chunk")
-	}
-	states := []struct {
+	rng := rand.New(rand.NewSource(77))
+	type state struct {
 		name    string
 		overlay *OverlayFold
 		truth   *factfile.File
-	}{{"at-rest", nil, fx.ff}, {"deltas-pending", fold, mergedFF}}
+		dims    []*catalog.DimensionTable
+		engines []string
+	}
+	pending := func(name string, within func(cn int) bool) state {
+		fold, mergedFF, _ := layOverlay(t, rng, fx, within)
+		return state{name, fold, mergedFF, fx.dims, engines}
+	}
+	anywhere := pending("deltas-pending", nil)
+	if len(anywhere.overlay.Chunks) == 0 {
+		t.Fatal("the overlay touched no chunk")
+	}
+	dangling := anywhere
+	dangling.name, dangling.dims, dangling.engines = "dangling-key", dimsWithoutRow(t, fx, 0, 4), []string{"starjoin", "bitmap"}
 
+	var sawDisjoint, sawSubset bool
 	for _, tc := range parallelCases() {
 		t.Run(tc.name, func(t *testing.T) {
+			states := []state{{"at-rest", nil, fx.ff, fx.dims, engines}, anywhere, dangling}
+			if len(tc.sels) > 0 {
+				cand, err := SelectionChunks(fx.arr, tc.sels)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reach := map[int]bool{}
+				for _, cn := range cand {
+					reach[cn] = true
+				}
+				disjoint := pending("deltas-unreachable", func(cn int) bool { return !reach[cn] })
+				subset := pending("deltas-partly-reachable", func(cn int) bool { return !reach[cn] || cn%2 == 0 })
+				states = append(states, disjoint, subset)
+				sawDisjoint = sawDisjoint || len(cand) > 0 && len(disjoint.overlay.Chunks) > 0
+				if n := len(intersectSorted(subset.overlay.Chunks, cand)); n > 0 && n < len(subset.overlay.Chunks) {
+					sawSubset = true
+				}
+			}
 			for _, st := range states {
-				want, err := ReferenceConsolidate(st.truth, fx.dims, tc.sels, tc.spec)
+				want, err := ReferenceConsolidate(st.truth, st.dims, tc.sels, tc.spec)
 				if err != nil {
 					t.Fatalf("reference: %v", err)
 				}
-				for _, eng := range engines {
+				run := *fx
+				run.dims = st.dims
+				for _, eng := range st.engines {
 					for _, shards := range []int{1, 2, 3, 5} {
 						for _, workers := range []int{1, 4} {
 							name := fmt.Sprintf("%s %s shards=%d workers=%d", st.name, eng, shards, workers)
@@ -87,11 +124,11 @@ func TestShardUnionEqualsFull(t *testing.T) {
 							var scanned int64
 							for i := 0; i < shards; i++ {
 								scan.Restriction = Restriction{Shard: i, Shards: shards}
-								res, m, err := fx.run(bg, eng, scan)
+								res, m, err := run.run(bg, eng, scan)
 								if err != nil {
 									t.Fatalf("%s shard %d: %v", name, i, err)
 								}
-								scanned += m.TuplesScanned + m.CellsScanned
+								scanned += m.TuplesScanned + m.CellsScanned + m.Probes
 								if merged == nil {
 									merged = res
 									continue
@@ -104,13 +141,13 @@ func TestShardUnionEqualsFull(t *testing.T) {
 								t.Fatalf("%s != reference: %s", name, DiffRows(got, want))
 							}
 							// Counter conservation: the shards together scan
-							// exactly what one unrestricted pass scans.
+							// and probe exactly what one unrestricted pass does.
 							scan.Restriction = Restriction{}
-							_, fm, err := fx.run(bg, eng, scan)
+							_, fm, err := run.run(bg, eng, scan)
 							if err != nil {
 								t.Fatalf("%s unrestricted: %v", name, err)
 							}
-							if wantScan := fm.TuplesScanned + fm.CellsScanned; scanned != wantScan {
+							if wantScan := fm.TuplesScanned + fm.CellsScanned + fm.Probes; scanned != wantScan {
 								t.Errorf("%s scanned %d tuples+cells, want %d", name, scanned, wantScan)
 							}
 						}
@@ -119,6 +156,30 @@ func TestShardUnionEqualsFull(t *testing.T) {
 			}
 		})
 	}
+	if !sawDisjoint || !sawSubset {
+		t.Fatalf("no selection case had touched chunks all outside its candidates (%v) or partly inside (%v)", sawDisjoint, sawSubset)
+	}
+}
+
+// dimsWithoutRow returns fx's dimension tables with dimension d's copy
+// lacking the row of key.
+func dimsWithoutRow(t *testing.T, fx *fixture, d int, key int64) []*catalog.DimensionTable {
+	dt, err := catalog.CreateDimensionTable(fx.bp, fx.dims[d].Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	err = fx.dims[d].Scan(func(k int64, attrs []string) error {
+		if k == key {
+			return nil
+		}
+		return dt.Insert(k, attrs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := append([]*catalog.DimensionTable(nil), fx.dims...)
+	out[d] = dt
+	return out
 }
 
 // TestRestrictedRejectsBadShard checks every engine validates the

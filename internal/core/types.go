@@ -290,11 +290,19 @@ type Metrics struct {
 	Probes       int64 // binary-search probes of chunk cells
 	ProbeHits    int64 // probes that found a valid cell
 
-	// Relational-side counters.
+	// Relational-side counters. A relational run that folds delta-touched
+	// chunks through the array kernel counts the fold in the array-side
+	// counters above, as the array engine would (ChunksRead = folded).
 	TuplesScanned int64 // fact tuples visited by full scans
 	TuplesFetched int64 // fact tuples fetched through a bitmap
 	BitmapsRead   int64 // value bitmaps fetched from bitmap indices
 	BitmapANDs    int64 // bitmap AND/OR operations applied
+
+	// The relational engines' overlay fold: how many touched chunks the
+	// run was handed and how long folding the reachable ones took. Zero
+	// when nothing the query can see was ever ingested into.
+	OverlayTouched int64 `json:",omitempty"`
+	OverlayFoldNS  int64 `json:",omitempty"`
 
 	// Planner estimates for the chosen plan, filled by the executor
 	// before the run so every result carries predicted next to measured

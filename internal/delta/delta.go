@@ -206,6 +206,20 @@ func (s *Store) Snapshot() (map[int][]chunk.OverlayCell, map[int]uint64, []int) 
 			ov[cn] = cells
 		}
 	}
+	versions, touched := s.versionsLocked()
+	return ov, versions, touched
+}
+
+// Versions returns the per-chunk version vector and the sorted
+// ever-touched chunk list (for cache-key computation, without copying
+// the overlay itself).
+func (s *Store) Versions() (map[int]uint64, []int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.versionsLocked()
+}
+
+func (s *Store) versionsLocked() (map[int]uint64, []int) {
 	versions := make(map[int]uint64, len(s.versions))
 	for cn, v := range s.versions {
 		versions[cn] = v
@@ -215,28 +229,14 @@ func (s *Store) Snapshot() (map[int][]chunk.OverlayCell, map[int]uint64, []int) 
 		touched = append(touched, cn)
 	}
 	sort.Ints(touched)
-	return ov, versions, touched
-}
-
-// Versions returns the per-chunk version vector and the sorted
-// ever-touched chunk list (for cache-key computation, without copying
-// the overlay itself).
-func (s *Store) Versions() (map[int]uint64, []int) {
-	_, versions, touched := s.Snapshot()
 	return versions, touched
 }
 
 // Touched returns the sorted list of chunks ever ingested into, for
 // persisting in the catalog at compaction commits.
 func (s *Store) Touched() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]int, 0, len(s.touched))
-	for cn := range s.touched {
-		out = append(out, cn)
-	}
-	sort.Ints(out)
-	return out
+	_, touched := s.Versions()
+	return touched
 }
 
 // Drain removes the overlay of every chunk whose version still matches

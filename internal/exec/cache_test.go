@@ -27,7 +27,7 @@ func TestFingerprintNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0)
+		plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +46,7 @@ func TestFingerprintNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0)
+	plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

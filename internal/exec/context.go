@@ -3,6 +3,7 @@ package exec
 import (
 	"encoding/binary"
 	"hash/fnv"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -384,32 +385,24 @@ func (c *ExecContext) FactFile() (*factfile.File, error) {
 // every read through it yields (base + deltas as of clone time), stable
 // against concurrent ingest and compaction.
 func (c *ExecContext) ArrayClone() (*array.Array, error) {
-	cl, _, err := c.arrayCloneSnapshot()
-	return cl, err
-}
-
-// arrayCloneSnapshot is ArrayClone plus the sorted ever-touched chunk
-// list captured in the same delta snapshot, for callers that also build
-// the relational dirty filter — touched must be taken atomically with
-// the overlay, or the engines could disagree on a chunk ingested
-// between the two reads.
-func (c *ExecContext) arrayCloneSnapshot() (*array.Array, []int, error) {
 	var ov map[int][]chunk.OverlayCell
 	var versions map[int]uint64
-	var touched []int
 	if ds := c.DeltaStore(); ds != nil {
-		ov, versions, touched = ds.Snapshot()
+		ov, versions, _ = ds.Snapshot()
 	}
+	return c.arrayCloneWith(ov, versions)
+}
+
+// arrayCloneWith clones the master array over one delta snapshot's
+// overlay and version vector.
+func (c *ExecContext) arrayCloneWith(ov map[int][]chunk.OverlayCell, versions map[int]uint64) (*array.Array, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.arr == nil {
-		arr, err := OpenArray(c.bp, c.cat)
-		if err != nil {
-			return nil, nil, err
-		}
-		c.arr = arr
+	arr, err := c.masterLocked()
+	if err != nil {
+		return nil, err
 	}
-	cl := c.arr.Clone()
+	cl := arr.Clone()
 	if len(ov) > 0 {
 		cl.Store().SetOverlay(ov)
 	}
@@ -420,27 +413,30 @@ func (c *ExecContext) arrayCloneSnapshot() (*array.Array, []int, error) {
 		// tagged so that no later probe accepts them.
 		cl.Store().SetDecodedCache(c.chunkCache.View(c.gen, versions))
 	}
-	return cl, touched, nil
+	return cl, nil
 }
 
-// OverlayFold builds the relational engines' delta-fold input: an array
-// clone carrying the overlay snapshot plus the ever-touched chunk set,
-// captured atomically. Nil when no delta store is attached or nothing
-// was ever ingested — the common case, costing relational plans
-// nothing.
-func (c *ExecContext) OverlayFold() (*core.OverlayFold, error) {
+// overlayFold builds the relational engines' delta-fold input: an array
+// clone carrying the overlay snapshot plus the ever-touched chunks the
+// statement can reach, from the same snapshot — taken apart, the engines
+// could disagree on a chunk ingested in between. Nil when no delta store
+// is attached or nothing the statement can see was ever ingested into,
+// which costs the relational plan nothing and opens no array
+// (relational-only databases never have one). Narrowing is sound for the
+// dirty filter too: a tuple that passes the selections lies in one of
+// their candidate chunks, so a stale one outside them is dropped anyway.
+func (c *ExecContext) overlayFold(reach *chunkReach) (*core.OverlayFold, error) {
 	ds := c.DeltaStore()
-	if ds == nil || len(ds.Touched()) == 0 {
-		// Nothing ever ingested: no fold, and — crucially — no array
-		// open. Relational-only databases never have one.
+	if ds == nil || ds.Stats().TouchedChunks == 0 {
 		return nil, nil
 	}
-	cl, touched, err := c.arrayCloneSnapshot()
+	ov, versions, touched := ds.Snapshot()
+	if touched = reach.narrow(c, touched); len(touched) == 0 {
+		return nil, nil
+	}
+	cl, err := c.arrayCloneWith(ov, versions)
 	if err != nil {
 		return nil, err
-	}
-	if len(touched) == 0 {
-		return nil, nil
 	}
 	return &core.OverlayFold{Arr: cl, Chunks: touched}, nil
 }
@@ -452,6 +448,10 @@ func (c *ExecContext) OverlayFold() (*core.OverlayFold, error) {
 func (c *ExecContext) masterArray() (*array.Array, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.masterLocked()
+}
+
+func (c *ExecContext) masterLocked() (*array.Array, error) {
 	if c.arr == nil {
 		arr, err := OpenArray(c.bp, c.cat)
 		if err != nil {
@@ -462,44 +462,60 @@ func (c *ExecContext) masterArray() (*array.Array, error) {
 	return c.arr, nil
 }
 
+// chunkReach is the set of chunks a statement's selections can read:
+// the §4.2 candidate chunks. Only a generation bump changes them, so
+// they are resolved once, the first time live ingest makes anyone ask,
+// and kept with the statement; the result-cache key suffix and the
+// relational engines' overlay fold both narrow the touched set by them.
+type chunkReach struct {
+	sels []core.Selection
+	once sync.Once
+	cand []int // ascending
+	all  bool  // the lookup failed: no narrowing
+}
+
+// narrow filters touched (ascending, the caller's own) down to the
+// chunks the statement can reach. A nil reach, no selections, or a
+// failed lookup keep the whole set, which is always correct; nothing
+// touched asks nothing, so a database without ingest never pays the
+// index-list lookups.
+func (r *chunkReach) narrow(c *ExecContext, touched []int) []int {
+	if r == nil || len(r.sels) == 0 || len(touched) == 0 {
+		return touched
+	}
+	r.once.Do(func() {
+		arr, err := c.masterArray()
+		if err == nil {
+			r.cand, err = core.SelectionChunks(arr, r.sels)
+		}
+		r.all = err != nil
+	})
+	if r.all {
+		return touched
+	}
+	out := touched[:0]
+	for _, cn := range touched {
+		if _, ok := slices.BinarySearch(r.cand, cn); ok {
+			out = append(out, cn)
+		}
+	}
+	return out
+}
+
 // deltaKeySuffix is the result-cache key extension for live ingest: a
 // hash of the (chunk, version) pairs of every ever-touched chunk the
-// query could observe. With selections and a built array, the touched
-// set is first intersected with the selections' candidate chunks — an
-// ingest batch landing outside the query's chunk window cannot change
-// its result, so the key (and the cached entry) survives it. Empty
-// when no delta store is attached or nothing relevant was ever
-// ingested, so cold-path keys stay byte-identical to the pre-delta
-// format.
-func (c *ExecContext) deltaKeySuffix(sels []core.Selection) string {
+// statement can reach — an ingest batch landing outside its selections'
+// candidate chunks cannot change its result, so the key (and the cached
+// entry) survives it. Empty when no delta store is attached or nothing
+// relevant was ever ingested, so cold-path keys stay byte-identical to
+// the pre-delta format.
+func (c *ExecContext) deltaKeySuffix(reach *chunkReach) string {
 	ds := c.DeltaStore()
 	if ds == nil {
 		return ""
 	}
 	versions, touched := ds.Versions()
-	if len(touched) == 0 {
-		return ""
-	}
-	if len(sels) > 0 && c.ArrayState() != 0 {
-		// Best-effort narrowing: on any error fall back to the full
-		// touched set, which is always a correct (conservative) key.
-		if arr, err := c.masterArray(); err == nil {
-			if cand, err := core.SelectionChunks(arr, sels); err == nil {
-				candSet := make(map[int]struct{}, len(cand))
-				for _, cn := range cand {
-					candSet[cn] = struct{}{}
-				}
-				narrowed := make([]int, 0, len(touched))
-				for _, cn := range touched {
-					if _, ok := candSet[cn]; ok {
-						narrowed = append(narrowed, cn)
-					}
-				}
-				touched = narrowed
-			}
-		}
-	}
-	if len(touched) == 0 {
+	if touched = reach.narrow(c, touched); len(touched) == 0 {
 		return ""
 	}
 	h := fnv.New64a()

@@ -247,7 +247,7 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 	if err != nil {
 		return nil, err
 	}
-	_, expl, err := e.plan(spec, engine, e.defaultRestriction(), 0)
+	_, expl, err := e.plan(spec, engine, e.defaultRestriction(), 0, nil)
 	return expl, err
 }
 
@@ -278,14 +278,15 @@ func (e *Executor) statement(ctx context.Context, sql string, engine Engine, epo
 // prepare plans a compiled query into a statement.
 func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restriction, workers int, epoch uint64) (*statement, error) {
 	statsGen := e.ctx.statsGen()
-	plan, expl, err := e.plan(spec, engine, shard, workers)
+	reach := &chunkReach{sels: spec.Selections}
+	plan, expl, err := e.plan(spec, engine, shard, workers, reach)
 	if err != nil {
 		return nil, err
 	}
 	fp := fingerprint(spec, plan, shard, statsGen)
 	return &statement{
 		spec: spec, plan: plan, expl: expl, est: expl.ChosenCost(),
-		fingerprint: fp, fpHash: fingerprintHash(fp),
+		fingerprint: fp, fpHash: fingerprintHash(fp), reach: reach,
 		epoch: epoch, statsGen: statsGen,
 	}, nil
 }
@@ -426,7 +427,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	// ingested, keeping legacy keys byte-identical.
 	key := st.fingerprint
 	prof.Fingerprint = st.fpHash
-	if suffix := e.ctx.deltaKeySuffix(spec.Selections); suffix != "" {
+	if suffix := e.ctx.deltaKeySuffix(st.reach); suffix != "" {
 		key += suffix
 		prof.Fingerprint = fingerprintHash(key)
 	}
@@ -440,6 +441,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	probeSp := tr.Root.Child("cache-probe")
 	probeStart := time.Now()
 	if v, ok := rc.Get(key, epoch); ok {
+		st.cachedUnder(rc, key)
 		probeSp.Set("hit", true)
 		probeSp.End()
 		prof.CacheHit = true
@@ -480,6 +482,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		}
 		if rc.Put(key, cr, resultBytes(lqr.Rows), est.IO, epoch) {
 			lqr.entry = cr
+			st.cachedUnder(rc, key)
 		}
 		return cr, nil
 	})
@@ -595,6 +598,18 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 	prof.ExecTime = run.Duration
 	if err != nil {
 		return nil, err
+	}
+	if metrics.OverlayTouched > 0 {
+		// Only a relational plan reports a fold, and its array-side
+		// counters are the fold's: the last thing the engine did.
+		prof.FoldTouched, prof.FoldChunks = metrics.OverlayTouched, metrics.ChunksRead
+		prof.FoldProbes, prof.FoldScanned = metrics.Probes, metrics.CellsScanned
+		prof.FoldTime = time.Duration(metrics.OverlayFoldNS)
+		fold := run.ChildAt("overlay-fold", run.Start.Add(run.Duration-prof.FoldTime), prof.FoldTime)
+		fold.Set("touched", prof.FoldTouched)
+		fold.Set("folded", prof.FoldChunks)
+		fold.Set("probes", prof.FoldProbes)
+		fold.Set("scanned", prof.FoldScanned)
 	}
 	metrics.EstCostIO = est.IO
 	metrics.EstCostCPU = est.CPU

@@ -3,7 +3,9 @@ package exec
 import (
 	"hash/maphash"
 	"sync"
+	"sync/atomic"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/query"
 )
@@ -33,6 +35,8 @@ type stmtKey struct {
 // the delta-version suffix. It is immutable once built — executions
 // share it — so Plan.Run and Plan.Annotate must not write to the plan,
 // and a query that reports per-run facts takes its own copy of expl.
+// What runs do fill in, reach (shared with the plan) and lastKey, is
+// synchronised.
 type statement struct {
 	spec        *query.Spec
 	plan        Plan
@@ -40,10 +44,30 @@ type statement struct {
 	est         Cost
 	fingerprint string
 	fpHash      string // fingerprintHash(fingerprint)
+	reach       *chunkReach
+
+	// lastKey is the result-cache key the rows were last stored or found
+	// under. Its delta suffix moves with every ingest batch the statement
+	// can see, and no later run asks for an older one.
+	lastKey atomic.Pointer[string]
 
 	// What the plan was chosen under; a lookup at any other pair misses.
 	epoch    uint64
 	statsGen int64
+}
+
+// cachedUnder notes that rc holds the statement's rows under key, and
+// drops the entry they superseded instead of leaving it to the LRU.
+func (st *statement) cachedUnder(rc *cache.ResultCache, key string) {
+	prev := st.lastKey.Load()
+	if prev != nil && *prev == key {
+		return
+	}
+	next := new(string) // not &key: that would heap-allocate on every hit
+	*next = key
+	if st.lastKey.CompareAndSwap(prev, next) && prev != nil {
+		rc.Remove(*prev)
+	}
 }
 
 // stmtMemo maps statement text to its statement, so a repeated

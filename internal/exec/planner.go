@@ -144,8 +144,9 @@ func statsUsable(st *catalog.Stats) bool {
 // The returned Explanation always describes what happened. r restricts
 // the plan to one shard's data slice (zero = whole database) and
 // workers, when > 0, overrides the session parallel degree — both ride
-// in on a coordinator's sub-query frame.
-func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, workers int) (Plan, *Explanation, error) {
+// in on a coordinator's sub-query frame. reach is the statement's, for
+// a plan that runs to narrow its overlay fold by.
+func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, workers int, reach *chunkReach) (Plan, *Explanation, error) {
 	cat := e.ctx.Catalog()
 	if cat.Schema == nil {
 		return nil, nil, fmt.Errorf("exec: no schema defined")
@@ -158,7 +159,7 @@ func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, wor
 
 	// The one scan every candidate would run: what the query selects and
 	// groups, at the session's degree (or the sub-query's), over r's slice.
-	ps := planScan{schema: schema, scan: core.ScanSpec{
+	ps := planScan{schema: schema, reach: reach, scan: core.ScanSpec{
 		Selections:  spec.Selections,
 		Group:       spec.Group,
 		Workers:     e.parallelDegree(),

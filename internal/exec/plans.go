@@ -172,6 +172,7 @@ type planScan struct {
 	// stable.
 	scan   core.ScanSpec
 	schema *catalog.StarSchema
+	reach  *chunkReach // the statement's candidate chunks; nil = all
 
 	est    Cost
 	estSel float64
@@ -409,7 +410,7 @@ func (p *planScan) relationalInputs(ec *ExecContext) (*factfile.File, []*catalog
 	if err != nil {
 		return nil, nil, scan, err
 	}
-	scan.Overlay, err = ec.OverlayFold()
+	scan.Overlay, err = ec.overlayFold(p.reach)
 	return ff, dims, scan, err
 }
 
@@ -447,6 +448,25 @@ func (p *starJoinPlan) Annotate(d *PlanDesc, rs RunStats) {
 	c.ActRows = rs.Metrics.TuplesScanned
 	c.ActIO = float64(rs.IO.PhysicalReads)
 	c.ActDetail = parallelDetail(rs.Metrics)
+	annotateFold(d, rs.Metrics)
+}
+
+// annotateFold adds what pending deltas cost a relational run — whose
+// array-side counters are the overlay fold's alone — to its analyzed
+// tree, when a touched chunk was in the statement's reach.
+func annotateFold(root *PlanDesc, m core.Metrics) {
+	if m.OverlayTouched == 0 {
+		return
+	}
+	root.Children = append(root.Children, PlanDesc{
+		Name:     "overlay-fold",
+		Detail:   "re-aggregate reachable delta-touched chunks from the merged array",
+		Analyzed: true,
+		ActRows:  m.ProbeHits + m.CellsScanned,
+		ActTime:  time.Duration(m.OverlayFoldNS),
+		ActDetail: fmt.Sprintf("touched=%d folded=%d probes=%d hits=%d scanned=%d",
+			m.OverlayTouched, m.ChunksRead, m.Probes, m.ProbeHits, m.CellsScanned),
+	})
 }
 
 // bitmapPlan evaluates selections with the bitmap-index + fact-file
@@ -566,4 +586,5 @@ func (p *bitmapPlan) Annotate(d *PlanDesc, rs RunStats) {
 		and.ActRows = m.TuplesFetched
 		and.ActDetail = fmt.Sprintf("bitmaps=%d ands=%d", m.BitmapsRead, m.BitmapANDs)
 	}
+	annotateFold(d, m)
 }

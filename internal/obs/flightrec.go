@@ -53,6 +53,17 @@ type QueryProfile struct {
 	ExecTime      time.Duration `json:"exec_ns,omitempty"`
 	SortTime      time.Duration `json:"sort_ns,omitempty"`
 
+	// What pending deltas cost a relational execution (part of ExecTime):
+	// the ever-touched chunks the statement could reach, how many of them
+	// the overlay fold read, and the cells it probed and filter-scanned
+	// there. All zero when nothing the query can see was ingested into, on
+	// a cache hit, and on the array engine, which merges deltas as it reads.
+	FoldTouched int64         `json:"fold_touched,omitempty"`
+	FoldChunks  int64         `json:"fold_chunks,omitempty"`
+	FoldProbes  int64         `json:"fold_probes,omitempty"`
+	FoldScanned int64         `json:"fold_scanned,omitempty"`
+	FoldTime    time.Duration `json:"fold_ns,omitempty"`
+
 	Sampled bool   `json:"sampled,omitempty"` // fine-grained spans were collected
 	Err     string `json:"error,omitempty"`
 }
