@@ -63,6 +63,9 @@ go test -run '^$' -bench BenchmarkServedHit -benchtime 2000x ./internal/server/ 
 echo "== overlay fold: µs/query and array cells visited per query, one slab's deltas pending =="
 go test -run '^$' -bench BenchmarkOverlayFold -benchtime 1x ./internal/core/ | grep -E '^Benchmark'
 
+echo "== ingest refresh: µs and array cells visited per result-cache miss after a batch, cache on =="
+go test -run '^$' -bench BenchmarkIngestRefresh -benchtime 1x ./internal/exec/ | grep -E '^Benchmark'
+
 echo "== arena package under gccheckmark =="
 GODEBUG=gccheckmark=1 go test -count=1 ./internal/arena/
 

@@ -172,8 +172,12 @@ func TestCompactionKeepsCache(t *testing.T) {
 // ingest batches into a chunk it reads: every run keys its result under
 // a new delta-version suffix, and the entry under the previous suffix —
 // which nothing will ask for again — must go when the new one is stored,
-// not wait for the LRU. A statement the ingest cannot reach keeps its
-// one entry, and keeps being served from it.
+// not wait for the LRU. The same holds for the array plan's cold cube,
+// whose key moves when a batch touches a chunk of the statement's reach
+// for the first time (here the fifth batch): N ingests and re-runs leave
+// one rows entry and at most one cold entry per statement. A statement
+// the ingest cannot reach keeps its one entry, and keeps being served
+// from it.
 func TestSupersededEntriesLeaveTheCache(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -185,8 +189,13 @@ func TestSupersededEntriesLeaveTheCache(t *testing.T) {
 
 	otherBlock := strings.Replace(timeSelectQuery, "y0", "y1", 1)
 	queryCached(t, db, otherBlock)
+	var oneCube float64 // bytes of the statement's cold cube, once it has one
 	for i := int64(0); i < 8; i++ {
-		if err := db.UpdateCell([]int64{4, 0, 0}, 1000+i); err != nil {
+		cell := []int64{4, 0, 0}
+		if i >= 4 {
+			cell = []int64{8, 4, 1} // another chunk of the y0 block
+		}
+		if err := db.UpdateCell(cell, 1000+i); err != nil {
 			t.Fatal(err)
 		}
 		if queryCached(t, db, timeSelectQuery) {
@@ -195,9 +204,23 @@ func TestSupersededEntriesLeaveTheCache(t *testing.T) {
 		if !queryCached(t, db, timeSelectQuery) || !queryCached(t, db, otherBlock) {
 			t.Fatalf("run %d: a repeat with no ingest in its reach was not served from the cache", i)
 		}
-		if n := db.Stats().ResultCache.Entries; n != 2 {
-			t.Fatalf("after %d ingests and re-runs the cache holds %d entries, want 2 (one per statement)", i+1, n)
+		cold := db.MetricsSnapshot().Gauge("cache_cold_bytes")
+		if i == 0 {
+			oneCube = cold
+		} else if cold != oneCube {
+			t.Fatalf("after %d ingests and re-runs the cache holds %v bytes of cold cubes, one is %v", i+1, cold, oneCube)
 		}
+		want := int64(2)
+		if cold > 0 {
+			want++
+		}
+		if n := db.Stats().ResultCache.Entries; n != want {
+			t.Fatalf("after %d ingests and re-runs the cache holds %d entries, want %d (rows per statement, plus %v bytes of cold cube)",
+				i+1, n, want, cold)
+		}
+	}
+	if touched := db.DeltaStats().TouchedChunks; touched != 2 {
+		t.Fatalf("the ingests touched %d chunks, want 2 so the cold cube's key moved", touched)
 	}
 }
 

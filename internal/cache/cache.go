@@ -4,7 +4,8 @@
 // singleflight group:
 //
 //   - ResultCache, a semantic result cache keyed on the executor's
-//     normalized plan fingerprint, storing materialized row sets under a
+//     normalized plan fingerprint, storing materialized row sets (and,
+//     under live ingest, the array plan's cold cubes) under a
 //     cost-aware LRU (eviction prefers entries whose estimated I/O
 //     savings per byte are smallest);
 //   - ChunkCache, a decoded-chunk cache above the buffer pool that pins
@@ -40,6 +41,7 @@ type entry struct {
 	image  int64   // the part of bytes added by AddImage
 	weight float64 // estimated I/O saved per hit (page reads)
 	epoch  uint64
+	cold   bool // a cold cube (GetCold/PutCold), not a row set
 }
 
 // evictionSample bounds how many LRU-tail entries one eviction
@@ -60,6 +62,7 @@ type ResultCache struct {
 	lru        *list.List               // front = most recently used
 
 	hits, misses, evictions, invalidated *obs.Counter
+	coldHits, coldMisses                 *obs.Counter
 }
 
 // NewResultCache creates a result cache bounded by maxBytes,
@@ -79,6 +82,10 @@ func NewResultCache(maxBytes int64, reg *obs.Registry) *ResultCache {
 			"result cache entries evicted by the cost-aware LRU"),
 		invalidated: reg.Counter("cache_result_invalidated_total",
 			"result cache entries discarded for carrying an old epoch"),
+		coldHits: reg.Counter("cache_cold_hits_total",
+			"array runs under ingest that found the cube of their never-touched chunks"),
+		coldMisses: reg.Counter("cache_cold_misses_total",
+			"array runs under ingest that had to aggregate their never-touched chunks"),
 	}
 }
 
@@ -86,22 +93,32 @@ func NewResultCache(maxBytes int64, reg *obs.Registry) *ResultCache {
 // from an older epoch is discarded (lazy invalidation) and reads as a
 // miss.
 func (c *ResultCache) Get(key string, epoch uint64) (any, bool) {
+	return c.get(key, epoch, c.hits, c.misses)
+}
+
+// GetCold is Get for the partial cubes PutCold stores, counted apart:
+// finding one saves part of an engine run, it does not serve a query.
+func (c *ResultCache) GetCold(key string, epoch uint64) (any, bool) {
+	return c.get(key, epoch, c.coldHits, c.coldMisses)
+}
+
+func (c *ResultCache) get(key string, epoch uint64, hits, misses *obs.Counter) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
 	if !ok {
-		c.misses.Inc()
+		misses.Inc()
 		return nil, false
 	}
 	e := el.Value.(*entry)
 	if e.epoch != epoch {
 		c.removeLocked(el)
 		c.invalidated.Inc()
-		c.misses.Inc()
+		misses.Inc()
 		return nil, false
 	}
 	c.lru.MoveToFront(el)
-	c.hits.Inc()
+	hits.Inc()
 	return e.val, true
 }
 
@@ -111,17 +128,25 @@ func (c *ResultCache) Get(key string, epoch uint64) (any, bool) {
 // larger than a quarter of the budget are not cached — one giant result
 // must not flush the whole working set — and Put reports false.
 func (c *ResultCache) Put(key string, val any, bytes int64, weight float64, epoch uint64) bool {
-	if bytes > c.maxBytes/4 {
+	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch})
+}
+
+// PutCold is Put for a partial cube, told apart only by ColdBytes.
+func (c *ResultCache) PutCold(key string, val any, bytes int64, weight float64, epoch uint64) bool {
+	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch, cold: true})
+}
+
+func (c *ResultCache) put(e *entry) bool {
+	if e.bytes > c.maxBytes/4 {
 		return false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
+	if el, ok := c.entries[e.key]; ok {
 		c.removeLocked(el)
 	}
-	e := &entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch}
-	c.entries[key] = c.lru.PushFront(e)
-	c.bytes += bytes
+	c.entries[e.key] = c.lru.PushFront(e)
+	c.bytes += e.bytes
 	c.evictLocked()
 	return true
 }
@@ -224,6 +249,18 @@ func (c *ResultCache) ImageBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.imageBytes
+}
+
+// ColdBytes reports the part of Bytes held by PutCold entries.
+func (c *ResultCache) ColdBytes() (n int64) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for el := c.lru.Front(); el != nil; el = el.Next() {
+		if e := el.Value.(*entry); e.cold {
+			n += e.bytes
+		}
+	}
+	return n
 }
 
 // Len reports the number of cached entries.

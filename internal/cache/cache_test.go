@@ -148,6 +148,75 @@ func TestChunkCacheEpochAndLRU(t *testing.T) {
 	}
 }
 
+// TestChunkCacheOlderViewLeavesNewerEntry: two readers one ingest batch
+// apart share a hot chunk. A chunk's version only grows, so the reader
+// on the older snapshot must miss without evicting the entry every
+// current reader wants, and must not install its stale decode over it.
+func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
+	c := NewChunkCache(cellBytes*100, obs.NewRegistry())
+	older := c.View(1, map[int]uint64{7: 3})
+	newer := c.View(1, map[int]uint64{7: 4})
+	stale := []chunk.Cell{{Offset: 0, Value: 3}}
+	fresh := []chunk.Cell{{Offset: 0, Value: 4}}
+	newer.PutDecoded(7, fresh)
+	for i := 0; i < 5; i++ {
+		// What a store does on a miss: decode and offer the cells.
+		if got, ok := older.GetDecoded(7); ok {
+			t.Fatalf("round %d: the older view was served version-4 cells %v", i, got)
+		}
+		older.PutDecoded(7, stale)
+		if got, ok := newer.GetDecoded(7); !ok || got[0].Value != 4 {
+			t.Fatalf("round %d: the newer view got %v, %v after an older view probed; want its own cells", i, got, ok)
+		}
+	}
+	if st := c.Stats(); st.Hits != 5 || c.Len() != 1 {
+		t.Fatalf("hits = %d, entries = %d; want 5 hits on the one entry", st.Hits, c.Len())
+	}
+	// A newer version still supersedes: the first reader past the next
+	// batch drops the entry and installs its own.
+	next := c.View(1, map[int]uint64{7: 5})
+	if _, ok := next.GetDecoded(7); ok {
+		t.Fatal("a version-4 entry was served to a version-5 reader")
+	}
+	if c.Len() != 0 {
+		t.Fatal("the superseded entry stayed")
+	}
+}
+
+// TestResultCacheColdEntries: cold cubes share the budget and the LRU
+// with row sets but are counted apart — probes in cache_cold_*, bytes in
+// ColdBytes — so result hits keep meaning "rows served with no run".
+func TestResultCacheColdEntries(t *testing.T) {
+	reg := obs.NewRegistry()
+	c := NewResultCache(1000, reg)
+	c.Put("rows", "r", 100, 1, 1)
+	if _, ok := c.GetCold("cube", 1); ok {
+		t.Fatal("cold hit on an empty key")
+	}
+	if !c.PutCold("cube", "c", 60, 1, 1) {
+		t.Fatal("PutCold refused a small cube")
+	}
+	if v, ok := c.GetCold("cube", 1); !ok || v != "c" {
+		t.Fatalf("GetCold = %v, %v", v, ok)
+	}
+	snap := reg.Snapshot()
+	if h, m := snap.Counter("cache_cold_hits_total"), snap.Counter("cache_cold_misses_total"); h != 1 || m != 1 {
+		t.Fatalf("cold hits/misses = %d/%d, want 1/1", h, m)
+	}
+	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
+		t.Fatalf("cold probes leaked into the result counters: %+v", st)
+	}
+	if c.Bytes() != 160 || c.ColdBytes() != 60 {
+		t.Fatalf("bytes = %d (cold %d), want 160 (60)", c.Bytes(), c.ColdBytes())
+	}
+	if _, ok := c.GetCold("cube", 2); ok {
+		t.Fatal("a cold cube from an older epoch was served")
+	}
+	if c.ColdBytes() != 0 || c.Bytes() != 100 {
+		t.Fatalf("after epoch invalidation: bytes = %d (cold %d), want 100 (0)", c.Bytes(), c.ColdBytes())
+	}
+}
+
 func TestSingleflightDedup(t *testing.T) {
 	var g Group
 	var execs atomic.Int64

@@ -60,7 +60,8 @@ func NewChunkCache(maxBytes int64, reg *obs.Registry) *ChunkCache {
 }
 
 // get returns the decoded cells of chunkNum if cached under epoch and
-// version.
+// version. Versions only grow, so an entry newer than the probe is what
+// current readers want: a reader on an older snapshot misses, leaving it.
 func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -71,11 +72,13 @@ func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, boo
 	}
 	e := el.Value.(*chunkEntry)
 	if e.epoch != epoch || e.version != version {
-		c.removeLocked(el)
-		if e.epoch == epoch {
-			c.invalidations.Inc()
-		} else {
+		switch {
+		case e.epoch != epoch:
+			c.removeLocked(el)
 			c.invalidated.Inc()
+		case e.version < version:
+			c.removeLocked(el)
+			c.invalidations.Inc()
 		}
 		c.misses.Inc()
 		return nil, false
@@ -87,7 +90,8 @@ func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, boo
 
 // put stores the decoded cells of chunkNum under epoch and version. The
 // slice is retained and served to later readers, which treat decoded
-// cells as read-only throughout the engine.
+// cells as read-only throughout the engine. An older snapshot's cells
+// do not replace a newer entry.
 func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, epoch, version uint64) {
 	bytes := int64(len(cells)) * cellBytes
 	if bytes > c.maxBytes/4 {
@@ -96,6 +100,9 @@ func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, epoch, version uint64
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[chunkNum]; ok {
+		if old := el.Value.(*chunkEntry); old.epoch == epoch && old.version > version {
+			return
+		}
 		c.removeLocked(el)
 	}
 	e := &chunkEntry{chunkNum: chunkNum, cells: cells, bytes: bytes, epoch: epoch, version: version}

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/arena"
@@ -116,8 +117,17 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 		return nil, Metrics{}, err
 	}
 	lo, hi := s.Restriction.ChunkRange(a.Geometry().NumChunks())
-	if len(s.Selections) > 0 {
-		return arraySelect(ctx, a, s, lo, hi)
+	sel, err := newArraySelection(a, s.Selections)
+	if err != nil {
+		return nil, Metrics{}, err
+	}
+	if s.OnlyHot { // a handful of chunks: not worth a fan-out
+		return runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
+			return k.foldChunks(ctx, store, s.Hot, lo, hi, m)
+		})
+	}
+	if sel != nil {
+		return arraySelect(ctx, a, s, sel, lo, hi)
 	}
 	return arrayScan(ctx, a, s, lo, hi)
 }
@@ -157,16 +167,24 @@ func runKernel(a *array.Array, spec GroupSpec, sel *chunkSelection,
 // formula that cut the shard's slice. Each worker aggregates into a
 // private cube; the partials merge at the end (every tracked aggregate
 // is distributive). The buffer pool is shared and thread-safe, so
-// workers contend only on page fetches.
+// workers contend only on page fetches. The chunks of s.Hot are not
+// read: a worker scans the runs between them.
 func arrayScan(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*Result, Metrics, error) {
 	return runParts(ctx, s.Workers, hi-lo, func(ctx context.Context, w, n int, p *workerPartial) {
 		wlo, whi := splitRange(lo, hi, w, n)
 		p.res, p.m, p.err = runKernel(a, s.Group, nil, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			return store.ScanChunkRange(ctx, wlo, whi, func(cn int, cells []chunk.Cell) error {
+			fold := func(cn int, cells []chunk.Cell) error {
 				m.ChunksRead++
 				m.CellsScanned += int64(len(cells))
 				return k.consolidate(cn, cells)
-			})
+			}
+			for _, skip := range s.Hot {
+				if err := store.ScanChunkRange(ctx, wlo, min(skip, whi), fold); err != nil {
+					return err
+				}
+				wlo = max(wlo, skip+1)
+			}
+			return store.ScanChunkRange(ctx, wlo, whi, fold)
 		})
 		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
 	})
@@ -242,22 +260,30 @@ func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
 	return lists, nil
 }
 
+// newArraySelection resolves sels into the kernel's selection; nil = all.
+func newArraySelection(a *array.Array, sels []Selection) (*chunkSelection, error) {
+	if len(sels) == 0 {
+		return nil, nil
+	}
+	lists, err := selectionIndexLists(a, sels)
+	if err != nil {
+		return nil, err
+	}
+	return newChunkSelection(a.Geometry(), lists), nil
+}
+
 // arraySelect is §4.2 over the candidate chunks with lo <= chunkNum < hi
 // (a shard probes only its own slice of the directory; chunks outside
-// it, or without valid cells, are skipped unread). The candidates are
-// materialized once in chunk-number order and claimed from an atomic
-// dispenser — by the one sequential reader, or by workers each folding
-// into a private cube merged at the end (per-chunk cost varies wildly
-// with density, so static ranges would balance poorly).
-func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*Result, Metrics, error) {
-	lists, err := selectionIndexLists(a, s.Selections)
-	if err != nil {
-		return nil, Metrics{}, err
-	}
-	sel := newChunkSelection(a.Geometry(), lists)
+// it, listed in s.Hot or without valid cells are skipped unread). The
+// candidates are materialized once in chunk-number order and claimed
+// from an atomic dispenser — by the one sequential reader, or by workers
+// each folding into a private cube merged at the end (per-chunk cost
+// varies wildly with density, so static ranges would balance poorly).
+func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSelection, lo, hi int) (*Result, Metrics, error) {
 	base := a.Store()
 	candidates := sel.candidateChunks(func(cn int) bool {
-		return cn >= lo && cn < hi && base.ChunkCells(cn) > 0
+		_, skip := slices.BinarySearch(s.Hot, cn)
+		return cn >= lo && cn < hi && !skip && base.ChunkCells(cn) > 0
 	})
 	var claimed atomic.Int64
 	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {
@@ -273,13 +299,7 @@ func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*
 				if err := ctx.Err(); err != nil {
 					return err
 				}
-				cn := candidates[t]
-				cells, err := store.ReadChunk(cn)
-				if err != nil {
-					return err
-				}
-				m.ChunksRead++
-				if err := k.consolidateSelected(cn, cells, m); err != nil {
+				if err := k.foldChunk(store, candidates[t], m); err != nil {
 					return err
 				}
 			}

@@ -115,42 +115,52 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 			gm.maps[d][b] = code
 		}
 	}
-	var sel *chunkSelection
-	if len(s.Selections) > 0 {
-		lists, err := selectionIndexLists(a, s.Selections)
-		if err != nil {
-			return err
-		}
-		sel = newChunkSelection(g, lists)
+	sel, err := newArraySelection(a, s.Selections)
+	if err != nil {
+		return err
 	}
-	k := newChunkKernel(g, gm, sel, res.mem)
 	lo, hi := s.Restriction.ChunkRange(g.NumChunks())
-	store := a.Store()
 	m.OverlayTouched = int64(len(s.Overlay.Chunks))
-	for _, cn := range s.Overlay.Chunks {
-		if cn < lo || cn >= hi || sel != nil && !sel.reaches(cn) {
+	if err := newChunkKernel(g, gm, sel, res.mem).foldChunks(ctx, a.Store(), s.Overlay.Chunks, lo, hi, m); err != nil {
+		return err
+	}
+	m.OverlayFoldNS = time.Since(start).Nanoseconds()
+	return nil
+}
+
+// foldChunks aggregates the listed chunks that lie in [lo, hi) and that
+// the kernel's selection reaches: the one loop behind the relational
+// overlay fold and the array engine's hot side. It reads through
+// ReadChunk — every statement refreshing after the same batch wants the
+// same decoded, overlay-merged cells, so they belong in the chunk cache.
+func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks []int, lo, hi int, m *Metrics) error {
+	for _, cn := range chunks {
+		if cn < lo || cn >= hi || k.sel != nil && !k.sel.reaches(cn) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cells, err := store.ReadChunk(cn)
-		if err != nil {
-			return err
-		}
-		m.ChunksRead++
-		if sel != nil {
-			err = k.consolidateSelected(cn, cells, m)
-		} else {
-			m.CellsScanned += int64(len(cells))
-			err = k.consolidate(cn, cells)
-		}
-		if err != nil {
+		if err := k.foldChunk(store, cn, m); err != nil {
 			return err
 		}
 	}
-	m.OverlayFoldNS = time.Since(start).Nanoseconds()
 	return nil
+}
+
+// foldChunk reads chunk cn and aggregates its cells — the selected ones,
+// when the kernel has a selection.
+func (k *chunkKernel) foldChunk(store *chunk.Store, cn int, m *Metrics) error {
+	cells, err := store.ReadChunk(cn)
+	if err != nil {
+		return err
+	}
+	m.ChunksRead++
+	if k.sel != nil {
+		return k.consolidateSelected(cn, cells, m)
+	}
+	m.CellsScanned += int64(len(cells))
+	return k.consolidate(cn, cells)
 }
 
 // SelectionChunks returns the sorted candidate chunk numbers the §4.2

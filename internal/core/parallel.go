@@ -126,14 +126,7 @@ func mergeParts(parts []workerPartial) (*Result, Metrics, error) {
 	var busySum, busyMax time.Duration
 	for w := range parts {
 		p := &parts[w]
-		total.ChunksRead += p.m.ChunksRead
-		total.CellsScanned += p.m.CellsScanned
-		total.Probes += p.m.Probes
-		total.ProbeHits += p.m.ProbeHits
-		total.TuplesScanned += p.m.TuplesScanned
-		total.TuplesFetched += p.m.TuplesFetched
-		total.BitmapsRead += p.m.BitmapsRead
-		total.BitmapANDs += p.m.BitmapANDs
+		total.Add(&p.m)
 		total.WorkerRows = append(total.WorkerRows, p.rows)
 		total.WorkerIO = append(total.WorkerIO, p.io)
 		total.WorkerBusyNS = append(total.WorkerBusyNS, int64(p.busy))

@@ -32,16 +32,10 @@ func (r *Result) EachCell(fn func(coords []int, row Row) error) error {
 	return nil
 }
 
-// emptyClone allocates a zeroed result with the same grouping shape and
-// the same (shared, read-only) label slices — the thread-local partial
-// accumulator of one parallel worker, guaranteed Merge-compatible with
-// its siblings.
-func (r *Result) emptyClone() (*Result, error) {
-	return newResult(r.groupDims, r.labels)
-}
-
-// emptyCloneIn is emptyClone with the aggregate state carved from a —
-// the per-worker arena of a parallel partial.
+// emptyCloneIn allocates, from a, a zeroed result with the same grouping
+// shape and the same (shared, read-only) label slices — the thread-local
+// partial accumulator of one parallel worker, guaranteed Merge-compatible
+// with its siblings.
 func (r *Result) emptyCloneIn(a *arena.Arena) (*Result, error) {
 	return newResultIn(a, r.groupDims, r.labels)
 }

@@ -25,6 +25,13 @@ type ScanSpec struct {
 	// engine reads its overlay through the array it is handed and
 	// ignores this field.
 	Overlay *OverlayFold
+	// Hot, ascending, cuts an array run at the chunks ingest has touched:
+	// the run aggregates every chunk of its range but these or, with
+	// OnlyHot, exactly these (sequentially, through ReadChunk). The two
+	// sides tile the range, so their cubes Merge into the uncut run's, bit
+	// for bit, as worker partials do.
+	Hot     []int
+	OnlyHot bool
 }
 
 // validate is the one check a run makes of its spec before it touches

@@ -197,3 +197,124 @@ func TestRestrictedRejectsBadShard(t *testing.T) {
 		}
 	}
 }
+
+// TestColdPlusHotEqualsWhole is the array engine's cut at the
+// ingest-touched chunks: with deltas pending, the run that skips the Hot
+// chunks and the run that reads only them tile the range, so their cubes
+// Merge — in either order, from a kept heap copy of the cold one — into
+// the uncut run's rows and the reference's, at every shard count and
+// worker degree, with the cell and probe counts conserved. The cut is
+// taken at the touched chunks, at a subset of them, and at chunks the
+// statement may not reach at all.
+func TestColdPlusHotEqualsWhole(t *testing.T) {
+	fx := defaultFixture(t, 78)
+	rng := rand.New(rand.NewSource(78))
+	fold, truth, _ := layOverlay(t, rng, fx, nil)
+	if len(fold.Chunks) < 2 {
+		t.Fatalf("the overlay touched chunks %v, want several", fold.Chunks)
+	}
+	var everyOther []int
+	for cn := 0; cn < fx.arr.Geometry().NumChunks(); cn += 2 {
+		everyOther = append(everyOther, cn)
+	}
+	cuts := map[string][]int{"touched": fold.Chunks, "one": fold.Chunks[:1], "every-other": everyOther}
+	twoSided := 0 // runs whose both sides read something
+	for _, tc := range parallelCases() {
+		want, err := ReferenceConsolidate(truth, fx.dims, tc.sels, tc.spec)
+		if err != nil {
+			t.Fatalf("%s reference: %v", tc.name, err)
+		}
+		for cut, hot := range cuts {
+			for _, shards := range []int{1, 2, 3} {
+				for _, workers := range []int{1, 4} {
+					name := fmt.Sprintf("%s cut=%s shards=%d workers=%d", tc.name, cut, shards, workers)
+					var union *Result
+					for i := 0; i < shards; i++ {
+						scan := ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers,
+							Restriction: Restriction{Shard: i, Shards: shards}}
+						whole, wm, err := ArrayConsolidate(bg, fold.Arr, scan)
+						if err != nil {
+							t.Fatalf("%s uncut: %v", name, err)
+						}
+						scan.Hot = hot
+						cold, cm, err := ArrayConsolidate(bg, fold.Arr, scan)
+						if err != nil {
+							t.Fatalf("%s cold: %v", name, err)
+						}
+						kept := cold.Clone()
+						scan.OnlyHot = true
+						hotRes, hm, err := ArrayConsolidate(bg, fold.Arr, scan)
+						if err != nil {
+							t.Fatalf("%s hot: %v", name, err)
+						}
+						if err := cold.Merge(hotRes); err != nil {
+							t.Fatal(err)
+						}
+						if err := hotRes.Merge(kept); err != nil {
+							t.Fatal(err)
+						}
+						rows := whole.SortedRows()
+						if got := cold.SortedRows(); !RowsEqual(got, rows) {
+							t.Fatalf("%s shard %d: cold+hot != uncut: %s", name, i, DiffRows(got, rows))
+						}
+						if got := hotRes.SortedRows(); !RowsEqual(got, rows) {
+							t.Fatalf("%s shard %d: hot+kept cold != uncut: %s", name, i, DiffRows(got, rows))
+						}
+						if got, want := cm.CellsScanned+cm.Probes+hm.CellsScanned+hm.Probes, wm.CellsScanned+wm.Probes; got != want {
+							t.Errorf("%s shard %d: the sides visit %d cells+probes, the uncut run %d", name, i, got, want)
+						}
+						if cm.ChunksRead > 0 && hm.ChunksRead > 0 {
+							twoSided++
+						}
+						cold.Release()
+						whole.Release()
+						if union == nil {
+							union = hotRes
+						} else if err := union.Merge(hotRes); err != nil {
+							t.Fatal(err)
+						} else {
+							hotRes.Release()
+						}
+					}
+					if got := union.SortedRows(); !RowsEqual(got, want) {
+						t.Fatalf("%s != reference: %s", name, DiffRows(got, want))
+					}
+					union.Release()
+				}
+			}
+		}
+	}
+	if twoSided < 20 {
+		t.Fatalf("only %d runs had chunks on both sides of the cut", twoSided)
+	}
+}
+
+// TestResultCloneOutlivesItsArena: a Clone is a GC-heap copy — releasing
+// the query's cube leaves it whole, and merging into it leaves the
+// original alone.
+func TestResultCloneOutlivesItsArena(t *testing.T) {
+	fx := defaultFixture(t, 5)
+	spec := GroupByAttrs(3, 0)
+	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.SortedRows()
+	kept := res.Clone()
+	if kept.Bytes() <= 0 {
+		t.Fatalf("Bytes = %d", kept.Bytes())
+	}
+	res.Release()
+	twice := kept.Clone()
+	if err := twice.Merge(kept); err != nil {
+		t.Fatal(err)
+	}
+	if got := kept.SortedRows(); !RowsEqual(got, want) {
+		t.Fatalf("the clone changed: %s", DiffRows(got, want))
+	}
+	for i, r := range twice.SortedRows() {
+		if r.Sum != 2*want[i].Sum || r.Count != 2*want[i].Count || r.Min != want[i].Min || r.Max != want[i].Max {
+			t.Fatalf("row %d of clone+clone = %+v, want twice %+v", i, r, want[i])
+		}
+	}
+}

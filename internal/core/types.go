@@ -19,6 +19,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 
@@ -170,6 +171,19 @@ func (r *Result) Release() {
 	queryArenas.Put(a)
 }
 
+// Clone returns a GC-heap copy of the cube, one that outlives the query's
+// arena; it shares the read-only labels.
+func (r *Result) Clone() *Result {
+	c := *r
+	c.mem = nil
+	c.sums, c.counts = slices.Clone(r.sums), slices.Clone(r.counts)
+	c.mins, c.maxs = slices.Clone(r.mins), slices.Clone(r.maxs)
+	return &c
+}
+
+// Bytes is the memory the cube's aggregate state holds.
+func (r *Result) Bytes() int64 { return int64(r.cells) * 32 }
+
 // add folds one value into the cell at linear index idx.
 func (r *Result) add(idx int, v int64) {
 	if r.counts[idx] == 0 {
@@ -304,6 +318,14 @@ type Metrics struct {
 	OverlayTouched int64 `json:",omitempty"`
 	OverlayFoldNS  int64 `json:",omitempty"`
 
+	// An array run the executor cut at the ingest-touched chunks in its
+	// reach (HotChunks of them): ColdCube is "hit" when the cube of the
+	// other chunks came from the result cache — the array-side counters
+	// then cover the hot side only — "built" when this run aggregated and
+	// stored it, and empty on an uncut run.
+	ColdCube  string `json:",omitempty"`
+	HotChunks int64  `json:",omitempty"`
+
 	// Planner estimates for the chosen plan, filled by the executor
 	// before the run so every result carries predicted next to measured
 	// cost. Zero when the planner had no statistics to estimate with.
@@ -324,6 +346,18 @@ type Metrics struct {
 	WorkerIO           []int64 `json:",omitempty"`
 	WorkerBusyNS       []int64 `json:",omitempty"`
 	ParallelEfficiency float64 `json:",omitempty"`
+}
+
+// Add sums o's work counters into m; every other field stays m's.
+func (m *Metrics) Add(o *Metrics) {
+	m.ChunksRead += o.ChunksRead
+	m.CellsScanned += o.CellsScanned
+	m.Probes += o.Probes
+	m.ProbeHits += o.ProbeHits
+	m.TuplesScanned += o.TuplesScanned
+	m.TuplesFetched += o.TuplesFetched
+	m.BitmapsRead += o.BitmapsRead
+	m.BitmapANDs += o.BitmapANDs
 }
 
 // keyLabel renders a dimension key as a group label.

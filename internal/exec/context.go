@@ -191,42 +191,26 @@ func (c *ExecContext) EnableQueryCache(totalBytes int64) {
 		"time deduplicated queries waited for the leader's result", nil)
 	// Gauges read through the context so a later disable reports zero
 	// instead of a stale cache's last values.
-	c.reg.GaugeFunc("cache_result_bytes", "bytes retained by the result cache",
-		func() float64 {
-			if rc, _ := c.caches(); rc != nil {
-				return float64(rc.Bytes())
+	gauge := func(name, help string, read func(*cache.ResultCache, *cache.ChunkCache) int) {
+		c.reg.GaugeFunc(name, help, func() float64 {
+			if rc, cc := c.caches(); rc != nil {
+				return float64(read(rc, cc))
 			}
 			return 0
 		})
-	c.reg.GaugeFunc("cache_result_image_bytes",
-		"bytes of cache_result_bytes that are encoded row-frame images",
-		func() float64 {
-			if rc, _ := c.caches(); rc != nil {
-				return float64(rc.ImageBytes())
-			}
-			return 0
-		})
-	c.reg.GaugeFunc("cache_result_entries", "entries in the result cache",
-		func() float64 {
-			if rc, _ := c.caches(); rc != nil {
-				return float64(rc.Len())
-			}
-			return 0
-		})
-	c.reg.GaugeFunc("cache_chunk_bytes", "decoded bytes retained by the chunk cache",
-		func() float64 {
-			if _, cc := c.caches(); cc != nil {
-				return float64(cc.Bytes())
-			}
-			return 0
-		})
-	c.reg.GaugeFunc("cache_chunk_entries", "decoded chunks retained by the chunk cache",
-		func() float64 {
-			if _, cc := c.caches(); cc != nil {
-				return float64(cc.Len())
-			}
-			return 0
-		})
+	}
+	gauge("cache_result_bytes", "bytes retained by the result cache",
+		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.Bytes()) })
+	gauge("cache_result_image_bytes", "bytes of cache_result_bytes that are encoded row-frame images",
+		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ImageBytes()) })
+	gauge("cache_cold_bytes", "bytes of cache_result_bytes that are cold cubes: never-touched chunks, pre-aggregated",
+		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ColdBytes()) })
+	gauge("cache_result_entries", "entries in the result cache",
+		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return rc.Len() })
+	gauge("cache_chunk_bytes", "decoded bytes retained by the chunk cache",
+		func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return int(cc.Bytes()) })
+	gauge("cache_chunk_entries", "decoded chunks retained by the chunk cache",
+		func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return cc.Len() })
 }
 
 // caches returns the current cache layers (either may be nil).
@@ -385,17 +369,68 @@ func (c *ExecContext) FactFile() (*factfile.File, error) {
 // every read through it yields (base + deltas as of clone time), stable
 // against concurrent ingest and compaction.
 func (c *ExecContext) ArrayClone() (*array.Array, error) {
-	var ov map[int][]chunk.OverlayCell
-	var versions map[int]uint64
-	if ds := c.DeltaStore(); ds != nil {
-		ov, versions, _ = ds.Snapshot()
-	}
-	return c.arrayCloneWith(ov, versions)
+	v := c.ingestView(nil, true)
+	return c.arrayCloneWith(&v)
 }
 
-// arrayCloneWith clones the master array over one delta snapshot's
-// overlay and version vector.
-func (c *ExecContext) arrayCloneWith(ov map[int][]chunk.OverlayCell, versions map[int]uint64) (*array.Array, error) {
+// ingestView is what one execution sees of live ingest: the overlay,
+// version vector and ever-touched list of one instant — so the engines,
+// the decoded-chunk cache tags and the rows' key cannot disagree on a
+// batch that landed in between — the last narrowed to the statement's
+// reach. The zero value: nothing was ever ingested.
+type ingestView struct {
+	ov       map[int][]chunk.OverlayCell
+	versions map[int]uint64
+	hot      []int // ever-touched chunks the statement can reach, ascending
+
+	// rc, when set, is where an array run cut at hot keeps the cube of
+	// the other chunks: at epoch, under st's fingerprint and the hot
+	// list. Nil runs uncut.
+	rc    *cache.ResultCache
+	epoch uint64
+	st    *statement
+}
+
+// ingestView takes the view of a statement with that reach. A cache
+// probe needs only the key: it asks for no overlay and copies none.
+func (c *ExecContext) ingestView(reach *chunkReach, overlay bool) (v ingestView) {
+	switch ds := c.DeltaStore(); {
+	case ds == nil:
+	case overlay:
+		v.ov, v.versions, v.hot = ds.Snapshot()
+	default:
+		v.versions, v.hot = ds.Versions()
+	}
+	v.hot = reach.narrow(c, v.hot)
+	return v
+}
+
+// keySuffix extends a result-cache key under live ingest: tag plus a
+// hash of the hot chunks and, versioned, of each one's version. The
+// rows' key carries the versioned one — a batch landing outside the
+// statement's reach cannot change its result, so the key (and the
+// entry) survives it. Empty when nothing in reach was ever ingested
+// into: such keys stay byte-identical to the pre-delta format.
+func (v *ingestView) keySuffix(tag string, versioned bool) string {
+	if len(v.hot) == 0 {
+		return ""
+	}
+	h := fnv.New64a()
+	var buf [8]byte
+	for _, cn := range v.hot {
+		binary.LittleEndian.PutUint64(buf[:], uint64(cn))
+		h.Write(buf[:])
+		if versioned {
+			binary.LittleEndian.PutUint64(buf[:], v.versions[cn])
+			h.Write(buf[:])
+		}
+	}
+	return tag + strconv.FormatUint(h.Sum64(), 16)
+}
+
+// arrayCloneWith clones the master array over v's overlay and version
+// vector.
+func (c *ExecContext) arrayCloneWith(v *ingestView) (*array.Array, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	arr, err := c.masterLocked()
@@ -403,42 +438,17 @@ func (c *ExecContext) arrayCloneWith(ov map[int][]chunk.OverlayCell, versions ma
 		return nil, err
 	}
 	cl := arr.Clone()
-	if len(ov) > 0 {
-		cl.Store().SetOverlay(ov)
+	if len(v.ov) > 0 {
+		cl.Store().SetOverlay(v.ov)
 	}
 	if c.chunkCache != nil {
 		// Bind the clone to the current epoch and version vector while
 		// still holding the lock: a clone handed out just before an
 		// invalidation (or racing an ingest batch) populates entries
 		// tagged so that no later probe accepts them.
-		cl.Store().SetDecodedCache(c.chunkCache.View(c.gen, versions))
+		cl.Store().SetDecodedCache(c.chunkCache.View(c.gen, v.versions))
 	}
 	return cl, nil
-}
-
-// overlayFold builds the relational engines' delta-fold input: an array
-// clone carrying the overlay snapshot plus the ever-touched chunks the
-// statement can reach, from the same snapshot — taken apart, the engines
-// could disagree on a chunk ingested in between. Nil when no delta store
-// is attached or nothing the statement can see was ever ingested into,
-// which costs the relational plan nothing and opens no array
-// (relational-only databases never have one). Narrowing is sound for the
-// dirty filter too: a tuple that passes the selections lies in one of
-// their candidate chunks, so a stale one outside them is dropped anyway.
-func (c *ExecContext) overlayFold(reach *chunkReach) (*core.OverlayFold, error) {
-	ds := c.DeltaStore()
-	if ds == nil || ds.Stats().TouchedChunks == 0 {
-		return nil, nil
-	}
-	ov, versions, touched := ds.Snapshot()
-	if touched = reach.narrow(c, touched); len(touched) == 0 {
-		return nil, nil
-	}
-	cl, err := c.arrayCloneWith(ov, versions)
-	if err != nil {
-		return nil, err
-	}
-	return &core.OverlayFold{Arr: cl, Chunks: touched}, nil
 }
 
 // masterArray opens (if needed) and returns the shared master array.
@@ -502,29 +512,10 @@ func (r *chunkReach) narrow(c *ExecContext, touched []int) []int {
 	return out
 }
 
-// deltaKeySuffix is the result-cache key extension for live ingest: a
-// hash of the (chunk, version) pairs of every ever-touched chunk the
-// statement can reach — an ingest batch landing outside its selections'
-// candidate chunks cannot change its result, so the key (and the cached
-// entry) survives it. Empty when no delta store is attached or nothing
-// relevant was ever ingested, so cold-path keys stay byte-identical to
-// the pre-delta format.
-func (c *ExecContext) deltaKeySuffix(reach *chunkReach) string {
-	ds := c.DeltaStore()
-	if ds == nil {
-		return ""
+// size is how many chunks the statement reaches. Call after narrow.
+func (r *chunkReach) size(arr *array.Array) int {
+	if r == nil || len(r.sels) == 0 || r.all {
+		return arr.Geometry().NumChunks()
 	}
-	versions, touched := ds.Versions()
-	if touched = reach.narrow(c, touched); len(touched) == 0 {
-		return ""
-	}
-	h := fnv.New64a()
-	var buf [8]byte
-	for _, cn := range touched {
-		binary.LittleEndian.PutUint64(buf[:], uint64(cn))
-		h.Write(buf[:])
-		binary.LittleEndian.PutUint64(buf[:], versions[cn])
-		h.Write(buf[:])
-	}
-	return "|cv" + strconv.FormatUint(h.Sum64(), 16)
+	return len(r.cand)
 }

@@ -427,21 +427,22 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	// ingested, keeping legacy keys byte-identical.
 	key := st.fingerprint
 	prof.Fingerprint = st.fpHash
-	if suffix := e.ctx.deltaKeySuffix(st.reach); suffix != "" {
-		key += suffix
+	if probe := e.ctx.ingestView(st.reach, false); len(probe.hot) > 0 {
+		key += probe.keySuffix("|cv", true)
 		prof.Fingerprint = fingerprintHash(key)
 	}
 
 	prof.CacheEpoch = epoch
 	if rc == nil || e.cacheOff.Load() {
-		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr)
+		view := e.ctx.ingestView(st.reach, true)
+		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr, &view)
 		return e.finishQuery(tr, prof, rqr, rerr)
 	}
 
 	probeSp := tr.Root.Child("cache-probe")
 	probeStart := time.Now()
 	if v, ok := rc.Get(key, epoch); ok {
-		st.cachedUnder(rc, key)
+		st.rowsKey.cachedUnder(rc, key)
 		probeSp.Set("hit", true)
 		probeSp.End()
 		prof.CacheHit = true
@@ -459,6 +460,11 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	flightKey := strconv.FormatUint(epoch, 10) + "|" + key
 	var leaderQR *QueryResult
 	v, shared, err := e.ctx.flight.Do(ctx, flightKey, func() (any, error) {
+		// One snapshot for the whole execution; the rows go under its key,
+		// not the probe's, so a batch that landed in between is in both.
+		view := e.ctx.ingestView(st.reach, true)
+		view.rc, view.epoch, view.st = rc, epoch, st
+		key := st.fingerprint + view.keySuffix("|cv", true)
 		// Double-check under the flight: a goroutine that missed the
 		// probe above may have become leader only after the previous
 		// leader finished and populated the cache — serve that entry
@@ -466,7 +472,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		if v, ok := rc.Get(key, epoch); ok {
 			return v.(*cachedResult), nil
 		}
-		lqr, err := e.runPlan(ctx, tr, prof, st, qr)
+		lqr, err := e.runPlan(ctx, tr, prof, st, qr, &view)
 		if err != nil {
 			return nil, err
 		}
@@ -482,7 +488,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		}
 		if rc.Put(key, cr, resultBytes(lqr.Rows), est.IO, epoch) {
 			lqr.entry = cr
-			st.cachedUnder(rc, key)
+			st.rowsKey.cachedUnder(rc, key)
 		}
 		return cr, nil
 	})
@@ -575,7 +581,7 @@ func (e *Executor) cachedQueryResult(qr *QueryResult, cr *cachedResult, elapsed 
 // the labels through the context. Trace closing, profile recording,
 // and slow-query logging happen in finishQuery, not here — the leader
 // of a singleflight runs this while its followers wait outside.
-func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryProfile, st *statement, qr *QueryResult) (*QueryResult, error) {
+func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryProfile, st *statement, qr *QueryResult, view *ingestView) (*QueryResult, error) {
 	spec, plan, est, expl := st.spec, st.plan, st.est, qr.Explanation
 	ioBefore := e.ctx.BufferPool().Stats()
 	start := time.Now()
@@ -592,7 +598,7 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 		"engine", plan.Engine().String(),
 		"fingerprint", prof.Fingerprint,
 	), func(ctx context.Context) {
-		res, metrics, err = plan.Run(ctx, e.ctx)
+		res, metrics, err = plan.Run(ctx, e.ctx, view)
 	})
 	run.End()
 	prof.ExecTime = run.Duration
@@ -610,6 +616,11 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 		fold.Set("folded", prof.FoldChunks)
 		fold.Set("probes", prof.FoldProbes)
 		fold.Set("scanned", prof.FoldScanned)
+	}
+	if metrics.ColdCube != "" { // the array plan cut the run at the hot chunks
+		prof.Cold, prof.HotChunks = metrics.ColdCube, metrics.HotChunks
+		run.Set("cold", prof.Cold)
+		run.Set("hot_chunks", prof.HotChunks)
 	}
 	metrics.EstCostIO = est.IO
 	metrics.EstCostCPU = est.CPU

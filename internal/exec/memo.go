@@ -35,8 +35,8 @@ type stmtKey struct {
 // the delta-version suffix. It is immutable once built — executions
 // share it — so Plan.Run and Plan.Annotate must not write to the plan,
 // and a query that reports per-run facts takes its own copy of expl.
-// What runs do fill in, reach (shared with the plan) and lastKey, is
-// synchronised.
+// What runs do fill in, reach (shared with the plan) and the two key
+// slots, is synchronised.
 type statement struct {
 	spec        *query.Spec
 	plan        Plan
@@ -46,26 +46,31 @@ type statement struct {
 	fpHash      string // fingerprintHash(fingerprint)
 	reach       *chunkReach
 
-	// lastKey is the result-cache key the rows were last stored or found
+	// rowsKey is the result-cache key the rows were last stored or found
 	// under. Its delta suffix moves with every ingest batch the statement
-	// can see, and no later run asks for an older one.
-	lastKey atomic.Pointer[string]
+	// can see, and no later run asks for an older one. coldKey is the
+	// array plan's cold cube's: it moves when a chunk in reach is first
+	// ingested into.
+	rowsKey, coldKey keySlot
 
 	// What the plan was chosen under; a lookup at any other pair misses.
 	epoch    uint64
 	statsGen int64
 }
 
-// cachedUnder notes that rc holds the statement's rows under key, and
-// drops the entry they superseded instead of leaving it to the LRU.
-func (st *statement) cachedUnder(rc *cache.ResultCache, key string) {
-	prev := st.lastKey.Load()
+// keySlot is the result-cache key one of a statement's entries is under.
+type keySlot struct{ last atomic.Pointer[string] }
+
+// cachedUnder notes that rc holds the entry under key, and drops the
+// entry it superseded instead of leaving it to the LRU.
+func (s *keySlot) cachedUnder(rc *cache.ResultCache, key string) {
+	prev := s.last.Load()
 	if prev != nil && *prev == key {
 		return
 	}
 	next := new(string) // not &key: that would heap-allocate on every hit
 	*next = key
-	if st.lastKey.CompareAndSwap(prev, next) && prev != nil {
+	if s.last.CompareAndSwap(prev, next) && prev != nil {
 		rc.Remove(*prev)
 	}
 }

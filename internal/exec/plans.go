@@ -83,8 +83,9 @@ type Plan interface {
 	Estimate(st *catalog.Stats) Cost
 	// Run executes the plan. The context is checked inside the operator
 	// loops (between chunk batches and every few thousand tuples), so a
-	// canceled query releases its goroutine promptly.
-	Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error)
+	// canceled query releases its goroutine promptly. view is the live
+	// ingest state the execution reads under, taken once by its caller.
+	Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error)
 	// Explain describes the plan as an operator tree, annotated with
 	// the most recent Estimate.
 	Explain() PlanDesc
@@ -281,12 +282,45 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 	return p.est
 }
 
-func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
-	arr, err := ec.ArrayClone()
+// Run, under live ingest, cuts the consolidation at the statement's hot
+// chunks when the view names a place to keep the other side: the cube of
+// the chunks never ingested into is the same for every run that sees the
+// same hot list, so it is aggregated once, kept under that list, and
+// merged with a fold of the hot chunks alone (DESIGN.md §3j). With
+// nothing in reach touched, or everything, the run is the plain one.
+func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error) {
+	arr, err := ec.arrayCloneWith(view)
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}
-	return core.ArrayConsolidate(ctx, arr, p.scan)
+	scan := p.scan
+	if view.rc == nil || len(view.hot) == 0 || len(view.hot) == p.reach.size(arr) {
+		return core.ArrayConsolidate(ctx, arr, scan)
+	}
+	scan.Hot, scan.OnlyHot = view.hot, true
+	res, m, err := core.ArrayConsolidate(ctx, arr, scan)
+	if err != nil {
+		return nil, m, err
+	}
+	state, key := "hit", view.st.fingerprint+view.keySuffix("|cold", false)
+	cold, ok := view.rc.GetCold(key, view.epoch)
+	if !ok {
+		scan.OnlyHot = false
+		built, bm, err := core.ArrayConsolidate(ctx, arr, scan)
+		if err != nil {
+			res.Release()
+			return nil, m, err
+		}
+		bm.Add(&m)
+		state, m, cold = "built", bm, built.Clone()
+		ok = view.rc.PutCold(key, cold, built.Bytes(), view.st.est.IO, view.epoch)
+		built.Release()
+	}
+	if ok {
+		view.st.coldKey.cachedUnder(view.rc, key)
+	}
+	m.ColdCube, m.HotChunks = state, int64(len(view.hot))
+	return res, m, res.Merge(cold.(*core.Result))
 }
 
 func (p *arrayPlan) Explain() PlanDesc {
@@ -335,7 +369,7 @@ func (p *arrayPlan) Annotate(d *PlanDesc, rs RunStats) {
 	if len(p.scan.Selections) == 0 {
 		// array-scan: every valid cell visited once.
 		c.ActRows = m.CellsScanned
-		c.ActDetail = fmt.Sprintf("chunks=%d", m.ChunksRead) + parallelDetail(m)
+		c.ActDetail = fmt.Sprintf("chunks=%d", m.ChunksRead) + runDetail(m)
 		return
 	}
 	// array-probe: candidate cells probed, hits survive. Chunks the
@@ -345,17 +379,21 @@ func (p *arrayPlan) Annotate(d *PlanDesc, rs RunStats) {
 	if m.CellsScanned > 0 {
 		c.ActDetail += fmt.Sprintf(" scanned=%d", m.CellsScanned)
 	}
-	c.ActDetail += parallelDetail(m)
+	c.ActDetail += runDetail(m)
 }
 
-// parallelDetail renders the per-worker breakdown for EXPLAIN ANALYZE,
-// empty for sequential runs so existing output is byte-identical.
-func parallelDetail(m core.Metrics) string {
-	if m.ParallelDegree <= 1 {
-		return ""
+// runDetail renders, for EXPLAIN ANALYZE, how the run was divided: the
+// cut at the ingest-touched chunks and the per-worker breakdown. Empty
+// for an uncut sequential run, so its output is byte-identical.
+func runDetail(m core.Metrics) (s string) {
+	if m.ColdCube != "" {
+		s = fmt.Sprintf(" cold=%s hot_chunks=%d", m.ColdCube, m.HotChunks)
 	}
-	return fmt.Sprintf(" workers=%d eff=%.2f rows/worker=%v io/worker=%v",
-		m.ParallelDegree, m.ParallelEfficiency, m.WorkerRows, m.WorkerIO)
+	if m.ParallelDegree > 1 {
+		s += fmt.Sprintf(" workers=%d eff=%.2f rows/worker=%v io/worker=%v",
+			m.ParallelDegree, m.ParallelEfficiency, m.WorkerRows, m.WorkerIO)
+	}
+	return s
 }
 
 // starJoinPlan evaluates relationally with the StarJoin operator (§4.3),
@@ -388,8 +426,8 @@ func (p *starJoinPlan) Estimate(st *catalog.Stats) Cost {
 	return p.est
 }
 
-func (p *starJoinPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
-	ff, dims, scan, err := p.relationalInputs(ec)
+func (p *starJoinPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error) {
+	ff, dims, scan, err := p.relationalInputs(ec, view)
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}
@@ -398,9 +436,9 @@ func (p *starJoinPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, 
 
 // relationalInputs opens what both relational engines read — the fact
 // file and the dimension tables — and completes the plan's scan with
-// the delta overlay as of now (planning must not snapshot it: the same
-// plan may run later, or never).
-func (p *planScan) relationalInputs(ec *ExecContext) (*factfile.File, []*catalog.DimensionTable, core.ScanSpec, error) {
+// the delta overlay of the execution's view (planning must not snapshot
+// it: the same plan may run later, or never).
+func (p *planScan) relationalInputs(ec *ExecContext, view *ingestView) (*factfile.File, []*catalog.DimensionTable, core.ScanSpec, error) {
 	scan := p.scan
 	dims, err := ec.Dimensions()
 	if err != nil {
@@ -410,7 +448,16 @@ func (p *planScan) relationalInputs(ec *ExecContext) (*factfile.File, []*catalog
 	if err != nil {
 		return nil, nil, scan, err
 	}
-	scan.Overlay, err = ec.overlayFold(p.reach)
+	if len(view.hot) == 0 {
+		// Nothing in reach was ever ingested into: the plan pays nothing
+		// and opens no array (a relational-only database has none).
+		return ff, dims, scan, nil
+	}
+	// Narrowing the touched chunks to the statement's reach is sound for
+	// the dirty filter too: a tuple that passes the selections lies in one
+	// of their candidate chunks, so a stale one outside them is dropped.
+	cl, err := ec.arrayCloneWith(view)
+	scan.Overlay = &core.OverlayFold{Arr: cl, Chunks: view.hot}
 	return ff, dims, scan, err
 }
 
@@ -447,7 +494,7 @@ func (p *starJoinPlan) Annotate(d *PlanDesc, rs RunStats) {
 	c.Analyzed = true
 	c.ActRows = rs.Metrics.TuplesScanned
 	c.ActIO = float64(rs.IO.PhysicalReads)
-	c.ActDetail = parallelDetail(rs.Metrics)
+	c.ActDetail = runDetail(rs.Metrics)
 	annotateFold(d, rs.Metrics)
 }
 
@@ -527,8 +574,8 @@ func (p *bitmapPlan) Estimate(st *catalog.Stats) Cost {
 	return p.est
 }
 
-func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext) (*core.Result, core.Metrics, error) {
-	ff, dims, scan, err := p.relationalInputs(ec)
+func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error) {
+	ff, dims, scan, err := p.relationalInputs(ec, view)
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}

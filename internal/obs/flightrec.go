@@ -64,6 +64,15 @@ type QueryProfile struct {
 	FoldScanned int64         `json:"fold_scanned,omitempty"`
 	FoldTime    time.Duration `json:"fold_ns,omitempty"`
 
+	// An array-engine run under live ingest that was split at the
+	// ingest-touched chunks: Cold is "hit" when the cube of the chunks
+	// never touched came from the result cache, "built" when this run
+	// aggregated and stored it; HotChunks is how many touched chunks the
+	// statement reaches, the only ones a "hit" run read. Empty and zero on
+	// a run that was not split, and on a cache hit.
+	Cold      string `json:"cold,omitempty"`
+	HotChunks int64  `json:"hot_chunks,omitempty"`
+
 	Sampled bool   `json:"sampled,omitempty"` // fine-grained spans were collected
 	Err     string `json:"error,omitempty"`
 }
