@@ -160,3 +160,90 @@ func TestSessionCacheOptOut(t *testing.T) {
 		t.Fatal("default session did not use the cache")
 	}
 }
+
+// TestLateDimensionLoadInvalidates: a dimension member loaded after a
+// statement was memoised and its rows cached must show in the next run.
+// The fact of product 11 has no dimension row at first, so the star join
+// drops it; once the row is loaded the statement must be re-planned and
+// re-run, not served the old sum. The bitmap indexes cannot be built over
+// a dangling fact, so the bitmap plan's turn comes after, with a member no
+// fact references: its sum cannot move, but its run must still be fresh.
+func TestLateDimensionLoadInvalidates(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if err := db.CreateStarSchema(retailSchema()); err != nil {
+		t.Fatal(err)
+	}
+	product := func(k int64) DimensionRow {
+		return DimensionRow{Key: k, Attrs: []string{"type0", "cat0"}}
+	}
+	var products, stores, times []DimensionRow
+	var facts []FactTuple
+	for k := int64(0); k < 12; k++ {
+		if k < 11 {
+			products = append(products, product(k))
+		}
+		stores = append(stores, DimensionRow{Key: k, Attrs: []string{"city0", "region0"}})
+		times = append(times, DimensionRow{Key: k, Attrs: []string{"m0", "y0"}})
+		facts = append(facts, FactTuple{Keys: []int64{k, k, k}, Measure: 1})
+	}
+	for name, rows := range map[string][]DimensionRow{"product": products, "store": stores, "time": times} {
+		if err := db.LoadDimension(name, rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.LoadFactRows(facts); err != nil {
+		t.Fatal(err)
+	}
+	db.EnableQueryCache(16 << 20)
+
+	const sql = `select sum(volume), category from fact, product, store
+	             where store.region = 'region0' group by category`
+	// learn runs sql until it is memoised and cached: seen, kept, served.
+	learn := func(eng Engine, want int64) {
+		t.Helper()
+		for run := 0; run < 3; run++ {
+			res, err := db.QueryOn(sql, eng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.Rows) != 1 || res.Rows[0].Sum != want || res.Cached != (run > 0) {
+				t.Fatalf("%v, run %d: cached=%v rows %+v; want one row, sum %d", eng, run, res.Cached, res.Rows, want)
+			}
+		}
+	}
+	fresh := func(eng Engine, want int64) {
+		t.Helper()
+		res, err := db.QueryOn(sql, eng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Cached || res.Explanation.Memo != "miss" || res.Rows[0].Sum != want {
+			t.Fatalf("%v after the load: cached=%v memo=%s sum=%d; want a fresh run, sum %d",
+				eng, res.Cached, res.Explanation.Memo, res.Rows[0].Sum, want)
+		}
+	}
+
+	learn(StarJoinEngine, 11)
+	if err := db.LoadDimension("product", []DimensionRow{product(11)}); err != nil {
+		t.Fatal(err)
+	}
+	fresh(StarJoinEngine, 12)
+
+	if err := db.BuildBitmapIndexes(); err != nil {
+		t.Fatal(err)
+	}
+	learn(StarJoinEngine, 12)
+	learn(BitmapEngine, 12)
+	err = db.LoadDimensionFunc("product", func(emit func(int64, []string) error) error {
+		return emit(12, product(12).Attrs)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh(StarJoinEngine, 12)
+	fresh(BitmapEngine, 12)
+}

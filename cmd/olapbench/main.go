@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	olapbench [-fig all|4|5|6|7|8|9|10|storage|ablations|cluster|htap|codec] [-scale 1.0]
+//	olapbench [-fig all|4|5|6|7|8|9|10|storage|ablations|cluster|codec] [-scale 1.0]
 //	          [-trials 3] [-warm] [-seed N]
 //
 // Absolute times depend on the machine; the shapes (who wins, by what
@@ -16,11 +16,6 @@
 // counts 1..3 over self-hosted in-process shard servers (or the running
 // olapd data servers named by -connect a,b,c) and recording the
 // scatter/gather wait breakdown per engine.
-//
-// -fig htap benchmarks the ingest path's per-chunk cache invalidation
-// against the whole-DB epoch bump it replaced: the same mixed
-// ingest+query workload runs under both, and the table reports the
-// result-cache hit rate each sustains.
 //
 // -fig codec sweeps density x codec over one large chunk (encoded
 // size, raw decode time, warm Query 1 latency), locating the
@@ -38,11 +33,10 @@ import (
 	"repro/internal/bench"
 	"repro/internal/bench/clusterbench"
 	"repro/internal/bench/codecbench"
-	"repro/internal/bench/htapbench"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 4..10, storage, ablations, cluster, htap, codec")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 4..10, storage, ablations, cluster, codec")
 	scale := flag.Float64("scale", 1.0, "data set scale factor (1.0 = paper size)")
 	trials := flag.Int("trials", 3, "trials per measurement (fastest kept)")
 	warm := flag.Bool("warm", false, "skip the cold-cache protocol")
@@ -144,27 +138,6 @@ func main() {
 		figure("ablation-enumeration", h.EnumerationAblation),
 		figure("ablation-factfile", h.FactFileAblation),
 		figure("ablation-bufferpool", h.BufferPoolAblation),
-	}
-	// The HTAP comparison only runs when asked for by name: it replays a
-	// mixed ingest+query workload twice, which "all" should not imply.
-	if strings.ToLower(*fig) == "htap" {
-		hopts := htapbench.HTAPOptions{Scale: *scale}
-		fmt.Fprintln(os.Stderr, "building and running HTAP mixed workload...")
-		hfig, err := htapbench.RunHTAP(hopts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "olapbench: htap: %v\n", err)
-			os.Exit(1)
-		}
-		htapbench.WriteHTAPTable(os.Stdout, hfig)
-		if *snapshotDir != "" {
-			path, err := htapbench.WriteHTAPSnapshot(*snapshotDir, hfig, hopts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "olapbench: htap: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "snapshot: %s\n", path)
-		}
-		return
 	}
 	// The codec sweep only runs when asked for by name: it builds one
 	// database per (density, codec) pair, which "all" should not imply.

@@ -7,7 +7,7 @@
 //
 //	olapd -db sales.db [-listen 127.0.0.1:7432] [-obs 127.0.0.1:9090]
 //	      [-max-concurrent N] [-queue-depth N] [-slow-ms 100] [-cache-mb 64]
-//	      [-replacer lru|clock|2q] [-shard-range i/n]
+//	      [-shard-range i/n]
 //	      [-compact-interval 5s] [-delta-max-mb 64]
 //
 // HTAP ingest: clients push cell states with Ingest frames; they land
@@ -61,7 +61,6 @@ func main() {
 	slowMS := flag.Int("slow-ms", 0, "log queries slower than this many milliseconds (0 = off)")
 	cacheMB := flag.Int("cache-mb", 0, "mid-tier query cache size in MiB, split between result and chunk caches (0 = off)")
 	workers := flag.Int("workers", 0, "default intra-query parallel degree per session (0 = GOMAXPROCS, 1 = sequential)")
-	replacer := flag.String("replacer", "", "buffer pool replacement policy: lru (default), clock, or 2q")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
 	shardRange := flag.String("shard-range", "", "serve as cluster data server: restrict every query to shard i of n, written i/n (e.g. 0/3)")
 	coordinator := flag.Bool("coordinator", false, "serve as cluster coordinator: scatter queries to -shards, no local database")
@@ -70,7 +69,6 @@ func main() {
 	retryBackoff := flag.Duration("retry-backoff", 0, "coordinator: base backoff before a shard retry, doubled and jittered per attempt (0 = 100ms)")
 	compactInterval := flag.Duration("compact-interval", 0, "background delta compaction interval (0 = no background compactor; compact only on explicit request)")
 	deltaMaxMB := flag.Int("delta-max-mb", 0, "delta store byte budget in MiB; ingest blocks over it until a compaction drains (0 = unlimited)")
-	recodec := flag.Bool("recodec", true, "let compaction re-pick per-chunk codecs on adaptive stores as density shifts (false pins existing tags)")
 	flag.Parse()
 
 	log := slog.New(slog.NewTextHandler(os.Stderr, nil))
@@ -105,9 +103,7 @@ func main() {
 	} else {
 		db, err := repro.Open(repro.Options{
 			Path:             *path,
-			Replacer:         *replacer,
 			DeltaBudgetBytes: int64(*deltaMaxMB) << 20,
-			DisableRecodec:   !*recodec,
 		})
 		if err != nil {
 			fatal(err)

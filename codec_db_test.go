@@ -162,47 +162,3 @@ func TestCompactionRecodesChunks(t *testing.T) {
 		t.Fatalf("codec gauges = %v", gauges)
 	}
 }
-
-// TestCompactionRecodecDisabled pins chunk tags across compactions when
-// the operator opts out of re-picking.
-func TestCompactionRecodecDisabled(t *testing.T) {
-	db, err := Open(Options{DisableRecodec: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	loadScatteredRetail(t, db)
-
-	var cells []IngestCell
-	for p := int64(0); p < 12; p++ {
-		for s := int64(0); s < 8; s++ {
-			for tm := int64(0); tm < 6; tm++ {
-				cells = append(cells, IngestCell{Keys: []int64{p, s, tm}, Value: 7})
-			}
-		}
-	}
-	if err := db.InsertCells(cells); err != nil {
-		t.Fatal(err)
-	}
-	before, err := db.QueryOn(retailQuery, ArrayEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	arr, err := exec.OpenArray(db.bp, db.cat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := arr.Store().ChunkCodecName(0); got != "chunk-offset" {
-		t.Fatalf("pinned chunk re-tagged %q", got)
-	}
-	after, err := db.QueryOn(retailQuery, ArrayEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.RowsEqual(before.Rows, after.Rows) {
-		t.Fatalf("compaction changed results:\n%s", core.DiffRows(before.Rows, after.Rows))
-	}
-}

@@ -117,8 +117,8 @@ func (db *DB) CompactionsTotal() int64 {
 // The step order is what makes a crash at any point recoverable: the
 // delta WAL is only rewritten after the fold is durably committed, and
 // replaying absolute cell states over an already-folded base is a
-// no-op. Compaction changes no observable content, so it does not bump
-// the cache epoch; result- and chunk-cache entries survive it.
+// no-op. Compaction changes no observable content, so it starts no new
+// catalog generation; result- and chunk-cache entries survive it.
 func (db *DB) Compact() error {
 	if db.ds == nil {
 		return nil
@@ -139,10 +139,8 @@ func (db *DB) Compact() error {
 		return err
 	}
 	// On an adaptive store the rewrite re-picks each touched chunk's
-	// codec (a chunk an ingest stream filled in migrates from chunk-
-	// offset pairs to difference sequences, and back after deletes)
-	// unless the operator pinned the existing tags.
-	arr.Store().SetRecodec(!db.disableRecodec)
+	// codec: a chunk an ingest stream filled in migrates from chunk-
+	// offset pairs to difference sequences, and back after deletes.
 	changes := make(map[int][]chunk.CellChange, len(ov))
 	for cn, cells := range ov {
 		chs := make([]chunk.CellChange, len(cells))
@@ -228,9 +226,3 @@ func (db *DB) StopCompactor() {
 	db.compactWG.Wait()
 	db.compactStop = nil
 }
-
-// Invalidate bumps the global cache epoch, discarding every cached
-// result and decoded chunk — the pre-delta, whole-DB invalidation
-// behavior. Exposed so benchmarks can compare it against the per-chunk
-// version path that ingest normally uses.
-func (db *DB) Invalidate() { db.ex.InvalidateHandles() }

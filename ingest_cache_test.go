@@ -153,7 +153,9 @@ func TestCompactionKeepsCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db.Invalidate() // force fresh execution
+	if err := db.DropCaches(); err != nil { // force fresh execution
+		t.Fatal(err)
+	}
 	fresh, err := db.Query(retailQuery)
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@
 // exceeds 65536 cells so difference-sequence entries take 3 bytes and
 // the offset/diff-seq crossover lands mid-sweep (around density 1/3 for
 // uniformly scattered cells) instead of degenerating to a tie. It lives
-// apart from internal/bench for the same reason clusterbench and
-// htapbench do: it drives a whole repro.DB for the query-latency leg,
+// apart from internal/bench for the same reason clusterbench does: it
+// drives a whole repro.DB for the query-latency leg,
 // and the root package's tests import internal/bench, so importing
 // repro from there would cycle.
 package codecbench

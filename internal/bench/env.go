@@ -36,8 +36,6 @@ type EnvConfig struct {
 	Codec           string // "" = adaptive per-chunk selection
 	BuildBitmaps    bool
 	BufferPoolBytes int // 0 = the paper's 16 MB
-	// Replacer selects the buffer pool replacement policy ("" = lru).
-	Replacer string
 	// DiskPath backs the environment with a real volume file instead of
 	// memory, so physical reads hit the file system (olapbench -disk).
 	DiskPath string
@@ -74,10 +72,7 @@ func BuildEnv(cfg EnvConfig) (*Env, error) {
 	} else {
 		disk = storage.NewMemDiskManager()
 	}
-	bp, err := storage.NewBufferPoolPolicy(disk, frames, cfg.Replacer)
-	if err != nil {
-		return nil, err
-	}
+	bp := storage.NewBufferPool(disk, frames)
 	cat := catalog.NewCatalog()
 	if err := exec.CreateSchema(bp, cat, ds.Schema()); err != nil {
 		return nil, err

@@ -15,15 +15,15 @@
 //     identical queries trigger one engine execution.
 //
 // Correctness is layered. Whole-object replacement (loads, rebuilds,
-// in-place updates) is epoch-based: every entry is tagged with the
-// ExecContext generation current when its data was read, and a probe
-// with a newer epoch lazily discards it. Streaming ingest through the
-// delta store is finer-grained: decoded-chunk entries additionally
-// carry the chunk's delta version, so an ingest batch invalidates only
-// the chunks it touched, and result-cache keys embed a version vector
-// over the chunks a plan can see, so results stay hittable while
-// unrelated chunks absorb writes. DropCaches clears content without
-// bumping the generation — nothing changed, the caches are just cold.
+// in-place updates, DropCaches) is not this package's concern: the
+// executor keeps one set of caches per catalog generation and replaces
+// the set, so an entry can only ever be probed by queries that read the
+// objects it was computed from (Clear is what the retired set gets).
+// Streaming ingest through the delta store is finer-grained:
+// decoded-chunk entries carry the chunk's delta version, so an ingest
+// batch invalidates only the chunks it touched, and result-cache keys
+// embed a version vector over the chunks a plan can see, so results
+// stay hittable while unrelated chunks absorb writes.
 package cache
 
 import (
@@ -40,8 +40,7 @@ type entry struct {
 	bytes  int64   // what the entry holds, image included
 	image  int64   // the part of bytes added by AddImage
 	weight float64 // estimated I/O saved per hit (page reads)
-	epoch  uint64
-	cold   bool // a cold cube (GetCold/PutCold), not a row set
+	cold   bool    // a cold cube (GetCold/PutCold), not a row set
 }
 
 // evictionSample bounds how many LRU-tail entries one eviction
@@ -51,13 +50,14 @@ type entry struct {
 const evictionSample = 5
 
 // ResultCache is the semantic result cache: fingerprint -> materialized
-// result, bounded by bytes, with cost-aware LRU eviction and epoch
-// invalidation. Safe for concurrent use.
+// result, bounded by bytes, with cost-aware LRU eviction. Safe for
+// concurrent use.
 type ResultCache struct {
 	mu         sync.Mutex
 	maxBytes   int64
 	bytes      int64
 	imageBytes int64                    // sum of the entries' image
+	coldBytes  int64                    // sum of the cold entries' bytes
 	entries    map[string]*list.Element // -> *entry
 	lru        *list.List               // front = most recently used
 
@@ -81,7 +81,7 @@ func NewResultCache(maxBytes int64, reg *obs.Registry) *ResultCache {
 		evictions: reg.Counter("cache_result_evictions_total",
 			"result cache entries evicted by the cost-aware LRU"),
 		invalidated: reg.Counter("cache_result_invalidated_total",
-			"result cache entries discarded for carrying an old epoch"),
+			"result cache entries discarded because their catalog generation was replaced"),
 		coldHits: reg.Counter("cache_cold_hits_total",
 			"array runs under ingest that found the cube of their never-touched chunks"),
 		coldMisses: reg.Counter("cache_cold_misses_total",
@@ -89,20 +89,18 @@ func NewResultCache(maxBytes int64, reg *obs.Registry) *ResultCache {
 	}
 }
 
-// Get returns the value cached under key if its epoch matches; an entry
-// from an older epoch is discarded (lazy invalidation) and reads as a
-// miss.
-func (c *ResultCache) Get(key string, epoch uint64) (any, bool) {
-	return c.get(key, epoch, c.hits, c.misses)
+// Get returns the value cached under key.
+func (c *ResultCache) Get(key string) (any, bool) {
+	return c.get(key, c.hits, c.misses)
 }
 
 // GetCold is Get for the partial cubes PutCold stores, counted apart:
 // finding one saves part of an engine run, it does not serve a query.
-func (c *ResultCache) GetCold(key string, epoch uint64) (any, bool) {
-	return c.get(key, epoch, c.coldHits, c.coldMisses)
+func (c *ResultCache) GetCold(key string) (any, bool) {
+	return c.get(key, c.coldHits, c.coldMisses)
 }
 
-func (c *ResultCache) get(key string, epoch uint64, hits, misses *obs.Counter) (any, bool) {
+func (c *ResultCache) get(key string, hits, misses *obs.Counter) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[key]
@@ -110,30 +108,23 @@ func (c *ResultCache) get(key string, epoch uint64, hits, misses *obs.Counter) (
 		misses.Inc()
 		return nil, false
 	}
-	e := el.Value.(*entry)
-	if e.epoch != epoch {
-		c.removeLocked(el)
-		c.invalidated.Inc()
-		misses.Inc()
-		return nil, false
-	}
 	c.lru.MoveToFront(el)
 	hits.Inc()
-	return e.val, true
+	return el.Value.(*entry).val, true
 }
 
-// Put stores val under key, tagged with the epoch its data was read
-// under. bytes is the entry's memory estimate; weight is the estimated
-// I/O (page reads) a hit saves, which drives eviction order. Values
-// larger than a quarter of the budget are not cached — one giant result
-// must not flush the whole working set — and Put reports false.
-func (c *ResultCache) Put(key string, val any, bytes int64, weight float64, epoch uint64) bool {
-	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch})
+// Put stores val under key. bytes is the entry's memory estimate; weight
+// is the estimated I/O (page reads) a hit saves, which drives eviction
+// order. Values larger than a quarter of the budget are not cached — one
+// giant result must not flush the whole working set — and Put reports
+// false.
+func (c *ResultCache) Put(key string, val any, bytes int64, weight float64) bool {
+	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight})
 }
 
 // PutCold is Put for a partial cube, told apart only by ColdBytes.
-func (c *ResultCache) PutCold(key string, val any, bytes int64, weight float64, epoch uint64) bool {
-	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight, epoch: epoch, cold: true})
+func (c *ResultCache) PutCold(key string, val any, bytes int64, weight float64) bool {
+	return c.put(&entry{key: key, val: val, bytes: bytes, weight: weight, cold: true})
 }
 
 func (c *ResultCache) put(e *entry) bool {
@@ -147,6 +138,9 @@ func (c *ResultCache) put(e *entry) bool {
 	}
 	c.entries[e.key] = c.lru.PushFront(e)
 	c.bytes += e.bytes
+	if e.cold {
+		c.coldBytes += e.bytes
+	}
 	c.evictLocked()
 	return true
 }
@@ -171,6 +165,9 @@ func (c *ResultCache) AddImage(key string, val any, n int64) {
 	e.image += n
 	c.bytes += n
 	c.imageBytes += n
+	if e.cold {
+		c.coldBytes += n
+	}
 	c.evictLocked()
 }
 
@@ -224,17 +221,22 @@ func (c *ResultCache) removeLocked(el *list.Element) {
 	delete(c.entries, e.key)
 	c.bytes -= e.bytes
 	c.imageBytes -= e.image
+	if e.cold {
+		c.coldBytes -= e.bytes
+	}
 }
 
-// Clear discards every entry, keeping the counters: the cold-cache
-// protocol (DropCaches) empties content without pretending the data
-// changed.
+// Clear discards every entry and counts them as invalidated: what the
+// executor does to the cache of a catalog generation it replaces. A
+// query still finishing under that generation may go on using the cache;
+// nothing newer ever probes it.
 func (c *ResultCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.invalidated.Add(int64(c.lru.Len()))
 	c.entries = make(map[string]*list.Element)
 	c.lru.Init()
-	c.bytes, c.imageBytes = 0, 0
+	c.bytes, c.imageBytes, c.coldBytes = 0, 0, 0
 }
 
 // Bytes reports the retained entry bytes.
@@ -252,15 +254,10 @@ func (c *ResultCache) ImageBytes() int64 {
 }
 
 // ColdBytes reports the part of Bytes held by PutCold entries.
-func (c *ResultCache) ColdBytes() (n int64) {
+func (c *ResultCache) ColdBytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for el := c.lru.Front(); el != nil; el = el.Next() {
-		if e := el.Value.(*entry); e.cold {
-			n += e.bytes
-		}
-	}
-	return n
+	return c.coldBytes
 }
 
 // Len reports the number of cached entries.

@@ -15,11 +15,11 @@ import (
 
 func TestResultCacheRoundTrip(t *testing.T) {
 	c := NewResultCache(1<<20, obs.NewRegistry())
-	if _, ok := c.Get("k", 1); ok {
+	if _, ok := c.Get("k"); ok {
 		t.Fatal("hit on empty cache")
 	}
-	c.Put("k", "v", 100, 10, 1)
-	v, ok := c.Get("k", 1)
+	c.Put("k", "v", 100, 10)
+	v, ok := c.Get("k")
 	if !ok || v.(string) != "v" {
 		t.Fatalf("Get = %v, %v; want v, true", v, ok)
 	}
@@ -29,23 +29,28 @@ func TestResultCacheRoundTrip(t *testing.T) {
 	}
 }
 
+// TestResultCacheEpochInvalidation: the cache holds no epoch. A new one
+// means the executor retires this cache for a fresh one (exec's
+// TestGenerationSwap); what the cache owes it is Clear — every entry gone
+// and counted as invalidated, the cache usable by whoever still holds it.
 func TestResultCacheEpochInvalidation(t *testing.T) {
 	c := NewResultCache(1<<20, obs.NewRegistry())
-	c.Put("k", "v", 100, 10, 1)
-	// A probe from a newer epoch must discard the stale entry.
-	if _, ok := c.Get("k", 2); ok {
-		t.Fatal("stale-epoch entry served")
+	c.Put("k", "v", 100, 10)
+	c.PutCold("cube", "c", 60, 10)
+	c.Clear()
+	if _, ok := c.Get("k"); ok {
+		t.Fatal("an entry survived Clear")
 	}
-	if c.Len() != 0 {
-		t.Fatalf("stale entry retained; len = %d", c.Len())
+	if c.Len() != 0 || c.Bytes() != 0 {
+		t.Fatalf("after Clear: len = %d, bytes = %d", c.Len(), c.Bytes())
 	}
-	st := c.Stats()
-	if st.Invalidated != 1 {
-		t.Fatalf("invalidated = %d, want 1", st.Invalidated)
+	if st := c.Stats(); st.Invalidated != 2 {
+		t.Fatalf("invalidated = %d, want 2", st.Invalidated)
 	}
-	// Same fingerprint is cacheable again under the new epoch.
-	c.Put("k", "v2", 100, 10, 2)
-	if v, ok := c.Get("k", 2); !ok || v.(string) != "v2" {
+	// A reader still finishing against the retired cache stores and finds
+	// its own result there.
+	c.Put("k", "v2", 100, 10)
+	if v, ok := c.Get("k"); !ok || v.(string) != "v2" {
 		t.Fatalf("re-populated entry not served: %v, %v", v, ok)
 	}
 }
@@ -55,20 +60,20 @@ func TestResultCacheCostAwareEviction(t *testing.T) {
 	// the lowest I/O-saved weight, so it is the eviction victim even
 	// though it is not the LRU tail.
 	c := NewResultCache(1000, obs.NewRegistry())
-	c.Put("cheap", 0, 200, 1, 1)
+	c.Put("cheap", 0, 200, 1)
 	for i := 0; i < 4; i++ {
-		c.Put(fmt.Sprintf("costly%d", i), 0, 200, 500, 1)
+		c.Put(fmt.Sprintf("costly%d", i), 0, 200, 500)
 	}
-	c.Put("new", 0, 200, 500, 1)
-	if _, ok := c.Get("cheap", 1); ok {
+	c.Put("new", 0, 200, 500)
+	if _, ok := c.Get("cheap"); ok {
 		t.Fatal("low-density entry survived eviction")
 	}
 	for i := 0; i < 4; i++ {
-		if _, ok := c.Get(fmt.Sprintf("costly%d", i), 1); !ok {
+		if _, ok := c.Get(fmt.Sprintf("costly%d", i)); !ok {
 			t.Fatalf("high-density entry costly%d evicted", i)
 		}
 	}
-	if _, ok := c.Get("new", 1); !ok {
+	if _, ok := c.Get("new"); !ok {
 		t.Fatal("newly inserted entry evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -78,7 +83,7 @@ func TestResultCacheCostAwareEviction(t *testing.T) {
 
 func TestResultCacheOversizeSkipped(t *testing.T) {
 	c := NewResultCache(1000, obs.NewRegistry())
-	c.Put("big", 0, 300, 10, 1) // > maxBytes/4
+	c.Put("big", 0, 300, 10) // > maxBytes/4
 	if c.Len() != 0 {
 		t.Fatal("oversize entry cached")
 	}
@@ -90,7 +95,7 @@ func TestResultCacheOversizeSkipped(t *testing.T) {
 func TestResultCacheImageAccounting(t *testing.T) {
 	c := NewResultCache(1000, obs.NewRegistry())
 	a, b := new(int), new(int)
-	if !c.Put("a", a, 200, 1, 1) || !c.Put("b", b, 200, 1, 1) {
+	if !c.Put("a", a, 200, 1) || !c.Put("b", b, 200, 1) {
 		t.Fatal("Put refused an entry within budget")
 	}
 	c.AddImage("a", a, 300)
@@ -105,10 +110,10 @@ func TestResultCacheImageAccounting(t *testing.T) {
 	// b's image takes the cache over budget: a, least recently used, goes
 	// and takes its image with it.
 	c.AddImage("b", b, 400)
-	if _, ok := c.Get("a", 1); ok || c.Bytes() != 600 || c.ImageBytes() != 400 {
+	if _, ok := c.Get("a"); ok || c.Bytes() != 600 || c.ImageBytes() != 400 {
 		t.Fatalf("after the evicting image: bytes %d, image bytes %d, len %d", c.Bytes(), c.ImageBytes(), c.Len())
 	}
-	c.Put("b", a, 100, 1, 1) // replacing the value drops the old image
+	c.Put("b", a, 100, 1) // replacing the value drops the old image
 	if c.Bytes() != 100 || c.ImageBytes() != 0 {
 		t.Fatalf("after replacing b: bytes %d, image bytes %d", c.Bytes(), c.ImageBytes())
 	}
@@ -119,21 +124,23 @@ func TestResultCacheImageAccounting(t *testing.T) {
 	}
 }
 
+// TestChunkCacheEpochAndLRU: as for the result cache, an epoch change is
+// a Clear by the executor; within one cache, the byte-bounded LRU.
 func TestChunkCacheEpochAndLRU(t *testing.T) {
 	c := NewChunkCache(cellBytes*10, obs.NewRegistry())
-	v1 := c.View(1, nil)
+	v1 := c.View(nil)
 	cells := []chunk.Cell{{Offset: 0, Value: 42}}
 	v1.PutDecoded(7, cells)
 	if got, ok := v1.GetDecoded(7); !ok || got[0].Value != 42 {
 		t.Fatalf("GetDecoded = %v, %v", got, ok)
 	}
-	// A view bound to a newer epoch discards the stale chunk.
-	v2 := c.View(2, nil)
+	c.Clear()
+	v2 := c.View(nil)
 	if _, ok := v2.GetDecoded(7); ok {
-		t.Fatal("stale-epoch chunk served")
+		t.Fatal("a chunk survived Clear")
 	}
-	if st := c.Stats(); st.Invalidated != 1 {
-		t.Fatalf("invalidated = %d, want 1", st.Invalidated)
+	if st := c.Stats(); st.Invalidated != 1 || st.Bytes != 0 {
+		t.Fatalf("after Clear: invalidated = %d, bytes = %d; want 1, 0", st.Invalidated, st.Bytes)
 	}
 	// LRU eviction under the byte bound: 10 one-cell chunks fit, the
 	// 11th evicts the least recently used.
@@ -154,8 +161,8 @@ func TestChunkCacheEpochAndLRU(t *testing.T) {
 // current reader wants, and must not install its stale decode over it.
 func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
 	c := NewChunkCache(cellBytes*100, obs.NewRegistry())
-	older := c.View(1, map[int]uint64{7: 3})
-	newer := c.View(1, map[int]uint64{7: 4})
+	older := c.View(map[int]uint64{7: 3})
+	newer := c.View(map[int]uint64{7: 4})
 	stale := []chunk.Cell{{Offset: 0, Value: 3}}
 	fresh := []chunk.Cell{{Offset: 0, Value: 4}}
 	newer.PutDecoded(7, fresh)
@@ -174,7 +181,7 @@ func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
 	}
 	// A newer version still supersedes: the first reader past the next
 	// batch drops the entry and installs its own.
-	next := c.View(1, map[int]uint64{7: 5})
+	next := c.View(map[int]uint64{7: 5})
 	if _, ok := next.GetDecoded(7); ok {
 		t.Fatal("a version-4 entry was served to a version-5 reader")
 	}
@@ -189,14 +196,14 @@ func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
 func TestResultCacheColdEntries(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := NewResultCache(1000, reg)
-	c.Put("rows", "r", 100, 1, 1)
-	if _, ok := c.GetCold("cube", 1); ok {
+	c.Put("rows", "r", 100, 1)
+	if _, ok := c.GetCold("cube"); ok {
 		t.Fatal("cold hit on an empty key")
 	}
-	if !c.PutCold("cube", "c", 60, 1, 1) {
+	if !c.PutCold("cube", "c", 60, 1) {
 		t.Fatal("PutCold refused a small cube")
 	}
-	if v, ok := c.GetCold("cube", 1); !ok || v != "c" {
+	if v, ok := c.GetCold("cube"); !ok || v != "c" {
 		t.Fatalf("GetCold = %v, %v", v, ok)
 	}
 	snap := reg.Snapshot()
@@ -209,11 +216,44 @@ func TestResultCacheColdEntries(t *testing.T) {
 	if c.Bytes() != 160 || c.ColdBytes() != 60 {
 		t.Fatalf("bytes = %d (cold %d), want 160 (60)", c.Bytes(), c.ColdBytes())
 	}
-	if _, ok := c.GetCold("cube", 2); ok {
-		t.Fatal("a cold cube from an older epoch was served")
+
+	// ColdBytes is a running counter; it must equal a walk over the
+	// entries after everything that moves bytes.
+	check := func(when string) {
+		t.Helper()
+		var walk int64
+		for el := c.lru.Front(); el != nil; el = el.Next() {
+			if e := el.Value.(*entry); e.cold {
+				walk += e.bytes
+			}
+		}
+		if got := c.ColdBytes(); got != walk {
+			t.Fatalf("%s: ColdBytes = %d, the entries hold %d", when, got, walk)
+		}
 	}
-	if c.ColdBytes() != 0 || c.Bytes() != 100 {
-		t.Fatalf("after epoch invalidation: bytes = %d (cold %d), want 100 (0)", c.Bytes(), c.ColdBytes())
+	check("after put")
+	c.PutCold("cube", "c2", 90, 1) // replace: the old 60 leave with it
+	check("after replace")
+	if c.ColdBytes() != 90 {
+		t.Fatalf("after replace: ColdBytes = %d, want 90", c.ColdBytes())
+	}
+	c.PutCold("cube2", "d", 200, 0.5)
+	c.Remove("cube")
+	check("after Remove")
+	// Evict: 240-byte row sets overflow the 1000-byte budget, and the cube
+	// saves the least I/O per byte.
+	for i := 0; i < 4; i++ {
+		c.Put(fmt.Sprintf("more%d", i), "r", 240, 1)
+	}
+	check("after eviction")
+	if c.ColdBytes() != 0 {
+		t.Fatalf("after eviction: ColdBytes = %d, want 0 (evictions %d)", c.ColdBytes(), c.Stats().Evictions)
+	}
+	c.PutCold("cube3", "e", 50, 1)
+	c.Clear()
+	check("after Clear")
+	if c.ColdBytes() != 0 || c.Bytes() != 0 {
+		t.Fatalf("after Clear: bytes = %d (cold %d), want 0 (0)", c.Bytes(), c.ColdBytes())
 	}
 }
 

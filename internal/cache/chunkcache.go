@@ -14,10 +14,9 @@ const cellBytes = 16
 
 // ChunkCache pins hot decoded chunks above the buffer pool, so a
 // repeated array probe pays neither the page fetch nor the chunk-offset
-// decode. Entries are keyed by chunk number and tagged with the epoch
-// their bytes were read under plus the chunk's delta version; a probe
-// under a newer epoch or a newer version discards the entry — so an
-// ingest batch invalidates exactly the chunks it touched, and a
+// decode. Entries are keyed by chunk number and tagged with the chunk's
+// delta version; a probe under a newer version discards the entry — so
+// an ingest batch invalidates exactly the chunks it touched, and a
 // compaction (which changes no chunk's observable content) invalidates
 // nothing. Plain byte-bounded LRU — decoded chunks are near-uniform in
 // recompute cost, so no weighting is needed. Safe for concurrent use.
@@ -35,7 +34,6 @@ type chunkEntry struct {
 	chunkNum int
 	cells    []chunk.Cell
 	bytes    int64
-	epoch    uint64
 	version  uint64
 }
 
@@ -53,16 +51,16 @@ func NewChunkCache(maxBytes int64, reg *obs.Registry) *ChunkCache {
 		evictions: reg.Counter("cache_chunk_evictions_total",
 			"chunk cache entries evicted by the LRU"),
 		invalidated: reg.Counter("cache_chunk_invalidated_total",
-			"chunk cache entries discarded for carrying an old epoch"),
+			"chunk cache entries discarded because their catalog generation was replaced"),
 		invalidations: reg.Counter("cache_chunk_invalidations_total",
 			"chunk cache entries discarded for carrying an old per-chunk delta version"),
 	}
 }
 
-// get returns the decoded cells of chunkNum if cached under epoch and
-// version. Versions only grow, so an entry newer than the probe is what
-// current readers want: a reader on an older snapshot misses, leaving it.
-func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, bool) {
+// get returns the decoded cells of chunkNum if cached under version.
+// Versions only grow, so an entry newer than the probe is what current
+// readers want: a reader on an older snapshot misses, leaving it.
+func (c *ChunkCache) get(chunkNum int, version uint64) ([]chunk.Cell, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[chunkNum]
@@ -71,12 +69,8 @@ func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, boo
 		return nil, false
 	}
 	e := el.Value.(*chunkEntry)
-	if e.epoch != epoch || e.version != version {
-		switch {
-		case e.epoch != epoch:
-			c.removeLocked(el)
-			c.invalidated.Inc()
-		case e.version < version:
+	if e.version != version {
+		if e.version < version {
 			c.removeLocked(el)
 			c.invalidations.Inc()
 		}
@@ -88,11 +82,11 @@ func (c *ChunkCache) get(chunkNum int, epoch, version uint64) ([]chunk.Cell, boo
 	return e.cells, true
 }
 
-// put stores the decoded cells of chunkNum under epoch and version. The
-// slice is retained and served to later readers, which treat decoded
-// cells as read-only throughout the engine. An older snapshot's cells
-// do not replace a newer entry.
-func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, epoch, version uint64) {
+// put stores the decoded cells of chunkNum under version. The slice is
+// retained and served to later readers, which treat decoded cells as
+// read-only throughout the engine. An older snapshot's cells do not
+// replace a newer entry.
+func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, version uint64) {
 	bytes := int64(len(cells)) * cellBytes
 	if bytes > c.maxBytes/4 {
 		return
@@ -100,12 +94,12 @@ func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, epoch, version uint64
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.entries[chunkNum]; ok {
-		if old := el.Value.(*chunkEntry); old.epoch == epoch && old.version > version {
+		if old := el.Value.(*chunkEntry); old.version > version {
 			return
 		}
 		c.removeLocked(el)
 	}
-	e := &chunkEntry{chunkNum: chunkNum, cells: cells, bytes: bytes, epoch: epoch, version: version}
+	e := &chunkEntry{chunkNum: chunkNum, cells: cells, bytes: bytes, version: version}
 	c.entries[chunkNum] = c.lru.PushFront(e)
 	c.bytes += bytes
 	for c.bytes > c.maxBytes && c.lru.Len() > 1 {
@@ -149,37 +143,35 @@ func (c *ChunkCache) Stats() Stats {
 	}
 }
 
-// Clear discards every entry, keeping the counters: the cold-cache
-// protocol (DropCaches) empties content without pretending the data
-// changed.
+// Clear discards every entry and counts them as invalidated: what the
+// executor does to the cache of a catalog generation it replaces.
 func (c *ChunkCache) Clear() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	c.invalidated.Add(int64(c.lru.Len()))
 	c.entries = make(map[int]*list.Element)
 	c.lru.Init()
 	c.bytes = 0
 }
 
-// View binds the cache to one epoch and one per-chunk delta version
-// vector, yielding the chunk.DecodedCache a chunk store consults. Both
-// are captured when an array clone is handed out, so a clone that raced
-// a catalog mutation or an ingest batch populates entries no current
-// probe will accept. versions may be nil (no deltas ever: every chunk
-// reads as version 0).
-func (c *ChunkCache) View(epoch uint64, versions map[int]uint64) chunk.DecodedCache {
-	return &chunkView{cache: c, epoch: epoch, versions: versions}
+// View binds the cache to one per-chunk delta version vector, yielding
+// the chunk.DecodedCache a chunk store consults. The vector is captured
+// when an array clone is handed out, so a clone that raced an ingest
+// batch populates entries no current probe will accept. versions may be
+// nil (no deltas ever: every chunk reads as version 0).
+func (c *ChunkCache) View(versions map[int]uint64) chunk.DecodedCache {
+	return &chunkView{cache: c, versions: versions}
 }
 
 type chunkView struct {
 	cache    *ChunkCache
-	epoch    uint64
 	versions map[int]uint64 // read-only snapshot, shared across clones
 }
 
 func (v *chunkView) GetDecoded(chunkNum int) ([]chunk.Cell, bool) {
-	return v.cache.get(chunkNum, v.epoch, v.versions[chunkNum])
+	return v.cache.get(chunkNum, v.versions[chunkNum])
 }
 
 func (v *chunkView) PutDecoded(chunkNum int, cells []chunk.Cell) {
-	v.cache.put(chunkNum, cells, v.epoch, v.versions[chunkNum])
+	v.cache.put(chunkNum, cells, v.versions[chunkNum])
 }

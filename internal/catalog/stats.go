@@ -55,9 +55,6 @@ type ArrayStats struct {
 	// "adaptive" for per-chunk selection. Empty in stats collected
 	// before codec modes existed.
 	Codec string `json:"codec,omitempty"`
-	// FormatVersion is the chunk-store directory format (1 = legacy
-	// store-wide codec, 2 = per-chunk codec tags). Zero in older stats.
-	FormatVersion int `json:"format_version,omitempty"`
 	// Codecs breaks the encoded payload down by chunk codec; nil in
 	// older stats.
 	Codecs map[string]CodecStats `json:"codecs,omitempty"`

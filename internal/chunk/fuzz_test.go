@@ -1,15 +1,14 @@
 package chunk
 
 import (
-	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"testing"
 )
 
-// fuzzSeedStores builds one adaptive (v2) and one forced-codec store and
-// returns their marshaled directories plus a hand-built v1 directory, so
-// the fuzzer starts from valid blobs of every format it must parse.
+// fuzzSeedStores builds one adaptive and two forced-codec stores and
+// returns their marshaled directories, so the fuzzer starts from valid
+// blobs of every codec mode it must parse.
 func fuzzSeedStores(f *testing.F) [][]byte {
 	f.Helper()
 	bp := newStorePool(256)
@@ -35,21 +34,22 @@ func fuzzSeedStores(f *testing.F) [][]byte {
 			f.Fatal(err)
 		}
 		seeds = append(seeds, s.marshalMeta())
-		if codec != nil {
-			seeds = append(seeds, marshalMetaV1(s, codec.Name()))
-		}
 	}
 	return seeds
 }
 
 // FuzzStoreDir throws arbitrary bytes at the store-directory parser. It
-// must never panic, and anything it accepts must be internally
-// consistent: a known version, a geometry, one entry per chunk, and
-// codec tags that resolve in the codec table.
+// must never panic, an error must come with no directory (the v1 seed
+// takes that path: see TestV1StoreRejected), and anything it accepts must
+// be internally consistent: a geometry, one entry per chunk, and codec
+// tags that resolve in the codec table.
 func FuzzStoreDir(f *testing.F) {
-	for _, seed := range fuzzSeedStores(f) {
+	seeds := fuzzSeedStores(f)
+	for _, seed := range seeds {
 		f.Add(seed)
 	}
+	f.Add(seeds[0][:len(seeds[0])/2]) // a directory cut off mid-way
+	f.Add([]byte(v1Directory))
 	f.Add([]byte{})
 	f.Add([]byte{0})
 	f.Add([]byte{0, 2})
@@ -57,16 +57,13 @@ func FuzzStoreDir(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		d, err := unmarshalStoreDir(data)
 		if err != nil {
+			if d != nil {
+				t.Fatalf("a directory came back beside the error %v", err)
+			}
 			return
 		}
 		if d.geom == nil {
 			t.Fatal("accepted directory with nil geometry")
-		}
-		if d.version != 1 && d.version != storeFormatVersion {
-			t.Fatalf("accepted directory with version %d", d.version)
-		}
-		if d.version == 1 && d.codec == nil {
-			t.Fatal("v1 directory parsed as adaptive")
 		}
 		if len(d.entries) != d.geom.NumChunks() {
 			t.Fatalf("%d entries for %d chunks", len(d.entries), d.geom.NumChunks())
@@ -133,44 +130,9 @@ func FuzzCodecDecode(f *testing.F) {
 	})
 }
 
-// The v1 fallback and the v2 parser must agree on the fields they share.
-func TestStoreDirV1V2Agree(t *testing.T) {
-	bp := newStorePool(256)
-	g, err := NewGeometry([]int{24, 10}, []int{8, 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, _ := buildRandomStore(t, bp, g, DenseCodec{}, 0.4, 7)
-	v2, err := unmarshalStoreDir(s.marshalMeta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1, err := unmarshalStoreDir(marshalMetaV1(s, CodecDense))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2.version != 2 || v1.version != 1 {
-		t.Fatalf("versions = %d, %d", v2.version, v1.version)
-	}
-	if v1.totalPages != v2.totalPages || v1.validCells != v2.validCells {
-		t.Fatalf("totals diverge: %d/%d vs %d/%d",
-			v1.totalPages, v1.validCells, v2.totalPages, v2.validCells)
-	}
-	if len(v1.entries) != len(v2.entries) {
-		t.Fatalf("entry counts diverge: %d vs %d", len(v1.entries), len(v2.entries))
-	}
-	for i := range v1.entries {
-		if v1.entries[i] != v2.entries[i] {
-			t.Fatalf("entry %d diverges: %+v vs %+v", i, v1.entries[i], v2.entries[i])
-		}
-	}
-	if !bytes.Equal(v1.geom.Marshal(), v2.geom.Marshal()) {
-		t.Fatal("geometries diverge")
-	}
-}
-
-// Guard against the sentinel colliding with a real v1 blob: geometry
-// marshaling must never start with a zero dimension count.
+// Guard against the sentinel colliding with a v1 blob, which starts with
+// its geometry: geometry marshaling must never start with a zero
+// dimension count.
 func TestV1BlobNeverStartsWithZero(t *testing.T) {
 	g, err := NewGeometry([]int{3}, []int{3})
 	if err != nil {

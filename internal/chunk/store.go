@@ -14,6 +14,11 @@ import (
 // ErrStopScan stops a chunk scan early without error.
 var ErrStopScan = errors.New("chunk: stop scan")
 
+// ErrDirFormatV1 is what opening a store whose directory has no format
+// header returns: the v1 layout (one store-wide codec, untagged entries),
+// which no build writes any more and this one does not read.
+var ErrDirFormatV1 = errors.New("chunk: store directory format v1 is not supported (this build reads v2)")
+
 // chunkEntry is the per-chunk metadata: the blob holding the encoded
 // chunk, its encoded length, its valid-cell count, and the ID of the
 // codec that encoded it. The paper (§3.3) keeps exactly this directory
@@ -54,15 +59,6 @@ type Store struct {
 	codec   Codec
 	entries []chunkEntry
 	meta    storage.LOBRef
-
-	// version is the directory format the store was opened from (1 for
-	// legacy store-wide-codec directories, 2 for per-chunk tags). New
-	// directories are always written as v2.
-	version int
-	// recodec, for adaptive stores, lets Update re-pick each rewritten
-	// chunk's codec as its density shifts (the default). Cleared via
-	// SetRecodec, rewritten chunks keep their existing tags.
-	recodec bool
 
 	totalPages int64
 	validCells int64
@@ -158,8 +154,6 @@ func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 		geom:       b.geom,
 		codec:      b.codec,
 		entries:    make([]chunkEntry, b.geom.NumChunks()),
-		version:    storeFormatVersion,
-		recodec:    true,
 		cacheChunk: -1,
 	}
 	for cn := 0; cn < b.geom.NumChunks(); cn++ {
@@ -213,12 +207,11 @@ func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 	return s, nil
 }
 
-// storeFormatVersion is the directory format this build writes.
-// v1: geometry | codec name | totals | per-chunk {ref, bytes, cells},
-// with one store-wide codec. v2 prefixes a 0 sentinel (a v1 directory
-// starts with its geometry's dimension count, which is never 0) and a
-// version, names the codec mode ("adaptive" or a forced codec), and
-// tags every chunk entry with its own codec ID.
+// storeFormatVersion is the directory format this build reads and
+// writes: a 0 sentinel (the unversioned v1 layout started with its
+// geometry's dimension count, which is never 0) | version | geometry |
+// codec mode ("adaptive" or a forced codec) | totals | per-chunk {ref,
+// bytes, cells, codec ID}.
 const storeFormatVersion = 2
 
 // modeName is the codec mode recorded in the directory: the forced
@@ -230,7 +223,7 @@ func (s *Store) modeName() string {
 	return s.codec.Name()
 }
 
-// marshalMeta serializes the store directory (always format v2).
+// marshalMeta serializes the store directory.
 func (s *Store) marshalMeta() []byte {
 	out := binary.AppendUvarint(nil, 0) // v2 sentinel
 	out = binary.AppendUvarint(out, storeFormatVersion)
@@ -251,7 +244,6 @@ func (s *Store) marshalMeta() []byte {
 
 // storeDir is a parsed store directory.
 type storeDir struct {
-	version    int
 	geom       *Geometry
 	codec      Codec // nil = adaptive
 	totalPages int64
@@ -259,29 +251,29 @@ type storeDir struct {
 	entries    []chunkEntry
 }
 
-// unmarshalStoreDir parses a store directory blob, either format. It is
-// the pure half of Open, separated so corrupt-input handling can be
-// fuzzed without a buffer pool.
+// unmarshalStoreDir parses a store directory blob. It is the pure half
+// of Open, separated so corrupt-input handling can be fuzzed without a
+// buffer pool.
 func unmarshalStoreDir(data []byte) (*storeDir, error) {
 	first, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, fmt.Errorf("chunk: corrupt store directory header")
 	}
-	d := &storeDir{version: 1}
-	if first == 0 {
-		// Versioned directory: a v1 blob starts with its dimension
-		// count, which NewGeometry guarantees is never 0.
-		data = data[sz:]
-		v, sz := binary.Uvarint(data)
-		if sz <= 0 {
-			return nil, fmt.Errorf("chunk: corrupt store format version")
-		}
-		if v != storeFormatVersion {
-			return nil, fmt.Errorf("chunk: store directory format v%d (this build reads v1 and v%d)", v, storeFormatVersion)
-		}
-		d.version = int(v)
-		data = data[sz:]
+	if first != 0 {
+		// No sentinel: a v1 blob starts with its dimension count, which
+		// NewGeometry guarantees is never 0.
+		return nil, ErrDirFormatV1
 	}
+	data = data[sz:]
+	v, sz := binary.Uvarint(data)
+	if sz <= 0 {
+		return nil, fmt.Errorf("chunk: corrupt store format version")
+	}
+	if v != storeFormatVersion {
+		return nil, fmt.Errorf("chunk: store directory format v%d (this build reads v%d)", v, storeFormatVersion)
+	}
+	data = data[sz:]
+	d := &storeDir{}
 	geom, used, err := UnmarshalGeometry(data)
 	if err != nil {
 		return nil, err
@@ -294,9 +286,7 @@ func unmarshalStoreDir(data []byte) (*storeDir, error) {
 	}
 	data = data[sz:]
 	name := string(data[:nameLen])
-	if d.version >= 2 && name == CodecAdaptive {
-		d.codec = nil
-	} else {
+	if name != CodecAdaptive {
 		if d.codec, err = CodecByName(name); err != nil {
 			return nil, err
 		}
@@ -315,14 +305,10 @@ func unmarshalStoreDir(data []byte) (*storeDir, error) {
 	d.validCells = int64(validCells)
 	data = data[sz:]
 	// Bound the directory allocation by the bytes actually present: every
-	// entry takes at least three uvarints (four with a codec tag), so a
-	// blob whose geometry claims more chunks than its tail could possibly
-	// encode is corrupt, not a request for a huge allocation.
-	minEntry := uint64(3)
-	if d.version >= 2 {
-		minEntry = 4
-	}
-	if geom.NumChunks() <= 0 || uint64(geom.NumChunks()) > uint64(len(data))/minEntry {
+	// entry takes at least four uvarints, so a blob whose geometry claims
+	// more chunks than its tail could possibly encode is corrupt, not a
+	// request for a huge allocation.
+	if geom.NumChunks() <= 0 || uint64(geom.NumChunks()) > uint64(len(data))/4 {
 		return nil, fmt.Errorf("chunk: directory truncated: %d chunks, %d bytes of entries",
 			geom.NumChunks(), len(data))
 	}
@@ -343,31 +329,20 @@ func unmarshalStoreDir(data []byte) (*storeDir, error) {
 			return nil, fmt.Errorf("chunk: corrupt entry %d cells", i)
 		}
 		data = data[sz:]
-		e := chunkEntry{ref: storage.LOBRef{First: storage.PageID(ref)}, bytes: nbytes, cells: ncells}
-		if d.version >= 2 {
-			id, sz := binary.Uvarint(data)
-			if sz <= 0 {
-				return nil, fmt.Errorf("chunk: corrupt entry %d codec", i)
-			}
-			data = data[sz:]
-			if _, err := codecByID(id); err != nil {
-				return nil, fmt.Errorf("chunk: entry %d: %w", i, err)
-			}
-			e.codec = uint8(id)
-		} else {
-			// v1 directories encode one store-wide codec; propagate it
-			// into every entry's tag so readers have one code path.
-			e.codec = codecID(d.codec)
+		id, sz := binary.Uvarint(data)
+		if sz <= 0 {
+			return nil, fmt.Errorf("chunk: corrupt entry %d codec", i)
 		}
-		d.entries[i] = e
+		data = data[sz:]
+		if _, err := codecByID(id); err != nil {
+			return nil, fmt.Errorf("chunk: entry %d: %w", i, err)
+		}
+		d.entries[i] = chunkEntry{ref: storage.LOBRef{First: storage.PageID(ref)}, bytes: nbytes, cells: ncells, codec: uint8(id)}
 	}
 	return d, nil
 }
 
-// Open loads a Store from its metadata blob reference. Both directory
-// formats open; a v1 store reads exactly as before (its store-wide codec
-// becomes every chunk's tag) and is migrated to v2 by its first
-// copy-on-write Update.
+// Open loads a Store from its metadata blob reference.
 func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 	lob := storage.NewLOBStore(bp)
 	data, err := lob.Read(meta)
@@ -376,7 +351,7 @@ func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 	}
 	d, err := unmarshalStoreDir(data)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("open chunk store, directory blob at page %d: %w", uint64(meta.First), err)
 	}
 	return &Store{
 		bp:         bp,
@@ -385,8 +360,6 @@ func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 		codec:      d.codec,
 		entries:    d.entries,
 		meta:       meta,
-		version:    d.version,
-		recodec:    true,
 		totalPages: d.totalPages,
 		validCells: d.validCells,
 		cacheChunk: -1,
@@ -405,15 +378,6 @@ func (s *Store) CodecName() string { return s.modeName() }
 
 // Adaptive reports whether codec selection is per-chunk.
 func (s *Store) Adaptive() bool { return s.codec == nil }
-
-// FormatVersion reports the directory format the store was opened from
-// (1 or 2); stores built by this version always write v2.
-func (s *Store) FormatVersion() int { return s.version }
-
-// SetRecodec controls whether copy-on-write updates of an adaptive store
-// re-pick each rewritten chunk's codec (the default) or keep the
-// existing tags. It has no effect on forced-codec stores.
-func (s *Store) SetRecodec(on bool) { s.recodec = on }
 
 // entryCodec returns the codec that encoded the given chunk.
 func (s *Store) entryCodec(cn int) Codec { return codecTable[s.entries[cn].codec] }

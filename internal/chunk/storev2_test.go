@@ -1,7 +1,8 @@
 package chunk
 
 import (
-	"encoding/binary"
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/storage"
@@ -56,9 +57,6 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	if !s.Adaptive() || s.CodecName() != CodecAdaptive {
 		t.Fatalf("Adaptive=%v CodecName=%q", s.Adaptive(), s.CodecName())
 	}
-	if s.FormatVersion() != 2 {
-		t.Fatalf("FormatVersion = %d", s.FormatVersion())
-	}
 	if got := s.ChunkCodecName(0); got != CodecOffset {
 		t.Fatalf("sparse chunk tagged %q, want %q", got, CodecOffset)
 	}
@@ -71,8 +69,8 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ro.Adaptive() || ro.FormatVersion() != 2 {
-		t.Fatalf("reopened: Adaptive=%v FormatVersion=%d", ro.Adaptive(), ro.FormatVersion())
+	if !ro.Adaptive() {
+		t.Fatal("reopened store is not adaptive")
 	}
 	for cn, cells := range readAll(t, ro) {
 		if !cellsEqual(cells, want[cn]) {
@@ -100,80 +98,35 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	}
 }
 
-// marshalMetaV1 renders a store's directory in the legacy v1 layout:
-// geometry, one store-wide codec name, totals, and untagged entries. It
-// exists only to fabricate pre-v2 stores for the migration tests.
-func marshalMetaV1(s *Store, codecName string) []byte {
-	out := s.geom.Marshal()
-	out = binary.AppendUvarint(out, uint64(len(codecName)))
-	out = append(out, codecName...)
-	out = binary.AppendUvarint(out, uint64(s.totalPages))
-	out = binary.AppendUvarint(out, uint64(s.validCells))
-	for _, e := range s.entries {
-		out = binary.AppendUvarint(out, uint64(e.ref.First))
-		out = binary.AppendUvarint(out, e.bytes)
-		out = binary.AppendUvarint(out, e.cells)
-	}
-	return out
-}
+// v1Directory is a store directory in the unversioned v1 layout —
+// geometry, one store-wide codec name, totals, untagged entries — as the
+// last build that wrote one rendered a 24x10 chunk-offset store. Frozen:
+// nothing can produce it any more.
+const v1Directory = "\x02\x18\b\n\n\fchunk-offset\bQ\x01\x94\x02\x17\x03\xe8\x02\x1e\x05\xd0\x02\x1c"
 
-// A v1-format directory (store-wide codec, no per-chunk tags) must open
-// and read bit-identically, and its first copy-on-write update must
-// migrate it to a v2 directory.
-func TestV1StoreMigration(t *testing.T) {
-	bp := newStorePool(256)
-	g, err := NewGeometry([]int{24, 10}, []int{8, 10})
+// A v1 directory is refused with ErrDirFormatV1 — by the parser, and,
+// wrapped, by Open reading it through a buffer pool, which is the form
+// exec.OpenArray and so an array-engine query surfaces. Never a Store.
+func TestV1StoreRejected(t *testing.T) {
+	if d, err := unmarshalStoreDir([]byte(v1Directory)); !errors.Is(err, ErrDirFormatV1) || d != nil {
+		t.Fatalf("unmarshalStoreDir(v1) = %v, %v; want ErrDirFormatV1", d, err)
+	}
+	bp := newStorePool(16)
+	ref, _, err := storage.NewLOBStore(bp).Write([]byte(v1Directory))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _ := buildRandomStore(t, bp, g, OffsetCodec{}, 0.3, 33)
-	want := readAll(t, s)
-
-	// Rewrite the directory blob in the legacy layout and open through it.
-	v1meta := marshalMetaV1(s, CodecOffset)
-	ref, _, err := storage.NewLOBStore(bp).Write(v1meta)
-	if err != nil {
-		t.Fatal(err)
+	s, err := Open(bp, ref)
+	if !errors.Is(err, ErrDirFormatV1) || s != nil {
+		t.Fatalf("Open(v1) = %v, %v; want an error wrapping ErrDirFormatV1", s, err)
 	}
-	v1, err := Open(bp, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v1.FormatVersion() != 1 {
-		t.Fatalf("FormatVersion = %d, want 1", v1.FormatVersion())
-	}
-	if v1.Adaptive() || v1.CodecName() != CodecOffset {
-		t.Fatalf("v1 store: Adaptive=%v CodecName=%q", v1.Adaptive(), v1.CodecName())
-	}
-	for cn, cells := range readAll(t, v1) {
-		if !cellsEqual(cells, want[cn]) {
-			t.Fatalf("chunk %d: v1 open diverges from v2 open", cn)
-		}
-		if cn < g.NumChunks() && len(cells) > 0 && v1.ChunkCodecName(cn) != CodecOffset {
-			t.Fatalf("chunk %d inherited tag %q", cn, v1.ChunkCodecName(cn))
-		}
-	}
-
-	// Copy-on-write off the v1 snapshot writes a v2 directory.
-	upd, err := v1.Update(map[int][]CellChange{0: {{Offset: 0, Value: 42}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reopened, err := Open(bp, upd.Meta())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reopened.FormatVersion() != 2 {
-		t.Fatalf("post-update FormatVersion = %d, want 2", reopened.FormatVersion())
-	}
-	if v, ok, err := reopened.Get([]int{0, 0}); err != nil || !ok || v != 42 {
-		t.Fatalf("migrated store Get = (%d, %v, %v)", v, ok, err)
+	if err == ErrDirFormatV1 || !strings.Contains(err.Error(), "v1") {
+		t.Fatalf("Open(v1) error %q: want the blob located and the format named", err)
 	}
 }
 
 // Copy-on-write updates of an adaptive store must re-pick the codec of
-// chunks whose density shifted — and keep tags frozen under
-// SetRecodec(false).
+// chunks whose density shifted.
 func TestUpdateRecodesAdaptiveChunks(t *testing.T) {
 	bp := newStorePool(256)
 	s, _ := buildMixedStore(t, bp)
@@ -209,35 +162,23 @@ func TestUpdateRecodesAdaptiveChunks(t *testing.T) {
 		t.Fatalf("sparsified chunk tagged %q, want %q", got, CodecOffset)
 	}
 
-	// Frozen tags: the same densifying update keeps chunk-offset.
-	s.SetRecodec(false)
-	frozen, err := s.Update(map[int][]CellChange{0: fill})
+	// Under the new tag, contents must match a reference replay: the 8
+	// original cells sat at offsets {0, 50, ..., 350}; fill overwrites
+	// the six below 300, leaving the survivors at 300 and 350.
+	cells, err := upd.ReadChunk(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := frozen.ChunkCodecName(0); got != CodecOffset {
-		t.Fatalf("frozen chunk tagged %q, want %q", got, CodecOffset)
+	want := map[uint32]int64{300: 6, 350: 7}
+	for off := 0; off < 300; off++ {
+		want[uint32(off)] = int64(off)
 	}
-
-	// Whatever the tag, contents must match a reference replay: the 8
-	// original cells sat at offsets {0, 50, ..., 350}; fill overwrites
-	// the six below 300, leaving the survivors at 300 and 350.
-	for _, st := range []*Store{upd, frozen} {
-		cells, err := st.ReadChunk(0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := map[uint32]int64{300: 6, 350: 7}
-		for off := 0; off < 300; off++ {
-			want[uint32(off)] = int64(off)
-		}
-		if len(cells) != len(want) {
-			t.Fatalf("merged chunk has %d cells, want %d", len(cells), len(want))
-		}
-		for _, c := range cells {
-			if want[c.Offset] != c.Value {
-				t.Fatalf("offset %d = %d, want %d", c.Offset, c.Value, want[c.Offset])
-			}
+	if len(cells) != len(want) {
+		t.Fatalf("merged chunk has %d cells, want %d", len(cells), len(want))
+	}
+	for _, c := range cells {
+		if want[c.Offset] != c.Value {
+			t.Fatalf("offset %d = %d, want %d", c.Offset, c.Value, want[c.Offset])
 		}
 	}
 }

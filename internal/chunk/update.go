@@ -27,8 +27,6 @@ func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
 		geom:       s.geom,
 		codec:      s.codec,
 		entries:    append([]chunkEntry(nil), s.entries...),
-		version:    storeFormatVersion,
-		recodec:    s.recodec,
 		cacheChunk: -1,
 	}
 	for cn, chs := range changes {
@@ -50,16 +48,10 @@ func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
 		// A rewritten chunk's density may have shifted, so an adaptive
 		// store re-picks its codec here — this is the path that turns a
 		// chunk-offset chunk into a diff-seq chunk after ingest fills it
-		// in (and back, after deletes). With recodec off, or for a chunk
-		// that had no encoding yet, the existing tag (resp. a fresh
-		// pick) is used; forced stores always keep their codec.
+		// in (and back, after deletes). Forced stores keep their codec.
 		codec := s.codec
 		if codec == nil {
-			if s.recodec || !s.entries[cn].ref.Valid() {
-				codec = pickCodec(merged, s.geom.ChunkCapacity())
-			} else {
-				codec = s.entryCodec(cn)
-			}
+			codec = pickCodec(merged, s.geom.ChunkCapacity())
 		}
 		enc, err := codec.Encode(merged, s.geom.ChunkCapacity())
 		if err != nil {

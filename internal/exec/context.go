@@ -6,6 +6,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/array"
@@ -22,16 +23,11 @@ import (
 )
 
 // ExecContext is the shared execution state of one open database: the
-// buffer pool, the catalog, and a mutex-guarded cache of opened object
-// handles. One ExecContext is created per database; every executor
-// (the DB's own and one per Session) plans and runs against it, so
-// dimension tables, the fact file, and the array's master structures
-// are opened once and shared.
-//
-// Dimension tables, fact files, and B-trees are read without mutable
-// state, so the cached handles can be used from many goroutines. The
-// chunk store's decode cache is the one share-unsafe piece; ArrayClone
-// therefore hands out per-call clones that share everything immutable.
+// buffer pool, the catalog, and the current catalog generation. One
+// ExecContext is created per database; every executor (the DB's own and
+// one per Session) plans and runs against it, so dimension tables, the
+// fact file, and the array's master structures are opened once and
+// shared.
 type ExecContext struct {
 	bp  *storage.BufferPool
 	cat *catalog.Catalog
@@ -51,34 +47,58 @@ type ExecContext struct {
 	recorder *obs.FlightRecorder
 	sampler  *obs.Sampler
 
-	// memo remembers resolved statements by their text. Entries carry
-	// the generation and statistics time they were planned under, so a
-	// load, build or commit retires them; DropCaches empties it outright.
-	memo stmtMemo
+	// gen is the current generation. A query loads it once, when it
+	// begins, and takes everything catalog-dependent from that object.
+	gen atomic.Pointer[generation]
 
-	mu   sync.Mutex
-	gen  uint64 // bumped by InvalidateHandles; lets callers spot stale handles
-	dims []*catalog.DimensionTable
-	ff   *factfile.File
-	arr  *array.Array // master copy; only clones are handed out
-
-	// Mid-tier query cache (nil until EnableQueryCache): the semantic
-	// result cache, the decoded-chunk cache attached to array clones,
-	// and the singleflight group deduplicating identical concurrent
-	// queries. Entries are tagged with gen; InvalidateHandles' bump is
-	// what lazily discards them.
-	resCache   *cache.ResultCache
-	chunkCache *cache.ChunkCache
-	flight     cache.Group
-	sfDedup    *obs.Counter
-	sfWait     *obs.Histogram
+	// mu serialises swap, and guards cat.ArrayState, which the compactor
+	// moves under running queries (SwapArrayState).
+	mu sync.Mutex
 
 	// ds, when set, is the HTAP delta overlay store. Query clones attach
 	// its snapshot (merge-on-read) and its per-chunk version vector
 	// (fine-grained chunk-cache invalidation); the executor folds the
 	// version vector into result-cache keys. Set once at open, before
-	// queries run.
+	// queries run; nil when ingest is not wired up (contexts built
+	// directly in tests).
 	ds *delta.Store
+}
+
+// generation is everything an execution takes from the catalog as it
+// stood when the execution began: the object handles, opened on first
+// use, the statements planned against them, and the caches of what was
+// computed from them. A catalog change edits none of it; it installs a
+// fresh generation (swap). An execution that began under the old one
+// finishes against the old one, and whatever it deposits there — rows,
+// images, cold cubes, decoded chunks — can never be probed by a query
+// that began later: there is no tag to compare and none to forget.
+// The old generation is garbage once its last execution returns.
+type generation struct {
+	// id counts swaps. Display only: Generation(), QueryProfile.CacheEpoch
+	// and EXPLAIN ANALYZE's "cache: hit (epoch N)".
+	id uint64
+
+	memo   stmtMemo
+	flight cache.Group
+
+	// The mid-tier query cache, budget bytes split evenly between the
+	// semantic result cache and the decoded-chunk cache attached to
+	// array clones; nil while budget is 0. The singleflight instruments
+	// are carried from generation to generation once the cache was on.
+	budget     int64
+	resCache   *cache.ResultCache
+	chunkCache *cache.ChunkCache
+	sfDedup    *obs.Counter
+	sfWait     *obs.Histogram
+
+	// Dimension tables, fact files, and B-trees are read without mutable
+	// state, so the handles can be used from many goroutines. The chunk
+	// store's decode cache is the one share-unsafe piece; only clones of
+	// arr are handed out.
+	mu   sync.Mutex
+	dims []*catalog.DimensionTable
+	ff   *factfile.File
+	arr  *array.Array
 }
 
 // NewExecContext creates the shared execution state for a catalog,
@@ -102,7 +122,7 @@ func NewExecContext(bp *storage.BufferPool, cat *catalog.Catalog) *ExecContext {
 		func() float64 { return float64(arena.BytesInUse()) })
 	reg.CounterFunc("arena_resets_total",
 		"query arenas recycled instead of garbage collected (process-wide)", arena.Resets)
-	return &ExecContext{
+	c := &ExecContext{
 		bp:           bp,
 		cat:          cat,
 		reg:          reg,
@@ -113,6 +133,8 @@ func NewExecContext(bp *storage.BufferPool, cat *catalog.Catalog) *ExecContext {
 		recorder: obs.NewFlightRecorder(obs.DefaultFlightRecorderSize, obs.DefaultFlightRecorderTopK),
 		sampler:  obs.NewSampler(DefaultTraceSampleEvery),
 	}
+	c.gen.Store(&generation{memo: stmtMemo{seen: newSightings()}})
+	return c
 }
 
 // DefaultTraceSampleEvery is the default fine-grained span sampling
@@ -163,156 +185,117 @@ func (c *ExecContext) statsGen() int64 {
 	return 0
 }
 
-// Generation returns the invalidation generation; it increases every
-// time InvalidateHandles (or DropCaches) discards the cached handles.
-func (c *ExecContext) Generation() uint64 {
+// Generation returns the current generation's ordinal; it increases
+// every time the generation is replaced.
+func (c *ExecContext) Generation() uint64 { return c.gen.Load().id }
+
+// keepBudget tells swap to give the new generation the old one's cache
+// budget.
+const keepBudget = -1
+
+// swap replaces the current generation: the one way anything that
+// depends on the catalog — handles, memoised statements, cached results
+// and decoded chunks, in-flight deduplication — is retired. The retired
+// caches' entries are released now rather than with the last old
+// execution, and counted in cache_*_invalidated_total.
+func (c *ExecContext) swap(budget int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.gen
+	old := c.gen.Load()
+	if budget == keepBudget {
+		budget = old.budget
+	}
+	g := &generation{
+		id:      old.id + 1,
+		memo:    stmtMemo{seen: old.memo.seen},
+		budget:  budget,
+		sfDedup: old.sfDedup,
+		sfWait:  old.sfWait,
+	}
+	if budget > 0 {
+		half := budget / 2
+		g.resCache = cache.NewResultCache(half, c.reg)
+		g.chunkCache = cache.NewChunkCache(budget-half, c.reg)
+		g.sfDedup = c.reg.Counter("cache_singleflight_dedup_total",
+			"queries that piggybacked on an identical in-flight execution")
+		g.sfWait = c.reg.Histogram("cache_singleflight_wait_seconds",
+			"time deduplicated queries waited for the leader's result", nil)
+	}
+	c.gen.Store(g)
+	if old.resCache != nil {
+		old.resCache.Clear()
+		old.chunkCache.Clear()
+	}
 }
 
 // EnableQueryCache turns on the mid-tier query cache, splitting
 // totalBytes evenly between the semantic result cache and the
 // decoded-chunk cache. totalBytes <= 0 disables both (existing entries
-// are released; counters persist). Safe to call again to resize.
+// are released; counters persist). Safe to call again to resize: a
+// resize starts from empty caches.
 func (c *ExecContext) EnableQueryCache(totalBytes int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if totalBytes <= 0 {
-		c.resCache, c.chunkCache = nil, nil
-		return
+	if totalBytes > 0 {
+		// Gauges read through the context so a later disable reports zero
+		// instead of a stale cache's last values.
+		gauge := func(name, help string, read func(*cache.ResultCache, *cache.ChunkCache) int) {
+			c.reg.GaugeFunc(name, help, func() float64 {
+				if g := c.gen.Load(); g.resCache != nil {
+					return float64(read(g.resCache, g.chunkCache))
+				}
+				return 0
+			})
+		}
+		gauge("cache_result_bytes", "bytes retained by the result cache",
+			func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.Bytes()) })
+		gauge("cache_result_image_bytes", "bytes of cache_result_bytes that are encoded row-frame images",
+			func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ImageBytes()) })
+		gauge("cache_cold_bytes", "bytes of cache_result_bytes that are cold cubes: never-touched chunks, pre-aggregated",
+			func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ColdBytes()) })
+		gauge("cache_result_entries", "entries in the result cache",
+			func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return rc.Len() })
+		gauge("cache_chunk_bytes", "decoded bytes retained by the chunk cache",
+			func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return int(cc.Bytes()) })
+		gauge("cache_chunk_entries", "decoded chunks retained by the chunk cache",
+			func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return cc.Len() })
 	}
-	half := totalBytes / 2
-	c.resCache = cache.NewResultCache(half, c.reg)
-	c.chunkCache = cache.NewChunkCache(totalBytes-half, c.reg)
-	c.sfDedup = c.reg.Counter("cache_singleflight_dedup_total",
-		"queries that piggybacked on an identical in-flight execution")
-	c.sfWait = c.reg.Histogram("cache_singleflight_wait_seconds",
-		"time deduplicated queries waited for the leader's result", nil)
-	// Gauges read through the context so a later disable reports zero
-	// instead of a stale cache's last values.
-	gauge := func(name, help string, read func(*cache.ResultCache, *cache.ChunkCache) int) {
-		c.reg.GaugeFunc(name, help, func() float64 {
-			if rc, cc := c.caches(); rc != nil {
-				return float64(read(rc, cc))
-			}
-			return 0
-		})
-	}
-	gauge("cache_result_bytes", "bytes retained by the result cache",
-		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.Bytes()) })
-	gauge("cache_result_image_bytes", "bytes of cache_result_bytes that are encoded row-frame images",
-		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ImageBytes()) })
-	gauge("cache_cold_bytes", "bytes of cache_result_bytes that are cold cubes: never-touched chunks, pre-aggregated",
-		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return int(rc.ColdBytes()) })
-	gauge("cache_result_entries", "entries in the result cache",
-		func(rc *cache.ResultCache, _ *cache.ChunkCache) int { return rc.Len() })
-	gauge("cache_chunk_bytes", "decoded bytes retained by the chunk cache",
-		func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return int(cc.Bytes()) })
-	gauge("cache_chunk_entries", "decoded chunks retained by the chunk cache",
-		func(_ *cache.ResultCache, cc *cache.ChunkCache) int { return cc.Len() })
-}
-
-// caches returns the current cache layers (either may be nil).
-func (c *ExecContext) caches() (*cache.ResultCache, *cache.ChunkCache) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resCache, c.chunkCache
-}
-
-// resultCache returns the result cache together with the current
-// epoch, read atomically — the epoch a probe compares and a new entry
-// is tagged with. A nil cache means the query cache is disabled.
-func (c *ExecContext) resultCache() (*cache.ResultCache, uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.resCache, c.gen
-}
-
-// singleflightStats returns the dedup counter and wait histogram (nil
-// until EnableQueryCache has run).
-func (c *ExecContext) singleflightStats() (*obs.Counter, *obs.Histogram) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.sfDedup, c.sfWait
+	c.swap(max(totalBytes, 0))
 }
 
 // CacheStats snapshots both cache layers (zero-valued when disabled)
 // and the singleflight dedup count.
 func (c *ExecContext) CacheStats() (result, chunk cache.Stats, dedup int64, enabled bool) {
-	rc, cc := c.caches()
-	if rc != nil {
-		result = rc.Stats()
+	g := c.gen.Load()
+	if g.resCache != nil {
+		result, chunk = g.resCache.Stats(), g.chunkCache.Stats()
 	}
-	if cc != nil {
-		chunk = cc.Stats()
+	if g.sfDedup != nil {
+		dedup = g.sfDedup.Value()
 	}
-	c.mu.Lock()
-	if c.sfDedup != nil {
-		dedup = c.sfDedup.Value()
-	}
-	c.mu.Unlock()
-	return result, chunk, dedup, rc != nil
+	return result, chunk, dedup, g.resCache != nil
 }
 
-// InvalidateHandles drops every cached object handle; call after
-// catalog mutations (new loads or builds) so subsequent queries reopen
-// the replaced objects.
-func (c *ExecContext) InvalidateHandles() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.invalidateLocked()
-}
+// InvalidateHandles announces a catalog mutation (a load, a build, a
+// commit): subsequent queries reopen the replaced objects, re-plan, and
+// find none of what was cached before.
+func (c *ExecContext) InvalidateHandles() { c.swap(keepBudget) }
 
-func (c *ExecContext) invalidateLocked() {
-	c.gen++
-	c.dims, c.ff, c.arr = nil, nil, nil
-	c.memo.clear() // its entries just went stale; free them now
-}
-
-// DropCaches empties the buffer pool, both query-cache layers and the
-// statement memo, emulating the paper's cold-cache measurement protocol,
-// and drops the cached object handles so the next query re-parses,
-// re-plans and re-opens (and re-reads) the master structures. It does
-// NOT bump the invalidation generation:
-// nothing changed, the caches are merely cold — bumping here would
-// needlessly invalidate entries that survive in other tiers (and it
-// used to, see the regression test).
+// DropCaches is the paper's cold-cache measurement protocol: a fresh
+// generation — so the next query re-parses, re-plans, re-opens the
+// master structures and finds both query-cache layers empty — over an
+// emptied buffer pool, so it re-reads them too.
 func (c *ExecContext) DropCaches() error {
-	c.mu.Lock()
-	c.dims, c.ff, c.arr = nil, nil, nil
-	rc, cc := c.resCache, c.chunkCache
-	c.mu.Unlock()
-	c.memo.clear()
-	if rc != nil {
-		rc.Clear()
-	}
-	if cc != nil {
-		cc.Clear()
-	}
+	c.swap(keepBudget)
 	return c.bp.DropAll()
 }
 
 // SetDeltaStore attaches the HTAP delta overlay store. Call once at
 // open, before queries run.
-func (c *ExecContext) SetDeltaStore(ds *delta.Store) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ds = ds
-}
-
-// DeltaStore returns the attached delta store (nil when ingest is not
-// wired up, e.g. contexts built directly in tests).
-func (c *ExecContext) DeltaStore() *delta.Store {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ds
-}
+func (c *ExecContext) SetDeltaStore(ds *delta.Store) { c.ds = ds }
 
 // ArrayState reports the catalog's current array master reference,
-// read under the handle lock — the compactor swaps it concurrently
-// with queries (SwapArrayState), so readers must come through here
-// rather than touching the catalog field directly.
+// read under the lock — the compactor swaps it concurrently with
+// queries (SwapArrayState), so readers must come through here rather
+// than touching the catalog field directly.
 func (c *ExecContext) ArrayState() uint64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -320,45 +303,67 @@ func (c *ExecContext) ArrayState() uint64 {
 }
 
 // SwapArrayState publishes a compacted array version: the catalog's
-// master reference is replaced and the cached array handle dropped, but
-// the generation is NOT bumped — the merged content every reader
-// observes is unchanged (deltas moved from overlay to base), so every
-// cache entry and every relational handle stays exactly as valid as it
-// was.
+// master reference is replaced and the current generation's array handle
+// dropped, but the generation itself stays — the merged content every
+// reader observes is unchanged (deltas moved from overlay to base), so
+// every cache entry and every relational handle stays exactly as valid
+// as it was.
 func (c *ExecContext) SwapArrayState(state uint64) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
 	c.cat.ArrayState = state
-	c.arr = nil
+	g := c.gen.Load()
+	c.mu.Unlock()
+	g.mu.Lock()
+	g.arr = nil
+	g.mu.Unlock()
 }
 
-// Dimensions returns the shared dimension table handles, opening them on
+// dimensions returns the shared dimension table handles, opening them on
 // first use.
-func (c *ExecContext) Dimensions() ([]*catalog.DimensionTable, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.dims == nil {
+func (g *generation) dimensions(c *ExecContext) ([]*catalog.DimensionTable, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.dims == nil {
 		dims, err := OpenDimensions(c.bp, c.cat)
 		if err != nil {
 			return nil, err
 		}
-		c.dims = dims
+		g.dims = dims
 	}
-	return c.dims, nil
+	return g.dims, nil
 }
 
-// FactFile returns the shared fact file handle, opening it on first use.
-func (c *ExecContext) FactFile() (*factfile.File, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ff == nil {
+// factFile returns the shared fact file handle, opening it on first use.
+func (g *generation) factFile(c *ExecContext) (*factfile.File, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.ff == nil {
 		ff, err := OpenFactFile(c.bp, c.cat)
 		if err != nil {
 			return nil, err
 		}
-		c.ff = ff
+		g.ff = ff
 	}
-	return c.ff, nil
+	return g.ff, nil
+}
+
+// master opens (if needed) and returns the shared master array. Only its
+// immutable structures — dimension maps and geometry — may be read
+// through the returned handle; reads that decode chunks go through a
+// clone (arrayCloneWith).
+func (g *generation) master(c *ExecContext) (*array.Array, error) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if g.arr == nil {
+		c.mu.Lock() // OpenArray reads cat.ArrayState
+		arr, err := OpenArray(c.bp, c.cat)
+		c.mu.Unlock()
+		if err != nil {
+			return nil, err
+		}
+		g.arr = arr
+	}
+	return g.arr, nil
 }
 
 // ArrayClone returns a private clone of the OLAP array: the master copy
@@ -369,7 +374,7 @@ func (c *ExecContext) FactFile() (*factfile.File, error) {
 // every read through it yields (base + deltas as of clone time), stable
 // against concurrent ingest and compaction.
 func (c *ExecContext) ArrayClone() (*array.Array, error) {
-	v := c.ingestView(nil, true)
+	v := c.ingestView(c.gen.Load(), nil, true)
 	return c.arrayCloneWith(&v)
 }
 
@@ -379,29 +384,31 @@ func (c *ExecContext) ArrayClone() (*array.Array, error) {
 // batch that landed in between — the last narrowed to the statement's
 // reach. The zero value: nothing was ever ingested.
 type ingestView struct {
+	g        *generation // what the execution began under: its handles, its chunk cache
 	ov       map[int][]chunk.OverlayCell
 	versions map[int]uint64
 	hot      []int // ever-touched chunks the statement can reach, ascending
 
 	// rc, when set, is where an array run cut at hot keeps the cube of
-	// the other chunks: at epoch, under st's fingerprint and the hot
-	// list. Nil runs uncut.
-	rc    *cache.ResultCache
-	epoch uint64
-	st    *statement
+	// the other chunks: under st's fingerprint and the hot list. Nil runs
+	// uncut.
+	rc *cache.ResultCache
+	st *statement
 }
 
-// ingestView takes the view of a statement with that reach. A cache
-// probe needs only the key: it asks for no overlay and copies none.
-func (c *ExecContext) ingestView(reach *chunkReach, overlay bool) (v ingestView) {
-	switch ds := c.DeltaStore(); {
+// ingestView takes the view of an execution under g of a statement with
+// that reach. A cache probe needs only the key: it asks for no overlay
+// and copies none.
+func (c *ExecContext) ingestView(g *generation, reach *chunkReach, overlay bool) (v ingestView) {
+	v.g = g
+	switch ds := c.ds; {
 	case ds == nil:
 	case overlay:
 		v.ov, v.versions, v.hot = ds.Snapshot()
 	default:
 		v.versions, v.hot = ds.Versions()
 	}
-	v.hot = reach.narrow(c, v.hot)
+	v.hot = reach.narrow(c, g, v.hot)
 	return v
 }
 
@@ -428,12 +435,10 @@ func (v *ingestView) keySuffix(tag string, versioned bool) string {
 	return tag + strconv.FormatUint(h.Sum64(), 16)
 }
 
-// arrayCloneWith clones the master array over v's overlay and version
-// vector.
+// arrayCloneWith clones v's generation's master array over v's overlay
+// and version vector.
 func (c *ExecContext) arrayCloneWith(v *ingestView) (*array.Array, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	arr, err := c.masterLocked()
+	arr, err := v.g.master(c)
 	if err != nil {
 		return nil, err
 	}
@@ -441,39 +446,17 @@ func (c *ExecContext) arrayCloneWith(v *ingestView) (*array.Array, error) {
 	if len(v.ov) > 0 {
 		cl.Store().SetOverlay(v.ov)
 	}
-	if c.chunkCache != nil {
-		// Bind the clone to the current epoch and version vector while
-		// still holding the lock: a clone handed out just before an
-		// invalidation (or racing an ingest batch) populates entries
-		// tagged so that no later probe accepts them.
-		cl.Store().SetDecodedCache(c.chunkCache.View(c.gen, v.versions))
+	if cc := v.g.chunkCache; cc != nil {
+		// Bound to the version vector of the same instant as the overlay:
+		// a clone racing an ingest batch populates entries tagged so that
+		// no later probe accepts them.
+		cl.Store().SetDecodedCache(cc.View(v.versions))
 	}
 	return cl, nil
 }
 
-// masterArray opens (if needed) and returns the shared master array.
-// Only its immutable structures — dimension maps and geometry — may be
-// read through the returned handle; reads that decode chunks must go
-// through ArrayClone.
-func (c *ExecContext) masterArray() (*array.Array, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.masterLocked()
-}
-
-func (c *ExecContext) masterLocked() (*array.Array, error) {
-	if c.arr == nil {
-		arr, err := OpenArray(c.bp, c.cat)
-		if err != nil {
-			return nil, err
-		}
-		c.arr = arr
-	}
-	return c.arr, nil
-}
-
 // chunkReach is the set of chunks a statement's selections can read:
-// the §4.2 candidate chunks. Only a generation bump changes them, so
+// the §4.2 candidate chunks. Only a new generation changes them, so
 // they are resolved once, the first time live ingest makes anyone ask,
 // and kept with the statement; the result-cache key suffix and the
 // relational engines' overlay fold both narrow the touched set by them.
@@ -489,12 +472,12 @@ type chunkReach struct {
 // failed lookup keep the whole set, which is always correct; nothing
 // touched asks nothing, so a database without ingest never pays the
 // index-list lookups.
-func (r *chunkReach) narrow(c *ExecContext, touched []int) []int {
+func (r *chunkReach) narrow(c *ExecContext, g *generation, touched []int) []int {
 	if r == nil || len(r.sels) == 0 || len(touched) == 0 {
 		return touched
 	}
 	r.once.Do(func() {
-		arr, err := c.masterArray()
+		arr, err := g.master(c)
 		if err == nil {
 			r.cand, err = core.SelectionChunks(arr, r.sels)
 		}

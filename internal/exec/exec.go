@@ -97,13 +97,12 @@ type QueryResult struct {
 
 // cachedResult is what the result cache retains per fingerprint: the
 // materialized rows plus the metrics of the execution that produced
-// them, tagged with the epoch the execution read under.
+// them.
 type cachedResult struct {
 	rows    []core.Row
 	metrics core.Metrics
 	io      storage.Stats
 	elapsed time.Duration
-	epoch   uint64
 
 	// Where the entry lives, for charging the image to it.
 	rc  *cache.ResultCache
@@ -251,32 +250,32 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 	return expl, err
 }
 
-// statement resolves sql to its statement: from the memo when it holds
-// this text as planned under the same engine, shard window, degree and
-// catalog generation (hit), otherwise by parsing, compiling and planning
-// it now and offering the outcome to the memo.
-func (e *Executor) statement(ctx context.Context, sql string, engine Engine, epoch uint64) (st *statement, hit bool, err error) {
+// statement resolves sql to its statement: from g's memo when it holds
+// this text as planned under the same engine, shard window and degree
+// (hit), otherwise by parsing, compiling and planning it now and offering
+// the outcome to the memo.
+func (e *Executor) statement(ctx context.Context, g *generation, sql string, engine Engine) (st *statement, hit bool, err error) {
 	shard, workers := e.shardFor(ctx)
 	if workers <= 0 {
 		workers = e.parallelDegree()
 	}
 	k := stmtKey{sql: sql, engine: engine, shard: shard, workers: workers}
-	if st := e.ctx.memo.get(k, epoch, e.ctx.statsGen()); st != nil {
+	if st := g.memo.get(k, e.ctx.statsGen()); st != nil {
 		return st, true, nil
 	}
 	spec, err := query.ParseAndCompile(sql, e.ctx.Catalog().Schema)
 	if err != nil {
 		return nil, false, err
 	}
-	if st, err = e.prepare(spec, engine, shard, workers, epoch); err != nil {
+	if st, err = e.prepare(spec, engine, shard, workers); err != nil {
 		return nil, false, err
 	}
-	e.ctx.memo.put(k, st)
+	g.memo.put(k, st)
 	return st, false, nil
 }
 
 // prepare plans a compiled query into a statement.
-func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restriction, workers int, epoch uint64) (*statement, error) {
+func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restriction, workers int) (*statement, error) {
 	statsGen := e.ctx.statsGen()
 	reach := &chunkReach{sels: spec.Selections}
 	plan, expl, err := e.plan(spec, engine, shard, workers, reach)
@@ -287,7 +286,7 @@ func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restricti
 	return &statement{
 		spec: spec, plan: plan, expl: expl, est: expl.ChosenCost(),
 		fingerprint: fp, fpHash: fingerprintHash(fp), reach: reach,
-		epoch: epoch, statsGen: statsGen,
+		statsGen: statsGen,
 	}, nil
 }
 
@@ -323,15 +322,14 @@ func (e *Executor) SetSlowQueryLog(l *slog.Logger, min time.Duration) {
 // the result carries only the plan fields.
 func (e *Executor) Execute(spec *query.Spec, engine Engine) (*QueryResult, error) {
 	ctx := context.Background()
-	prof, tr := e.beginQuery(ctx, "")
+	prof, tr, g := e.beginQuery(ctx, "")
 	planSp := tr.Root.Child("plan")
-	rc, epoch := e.ctx.resultCache()
 	shard, workers := e.shardFor(ctx)
-	st, err := e.prepare(spec, engine, shard, workers, epoch)
+	st, err := e.prepare(spec, engine, shard, workers)
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, prof, tr, planSp, st, rc, epoch)
+	return e.run(ctx, prof, tr, planSp, st, g)
 }
 
 // ExecuteSQLContext parses, compiles, and executes a SQL-subset query —
@@ -344,10 +342,9 @@ func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Eng
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	prof, tr := e.beginQuery(ctx, sql)
+	prof, tr, g := e.beginQuery(ctx, sql)
 	planSp := tr.Root.Child("plan")
-	rc, epoch := e.ctx.resultCache()
-	st, hit, err := e.statement(ctx, sql, engine, epoch)
+	st, hit, err := e.statement(ctx, g, sql, engine)
 	if err != nil {
 		return nil, err
 	}
@@ -356,14 +353,16 @@ func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Eng
 		prof.Memo = "hit"
 	}
 	planSp.Set("memo", prof.Memo)
-	return e.run(ctx, prof, tr, planSp, st, rc, epoch)
+	return e.run(ctx, prof, tr, planSp, st, g)
 }
 
 // beginQuery opens a query's observable lifecycle: the flight-recorder
 // profile every exit path of run publishes through finishQuery, and the
 // trace — seeded with the server-measured admission wait when one rode
-// in on the context's QueryTag — with its sampling decision made.
-func (e *Executor) beginQuery(ctx context.Context, sql string) (*obs.QueryProfile, *obs.Trace) {
+// in on the context's QueryTag — with its sampling decision made. It is
+// also where the query takes its generation: whatever the catalog
+// becomes while it runs, it finishes against this one.
+func (e *Executor) beginQuery(ctx context.Context, sql string) (*obs.QueryProfile, *obs.Trace, *generation) {
 	prof := &obs.QueryProfile{Start: time.Now(), SQL: sql}
 	traceOn := e.traceOn.Load()
 	if tag := obs.QueryTagFromContext(ctx); tag != nil {
@@ -381,17 +380,17 @@ func (e *Executor) beginQuery(ctx context.Context, sql string) (*obs.QueryProfil
 	if prof.AdmissionWait > 0 {
 		tr.Root.ChildAt("admission-wait", prof.Start.Add(-prof.AdmissionWait), prof.AdmissionWait)
 	}
-	return prof, tr
+	return prof, tr, e.ctx.gen.Load()
 }
 
 // run executes a resolved statement: result-cache probe, singleflight,
-// engine. planSp is the open span that covered resolving st; rc and
-// epoch are the result cache and generation st was resolved under. The
-// statement is shared with every other execution of the same text, so
-// everything this run reports — the cache hit, ANALYZE's actuals — goes
-// into its own copy of the explanation.
+// engine. planSp is the open span that covered resolving st; g is the
+// generation the query began, and st was resolved, under. The statement
+// is shared with every other execution of the same text, so everything
+// this run reports — the cache hit, ANALYZE's actuals — goes into its own
+// copy of the explanation.
 func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trace, planSp *obs.Span,
-	st *statement, rc *cache.ResultCache, epoch uint64) (*QueryResult, error) {
+	st *statement, g *generation) (*QueryResult, error) {
 	planSp.End()
 	prof.PlanTime = planSp.Duration
 	spec, plan, est := st.spec, st.plan, st.est
@@ -427,49 +426,49 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	// ingested, keeping legacy keys byte-identical.
 	key := st.fingerprint
 	prof.Fingerprint = st.fpHash
-	if probe := e.ctx.ingestView(st.reach, false); len(probe.hot) > 0 {
+	if probe := e.ctx.ingestView(g, st.reach, false); len(probe.hot) > 0 {
 		key += probe.keySuffix("|cv", true)
 		prof.Fingerprint = fingerprintHash(key)
 	}
 
-	prof.CacheEpoch = epoch
+	prof.CacheEpoch = g.id
+	rc := g.resCache
 	if rc == nil || e.cacheOff.Load() {
-		view := e.ctx.ingestView(st.reach, true)
+		view := e.ctx.ingestView(g, st.reach, true)
 		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr, &view)
 		return e.finishQuery(tr, prof, rqr, rerr)
 	}
 
 	probeSp := tr.Root.Child("cache-probe")
 	probeStart := time.Now()
-	if v, ok := rc.Get(key, epoch); ok {
+	if v, ok := rc.Get(key); ok {
 		st.rowsKey.cachedUnder(rc, key)
 		probeSp.Set("hit", true)
 		probeSp.End()
 		prof.CacheHit = true
 		prof.CacheWait = probeSp.Duration
-		return e.finishQuery(tr, prof, e.cachedQueryResult(qr, v.(*cachedResult), time.Since(probeStart)), nil)
+		return e.finishQuery(tr, prof, cachedQueryResult(qr, v.(*cachedResult), g, time.Since(probeStart)), nil)
 	}
 	probeSp.Set("hit", false)
 	probeSp.End()
 	prof.CacheWait = probeSp.Duration
 
 	// Miss: run under singleflight so N concurrent identical queries
-	// execute the engine once and share the rows. The flight key carries
-	// the epoch, so a query planned after an invalidation never joins a
-	// flight reading stale objects.
-	flightKey := strconv.FormatUint(epoch, 10) + "|" + key
+	// execute the engine once and share the rows. The flight group is the
+	// generation's, so a query begun after a swap never joins a flight
+	// reading replaced objects.
 	var leaderQR *QueryResult
-	v, shared, err := e.ctx.flight.Do(ctx, flightKey, func() (any, error) {
+	v, shared, err := g.flight.Do(ctx, key, func() (any, error) {
 		// One snapshot for the whole execution; the rows go under its key,
 		// not the probe's, so a batch that landed in between is in both.
-		view := e.ctx.ingestView(st.reach, true)
-		view.rc, view.epoch, view.st = rc, epoch, st
+		view := e.ctx.ingestView(g, st.reach, true)
+		view.rc, view.st = rc, st
 		key := st.fingerprint + view.keySuffix("|cv", true)
 		// Double-check under the flight: a goroutine that missed the
 		// probe above may have become leader only after the previous
 		// leader finished and populated the cache — serve that entry
 		// instead of running the engine a second time.
-		if v, ok := rc.Get(key, epoch); ok {
+		if v, ok := rc.Get(key); ok {
 			return v.(*cachedResult), nil
 		}
 		lqr, err := e.runPlan(ctx, tr, prof, st, qr, &view)
@@ -482,11 +481,10 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 			metrics: lqr.Metrics,
 			io:      lqr.IO,
 			elapsed: lqr.Elapsed,
-			epoch:   epoch,
 			rc:      rc,
 			key:     key,
 		}
-		if rc.Put(key, cr, resultBytes(lqr.Rows), est.IO, epoch) {
+		if rc.Put(key, cr, resultBytes(lqr.Rows), est.IO) {
 			lqr.entry = cr
 			st.rowsKey.cachedUnder(rc, key)
 		}
@@ -503,17 +501,15 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		// cache hit, not a deduplicated execution.
 		prof.CacheHit = true
 		prof.CacheWait += time.Since(probeStart)
-		return e.finishQuery(tr, prof, e.cachedQueryResult(qr, v.(*cachedResult), time.Since(probeStart)), nil)
+		return e.finishQuery(tr, prof, cachedQueryResult(qr, v.(*cachedResult), g, time.Since(probeStart)), nil)
 	}
 	wait := time.Since(probeStart)
 	tr.Root.ChildAt("singleflight-wait", probeStart, wait)
 	prof.CacheHit = true
 	prof.CacheWait += wait
-	if dedup, sfWait := e.ctx.singleflightStats(); dedup != nil {
-		dedup.Inc()
-		sfWait.Observe(wait.Seconds())
-	}
-	return e.finishQuery(tr, prof, e.cachedQueryResult(qr, v.(*cachedResult), wait), nil)
+	g.sfDedup.Inc() // set whenever resCache is
+	g.sfWait.Observe(wait.Seconds())
+	return e.finishQuery(tr, prof, cachedQueryResult(qr, v.(*cachedResult), g, wait), nil)
 }
 
 // finishQuery is the single exit for every executed (or failed) query,
@@ -561,8 +557,8 @@ func (e *Executor) finishQuery(tr *obs.Trace, prof *obs.QueryProfile, qr *QueryR
 // an engine execution — it is not counted in queries_<engine>_total,
 // and EXPLAIN ANALYZE reports the hit instead of per-operator actuals.
 // The trace it does carry (attached by finishQuery) shows the probe,
-// not engine spans.
-func (e *Executor) cachedQueryResult(qr *QueryResult, cr *cachedResult, elapsed time.Duration) *QueryResult {
+// not engine spans. g is the generation whose cache held the entry.
+func cachedQueryResult(qr *QueryResult, cr *cachedResult, g *generation, elapsed time.Duration) *QueryResult {
 	qr.Rows = cr.rows
 	qr.entry = cr
 	qr.Metrics = cr.metrics
@@ -570,7 +566,7 @@ func (e *Executor) cachedQueryResult(qr *QueryResult, cr *cachedResult, elapsed 
 	qr.Elapsed = elapsed
 	qr.Cached = true
 	qr.Explanation.CacheHit = true
-	qr.Explanation.CacheEpoch = cr.epoch
+	qr.Explanation.CacheEpoch = g.id
 	return qr
 }
 

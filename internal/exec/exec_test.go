@@ -265,8 +265,8 @@ func TestBuildArrayWithCodecNames(t *testing.T) {
 		if codec == "" {
 			wantMode = "adaptive"
 		}
-		if st.Codec != wantMode || st.FormatVersion != 2 {
-			t.Fatalf("BuildArray(%q): stats report codec %q format v%d", codec, st.Codec, st.FormatVersion)
+		if st.Codec != wantMode {
+			t.Fatalf("BuildArray(%q): stats report codec %q", codec, st.Codec)
 		}
 		var chunks, bytes int64
 		for _, cs := range st.Codecs {

@@ -1,0 +1,292 @@
+package exec
+
+import (
+	"context"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/chunk"
+	"repro/internal/core"
+	"repro/internal/delta"
+)
+
+// swapStatements is a cached statement set that crosses every plan: the
+// array scan (cold cubes under ingest), the array probe (decoded chunks),
+// and the two relational plans (overlay fold).
+var swapStatements = []struct {
+	sql    string
+	engine Engine
+}{
+	{testQ1, ArrayEngine},
+	{testQ2, ArrayEngine},
+	{testQ2, StarJoinEngine},
+	{testQ2, BitmapEngine},
+}
+
+// TestGenerationSwap: replacing the generation is the whole invalidation
+// story. (i) What a holder of the old generation deposits after a swap is
+// in no cache a fresh query probes. (iii) The invalidated counters grow by
+// exactly the entries each kind of swap drops. (ii) Readers looping the
+// statement set while a writer swaps, ingests and compacts only ever see
+// rows of a state they could have observed.
+func TestGenerationSwap(t *testing.T) {
+	bp, cat, _ := buildTestDB(t, true, true)
+	e := NewExecutor(bp, cat)
+	e.SetParallel(1)
+	c := e.Context()
+	ds, err := delta.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeltaStore(ds)
+	c.EnableQueryCache(8 << 20)
+	bg := context.Background()
+	run := func(t *testing.T, ex *Executor, sql string, engine Engine) *QueryResult {
+		t.Helper()
+		qr, err := ex.ExecuteSQLContext(bg, sql, engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return qr
+	}
+	warm := func(t *testing.T) {
+		t.Helper()
+		for _, s := range swapStatements {
+			run(t, e, s.sql, s.engine)
+			if !run(t, e, s.sql, s.engine).Cached {
+				t.Fatalf("%v statement not cached on its second run", s.engine)
+			}
+		}
+	}
+
+	t.Run("old holder", func(t *testing.T) {
+		warm(t)
+		old := c.gen.Load()
+		st, _, err := e.statement(bg, old, testQ2, ArrayEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, ok := old.resCache.Get(st.fingerprint)
+		if !ok {
+			t.Fatal("the warm statement's rows are not under its fingerprint")
+		}
+		cr := v.(*cachedResult)
+
+		c.InvalidateHandles()
+		// An execution that began before the swap finishes now.
+		old.resCache.Put(st.fingerprint, cr, resultBytes(cr.rows), 1)
+		old.resCache.AddImage(st.fingerprint, cr, 64)
+		old.resCache.PutCold(st.fingerprint+"|cold", &core.Result{}, 64, 1)
+		old.chunkCache.View(nil).PutDecoded(0, []chunk.Cell{{Offset: 0, Value: 1}})
+
+		cur := c.gen.Load()
+		if cur == old || cur.id != old.id+1 {
+			t.Fatalf("generation %d after %d", cur.id, old.id)
+		}
+		if n, m := cur.resCache.Len(), cur.chunkCache.Len(); n != 0 || m != 0 {
+			t.Fatalf("the new generation's caches hold %d results, %d chunks", n, m)
+		}
+		qr := run(t, e, testQ2, ArrayEngine)
+		if qr.Cached || qr.entry == cr {
+			t.Fatalf("a fresh query was served the old generation's entry (cached=%v)", qr.Cached)
+		}
+		if !core.RowsEqual(qr.Rows, cr.rows) {
+			t.Fatalf("fresh rows differ: %s", core.DiffRows(qr.Rows, cr.rows))
+		}
+		if v, ok := cur.resCache.Get(st.fingerprint); !ok || v == any(cr) {
+			t.Fatal("the fresh run's rows are not what the new generation holds")
+		}
+		if _, ok := cur.resCache.GetCold(st.fingerprint + "|cold"); ok {
+			t.Fatal("the old holder's cold cube is reachable")
+		}
+	})
+
+	t.Run("counters", func(t *testing.T) {
+		counter := func(name string) int64 { return c.Registry().Snapshot().Counter(name) }
+		swaps := map[string]func(){
+			"InvalidateHandles": c.InvalidateHandles,
+			"DropCaches": func() {
+				if err := c.DropCaches(); err != nil {
+					t.Fatal(err)
+				}
+			},
+			"EnableQueryCache": func() { c.EnableQueryCache(6 << 20) },
+		}
+		for name, swap := range swaps {
+			warm(t)
+			g := c.gen.Load()
+			results, chunks := int64(g.resCache.Len()), int64(g.chunkCache.Len())
+			if results == 0 || chunks == 0 {
+				t.Fatalf("%s: nothing to drop: %d results, %d chunks", name, results, chunks)
+			}
+			r0, c0 := counter("cache_result_invalidated_total"), counter("cache_chunk_invalidated_total")
+			swap()
+			if dr, dc := counter("cache_result_invalidated_total")-r0, counter("cache_chunk_invalidated_total")-c0; dr != results || dc != chunks {
+				t.Fatalf("%s: invalidated grew by %d results, %d chunks; the swap dropped %d, %d", name, dr, dc, results, chunks)
+			}
+			if c.gen.Load().id != g.id+1 {
+				t.Fatalf("%s: generation %d after %d", name, c.gen.Load().id, g.id)
+			}
+		}
+	})
+
+	t.Run("readers and a writer", func(t *testing.T) {
+		// The two states: state 1 raises the first cell of every chunk by
+		// 1000 through the delta store, state 0 puts the base value back.
+		arr, err := c.ArrayClone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var batch [2][]delta.Cell
+		for cn := 0; cn < arr.Geometry().NumChunks(); cn++ {
+			cells, err := arr.Store().ReadChunk(cn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(cells) > 0 {
+				batch[0] = append(batch[0], delta.Cell{Chunk: cn, Offset: cells[0].Offset, Value: cells[0].Value})
+				batch[1] = append(batch[1], delta.Cell{Chunk: cn, Offset: cells[0].Offset, Value: cells[0].Value + 1000})
+			}
+		}
+		off := NewSessionExecutor(c)
+		off.SetCacheEnabled(false)
+		off.SetParallel(1)
+		var want [2][][]core.Row
+		for _, state := range []int{1, 0} {
+			if err := ds.Apply(bg, batch[state]); err != nil {
+				t.Fatal(err)
+			}
+			for _, s := range swapStatements {
+				want[state] = append(want[state], run(t, off, s.sql, s.engine).Rows)
+			}
+		}
+		if core.RowsEqual(want[0][0], want[1][0]) {
+			t.Fatal("the two states answer alike: the check below would be vacuous")
+		}
+		compact := func() error {
+			ov, versions, _ := ds.Snapshot()
+			if len(ov) == 0 {
+				return nil
+			}
+			base, err := OpenArray(bp, cat) // overlay-free; only this goroutine moves cat.ArrayState
+			if err != nil {
+				return err
+			}
+			changes := make(map[int][]chunk.CellChange, len(ov))
+			for cn, cells := range ov {
+				for _, oc := range cells {
+					changes[cn] = append(changes[cn], chunk.CellChange{Offset: oc.Offset, Value: oc.Value, Delete: oc.Delete})
+				}
+			}
+			next, err := base.ApplyChunkChanges(changes)
+			if err != nil {
+				return err
+			}
+			c.SwapArrayState(uint64(next.State().First))
+			return ds.Drain(versions)
+		}
+
+		// seq is odd while an ingest batch is landing; seq/2's parity is the
+		// state once it is even again.
+		var seq, replies, hits atomic.Int64
+		stop := make(chan struct{})
+		var wg sync.WaitGroup
+		for r := 0; r < 4; r++ {
+			wg.Add(1)
+			go func(r int) {
+				defer wg.Done()
+				se := NewSessionExecutor(c)
+				se.SetParallel(1 + 3*(r/2)) // two readers at degree 1, two at 4
+				for n := r; ; n++ {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					i := n % len(swapStatements)
+					before := seq.Load()
+					qr, err := se.ExecuteSQLContext(bg, swapStatements[i].sql, swapStatements[i].engine)
+					after := seq.Load()
+					if err != nil {
+						t.Errorf("reader %d: %v", r, err)
+						return
+					}
+					replies.Add(1)
+					if qr.Cached {
+						hits.Add(1)
+					}
+					ok0, ok1 := core.RowsEqual(qr.Rows, want[0][i]), core.RowsEqual(qr.Rows, want[1][i])
+					if before == after && before%2 == 0 { // no batch landed meanwhile: one state
+						ok0, ok1 = ok0 && before/2%2 == 0, ok1 && before/2%2 == 1
+					}
+					if !ok0 && !ok1 {
+						t.Errorf("reader %d, statement %d (cached=%v, seq %d..%d): rows of no state it could observe", r, i, qr.Cached, before, after)
+						return
+					}
+				}
+			}(r)
+		}
+		for op := 0; op < 50; op++ {
+			switch op % 5 {
+			case 0:
+				c.InvalidateHandles()
+			case 1:
+				_ = c.DropCaches() // refuses while a reader pins a page, after the swap
+			case 2:
+				c.EnableQueryCache(int64(4+op%4) << 20)
+			case 3:
+				state := int(seq.Add(1)+1) / 2 % 2
+				if err := ds.Apply(bg, batch[state]); err != nil {
+					t.Error(err)
+				}
+				seq.Add(1)
+			case 4:
+				if err := compact(); err != nil {
+					t.Error(err)
+				}
+			}
+			for _, s := range swapStatements[:2] { // let the readers get somewhere
+				run(t, off, s.sql, s.engine)
+			}
+		}
+		close(stop)
+		wg.Wait()
+		if t.Failed() {
+			return
+		}
+		if n, h := replies.Load(), hits.Load(); n < 50 || h == 0 || h == n {
+			t.Fatalf("%d replies checked, %d of them cached: want both kinds, and at least one reply per writer op", n, h)
+		}
+
+		// Quiesced: every (statement, degree) runs once more, after which
+		// the current generation holds one row set per statement and at most
+		// one cold cube per array statement — nothing from before a swap and
+		// nothing superseded.
+		for _, deg := range []int{1, 4} {
+			se := NewSessionExecutor(c)
+			se.SetParallel(deg)
+			for i, s := range swapStatements {
+				if qr := run(t, se, s.sql, s.engine); !core.RowsEqual(qr.Rows, want[seq.Load()/2%2][i]) {
+					t.Fatalf("after quiesce, statement %d at degree %d: %s", i, deg, core.DiffRows(qr.Rows, want[seq.Load()/2%2][i]))
+				}
+			}
+		}
+		g := c.gen.Load()
+		rows := 0
+		for _, s := range swapStatements {
+			st, _, err := e.statement(bg, g, s.sql, s.engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			view := c.ingestView(g, st.reach, false)
+			if _, ok := g.resCache.Get(st.fingerprint + view.keySuffix("|cv", true)); ok {
+				rows++
+			}
+		}
+		if n := g.resCache.Len(); rows != len(swapStatements) || n > rows+2 {
+			t.Fatalf("current generation: %d of %d statements' rows cached, %d entries in all (want at most 2 cold cubes beside the rows)",
+				rows, len(swapStatements), n)
+		}
+	})
+}

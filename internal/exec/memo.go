@@ -53,8 +53,8 @@ type statement struct {
 	// ingested into.
 	rowsKey, coldKey keySlot
 
-	// What the plan was chosen under; a lookup at any other pair misses.
-	epoch    uint64
+	// The statistics the plan was chosen under; a lookup under newer ones
+	// misses.
 	statsGen int64
 }
 
@@ -76,25 +76,43 @@ func (s *keySlot) cachedUnder(rc *cache.ResultCache, key string) {
 }
 
 // stmtMemo maps statement text to its statement, so a repeated
-// statement skips lex, parse, compile and plan. A statement is kept from
-// its second sighting on: a stream of statements that never repeat (ad
-// hoc selections) then retains nothing, where keeping each until it was
-// pushed out put a thousand plan trees in front of every garbage
-// collection for no hit at all.
+// statement skips lex, parse, compile and plan. Each generation has its
+// own: a catalog change leaves the memoised plans behind with everything
+// else. A statement is kept from its second sighting on: a stream of
+// statements that never repeat (ad hoc selections) then retains nothing,
+// where keeping each until it was pushed out put a thousand plan trees
+// in front of every garbage collection for no hit at all.
 type stmtMemo struct {
-	mu sync.Mutex
-	m  map[stmtKey]*statement
-	// seen holds, per slot, the hash of the last key put there: a key
-	// whose hash is already in its slot has been seen before. A collision
-	// only admits a statement one sighting early or late.
-	seen [stmtMemoCap]uint64
-	seed maphash.Seed
+	mu   sync.Mutex
+	m    map[stmtKey]*statement
+	seen *sightings
 }
 
-func (m *stmtMemo) get(k stmtKey, epoch uint64, statsGen int64) *statement {
+// sightings remembers which statement keys were put before. Which texts
+// repeat is a fact about the clients, not the catalog, so one table
+// outlives the generations: a statement known to repeat is kept again on
+// its first run after a swap. Per slot, the hash of the last key put
+// there; a collision only admits a statement one sighting early or late.
+type sightings struct {
+	seed maphash.Seed
+	slot [stmtMemoCap]atomic.Uint64
+}
+
+func newSightings() *sightings { return &sightings{seed: maphash.MakeSeed()} }
+
+// again reports whether k was the last key seen in its slot, and leaves
+// it there.
+func (s *sightings) again(k stmtKey) bool {
+	h := maphash.String(s.seed, k.sql) ^ (uint64(k.engine)<<48 | uint64(k.workers)<<32 |
+		uint64(k.shard.Shard)<<16 | uint64(k.shard.Shards))
+	h *= 0x9e3779b97f4a7c15 // spread the key's small fields over the slot bits
+	return s.slot[h>>(64-stmtMemoBits)].Swap(h) == h
+}
+
+func (m *stmtMemo) get(k stmtKey, statsGen int64) *statement {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st := m.m[k]; st != nil && st.epoch == epoch && st.statsGen == statsGen {
+	if st := m.m[k]; st != nil && st.statsGen == statsGen {
 		return st
 	}
 	return nil
@@ -103,18 +121,14 @@ func (m *stmtMemo) get(k stmtKey, epoch uint64, statsGen int64) *statement {
 func (m *stmtMemo) put(k stmtKey, st *statement) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.seen == nil {
+		m.seen = newSightings() // a memo outside any generation
+	}
+	if !m.seen.again(k) {
+		return
+	}
 	if m.m == nil {
 		m.m = make(map[stmtKey]*statement)
-	}
-	if m.seed == (maphash.Seed{}) {
-		m.seed = maphash.MakeSeed()
-	}
-	h := maphash.String(m.seed, k.sql) ^ (uint64(k.engine)<<48 | uint64(k.workers)<<32 |
-		uint64(k.shard.Shard)<<16 | uint64(k.shard.Shards))
-	h *= 0x9e3779b97f4a7c15 // spread the key's small fields over the slot bits
-	if slot := &m.seen[h>>(64-stmtMemoBits)]; *slot != h {
-		*slot = h
-		return
 	}
 	if _, ok := m.m[k]; !ok && len(m.m) >= stmtMemoCap {
 		for victim := range m.m {
@@ -123,10 +137,4 @@ func (m *stmtMemo) put(k stmtKey, st *statement) {
 		}
 	}
 	m.m[k] = st
-}
-
-func (m *stmtMemo) clear() {
-	m.mu.Lock()
-	m.m = nil
-	m.mu.Unlock()
 }

@@ -183,15 +183,14 @@ func RefreshArrayStats(bp *storage.BufferPool, cat *catalog.Catalog) error {
 		codecs[name] = catalog.CodecStats{Chunks: st.Chunks, EncodedBytes: st.EncodedBytes}
 	}
 	cat.Stats.Array = &catalog.ArrayStats{
-		DimSizes:      g.Dims(),
-		ChunkShape:    g.ChunkShape(),
-		NumChunks:     g.NumChunks(),
-		ValidCells:    arr.NumValidCells(),
-		EncodedBytes:  store.EncodedBytes(),
-		Pages:         catalog.PagesOf(store.SizeBytes()),
-		Codec:         store.CodecName(),
-		FormatVersion: store.FormatVersion(),
-		Codecs:        codecs,
+		DimSizes:     g.Dims(),
+		ChunkShape:   g.ChunkShape(),
+		NumChunks:    g.NumChunks(),
+		ValidCells:   arr.NumValidCells(),
+		EncodedBytes: store.EncodedBytes(),
+		Pages:        catalog.PagesOf(store.SizeBytes()),
+		Codec:        store.CodecName(),
+		Codecs:       codecs,
 	}
 	return nil
 }

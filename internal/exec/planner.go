@@ -57,8 +57,8 @@ type Explanation struct {
 	Analyzed bool
 	// CacheHit is true when the rows were served from the result cache
 	// (or a deduplicated concurrent execution) instead of running the
-	// plan; CacheEpoch is the invalidation epoch the entry was read
-	// under.
+	// plan; CacheEpoch is the ordinal of the catalog generation whose
+	// cache held the entry.
 	CacheHit   bool
 	CacheEpoch uint64
 	// Memo is "hit" when the executed statement's text was found in the

@@ -303,7 +303,7 @@ func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) 
 		return nil, m, err
 	}
 	state, key := "hit", view.st.fingerprint+view.keySuffix("|cold", false)
-	cold, ok := view.rc.GetCold(key, view.epoch)
+	cold, ok := view.rc.GetCold(key)
 	if !ok {
 		scan.OnlyHot = false
 		built, bm, err := core.ArrayConsolidate(ctx, arr, scan)
@@ -313,7 +313,7 @@ func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) 
 		}
 		bm.Add(&m)
 		state, m, cold = "built", bm, built.Clone()
-		ok = view.rc.PutCold(key, cold, built.Bytes(), view.st.est.IO, view.epoch)
+		ok = view.rc.PutCold(key, cold, built.Bytes(), view.st.est.IO)
 		built.Release()
 	}
 	if ok {
@@ -440,11 +440,11 @@ func (p *starJoinPlan) Run(ctx context.Context, ec *ExecContext, view *ingestVie
 // it: the same plan may run later, or never).
 func (p *planScan) relationalInputs(ec *ExecContext, view *ingestView) (*factfile.File, []*catalog.DimensionTable, core.ScanSpec, error) {
 	scan := p.scan
-	dims, err := ec.Dimensions()
+	dims, err := view.g.dimensions(ec)
 	if err != nil {
 		return nil, nil, scan, err
 	}
-	ff, err := ec.FactFile()
+	ff, err := view.g.factFile(ec)
 	if err != nil {
 		return nil, nil, scan, err
 	}

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -17,8 +18,7 @@ type Stats struct {
 	PhysicalReads uint64 // fetches that missed and went to disk
 	PageWrites    uint64 // dirty pages written back to disk
 	Allocations   uint64 // pages allocated
-	Evictions     uint64 // frames reclaimed by the replacer
-	ReplacerSaves uint64 // hot frames the replacer spared from scan pressure
+	Evictions     uint64 // unpinned frames reclaimed for another page
 }
 
 // Sub returns s - o, counter by counter.
@@ -29,7 +29,6 @@ func (s Stats) Sub(o Stats) Stats {
 		PageWrites:    s.PageWrites - o.PageWrites,
 		Allocations:   s.Allocations - o.Allocations,
 		Evictions:     s.Evictions - o.Evictions,
-		ReplacerSaves: s.ReplacerSaves - o.ReplacerSaves,
 	}
 }
 
@@ -64,14 +63,8 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 		"page fetches served from memory",
 		func() int64 { return int64(bp.logicalReads.Load() - bp.physicalReads.Load()) })
 	reg.CounterFunc("bufferpool_evictions_total",
-		"frames reclaimed by the replacer",
+		"unpinned frames reclaimed for another page",
 		func() int64 { return int64(bp.evictions.Load()) })
-	reg.CounterFunc("bufferpool_replacer_saves_total",
-		"hot frames the replacer spared from scan eviction pressure",
-		func() int64 { return int64(bp.rep.Saves()) })
-	reg.GaugeFunc("bufferpool_replacer",
-		"replacement policy in effect (0=lru, 1=clock, 2=2q)",
-		func() float64 { return float64(replacerCode(bp.rep.Name())) })
 	reg.CounterFunc("bufferpool_page_writes_total",
 		"dirty pages written back to the volume",
 		func() int64 { return int64(bp.pageWrites.Load()) })
@@ -109,21 +102,27 @@ type frame struct {
 	dirty bool
 }
 
-// BufferPool caches pages over a DiskManager, replacing unpinned frames
-// with a pluggable policy (LRU by default; see NewReplacer). Callers
-// fetch a page, operate on its bytes, and unpin it, marking it dirty if
-// modified.
+// BufferPool caches pages over a DiskManager, replacing the least
+// recently unpinned frame. Callers fetch a page, operate on its bytes,
+// and unpin it, marking it dirty if modified.
 //
-// The pool mirrors the paper's configuration: Paradise ran with a 16 MB
-// buffer pool, which is the default produced by DefaultFrames.
+// The pool mirrors the paper's configuration: pin/unpin with LRU
+// replacement, and Paradise's 16 MB, which is the default produced by
+// DefaultFrames.
 type BufferPool struct {
 	mu     sync.Mutex
 	disk   DiskManager
 	frames []frame
 	table  map[PageID]int // page id -> frame index
 	free   []int          // indices of empty frames
-	rep    Replacer       // replacement policy over unpinned frames
 	logger PageLogger     // write-ahead hook, may be nil
+
+	// The unpinned frames in unpin order, front = least recent = next
+	// victim. A frame enters when its pin count drops to zero and leaves
+	// when it is pinned again, evicted or dropped; lruAt[idx] locates its
+	// node for O(1) removal.
+	lru   *list.List // of int frame index
+	lruAt []*list.Element
 
 	logicalReads  atomic.Uint64
 	physicalReads atomic.Uint64
@@ -156,47 +155,40 @@ type BeforeImageLogger interface {
 	LogBeforeImage(id PageID, img []byte) error
 }
 
-// NewBufferPool creates a pool with the given number of frames over disk,
-// using LRU replacement (the historical default).
+// NewBufferPool creates a pool with the given number of frames over disk
+// (0 selects DefaultFrames).
 func NewBufferPool(disk DiskManager, numFrames int) *BufferPool {
-	bp, err := NewBufferPoolPolicy(disk, numFrames, ReplacerLRU)
-	if err != nil {
-		// ReplacerLRU is always valid; only an unknown name errors.
-		panic(err)
-	}
-	return bp
-}
-
-// NewBufferPoolPolicy creates a pool with the named replacement policy
-// ("lru", "clock", or "2q"; empty selects LRU).
-func NewBufferPoolPolicy(disk DiskManager, numFrames int, policy string) (*BufferPool, error) {
 	if numFrames <= 0 {
 		numFrames = DefaultFrames
-	}
-	rep, err := NewReplacer(policy, numFrames)
-	if err != nil {
-		return nil, err
 	}
 	bp := &BufferPool{
 		disk:   disk,
 		frames: make([]frame, numFrames),
 		table:  make(map[PageID]int, numFrames),
 		free:   make([]int, 0, numFrames),
-		rep:    rep,
+		lru:    list.New(),
+		lruAt:  make([]*list.Element, numFrames),
 	}
 	for i := range bp.frames {
 		bp.frames[i].id = InvalidPageID
 		bp.frames[i].data = make([]byte, PageSize)
 		bp.free = append(bp.free, i)
 	}
-	return bp, nil
+	return bp
 }
 
 // NumFrames reports the pool capacity in pages.
 func (bp *BufferPool) NumFrames() int { return len(bp.frames) }
 
-// ReplacerName reports the replacement policy in effect.
-func (bp *BufferPool) ReplacerName() string { return bp.rep.Name() }
+// lruRemove takes frame idx out of the replacement order: it is in use
+// again, evicted or dropped. A frame that is not in it is left alone.
+// Caller holds bp.mu.
+func (bp *BufferPool) lruRemove(idx int) {
+	if e := bp.lruAt[idx]; e != nil {
+		bp.lru.Remove(e)
+		bp.lruAt[idx] = nil
+	}
+}
 
 // SetPageLogger installs the write-ahead hook. Pass nil to disable
 // logging. Must be called before the pool is shared between goroutines.
@@ -233,31 +225,31 @@ func (bp *BufferPool) Stats() Stats {
 		PageWrites:    bp.pageWrites.Load(),
 		Allocations:   bp.allocations.Load(),
 		Evictions:     bp.evictions.Load(),
-		ReplacerSaves: bp.rep.Saves(),
 	}
 }
 
-// victim evicts the replacer's choice of unpinned frame and returns its
-// index, or an error when every frame is pinned. Caller holds bp.mu.
+// victim evicts the least recently unpinned frame and returns its index,
+// or an error when every frame is pinned. Caller holds bp.mu.
 func (bp *BufferPool) victim() (int, error) {
 	if n := len(bp.free); n > 0 {
 		idx := bp.free[n-1]
 		bp.free = bp.free[:n-1]
 		return idx, nil
 	}
-	idx := bp.rep.Victim()
-	if idx < 0 {
+	e := bp.lru.Front()
+	if e == nil {
 		return 0, ErrBufferPoolFull
 	}
+	idx := e.Value.(int)
 	f := &bp.frames[idx]
 	if f.dirty {
 		if err := bp.writeBack(f); err != nil {
-			// Put the frame back at the most-evictable position so it is
-			// retried first once the fault clears.
-			bp.rep.Restore(idx, f.id)
+			// The frame stays at the front, so it is retried first once
+			// the fault clears.
 			return 0, err
 		}
 	}
+	bp.lruRemove(idx)
 	delete(bp.table, f.id)
 	f.id = InvalidPageID
 	bp.evictions.Add(1)
@@ -274,7 +266,7 @@ func (bp *BufferPool) FetchPage(id PageID) ([]byte, error) {
 	if idx, ok := bp.table[id]; ok {
 		f := &bp.frames[idx]
 		if f.pins == 0 {
-			bp.rep.Pin(idx)
+			bp.lruRemove(idx)
 		}
 		f.pins++
 		return f.data, nil
@@ -316,7 +308,7 @@ func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
 			}
 		}
 		if f.pins == 0 {
-			bp.rep.Pin(idx)
+			bp.lruRemove(idx)
 		}
 		f.pins++
 		return f.data, nil
@@ -399,7 +391,7 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		bp.rep.Unpin(idx, id)
+		bp.lruAt[idx] = bp.lru.PushBack(idx)
 	}
 	return nil
 }
@@ -477,7 +469,7 @@ func (bp *BufferPool) DropAll() error {
 			}
 		}
 		delete(bp.table, f.id)
-		bp.rep.Remove(i)
+		bp.lruRemove(i)
 		f.id = InvalidPageID
 		f.dirty = false
 		bp.free = append(bp.free, i)

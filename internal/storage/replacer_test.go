@@ -8,215 +8,70 @@ import (
 	"testing"
 )
 
-func newPolicyPool(t testing.TB, frames int, policy string) *BufferPool {
-	t.Helper()
-	bp, err := NewBufferPoolPolicy(NewMemDiskManager(), frames, policy)
-	if err != nil {
-		t.Fatalf("NewBufferPoolPolicy(%q): %v", policy, err)
-	}
-	return bp
-}
+// The subtests below are named for the pool's one replacement policy.
 
-var allReplacers = []string{ReplacerLRU, ReplacerClock, Replacer2Q}
-
-func TestReplacerSelection(t *testing.T) {
-	for _, name := range allReplacers {
-		bp := newPolicyPool(t, 4, name)
-		if bp.ReplacerName() != name {
-			t.Fatalf("ReplacerName() = %q, want %q", bp.ReplacerName(), name)
-		}
-	}
-	if bp := newPolicyPool(t, 4, ""); bp.ReplacerName() != ReplacerLRU {
-		t.Fatalf("empty policy selected %q, want lru default", bp.ReplacerName())
-	}
-	if _, err := NewBufferPoolPolicy(NewMemDiskManager(), 4, "mru"); err == nil {
-		t.Fatal("unknown policy accepted")
-	}
-}
-
-// replacerSim drives a Replacer directly with a page-access trace,
-// modelling what the pool does: resident pages are Pin/Unpinned, misses
-// ask Victim for a frame. It counts how often each page missed.
-type replacerSim struct {
-	rep      Replacer
-	frames   int
-	pageAt   []PageID       // frame -> resident page (0 = empty)
-	frameFor map[PageID]int // page -> frame
-	free     []int
-	misses   map[PageID]int
-}
-
-func newReplacerSim(t testing.TB, name string, frames int) *replacerSim {
-	t.Helper()
-	rep, err := NewReplacer(name, frames)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &replacerSim{
-		rep:      rep,
-		frames:   frames,
-		pageAt:   make([]PageID, frames),
-		frameFor: map[PageID]int{},
-		misses:   map[PageID]int{},
-	}
-	for i := frames - 1; i >= 0; i-- {
-		s.free = append(s.free, i)
-	}
-	return s
-}
-
-// access touches one page: hit -> Pin+Unpin, miss -> Victim (or a free
-// frame), load, Unpin.
-func (s *replacerSim) access(t testing.TB, id PageID) {
-	t.Helper()
-	if idx, ok := s.frameFor[id]; ok {
-		s.rep.Pin(idx)
-		s.rep.Unpin(idx, id)
-		return
-	}
-	s.misses[id]++
-	var idx int
-	if n := len(s.free); n > 0 {
-		idx = s.free[n-1]
-		s.free = s.free[:n-1]
-	} else {
-		idx = s.rep.Victim()
-		if idx < 0 {
-			t.Fatalf("%s: no victim with all frames unpinned", s.rep.Name())
-		}
-		delete(s.frameFor, s.pageAt[idx])
-	}
-	s.pageAt[idx] = id
-	s.frameFor[id] = idx
-	s.rep.Unpin(idx, id)
-}
-
-// TestReplacerScanResistance is the differential 2Q exists for: a long
-// sequential sweep with a small hot set re-touched every `gap` accesses.
-// The gap exceeds what LRU can tolerate (more than frames-hotN distinct
-// pages between touches evicts the hot set every interval), so LRU keeps
-// re-faulting the hot pages; 2Q promotes them to the main queue and
-// never evicts them while the sweep churns A1in. Clock is an LRU
-// approximation, not a scan-resistant policy — the assertion for it is
-// only that it does no worse than LRU on this trace while granting
-// second chances (its win is O(1) bookkeeping, not the sweep).
-func TestReplacerScanResistance(t *testing.T) {
-	const (
-		frames  = 8
-		hotN    = 2
-		gap     = 8 // distinct scan pages between hot re-touches; > frames-hotN
-		sweep   = 200
-		scanLo  = PageID(1000)
-		rounds  = sweep / gap
-		hotBase = PageID(1)
-	)
-	missesFor := func(name string) (hotMisses int, saves uint64) {
-		sim := newReplacerSim(t, name, frames)
-		// Establish the hot set: touch twice so 2Q sees a re-reference
-		// while resident and promotes on the second unpin.
-		for pass := 0; pass < 2; pass++ {
-			for h := 0; h < hotN; h++ {
-				sim.access(t, hotBase+PageID(h))
-			}
-		}
-		next := scanLo
-		for r := 0; r < rounds; r++ {
-			for i := 0; i < gap; i++ {
-				sim.access(t, next)
-				next++
-			}
-			for h := 0; h < hotN; h++ {
-				sim.access(t, hotBase+PageID(h))
-			}
-		}
-		for h := 0; h < hotN; h++ {
-			hotMisses += sim.misses[hotBase+PageID(h)] - 1 // first touch is a cold miss
-		}
-		return hotMisses, sim.rep.Saves()
-	}
-
-	lru, _ := missesFor(ReplacerLRU)
-	clock, clockSaves := missesFor(ReplacerClock)
-	twoQ, twoQSaves := missesFor(Replacer2Q)
-
-	if lru == 0 {
-		t.Fatalf("sweep with gap %d did not evict the hot set under LRU; the differential is vacuous", gap)
-	}
-	if twoQ != 0 {
-		t.Fatalf("2q re-faulted hot pages %d times during the sweep, want 0 (lru: %d)", twoQ, lru)
-	}
-	if clock > lru {
-		t.Fatalf("clock re-faulted hot pages %d times, want no more than lru's %d", clock, lru)
-	}
-	if clockSaves == 0 || twoQSaves == 0 {
-		t.Fatalf("scan sweep produced no saves: clock=%d 2q=%d", clockSaves, twoQSaves)
-	}
-}
-
-// Pinned pages must never be victims, under any policy, even when every
-// other frame has been evicted many times over.
+// Pinned pages must never be victims, even when every other frame has
+// been evicted many times over.
 func TestReplacerPinSafety(t *testing.T) {
-	for _, name := range allReplacers {
-		t.Run(name, func(t *testing.T) {
-			bp := newPolicyPool(t, 4, name)
-			// Pin three pages and write a marker into each.
-			var pinned []PageID
-			for i := 0; i < 3; i++ {
-				id, buf, err := bp.NewPage()
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf[0] = byte(0xC0 + i)
-				pinned = append(pinned, id)
+	t.Run("lru", func(t *testing.T) {
+		bp := NewBufferPool(NewMemDiskManager(), 4)
+		// Pin three pages and write a marker into each.
+		var pinned []PageID
+		for i := 0; i < 3; i++ {
+			id, buf, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
 			}
-			// Churn many pages through the single remaining frame.
-			for i := 0; i < 32; i++ {
-				id, _, err := bp.NewPage()
-				if err != nil {
-					t.Fatalf("churn %d: %v", i, err)
-				}
-				if err := bp.Unpin(id, true); err != nil {
-					t.Fatal(err)
-				}
+			buf[0] = byte(0xC0 + i)
+			pinned = append(pinned, id)
+		}
+		// Churn many pages through the single remaining frame.
+		for i := 0; i < 32; i++ {
+			id, _, err := bp.NewPage()
+			if err != nil {
+				t.Fatalf("churn %d: %v", i, err)
 			}
-			// With all frames pinned, the pool must refuse, not evict.
-			for i := 0; i < 1; i++ {
-				id, _, err := bp.NewPage() // occupies the last frame
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, _, err := bp.NewPage(); !errors.Is(err, ErrBufferPoolFull) {
-					t.Fatalf("full pool: err = %v, want ErrBufferPoolFull", err)
-				}
-				if err := bp.Unpin(id, false); err != nil {
-					t.Fatal(err)
-				}
+			if err := bp.Unpin(id, true); err != nil {
+				t.Fatal(err)
 			}
-			// The pinned pages kept their frames and contents throughout.
-			for i, id := range pinned {
-				buf, err := bp.FetchPage(id)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if buf[0] != byte(0xC0+i) {
-					t.Fatalf("pinned page %v lost its contents: %#x", id, buf[0])
-				}
-				if err := bp.Unpin(id, false); err != nil { // fetch pin
-					t.Fatal(err)
-				}
-				if err := bp.Unpin(id, false); err != nil { // original pin
-					t.Fatal(err)
-				}
+		}
+		// With all frames pinned, the pool must refuse, not evict.
+		for i := 0; i < 1; i++ {
+			id, _, err := bp.NewPage() // occupies the last frame
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n := bp.PinnedPages(); n != 0 {
-				t.Fatalf("%d pages still pinned", n)
+			if _, _, err := bp.NewPage(); !errors.Is(err, ErrBufferPoolFull) {
+				t.Fatalf("full pool: err = %v, want ErrBufferPoolFull", err)
 			}
-		})
-	}
+			if err := bp.Unpin(id, false); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The pinned pages kept their frames and contents throughout.
+		for i, id := range pinned {
+			buf, err := bp.FetchPage(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if buf[0] != byte(0xC0+i) {
+				t.Fatalf("pinned page %v lost its contents: %#x", id, buf[0])
+			}
+			if err := bp.Unpin(id, false); err != nil { // fetch pin
+				t.Fatal(err)
+			}
+			if err := bp.Unpin(id, false); err != nil { // original pin
+				t.Fatal(err)
+			}
+		}
+		if n := bp.PinnedPages(); n != 0 {
+			t.Fatalf("%d pages still pinned", n)
+		}
+	})
 }
 
 // Concurrent fetch/unpin stress, meant to run under -race: four
-// goroutines hammer a pool smaller than the page set, so every policy's
+// goroutines hammer a pool smaller than the page set, so the replacement
 // bookkeeping runs under real eviction pressure.
 func TestReplacerConcurrentStress(t *testing.T) {
 	const (
@@ -225,92 +80,100 @@ func TestReplacerConcurrentStress(t *testing.T) {
 		frames     = 16
 		iters      = 400
 	)
-	for _, name := range allReplacers {
-		t.Run(name, func(t *testing.T) {
-			bp := newPolicyPool(t, frames, name)
-			ids := make([]PageID, pages)
-			for i := range ids {
-				id, buf, err := bp.NewPage()
-				if err != nil {
-					t.Fatal(err)
-				}
-				buf[0], buf[1] = byte(i), byte(i>>8)
-				if err := bp.Unpin(id, true); err != nil {
-					t.Fatal(err)
-				}
-				ids[i] = id
-			}
-			var wg sync.WaitGroup
-			errCh := make(chan error, goroutines)
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(seed int64) {
-					defer wg.Done()
-					rng := rand.New(rand.NewSource(seed))
-					for i := 0; i < iters; i++ {
-						n := rng.Intn(pages)
-						buf, err := bp.FetchPage(ids[n])
-						if err != nil {
-							if errors.Is(err, ErrBufferPoolFull) {
-								continue // transient: all frames pinned by peers
-							}
-							errCh <- err
-							return
-						}
-						if buf[0] != byte(n) || buf[1] != byte(n>>8) {
-							errCh <- fmt.Errorf("page %d corrupt: %#x %#x", n, buf[0], buf[1])
-							return
-						}
-						if err := bp.Unpin(ids[n], false); err != nil {
-							errCh <- err
-							return
-						}
-					}
-				}(int64(g) + 7)
-			}
-			wg.Wait()
-			close(errCh)
-			for err := range errCh {
-				t.Fatal(err)
-			}
-			if n := bp.PinnedPages(); n != 0 {
-				t.Fatalf("%d pages still pinned after stress", n)
-			}
-		})
-	}
-}
-
-// Restore must put a failed eviction back at the most-evictable spot so
-// the pool retries it, and must not lose track of the frame.
-func TestReplacerRestore(t *testing.T) {
-	for _, name := range allReplacers {
-		t.Run(name, func(t *testing.T) {
-			rep, err := NewReplacer(name, 4)
+	t.Run("lru", func(t *testing.T) {
+		bp := NewBufferPool(NewMemDiskManager(), frames)
+		ids := make([]PageID, pages)
+		for i := range ids {
+			id, buf, err := bp.NewPage()
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i := 0; i < 4; i++ {
-				rep.Unpin(i, PageID(100+i))
+			buf[0], buf[1] = byte(i), byte(i>>8)
+			if err := bp.Unpin(id, true); err != nil {
+				t.Fatal(err)
 			}
-			v := rep.Victim()
-			if v < 0 {
-				t.Fatal("no victim")
-			}
-			rep.Restore(v, PageID(100+v))
-			seen := map[int]bool{}
-			for i := 0; i < 4; i++ {
-				w := rep.Victim()
-				if w < 0 {
-					t.Fatalf("lost a frame after Restore: only %d victims", i)
+			ids[i] = id
+		}
+		var wg sync.WaitGroup
+		errCh := make(chan error, goroutines)
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func(seed int64) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(seed))
+				for i := 0; i < iters; i++ {
+					n := rng.Intn(pages)
+					buf, err := bp.FetchPage(ids[n])
+					if err != nil {
+						if errors.Is(err, ErrBufferPoolFull) {
+							continue // transient: all frames pinned by peers
+						}
+						errCh <- err
+						return
+					}
+					if buf[0] != byte(n) || buf[1] != byte(n>>8) {
+						errCh <- fmt.Errorf("page %d corrupt: %#x %#x", n, buf[0], buf[1])
+						return
+					}
+					if err := bp.Unpin(ids[n], false); err != nil {
+						errCh <- err
+						return
+					}
 				}
-				if seen[w] {
-					t.Fatalf("frame %d evicted twice", w)
-				}
-				seen[w] = true
-			}
-			if rep.Victim() != -1 {
-				t.Fatal("empty replacer yielded a victim")
-			}
-		})
-	}
+			}(int64(g) + 7)
+		}
+		wg.Wait()
+		close(errCh)
+		for err := range errCh {
+			t.Fatal(err)
+		}
+		if n := bp.PinnedPages(); n != 0 {
+			t.Fatalf("%d pages still pinned after stress", n)
+		}
+	})
+}
+
+// A victim whose write-back failed must stay the most evictable frame,
+// so the pool retries it first once the fault clears, and must not be
+// lost track of.
+func TestReplacerRestore(t *testing.T) {
+	t.Run("lru", func(t *testing.T) {
+		fd := newFaultDisk(NewMemDiskManager(), -1)
+		bp := NewBufferPool(fd, 2)
+		a, _, _ := bp.NewPage()
+		bp.Unpin(a, true)
+		b, _, _ := bp.NewPage()
+		bp.Unpin(b, true)
+		setFault := func(after int) {
+			fd.mu.Lock()
+			fd.failAfter = after
+			fd.mu.Unlock()
+		}
+		setFault(1) // the third page's allocation succeeds, a's write-back fails
+		if _, _, err := bp.NewPage(); !errors.Is(err, errInjected) {
+			t.Fatalf("eviction fault = %v", err)
+		}
+		setFault(-1)
+		c, _, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.mu.Lock()
+		_, aCached := bp.table[a]
+		_, bCached := bp.table[b]
+		bp.mu.Unlock()
+		if aCached || !bCached {
+			t.Fatalf("after the retry: a cached=%v, b cached=%v; want a, the failed victim, evicted first", aCached, bCached)
+		}
+		bp.Unpin(c, false)
+		// Both frames are still in play: a comes back with what was
+		// written back, and nothing is left pinned.
+		if _, err := bp.FetchPage(a); err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(a, false)
+		if n := bp.PinnedPages(); n != 0 || bp.lru.Len() != 2 {
+			t.Fatalf("%d pages pinned, %d frames evictable; want 0 and 2", n, bp.lru.Len())
+		}
+	})
 }

@@ -17,11 +17,23 @@ type DimensionRow struct {
 // CreateStarSchema records the schema and creates empty dimension
 // tables. It must be called exactly once, on a fresh database.
 func (db *DB) CreateStarSchema(schema *StarSchema) error {
-	return exec.CreateSchema(db.bp, db.cat, schema)
+	if err := exec.CreateSchema(db.bp, db.cat, schema); err != nil {
+		return err
+	}
+	db.catalogChanged()
+	return nil
 }
+
+// catalogChanged retires everything queries derived from the catalog as
+// it was — object handles, memoised statements, cached results and
+// decoded chunks. Every writer of the catalog or of an object it names
+// ends with it; it is the root package's only route to the swap, so a
+// new writer has one thing to call and nothing to choose.
+func (db *DB) catalogChanged() { db.ex.InvalidateHandles() }
 
 // LoadDimension appends members to the named dimension table.
 func (db *DB) LoadDimension(name string, rows []DimensionRow) error {
+	defer db.catalogChanged() // rows before a failing one are loaded
 	for _, r := range rows {
 		if err := exec.LoadDimensionRow(db.bp, db.cat, name, r.Key, r.Attrs); err != nil {
 			return err
@@ -33,6 +45,7 @@ func (db *DB) LoadDimension(name string, rows []DimensionRow) error {
 // LoadDimensionFunc streams members into the named dimension table: gen
 // is called once with an emit function.
 func (db *DB) LoadDimensionFunc(name string, gen func(emit func(key int64, attrs []string) error) error) error {
+	defer db.catalogChanged()
 	return gen(func(key int64, attrs []string) error {
 		return exec.LoadDimensionRow(db.bp, db.cat, name, key, attrs)
 	})
@@ -44,7 +57,7 @@ func (db *DB) LoadFacts(src FactSource) error {
 	if err := exec.LoadFacts(db.bp, db.cat, src); err != nil {
 		return err
 	}
-	db.ex.InvalidateHandles()
+	db.catalogChanged()
 	return nil
 }
 
@@ -81,7 +94,7 @@ func (db *DB) BuildArray(cfg ArrayConfig) error {
 	if err := exec.BuildArray(db.bp, db.cat, cfg); err != nil {
 		return err
 	}
-	db.ex.InvalidateHandles()
+	db.catalogChanged()
 	return db.refreshCodecSnapshot()
 }
 
@@ -115,15 +128,15 @@ func (db *DB) UpdateArrayCells(updates []ArrayCellUpdate) error {
 		return err
 	}
 	if uint64(next.State().First) == db.cat.ArrayState {
-		// Empty batch: no new array version was produced, so don't bump
-		// the cache epoch — every cached result is still valid.
+		// Empty batch: no new array version was produced, so the catalog
+		// did not change — every cached result is still valid.
 		return nil
 	}
 	db.cat.ArrayState = uint64(next.State().First)
 	if err := exec.RefreshArrayStats(db.bp, db.cat); err != nil {
 		return err
 	}
-	db.ex.InvalidateHandles()
+	db.catalogChanged()
 	return db.refreshCodecSnapshot()
 }
 
@@ -133,7 +146,7 @@ func (db *DB) BuildBitmapIndexes() error {
 	if err := exec.BuildBitmapIndexes(db.bp, db.cat); err != nil {
 		return err
 	}
-	db.ex.InvalidateHandles()
+	db.catalogChanged()
 	return nil
 }
 

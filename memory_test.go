@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/datagen"
-	"repro/internal/storage"
 )
 
 // memoryTestDataset is shared by the memory-path differentials: big
@@ -33,43 +32,41 @@ var memoryTestQueries = []string{
 	`select avg(volume) from fact, dim0, dim1, dim2 where h01 = 'AA0'`,
 }
 
-// TestReplacerEngineDegreeDifferential is the PR-wide oracle: every
-// replacement policy, every engine, every parallel degree must produce
-// bit-identical rows. The tiny pool keeps the replacers honest (every
-// query runs under eviction pressure), and the arena-backed decode and
-// result paths run under all of it.
+// TestReplacerEngineDegreeDifferential is the memory path's oracle:
+// every engine, every parallel degree must produce bit-identical rows
+// under a pool so small that every query runs under eviction pressure —
+// which keeps the replacement order honest — with the arena-backed
+// decode and result paths running under all of it.
 func TestReplacerEngineDegreeDifferential(t *testing.T) {
 	ds := memoryTestDataset(t)
 	var want [][]Row // per query, from the first combination
 
-	for _, policy := range []string{storage.ReplacerLRU, storage.ReplacerClock, storage.Replacer2Q} {
-		db, err := Open(Options{BufferPoolBytes: 128 * 1024, Replacer: policy})
-		if err != nil {
-			t.Fatalf("Open(%s): %v", policy, err)
-		}
-		loadDataset(t, db, ds)
-		for _, eng := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine} {
-			for _, deg := range []int{1, 2, 4} {
-				db.SetParallel(deg)
-				for qi, sql := range memoryTestQueries {
-					res, err := db.QueryOn(sql, eng)
-					if err != nil {
-						t.Fatalf("%s/%v/deg=%d query %d: %v", policy, eng, deg, qi, err)
-					}
-					if qi >= len(want) {
-						want = append(want, res.Rows)
-						continue
-					}
-					if !core.RowsEqual(want[qi], res.Rows) {
-						t.Fatalf("%s/%v/deg=%d query %d diverges:\n%s",
-							policy, eng, deg, qi, core.DiffRows(res.Rows, want[qi]))
-					}
+	db, err := Open(Options{BufferPoolBytes: 128 * 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	loadDataset(t, db, ds)
+	for _, eng := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine} {
+		for _, deg := range []int{1, 2, 4} {
+			db.SetParallel(deg)
+			for qi, sql := range memoryTestQueries {
+				res, err := db.QueryOn(sql, eng)
+				if err != nil {
+					t.Fatalf("%v/deg=%d query %d: %v", eng, deg, qi, err)
+				}
+				if qi >= len(want) {
+					want = append(want, res.Rows)
+					continue
+				}
+				if !core.RowsEqual(want[qi], res.Rows) {
+					t.Fatalf("%v/deg=%d query %d diverges:\n%s",
+						eng, deg, qi, core.DiffRows(res.Rows, want[qi]))
 				}
 			}
 		}
-		if err := db.Close(); err != nil {
-			t.Fatal(err)
-		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -122,20 +122,10 @@ type Options struct {
 	// databases (bulk experiment loads that are rebuilt on loss).
 	// In-memory databases never log.
 	DisableWAL bool
-	// Replacer selects the buffer pool's page-replacement policy:
-	// "lru" (default), "clock", or "2q". 2Q keeps hot dimension and
-	// index pages resident while large fact scans sweep the pool.
-	Replacer string
 	// DeltaBudgetBytes caps the in-memory ingest delta store: once the
 	// uncompacted overlay reaches this many bytes, InsertCells blocks
 	// (backpressure) until a compaction drains it. 0 means unlimited.
 	DeltaBudgetBytes int64
-	// DisableRecodec pins each chunk's compression codec across
-	// compactions. By default an adaptively-compressed store re-picks
-	// the codec of every chunk a compaction rewrites, so chunks migrate
-	// to the smallest encoding as ingest shifts their density; disabling
-	// it trades that space win for byte-stable chunk images.
-	DisableRecodec bool
 }
 
 // DB is an open database handle. Queries (through Sessions), the ingest
@@ -164,7 +154,6 @@ type DB struct {
 
 	compactions    *obs.Counter
 	compactSeconds *obs.Histogram
-	disableRecodec bool
 
 	// codecSnap is the latest array codec mix, republished by builds,
 	// cell updates, and compactions. Stats and the /metrics gauges
@@ -186,7 +175,7 @@ var testWrapDisk func(storage.DiskManager) storage.DiskManager
 // with logging enabled, any committed WAL suffix is replayed first, so a
 // crash between Commit and Checkpoint is recovered transparently.
 func Open(opts Options) (*DB, error) {
-	db := &DB{path: opts.Path, disableRecodec: opts.DisableRecodec}
+	db := &DB{path: opts.Path}
 	if opts.Path == "" {
 		db.disk = storage.NewMemDiskManager()
 	} else {
@@ -212,12 +201,7 @@ func Open(opts Options) (*DB, error) {
 			frames = 8
 		}
 	}
-	bp, err := storage.NewBufferPoolPolicy(db.disk, frames, opts.Replacer)
-	if err != nil {
-		db.disk.Close()
-		return nil, err
-	}
-	db.bp = bp
+	db.bp = storage.NewBufferPool(db.disk, frames)
 	if opts.Path != "" && !opts.DisableWAL {
 		l, err := wal.Open(walPath(opts.Path))
 		if err != nil {
@@ -365,13 +349,13 @@ func (db *DB) Commit() error {
 	if err := db.commitLocked(); err != nil {
 		return err
 	}
-	db.ex.InvalidateHandles()
+	db.catalogChanged()
 	return nil
 }
 
 // commitLocked is the durable half of Commit, shared with the compactor
-// — which must NOT invalidate handles, because a compaction changes no
-// observable content and the caches keyed by epoch should survive it.
+// — which must NOT announce a catalog change, because a compaction
+// changes no observable content and the caches should survive it.
 // Callers hold writeMu.
 func (db *DB) commitLocked() error {
 	if err := db.cat.Save(db.bp, db.sb); err != nil {
@@ -517,8 +501,8 @@ func (db *DB) SetTrace(on bool) { db.ex.SetTrace(on) }
 // totalBytes between the semantic result cache (materialized row sets
 // keyed by normalized plan fingerprint, deduplicated with singleflight)
 // and the decoded-chunk cache that sits above the buffer pool. Loads,
-// updates, and DropCaches bump the invalidation epoch, lazily
-// discarding stale entries. totalBytes <= 0 disables the cache.
+// updates, and DropCaches start a new catalog generation with empty
+// caches. totalBytes <= 0 disables the cache.
 // Sessions opt out individually with Session.SetCache(false).
 func (db *DB) EnableQueryCache(totalBytes int64) {
 	db.ex.Context().EnableQueryCache(totalBytes)
@@ -555,9 +539,8 @@ func (db *DB) SetSlowQueryLog(l *slog.Logger, min time.Duration) {
 }
 
 // DropCaches flushes and empties the buffer pool — the paper's cold-cache
-// protocol between measured queries. Cached object handles are
-// invalidated with it, so later catalog mutations can never leave a
-// stale handle serving a replaced object.
+// protocol between measured queries. Object handles, memoised statements
+// and both query-cache layers go with it.
 func (db *DB) DropCaches() error { return db.ex.DropCaches() }
 
 // Explain plans a query without running it, reporting the estimated
