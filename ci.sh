@@ -8,7 +8,10 @@ cd "$(dirname "$0")"
 # The numbers a CHANGES.md entry quotes for "less code, fewer knobs".
 echo "== ledger =="
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
-echo "olapd flags: $(grep -cE '= flag\.[A-Z][A-Za-z0-9]*\(' cmd/olapd/main.go)"
+echo "test Go lines outside benchmark/: $(find . -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
+for cmd in olapd olapcli olapbench; do
+    echo "$cmd flags: $(grep -cE '= flag\.[A-Z][A-Za-z0-9]*\(' "cmd/$cmd/main.go")"
+done
 echo "repro.Options fields: $(sed -n '/^type Options struct {/,/^}/p' olap.go | grep -cE '^	[A-Z][A-Za-z]* +[a-z\[]')"
 
 echo "== gofmt =="
@@ -39,8 +42,8 @@ go test -run TestExplainAnalyzeGolden -count=1 ./internal/exec/
 echo "== metrics endpoint smoke =="
 go test -run TestMetricsEndpoint -count=1 .
 
-# Every package, so the differential suites (codec, compaction, shard
-# union, cluster, chunk kernel, generation swap) all run under the detector too.
+# Every package, so the differential suites (codec, compaction, overlay,
+# chunk kernel, generation swap) all run under the detector too.
 echo "== go test -race (every package) =="
 go test -race ./...
 
@@ -51,10 +54,11 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
 
-echo "== fuzz smoke (store directory, codec decoders, wire frame decoders, 10s each) =="
+echo "== fuzz smoke (store directory, codec decoders, wire frame decoders, SQL front door, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
+go test -run='^$' -fuzz=FuzzParseAndCompile -fuzztime=10s ./internal/query/
 
 echo "== warm StarJoin/bitmap allocations bounded and flat =="
 go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/
@@ -83,9 +87,9 @@ GODEBUG=gccheckmark=1 go test -count=1 ./internal/arena/
 echo "== olapd server smoke =="
 smokedir=$(mktemp -d)
 cleanup_smoke() {
-    for pid in ${olapd_pid:-} ${coord_pid:-} ${shard_pids:-}; do
-        kill "$pid" 2>/dev/null || true
-    done
+    if [ -n "${olapd_pid:-}" ]; then
+        kill "$olapd_pid" 2>/dev/null || true
+    fi
     rm -rf "$smokedir"
 }
 trap cleanup_smoke EXIT
@@ -94,15 +98,20 @@ go build -o "$smokedir/olapd" ./cmd/olapd
 go build -o "$smokedir/olapcli" ./cmd/olapcli
 "$smokedir/olapgen" -out "$smokedir/smoke.db" -dims 10x10x10 -density 0.2 >/dev/null
 
+wait_addr() { # logfile -> addr, or empty after ~10s
+    _a=""
+    for _ in $(seq 1 100); do
+        _a=$(sed -n 's/.*msg="olapd serving" addr=\([^ ]*\).*/\1/p' "$1")
+        [ -n "$_a" ] && break
+        sleep 0.1
+    done
+    echo "$_a"
+}
+
 "$smokedir/olapd" -db "$smokedir/smoke.db" -listen 127.0.0.1:0 -obs 127.0.0.1:0 \
     -cache-mb 16 2>"$smokedir/olapd.log" &
 olapd_pid=$!
-addr=""
-for _ in $(seq 1 100); do
-    addr=$(sed -n 's/.*msg="olapd serving" addr=\([^ ]*\).*/\1/p' "$smokedir/olapd.log")
-    [ -n "$addr" ] && break
-    sleep 0.1
-done
+addr=$(wait_addr "$smokedir/olapd.log")
 if [ -z "$addr" ]; then
     echo "olapd did not start:" >&2
     cat "$smokedir/olapd.log" >&2
@@ -146,6 +155,19 @@ curl -sf "http://$obs/debug/queries?id=$qid" | grep -q "\"query_id\": \"$qid\""
 curl -sf "http://$obs/debug/queries" | grep -q "$qid"
 curl -sf "http://$obs/debug/pprof/cmdline" >/dev/null
 
+# A meta-command the server has no request for (stats reads an embedded
+# database) earns one "not supported" line, and the session goes on to
+# answer the next query.
+printf 'stats\nselect sum(volume), h01 from fact, dim0 group by h01\n\n' \
+    | "$smokedir/olapcli" -connect "$addr" >"$smokedir/repl.out" 2>"$smokedir/repl.err"
+if [ "$(grep -c "not supported" "$smokedir/repl.err")" -ne 1 ]; then
+    echo "REPL: want one 'not supported' line for stats, got:" >&2
+    cat "$smokedir/repl.err" >&2
+    exit 1
+fi
+grep -q "plan=" "$smokedir/repl.out"
+grep -q "^A0 | " "$smokedir/repl.out"
+
 kill -TERM "$olapd_pid"
 rc=0
 wait "$olapd_pid" || rc=$?
@@ -155,95 +177,6 @@ if [ "$rc" -ne 0 ]; then
     cat "$smokedir/olapd.log" >&2
     exit 1
 fi
-
-echo "== olapd cluster smoke (3 shards + coordinator) =="
-# Three plain data servers share the smoke database; the coordinator
-# scatters each query with a per-shard restriction, so the data servers
-# need no shard flags. The merged rows must equal a single shard server
-# answering the same query unrestricted.
-wait_addr() { # logfile -> addr, or empty after ~10s
-    _a=""
-    for _ in $(seq 1 100); do
-        _a=$(sed -n 's/.*msg="olapd serving" addr=\([^ ]*\).*/\1/p' "$1")
-        [ -n "$_a" ] && break
-        sleep 0.1
-    done
-    echo "$_a"
-}
-shard_pids=""
-for i in 0 1 2; do
-    "$smokedir/olapd" -db "$smokedir/smoke.db" -listen 127.0.0.1:0 \
-        2>"$smokedir/shard$i.log" &
-    shard_pids="$shard_pids $!"
-done
-shard_addrs=""
-for i in 0 1 2; do
-    a=$(wait_addr "$smokedir/shard$i.log")
-    if [ -z "$a" ]; then
-        echo "shard $i did not start:" >&2
-        cat "$smokedir/shard$i.log" >&2
-        exit 1
-    fi
-    shard_addrs="${shard_addrs:+$shard_addrs,}$a"
-done
-"$smokedir/olapd" -coordinator -shards "$shard_addrs" -listen 127.0.0.1:0 -obs 127.0.0.1:0 \
-    2>"$smokedir/coord.log" &
-coord_pid=$!
-coord=$(wait_addr "$smokedir/coord.log")
-if [ -z "$coord" ]; then
-    echo "coordinator did not start:" >&2
-    cat "$smokedir/coord.log" >&2
-    exit 1
-fi
-
-cluster_q="select sum(volume), count(volume), h01 from fact, dim0 group by h01"
-"$smokedir/olapcli" -connect "$coord" "$cluster_q" >"$smokedir/cluster.out"
-grep -q "plan=scatter-gather\[3\]" "$smokedir/cluster.out"
-one_shard=$(echo "$shard_addrs" | cut -d, -f1)
-"$smokedir/olapcli" -connect "$one_shard" "$cluster_q" >"$smokedir/single.out"
-# Everything but the plan/elapsed header must be byte-identical.
-grep -v '^plan=' "$smokedir/cluster.out" >"$smokedir/cluster.rows"
-grep -v '^plan=' "$smokedir/single.out" >"$smokedir/single.rows"
-if ! diff "$smokedir/cluster.rows" "$smokedir/single.rows"; then
-    echo "cluster rows differ from single-node" >&2
-    exit 1
-fi
-
-# The coordinator is an olapd like any other: a meta-command it has no
-# backend for earns one "not supported" line and the session goes on to
-# answer the next query; its /metrics carries the server's counters.
-printf 'delta\n%s\n\n' "$cluster_q" \
-    | "$smokedir/olapcli" -connect "$coord" >"$smokedir/coordrepl.out" 2>"$smokedir/coordrepl.err"
-if [ "$(grep -c "not supported" "$smokedir/coordrepl.err")" -ne 1 ]; then
-    echo "coordinator REPL: want one 'not supported' line for delta, got:" >&2
-    cat "$smokedir/coordrepl.err" >&2
-    exit 1
-fi
-grep -q "plan=scatter-gather\[3\]" "$smokedir/coordrepl.out"
-coord_obs=$(sed -n 's/.*msg="observability endpoint" addr=\([^ ]*\).*/\1/p' "$smokedir/coord.log")
-curl -sf "http://$coord_obs/metrics" | grep -q "^server_queries_accepted_total"
-curl -sf "http://$coord_obs/metrics" | grep -q "^cluster_queries_total"
-
-kill -TERM "$coord_pid"
-rc=0
-wait "$coord_pid" || rc=$?
-coord_pid=""
-if [ "$rc" -ne 0 ]; then
-    echo "coordinator shutdown exit code $rc" >&2
-    cat "$smokedir/coord.log" >&2
-    exit 1
-fi
-for pid in $shard_pids; do
-    kill -TERM "$pid"
-    rc=0
-    wait "$pid" || rc=$?
-    if [ "$rc" -ne 0 ]; then
-        echo "shard server (pid $pid) shutdown exit code $rc" >&2
-        cat "$smokedir"/shard*.log >&2
-        exit 1
-    fi
-done
-shard_pids=""
 
 echo "== HTAP smoke (concurrent ingest+query under -race, 5s) =="
 # Writers ingest through the delta store while readers query and the

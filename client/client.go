@@ -1,10 +1,9 @@
 // Package client is the Go client for olapd's wire protocol. A Conn is
-// one TCP connection running one query at a time; Pool layers
-// connection reuse and health checks on top and is what applications
-// should hold. Cancellation is first-class: canceling the
-// context.Context passed to Query sends a Cancel frame to the server —
-// stopping the operator loop there, not just the local read — and the
-// connection stays usable afterward.
+// one TCP connection running one query at a time; a program running
+// queries concurrently dials one Conn per goroutine. Cancellation is
+// first-class: canceling the context.Context passed to Query sends a
+// Cancel frame to the server — stopping the operator loop there, not
+// just the local read — and the connection stays usable afterward.
 package client
 
 import (
@@ -54,8 +53,7 @@ const (
 	CodeCanceled  = ErrorCode(wire.CodeCanceled)
 	CodeExec      = ErrorCode(wire.CodeExec)
 	CodeShutdown  = ErrorCode(wire.CodeShutdown)
-	// CodeUnsupported: the server's backend does not have the operation
-	// (Ingest against a coordinator, SetPartial against a plain olapd).
+	// CodeUnsupported: the server's backend does not have the operation.
 	CodeUnsupported = ErrorCode(wire.CodeUnsupported)
 )
 
@@ -105,11 +103,6 @@ type Result struct {
 	// Trace is the rendered span tree, filled only when the session has
 	// TRACE on (SetTrace).
 	Trace string
-	// Partial is empty for a complete answer. When a cluster coordinator
-	// runs with the PARTIAL session option and one or more shards were
-	// unreachable, it carries the coordinator's JSON per-shard
-	// completeness report and Rows holds the surviving shards' merge.
-	Partial string
 }
 
 // Explanation is the server's rendered planning decision for a query;
@@ -120,7 +113,7 @@ type Explanation struct {
 	Text   string
 }
 
-// Config tunes a Conn or Pool. The zero value uses sane defaults.
+// Config tunes a Conn. The zero value uses sane defaults.
 type Config struct {
 	// DialTimeout bounds connection + handshake (and pings). 0 selects
 	// 5s.
@@ -131,13 +124,6 @@ type Config struct {
 	// server's acknowledgement before the connection is declared
 	// broken. 0 selects 5s.
 	CancelGrace time.Duration
-	// HealthCheckEvery is how long a pooled connection may sit idle
-	// before the next checkout re-validates it with a ping. Each
-	// connection's actual deadline is jittered to 0.5–1.5x this value,
-	// so a fleet of pools pointed at a restarted server does not redial
-	// and re-ping in one synchronized wave. 0 selects 1s; negative pings
-	// on every checkout (the pre-jitter behavior).
-	HealthCheckEvery time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -150,14 +136,11 @@ func (c Config) withDefaults() Config {
 	if c.CancelGrace <= 0 {
 		c.CancelGrace = 5 * time.Second
 	}
-	if c.HealthCheckEvery == 0 {
-		c.HealthCheckEvery = time.Second
-	}
 	return c
 }
 
 // Conn is one protocol connection. It runs one request at a time and is
-// not safe for concurrent use — use a Pool for that.
+// not safe for concurrent use: dial one per goroutine.
 type Conn struct {
 	nc     net.Conn
 	br     *bufio.Reader
@@ -166,12 +149,6 @@ type Conn struct {
 	nextID uint32
 	broken atomic.Bool
 	server string
-
-	// pingDue is when the pool must next health-check this idle
-	// connection; set (jittered) by Pool.Put, read by Pool.Get. Ownership
-	// of an idle connection transfers through the pool mutex, so no
-	// extra synchronization is needed.
-	pingDue time.Time
 }
 
 // readBufferSize matches what the server writes at a time, so a long
@@ -354,10 +331,9 @@ func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.Fram
 }
 
 // SetOption flips a per-session server switch by name; the options
-// today are "CACHE" ("on"/"off"), "PARALLEL" (a worker count), "TRACE"
-// ("on"/"off"), and against a coordinator "PARTIAL" ("on"/"off"). The
-// round-trip runs under the dial timeout (or ctx, whichever fires
-// first).
+// today are "CACHE" ("on"/"off"), "PARALLEL" (a worker count) and
+// "TRACE" ("on"/"off"). The round-trip runs under the dial timeout (or
+// ctx, whichever fires first).
 func (c *Conn) SetOption(ctx context.Context, name, value string) error {
 	return c.roundTrip(ctx, false, wire.FrameSetOption,
 		func(id uint32) []byte { return (&wire.SetOption{ID: id, Name: name, Value: value}).Encode() },
@@ -398,19 +374,6 @@ func (c *Conn) SetTrace(ctx context.Context, on bool) error {
 		v = "off"
 	}
 	return c.SetOption(ctx, "TRACE", v)
-}
-
-// SetPartial turns this connection's PARTIAL session option on or off.
-// The option only has effect against a cluster coordinator: on, a query
-// that loses shards mid-flight still answers with the surviving shards'
-// merge, and Result.Partial carries the per-shard completeness report.
-// Plain olapd servers reject the option with CodeUnsupported.
-func (c *Conn) SetPartial(ctx context.Context, on bool) error {
-	v := "on"
-	if !on {
-		v = "off"
-	}
-	return c.SetOption(ctx, "PARTIAL", v)
 }
 
 // Profiles reads the server's flight recorder and returns the raw JSON.
@@ -566,53 +529,7 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 	// slow-query log even if the connection dies before the response.
 	qid := obs.NewQueryID()
 	q := &wire.Query{ID: id, Engine: wire.Engine(engine), SQL: sql, TraceID: qid}
-	return c.streamQuery(ctx, id, qid, wire.FrameQuery, q.Encode(), hdr, onBatch)
-}
-
-// SubQuery runs sql restricted to shard `shard` of `shards` — the
-// coordinator's scatter call — and returns the shard's partial rows.
-// traceID is the originating distributed query's identity stamped into
-// the shard server's trace and flight recorder (empty mints a fresh
-// one); workers > 0 overrides the shard session's parallel degree.
-func (c *Conn) SubQuery(ctx context.Context, sql string, engine Engine,
-	traceID string, shard, shards, workers int) (*Result, error) {
-	res := &Result{}
-	err := c.SubQueryFunc(ctx, sql, engine, traceID, shard, shards, workers, res,
-		func(rows []Row) error {
-			res.Rows = append(res.Rows, rows...)
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return res, nil
-}
-
-// SubQueryFunc is the streaming variant of SubQuery; see QueryFunc for
-// the onBatch contract.
-func (c *Conn) SubQueryFunc(ctx context.Context, sql string, engine Engine,
-	traceID string, shard, shards, workers int,
-	hdr *Result, onBatch func(rows []Row) error) error {
-	id, err := c.nextRequest(ctx)
-	if err != nil {
-		return err
-	}
-	qid := traceID
-	if qid == "" {
-		qid = obs.NewQueryID()
-	}
-	sq := &wire.SubQuery{
-		ID: id, Engine: wire.Engine(engine), SQL: sql, TraceID: qid,
-		Shard: uint32(shard), Shards: uint32(shards), Workers: uint32(workers),
-	}
-	return c.streamQuery(ctx, id, qid, wire.FrameSubQuery, sq.Encode(), hdr, onBatch)
-}
-
-// streamQuery sends one query-shaped request frame and consumes its
-// result stream — the shared tail of QueryFunc and SubQueryFunc.
-func (c *Conn) streamQuery(ctx context.Context, id uint32, qid string,
-	ft wire.FrameType, payload []byte, hdr *Result, onBatch func(rows []Row) error) error {
-	if err := c.writeFrame(ft, payload); err != nil {
+	if err := c.writeFrame(wire.FrameQuery, q.Encode()); err != nil {
 		return err
 	}
 	if hdr == nil {
@@ -684,7 +601,6 @@ func (c *Conn) streamQuery(ctx context.Context, id uint32, qid string,
 				hdr.QueryID = d.QueryID // server-authoritative echo
 			}
 			hdr.Trace = d.Trace
-			hdr.Partial = d.Partial
 			return nil
 		case wire.FrameError:
 			err := c.serverError(ctx, fb.Bytes())

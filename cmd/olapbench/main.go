@@ -5,17 +5,12 @@
 //
 // Usage:
 //
-//	olapbench [-fig all|4|5|6|7|8|9|10|storage|ablations|cluster|codec] [-scale 1.0]
+//	olapbench [-fig all|4|5|6|7|8|9|10|storage|ablations|codec] [-scale 1.0]
 //	          [-trials 3] [-warm] [-seed N]
 //
 // Absolute times depend on the machine; the shapes (who wins, by what
 // factor, where the array/bitmap crossover falls) are what reproduce the
 // paper. -scale 0.25 shrinks every data set for a quick look.
-//
-// -fig cluster benchmarks the scatter-gather coordinator, sweeping shard
-// counts 1..3 over self-hosted in-process shard servers (or the running
-// olapd data servers named by -connect a,b,c) and recording the
-// scatter/gather wait breakdown per engine.
 //
 // -fig codec sweeps density x codec over one large chunk (encoded
 // size, raw decode time, warm Query 1 latency), locating the
@@ -31,12 +26,11 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/bench/clusterbench"
 	"repro/internal/bench/codecbench"
 )
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: all, 4..10, storage, ablations, cluster, codec")
+	fig := flag.String("fig", "all", "figure to regenerate: all, 4..10, storage, ablations, codec")
 	scale := flag.Float64("scale", 1.0, "data set scale factor (1.0 = paper size)")
 	trials := flag.Int("trials", 3, "trials per measurement (fastest kept)")
 	warm := flag.Bool("warm", false, "skip the cold-cache protocol")
@@ -45,8 +39,6 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	snapshotDir := flag.String("snapshot", "", "write BENCH_<fig>.json snapshots into this directory")
 	workersFlag := flag.String("workers", "", "comma-separated intra-query degrees to sweep warm on the array series (e.g. 1,2,4)")
-	connect := flag.String("connect", "", "cluster figure: comma-separated running shard olapd addresses (default: self-hosted in-process shards)")
-	maxShards := flag.Int("max-shards", 3, "cluster figure: largest self-hosted shard count in the sweep")
 	flag.Parse()
 
 	workers, err := parseWorkers(*workersFlag)
@@ -160,34 +152,6 @@ func main() {
 		}
 		return
 	}
-	// The cluster sweep only runs when asked for by name: it spins up
-	// shard servers and a coordinator, which "all" should not imply.
-	if strings.ToLower(*fig) == "cluster" {
-		copts := clusterbench.ClusterOptions{
-			Shards:    splitAddrs(*connect),
-			MaxShards: *maxShards,
-			Trials:    *trials,
-			Scale:     *scale,
-			Seed:      *seed,
-		}
-		fmt.Fprintln(os.Stderr, "building and running cluster sweep...")
-		cfig, err := clusterbench.RunCluster(copts)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "olapbench: cluster: %v\n", err)
-			os.Exit(1)
-		}
-		clusterbench.WriteClusterTable(os.Stdout, cfig)
-		if *snapshotDir != "" {
-			path, err := clusterbench.WriteClusterSnapshot(*snapshotDir, cfig, copts)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "olapbench: cluster: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Fprintf(os.Stderr, "snapshot: %s\n", path)
-		}
-		return
-	}
-
 	want := strings.ToLower(*fig)
 	matched := false
 	for _, r := range all {
@@ -213,18 +177,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "olapbench: unknown figure %q\n", *fig)
 		os.Exit(2)
 	}
-}
-
-// splitAddrs parses -connect: comma-separated addresses, empty entries
-// dropped.
-func splitAddrs(s string) []string {
-	var out []string
-	for _, a := range strings.Split(s, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // parseWorkers parses the -workers flag: a comma-separated list of

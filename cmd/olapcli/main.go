@@ -1,8 +1,8 @@
 // Command olapcli runs consolidation queries against a database produced
 // by olapgen (or any program using the repro API), either embedded
 // (-db, opening the files in-process) or remote (-connect, speaking the
-// wire protocol to an olapd or a cluster coordinator) — the same REPL,
-// meta-commands and rendering either way.
+// wire protocol to an olapd) — the same REPL, meta-commands and
+// rendering either way.
 //
 // Usage:
 //
@@ -49,19 +49,17 @@ type session interface {
 	Profiles(ctx context.Context, queryID string, limit int) (string, error)
 }
 
-// embedded is a server.Session with the shard window dropped from Query
-// and the rows read back out of the frames a server would have sent.
+// embedded is a server.Session with the rows read back out of the frames
+// a server would have sent.
 type embedded struct{ server.Session }
 
 func (e embedded) Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error) {
-	res, err := e.Session.Query(ctx, sql, engine, nil)
+	res, err := e.Session.Query(ctx, sql, engine)
 	if err != nil {
 		return nil, err
 	}
-	if res.Frames != nil {
-		if res.Rows, err = res.Frames.Rows(); err != nil {
-			return nil, err
-		}
+	if res.Rows, err = res.Frames.Rows(); err != nil {
+		return nil, err
 	}
 	return &res.Result, nil
 }
@@ -86,7 +84,6 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "enable the query cache with this budget in MiB (0 = off)")
 	workers := flag.Int("workers", 0, "intra-query parallel degree (0 = GOMAXPROCS, 1 = sequential)")
 	trace := flag.Bool("trace", false, "trace every query and print its span tree")
-	partial := flag.Bool("partial", false, "coordinator only: accept partial answers when shards fail (PARTIAL session option)")
 	flag.Parse()
 
 	engine, err := parseEngine(*engineName)
@@ -142,9 +139,6 @@ func main() {
 	if *trace {
 		opts = append(opts, [2]string{"TRACE", "on"})
 	}
-	if *partial {
-		opts = append(opts, [2]string{"PARTIAL", "on"})
-	}
 	for _, o := range opts {
 		if err := c.s.SetOption(context.Background(), o[0], o[1]); err != nil {
 			fmt.Fprintf(os.Stderr, "olapcli: %v\n", err)
@@ -199,18 +193,13 @@ func main() {
 }
 
 // metaCommands is the REPL's meta-command table. Each runs against the
-// session, so each works wherever the backend has the operation: all of
-// them embedded and against an olapd except partial (a coordinator's
-// option), and against a coordinator trace, parallel and partial; stats
-// reads the embedded database directly.
+// session, so each works embedded and against an olapd alike, except
+// stats, which reads the embedded database directly.
 var metaCommands = map[string]func(c *cli, arg string) error{
 	// trace on|off: collect and print every query's span tree.
 	"trace": func(c *cli, arg string) error { return c.setOption("TRACE", arg) },
 	// cache on|off: the session's query-cache participation.
 	"cache": func(c *cli, arg string) error { return c.setOption("CACHE", arg) },
-	// partial on|off: answer with the surviving shards' merge when a shard
-	// fails, with the per-shard completeness report.
-	"partial": func(c *cli, arg string) error { return c.setOption("PARTIAL", arg) },
 	// parallel n: the intra-query worker degree (0 = default).
 	"parallel": func(c *cli, arg string) error { return c.setOption("PARALLEL", arg) },
 	// delta: the HTAP delta store's counters.
@@ -351,48 +340,10 @@ func (c *cli) runQuery(sql string) error {
 		}
 		fmt.Printf("%s | %s\n", strings.Join(r.Groups, ", "), strings.Join(vals, ", "))
 	}
-	if res.Partial != "" {
-		printPartialReport(res.Partial)
-	}
 	if res.Trace != "" {
 		fmt.Printf("trace %s:\n%s", res.QueryID, res.Trace)
 	}
 	return nil
-}
-
-// printPartialReport renders a coordinator's per-shard completeness
-// report (the ResultDone Partial field, JSON) one shard per line.
-func printPartialReport(raw string) {
-	var reports []struct {
-		Shard    int    `json:"shard"`
-		Addr     string `json:"addr"`
-		OK       bool   `json:"ok"`
-		Rows     int    `json:"rows"`
-		Attempts int    `json:"attempts"`
-		Err      string `json:"err"`
-	}
-	if err := json.Unmarshal([]byte(raw), &reports); err != nil {
-		fmt.Printf("PARTIAL result; completeness report: %s\n", raw)
-		return
-	}
-	ok := 0
-	for _, r := range reports {
-		if r.OK {
-			ok++
-		}
-	}
-	fmt.Printf("PARTIAL result: %d/%d shards answered\n", ok, len(reports))
-	for _, r := range reports {
-		status := "ok"
-		if !r.OK {
-			status = "FAILED"
-		}
-		line := fmt.Sprintf("  shard %d %s: %s rows=%d attempts=%d", r.Shard, r.Addr, status, r.Rows, r.Attempts)
-		if r.Err != "" {
-			line += " err=" + r.Err
-		}
-		fmt.Println(line)
-	}
 }
 
 // printRecent renders flight-recorder profiles one per line, most

@@ -7,7 +7,6 @@
 //
 //	olapd -db sales.db [-listen 127.0.0.1:7432] [-obs 127.0.0.1:9090]
 //	      [-max-concurrent N] [-queue-depth N] [-slow-ms 100] [-cache-mb 64]
-//	      [-shard-range i/n]
 //	      [-compact-interval 5s] [-delta-max-mb 64]
 //
 // HTAP ingest: clients push cell states with Ingest frames; they land
@@ -15,16 +14,6 @@
 // -compact-interval runs the background compactor that folds them into
 // the chunk store; -delta-max-mb bounds the delta store, applying
 // backpressure to ingest until a compaction drains it.
-//
-// Cluster roles: with -shard-range i/n the process is a data server
-// answering every query with shard i of n's slice of the rows; with
-// -coordinator -shards a,b,c it serves the same wire protocol through
-// the same server (admission, drain, metrics) but owns no database —
-// queries scatter to the shard servers as sub-queries and the partials
-// are merged before streaming back.
-//
-//	olapd -shard-range 0/3 -db sales.db -listen 127.0.0.1:7433
-//	olapd -coordinator -shards 127.0.0.1:7433,127.0.0.1:7434,127.0.0.1:7435
 //
 // SIGINT/SIGTERM drain gracefully: in-flight queries finish (up to
 // -drain-timeout), new ones are refused with a typed shutdown error,
@@ -41,12 +30,10 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	repro "repro"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/server"
 )
@@ -62,11 +49,6 @@ func main() {
 	cacheMB := flag.Int("cache-mb", 0, "mid-tier query cache size in MiB, split between result and chunk caches (0 = off)")
 	workers := flag.Int("workers", 0, "default intra-query parallel degree per session (0 = GOMAXPROCS, 1 = sequential)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight queries on shutdown")
-	shardRange := flag.String("shard-range", "", "serve as cluster data server: restrict every query to shard i of n, written i/n (e.g. 0/3)")
-	coordinator := flag.Bool("coordinator", false, "serve as cluster coordinator: scatter queries to -shards, no local database")
-	shards := flag.String("shards", "", "comma-separated shard server addresses (coordinator mode)")
-	retries := flag.Int("retries", 0, "coordinator: retries per shard sub-query after a retryable failure (0 = 2, -1 = none)")
-	retryBackoff := flag.Duration("retry-backoff", 0, "coordinator: base backoff before a shard retry, doubled and jittered per attempt (0 = 100ms)")
 	compactInterval := flag.Duration("compact-interval", 0, "background delta compaction interval (0 = no background compactor; compact only on explicit request)")
 	deltaMaxMB := flag.Int("delta-max-mb", 0, "delta store byte budget in MiB; ingest blocks over it until a compaction drains (0 = unlimited)")
 	flag.Parse()
@@ -77,51 +59,18 @@ func main() {
 		os.Exit(1)
 	}
 
-	// The two roles differ only in the backend behind the server, how it
-	// closes, and what the startup line and the obs endpoint say about it.
-	var be server.Backend
-	var closeBackend func() error
-	var attrs []any
-	mux := http.NewServeMux()
-	shardIdx, shardCnt, err := parseShardRange(*shardRange)
+	db, err := repro.Open(repro.Options{
+		Path:             *path,
+		DeltaBudgetBytes: int64(*deltaMaxMB) << 20,
+	})
 	if err != nil {
 		fatal(err)
 	}
-	if *coordinator {
-		addrs := splitAddrs(*shards)
-		co, err := cluster.New(cluster.Config{
-			Shards:       addrs,
-			Retries:      *retries,
-			RetryBackoff: *retryBackoff,
-			Workers:      *workers,
-		})
-		if err != nil {
-			fatal(fmt.Errorf("-coordinator requires -shards host:port,host:port,...: %w", err))
-		}
-		be, closeBackend = co, func() error { co.Close(); return nil }
-		attrs = []any{slog.String("role", "coordinator"), slog.Int("shards", len(addrs))}
-	} else {
-		db, err := repro.Open(repro.Options{
-			Path:             *path,
-			DeltaBudgetBytes: int64(*deltaMaxMB) << 20,
-		})
-		if err != nil {
-			fatal(err)
-		}
-		if *cacheMB > 0 {
-			db.EnableQueryCache(int64(*cacheMB) << 20)
-		}
-		if *compactInterval > 0 {
-			db.StartCompactor(*compactInterval)
-		}
-		be, closeBackend = server.Local{DB: db}, db.Close
-		attrs = []any{slog.String("db", *path)}
-		if shardCnt > 1 {
-			attrs = append(attrs, slog.String("shard", fmt.Sprintf("%d/%d", shardIdx, shardCnt)))
-		}
-		// The flight recorder: the last N completed queries' profiles and
-		// the slowest seen, as JSON (?id=<query-id> for one, ?n= to cap).
-		mux.Handle("/debug/queries", db.FlightRecorder().Handler())
+	if *cacheMB > 0 {
+		db.EnableQueryCache(int64(*cacheMB) << 20)
+	}
+	if *compactInterval > 0 {
+		db.StartCompactor(*compactInterval)
 	}
 
 	cfg := server.Config{
@@ -130,22 +79,24 @@ func main() {
 		QueueDepth:    *queueDepth,
 		BatchRows:     *batchRows,
 		Workers:       *workers,
-		ShardIndex:    shardIdx,
-		ShardCount:    shardCnt,
 	}
 	if *slowMS > 0 {
 		cfg.SlowQueryLog = log
 		cfg.SlowQueryMin = time.Duration(*slowMS) * time.Millisecond
 	}
-	srv := server.New(be, cfg)
+	srv := server.New(server.Local{DB: db}, cfg)
 	if err := srv.Start(); err != nil {
-		closeBackend()
+		db.Close()
 		fatal(err)
 	}
-	log.Info("olapd serving", append([]any{slog.String("addr", srv.Addr().String())}, attrs...)...)
+	log.Info("olapd serving", slog.String("addr", srv.Addr().String()), slog.String("db", *path))
 
 	if *obsAddr != "" {
-		mux.Handle("/metrics", obs.Handler(be.Registry()))
+		mux := http.NewServeMux()
+		mux.Handle("/metrics", obs.Handler(db.Registry()))
+		// The flight recorder: the last N completed queries' profiles and
+		// the slowest seen, as JSON (?id=<query-id> for one, ?n= to cap).
+		mux.Handle("/debug/queries", db.FlightRecorder().Handler())
 		mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintln(w, "ok")
 		})
@@ -160,7 +111,7 @@ func main() {
 		// Listen explicitly so ":0" reports the bound port in the log.
 		lis, err := net.Listen("tcp", *obsAddr)
 		if err != nil {
-			closeBackend()
+			db.Close()
 			fatal(fmt.Errorf("obs listen: %w", err))
 		}
 		go func() {
@@ -181,35 +132,9 @@ func main() {
 	if err := srv.Shutdown(ctx); err != nil {
 		log.Warn("drain timeout; canceling remaining queries", slog.Any("err", err))
 	}
-	// With every query finished (or hard-canceled), the WAL — or the
-	// coordinator's shard pools — can close.
-	if err := closeBackend(); err != nil {
+	// With every query finished (or hard-canceled), the WAL can close.
+	if err := db.Close(); err != nil {
 		fatal(fmt.Errorf("close: %w", err))
 	}
 	log.Info("olapd stopped")
-}
-
-// parseShardRange parses "i/n" (empty means unrestricted).
-func parseShardRange(s string) (idx, cnt int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &idx, &cnt); err != nil {
-		return 0, 0, fmt.Errorf("bad -shard-range %q (want i/n, e.g. 0/3)", s)
-	}
-	if cnt < 1 || idx < 0 || idx >= cnt {
-		return 0, 0, fmt.Errorf("bad -shard-range %q: shard %d out of range 0..%d", s, idx, cnt-1)
-	}
-	return idx, cnt, nil
-}
-
-// splitAddrs parses the -shards list.
-func splitAddrs(list string) []string {
-	var addrs []string
-	for _, a := range strings.Split(list, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	return addrs
 }

@@ -90,9 +90,8 @@ func (gm *groupMapper) cellIndex(coords []int) int {
 	return idx
 }
 
-// ArrayConsolidate evaluates a consolidation on the OLAP Array ADT, over
-// the chunk range s.Restriction resolves to and at the parallel degree
-// s.Workers.
+// ArrayConsolidate evaluates a consolidation on the OLAP Array ADT at
+// the parallel degree s.Workers.
 //
 // Without selections it is the algorithm of §4.1: load the IndexToIndex
 // arrays, then scan the input array once, mapping every valid cell's
@@ -116,20 +115,19 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 	if err := validateArray(a, &s); err != nil {
 		return nil, Metrics{}, err
 	}
-	lo, hi := s.Restriction.ChunkRange(a.Geometry().NumChunks())
 	sel, err := newArraySelection(a, s.Selections)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
 	if s.OnlyHot { // a handful of chunks: not worth a fan-out
 		return runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			return k.foldChunks(ctx, store, s.Hot, lo, hi, m)
+			return k.foldChunks(ctx, store, s.Hot, m)
 		})
 	}
 	if sel != nil {
-		return arraySelect(ctx, a, s, sel, lo, hi)
+		return arraySelect(ctx, a, s, sel)
 	}
-	return arrayScan(ctx, a, s, lo, hi)
+	return arrayScan(ctx, a, s)
 }
 
 // validateArray checks s against a's dimensions.
@@ -161,17 +159,16 @@ func runKernel(a *array.Array, spec GroupSpec, sel *chunkSelection,
 	return gm.result, m, nil
 }
 
-// arrayScan is §4.1 over the half-open chunk range [lo, hi) — the whole
-// directory for a plain query, one shard's contiguous slice under a
-// Restriction — split across the workers by splitRange, the same
-// formula that cut the shard's slice. Each worker aggregates into a
-// private cube; the partials merge at the end (every tracked aggregate
-// is distributive). The buffer pool is shared and thread-safe, so
-// workers contend only on page fetches. The chunks of s.Hot are not
+// arrayScan is §4.1 over the whole chunk directory, split across the
+// workers into contiguous ranges by splitRange. Each worker aggregates
+// into a private cube; the partials merge at the end (every tracked
+// aggregate is distributive). The buffer pool is shared and thread-safe,
+// so workers contend only on page fetches. The chunks of s.Hot are not
 // read: a worker scans the runs between them.
-func arrayScan(ctx context.Context, a *array.Array, s ScanSpec, lo, hi int) (*Result, Metrics, error) {
-	return runParts(ctx, s.Workers, hi-lo, func(ctx context.Context, w, n int, p *workerPartial) {
-		wlo, whi := splitRange(lo, hi, w, n)
+func arrayScan(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metrics, error) {
+	chunks := a.Geometry().NumChunks()
+	return runParts(ctx, s.Workers, chunks, func(ctx context.Context, w, n int, p *workerPartial) {
+		wlo, whi := splitRange(0, chunks, w, n)
 		p.res, p.m, p.err = runKernel(a, s.Group, nil, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
 			fold := func(cn int, cells []chunk.Cell) error {
 				m.ChunksRead++
@@ -272,18 +269,17 @@ func newArraySelection(a *array.Array, sels []Selection) (*chunkSelection, error
 	return newChunkSelection(a.Geometry(), lists), nil
 }
 
-// arraySelect is §4.2 over the candidate chunks with lo <= chunkNum < hi
-// (a shard probes only its own slice of the directory; chunks outside
-// it, listed in s.Hot or without valid cells are skipped unread). The
-// candidates are materialized once in chunk-number order and claimed
-// from an atomic dispenser — by the one sequential reader, or by workers
-// each folding into a private cube merged at the end (per-chunk cost
-// varies wildly with density, so static ranges would balance poorly).
-func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSelection, lo, hi int) (*Result, Metrics, error) {
+// arraySelect is §4.2 over the candidate chunks (chunks listed in s.Hot
+// or without valid cells are skipped unread). The candidates are
+// materialized once in chunk-number order and claimed from an atomic
+// dispenser — by the one sequential reader, or by workers each folding
+// into a private cube merged at the end (per-chunk cost varies wildly
+// with density, so static ranges would balance poorly).
+func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSelection) (*Result, Metrics, error) {
 	base := a.Store()
 	candidates := sel.candidateChunks(func(cn int) bool {
 		_, skip := slices.BinarySearch(s.Hot, cn)
-		return cn >= lo && cn < hi && !skip && base.ChunkCells(cn) > 0
+		return !skip && base.ChunkCells(cn) > 0
 	})
 	var claimed atomic.Int64
 	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {

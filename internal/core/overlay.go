@@ -119,23 +119,22 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 	if err != nil {
 		return err
 	}
-	lo, hi := s.Restriction.ChunkRange(g.NumChunks())
 	m.OverlayTouched = int64(len(s.Overlay.Chunks))
-	if err := newChunkKernel(g, gm, sel, res.mem).foldChunks(ctx, a.Store(), s.Overlay.Chunks, lo, hi, m); err != nil {
+	if err := newChunkKernel(g, gm, sel, res.mem).foldChunks(ctx, a.Store(), s.Overlay.Chunks, m); err != nil {
 		return err
 	}
 	m.OverlayFoldNS = time.Since(start).Nanoseconds()
 	return nil
 }
 
-// foldChunks aggregates the listed chunks that lie in [lo, hi) and that
-// the kernel's selection reaches: the one loop behind the relational
-// overlay fold and the array engine's hot side. It reads through
-// ReadChunk — every statement refreshing after the same batch wants the
-// same decoded, overlay-merged cells, so they belong in the chunk cache.
-func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks []int, lo, hi int, m *Metrics) error {
+// foldChunks aggregates the listed chunks that the kernel's selection
+// reaches: the one loop behind the relational overlay fold and the array
+// engine's hot side. It reads through ReadChunk — every statement
+// refreshing after the same batch wants the same decoded, overlay-merged
+// cells, so they belong in the chunk cache.
+func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks []int, m *Metrics) error {
 	for _, cn := range chunks {
-		if cn < lo || cn >= hi || k.sel != nil && !k.sel.reaches(cn) {
+		if k.sel != nil && !k.sel.reaches(cn) {
 			continue
 		}
 		if err := ctx.Err(); err != nil {

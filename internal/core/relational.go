@@ -314,17 +314,16 @@ func (t *tupleAgg) add(keys []int64, v int64) {
 
 // relConsolidate is the frame both relational engines run in: validate
 // the spec, build the dimension hashes once, give each worker an
-// aggregator over its extent-aligned tuple range [lo, hi) of the
-// restriction's window, merge the partial cubes, and — when deltas are
-// pending — fold the touched chunks the query can reach back in from the
-// merged array (foldOverlay).
+// aggregator over its extent-aligned tuple range [lo, hi), merge the
+// partial cubes, and — when deltas are pending — fold the touched chunks
+// the query can reach back in from the merged array (foldOverlay).
 //
 // The fact file's O(1) addressing makes starting mid-file free, and
-// extent alignment means neither shards nor workers ever share a page.
-// The hashes and key sets are write-free after construction and shared
-// read-only. They live with worker 0's cube in one arena, which travels
-// with the merged result; the other workers aggregate into clones of
-// that cube in arenas of their own, recycled as they merge.
+// extent alignment means workers never share a page. The hashes and key
+// sets are write-free after construction and shared read-only. They live
+// with worker 0's cube in one arena, which travels with the merged
+// result; the other workers aggregate into clones of that cube in arenas
+// of their own, recycled as they merge.
 //
 // filterScan says whether scan needs the selections applied tuple by
 // tuple (the star join) or has already applied them (the bitmap fetch).
@@ -352,9 +351,9 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 		}
 	}
 
-	extLo, extHi := s.Restriction.ExtentRange(ff.NumExtents())
+	exts := ff.NumExtents()
 	perExt, perPage := uint64(ff.ExtentTuples()), int64(ff.TuplesPerPage())
-	res, m, err := runParts(ctx, workers, extHi-extLo, func(ctx context.Context, w, n int, p *workerPartial) {
+	res, m, err := runParts(ctx, workers, exts, func(ctx context.Context, w, n int, p *workerPartial) {
 		p.res = st.result
 		if w > 0 {
 			war := queryArenas.Get()
@@ -364,7 +363,7 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 			}
 		}
 		t := newTupleAgg(ctx, st.hashes, p.res, filters, df)
-		lo, hi := splitRange(extLo, extHi, w, n)
+		lo, hi := splitRange(0, exts, w, n)
 		p.err = scan(ctx, t, uint64(lo)*perExt, uint64(hi)*perExt, &p.m)
 		p.rows, p.io = t.tuples, (t.tuples+perPage-1)/perPage
 	})
@@ -503,14 +502,12 @@ type BitmapIndexSource interface {
 // word ranges (bitmap.ParallelAnd/Or fall back to the sequential loop on
 // small bitmaps, so operation counts never depend on the degree), while
 // retrieval and the fetch stay sequential — the LOB readers are not
-// shareable and the fetch is I/O-ordered. Under a Restriction the fetch
-// visits only set bits inside the shard's tuple window; the bitmap phase
-// itself is whole-file, since bitmaps index global tuple numbers. ctx is
-// checked between bitmap retrievals and during the fetch.
+// shareable and the fetch is I/O-ordered. ctx is checked between bitmap
+// retrievals and during the fetch.
 func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
 	src BitmapIndexSource, s ScanSpec) (*Result, Metrics, error) {
 	return relConsolidate(ctx, ff, dims, s, 1, false,
-		func(ctx context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error {
+		func(ctx context.Context, t *tupleAgg, _, _ uint64, m *Metrics) error {
 			// The working bitmaps (ResultBitmap + per-predicate merge
 			// buffer) share the query arena with the hash tables and the
 			// cube.
@@ -541,29 +538,10 @@ func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*cat
 				result.ParallelAnd(merged, s.Workers)
 				m.BitmapANDs++
 			}
-			err := ff.FetchBits(rangeBits{bits: result, lo: lo, hi: hi}, t.record)
+			err := ff.FetchBits(result, t.record)
 			m.TuplesFetched = t.tuples
 			return err
 		})
-}
-
-// rangeBits restricts a bitmap to the half-open tuple range [lo, hi):
-// positions outside the window are never reported, so FetchBits fetches
-// only the shard's tuples. Implements factfile.BitIterator.
-type rangeBits struct {
-	bits   *bitmap.Bitmap
-	lo, hi uint64
-}
-
-func (r rangeBits) NextSet(from uint64) (uint64, bool) {
-	if from < r.lo {
-		from = r.lo
-	}
-	pos, ok := r.bits.NextSet(from)
-	if !ok || pos >= r.hi {
-		return 0, false
-	}
-	return pos, true
 }
 
 // MemBitmapSource adapts an in-memory index map to BitmapIndexSource.

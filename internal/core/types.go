@@ -298,7 +298,7 @@ type Metrics struct {
 	// filter-scanned chunk adds all its valid cells to CellsScanned and
 	// nothing to the probe counters (how many passed the mask is not
 	// counted). Every counter is a per-chunk sum, so it is the same at any
-	// parallel degree and conserves across shards.
+	// parallel degree.
 	ChunksRead   int64 // chunks fetched and decoded
 	CellsScanned int64 // valid cells visited by scans and filter-scans
 	Probes       int64 // binary-search probes of chunk cells

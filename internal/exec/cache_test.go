@@ -27,11 +27,11 @@ func TestFingerprintNormalization(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0, nil)
+		plan, _, err := e.plan(spec, Auto, e.parallelDegree(), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return fingerprint(spec, plan, core.Restriction{}, 7)
+		return fingerprint(spec, plan, 7)
 	}
 	if fp(a) != fp(b) {
 		t.Fatalf("normalized fingerprints differ:\n%s\n%s", fp(a), fp(b))
@@ -46,11 +46,11 @@ func TestFingerprintNormalization(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan, _, err := e.plan(spec, Auto, core.Restriction{}, 0, nil)
+	plan, _, err := e.plan(spec, Auto, e.parallelDegree(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fingerprint(spec, plan, core.Restriction{}, 7) == fingerprint(spec, plan, core.Restriction{}, 8) {
+	if fingerprint(spec, plan, 7) == fingerprint(spec, plan, 8) {
 		t.Fatal("stats generation not part of the fingerprint")
 	}
 }

@@ -183,11 +183,6 @@ type Executor struct {
 	// traceOn is the session's TRACE switch: every query collects the
 	// fully sampled span tree regardless of the database sampler.
 	traceOn atomic.Bool
-
-	// shardRange is the executor's default shard restriction, packed
-	// shards<<32|shard (0 = unrestricted) — the cluster data server's
-	// standing sub-query window. See shard.go.
-	shardRange atomic.Uint64
 }
 
 // NewExecutor creates an executor with its own fresh ExecContext.
@@ -246,20 +241,16 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 	if err != nil {
 		return nil, err
 	}
-	_, expl, err := e.plan(spec, engine, e.defaultRestriction(), 0, nil)
+	_, expl, err := e.plan(spec, engine, e.parallelDegree(), nil)
 	return expl, err
 }
 
 // statement resolves sql to its statement: from g's memo when it holds
-// this text as planned under the same engine, shard window and degree
-// (hit), otherwise by parsing, compiling and planning it now and offering
-// the outcome to the memo.
-func (e *Executor) statement(ctx context.Context, g *generation, sql string, engine Engine) (st *statement, hit bool, err error) {
-	shard, workers := e.shardFor(ctx)
-	if workers <= 0 {
-		workers = e.parallelDegree()
-	}
-	k := stmtKey{sql: sql, engine: engine, shard: shard, workers: workers}
+// this text as planned under the same engine and degree (hit), otherwise
+// by parsing, compiling and planning it now and offering the outcome to
+// the memo.
+func (e *Executor) statement(g *generation, sql string, engine Engine) (st *statement, hit bool, err error) {
+	k := stmtKey{sql: sql, engine: engine, workers: e.parallelDegree()}
 	if st := g.memo.get(k, e.ctx.statsGen()); st != nil {
 		return st, true, nil
 	}
@@ -267,7 +258,7 @@ func (e *Executor) statement(ctx context.Context, g *generation, sql string, eng
 	if err != nil {
 		return nil, false, err
 	}
-	if st, err = e.prepare(spec, engine, shard, workers); err != nil {
+	if st, err = e.prepare(spec, engine, k.workers); err != nil {
 		return nil, false, err
 	}
 	g.memo.put(k, st)
@@ -275,14 +266,14 @@ func (e *Executor) statement(ctx context.Context, g *generation, sql string, eng
 }
 
 // prepare plans a compiled query into a statement.
-func (e *Executor) prepare(spec *query.Spec, engine Engine, shard core.Restriction, workers int) (*statement, error) {
+func (e *Executor) prepare(spec *query.Spec, engine Engine, workers int) (*statement, error) {
 	statsGen := e.ctx.statsGen()
 	reach := &chunkReach{sels: spec.Selections}
-	plan, expl, err := e.plan(spec, engine, shard, workers, reach)
+	plan, expl, err := e.plan(spec, engine, workers, reach)
 	if err != nil {
 		return nil, err
 	}
-	fp := fingerprint(spec, plan, shard, statsGen)
+	fp := fingerprint(spec, plan, statsGen)
 	return &statement{
 		spec: spec, plan: plan, expl: expl, est: expl.ChosenCost(),
 		fingerprint: fp, fpHash: fingerprintHash(fp), reach: reach,
@@ -324,8 +315,7 @@ func (e *Executor) Execute(spec *query.Spec, engine Engine) (*QueryResult, error
 	ctx := context.Background()
 	prof, tr, g := e.beginQuery(ctx, "")
 	planSp := tr.Root.Child("plan")
-	shard, workers := e.shardFor(ctx)
-	st, err := e.prepare(spec, engine, shard, workers)
+	st, err := e.prepare(spec, engine, e.parallelDegree())
 	if err != nil {
 		return nil, err
 	}
@@ -344,7 +334,7 @@ func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Eng
 	}
 	prof, tr, g := e.beginQuery(ctx, sql)
 	planSp := tr.Root.Child("plan")
-	st, hit, err := e.statement(ctx, g, sql, engine)
+	st, hit, err := e.statement(g, sql, engine)
 	if err != nil {
 		return nil, err
 	}

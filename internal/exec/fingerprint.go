@@ -11,15 +11,15 @@ import (
 
 // fingerprint renders the normalized semantic key of one planned query:
 // the chosen plan and engine, the group-by shape, the aggregates, the
-// selection predicates with their values, the shard restriction, and the
-// catalog-statistics generation that drove the plan choice. Two queries with the same
+// selection predicates with their values, and the catalog-statistics
+// generation that drove the plan choice. Two queries with the same
 // fingerprint materialize the same rows from the same object versions,
 // so the result cache may serve one for the other. Selections are
 // normalized — sorted by (dimension, level) with sorted value lists —
 // so predicate order and value order in the SQL text do not split
 // entries. EXPLAIN/ANALYZE flags are deliberately excluded: an analyzed
 // run and a plain run share an entry.
-func fingerprint(spec *query.Spec, plan Plan, r core.Restriction, statsGen int64) string {
+func fingerprint(spec *query.Spec, plan Plan, statsGen int64) string {
 	var b strings.Builder
 	b.WriteString(plan.Name())
 	b.WriteByte('|')
@@ -50,14 +50,6 @@ func fingerprint(spec *query.Spec, plan Plan, r core.Restriction, statsGen int64
 			b.WriteByte('.')
 			b.WriteString(v)
 		}
-	}
-	// A restricted plan materializes only its shard's slice; its rows
-	// must never be served for the whole answer (or another shard's), so
-	// the restriction splits the cache key. Unrestricted plans keep the
-	// legacy key byte-identical.
-	if r.Active() {
-		b.WriteString("|sh")
-		b.WriteString(r.String())
 	}
 	return b.String()
 }

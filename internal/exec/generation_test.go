@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/core"
@@ -63,7 +64,7 @@ func TestGenerationSwap(t *testing.T) {
 	t.Run("old holder", func(t *testing.T) {
 		warm(t)
 		old := c.gen.Load()
-		st, _, err := e.statement(bg, old, testQ2, ArrayEngine)
+		st, _, err := e.statement(old, testQ2, ArrayEngine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -227,7 +228,18 @@ func TestGenerationSwap(t *testing.T) {
 				}
 			}(r)
 		}
+		// The writer waits for a reply after each op: on a busy box its ops
+		// and runs could otherwise all finish before any reader is scheduled.
+		paced := func(start int64) bool {
+			for deadline := time.Now().Add(10 * time.Second); replies.Load() <= start; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					return false
+				}
+			}
+			return true
+		}
 		for op := 0; op < 50; op++ {
+			start := replies.Load()
 			switch op % 5 {
 			case 0:
 				c.InvalidateHandles()
@@ -248,6 +260,11 @@ func TestGenerationSwap(t *testing.T) {
 			}
 			for _, s := range swapStatements[:2] { // let the readers get somewhere
 				run(t, off, s.sql, s.engine)
+			}
+			if !paced(start) {
+				close(stop)
+				wg.Wait()
+				t.Fatalf("writer op %d: no reader replied within 10s (%d replies, %d of them cached)", op, replies.Load(), hits.Load())
 			}
 		}
 		close(stop)
@@ -275,7 +292,7 @@ func TestGenerationSwap(t *testing.T) {
 		g := c.gen.Load()
 		rows := 0
 		for _, s := range swapStatements {
-			st, _, err := e.statement(bg, g, s.sql, s.engine)
+			st, _, err := e.statement(g, s.sql, s.engine)
 			if err != nil {
 				t.Fatal(err)
 			}

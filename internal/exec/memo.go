@@ -6,7 +6,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/cache"
-	"repro/internal/core"
 	"repro/internal/query"
 )
 
@@ -20,12 +19,11 @@ const (
 )
 
 // stmtKey is everything a plan depends on besides the catalog: the
-// statement text as sent, the requested engine, the shard window and
-// the resolved parallel degree.
+// statement text as sent, the requested engine and the resolved parallel
+// degree.
 type stmtKey struct {
 	sql     string
 	engine  Engine
-	shard   core.Restriction
 	workers int
 }
 
@@ -103,8 +101,7 @@ func newSightings() *sightings { return &sightings{seed: maphash.MakeSeed()} }
 // again reports whether k was the last key seen in its slot, and leaves
 // it there.
 func (s *sightings) again(k stmtKey) bool {
-	h := maphash.String(s.seed, k.sql) ^ (uint64(k.engine)<<48 | uint64(k.workers)<<32 |
-		uint64(k.shard.Shard)<<16 | uint64(k.shard.Shards))
+	h := maphash.String(s.seed, k.sql) ^ (uint64(k.engine)<<48 | uint64(k.workers)<<32)
 	h *= 0x9e3779b97f4a7c15 // spread the key's small fields over the slot bits
 	return s.slot[h>>(64-stmtMemoBits)].Swap(h) == h
 }

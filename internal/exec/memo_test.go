@@ -25,9 +25,8 @@ func memoOf(t *testing.T, e *Executor, sql string, engine Engine) (string, *Quer
 
 // TestStatementMemo: a statement is remembered from its second sighting
 // and resolved from the memo after that; the key tells apart everything a
-// plan depends on (engine, degree, shard window); a build that changes
-// what plans are runnable, a statistics refresh and DropCaches each
-// retire the entry.
+// plan depends on (engine, degree); a build that changes what plans are
+// runnable, a statistics refresh and DropCaches each retire the entry.
 func TestStatementMemo(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, false, true)
 	e := NewExecutor(bp, cat)
@@ -57,13 +56,6 @@ func TestStatementMemo(t *testing.T) {
 	learn("another engine", StarJoinEngine)
 	e.SetParallel(2)
 	learn("another degree", Auto)
-	if err := e.SetShardRange(1, 2); err != nil {
-		t.Fatal(err)
-	}
-	if shard := learn("another shard window", Auto); shard.Explanation.Shard != "1/2" {
-		t.Fatalf("another shard window: explanation shard %q", shard.Explanation.Shard)
-	}
-	e.SetShardRange(0, 0)
 	e.SetParallel(1)
 	if memo, _ := memoOf(t, e, testQ2, Auto); memo != "hit" {
 		t.Fatalf("back to the first key: memo %s", memo)

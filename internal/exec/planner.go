@@ -42,10 +42,6 @@ type Explanation struct {
 	// with: the session's setting clamped to the plan's work units
 	// (chunks / extents). 1 means sequential.
 	Degree int
-	// Shard is the sub-query restriction the plan runs under, rendered
-	// "shard/shards"; empty for an unrestricted (single-node) query, so
-	// existing EXPLAIN output is byte-identical.
-	Shard string
 	// Candidates lists every runnable plan, cheapest first when
 	// CostBased (the chosen one is marked).
 	Candidates []Candidate
@@ -84,9 +80,6 @@ func (x *Explanation) String() string {
 	fmt.Fprintf(&b, "plan: %s  engine=%s  S=%.6g", x.Chosen, x.Engine, x.Selectivity)
 	if x.Degree > 1 {
 		fmt.Fprintf(&b, "  parallel=%d", x.Degree)
-	}
-	if x.Shard != "" {
-		fmt.Fprintf(&b, "  shard=%s", x.Shard)
 	}
 	fmt.Fprintf(&b, "  [%s]\n", mode)
 	if x.CacheHit {
@@ -141,33 +134,24 @@ func statsUsable(st *catalog.Stats) bool {
 // plan builds the plan for (spec, engine): the forced plan when engine
 // pins one, otherwise the cheapest runnable plan under the cost model
 // (or the legacy heuristic when the catalog carries no statistics).
-// The returned Explanation always describes what happened. r restricts
-// the plan to one shard's data slice (zero = whole database) and
-// workers, when > 0, overrides the session parallel degree — both ride
-// in on a coordinator's sub-query frame. reach is the statement's, for
-// a plan that runs to narrow its overlay fold by.
-func (e *Executor) plan(spec *query.Spec, engine Engine, r core.Restriction, workers int, reach *chunkReach) (Plan, *Explanation, error) {
+// The returned Explanation always describes what happened. workers is
+// the resolved parallel degree. reach is the statement's, for a plan
+// that runs to narrow its overlay fold by.
+func (e *Executor) plan(spec *query.Spec, engine Engine, workers int, reach *chunkReach) (Plan, *Explanation, error) {
 	cat := e.ctx.Catalog()
 	if cat.Schema == nil {
 		return nil, nil, fmt.Errorf("exec: no schema defined")
-	}
-	if err := r.Validate(); err != nil {
-		return nil, nil, err
 	}
 	schema := cat.Schema
 	st := cat.Stats
 
 	// The one scan every candidate would run: what the query selects and
-	// groups, at the session's degree (or the sub-query's), over r's slice.
+	// groups, at the given degree.
 	ps := planScan{schema: schema, reach: reach, scan: core.ScanSpec{
-		Selections:  spec.Selections,
-		Group:       spec.Group,
-		Workers:     e.parallelDegree(),
-		Restriction: r,
+		Selections: spec.Selections,
+		Group:      spec.Group,
+		Workers:    workers,
 	}}
-	if workers > 0 {
-		ps.scan.Workers = workers
-	}
 	newArray := func() Plan { return &arrayPlan{planScan: ps} }
 	newStar := func() Plan { return &starJoinPlan{planScan: ps} }
 	newBitmap := func() Plan { return &bitmapPlan{planScan: ps} }
@@ -255,9 +239,6 @@ func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, force
 	x.Degree = 1
 	if pa, ok := chosen.(interface{ chosenDegree() int }); ok {
 		x.Degree = pa.chosenDegree()
-	}
-	if scan.Restriction.Active() {
-		x.Shard = scan.Restriction.String()
 	}
 	x.Tree = chosen.Explain()
 	return x

@@ -165,12 +165,8 @@ func selectionDetail(schema *catalog.StarSchema, s core.Selection) string {
 // for the query, and what Estimate last predicted for it.
 type planScan struct {
 	// scan is what Run hands the engine: the query's selections and
-	// grouping, the session's parallel degree (0, on a plan built outside
-	// the executor, is sequential) and the shard restriction (cluster data
-	// servers; the zero value is the whole database). Estimate ignores
-	// the restriction: sub-query costing is the coordinator's concern,
-	// and keeping the estimates whole-database keeps EXPLAIN goldens
-	// stable.
+	// grouping, and the session's parallel degree (0, on a plan built
+	// outside the executor, is sequential).
 	scan   core.ScanSpec
 	schema *catalog.StarSchema
 	reach  *chunkReach // the statement's candidate chunks; nil = all

@@ -19,22 +19,23 @@ import (
 // Backend is what a Server serves. The server owns everything about a
 // connection — accept, handshake, frame I/O, cancel registry, admission,
 // drain, deadlines, result streaming — and asks the backend only to
-// answer requests. There are two: Local (an embedded database) and
-// cluster.Coordinator (scatter-gather over shard servers).
+// answer requests. Local (an embedded database) is the one olapd serves;
+// the seam is what olapcli's embedded REPL and the protocol conformance
+// test drive.
 type Backend interface {
 	// Banner names the backend in the HelloAck frame.
 	Banner() string
 	// Registry is where the server_* metrics go, beside the backend's own.
 	Registry() *obs.Registry
 	// NewSession opens the state behind one accepted connection, seeded
-	// with cfg's session defaults (Workers, the shard range, the
-	// slow-query log) as far as the backend has a use for them.
+	// with cfg's session defaults (Workers, the slow-query log) as far as
+	// the backend has a use for them.
 	NewSession(cfg *Config) Session
 }
 
 // Session answers one connection's requests: one method per request
 // frame, in the client package's types — *client.Conn's own method set
-// (Query's shard window apart), so a REPL drives either side of the wire
+// (Query's result type apart), so a REPL drives either side of the wire
 // alike. Query, Explain, Ingest and Compact run on their own goroutines
 // under a context a Cancel frame or disconnect cancels, so they may race
 // each other and SetOption; the rest are called from the frame loop.
@@ -43,10 +44,9 @@ type Backend interface {
 // ErrUnsupported. A *client.Error (possibly wrapped) reaches the client
 // with its own code; any other error is an execution failure.
 type Session interface {
-	// Query returns the materialised result. win, when non-nil, is a
-	// SubQuery frame's shard window. The query's identity and measured
-	// admission wait ride ctx as an obs.QueryTag.
-	Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*Result, error)
+	// Query returns the materialised result. The query's identity and
+	// measured admission wait ride ctx as an obs.QueryTag.
+	Query(ctx context.Context, sql string, engine client.Engine) (*Result, error)
 	Explain(ctx context.Context, sql string, engine client.Engine) (*client.Explanation, error)
 	SetOption(ctx context.Context, name, value string) error
 	Ingest(ctx context.Context, cells []client.IngestCell) error
@@ -56,34 +56,28 @@ type Session interface {
 }
 
 // Result is a backend's answer to Query: the client's result, with the
-// rows carried one of two ways. A backend whose rows already are client
-// rows (a coordinator's merge) leaves them in Rows and the server encodes
-// them batch by batch. A backend that keeps results across queries hands
-// over Frames instead — the row batches as encoded once for every request
-// that gets this result, at the Config's BatchRows — and leaves Rows
-// empty. NumRows counts the rows either way.
+// rows carried as Frames — the row batches as encoded once for every
+// request that gets this result, at the Config's BatchRows — and Rows
+// left empty. NumRows counts the rows.
 type Result struct {
 	client.Result
 	Frames  wire.RowImage
 	NumRows int
 }
 
-// ShardWindow restricts one query to shard Shard of Shards, with
-// Workers > 0 overriding the session's parallel degree for that query.
-type ShardWindow struct{ Shard, Shards, Workers int }
-
 // ErrUnsupported is the one answer to an operation a backend does not
 // have; the server reports it as wire.CodeUnsupported under the
 // request's own ID and keeps the connection.
 var ErrUnsupported = errors.New("not supported")
 
+// badOption is the typed protocol error a session option is rejected
+// with: the connection stays up.
 func badOption(format string, args ...any) error {
 	return &client.Error{Code: client.CodeProtocol, Message: fmt.Sprintf(format, args...)}
 }
 
-// SetOnOff applies an on|off session option through set; a bad value is
-// the typed protocol error every backend rejects it with.
-func SetOnOff(name, value string, set func(bool)) error {
+// setOnOff applies an on|off session option through set.
+func setOnOff(name, value string, set func(bool)) error {
 	v := strings.ToLower(value)
 	if v != "on" && v != "off" {
 		return badOption("bad value %q for option %s (want on|off)", value, strings.ToUpper(name))
@@ -91,19 +85,6 @@ func SetOnOff(name, value string, set func(bool)) error {
 	set(v == "on")
 	return nil
 }
-
-// SetWorkers applies the PARALLEL session option's worker count.
-func SetWorkers(value string, set func(int)) error {
-	n, err := strconv.Atoi(strings.TrimSpace(value))
-	if err != nil || n < 0 {
-		return badOption("bad value %q for option PARALLEL (want a non-negative integer)", value)
-	}
-	set(n)
-	return nil
-}
-
-// UnknownOption is the rejection for a session option no backend has.
-func UnknownOption(name string) error { return badOption("unknown session option %q", name) }
 
 // Local is the Backend over an embedded database: one read session per
 // connection, writes through the database's delta path.
@@ -124,7 +105,6 @@ func (l Local) NewSession(cfg *Config) Session {
 	s.encode = func(rows []repro.Row) []byte { return wire.AppendRowImage(nil, rows, s.batchRows) }
 	s.sess.SetSlowQueryLog(cfg.SlowQueryLog, cfg.SlowQueryMin) // nil: none
 	s.sess.SetParallel(cfg.Workers)                            // 0: the engine default
-	s.sess.SetShardRange(cfg.ShardIndex, cfg.ShardCount)       // validated in Start; <= 1: none
 	return s
 }
 
@@ -155,14 +135,8 @@ func statementError(err error) error {
 // image, which a result held by the database's result cache has built
 // once (by the query that put it there, or the first to hit it) and
 // every later hit reuses.
-func (s *localSession) Query(ctx context.Context, sql string, engine client.Engine, win *ShardWindow) (*Result, error) {
-	var res *repro.Result
-	var err error
-	if win != nil {
-		res, err = s.sess.QueryOnShardContext(ctx, sql, repro.Engine(engine), win.Shard, win.Shards, win.Workers)
-	} else {
-		res, err = s.sess.QueryOnContext(ctx, sql, repro.Engine(engine))
-	}
+func (s *localSession) Query(ctx context.Context, sql string, engine client.Engine) (*Result, error) {
+	res, err := s.sess.QueryOnContext(ctx, sql, repro.Engine(engine))
 	if err != nil {
 		return nil, statementError(err)
 	}
@@ -221,20 +195,21 @@ func (s *localSession) Explain(ctx context.Context, sql string, engine client.En
 func (s *localSession) SetOption(_ context.Context, name, value string) error {
 	switch strings.ToUpper(name) {
 	case "TRACE":
-		return SetOnOff(name, value, s.sess.SetTrace)
+		return setOnOff(name, value, s.sess.SetTrace)
 	case "CACHE":
-		return SetOnOff(name, value, s.sess.SetCache)
+		return setOnOff(name, value, s.sess.SetCache)
 	case "PARALLEL":
-		return SetWorkers(value, func(n int) {
-			if n == 0 {
-				n = s.workers // the server's configured default, not GOMAXPROCS
-			}
-			s.sess.SetParallel(n)
-		})
-	case "PARTIAL":
-		return fmt.Errorf("%w: PARTIAL is a cluster coordinator's option", ErrUnsupported)
+		n, err := strconv.Atoi(strings.TrimSpace(value))
+		if err != nil || n < 0 {
+			return badOption("bad value %q for option PARALLEL (want a non-negative integer)", value)
+		}
+		if n == 0 {
+			n = s.workers // the server's configured default, not GOMAXPROCS
+		}
+		s.sess.SetParallel(n)
+		return nil
 	}
-	return UnknownOption(name)
+	return badOption("unknown session option %q", name)
 }
 
 // Ingest applies the batch through the database's HTAP delta path.

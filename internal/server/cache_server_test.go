@@ -42,16 +42,19 @@ func TestServerCacheSingleflightDedup(t *testing.T) {
 	execsBefore := engineExecs(db)
 
 	const goroutines = 32
-	pool := client.NewPool(srv.Addr().String(), client.Config{}, 8)
-	defer pool.Close()
-
 	var wg sync.WaitGroup
 	errs := make(chan error, goroutines)
 	for i := 0; i < goroutines; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := pool.Query(context.Background(), retailQuery, client.Array)
+			conn, err := client.Dial(srv.Addr().String(), client.Config{})
+			if err != nil {
+				errs <- fmt.Errorf("goroutine %d: %w", i, err)
+				return
+			}
+			defer conn.Close()
+			res, err := conn.Query(context.Background(), retailQuery, client.Array)
 			if err != nil {
 				errs <- fmt.Errorf("goroutine %d: %w", i, err)
 				return

@@ -1,4 +1,4 @@
-package server_test
+package server
 
 import (
 	"bufio"
@@ -9,46 +9,10 @@ import (
 	"time"
 
 	"repro/client"
-	"repro/internal/cluster"
-	"repro/internal/server"
 	"repro/internal/wire"
 )
 
-// startBackend serves one of the two backends over a fresh test
-// database: "local" is a plain olapd, "coordinator" a coordinator in
-// front of three shard servers that each hold the full database.
-func startBackend(t *testing.T, kind string, cfg server.Config) *server.Server {
-	t.Helper()
-	db := server.NewTestDB(t)
-	start := func(be server.Backend, cfg server.Config) *server.Server {
-		srv := server.New(be, cfg)
-		if err := srv.Start(); err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() {
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			srv.Shutdown(ctx)
-		})
-		return srv
-	}
-	if kind == "local" {
-		return start(server.Local{DB: db}, cfg)
-	}
-	var shards []string
-	for i := 0; i < 3; i++ {
-		shards = append(shards, start(server.Local{DB: db}, server.Config{}).Addr().String())
-	}
-	co, err := cluster.New(cluster.Config{Shards: shards, Retries: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	front := start(co, cfg)
-	t.Cleanup(co.Close) // runs before the servers shut down
-	return front
-}
-
-func dial(t *testing.T, srv *server.Server) *client.Conn {
+func dial(t *testing.T, srv *Server) *client.Conn {
 	t.Helper()
 	conn, err := client.Dial(srv.Addr().String(), client.Config{})
 	if err != nil {
@@ -69,14 +33,20 @@ func wantProtocolError(t *testing.T, br *bufio.Reader) {
 	}
 }
 
-func parkQuery(t *testing.T, srv *server.Server, conn *client.Conn) <-chan error {
+// holdSlot occupies one admission slot until release is called.
+func holdSlot(srv *Server) (release func()) {
+	srv.adm.slots <- struct{}{}
+	return func() { <-srv.adm.slots }
+}
+
+func parkQuery(t *testing.T, srv *Server, conn *client.Conn) <-chan error {
 	t.Helper()
 	res := make(chan error, 1)
 	go func() {
-		_, err := conn.Query(context.Background(), server.RetailQuery, client.Auto)
+		_, err := conn.Query(context.Background(), retailQuery, client.Auto)
 		res <- err
 	}()
-	for i := 0; srv.Waiting() == 0; i++ {
+	for i := 0; srv.adm.waiting() == 0; i++ {
 		if i > 2000 {
 			t.Fatal("query never queued")
 		}
@@ -86,21 +56,25 @@ func parkQuery(t *testing.T, srv *server.Server, conn *client.Conn) <-chan error
 }
 
 // TestProtocolConformance runs the protocol-level behaviours — the ones
-// the connection loop owns, whatever answers the requests — against both
-// backends.
+// the connection loop owns, whatever answers the requests — against the
+// Local backend.
 func TestProtocolConformance(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
 		name string
-		cfg  server.Config
-		run  func(t *testing.T, srv *server.Server)
+		cfg  Config
+		run  func(t *testing.T, srv *Server)
 	}{
-		{"version mismatch", server.Config{}, func(t *testing.T, srv *server.Server) {
-			nc, br := server.RawHello(t, srv.Addr().String(), wire.Version+9)
-			nc.SetDeadline(time.Now().Add(5 * time.Second))
-			wantProtocolError(t, br)
+		{"version mismatch", Config{}, func(t *testing.T, srv *Server) {
+			// A far-off version, and the one before this: a v4 peer would
+			// misread every ResultDone, so it is refused at the handshake.
+			for _, v := range []uint16{wire.Version + 9, wire.Version - 1} {
+				nc, br := rawHello(t, srv.Addr().String(), v)
+				nc.SetDeadline(time.Now().Add(5 * time.Second))
+				wantProtocolError(t, br)
+			}
 		}},
-		{"ping", server.Config{}, func(t *testing.T, srv *server.Server) {
+		{"ping", Config{}, func(t *testing.T, srv *Server) {
 			conn := dial(t, srv)
 			if err := conn.Ping(); err != nil {
 				t.Fatalf("Ping: %v", err)
@@ -109,7 +83,7 @@ func TestProtocolConformance(t *testing.T) {
 				t.Fatal("handshake carried no banner")
 			}
 		}},
-		{"bad option value", server.Config{}, func(t *testing.T, srv *server.Server) {
+		{"bad option value", Config{}, func(t *testing.T, srv *Server) {
 			conn := dial(t, srv)
 			for _, opt := range [][2]string{{"TRACE", "sideways"}, {"PARALLEL", "lots"}} {
 				if err := conn.SetOption(ctx, opt[0], opt[1]); !client.IsCode(err, client.CodeProtocol) {
@@ -120,34 +94,34 @@ func TestProtocolConformance(t *testing.T) {
 				t.Fatalf("Ping after option errors: %v", err)
 			}
 		}},
-		{"unknown option", server.Config{}, func(t *testing.T, srv *server.Server) {
+		{"unknown option", Config{}, func(t *testing.T, srv *Server) {
 			conn := dial(t, srv)
 			if err := conn.SetOption(ctx, "TURBO", "on"); !client.IsCode(err, client.CodeProtocol) {
 				t.Fatalf("err = %v, want CodeProtocol", err)
 			}
-			if _, err := conn.Query(ctx, server.RetailQuery, client.Auto); err != nil {
+			if _, err := conn.Query(ctx, retailQuery, client.Auto); err != nil {
 				t.Fatalf("query after option error: %v", err)
 			}
 		}},
-		{"cancel while queued", server.Config{MaxConcurrent: 1, QueueDepth: 4}, func(t *testing.T, srv *server.Server) {
-			release := srv.HoldSlot()
+		{"cancel while queued", Config{MaxConcurrent: 1, QueueDepth: 4}, func(t *testing.T, srv *Server) {
+			release := holdSlot(srv)
 			conn := dial(t, srv)
 			qctx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 			defer cancel()
-			if _, err := conn.Query(qctx, server.RetailQuery, client.Auto); !errors.Is(err, context.DeadlineExceeded) {
+			if _, err := conn.Query(qctx, retailQuery, client.Auto); !errors.Is(err, context.DeadlineExceeded) {
 				t.Fatalf("queued+canceled query err = %v, want DeadlineExceeded", err)
 			}
 			release()
-			if res, err := conn.Query(ctx, server.RetailQuery, client.Auto); err != nil || len(res.Rows) != 16 {
+			if res, err := conn.Query(ctx, retailQuery, client.Auto); err != nil || len(res.Rows) != 16 {
 				t.Fatalf("query after cancel = (%v, %v)", res, err)
 			}
 		}},
-		{"cancel mid-stream", server.Config{BatchRows: 1}, func(t *testing.T, srv *server.Server) {
+		{"cancel mid-stream", Config{BatchRows: 1}, func(t *testing.T, srv *Server) {
 			conn := dial(t, srv)
 			qctx, cancel := context.WithCancel(ctx)
 			defer cancel()
 			batches := 0
-			err := conn.QueryFunc(qctx, server.RetailQuery, client.Auto, nil, func([]client.Row) error {
+			err := conn.QueryFunc(qctx, retailQuery, client.Auto, nil, func([]client.Row) error {
 				batches++
 				cancel() // first of 16 batches consumed
 				return nil
@@ -155,12 +129,12 @@ func TestProtocolConformance(t *testing.T) {
 			if !errors.Is(err, context.Canceled) || batches != 1 {
 				t.Fatalf("canceled stream: err = %v after %d batches, want context.Canceled after 1", err, batches)
 			}
-			if res, err := conn.Query(ctx, server.RetailQuery, client.Auto); err != nil || len(res.Rows) != 16 {
+			if res, err := conn.Query(ctx, retailQuery, client.Auto); err != nil || len(res.Rows) != 16 {
 				t.Fatalf("query after cancel = (%v, %v)", res, err)
 			}
 		}},
-		{"drain", server.Config{MaxConcurrent: 1, QueueDepth: 4}, func(t *testing.T, srv *server.Server) {
-			srv.HoldSlot()
+		{"drain", Config{MaxConcurrent: 1, QueueDepth: 4}, func(t *testing.T, srv *Server) {
+			holdSlot(srv)
 			parked := parkQuery(t, srv, dial(t, srv))
 			sctx, cancel := context.WithTimeout(ctx, 5*time.Second)
 			defer cancel()
@@ -174,21 +148,26 @@ func TestProtocolConformance(t *testing.T) {
 				t.Fatal("dial succeeded after shutdown")
 			}
 		}},
-		{"unknown frame type", server.Config{}, func(t *testing.T, srv *server.Server) {
-			nc, br := server.RawDial(t, srv.Addr().String())
-			nc.SetDeadline(time.Now().Add(5 * time.Second))
-			if err := wire.WriteFrame(nc, wire.FrameType(0x7F), []byte{0, 0, 0, 1}); err != nil {
-				t.Fatal(err)
-			}
-			wantProtocolError(t, br)
-			if _, _, err := wire.ReadFrame(br); !errors.Is(err, io.EOF) {
-				t.Fatalf("read after the error frame: %v, want the connection closed", err)
+		{"unknown frame type", Config{}, func(t *testing.T, srv *Server) {
+			// 0x08 was the sub-query frame until v5 retired it.
+			for _, ft := range []wire.FrameType{0x7F, 0x08} {
+				nc, br := rawDial(t, srv.Addr().String())
+				nc.SetDeadline(time.Now().Add(5 * time.Second))
+				if err := wire.WriteFrame(nc, ft, []byte{0, 0, 0, 1}); err != nil {
+					t.Fatal(err)
+				}
+				wantProtocolError(t, br)
+				if _, _, err := wire.ReadFrame(br); !errors.Is(err, io.EOF) {
+					t.Fatalf("frame type %s: read after the error frame: %v, want the connection closed", ft, err)
+				}
 			}
 		}},
 	}
-	for _, kind := range []string{"local", "coordinator"} {
-		for _, tc := range cases {
-			t.Run(kind+"/"+tc.name, func(t *testing.T) { tc.run(t, startBackend(t, kind, tc.cfg)) })
-		}
+	for _, tc := range cases {
+		// The subtest path names the backend the cases ran against.
+		t.Run("local/"+tc.name, func(t *testing.T) {
+			srv, _ := startServer(t, tc.cfg)
+			tc.run(t, srv)
+		})
 	}
 }

@@ -1,10 +1,10 @@
 // Package server is olapd's network front-end, and the only one: a TCP
 // listener speaking the internal/wire protocol, mapping one connection
-// to one Session of a Backend — an embedded database (Local) or a
-// cluster coordinator. Every query passes the admission controller
-// (bounded concurrency, bounded wait queue, typed rejections), runs with
-// a per-query context that a client Cancel frame or disconnect cancels,
-// and streams its result back row-batch-at-a-time. Shutdown drains: the
+// to one Session of a Backend — an embedded database (Local). Every
+// query passes the admission controller (bounded concurrency, bounded
+// wait queue, typed rejections), runs with a per-query context that a
+// client Cancel frame or disconnect cancels, and streams its result back
+// row-batch-at-a-time. Shutdown drains: the
 // listener closes, new queries are refused with wire.CodeShutdown, and
 // in-flight queries finish before the caller gets control back to close
 // the backend.
@@ -71,14 +71,6 @@ type Config struct {
 	// new session; 0 leaves the engine default (GOMAXPROCS), 1 forces
 	// sequential execution. Sessions override it with PARALLEL n.
 	Workers int
-	// ShardIndex/ShardCount give every session a default shard
-	// restriction (the olapd -shard-range flag): each query this server
-	// runs evaluates only shard ShardIndex of ShardCount, so a cluster
-	// data server answers with its slice of the rows even for plain
-	// Query frames. ShardCount <= 1 disables it. A coordinator's
-	// SubQuery frames override the default per query.
-	ShardIndex int
-	ShardCount int
 }
 
 func (c *Config) withDefaults() Config {
@@ -176,9 +168,6 @@ func New(be Backend, cfg Config) *Server {
 
 // Start begins listening and accepting connections.
 func (s *Server) Start() error {
-	if n := s.cfg.ShardCount; n > 1 && (s.cfg.ShardIndex < 0 || s.cfg.ShardIndex >= n) {
-		return fmt.Errorf("server: shard index %d out of range 0..%d", s.cfg.ShardIndex, n-1)
-	}
 	lis, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
@@ -249,8 +238,7 @@ func (s *Server) beginQuery() bool {
 // (their result streams included), then every connection is closed.
 // When ctx expires first, remaining queries are canceled hard and
 // ctx's error is returned. After Shutdown returns the caller may close
-// the backend — a database's WAL, a coordinator's shard pools — knowing
-// no query is mid-flight.
+// the backend — a database's WAL — knowing no query is mid-flight.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.qmu.Lock()
 	if !s.drained {
@@ -390,9 +378,9 @@ func (c *conn) writeError(id uint32, code wire.ErrorCode, msg, queryID string) {
 // fail answers request id with err as a typed Error frame and reports
 // the code it chose: canceled when the request's context is done,
 // CodeUnsupported for ErrUnsupported, a *client.Error's own code (a
-// shard's typed failure relayed by a coordinator, a backend's parse or
-// option rejection), CodeExec otherwise. queryID, when known, lets the
-// client join the error against /debug/queries and the slow-query log.
+// backend's parse or option rejection), CodeExec otherwise. queryID,
+// when known, lets the client join the error against /debug/queries and
+// the slow-query log.
 func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) wire.ErrorCode {
 	code, msg := wire.CodeExec, err.Error()
 	var ce *client.Error
@@ -499,7 +487,7 @@ func (c *conn) dispatch(t wire.FrameType, p []byte, start time.Time) bool {
 	var run func(context.Context) // set by the requests that may block
 	var err error
 	switch t {
-	case wire.FrameQuery, wire.FrameSubQuery, wire.FrameExplain, wire.FrameIngest, wire.FrameCompact:
+	case wire.FrameQuery, wire.FrameExplain, wire.FrameIngest, wire.FrameCompact:
 		// Refused before the payload is decoded, so a peer that pipelines
 		// without reading cannot park one goroutine and one decoded
 		// statement per frame behind the write lock.
@@ -512,14 +500,7 @@ func (c *conn) dispatch(t wire.FrameType, p []byte, start time.Time) bool {
 	case wire.FrameQuery:
 		var q *wire.Query
 		q, err = wire.DecodeQuery(p)
-		run = func(ctx context.Context) { c.handleQuery(ctx, q, nil) }
-	case wire.FrameSubQuery:
-		var sq *wire.SubQuery
-		if sq, err = wire.DecodeSubQuery(p); err == nil {
-			q := &wire.Query{ID: id, Engine: sq.Engine, SQL: sq.SQL, TraceID: sq.TraceID}
-			win := &ShardWindow{Shard: int(sq.Shard), Shards: int(sq.Shards), Workers: int(sq.Workers)}
-			run = func(ctx context.Context) { c.handleQuery(ctx, q, win) }
-		}
+		run = func(ctx context.Context) { c.handleQuery(ctx, q) }
 	case wire.FrameExplain:
 		var ex *wire.Explain
 		ex, err = wire.DecodeExplain(p)
@@ -671,16 +652,10 @@ func (c *conn) failQuery(ctx context.Context, id uint32, queryID string, err err
 
 // handleQuery executes one Query frame end to end: admission, the
 // backend call under the per-query context, and the result stream
-// (header, row batches, done). win, when non-nil, is the shard window of
-// the SubQuery frame the request arrived on.
-func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow) {
-	switch {
-	case q.Engine > wire.Bitmap:
+// (header, row batches, done).
+func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
+	if q.Engine > wire.Bitmap {
 		c.writeError(q.ID, wire.CodeProtocol, fmt.Sprintf("unknown engine %d", uint8(q.Engine)), "")
-		return
-	case win != nil && win.Shards > 1 && win.Shard >= win.Shards:
-		c.writeError(q.ID, wire.CodeProtocol,
-			fmt.Sprintf("shard %d out of range 0..%d", win.Shard, win.Shards-1), "")
 		return
 	}
 	// The query's identity for tracing and the flight recorder:
@@ -696,9 +671,9 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow)
 	// Hand the identity and the measured admission wait to the backend:
 	// an executor grafts the wait into the span tree and stamps the ID
 	// through the trace, slow-query log, flight recorder, and pprof
-	// labels; a coordinator stamps it into every shard's sub-query.
+	// labels.
 	ctx = obs.ContextWithQueryTag(ctx, &obs.QueryTag{ID: qid, AdmissionWait: wait})
-	res, err := c.sess.Query(ctx, q.SQL, client.Engine(q.Engine), win)
+	res, err := c.sess.Query(ctx, q.SQL, client.Engine(q.Engine))
 	// The result is fully materialised, so the run slot goes back before
 	// the first frame: a client that stops reading holds its connection
 	// and a drain entry for up to WriteTimeout, never a slot.
@@ -713,22 +688,14 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow)
 	if c.putFrame(wire.FrameResultHeader, 0, hdr.Encode(), false) != nil {
 		return
 	}
-	// The row batches come out of the backend's image of them when it has
-	// one; otherwise each batch of its rows is encoded, into the same
-	// form, as its turn comes.
-	img, batch := res.Frames, c.srv.cfg.BatchRows
-	var scratch wire.RowImage
-	for off := 0; off < len(res.Rows) || len(img) > 0; off += batch {
+	// The row batches come out of the backend's image of them.
+	for img := res.Frames; len(img) > 0; {
 		// Cancellation between batches: a canceled client stops the
 		// stream without waiting for the remaining rows.
 		if ctx.Err() != nil {
 			c.srv.qCanceled.Inc()
 			c.writeError(q.ID, wire.CodeCanceled, "query canceled mid-stream", qid)
 			return
-		}
-		if off < len(res.Rows) {
-			scratch = wire.AppendRowImage(scratch[:0], res.Rows[off:min(off+batch, len(res.Rows))], batch)
-			img = scratch
 		}
 		var body []byte
 		body, img = img.Next()
@@ -737,7 +704,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query, win *ShardWindow)
 		}
 	}
 	done := &wire.ResultDone{ID: q.ID, ElapsedNS: res.Elapsed.Nanoseconds(), Rows: int64(res.NumRows),
-		QueryID: res.QueryID, Trace: res.Trace, Partial: res.Partial}
+		QueryID: res.QueryID, Trace: res.Trace}
 	c.writeFrame(wire.FrameResultDone, done.Encode())
 }
 

@@ -189,8 +189,8 @@ func TestServerProtocolVersionMismatch(t *testing.T) {
 	}
 }
 
-// TestServerConcurrentClients hammers one server with goroutine clients
-// running mixed array/bitmap queries through a pool; results must match
+// TestServerConcurrentClients hammers one server with goroutine clients,
+// one connection each, running mixed array/bitmap queries; results must match
 // the embedded engine and the admission counters must balance. Run
 // under -race this also proves session isolation end to end.
 func TestServerConcurrentClients(t *testing.T) {
@@ -204,9 +204,6 @@ func TestServerConcurrentClients(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	pool := client.NewPool(srv.Addr().String(), client.Config{}, 8)
-	defer pool.Close()
-
 	const clients = 8
 	const perClient = 10
 	var wg sync.WaitGroup
@@ -215,9 +212,15 @@ func TestServerConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
+			conn, err := client.Dial(srv.Addr().String(), client.Config{})
+			if err != nil {
+				errs <- fmt.Errorf("client %d: %w", i, err)
+				return
+			}
+			defer conn.Close()
 			for j := 0; j < perClient; j++ {
 				if (i+j)%2 == 0 {
-					res, err := pool.Query(context.Background(), retailQuery, client.Array)
+					res, err := conn.Query(context.Background(), retailQuery, client.Array)
 					if err != nil {
 						errs <- fmt.Errorf("client %d array: %w", i, err)
 						return
@@ -227,7 +230,7 @@ func TestServerConcurrentClients(t *testing.T) {
 						return
 					}
 				} else {
-					res, err := pool.Query(context.Background(), retailSelectQuery, client.Bitmap)
+					res, err := conn.Query(context.Background(), retailSelectQuery, client.Bitmap)
 					if err != nil {
 						errs <- fmt.Errorf("client %d bitmap: %w", i, err)
 						return
@@ -322,16 +325,19 @@ func TestServerCancelWhileQueued(t *testing.T) {
 // TestServerCancelMidStream cancels from inside the row-batch callback.
 // Whichever side wins the race — server stops the stream with a typed
 // cancel, or it had already finished — the client must observe
-// context.Canceled and the pooled connection must stay clean.
+// context.Canceled and the connection must stay clean.
 func TestServerCancelMidStream(t *testing.T) {
 	srv, _ := startServer(t, Config{BatchRows: 1}) // 16 batches for retailQuery
-	pool := client.NewPool(srv.Addr().String(), client.Config{}, 2)
-	defer pool.Close()
+	conn, err := client.Dial(srv.Addr().String(), client.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	batches := 0
-	err := pool.QueryFunc(ctx, retailQuery, client.Auto, nil, func(rows []client.Row) error {
+	err = conn.QueryFunc(ctx, retailQuery, client.Auto, nil, func(rows []client.Row) error {
 		batches++
 		cancel() // mid-stream: first batch consumed, 15 to go
 		return nil
@@ -343,10 +349,10 @@ func TestServerCancelMidStream(t *testing.T) {
 		t.Fatalf("callback ran %d times after cancel, want 1", batches)
 	}
 
-	// The pool must hand back a clean, reusable connection.
-	res, err := pool.Query(context.Background(), retailQuery, client.Auto)
+	// The same connection must be clean and reusable.
+	res, err := conn.Query(context.Background(), retailQuery, client.Auto)
 	if err != nil || len(res.Rows) != 16 {
-		t.Fatalf("pooled query after cancel = (%v, %v)", res, err)
+		t.Fatalf("query after cancel = (%v, %v)", res, err)
 	}
 }
 

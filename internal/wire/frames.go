@@ -88,30 +88,13 @@ type Query struct {
 // EXPLAIN ANALYZE text also executes the query.
 type Explain Query
 
-// SubQuery is a coordinator's scatter frame: run sql on the chosen
-// engine restricted to shard Shard of Shards (the server's standard
-// chunk-range / extent-range split), answering with the usual result
-// stream. TraceID is the originating distributed query's identity, so
-// the shard's trace, slow-query log, and flight-recorder entries stitch
-// to the coordinator's. Workers > 0 overrides the session's parallel
-// degree for this sub-query only.
-type SubQuery struct {
-	ID      uint32
-	Engine  Engine
-	SQL     string
-	TraceID string
-	Shard   uint32
-	Shards  uint32
-	Workers uint32
-}
-
 // Cancel asks the server to abandon the identified in-flight query.
 type Cancel struct {
 	ID uint32
 }
 
 // SetOption flips a per-session switch by name: "CACHE" on|off,
-// "PARALLEL" n, "TRACE" on|off, or "PARTIAL" on|off (case-insensitive);
+// "PARALLEL" n or "TRACE" on|off (case-insensitive);
 // unknown names or values are answered with Error{CodeProtocol}, an
 // option the backend does not have with Error{CodeUnsupported}, and the
 // session continues.
@@ -145,17 +128,13 @@ type RowBatch struct {
 // ResultDone closes a result stream with the run totals. QueryID echoes
 // the query's trace identity (the client's TraceID, or the one the
 // server minted); Trace carries the rendered span tree when the
-// session has TRACE on, empty otherwise. Partial is empty for a
-// complete answer; a coordinator answering under the PARTIAL session
-// option fills it with the JSON per-shard completeness report when one
-// or more shards could not be reached.
+// session has TRACE on, empty otherwise.
 type ResultDone struct {
 	ID        uint32
 	ElapsedNS int64
 	Rows      int64
 	QueryID   string
 	Trace     string
-	Partial   string
 }
 
 // ExplainResult answers an Explain frame with the rendered explanation.
@@ -402,33 +381,6 @@ func DecodeQuery(p []byte) (*Query, error) {
 // Encode renders the Explain payload.
 func (f *Explain) Encode() []byte { return encodeQuery(f.ID, f.Engine, f.SQL, f.TraceID) }
 
-// Encode renders the SubQuery payload: the Query layout followed by the
-// shard window and worker override as uvarints.
-func (f *SubQuery) Encode() []byte {
-	b := encodeQuery(f.ID, f.Engine, f.SQL, f.TraceID)
-	b = binary.AppendUvarint(b, uint64(f.Shard))
-	b = binary.AppendUvarint(b, uint64(f.Shards))
-	return binary.AppendUvarint(b, uint64(f.Workers))
-}
-
-// DecodeSubQuery parses a SubQuery payload.
-func DecodeSubQuery(p []byte) (*SubQuery, error) {
-	d := &dec{b: p}
-	f := &SubQuery{
-		ID:      d.u32(),
-		Engine:  Engine(d.u8()),
-		SQL:     d.str(),
-		TraceID: d.str(),
-		Shard:   uint32(d.uvarint()),
-		Shards:  uint32(d.uvarint()),
-		Workers: uint32(d.uvarint()),
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
 // DecodeExplain parses an Explain payload.
 func DecodeExplain(p []byte) (*Explain, error) {
 	id, engine, sql, traceID, err := decodeQuery(p)
@@ -597,8 +549,7 @@ func (img RowImage) Rows() ([]Row, error) {
 // a caller appending to one row's Groups cannot write into the next's.
 // Holding on to any one label therefore keeps its batch's bytes alive.
 //
-// This is the client's hot loop (and a coordinator's, per shard), so it
-// walks the string copy by index instead of going field by field through
+// This is the client's hot loop, so it walks the string copy by index instead of going field by field through
 // the cursor.
 func (d *dec) rows() []Row {
 	n := d.uvarint()
@@ -694,8 +645,7 @@ func (f *ResultDone) Encode() []byte {
 	b = binary.AppendVarint(b, f.ElapsedNS)
 	b = binary.AppendVarint(b, f.Rows)
 	b = appendString(b, f.QueryID)
-	b = appendString(b, f.Trace)
-	return appendString(b, f.Partial)
+	return appendString(b, f.Trace)
 }
 
 // DecodeResultDone parses a ResultDone payload.
@@ -707,7 +657,6 @@ func DecodeResultDone(p []byte) (*ResultDone, error) {
 		Rows:      d.varint(),
 		QueryID:   d.str(),
 		Trace:     d.str(),
-		Partial:   d.str(),
 	}
 	if err := d.done(); err != nil {
 		return nil, err

@@ -30,7 +30,6 @@ var decoders = map[FrameType]func([]byte) (frame, error){
 	FrameCancel:           as(DecodeCancel),
 	FrameSetOption:        as(DecodeSetOption),
 	FrameGetProfiles:      as(DecodeGetProfiles),
-	FrameSubQuery:         as(DecodeSubQuery),
 	FrameIngest:           as(DecodeIngest),
 	FrameDeltaStats:       as(DecodeDeltaStatsReq),
 	FrameCompact:          as(DecodeCompactReq),
@@ -60,7 +59,6 @@ func FuzzFrameDecode(f *testing.F) {
 		FrameCancel:       &Cancel{ID: 3},
 		FrameSetOption:    &SetOption{ID: 4, Name: "PARALLEL", Value: "4"},
 		FrameGetProfiles:  &GetProfiles{ID: 5, QueryID: "3f9ac2d1-00000017", Limit: 10},
-		FrameSubQuery:     &SubQuery{ID: 6, Engine: Array, SQL: "select sum(volume) from fact", Shard: 1, Shards: 3, Workers: 2},
 		FrameIngest:       &Ingest{ID: 7, Cells: []IngestCell{{Keys: []int64{1, -2, 3}, Value: 55}, {Keys: []int64{0}, Delete: true}}},
 		FrameDeltaStats:   &DeltaStatsReq{ID: 8},
 		FrameCompact:      &CompactReq{ID: 9},
@@ -68,7 +66,7 @@ func FuzzFrameDecode(f *testing.F) {
 		FrameResultHeader: &ResultHeader{ID: 1, Plan: "bitmap-factfile", Engine: Bitmap, GroupAttrs: []string{"h01", "h11"}, Aggs: []uint8{0, 1}},
 		FrameRowBatch: &RowBatch{ID: 1, Rows: []Row{
 			{Groups: []string{"AA0", "AA1"}, Sum: -7, Count: 2, Min: -9, Max: 2}, {Groups: []string{}, Sum: 1 << 40}}},
-		FrameResultDone:       &ResultDone{ID: 1, ElapsedNS: 184000, Rows: 2, QueryID: "3f9ac2d1-00000017", Trace: "query 184µs\n", Partial: `[{"shard":0}]`},
+		FrameResultDone:       &ResultDone{ID: 1, ElapsedNS: 184000, Rows: 2, QueryID: "3f9ac2d1-00000017", Trace: "query 184µs\n"},
 		FrameExplainResult:    &ExplainResult{ID: 2, Chosen: "array-consolidate", Engine: Array, Text: "plan\n"},
 		FrameError:            &ErrorFrame{ID: 1, Code: CodeUnsupported, Message: "not supported", QueryID: "3f9ac2d1-00000017"},
 		FrameOptionAck:        &OptionAck{ID: 4},

@@ -20,20 +20,12 @@
 // can instead be answered by an Error frame carrying a typed ErrorCode;
 // Cancel (id) asks the server to abandon the identified in-flight query,
 // which then answers with Error{CodeCanceled}. Ping/Pong carry no
-// payload and exist for connection-pool health checks. SetOption
+// payload and exist for connection health checks. SetOption
 // (id, name, value) flips a per-session switch — CACHE on|off,
-// PARALLEL n, TRACE on|off, or PARTIAL on|off — and is acknowledged with
-// OptionAck (id) or rejected without dropping the connection: with
-// Error{CodeProtocol} for an unknown name or a bad value, with
-// Error{CodeUnsupported} for an option the server's backend does not
-// have (CACHE on a coordinator, PARTIAL on a plain olapd).
-//
-// Clustering: a SubQuery frame is a Query restricted to one shard's
-// slice of the data (shard i of n, with an optional worker override) —
-// what a cluster coordinator scatters to its data servers. It answers
-// with the same ResultHeader/RowBatch/ResultDone stream; the TraceID it
-// carries is the originating distributed query's, so traces and flight-
-// recorder profiles stitch across nodes.
+// PARALLEL n or TRACE on|off — and is acknowledged with OptionAck (id)
+// or rejected without dropping the connection: with Error{CodeProtocol}
+// for an unknown name or a bad value, with Error{CodeUnsupported} for an
+// option the server's backend does not have.
 //
 // Tracing: a Query frame carries the client-minted query ID (TraceID)
 // that names the execution in the server's slow-query log, flight
@@ -59,12 +51,12 @@ import (
 // rejects any other version — there is exactly one until a release has
 // to interoperate with an older one. Version 2 added trace-context
 // fields (query IDs on Query/ResultDone/Error, the TRACE option's span
-// tree) and the GetProfiles/ProfilesResult pair. Version 3 added the
-// SubQuery frame (a coordinator's shard-restricted query), the PARTIAL
-// session option, and the per-shard completeness report on ResultDone.
-// Version 4 added the HTAP ingest frames: Ingest/IngestAck,
-// DeltaStats/DeltaStatsResult, and Compact/CompactAck.
-const Version uint16 = 4
+// tree) and the GetProfiles/ProfilesResult pair. Version 3 added a
+// cluster coordinator's frame, option and ResultDone field, and version 4
+// the HTAP ingest frames: Ingest/IngestAck, DeltaStats/DeltaStatsResult,
+// and Compact/CompactAck. Version 5 removed what version 3 added, which
+// changed the ResultDone layout.
+const Version uint16 = 5
 
 // Magic opens every Hello frame; it lets the server reject a client
 // that is not speaking this protocol at all (an HTTP request, say)
@@ -94,8 +86,7 @@ const (
 	FramePing        FrameType = 0x05
 	FrameSetOption   FrameType = 0x06
 	FrameGetProfiles FrameType = 0x07
-	FrameSubQuery    FrameType = 0x08
-	FrameIngest      FrameType = 0x09
+	FrameIngest      FrameType = 0x09 // 0x08 is unassigned: a coordinator's frame, retired in v5
 	FrameDeltaStats  FrameType = 0x0A
 	FrameCompact     FrameType = 0x0B
 
@@ -130,8 +121,6 @@ func (t FrameType) String() string {
 		return "set-option"
 	case FrameGetProfiles:
 		return "get-profiles"
-	case FrameSubQuery:
-		return "sub-query"
 	case FrameIngest:
 		return "ingest"
 	case FrameDeltaStats:
@@ -188,8 +177,8 @@ const (
 	// CodeShutdown: the server is draining and accepts no new queries.
 	CodeShutdown ErrorCode = 6
 	// CodeUnsupported: the server's backend does not have the requested
-	// operation (Ingest on a coordinator, the PARTIAL option on a plain
-	// olapd). The request did nothing and the connection stays usable.
+	// operation (a REPL meta-command such as stats over the wire). The
+	// request did nothing and the connection stays usable.
 	CodeUnsupported ErrorCode = 7
 )
 

@@ -87,20 +87,6 @@ func TestFrameRoundTrips(t *testing.T) {
 		t.Fatalf("result-done round trip: %+v, %v", dn2, err)
 	}
 
-	// A coordinator's partial completeness report rides ResultDone.
-	dp := &ResultDone{ID: 8, ElapsedNS: 9, Rows: 1, Partial: `[{"shard":1,"ok":false}]`}
-	dp2, err := DecodeResultDone(roundTrip(t, FrameResultDone, dp.Encode()))
-	if err != nil || *dp2 != *dp {
-		t.Fatalf("partial result-done round trip: %+v, %v", dp2, err)
-	}
-
-	sq := &SubQuery{ID: 11, Engine: StarJoin, SQL: "select sum(volume) from fact group by h01",
-		TraceID: "q-0042", Shard: 2, Shards: 3, Workers: 4}
-	sq2, err := DecodeSubQuery(roundTrip(t, FrameSubQuery, sq.Encode()))
-	if err != nil || *sq2 != *sq {
-		t.Fatalf("sub-query round trip: %+v, %v", sq2, err)
-	}
-
 	er := &ExplainResult{ID: 9, Chosen: "array-consolidate", Engine: Array, Text: "plan: ..."}
 	er2, err := DecodeExplainResult(roundTrip(t, FrameExplainResult, er.Encode()))
 	if err != nil || *er2 != *er {
@@ -159,11 +145,6 @@ func TestDecodeRejectsMalformedPayloads(t *testing.T) {
 	q := append((&Cancel{ID: 3}).Encode(), 0x00)
 	if _, err := DecodeCancel(q); err == nil || !strings.Contains(err.Error(), "trailing") {
 		t.Fatalf("trailing bytes: err = %v", err)
-	}
-	// A sub-query truncated before its shard range must not decode.
-	sq := (&SubQuery{ID: 1, SQL: "select", Shard: 1, Shards: 3}).Encode()
-	if _, err := DecodeSubQuery(sq[:len(sq)-2]); err == nil {
-		t.Fatal("truncated sub-query decoded")
 	}
 }
 

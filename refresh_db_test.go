@@ -74,25 +74,6 @@ func sortedRows(groups map[string]*Row) []Row {
 	return out
 }
 
-// unionRows folds per-shard row sets into one, as the coordinator does.
-func unionRows(parts ...[]Row) []Row {
-	groups := map[string]*Row{}
-	for _, rows := range parts {
-		for _, r := range rows {
-			g := groups[r.Groups[0]]
-			if g == nil {
-				c := r
-				groups[r.Groups[0]] = &c
-				continue
-			}
-			g.Sum += r.Sum
-			g.Count += r.Count
-			g.Min, g.Max = min(g.Min, r.Min), max(g.Max, r.Max)
-		}
-	}
-	return sortedRows(groups)
-}
-
 // openSplitDB loads the cube at 1/3 density, leaving empty the cells
 // skip names (nil = none).
 func openSplitDB(t *testing.T, skip func(k [3]int64) bool) (*DB, splitModel) {
@@ -158,9 +139,8 @@ func openSplitDB(t *testing.T, skip func(k [3]int64) bool) (*DB, splitModel) {
 // chunks can then supply — the first touch of a new chunk (the cold cube
 // in the cache now contains a chunk with deltas: it must be rebuilt, not
 // combined), and a compaction. After every step each statement runs
-// through a cached session and a CACHE off one, at shards {1,2,3} x
-// workers {1,4}; rows must be bit-identical between the two and, shards
-// united, to the model.
+// through a cached session and a CACHE off one, at workers {1,4}; rows
+// must be bit-identical between the two and to the model.
 func TestColdHotDifferential(t *testing.T) {
 	db, model := openSplitDB(t, nil)
 	defer db.Close()
@@ -174,35 +154,31 @@ func TestColdHotDifferential(t *testing.T) {
 		t.Helper()
 		for _, st := range splitStatements {
 			want := model.rows(st.keep)
-			for _, shards := range []int{1, 2, 3} {
-				for _, workers := range []int{1, 4} {
-					name := fmt.Sprintf("%s: %s shards=%d workers=%d", step, st.name, shards, workers)
-					var parts [][]Row
-					for i := 0; i < shards; i++ {
-						got, err := cached.QueryOnShardContext(bg, st.sql, ArrayEngine, i, shards, workers)
-						if err != nil {
-							t.Fatalf("%s shard %d: %v", name, i, err)
-						}
-						plain, err := off.QueryOnShardContext(bg, st.sql, ArrayEngine, i, shards, workers)
-						if err != nil {
-							t.Fatalf("%s shard %d CACHE off: %v", name, i, err)
-						}
-						if plain.Cached || plain.Metrics.ColdCube != "" {
-							t.Fatalf("%s shard %d: the CACHE off session was served from the cache (cached=%v cold=%q)",
-								name, i, plain.Cached, plain.Metrics.ColdCube)
-						}
-						if !core.RowsEqual(got.Rows, plain.Rows) {
-							t.Fatalf("%s shard %d: cached session != CACHE off: %s", name, i, core.DiffRows(got.Rows, plain.Rows))
-						}
-						again, err := cached.QueryOnShardContext(bg, st.sql, ArrayEngine, i, shards, workers)
-						if err != nil || !again.Cached || !core.RowsEqual(again.Rows, got.Rows) {
-							t.Fatalf("%s shard %d: repeat cached=%v err=%v", name, i, again != nil && again.Cached, err)
-						}
-						parts = append(parts, got.Rows)
-					}
-					if got := unionRows(parts...); !core.RowsEqual(got, want) {
-						t.Fatalf("%s != model: %s", name, core.DiffRows(got, want))
-					}
+			for _, workers := range []int{1, 4} {
+				name := fmt.Sprintf("%s: %s workers=%d", step, st.name, workers)
+				cached.SetParallel(workers)
+				off.SetParallel(workers)
+				got, err := cached.QueryOnContext(bg, st.sql, ArrayEngine)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				plain, err := off.QueryOnContext(bg, st.sql, ArrayEngine)
+				if err != nil {
+					t.Fatalf("%s CACHE off: %v", name, err)
+				}
+				if plain.Cached || plain.Metrics.ColdCube != "" {
+					t.Fatalf("%s: the CACHE off session was served from the cache (cached=%v cold=%q)",
+						name, plain.Cached, plain.Metrics.ColdCube)
+				}
+				if !core.RowsEqual(got.Rows, plain.Rows) {
+					t.Fatalf("%s: cached session != CACHE off: %s", name, core.DiffRows(got.Rows, plain.Rows))
+				}
+				again, err := cached.QueryOnContext(bg, st.sql, ArrayEngine)
+				if err != nil || !again.Cached || !core.RowsEqual(again.Rows, got.Rows) {
+					t.Fatalf("%s: repeat cached=%v err=%v", name, again != nil && again.Cached, err)
+				}
+				if !core.RowsEqual(got.Rows, want) {
+					t.Fatalf("%s != model: %s", name, core.DiffRows(got.Rows, want))
 				}
 			}
 			// The relational plans read the same view of the ingest.
@@ -278,7 +254,7 @@ func TestColdHotDifferential(t *testing.T) {
 		t.Fatalf("the batches touched %d chunks, want the slab's 8", st.TouchedChunks)
 	}
 	// 3 statements have both sides (the two points are all-hot and
-	// all-cold) x 6 shard windows x 2 degrees: each built its cold cube
+	// all-cold) x 2 degrees: each built its cold cube
 	// once, after the first batch, and found it after the other three.
 	if built, hit := counter("cache_cold_misses_total"), counter("cache_cold_hits_total"); built == 0 || hit < 3*built/2 {
 		t.Fatalf("cold cubes: %d built, %d found; want every later batch to find the first one's", built, hit)
@@ -292,7 +268,8 @@ func TestColdHotDifferential(t *testing.T) {
 	if err := db.UpdateCell(first[:], 7777); err != nil {
 		t.Fatal(err)
 	}
-	res, err := cached.QueryOnShardContext(bg, q1, ArrayEngine, 0, 1, 1)
+	cached.SetParallel(1)
+	res, err := cached.QueryOnContext(bg, q1, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +294,8 @@ func TestColdHotDifferential(t *testing.T) {
 	checkAll("compacted")
 	batch(4)
 	// Compaction rewrote touched chunks only: the cold cube still stands.
-	if res, err = cached.QueryOnShardContext(bg, q1, ArrayEngine, 0, 1, 1); err != nil {
+	cached.SetParallel(1)
+	if res, err = cached.QueryOnContext(bg, q1, ArrayEngine); err != nil {
 		t.Fatal(err)
 	}
 	if res.Cached || res.Metrics.ColdCube != "hit" {

@@ -53,29 +53,6 @@ func (s *Session) QueryOnContext(ctx context.Context, sql string, engine Engine)
 	return s.ex.ExecuteSQLContext(ctx, sql, engine)
 }
 
-// SetShardRange pins a default data restriction on this session: every
-// query it runs evaluates only shard `shard` of `shards` (the same
-// chunk-range / extent-range split the parallel workers use), so a
-// cluster data server answers with its slice of the rows. shards <= 1
-// clears the restriction. Returns an error when shard is out of range.
-func (s *Session) SetShardRange(shard, shards int) error {
-	return s.ex.SetShardRange(shard, shards)
-}
-
-// ShardRange reports the session's default shard restriction; (0, 0)
-// means unrestricted.
-func (s *Session) ShardRange() (shard, shards int) { return s.ex.ShardRange() }
-
-// QueryOnShardContext executes one sub-query: the query restricted to
-// shard `shard` of `shards` on an explicit engine, with workers
-// overriding the session parallel degree when > 0. This is the entry
-// point a wire sub-query frame lands on; the per-call restriction wins
-// over SetShardRange.
-func (s *Session) QueryOnShardContext(ctx context.Context, sql string, engine Engine, shard, shards, workers int) (*Result, error) {
-	ctx = exec.ContextWithSubQuery(ctx, exec.SubQuery{Shard: shard, Shards: shards, Workers: workers})
-	return s.ex.ExecuteSQLContext(ctx, sql, engine)
-}
-
 // Explain plans a query in this session without running it.
 func (s *Session) Explain(sql string) (*Explanation, error) {
 	return s.ExplainContext(context.Background(), sql)
