@@ -54,9 +54,14 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
 
-echo "== fuzz smoke (store directory, codec decoders, wire frame decoders, SQL front door, 10s each) =="
+echo "== warm Query 1 allocates at most 50 KB (chunks folded where they sit) =="
+go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
+
+echo "== fuzz smoke (store directory, codec decoders, in-place pair walk, blob directory, wire frame decoders, SQL front door, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
+go test -run='^$' -fuzz=FuzzOffsetPairWalk -fuzztime=10s ./internal/chunk/
+go test -run='^$' -fuzz=FuzzBlobDirectory -fuzztime=10s ./internal/storage/
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzParseAndCompile -fuzztime=10s ./internal/query/
 
@@ -74,6 +79,9 @@ go test -run TestServedHitAllocs -count=1 ./internal/server/
 
 echo "== served cache hit: µs/hit (1 row) and ns/row (10 000 rows) =="
 go test -run '^$' -bench BenchmarkServedHit -benchtime 2000x ./internal/server/ | grep -E '^Benchmark'
+
+echo "== warm Query 1: ns/cell and B/query, narrow and wide cube =="
+go test -run '^$' -bench BenchmarkArrayScanKernel -benchtime 1x ./internal/core/ | grep -E '^Benchmark'
 
 echo "== overlay fold: µs/query and array cells visited per query, one slab's deltas pending =="
 go test -run '^$' -bench BenchmarkOverlayFold -benchtime 1x ./internal/core/ | grep -E '^Benchmark'

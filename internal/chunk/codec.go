@@ -119,6 +119,21 @@ func (OffsetCodec) Name() string { return CodecOffset }
 
 const offsetPairSize = 4 + 8
 
+// OffsetPairs is a run of chunk-offset pairs in their stored layout:
+// offsetPairSize bytes each, a little-endian uint32 offsetInChunk then a
+// little-endian int64 value. The frame-resident scan hands runs of them
+// to the kernel straight from the buffer pool, with no decoded copy.
+type OffsetPairs []byte
+
+// Len reports the number of whole pairs in the run.
+func (p OffsetPairs) Len() int { return len(p) / offsetPairSize }
+
+// Next returns the first pair's offset and value and the pairs after
+// it. p must not be empty.
+func (p OffsetPairs) Next() (uint32, int64, OffsetPairs) {
+	return binary.LittleEndian.Uint32(p), int64(binary.LittleEndian.Uint64(p[4:offsetPairSize])), p[offsetPairSize:]
+}
+
 // Encode implements Codec.
 func (OffsetCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 	if err := checkSorted(cells, capacity); err != nil {
@@ -190,6 +205,77 @@ func decodeOffsetPairs(data []byte, capacity int, cells []Cell) error {
 		return fmt.Errorf("chunk: cell offset %d >= capacity %d", prev, capacity)
 	}
 	return nil
+}
+
+// pairWalk is decodeOffsetPairs for a chunk read in place: it takes the
+// chunk's bytes page by page and forwards them as runs of whole pairs,
+// checking across the whole chunk what decodeOffsetPairs checks, before
+// any pair reaches the consumer. A pair split across two pages is
+// reassembled in carry and forwarded as a run of one.
+type pairWalk struct {
+	cn, capacity int
+	prev         int64 // the last offset forwarded; -1 before the first
+	pairs        int   // pairs forwarded
+	carry        *[offsetPairSize]byte
+	held         int // bytes of a split pair held in carry
+}
+
+// page forwards the pairs that the next page of the chunk completes.
+func (w *pairWalk) page(b []byte, fn func(cn int, p OffsetPairs) error) error {
+	if w.held > 0 {
+		k := copy(w.carry[w.held:], b)
+		if w.held += k; w.held < offsetPairSize {
+			return nil
+		}
+		w.held, b = 0, b[k:]
+		if err := w.forward(w.carry[:], fn); err != nil {
+			return err
+		}
+	}
+	whole := len(b) - len(b)%offsetPairSize
+	if whole > 0 {
+		if err := w.forward(OffsetPairs(b[:whole]), fn); err != nil {
+			return err
+		}
+	}
+	w.held = copy(w.carry[:], b[whole:])
+	return nil
+}
+
+// forward hands p to fn once its offsets are checked to continue the
+// chunk's strictly ascending run below capacity.
+func (w *pairWalk) forward(p OffsetPairs, fn func(cn int, p OffsetPairs) error) error {
+	// Eight pairs per branch: a difference below 1 anywhere makes the OR
+	// negative, and the pair-at-a-time loop then finds and reports it.
+	prev, q := w.prev, p
+	for ; len(q) >= 8*offsetPairSize; q = q[8*offsetPairSize:] {
+		a := int64(binary.LittleEndian.Uint32(q))
+		b := int64(binary.LittleEndian.Uint32(q[offsetPairSize:]))
+		c := int64(binary.LittleEndian.Uint32(q[2*offsetPairSize:]))
+		d := int64(binary.LittleEndian.Uint32(q[3*offsetPairSize:]))
+		e := int64(binary.LittleEndian.Uint32(q[4*offsetPairSize:]))
+		f := int64(binary.LittleEndian.Uint32(q[5*offsetPairSize:]))
+		g := int64(binary.LittleEndian.Uint32(q[6*offsetPairSize:]))
+		h := int64(binary.LittleEndian.Uint32(q[7*offsetPairSize:]))
+		if (a-prev-1)|(b-a-1)|(c-b-1)|(d-c-1)|(e-d-1)|(f-e-1)|(g-f-1)|(h-g-1) < 0 {
+			break
+		}
+		prev = h
+	}
+	for ; len(q) > 0; q = q[offsetPairSize:] {
+		off := int64(binary.LittleEndian.Uint32(q))
+		if off <= prev {
+			return fmt.Errorf("chunk: decode chunk %d: cells not strictly sorted at %d (%d then %d)",
+				w.cn, w.pairs+p.Len()-len(q)/offsetPairSize, prev, off)
+		}
+		prev = off
+	}
+	if prev >= int64(w.capacity) {
+		return fmt.Errorf("chunk: decode chunk %d: cell offset %d >= capacity %d", w.cn, prev, w.capacity)
+	}
+	w.prev = prev
+	w.pairs += p.Len()
+	return fn(w.cn, p)
 }
 
 // LowerBound returns the position of the first cell at or after from

@@ -22,9 +22,6 @@ func (s *Store) SetOverlay(ov map[int][]OverlayCell) {
 	s.cacheCells = nil
 }
 
-// HasOverlay reports whether any overlay is attached.
-func (s *Store) HasOverlay() bool { return len(s.overlay) > 0 }
-
 // mergeOverlayInto merge-joins base (offset-sorted decoded cells) with
 // ov (offset-sorted overlay) into dst, which is returned. Overlay
 // entries win on equal offsets; deletes drop the cell.

@@ -96,6 +96,10 @@ type Store struct {
 	// when a chunk has overlay cells; like scratchCells it is valid only
 	// until the next read on this store.
 	mergeScratch []Cell
+
+	// carry holds a chunk-offset pair split across two pages while the
+	// scan reads a chunk in place (walkPairs).
+	carry [offsetPairSize]byte
 }
 
 // Builder accumulates cells and writes them out as a Store.
@@ -490,9 +494,6 @@ func (s *Store) SetArena(a *arena.Arena) {
 	}
 }
 
-// Arena returns the arena attached with SetArena, or nil.
-func (s *Store) Arena() *arena.Arena { return s.mem }
-
 // ReadChunk returns the decoded, offset-sorted cells of the chunk. Empty
 // chunks decode to nil. The returned slice may be shared with the
 // decoded-chunk cache; callers must treat it as read-only (every engine
@@ -570,15 +571,7 @@ func (s *Store) Get(coords []int) (int64, bool, error) {
 // and is valid only during the callback. Return ErrStopScan from fn to
 // stop early.
 func (s *Store) ScanChunks(fn func(chunkNum int, cells []Cell) error) error {
-	return s.ScanChunkRange(context.Background(), 0, len(s.entries), fn)
-}
-
-// ScanChunksContext is ScanChunks with cancellation: the context is
-// checked before every chunk read, so a canceled query abandons the scan
-// within one chunk rather than depending on the caller's callback to
-// notice.
-func (s *Store) ScanChunksContext(ctx context.Context, fn func(chunkNum int, cells []Cell) error) error {
-	return s.ScanChunkRange(ctx, 0, len(s.entries), fn)
+	return s.ScanChunkRange(context.Background(), 0, len(s.entries), fn, nil)
 }
 
 // ScanChunkRange scans the non-empty chunks with lo <= chunkNum < hi, in
@@ -587,30 +580,76 @@ func (s *Store) ScanChunksContext(ctx context.Context, fn func(chunkNum int, cel
 // every chunk read. Parallel consolidation partitions the chunk
 // directory into disjoint ranges, one per worker, each on its own Store
 // clone.
-func (s *Store) ScanChunkRange(ctx context.Context, lo, hi int, fn func(chunkNum int, cells []Cell) error) error {
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > len(s.entries) {
-		hi = len(s.entries)
-	}
-	for cn := lo; cn < hi; cn++ {
+//
+// A chunk in the decoded-chunk cache goes to fn as cached (read-only,
+// merged with this snapshot's overlay); a miss does not populate the
+// cache, so one full scan cannot flush the probe working set. With pairs
+// set, a miss on a chunk-offset chunk with no overlay is not decoded at
+// all: pairs receives its cells in offset order as one or more runs read
+// in place from the pinned frames (walkPairs), each borrowed like a page
+// of LOBStore.Walk.
+func (s *Store) ScanChunkRange(ctx context.Context, lo, hi int, fn func(chunkNum int, cells []Cell) error,
+	pairs func(chunkNum int, p OffsetPairs) error) error {
+	for cn := max(lo, 0); cn < min(hi, len(s.entries)); cn++ {
 		if !s.entries[cn].ref.Valid() && len(s.overlay[cn]) == 0 {
 			continue
 		}
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		cells, err := s.readChunkScratch(cn)
+		cells, cached := []Cell(nil), false
+		if s.shared != nil {
+			cells, cached = s.shared.GetDecoded(cn)
+		}
+		var err error
+		switch {
+		case cached:
+			err = fn(cn, cells)
+		case pairs != nil && s.readsInPlace(cn):
+			err = s.walkPairs(cn, pairs)
+		default:
+			if cells, err = s.readChunkScratch(cn); err == nil {
+				err = fn(cn, cells)
+			}
+		}
+		if errors.Is(err, ErrStopScan) {
+			return nil
+		}
 		if err != nil {
 			return err
 		}
-		if err := fn(cn, cells); err != nil {
-			if errors.Is(err, ErrStopScan) {
-				return nil
-			}
-			return err
-		}
+	}
+	return nil
+}
+
+// readsInPlace reports whether a scan can take chunk cn straight from
+// the frames it sits in: a non-empty chunk-offset chunk with no overlay.
+func (s *Store) readsInPlace(cn int) bool {
+	_, offset := s.entryCodec(cn).(OffsetCodec)
+	return offset && s.entries[cn].cells > 0 && len(s.overlay[cn]) == 0
+}
+
+// walkPairs hands chunk cn, a chunk-offset chunk with no overlay cells,
+// to fn as runs of pairs read in place from the pinned buffer-pool
+// frames, with every check the scratch read makes of a decoded chunk.
+func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) error {
+	e := s.entries[cn]
+	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: &s.carry}
+	var inner error // the callback's own error: a corrupt pair, or fn's
+	err := s.lob.Walk(e.ref, func(page []byte) error {
+		inner = w.page(page, fn)
+		return inner
+	})
+	if inner != nil {
+		return inner
+	} else if err != nil {
+		return fmt.Errorf("chunk: read chunk %d: %w", cn, err)
+	}
+	if w.held > 0 {
+		return fmt.Errorf("chunk: decode chunk %d: offset-coded chunk of %d bytes", cn, w.pairs*offsetPairSize+w.held)
+	}
+	if uint64(w.pairs) != e.cells {
+		return fmt.Errorf("chunk: chunk %d decoded %d cells, directory says %d", cn, w.pairs, e.cells)
 	}
 	return nil
 }
@@ -620,16 +659,6 @@ func (s *Store) ScanChunkRange(ctx context.Context, lo, hi int, fn func(chunkNum
 func (s *Store) readChunkScratch(cn int) ([]Cell, error) {
 	e := s.entries[cn]
 	ov := s.overlay[cn]
-	if s.shared != nil {
-		// A cached chunk is served as-is (read-only, outlives the next
-		// call — strictly better than the scratch contract); a miss
-		// decodes into scratch without populating the cache, so one full
-		// scan cannot flush the probe working set. Cached cells are
-		// already merged with this snapshot's overlay.
-		if cells, ok := s.shared.GetDecoded(cn); ok {
-			return cells, nil
-		}
-	}
 	var cells []Cell
 	if e.ref.Valid() {
 		data, err := s.lob.ReadInto(e.ref, s.scratchEnc)

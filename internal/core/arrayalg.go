@@ -175,13 +175,22 @@ func arrayScan(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metric
 				m.CellsScanned += int64(len(cells))
 				return k.consolidate(cn, cells)
 			}
+			last := -1 // a chunk read in place arrives as one or more runs
+			foldPairs := func(cn int, p chunk.OffsetPairs) error {
+				if cn != last {
+					m.ChunksRead++
+					last = cn
+				}
+				m.CellsScanned += int64(p.Len())
+				return k.consolidatePairs(cn, p)
+			}
 			for _, skip := range s.Hot {
-				if err := store.ScanChunkRange(ctx, wlo, min(skip, whi), fold); err != nil {
+				if err := store.ScanChunkRange(ctx, wlo, min(skip, whi), fold, foldPairs); err != nil {
 					return err
 				}
 				wlo = max(wlo, skip+1)
 			}
-			return store.ScanChunkRange(ctx, wlo, whi, fold)
+			return store.ScanChunkRange(ctx, wlo, whi, fold, foldPairs)
 		})
 		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
 	})

@@ -183,8 +183,7 @@ func (k *chunkKernel) consolidate(cn int, cells []chunk.Cell) error {
 	k.load(cn)
 	hi, lo := k.hi, k.lo
 	magic, loSize := k.loMagic, k.loSize
-	counts := k.res.counts
-	sums, mins, maxs := k.res.sums[:len(counts)], k.res.mins[:len(counts)], k.res.maxs[:len(counts)]
+	aggs := k.res.aggs
 	for i := range cells {
 		off := cells[i].Offset
 		q, r := splitOffset(off, magic, loSize)
@@ -198,19 +197,34 @@ func (k *chunkKernel) consolidate(cn int, cells []chunk.Cell) error {
 			}
 			continue
 		}
-		v := cells[i].Value
-		if counts[idx] == 0 {
-			mins[idx], maxs[idx] = v, v
-		} else {
-			if v < mins[idx] {
-				mins[idx] = v
-			}
-			if v > maxs[idx] {
-				maxs[idx] = v
-			}
+		aggs[idx].add(cells[i].Value)
+	}
+	return nil
+}
+
+// consolidatePairs is consolidate over a run of chunk cn's cells still
+// in their stored chunk-offset layout, read in place from the buffer
+// pool. A scan hands a chunk over as one or more such runs.
+func (k *chunkKernel) consolidatePairs(cn int, p chunk.OffsetPairs) error {
+	k.load(cn)
+	hi, lo := k.hi, k.lo
+	magic, loSize := k.loMagic, k.loSize
+	aggs := k.res.aggs
+	for len(p) > 0 {
+		off, v, rest := p.Next()
+		p = rest
+		q, r := splitOffset(off, magic, loSize)
+		if q >= uint64(len(hi)) || uint64(r) >= uint64(len(lo)) {
+			return errOutside(cn, off)
 		}
-		sums[idx] += v
-		counts[idx]++
+		idx := int(hi[q] + lo[r])
+		if idx < 0 {
+			if hi[q] == cellOutside || lo[r] == cellOutside {
+				return errOutside(cn, off)
+			}
+			continue
+		}
+		aggs[idx].add(v)
 	}
 	return nil
 }
@@ -256,7 +270,7 @@ func (k *chunkKernel) consolidateSelected(cn int, cells []chunk.Cell, m *Metrics
 			// The lists hold only in-bounds selected indexes, so a
 			// negative sum is a group table's unselected entry.
 			if idx := k.hi[q] + k.lo[r]; idx >= 0 {
-				k.res.add(int(idx), cells[last].Value)
+				k.res.aggs[idx].add(cells[last].Value)
 			}
 		}
 		d := len(pos) - 1

@@ -296,6 +296,30 @@ func scanFixture(tb testing.TB) *fixture {
 		[][]int{{10}, {10}, {10}, {10}}, 0.1, []int{20, 20, 20, 10})
 }
 
+// TestPairsFoldLikeCells: on scanFixture, whose chunk-offset chunks span
+// pages so pairs straddle page boundaries, the scan that folds pairs in
+// place builds the cube the decoded route builds.
+func TestPairsFoldLikeCells(t *testing.T) {
+	fx := scanFixture(t)
+	for _, spec := range []GroupSpec{{{Target: GroupByLevel}, {}, {}, {}}, GroupByAttrs(4, 0)} {
+		got, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
+		if err != nil {
+			t.Fatal(err)
+		}
+		gm, err := newArrayGroupMapper(fx.arr, spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		k := newChunkKernel(fx.arr.Geometry(), gm, nil, nil)
+		if err := fx.arr.Store().Clone().ScanChunks(k.consolidate); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := got.SortedRows(), gm.result.SortedRows(); !RowsEqual(got, want) {
+			t.Fatalf("%v: pairs fold != cells fold: %s", spec, DiffRows(got, want))
+		}
+	}
+}
+
 // BenchmarkArrayScanKernel times the warm sequential Query 1 — page
 // read, decode and the chunk kernel — per valid cell, for a narrow
 // (one grouped dimension) and a wide (all four, 10 000 groups) cube.

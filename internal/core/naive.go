@@ -57,7 +57,7 @@ func ArraySelectConsolidateNaive(a *array.Array, sels []Selection, spec GroupSpe
 			m.Probes++
 			if v, ok := chunk.SearchCells(cached, uint32(off)); ok {
 				m.ProbeHits++
-				gm.result.add(gm.cellIndex(coords), v)
+				gm.result.aggs[gm.cellIndex(coords)].add(v)
 			}
 		}
 		// Advance the cross-product odometer over raw index lists.

@@ -309,7 +309,7 @@ func (t *tupleAgg) add(keys []int64, v int64) {
 	// table so the per-tuple hashing cost is paid as in the paper's
 	// operator; the accumulator array is its entry payload.
 	t.agg.add(idx)
-	t.result.add(idx, v)
+	t.result.aggs[idx].add(v)
 }
 
 // relConsolidate is the frame both relational engines run in: validate

@@ -15,8 +15,8 @@ func (r *Result) GroupLabels() [][]string { return r.labels }
 // aggregate state. The coords slice is reused between calls.
 func (r *Result) EachCell(fn func(coords []int, row Row) error) error {
 	coords := make([]int, len(r.labels))
-	for idx, c := range r.counts {
-		if c == 0 {
+	for idx, a := range r.aggs {
+		if a.count == 0 {
 			continue
 		}
 		rem := idx
@@ -24,7 +24,7 @@ func (r *Result) EachCell(fn func(coords []int, row Row) error) error {
 			coords[i] = rem / r.strides[i]
 			rem %= r.strides[i]
 		}
-		row := Row{Sum: r.sums[idx], Count: c, Min: r.mins[idx], Max: r.maxs[idx]}
+		row := Row{Sum: a.sum, Count: a.count, Min: a.min, Max: a.max}
 		if err := fn(coords, row); err != nil {
 			return err
 		}
@@ -52,23 +52,10 @@ func (r *Result) Merge(other *Result) error {
 			return fmt.Errorf("core: merge of incompatible results")
 		}
 	}
-	for idx, c := range other.counts {
-		if c == 0 {
-			continue
+	for idx, a := range other.aggs {
+		if a.count > 0 {
+			r.aggs[idx].merge(a)
 		}
-		if r.counts[idx] == 0 {
-			r.mins[idx] = other.mins[idx]
-			r.maxs[idx] = other.maxs[idx]
-		} else {
-			if other.mins[idx] < r.mins[idx] {
-				r.mins[idx] = other.mins[idx]
-			}
-			if other.maxs[idx] > r.maxs[idx] {
-				r.maxs[idx] = other.maxs[idx]
-			}
-		}
-		r.sums[idx] += other.sums[idx]
-		r.counts[idx] += c
 	}
 	return nil
 }
@@ -95,8 +82,8 @@ func (r *Result) RollUp(drop int) (*Result, error) {
 		return nil, err
 	}
 	coords := make([]int, len(r.labels))
-	for idx, c := range r.counts {
-		if c == 0 {
+	for idx, a := range r.aggs {
+		if a.count == 0 {
 			continue
 		}
 		rem := idx
@@ -113,20 +100,7 @@ func (r *Result) RollUp(drop int) (*Result, error) {
 			outIdx += coords[i] * out.strides[oi]
 			oi++
 		}
-		// Fold the full aggregate state, not just one value.
-		if out.counts[outIdx] == 0 {
-			out.mins[outIdx] = r.mins[idx]
-			out.maxs[outIdx] = r.maxs[idx]
-		} else {
-			if r.mins[idx] < out.mins[outIdx] {
-				out.mins[outIdx] = r.mins[idx]
-			}
-			if r.maxs[idx] > out.maxs[outIdx] {
-				out.maxs[outIdx] = r.maxs[idx]
-			}
-		}
-		out.sums[outIdx] += r.sums[idx]
-		out.counts[outIdx] += c
+		out.aggs[outIdx].merge(a)
 	}
 	return out, nil
 }

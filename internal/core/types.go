@@ -117,7 +117,7 @@ type Result struct {
 	strides   []int      // per grouped dim
 	cells     int
 
-	sums, counts, mins, maxs []int64
+	aggs []agg
 
 	// mem, when non-nil, owns the aggregate slices (and, for the query
 	// that built this result, its decode scratch). Release recycles it.
@@ -147,11 +147,36 @@ func newResultIn(a *arena.Arena, groupDims []int, labels [][]string) (*Result, e
 			return nil, fmt.Errorf("core: result cube exceeds %d cells", maxResultCells)
 		}
 	}
-	r.sums = arena.Make[int64](a, r.cells)
-	r.counts = arena.Make[int64](a, r.cells)
-	r.mins = arena.Make[int64](a, r.cells)
-	r.maxs = arena.Make[int64](a, r.cells)
+	r.aggs = arena.Make[agg](a, r.cells)
+	// The identities of min and max, so folding a value never has to ask
+	// whether it is a cell's first (agg.add). Only cells with a count are
+	// ever reported.
+	for i := range r.aggs {
+		r.aggs[i] = agg{min: math.MaxInt64, max: math.MinInt64}
+	}
 	return r, nil
+}
+
+// agg is one result cell's aggregate state, kept together so that
+// folding a value touches one cache line rather than four.
+type agg struct{ sum, count, min, max int64 }
+
+// add folds v into a. newResultIn starts min at MaxInt64 and max at
+// MinInt64, so a cell's first value needs no branch of its own, and min
+// and max compile to conditional moves. Every aggregating loop shares it.
+func (a *agg) add(v int64) {
+	a.sum += v
+	a.count++
+	a.min = min(a.min, v)
+	a.max = max(a.max, v)
+}
+
+// merge folds another cell's state into a.
+func (a *agg) merge(o agg) {
+	a.sum += o.sum
+	a.count += o.count
+	a.min = min(a.min, o.min)
+	a.max = max(a.max, o.max)
 }
 
 // Release returns the result's arena (if any) to the query-arena pool.
@@ -167,7 +192,7 @@ func (r *Result) Release() {
 	r.mem = nil
 	// Nil the aggregate slices so a use-after-release fails loudly
 	// instead of reading recycled memory.
-	r.sums, r.counts, r.mins, r.maxs = nil, nil, nil, nil
+	r.aggs = nil
 	queryArenas.Put(a)
 }
 
@@ -176,36 +201,18 @@ func (r *Result) Release() {
 func (r *Result) Clone() *Result {
 	c := *r
 	c.mem = nil
-	c.sums, c.counts = slices.Clone(r.sums), slices.Clone(r.counts)
-	c.mins, c.maxs = slices.Clone(r.mins), slices.Clone(r.maxs)
+	c.aggs = slices.Clone(r.aggs)
 	return &c
 }
 
 // Bytes is the memory the cube's aggregate state holds.
 func (r *Result) Bytes() int64 { return int64(r.cells) * 32 }
 
-// add folds one value into the cell at linear index idx.
-func (r *Result) add(idx int, v int64) {
-	if r.counts[idx] == 0 {
-		r.mins[idx] = v
-		r.maxs[idx] = v
-	} else {
-		if v < r.mins[idx] {
-			r.mins[idx] = v
-		}
-		if v > r.maxs[idx] {
-			r.maxs[idx] = v
-		}
-	}
-	r.sums[idx] += v
-	r.counts[idx]++
-}
-
 // NumGroups reports the number of non-empty groups.
 func (r *Result) NumGroups() int {
 	n := 0
-	for _, c := range r.counts {
-		if c > 0 {
+	for _, a := range r.aggs {
+		if a.count > 0 {
 			n++
 		}
 	}
@@ -256,8 +263,8 @@ func (r *Result) Rows() []Row {
 	n := r.NumGroups()
 	out := make([]Row, 0, n)
 	backing := make([]string, n*len(r.labels))
-	for idx, c := range r.counts {
-		if c == 0 {
+	for idx, a := range r.aggs {
+		if a.count == 0 {
 			continue
 		}
 		groups := backing[:len(r.labels):len(r.labels)]
@@ -267,7 +274,7 @@ func (r *Result) Rows() []Row {
 			groups[i] = r.labels[i][rem/r.strides[i]]
 			rem %= r.strides[i]
 		}
-		out = append(out, Row{Groups: groups, Sum: r.sums[idx], Count: c, Min: r.mins[idx], Max: r.maxs[idx]})
+		out = append(out, Row{Groups: groups, Sum: a.sum, Count: a.count, Min: a.min, Max: a.max})
 	}
 	return out
 }

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"container/list"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -31,9 +30,6 @@ func (s Stats) Sub(o Stats) Stats {
 		Evictions:     s.Evictions - o.Evictions,
 	}
 }
-
-// Hits reports the logical reads served from memory.
-func (s Stats) Hits() uint64 { return s.LogicalReads - s.PhysicalReads }
 
 // HitRate reports the fraction of logical reads served from memory.
 func (s Stats) HitRate() float64 {
@@ -117,12 +113,13 @@ type BufferPool struct {
 	free   []int          // indices of empty frames
 	logger PageLogger     // write-ahead hook, may be nil
 
-	// The unpinned frames in unpin order, front = least recent = next
-	// victim. A frame enters when its pin count drops to zero and leaves
-	// when it is pinned again, evicted or dropped; lruAt[idx] locates its
-	// node for O(1) removal.
-	lru   *list.List // of int frame index
-	lruAt []*list.Element
+	// The unpinned frames in unpin order: a doubly linked list threaded
+	// through frame indexes, whose sentinel is index len(frames) — its
+	// next is the next victim. A frame enters when its pin count drops to
+	// zero and leaves when it is pinned again, evicted or dropped;
+	// lruPrev[idx] is -1 while it is out. lruLen counts the list.
+	lruNext, lruPrev []int32
+	lruLen           int
 
 	logicalReads  atomic.Uint64
 	physicalReads atomic.Uint64
@@ -162,32 +159,45 @@ func NewBufferPool(disk DiskManager, numFrames int) *BufferPool {
 		numFrames = DefaultFrames
 	}
 	bp := &BufferPool{
-		disk:   disk,
-		frames: make([]frame, numFrames),
-		table:  make(map[PageID]int, numFrames),
-		free:   make([]int, 0, numFrames),
-		lru:    list.New(),
-		lruAt:  make([]*list.Element, numFrames),
+		disk:    disk,
+		frames:  make([]frame, numFrames),
+		table:   make(map[PageID]int, numFrames),
+		free:    make([]int, 0, numFrames),
+		lruNext: make([]int32, numFrames+1),
+		lruPrev: make([]int32, numFrames+1),
 	}
 	for i := range bp.frames {
 		bp.frames[i].id = InvalidPageID
 		bp.frames[i].data = make([]byte, PageSize)
 		bp.free = append(bp.free, i)
+		bp.lruPrev[i] = -1
 	}
+	bp.lruNext[numFrames], bp.lruPrev[numFrames] = int32(numFrames), int32(numFrames)
 	return bp
 }
 
-// NumFrames reports the pool capacity in pages.
-func (bp *BufferPool) NumFrames() int { return len(bp.frames) }
+// lruPush makes frame idx, whose last pin was just released, the most
+// recently unpinned. Caller holds bp.mu.
+func (bp *BufferPool) lruPush(idx int) {
+	s := int32(len(bp.frames))
+	last := bp.lruPrev[s]
+	bp.lruNext[last], bp.lruPrev[idx] = int32(idx), last
+	bp.lruNext[idx], bp.lruPrev[s] = s, int32(idx)
+	bp.lruLen++
+}
 
 // lruRemove takes frame idx out of the replacement order: it is in use
 // again, evicted or dropped. A frame that is not in it is left alone.
 // Caller holds bp.mu.
 func (bp *BufferPool) lruRemove(idx int) {
-	if e := bp.lruAt[idx]; e != nil {
-		bp.lru.Remove(e)
-		bp.lruAt[idx] = nil
+	prev := bp.lruPrev[idx]
+	if prev < 0 {
+		return
 	}
+	next := bp.lruNext[idx]
+	bp.lruNext[prev], bp.lruPrev[next] = next, prev
+	bp.lruPrev[idx] = -1
+	bp.lruLen--
 }
 
 // SetPageLogger installs the write-ahead hook. Pass nil to disable
@@ -236,11 +246,10 @@ func (bp *BufferPool) victim() (int, error) {
 		bp.free = bp.free[:n-1]
 		return idx, nil
 	}
-	e := bp.lru.Front()
-	if e == nil {
+	idx := int(bp.lruNext[len(bp.frames)])
+	if idx == len(bp.frames) {
 		return 0, ErrBufferPoolFull
 	}
-	idx := e.Value.(int)
 	f := &bp.frames[idx]
 	if f.dirty {
 		if err := bp.writeBack(f); err != nil {
@@ -263,6 +272,11 @@ func (bp *BufferPool) FetchPage(id PageID) ([]byte, error) {
 	bp.logicalReads.Add(1)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	return bp.pin(id)
+}
+
+// pin is FetchPage's body. Caller holds bp.mu.
+func (bp *BufferPool) pin(id PageID) ([]byte, error) {
 	if idx, ok := bp.table[id]; ok {
 		f := &bp.frames[idx]
 		if f.pins == 0 {
@@ -378,6 +392,11 @@ func (bp *BufferPool) AllocateExtent(n int) (PageID, error) {
 func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
+	return bp.unpin(id, dirty)
+}
+
+// unpin is Unpin's body. Caller holds bp.mu.
+func (bp *BufferPool) unpin(id PageID, dirty bool) error {
 	idx, ok := bp.table[id]
 	if !ok {
 		return fmt.Errorf("storage: unpin of uncached %v", id)
@@ -391,9 +410,40 @@ func (bp *BufferPool) Unpin(id PageID, dirty bool) error {
 	}
 	f.pins--
 	if f.pins == 0 {
-		bp.lruAt[idx] = bp.lru.PushBack(idx)
+		bp.lruPush(idx)
 	}
 	return nil
+}
+
+// pinRun pins every page of ids under one lock acquisition, setting
+// pages[i] to page ids[i]'s frame, with FetchPage's contract per page.
+// It pins all of them or none: on an error the pins it took are released
+// before it returns, and no logical read is counted.
+func (bp *BufferPool) pinRun(ids []PageID, pages [][]byte) error {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for i, id := range ids {
+		buf, err := bp.pin(id)
+		if err != nil {
+			for _, pinned := range ids[:i] {
+				bp.unpin(pinned, false)
+			}
+			return err
+		}
+		pages[i] = buf
+	}
+	bp.logicalReads.Add(uint64(len(ids)))
+	return nil
+}
+
+// unpinRun releases, under one lock acquisition, the pins pinRun took
+// on ids; they are held, so unpinning cannot fail.
+func (bp *BufferPool) unpinRun(ids []PageID) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for _, id := range ids {
+		bp.unpin(id, false)
+	}
 }
 
 // LogDirtyPages passes the image of every dirty cached page to the
@@ -416,21 +466,6 @@ func (bp *BufferPool) LogDirtyPages() error {
 		}
 	}
 	return nil
-}
-
-// FlushPage writes the page to disk if it is cached and dirty.
-func (bp *BufferPool) FlushPage(id PageID) error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	idx, ok := bp.table[id]
-	if !ok {
-		return nil
-	}
-	f := &bp.frames[idx]
-	if !f.dirty {
-		return nil
-	}
-	return bp.writeBack(f)
 }
 
 // FlushAll writes every dirty cached page to disk.

@@ -172,8 +172,8 @@ func TestReplacerRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 		bp.Unpin(a, false)
-		if n := bp.PinnedPages(); n != 0 || bp.lru.Len() != 2 {
-			t.Fatalf("%d pages pinned, %d frames evictable; want 0 and 2", n, bp.lru.Len())
+		if n := bp.PinnedPages(); n != 0 || bp.lruLen != 2 {
+			t.Fatalf("%d pages pinned, %d frames evictable; want 0 and 2", n, bp.lruLen)
 		}
 	})
 }
