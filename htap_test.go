@@ -137,3 +137,50 @@ func TestHTAPSmoke(t *testing.T) {
 		t.Fatal("compactor never ran during the smoke window")
 	}
 }
+
+// TestSwapsBesideCompaction: cache swaps (DropCaches, EnableQueryCache)
+// run beside ingest and compaction. A swap reads the published array
+// state while the compactor publishes; under -race that must not race,
+// and every generation must still have its array.
+func TestSwapsBesideCompaction(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if i%2 == 0 {
+				_ = db.DropCaches() // refuses while a query pins a page
+			} else {
+				db.EnableQueryCache(int64(4+i%4) << 20)
+			}
+		}
+	}()
+	for i := 0; i < 50; i++ {
+		if err := db.InsertCells([]IngestCell{{Keys: []int64{0, int64(i % 8), int64(i % 6)}, Value: int64(i)}}); err != nil {
+			t.Error(err)
+			break
+		}
+		if err := db.Compact(); err != nil {
+			t.Error(err)
+			break
+		}
+		if _, err := db.QueryOn(retailQuery, ArrayEngine); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(done)
+	wg.Wait()
+}

@@ -5,9 +5,10 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/array"
 	"repro/internal/chunk"
 	"repro/internal/delta"
-	"repro/internal/exec"
+	"repro/internal/storage"
 )
 
 // DeltaStats is a point-in-time snapshot of the ingest delta store.
@@ -42,10 +43,7 @@ func (db *DB) InsertCellsContext(ctx context.Context, cells []IngestCell) error 
 	if len(cells) == 0 {
 		return nil
 	}
-	if db.ds == nil {
-		return fmt.Errorf("repro: ingest: no delta store")
-	}
-	if db.ex.Context().ArrayState() == 0 {
+	if !db.ex.HasArray() {
 		return fmt.Errorf("repro: ingest requires a built array (BuildArray)")
 	}
 	// The clone is used only for its immutable dimension maps and
@@ -89,30 +87,21 @@ func (db *DB) DeleteCell(keys []int64) error {
 }
 
 // DeltaStats snapshots the ingest delta store's counters.
-func (db *DB) DeltaStats() DeltaStats {
-	if db.ds == nil {
-		return DeltaStats{}
-	}
-	return db.ds.Stats()
-}
+func (db *DB) DeltaStats() DeltaStats { return db.ds.Stats() }
 
 // CompactionsTotal reports how many compactions have completed since
 // the database opened (the compactions_total counter).
-func (db *DB) CompactionsTotal() int64 {
-	if db.compactions == nil {
-		return 0
-	}
-	return db.compactions.Value()
-}
+func (db *DB) CompactionsTotal() int64 { return db.compactions.Value() }
 
 // Compact folds the current delta overlay into the chunk-offset-
-// compressed chunk store and drains what it folded: snapshot the
-// overlay, apply it copy-on-write to an overlay-free master (only the
-// touched chunks are re-encoded), swap the new array version in, and
-// commit durably — then remove the folded deltas from the store and
-// its WAL. Queries run concurrently throughout: in-flight clones keep
-// reading the old version's pages, new queries see the new base with
-// whatever deltas arrived after the snapshot merged on top.
+// compressed chunk store and drains what it folded: snapshot the base
+// state and the overlay, apply the overlay copy-on-write to that
+// state's overlay-free master (only the touched chunks are re-encoded),
+// publish the new array version, and commit durably — then remove the
+// folded deltas from the store and its WAL. Queries run concurrently
+// throughout: a snapshot pairs (old base, full overlay), (new, full) or
+// (new, drained), and in-flight clones keep reading the pages of the
+// version their snapshot named.
 //
 // The step order is what makes a crash at any point recoverable: the
 // delta WAL is only rewritten after the fold is durably committed, and
@@ -120,21 +109,15 @@ func (db *DB) CompactionsTotal() int64 {
 // no-op. Compaction changes no observable content, so it starts no new
 // catalog generation; result- and chunk-cache entries survive it.
 func (db *DB) Compact() error {
-	if db.ds == nil {
-		return nil
-	}
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	if db.ex.Context().ArrayState() == 0 {
-		return nil
-	}
-	ov, versions, _ := db.ds.Snapshot()
-	if len(ov) == 0 {
+	state, ov, versions, touched := db.ds.Snapshot()
+	if state == 0 || len(ov) == 0 {
 		return nil
 	}
 	start := time.Now()
 	// A fresh overlay-free handle: the fold must read base cells only.
-	arr, err := exec.OpenArray(db.bp, db.cat)
+	arr, err := array.Open(db.bp, storage.LOBRef{First: storage.PageID(state)})
 	if err != nil {
 		return err
 	}
@@ -156,8 +139,11 @@ func (db *DB) Compact() error {
 	if err := db.compactHook("applied"); err != nil {
 		return err
 	}
-	db.ex.Context().SwapArrayState(uint64(next.State().First))
-	db.cat.DeltaChunks = db.ds.Touched()
+	db.cat.ArrayState = uint64(next.State().First)
+	db.ds.Publish(db.cat.ArrayState)
+	// A chunk first touched after the snapshot is not drained below, so
+	// it stays in the delta WAL, whose replay touches it again.
+	db.cat.DeltaChunks = touched
 	// Republish the codec mix (chunks may have re-picked codecs above).
 	// cat.Stats itself stays untouched: concurrent queries cost plans
 	// against it without locks, and compaction changes no answer.
@@ -193,7 +179,7 @@ func (db *DB) compactHook(stage string) error {
 // folds whatever deltas have accumulated. Idempotent while running;
 // Close (or StopCompactor) stops it.
 func (db *DB) StartCompactor(interval time.Duration) {
-	if db.ds == nil || interval <= 0 || db.compactStop != nil {
+	if interval <= 0 || db.compactStop != nil {
 		return
 	}
 	stop := make(chan struct{})

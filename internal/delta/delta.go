@@ -82,6 +82,12 @@ type Store struct {
 	// before and after any number of compactions.
 	touched map[int]struct{}
 
+	// state is the published array base the overlay applies over.
+	// Publish moves it; Snapshot and Versions read it in the same
+	// acquisition as the overlay, so no reader pairs a base with the
+	// deltas of another.
+	state uint64
+
 	cells  int64
 	bytes  int64
 	budget int64
@@ -191,12 +197,24 @@ func (s *Store) applyLocked(cells []Cell) {
 	}
 }
 
-// Snapshot returns the overlay (a shallow map copy over immutable
-// slices), the per-chunk version vector, and the sorted ever-touched
-// chunk list, captured atomically. The overlay map is attached to a
-// query clone's chunk store; the versions tag its decoded-chunk cache
-// view; the touched list drives the relational dirty filter.
-func (s *Store) Snapshot() (map[int][]chunk.OverlayCell, map[int]uint64, []int) {
+// Publish makes state the array base every later snapshot pairs its
+// overlay with. A compactor publishes its fold before it drains, so a
+// snapshot is (old base, full overlay), (new, full) or (new, drained):
+// all three read the same cells, because replaying absolute cell states
+// is idempotent.
+func (s *Store) Publish(state uint64) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.state = state
+}
+
+// Snapshot returns the published base state, the overlay (a shallow map
+// copy over immutable slices), the per-chunk version vector, and the
+// sorted ever-touched chunk list, captured atomically. The state names
+// the master a query clone opens and the overlay is attached to it; the
+// versions tag its decoded-chunk cache view; the touched list drives the
+// relational dirty filter.
+func (s *Store) Snapshot() (uint64, map[int][]chunk.OverlayCell, map[int]uint64, []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var ov map[int][]chunk.OverlayCell
@@ -207,16 +225,16 @@ func (s *Store) Snapshot() (map[int][]chunk.OverlayCell, map[int]uint64, []int) 
 		}
 	}
 	versions, touched := s.versionsLocked()
-	return ov, versions, touched
+	return s.state, ov, versions, touched
 }
 
-// Versions returns the per-chunk version vector and the sorted
-// ever-touched chunk list (for cache-key computation, without copying
-// the overlay itself).
-func (s *Store) Versions() (map[int]uint64, []int) {
+// Versions is Snapshot without the overlay (for cache-key computation,
+// without copying the overlay itself).
+func (s *Store) Versions() (uint64, map[int]uint64, []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.versionsLocked()
+	versions, touched := s.versionsLocked()
+	return s.state, versions, touched
 }
 
 func (s *Store) versionsLocked() (map[int]uint64, []int) {
@@ -230,13 +248,6 @@ func (s *Store) versionsLocked() (map[int]uint64, []int) {
 	}
 	sort.Ints(touched)
 	return versions, touched
-}
-
-// Touched returns the sorted list of chunks ever ingested into, for
-// persisting in the catalog at compaction commits.
-func (s *Store) Touched() []int {
-	_, touched := s.Versions()
-	return touched
 }
 
 // Drain removes the overlay of every chunk whose version still matches

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -25,7 +28,7 @@ func TestApplySnapshotDrain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	ov, versions, touched := s.Snapshot()
+	_, ov, versions, touched := s.Snapshot()
 	if got := ov[2]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 7, Value: 11}}) {
 		t.Fatalf("chunk 2 overlay = %v", got)
 	}
@@ -44,7 +47,7 @@ func TestApplySnapshotDrain(t *testing.T) {
 	if err := s.Drain(versions); err != nil {
 		t.Fatal(err)
 	}
-	ov2, _, touched2 := s.Snapshot()
+	_, ov2, _, touched2 := s.Snapshot()
 	if _, ok := ov2[5]; ok {
 		t.Fatal("chunk 5 survived drain")
 	}
@@ -81,7 +84,7 @@ func TestWALReplayAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, versions, _ := re.Snapshot()
+	_, ov, versions, _ := re.Snapshot()
 	if got := ov[1]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 3, Value: 43}}) {
 		t.Fatalf("replayed chunk 1 = %v", got)
 	}
@@ -104,7 +107,7 @@ func TestWALReplayAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov2, _, _ := re2.Snapshot()
+	_, ov2, _, _ := re2.Snapshot()
 	if _, ok := ov2[4]; ok {
 		t.Fatal("drained chunk 4 came back after rewrite")
 	}
@@ -141,7 +144,7 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ov, _, _ := re.Snapshot()
+	_, ov, _, _ := re.Snapshot()
 	if got := ov[0]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 1, Value: 5}}) {
 		t.Fatalf("after torn tail, chunk 0 = %v (want only the first batch)", got)
 	}
@@ -160,7 +163,7 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// A further Apply must block until a Drain frees room.
-	_, versions, _ := s.Snapshot()
+	_, _, versions, _ := s.Snapshot()
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Apply(ctx, []Cell{{Chunk: 1, Offset: 0, Value: 3}})
@@ -191,4 +194,93 @@ func TestBackpressure(t *testing.T) {
 		t.Fatalf("canceled Apply = %v", err)
 	}
 	s.Close()
+}
+
+// TestSnapshotPairs: a writer raises one cell, a compactor folds,
+// publishes and drains, and every snapshot a reader takes meanwhile
+// pairs its base with an overlay that together hold every acknowledged
+// value: (old base, full overlay), (new, full) or (new, drained), never
+// a base the overlay was already drained into elsewhere.
+func TestSnapshotPairs(t *testing.T) {
+	s, err := Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var (
+		mu    sync.Mutex
+		base  = map[uint64]int64{1: 0} // state -> the cell's folded value
+		acked atomic.Int64
+		done  = make(chan struct{})
+		wg    sync.WaitGroup
+	)
+	s.Publish(1)
+	folded := func(state uint64) (int64, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		v, ok := base[state]
+		return v, ok
+	}
+
+	wg.Add(1)
+	go func() { // the compactor
+		defer wg.Done()
+		for next := uint64(2); ; {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			_, ov, versions, _ := s.Snapshot()
+			if len(ov) == 0 {
+				continue
+			}
+			mu.Lock()
+			base[next] = ov[0][0].Value // absolute states: the overlay wins
+			mu.Unlock()
+			s.Publish(next)
+			runtime.Gosched() // let readers land between publish and drain
+			if err := s.Drain(versions); err != nil {
+				t.Error(err)
+				return
+			}
+			next++
+		}
+	}()
+	for r := 0; r < 2; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-done:
+					return
+				default:
+				}
+				ack := acked.Load()
+				state, ov, _, _ := s.Snapshot()
+				v, ok := folded(state)
+				if !ok {
+					t.Errorf("snapshot names state %d, which was never published", state)
+					return
+				}
+				if cells := ov[0]; len(cells) > 0 {
+					v = cells[0].Value
+				}
+				if v < ack {
+					t.Errorf("snapshot (state %d, %d overlay cells) reads %d; %d was acknowledged before it", state, len(ov[0]), v, ack)
+					return
+				}
+			}
+		}()
+	}
+	for v := int64(1); v <= 3000 && !t.Failed(); v++ {
+		if err := s.Apply(ctx, []Cell{{Chunk: 0, Offset: 0, Value: v}}); err != nil {
+			t.Error(err)
+			break
+		}
+		acked.Store(v)
+	}
+	close(done)
+	wg.Wait()
 }

@@ -51,16 +51,15 @@ type ExecContext struct {
 	// begins, and takes everything catalog-dependent from that object.
 	gen atomic.Pointer[generation]
 
-	// mu serialises swap, and guards cat.ArrayState, which the compactor
-	// moves under running queries (SwapArrayState).
+	// mu serialises swap.
 	mu sync.Mutex
 
-	// ds, when set, is the HTAP delta overlay store. Query clones attach
-	// its snapshot (merge-on-read) and its per-chunk version vector
-	// (fine-grained chunk-cache invalidation); the executor folds the
-	// version vector into result-cache keys. Set once at open, before
-	// queries run; nil when ingest is not wired up (contexts built
-	// directly in tests).
+	// ds, when set, is the HTAP delta overlay store and the one publisher
+	// of the array state. Query clones open the master of its snapshot's
+	// state under the snapshot's overlay (merge-on-read) and version
+	// vector (fine-grained chunk-cache invalidation); the executor folds
+	// the version vector into result-cache keys. Set once at open, before
+	// queries run; nil in contexts built directly in tests.
 	ds *delta.Store
 }
 
@@ -90,15 +89,17 @@ type generation struct {
 	chunkCache *cache.ChunkCache
 	sfDedup    *obs.Counter
 	sfWait     *obs.Histogram
+	hasArray   bool // an array was built at the swap; compaction never adds or drops one
 
 	// Dimension tables, fact files, and B-trees are read without mutable
 	// state, so the handles can be used from many goroutines. The chunk
 	// store's decode cache is the one share-unsafe piece; only clones of
 	// arr are handed out.
-	mu   sync.Mutex
-	dims []*catalog.DimensionTable
-	ff   *factfile.File
-	arr  *array.Array
+	mu       sync.Mutex
+	dims     []*catalog.DimensionTable
+	ff       *factfile.File
+	arr      *array.Array
+	arrState uint64
 }
 
 // NewExecContext creates the shared execution state for a catalog,
@@ -133,7 +134,7 @@ func NewExecContext(bp *storage.BufferPool, cat *catalog.Catalog) *ExecContext {
 		recorder: obs.NewFlightRecorder(obs.DefaultFlightRecorderSize, obs.DefaultFlightRecorderTopK),
 		sampler:  obs.NewSampler(DefaultTraceSampleEvery),
 	}
-	c.gen.Store(&generation{memo: stmtMemo{seen: newSightings()}})
+	c.gen.Store(&generation{memo: stmtMemo{seen: newSightings()}, hasArray: cat.ArrayState != 0})
 	return c
 }
 
@@ -206,11 +207,12 @@ func (c *ExecContext) swap(budget int64) {
 		budget = old.budget
 	}
 	g := &generation{
-		id:      old.id + 1,
-		memo:    stmtMemo{seen: old.memo.seen},
-		budget:  budget,
-		sfDedup: old.sfDedup,
-		sfWait:  old.sfWait,
+		id:       old.id + 1,
+		memo:     stmtMemo{seen: old.memo.seen},
+		budget:   budget,
+		sfDedup:  old.sfDedup,
+		sfWait:   old.sfWait,
+		hasArray: c.ingestView(old, nil, false).state != 0,
 	}
 	if budget > 0 {
 		half := budget / 2
@@ -288,34 +290,11 @@ func (c *ExecContext) DropCaches() error {
 	return c.bp.DropAll()
 }
 
-// SetDeltaStore attaches the HTAP delta overlay store. Call once at
-// open, before queries run.
-func (c *ExecContext) SetDeltaStore(ds *delta.Store) { c.ds = ds }
-
-// ArrayState reports the catalog's current array master reference,
-// read under the lock — the compactor swaps it concurrently with
-// queries (SwapArrayState), so readers must come through here rather
-// than touching the catalog field directly.
-func (c *ExecContext) ArrayState() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cat.ArrayState
-}
-
-// SwapArrayState publishes a compacted array version: the catalog's
-// master reference is replaced and the current generation's array handle
-// dropped, but the generation itself stays — the merged content every
-// reader observes is unchanged (deltas moved from overlay to base), so
-// every cache entry and every relational handle stays exactly as valid
-// as it was.
-func (c *ExecContext) SwapArrayState(state uint64) {
-	c.mu.Lock()
-	c.cat.ArrayState = state
-	g := c.gen.Load()
-	c.mu.Unlock()
-	g.mu.Lock()
-	g.arr = nil
-	g.mu.Unlock()
+// SetDeltaStore attaches the HTAP delta overlay store, seeded with the
+// catalog's array state. Call once at open, before queries run.
+func (c *ExecContext) SetDeltaStore(ds *delta.Store) {
+	ds.Publish(c.cat.ArrayState)
+	c.ds = ds
 }
 
 // dimensions returns the shared dimension table handles, opening them on
@@ -347,21 +326,20 @@ func (g *generation) factFile(c *ExecContext) (*factfile.File, error) {
 	return g.ff, nil
 }
 
-// master opens (if needed) and returns the shared master array. Only its
-// immutable structures — dimension maps and geometry — may be read
-// through the returned handle; reads that decode chunks go through a
-// clone (arrayCloneWith).
-func (g *generation) master(c *ExecContext) (*array.Array, error) {
+// master returns the shared master array at state, opening it unless the
+// one slot holds that state (views differ only while a compaction
+// publishes). Only its immutable structures — dimension maps and
+// geometry — may be read through the returned handle; reads that decode
+// chunks go through a clone (arrayCloneWith).
+func (g *generation) master(c *ExecContext, state uint64) (*array.Array, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.arr == nil {
-		c.mu.Lock() // OpenArray reads cat.ArrayState
-		arr, err := OpenArray(c.bp, c.cat)
-		c.mu.Unlock()
+	if g.arr == nil || g.arrState != state {
+		arr, err := openArray(c.bp, state)
 		if err != nil {
 			return nil, err
 		}
-		g.arr = arr
+		g.arr, g.arrState = arr, state
 	}
 	return g.arr, nil
 }
@@ -378,13 +356,14 @@ func (c *ExecContext) ArrayClone() (*array.Array, error) {
 	return c.arrayCloneWith(&v)
 }
 
-// ingestView is what one execution sees of live ingest: the overlay,
-// version vector and ever-touched list of one instant — so the engines,
-// the decoded-chunk cache tags and the rows' key cannot disagree on a
-// batch that landed in between — the last narrowed to the statement's
-// reach. The zero value: nothing was ever ingested.
+// ingestView is what one execution sees of live ingest: the array state,
+// overlay, version vector and ever-touched list of one instant — so the
+// base, the engines, the decoded-chunk cache tags and the rows' key
+// cannot disagree on a batch or a compaction that landed in between —
+// the last narrowed to the statement's reach.
 type ingestView struct {
 	g        *generation // what the execution began under: its handles, its chunk cache
+	state    uint64      // the array master the overlay applies over
 	ov       map[int][]chunk.OverlayCell
 	versions map[int]uint64
 	hot      []int // ever-touched chunks the statement can reach, ascending
@@ -403,12 +382,13 @@ func (c *ExecContext) ingestView(g *generation, reach *chunkReach, overlay bool)
 	v.g = g
 	switch ds := c.ds; {
 	case ds == nil:
+		v.state = c.cat.ArrayState // nothing moves it without a delta store
 	case overlay:
-		v.ov, v.versions, v.hot = ds.Snapshot()
+		v.state, v.ov, v.versions, v.hot = ds.Snapshot()
 	default:
-		v.versions, v.hot = ds.Versions()
+		v.state, v.versions, v.hot = ds.Versions()
 	}
-	v.hot = reach.narrow(c, g, v.hot)
+	v.hot = reach.narrow(c, &v)
 	return v
 }
 
@@ -435,10 +415,10 @@ func (v *ingestView) keySuffix(tag string, versioned bool) string {
 	return tag + strconv.FormatUint(h.Sum64(), 16)
 }
 
-// arrayCloneWith clones v's generation's master array over v's overlay
-// and version vector.
+// arrayCloneWith clones the master at v's state, from v's generation,
+// over v's overlay and version vector.
 func (c *ExecContext) arrayCloneWith(v *ingestView) (*array.Array, error) {
-	arr, err := v.g.master(c)
+	arr, err := v.g.master(c, v.state)
 	if err != nil {
 		return nil, err
 	}
@@ -467,27 +447,27 @@ type chunkReach struct {
 	all  bool  // the lookup failed: no narrowing
 }
 
-// narrow filters touched (ascending, the caller's own) down to the
+// narrow filters v's touched list (ascending, v's own) down to the
 // chunks the statement can reach. A nil reach, no selections, or a
 // failed lookup keep the whole set, which is always correct; nothing
 // touched asks nothing, so a database without ingest never pays the
 // index-list lookups.
-func (r *chunkReach) narrow(c *ExecContext, g *generation, touched []int) []int {
-	if r == nil || len(r.sels) == 0 || len(touched) == 0 {
-		return touched
+func (r *chunkReach) narrow(c *ExecContext, v *ingestView) []int {
+	if r == nil || len(r.sels) == 0 || len(v.hot) == 0 {
+		return v.hot
 	}
 	r.once.Do(func() {
-		arr, err := g.master(c)
+		arr, err := v.g.master(c, v.state)
 		if err == nil {
 			r.cand, err = core.SelectionChunks(arr, r.sels)
 		}
 		r.all = err != nil
 	})
 	if r.all {
-		return touched
+		return v.hot
 	}
-	out := touched[:0]
-	for _, cn := range touched {
+	out := v.hot[:0]
+	for _, cn := range v.hot {
 		if _, ok := slices.BinarySearch(r.cand, cn); ok {
 			out = append(out, cn)
 		}

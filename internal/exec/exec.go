@@ -208,10 +208,8 @@ func (e *Executor) InvalidateHandles() { e.ctx.InvalidateHandles() }
 // handles, emulating the paper's cold-cache measurement protocol.
 func (e *Executor) DropCaches() error { return e.ctx.DropCaches() }
 
-// HasArray reports whether an OLAP array is built. Read through the
-// context's lock: the delta compactor swaps the catalog's array state
-// concurrently with planning.
-func (e *Executor) HasArray() bool { return e.ctx.ArrayState() != 0 }
+// HasArray reports whether an OLAP array is built.
+func (e *Executor) HasArray() bool { return e.ctx.gen.Load().hasArray }
 
 // HasBitmapIndexes reports whether bitmap indices cover every selection
 // in spec.

@@ -10,6 +10,7 @@ import (
 	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/delta"
+	"repro/internal/storage"
 )
 
 // swapStatements is a cached statement set that crosses every plan: the
@@ -165,32 +166,17 @@ func TestGenerationSwap(t *testing.T) {
 		if core.RowsEqual(want[0][0], want[1][0]) {
 			t.Fatal("the two states answer alike: the check below would be vacuous")
 		}
-		compact := func() error {
-			ov, versions, _ := ds.Snapshot()
-			if len(ov) == 0 {
-				return nil
-			}
-			base, err := OpenArray(bp, cat) // overlay-free; only this goroutine moves cat.ArrayState
-			if err != nil {
-				return err
-			}
-			changes := make(map[int][]chunk.CellChange, len(ov))
-			for cn, cells := range ov {
-				for _, oc := range cells {
-					changes[cn] = append(changes[cn], chunk.CellChange{Offset: oc.Offset, Value: oc.Value, Delete: oc.Delete})
-				}
-			}
-			next, err := base.ApplyChunkChanges(changes)
-			if err != nil {
-				return err
-			}
-			c.SwapArrayState(uint64(next.State().First))
-			return ds.Drain(versions)
-		}
-
 		// seq is odd while an ingest batch is landing; seq/2's parity is the
 		// state once it is even again.
 		var seq, replies, hits atomic.Int64
+		flip := func() (state int) {
+			state = int(seq.Add(1)+1) / 2 % 2
+			if err := ds.Apply(bg, batch[state]); err != nil {
+				t.Error(err)
+			}
+			seq.Add(1)
+			return state
+		}
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
 		for r := 0; r < 4; r++ {
@@ -238,9 +224,9 @@ func TestGenerationSwap(t *testing.T) {
 			}
 			return true
 		}
-		for op := 0; op < 50; op++ {
+		for op := 0; op < 60; op++ {
 			start := replies.Load()
-			switch op % 5 {
+			switch op % 6 {
 			case 0:
 				c.InvalidateHandles()
 			case 1:
@@ -248,14 +234,33 @@ func TestGenerationSwap(t *testing.T) {
 			case 2:
 				c.EnableQueryCache(int64(4+op%4) << 20)
 			case 3:
-				state := int(seq.Add(1)+1) / 2 % 2
-				if err := ds.Apply(bg, batch[state]); err != nil {
+				flip()
+			case 4:
+				if err := compactDeltas(bp, ds); err != nil {
 					t.Error(err)
 				}
-				seq.Add(1)
-			case 4:
-				if err := compact(); err != nil {
+			case 5:
+				// A reader's begin, then "invalidate, ingest, compact", then
+				// its view and run, all under the generation it began with.
+				g := c.gen.Load()
+				c.InvalidateHandles()
+				state := flip()
+				if err := compactDeltas(bp, ds); err != nil {
 					t.Error(err)
+				}
+				for i, s := range swapStatements[:2] { // the array scan and probe
+					st, _, err := off.statement(g, s.sql, s.engine)
+					if err != nil {
+						t.Error(err)
+						continue
+					}
+					prof, tr, _ := off.beginQuery(bg, s.sql)
+					qr, err := off.run(bg, prof, tr, tr.Root.Child("plan"), st, g)
+					if err != nil {
+						t.Error(err)
+					} else if !core.RowsEqual(qr.Rows, want[state][i]) {
+						t.Errorf("op %d, statement %d under generation %d: rows of no state it could observe", op, i, g.id)
+					}
 				}
 			}
 			for _, s := range swapStatements[:2] { // let the readers get somewhere
@@ -306,4 +311,95 @@ func TestGenerationSwap(t *testing.T) {
 				rows, len(swapStatements), n)
 		}
 	})
+}
+
+// compactDeltas folds ds's overlay into the master of its snapshot's
+// state and publishes the fold before it drains, as DB.Compact does.
+func compactDeltas(bp *storage.BufferPool, ds *delta.Store) error {
+	state, ov, versions, _ := ds.Snapshot()
+	if len(ov) == 0 {
+		return nil
+	}
+	base, err := openArray(bp, state) // overlay-free
+	if err != nil {
+		return err
+	}
+	changes := make(map[int][]chunk.CellChange, len(ov))
+	for cn, cells := range ov {
+		for _, oc := range cells {
+			changes[cn] = append(changes[cn], chunk.CellChange{Offset: oc.Offset, Value: oc.Value, Delete: oc.Delete})
+		}
+	}
+	next, err := base.ApplyChunkChanges(changes)
+	if err != nil {
+		return err
+	}
+	ds.Publish(uint64(next.State().First))
+	return ds.Drain(versions)
+}
+
+// TestOldGenerationSeesCompactedCells: a query that began before a
+// catalog change and takes its view after an ingest and a compaction
+// reads the compacted cell. Its generation's master was opened at the
+// old state, so the view must name the state it pairs its overlay with;
+// the old master under the drained overlay would lose the cell.
+func TestOldGenerationSeesCompactedCells(t *testing.T) {
+	bp, cat, _ := buildTestDB(t, true, false)
+	c := NewExecContext(bp, cat)
+	ds, err := delta.Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.SetDeltaStore(ds)
+
+	// The old generation, with its master opened at the state it began at.
+	old := c.gen.Load()
+	arr, err := c.ArrayClone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cn, cell := -1, chunk.Cell{}
+	for n := 0; n < arr.Geometry().NumChunks() && cn < 0; n++ {
+		cells, err := arr.Store().ReadChunk(n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cells) > 0 {
+			cn, cell = n, cells[0]
+		}
+	}
+	if cn < 0 {
+		t.Fatal("the test array holds no cell")
+	}
+
+	c.InvalidateHandles()
+	if err := ds.Apply(context.Background(), []delta.Cell{{Chunk: cn, Offset: cell.Offset, Value: cell.Value + 1000}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := compactDeltas(bp, ds); err != nil {
+		t.Fatal(err)
+	}
+	if st := ds.Stats(); st.Cells != 0 {
+		t.Fatalf("%d overlay cells after the compaction: it drained nothing", st.Cells)
+	}
+
+	v := c.ingestView(old, nil, true)
+	cl, err := c.arrayCloneWith(&v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := cl.Store().ReadChunk(cn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, got := range cells {
+		if got.Offset == cell.Offset {
+			if got.Value != cell.Value+1000 {
+				t.Fatalf("chunk %d offset %d reads %d under the old generation; %d was acknowledged and compacted",
+					cn, cell.Offset, got.Value, cell.Value+1000)
+			}
+			return
+		}
+	}
+	t.Fatalf("chunk %d offset %d is missing under the old generation", cn, cell.Offset)
 }

@@ -280,10 +280,15 @@ func BuildArray(bp *storage.BufferPool, cat *catalog.Catalog, cfg ArrayBuildConf
 
 // OpenArray opens the OLAP Array recorded in the catalog.
 func OpenArray(bp *storage.BufferPool, cat *catalog.Catalog) (*array.Array, error) {
-	if cat.ArrayState == 0 {
+	return openArray(bp, cat.ArrayState)
+}
+
+// openArray opens the OLAP Array whose master blob starts at state.
+func openArray(bp *storage.BufferPool, state uint64) (*array.Array, error) {
+	if state == 0 {
 		return nil, fmt.Errorf("exec: OLAP array not built")
 	}
-	return array.Open(bp, storage.LOBRef{First: storage.PageID(cat.ArrayState)})
+	return array.Open(bp, storage.LOBRef{First: storage.PageID(state)})
 }
 
 // BuildBitmapIndexes builds the §4.4 join bitmap indices for every

@@ -24,12 +24,16 @@ func (db *DB) CreateStarSchema(schema *StarSchema) error {
 	return nil
 }
 
-// catalogChanged retires everything queries derived from the catalog as
-// it was — object handles, memoised statements, cached results and
-// decoded chunks. Every writer of the catalog or of an object it names
-// ends with it; it is the root package's only route to the swap, so a
-// new writer has one thing to call and nothing to choose.
-func (db *DB) catalogChanged() { db.ex.InvalidateHandles() }
+// catalogChanged publishes the array state, then retires everything
+// queries derived from the catalog as it was — object handles, memoised
+// statements, cached results and decoded chunks. Every writer of the
+// catalog or of an object it names ends with it; it is the root
+// package's only route to the swap, so a new writer has one thing to
+// call and nothing to choose.
+func (db *DB) catalogChanged() {
+	db.ds.Publish(db.cat.ArrayState)
+	db.ex.InvalidateHandles()
+}
 
 // LoadDimension appends members to the named dimension table.
 func (db *DB) LoadDimension(name string, rows []DimensionRow) error {
