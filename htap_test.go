@@ -138,11 +138,14 @@ func TestHTAPSmoke(t *testing.T) {
 	}
 }
 
-// TestSwapsBesideCompaction: cache swaps (DropCaches, EnableQueryCache)
-// run beside ingest and compaction. A swap reads the published array
-// state while the compactor publishes; under -race that must not race,
-// and every generation must still have its array.
-func TestSwapsBesideCompaction(t *testing.T) {
+// TestWritersBesideCompaction runs generation swaps (DropCaches,
+// EnableQueryCache) and dimension loads beside ingest and compaction.
+// Both read the published array state while the compactor publishes.
+// Had a load published a state it read before a compaction's fold and
+// drain, it would pair the old base with a drained overlay and lose
+// acknowledged cells. Under -race this must not race, and every
+// generation must still have its array.
+func TestWritersBesideCompaction(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -160,15 +163,23 @@ func TestSwapsBesideCompaction(t *testing.T) {
 				return
 			default:
 			}
-			if i%2 == 0 {
+			switch i % 3 {
+			case 0:
 				_ = db.DropCaches() // refuses while a query pins a page
-			} else {
+			case 1:
 				db.EnableQueryCache(int64(4+i%4) << 20)
+			case 2:
+				if err := db.LoadDimension("store", []DimensionRow{{Key: int64(100 + i), Attrs: []string{"cityX", "regionX"}}}); err != nil {
+					t.Error(err)
+					return
+				}
 			}
 		}
 	}()
 	for i := 0; i < 50; i++ {
-		if err := db.InsertCells([]IngestCell{{Keys: []int64{0, int64(i % 8), int64(i % 6)}, Value: int64(i)}}); err != nil {
+		keys := []int64{int64(i % 12), int64(i % 8), int64(i % 6)}
+		want := int64(1000 + i)
+		if err := db.InsertCells([]IngestCell{{Keys: keys, Value: want}}); err != nil {
 			t.Error(err)
 			break
 		}
@@ -180,7 +191,73 @@ func TestSwapsBesideCompaction(t *testing.T) {
 			t.Error(err)
 			break
 		}
+		if got, ok, err := db.ArrayGet(keys); err != nil || !ok || got != want {
+			t.Errorf("cell %v after compaction = %d, %v, %v; acknowledged %d", keys, got, ok, err, want)
+			break
+		}
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestCompactPublishesBeforeDrain: by the time a compaction has committed
+// (and so before it drains), the delta store must name the folded state.
+// Publishing after the drain would let a snapshot pair the old base with
+// a drained overlay.
+func TestCompactPublishesBeforeDrain(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	retailIngest(t, db)
+	before := db.cat.ArrayState
+	db.compactTestHook = func(stage string) error {
+		if state, _, _, _ := db.ds.Snapshot(); stage == "committed" && state != db.cat.ArrayState {
+			t.Errorf("committed with state %d published, folded %d", state, db.cat.ArrayState)
+		}
+		return nil
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if db.cat.ArrayState == before {
+		t.Fatal("compaction produced no new array version")
+	}
+}
+
+// TestFailedUpdateThenCompact fails UpdateArrayCells after it has moved
+// the array state (its statistics refresh errors), then compacts: the
+// fold must build on the updated version, not on the one published
+// before it.
+func TestFailedUpdateThenCompact(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	updated, ingested := []int64{4, 0, 0}, []int64{11, 7, 5}
+	root, stats := db.cat.DimHeaps["store"], db.cat.Stats
+	db.cat.Stats = nil               // the refresh recollects base statistics...
+	delete(db.cat.DimHeaps, "store") // ...and fails to open this dimension
+	if err := db.UpdateArrayCells([]ArrayCellUpdate{{Keys: updated, Value: 555}}); err == nil {
+		t.Fatal("UpdateArrayCells succeeded; want the injected statistics failure")
+	}
+	db.cat.DimHeaps["store"], db.cat.Stats = root, stats
+	if err := db.InsertCells([]IngestCell{{Keys: ingested, Value: 777}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		keys []int64
+		want int64
+	}{{updated, 555}, {ingested, 777}} {
+		if got, ok, err := db.ArrayGet(c.keys); err != nil || !ok || got != c.want {
+			t.Errorf("cell %v after compaction = %d, %v, %v; want %d", c.keys, got, ok, err, c.want)
+		}
+	}
 }

@@ -17,11 +17,18 @@ type DimensionRow struct {
 // CreateStarSchema records the schema and creates empty dimension
 // tables. It must be called exactly once, on a fresh database.
 func (db *DB) CreateStarSchema(schema *StarSchema) error {
-	if err := exec.CreateSchema(db.bp, db.cat, schema); err != nil {
-		return err
-	}
-	db.catalogChanged()
-	return nil
+	return db.write(func() error { return exec.CreateSchema(db.bp, db.cat, schema) })
+}
+
+// write runs a bulk writer of the catalog under writeMu, so it never
+// lands inside a compaction's fold and commit, and ends it with
+// catalogChanged — also when f fails part-way, since what it wrote
+// before failing (rows before a failing one, a new array state) stays.
+func (db *DB) write(f func() error) error {
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
+	defer db.catalogChanged()
+	return f()
 }
 
 // catalogChanged publishes the array state, then retires everything
@@ -29,7 +36,8 @@ func (db *DB) CreateStarSchema(schema *StarSchema) error {
 // statements, cached results and decoded chunks. Every writer of the
 // catalog or of an object it names ends with it; it is the root
 // package's only route to the swap, so a new writer has one thing to
-// call and nothing to choose.
+// call and nothing to choose. Callers hold writeMu, under which the
+// published state and cat.ArrayState only move together.
 func (db *DB) catalogChanged() {
 	db.ds.Publish(db.cat.ArrayState)
 	db.ex.InvalidateHandles()
@@ -37,32 +45,30 @@ func (db *DB) catalogChanged() {
 
 // LoadDimension appends members to the named dimension table.
 func (db *DB) LoadDimension(name string, rows []DimensionRow) error {
-	defer db.catalogChanged() // rows before a failing one are loaded
-	for _, r := range rows {
-		if err := exec.LoadDimensionRow(db.bp, db.cat, name, r.Key, r.Attrs); err != nil {
-			return err
+	return db.write(func() error {
+		for _, r := range rows {
+			if err := exec.LoadDimensionRow(db.bp, db.cat, name, r.Key, r.Attrs); err != nil {
+				return err
+			}
 		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // LoadDimensionFunc streams members into the named dimension table: gen
 // is called once with an emit function.
 func (db *DB) LoadDimensionFunc(name string, gen func(emit func(key int64, attrs []string) error) error) error {
-	defer db.catalogChanged()
-	return gen(func(key int64, attrs []string) error {
-		return exec.LoadDimensionRow(db.bp, db.cat, name, key, attrs)
+	return db.write(func() error {
+		return gen(func(key int64, attrs []string) error {
+			return exec.LoadDimensionRow(db.bp, db.cat, name, key, attrs)
+		})
 	})
 }
 
 // LoadFacts bulk-loads the fact table from a stream. It may be called
 // once per database; facts land in the extent-based fact file of §4.4.
 func (db *DB) LoadFacts(src FactSource) error {
-	if err := exec.LoadFacts(db.bp, db.cat, src); err != nil {
-		return err
-	}
-	db.catalogChanged()
-	return nil
+	return db.write(func() error { return exec.LoadFacts(db.bp, db.cat, src) })
 }
 
 // FactTuple is one fact for LoadFactRows.
@@ -95,11 +101,12 @@ func (db *DB) LoadFactRows(rows []FactTuple) error {
 // cfg zero value uses per-chunk adaptive compression with the default
 // chunk shape; set Codec to force one codec store-wide.
 func (db *DB) BuildArray(cfg ArrayConfig) error {
-	if err := exec.BuildArray(db.bp, db.cat, cfg); err != nil {
-		return err
-	}
-	db.catalogChanged()
-	return db.refreshCodecSnapshot()
+	return db.write(func() error {
+		if err := exec.BuildArray(db.bp, db.cat, cfg); err != nil {
+			return err
+		}
+		return db.refreshCodecSnapshot()
+	})
 }
 
 // ArrayCellUpdate is one cell mutation for UpdateArrayCells.
@@ -137,21 +144,17 @@ func (db *DB) UpdateArrayCells(updates []ArrayCellUpdate) error {
 		return nil
 	}
 	db.cat.ArrayState = uint64(next.State().First)
+	defer db.catalogChanged() // the new version stands even if its stats fail
 	if err := exec.RefreshArrayStats(db.bp, db.cat); err != nil {
 		return err
 	}
-	db.catalogChanged()
 	return db.refreshCodecSnapshot()
 }
 
 // BuildBitmapIndexes builds the §4.4 join bitmap indices on every
 // hierarchy attribute.
 func (db *DB) BuildBitmapIndexes() error {
-	if err := exec.BuildBitmapIndexes(db.bp, db.cat); err != nil {
-		return err
-	}
-	db.catalogChanged()
-	return nil
+	return db.write(func() error { return exec.BuildBitmapIndexes(db.bp, db.cat) })
 }
 
 // Query parses, plans (Auto), and executes a consolidation query in the

@@ -131,7 +131,7 @@ type Options struct {
 // DB is an open database handle. Queries (through Sessions), the ingest
 // path (InsertCells and friends), and the background compactor are safe
 // for concurrent use; the bulk write APIs (loads, builds, Commit,
-// UpdateArrayCells) must not run concurrently with each other.
+// UpdateArrayCells) run one at a time, never inside a compaction.
 type DB struct {
 	disk storage.DiskManager
 	bp   *storage.BufferPool
@@ -143,9 +143,11 @@ type DB struct {
 	path string
 
 	// writeMu serializes the writers that mutate the committed state:
-	// user commits, array updates, and the compactor's fold+commit.
-	// The ingest path does not take it — deltas live outside the page
-	// store until the compactor folds them.
+	// loads, builds, user commits, array updates, and the compactor's
+	// fold+commit. Under it the delta store's published array state
+	// equals cat.ArrayState, so the compactor may fold onto its
+	// snapshot's. The ingest path does not take it — deltas live
+	// outside the page store until the compactor folds them.
 	writeMu sync.Mutex
 
 	// Background compactor lifecycle (StartCompactor / Close).
