@@ -9,9 +9,10 @@ import (
 
 // TestDBQueryCacheHitAndUpdateInvalidation drives the mid-tier query
 // cache end to end at the DB API: a repeated consolidation is served
-// from the result cache (EXPLAIN ANALYZE reports the hit), and an
-// array update bumps the epoch so the next run re-executes against the
-// new data instead of serving the stale rows.
+// from the result cache (EXPLAIN ANALYZE reports the hit), an ingested
+// cell evicts the chunks' entries so the next run re-executes against
+// the new data instead of serving the stale rows, and a commit swaps
+// the generation, counting what it retires as invalidated.
 func TestDBQueryCacheHitAndUpdateInvalidation(t *testing.T) {
 	db, err := Open(Options{})
 	if err != nil {
@@ -55,13 +56,13 @@ func TestDBQueryCacheHitAndUpdateInvalidation(t *testing.T) {
 		t.Fatalf("EngineStats cache section wrong: %+v", es)
 	}
 
-	// Update one cell: the epoch bumps and the requery must see the new
-	// value, not the cached rows.
+	// Update one cell: the requery must see the new value, not the
+	// cached rows.
 	v, ok, err := db.ArrayGet([]int64{4, 0, 0})
 	if err != nil || !ok {
 		t.Fatalf("seed cell missing: %v", err)
 	}
-	if err := db.UpdateArrayCells([]ArrayCellUpdate{{Keys: []int64{4, 0, 0}, Value: v + 100}}); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 0}, Value: v + 100}}); err != nil {
 		t.Fatal(err)
 	}
 	third, err := db.QueryOn(retailQuery, ArrayEngine)
@@ -79,6 +80,11 @@ func TestDBQueryCacheHitAndUpdateInvalidation(t *testing.T) {
 	}
 	if got, want := sum(third.Rows), sum(first.Rows)+100; got != want {
 		t.Fatalf("post-update total = %d, want %d", got, want)
+	}
+	// Per-chunk ingest evicts entries without a generation swap; a
+	// commit swaps it, retiring the entry the requery cached.
+	if err := db.Commit(); err != nil {
+		t.Fatal(err)
 	}
 	if db.Stats().ResultCache.Invalidated == 0 {
 		t.Fatal("stale entry not counted as invalidated")

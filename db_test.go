@@ -2,7 +2,6 @@ package repro
 
 import (
 	"fmt"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -229,30 +228,6 @@ func TestDBWALRecoveryAfterCrash(t *testing.T) {
 	}
 	if !core.RowsEqual(want.Rows, got.Rows) {
 		t.Fatalf("post-crash results differ: %s", core.DiffRows(want.Rows, got.Rows))
-	}
-}
-
-func TestDBWithoutWAL(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "nowal.db")
-	db, err := Open(Options{Path: path, DisableWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadRetail(t, db)
-	if err := db.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := os.Stat(path + ".wal"); !os.IsNotExist(err) {
-		t.Fatal("WAL file created despite DisableWAL")
-	}
-	db2, err := Open(Options{Path: path, DisableWAL: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db2.Close()
-	r, err := db2.Query(retailQuery)
-	if err != nil || len(r.Rows) == 0 {
-		t.Fatalf("query after reopen = (%v, %v)", r, err)
 	}
 }
 

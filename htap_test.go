@@ -226,38 +226,3 @@ func TestCompactPublishesBeforeDrain(t *testing.T) {
 		t.Fatal("compaction produced no new array version")
 	}
 }
-
-// TestFailedUpdateThenCompact fails UpdateArrayCells after it has moved
-// the array state (its statistics refresh errors), then compacts: the
-// fold must build on the updated version, not on the one published
-// before it.
-func TestFailedUpdateThenCompact(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	loadRetail(t, db)
-	updated, ingested := []int64{4, 0, 0}, []int64{11, 7, 5}
-	root, stats := db.cat.DimHeaps["store"], db.cat.Stats
-	db.cat.Stats = nil               // the refresh recollects base statistics...
-	delete(db.cat.DimHeaps, "store") // ...and fails to open this dimension
-	if err := db.UpdateArrayCells([]ArrayCellUpdate{{Keys: updated, Value: 555}}); err == nil {
-		t.Fatal("UpdateArrayCells succeeded; want the injected statistics failure")
-	}
-	db.cat.DimHeaps["store"], db.cat.Stats = root, stats
-	if err := db.InsertCells([]IngestCell{{Keys: ingested, Value: 777}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	for _, c := range []struct {
-		keys []int64
-		want int64
-	}{{updated, 555}, {ingested, 777}} {
-		if got, ok, err := db.ArrayGet(c.keys); err != nil || !ok || got != c.want {
-			t.Errorf("cell %v after compaction = %d, %v, %v; want %d", c.keys, got, ok, err, c.want)
-		}
-	}
-}

@@ -76,16 +76,6 @@ func (db *DB) InsertCellsContext(ctx context.Context, cells []IngestCell) error 
 	return db.ds.Apply(ctx, out)
 }
 
-// UpdateCell sets one cell's measure through the ingest path.
-func (db *DB) UpdateCell(keys []int64, value int64) error {
-	return db.InsertCells([]IngestCell{{Keys: keys, Value: value}})
-}
-
-// DeleteCell deletes one cell through the ingest path.
-func (db *DB) DeleteCell(keys []int64) error {
-	return db.InsertCells([]IngestCell{{Keys: keys, Delete: true}})
-}
-
 // DeltaStats snapshots the ingest delta store's counters.
 func (db *DB) DeltaStats() DeltaStats { return db.ds.Stats() }
 

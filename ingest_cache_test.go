@@ -27,7 +27,7 @@ where time.year = 'y0'
 group by city`
 
 // TestNoopWritesKeepCache is the invalidation-over-reach regression
-// test: an empty update batch and DropCaches must not bump the global
+// test: an empty ingest batch and DropCaches must not bump the global
 // epoch. DropCaches empties cache content (that is its job) but a
 // subsequently repopulated entry proves the epoch still matches.
 func TestNoopWritesKeepCache(t *testing.T) {
@@ -46,12 +46,12 @@ func TestNoopWritesKeepCache(t *testing.T) {
 		t.Fatal("second execution not cached")
 	}
 
-	// Empty update: no new array version, so the entry must survive.
-	if err := db.UpdateArrayCells(nil); err != nil {
+	// Empty batch: nothing changed, so the entry must survive.
+	if err := db.InsertCells(nil); err != nil {
 		t.Fatal(err)
 	}
 	if !queryCached(t, db, retailQuery) {
-		t.Fatal("empty update batch evicted the result cache")
+		t.Fatal("empty ingest batch evicted the result cache")
 	}
 
 	// DropCaches clears content without burning an epoch: the next run
@@ -71,7 +71,7 @@ func TestNoopWritesKeepCache(t *testing.T) {
 	if err != nil || !ok {
 		t.Fatal("seed cell missing")
 	}
-	if err := db.UpdateArrayCells([]ArrayCellUpdate{{Keys: []int64{4, 0, 0}, Value: v + 1}}); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 0}, Value: v + 1}}); err != nil {
 		t.Fatal(err)
 	}
 	if queryCached(t, db, retailQuery) {
@@ -101,7 +101,7 @@ func TestPerChunkInvalidation(t *testing.T) {
 	}
 
 	// Ingest into time index 5 — outside the y0 query's chunk window.
-	if err := db.UpdateCell([]int64{4, 0, 5}, 4321); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 5}, Value: 4321}}); err != nil {
 		t.Fatal(err)
 	}
 	if !queryCached(t, db, timeSelectQuery) {
@@ -118,7 +118,7 @@ func TestPerChunkInvalidation(t *testing.T) {
 	}
 
 	// Ingest into time index 0 — inside the y0 window: evict.
-	if err := db.UpdateCell([]int64{4, 0, 0}, 8765); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 0}, Value: 8765}}); err != nil {
 		t.Fatal(err)
 	}
 	if queryCached(t, db, timeSelectQuery) {
@@ -197,7 +197,7 @@ func TestSupersededEntriesLeaveTheCache(t *testing.T) {
 		if i >= 4 {
 			cell = []int64{8, 4, 1} // another chunk of the y0 block
 		}
-		if err := db.UpdateCell(cell, 1000+i); err != nil {
+		if err := db.InsertCells([]IngestCell{{Keys: cell, Value: 1000 + i}}); err != nil {
 			t.Fatal(err)
 		}
 		if queryCached(t, db, timeSelectQuery) {
@@ -246,7 +246,7 @@ func TestCandidateChunksResolvedOncePerStatement(t *testing.T) {
 	if n := db.MetricsSnapshot().Counter("btree_node_reads_total") - before; n != 0 {
 		t.Fatalf("a bitmap-plan selection with nothing ever ingested read %d B-tree nodes", n)
 	}
-	if err := db.UpdateCell([]int64{4, 0, 0}, 999); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 0}, Value: 999}}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // the third run is a memo hit

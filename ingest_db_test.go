@@ -25,11 +25,11 @@ func retailIngest(t *testing.T, db *DB) {
 		t.Fatalf("InsertCells: %v", err)
 	}
 	// Separate batches exercise version bumps and overlay re-merge.
-	if err := db.UpdateCell([]int64{5, 3, 0}, 123); err != nil {
-		t.Fatalf("UpdateCell: %v", err)
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{5, 3, 0}, Value: 123}}); err != nil {
+		t.Fatalf("InsertCells: %v", err)
 	}
-	if err := db.DeleteCell([]int64{6, 1, 1}); err != nil {
-		t.Fatalf("DeleteCell: %v", err)
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{6, 1, 1}, Delete: true}}); err != nil {
+		t.Fatalf("InsertCells: %v", err)
 	}
 }
 
@@ -342,7 +342,7 @@ func TestOverlayFoldIsObservable(t *testing.T) {
 	loadRetail(t, db)
 	db.SetTrace(true)
 	// One touched chunk, in the time block the y0 statement selects.
-	if err := db.UpdateCell([]int64{4, 0, 0}, 999); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: []int64{4, 0, 0}, Value: 999}}); err != nil {
 		t.Fatal(err)
 	}
 

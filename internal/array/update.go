@@ -1,64 +1,20 @@
 package array
 
 import (
-	"fmt"
-
 	"repro/internal/chunk"
 	"repro/internal/storage"
 )
 
-// CellUpdate is one cell mutation for Update, addressed by dimension
-// keys: set the cell's measure to Value, or delete the cell.
-type CellUpdate struct {
-	Keys   []int64
-	Value  int64
-	Delete bool
-}
-
-// Update produces a new version of the array with the cell updates
-// applied — the ADT's Write function (§3.5) realized copy-on-write:
-// only the touched chunks are re-encoded; untouched chunks, the
-// dimension B-trees, the IndexToIndex arrays, and the dictionaries are
-// shared with the receiver, which remains a valid snapshot. The new
-// version's State() must be published (catalog + commit) to take effect.
+// ApplyChunkChanges produces a new version of the array with the cell
+// changes applied — the ADT's Write function (§3.5) realized copy-on-
+// write, for cells already resolved to (chunk, offset): only the
+// touched chunks are re-encoded; untouched chunks, the dimension
+// B-trees, the IndexToIndex arrays, and the dictionaries are shared with
+// the receiver, which remains a valid snapshot. The new version's
+// State() must be published (catalog + commit) to take effect. The delta
+// compactor is its one caller: its overlay is stored by location.
 //
-// Updates may only address existing dimension members; adding members
-// changes the array's geometry and requires a rebuild.
-func (a *Array) Update(updates []CellUpdate) (*Array, error) {
-	if len(updates) == 0 {
-		return a, nil
-	}
-	changes := make(map[int][]chunk.CellChange)
-	g := a.Geometry()
-	coords := make([]int, len(a.dims))
-	for ui, u := range updates {
-		if len(u.Keys) != len(a.dims) {
-			return nil, fmt.Errorf("array: update %d has %d keys for %d dimensions", ui, len(u.Keys), len(a.dims))
-		}
-		for i, k := range u.Keys {
-			idx, ok, err := a.dims[i].IndexOf(k)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				return nil, fmt.Errorf("array: update %d references unknown %s key %d", ui, a.dims[i].Name, k)
-			}
-			coords[i] = idx
-		}
-		cn, off := g.Locate(coords)
-		changes[cn] = append(changes[cn], chunk.CellChange{
-			Offset: uint32(off),
-			Value:  u.Value,
-			Delete: u.Delete,
-		})
-	}
-	return a.ApplyChunkChanges(changes)
-}
-
-// ApplyChunkChanges is Update for callers that already resolved cell
-// locations to (chunk, offset) — the delta compactor, whose overlay is
-// stored by location. Same copy-on-write contract as Update; the
-// receiver must read base cells only (no overlay attached), or the
+// The receiver must read base cells only (no overlay attached), or the
 // changes would fold over already-merged data. On an adaptive store the
 // rewrite re-picks each touched chunk's codec, so compaction migrates
 // chunks whose density shifted to the now-smaller encoding.

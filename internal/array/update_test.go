@@ -3,23 +3,51 @@ package array
 import (
 	"testing"
 
+	"repro/internal/chunk"
 	"repro/internal/storage"
 )
+
+// write is one cell write addressed by dimension keys.
+type write struct {
+	keys   []int64
+	value  int64
+	delete bool
+}
+
+// locate resolves key-addressed writes to the (chunk, offset) changes
+// ApplyChunkChanges takes, the way the ingest path resolves them.
+func locate(t *testing.T, a *Array, ws []write) map[int][]chunk.CellChange {
+	t.Helper()
+	changes := make(map[int][]chunk.CellChange)
+	coords := make([]int, len(a.dims))
+	for _, w := range ws {
+		for i, k := range w.keys {
+			idx, ok, err := a.dims[i].IndexOf(k)
+			if err != nil || !ok {
+				t.Fatalf("key %d of dimension %d: ok=%v err=%v", k, i, ok, err)
+			}
+			coords[i] = idx
+		}
+		cn, off := a.Geometry().Locate(coords)
+		changes[cn] = append(changes[cn], chunk.CellChange{Offset: uint32(off), Value: w.value, Delete: w.delete})
+	}
+	return changes
+}
 
 func TestArrayUpdateCopyOnWrite(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 512)
 	a, ref := buildTestArray(t, bp)
 
 	pagesBefore := bp.Disk().NumPages()
-	next, err := a.Update([]CellUpdate{
-		{Keys: []int64{0, 0}, Value: 999},   // overwrite (cell (0,0) exists)
-		{Keys: []int64{1, 0}, Value: 555},   // insert ((1,0): (1+0)%3 != 0, absent)
-		{Keys: []int64{3, 0}, Delete: true}, // delete ((3,0) exists)
-		{Keys: []int64{5, 2}, Delete: true}, // delete absent: no-op ((5,2): 7%3!=0)
-		{Keys: []int64{2, 3}, Value: -7},    // insert in another chunk ((2,3): 5%3 != 0)
-	})
+	next, err := a.ApplyChunkChanges(locate(t, a, []write{
+		{keys: []int64{0, 0}, value: 999},   // overwrite (cell (0,0) exists)
+		{keys: []int64{1, 0}, value: 555},   // insert ((1,0): (1+0)%3 != 0, absent)
+		{keys: []int64{3, 0}, delete: true}, // delete ((3,0) exists)
+		{keys: []int64{5, 2}, delete: true}, // delete absent: no-op ((5,2): 7%3!=0)
+		{keys: []int64{2, 3}, value: -7},    // insert in another chunk ((2,3): 5%3 != 0)
+	}))
 	if err != nil {
-		t.Fatalf("Update: %v", err)
+		t.Fatalf("ApplyChunkChanges: %v", err)
 	}
 	pagesAfter := bp.Disk().NumPages()
 
@@ -81,15 +109,19 @@ func TestArrayUpdateErrorsAndNoop(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 512)
 	a, _ := buildTestArray(t, bp)
 
-	same, err := a.Update(nil)
+	same, err := a.ApplyChunkChanges(nil)
 	if err != nil || same != a {
 		t.Fatalf("empty update = (%p, %v), want receiver", same, err)
 	}
-	if _, err := a.Update([]CellUpdate{{Keys: []int64{0}, Value: 1}}); err == nil {
-		t.Fatal("update with wrong arity succeeded")
+	// Key errors are the ingest path's (the root package tests them);
+	// here a change can only name a location that does not exist.
+	n := a.Geometry().NumChunks()
+	if _, err := a.ApplyChunkChanges(map[int][]chunk.CellChange{n: {{Offset: 0, Value: 1}}}); err == nil {
+		t.Fatal("update to a chunk past the array succeeded")
 	}
-	if _, err := a.Update([]CellUpdate{{Keys: []int64{99, 0}, Value: 1}}); err == nil {
-		t.Fatal("update with unknown key succeeded")
+	capacity := uint32(a.Geometry().ChunkCapacity())
+	if _, err := a.ApplyChunkChanges(map[int][]chunk.CellChange{0: {{Offset: capacity, Value: 1}}}); err == nil {
+		t.Fatal("update to an offset past the chunk succeeded")
 	}
 }
 
@@ -98,11 +130,11 @@ func TestArrayUpdateEmptiesChunk(t *testing.T) {
 	a, ref := buildTestArray(t, bp)
 
 	// Delete every valid cell: the store must end empty.
-	var dels []CellUpdate
+	var dels []write
 	for k := range ref {
-		dels = append(dels, CellUpdate{Keys: []int64{k[0], k[1]}, Delete: true})
+		dels = append(dels, write{keys: []int64{k[0], k[1]}, delete: true})
 	}
-	next, err := a.Update(dels)
+	next, err := a.ApplyChunkChanges(locate(t, a, dels))
 	if err != nil {
 		t.Fatal(err)
 	}

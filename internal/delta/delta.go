@@ -23,6 +23,7 @@ import (
 	"sync"
 
 	"repro/internal/chunk"
+	"repro/internal/wal"
 )
 
 // ErrClosed is returned by Apply after Close.
@@ -92,7 +93,7 @@ type Store struct {
 	bytes  int64
 	budget int64
 
-	wal    *walFile
+	log    *wal.Records
 	closed bool
 }
 
@@ -111,11 +112,11 @@ func Open(walPath string, budgetBytes int64) (*Store, error) {
 	if walPath == "" {
 		return s, nil
 	}
-	w, batches, err := openWAL(walPath)
+	log, batches, err := openLog(walPath)
 	if err != nil {
 		return nil, err
 	}
-	s.wal = w
+	s.log = log
 	for _, b := range batches {
 		s.applyLocked(b)
 	}
@@ -158,8 +159,11 @@ func (s *Store) Apply(ctx context.Context, cells []Cell) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	if s.wal != nil {
-		if err := s.wal.append(cells); err != nil {
+	if s.log != nil {
+		if err := s.log.Append(encodeBatch(cells)); err != nil {
+			return err
+		}
+		if err := s.log.Sync(); err != nil {
 			return err
 		}
 	}
@@ -268,8 +272,8 @@ func (s *Store) Drain(snapVersions map[int]uint64) error {
 		delete(s.chunks, cn)
 	}
 	var err error
-	if s.wal != nil {
-		err = s.wal.rewrite(s.chunks)
+	if s.log != nil {
+		err = rewriteLog(s.log, s.chunks)
 	}
 	s.cond.Broadcast()
 	return err
@@ -297,8 +301,8 @@ func (s *Store) Close() error {
 	}
 	s.closed = true
 	s.cond.Broadcast()
-	if s.wal != nil {
-		return s.wal.close()
+	if s.log != nil {
+		return s.log.Close()
 	}
 	return nil
 }

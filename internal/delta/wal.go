@@ -3,76 +3,54 @@ package delta
 import (
 	"encoding/binary"
 	"fmt"
-	"hash/crc32"
-	"io"
-	"os"
 	"sort"
 
 	"repro/internal/chunk"
+	"repro/internal/wal"
 )
 
-// The delta store keeps its own write-ahead file rather than sharing
-// the page WAL: the page WAL is checkpoint-truncated on every commit,
-// while delta batches must survive until the compaction that folds them
-// commits. The format is a flat sequence of self-delimiting records:
+// The delta store keeps its own log rather than sharing the page WAL:
+// the page WAL is checkpoint-truncated on every commit, while delta
+// batches must survive until the compaction that folds them commits.
+// It is a wal.Records file with one batch per record:
 //
-//	[u32 payload length][u32 CRC32-C of payload][payload]
 //	payload: uvarint cell count, then per cell
 //	         uvarint chunk, uvarint offset, varint value, u8 delete
 //
-// Replay stops cleanly at the first short or corrupt record (a crash
-// mid-append), truncating the tail — every fully fsynced batch before
-// it is intact because records are appended and synced in order.
+// Records are appended and synced in order, so replay's torn-tail cut
+// keeps every acknowledged batch.
 
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
-
-type walFile struct {
-	path string
-	f    *os.File
+// openLog opens (creating if absent) the delta log and replays its
+// batches.
+func openLog(path string) (*wal.Records, [][]Cell, error) {
+	var batches [][]Cell
+	log, err := wal.OpenRecords(path, func(p []byte) error {
+		b, err := decodeBatch(p)
+		if err != nil {
+			return err
+		}
+		batches = append(batches, b)
+		return nil
+	})
+	return log, batches, err
 }
 
-// openWAL opens (creating if absent) the delta WAL and replays its
-// batches. The file is truncated after the last valid record.
-func openWAL(path string) (*walFile, [][]Cell, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, err
+// rewriteLog replaces the log with one batch per remaining dirty chunk.
+func rewriteLog(log *wal.Records, remaining map[int][]chunk.OverlayCell) error {
+	chunks := make([]int, 0, len(remaining))
+	for cn := range remaining {
+		chunks = append(chunks, cn)
 	}
-	data, err := io.ReadAll(f)
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	var batches [][]Cell
-	valid := 0
-	for len(data)-valid >= 8 {
-		n := binary.LittleEndian.Uint32(data[valid:])
-		crc := binary.LittleEndian.Uint32(data[valid+4:])
-		if uint64(len(data)-valid-8) < uint64(n) {
-			break // torn tail
+	sort.Ints(chunks)
+	payloads := make([][]byte, len(chunks))
+	for i, cn := range chunks {
+		batch := make([]Cell, len(remaining[cn]))
+		for j, c := range remaining[cn] {
+			batch[j] = Cell{Chunk: cn, Offset: c.Offset, Value: c.Value, Delete: c.Delete}
 		}
-		payload := data[valid+8 : valid+8+int(n)]
-		if crc32.Checksum(payload, crcTable) != crc {
-			break // corrupt tail
-		}
-		batch, err := decodeBatch(payload)
-		if err != nil {
-			break
-		}
-		batches = append(batches, batch)
-		valid += 8 + int(n)
+		payloads[i] = encodeBatch(batch)
 	}
-	if valid != len(data) {
-		if err := f.Truncate(int64(valid)); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return &walFile{path: path, f: f}, batches, nil
+	return log.Rewrite(payloads)
 }
 
 func encodeBatch(cells []Cell) []byte {
@@ -87,15 +65,13 @@ func encodeBatch(cells []Cell) []byte {
 			payload = append(payload, 0)
 		}
 	}
-	rec := make([]byte, 8, 8+len(payload))
-	binary.LittleEndian.PutUint32(rec, uint32(len(payload)))
-	binary.LittleEndian.PutUint32(rec[4:], crc32.Checksum(payload, crcTable))
-	return append(rec, payload...)
+	return payload
 }
 
 func decodeBatch(payload []byte) ([]Cell, error) {
 	n, sz := binary.Uvarint(payload)
-	if sz <= 0 {
+	// A cell takes at least four bytes, which bounds the allocation.
+	if sz <= 0 || n > uint64(len(payload)-sz)/4 {
 		return nil, fmt.Errorf("delta: corrupt batch header")
 	}
 	payload = payload[sz:]
@@ -125,65 +101,3 @@ func decodeBatch(payload []byte) ([]Cell, error) {
 	}
 	return cells, nil
 }
-
-// append logs one batch and fsyncs before returning: a batch is visible
-// to queries only after it is durable.
-func (w *walFile) append(cells []Cell) error {
-	if _, err := w.f.Write(encodeBatch(cells)); err != nil {
-		return err
-	}
-	return w.f.Sync()
-}
-
-// rewrite replaces the WAL with one batch per remaining dirty chunk,
-// via a temp file renamed into place so a crash leaves either the old
-// or the new log, never a mix.
-func (w *walFile) rewrite(remaining map[int][]chunk.OverlayCell) error {
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	chunks := make([]int, 0, len(remaining))
-	for cn := range remaining {
-		chunks = append(chunks, cn)
-	}
-	sort.Ints(chunks)
-	for _, cn := range chunks {
-		batch := make([]Cell, 0, len(remaining[cn]))
-		for _, c := range remaining[cn] {
-			batch = append(batch, Cell{Chunk: cn, Offset: c.Offset, Value: c.Value, Delete: c.Delete})
-		}
-		if _, err := f.Write(encodeBatch(batch)); err != nil {
-			f.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	old := w.f
-	nf, err := os.OpenFile(w.path, os.O_RDWR, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := nf.Seek(0, io.SeekEnd); err != nil {
-		nf.Close()
-		return err
-	}
-	w.f = nf
-	return old.Close()
-}
-
-func (w *walFile) close() error { return w.f.Close() }

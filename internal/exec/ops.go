@@ -163,10 +163,10 @@ func refreshBaseStats(bp *storage.BufferPool, cat *catalog.Catalog) error {
 	return nil
 }
 
-// RefreshArrayStats recollects the array section of the planner
-// statistics from the catalog's current array — used after builds and
-// copy-on-write updates replace the array version.
-func RefreshArrayStats(bp *storage.BufferPool, cat *catalog.Catalog) error {
+// refreshArrayStats recollects the array section of the planner
+// statistics from the catalog's current array, after BuildArray
+// replaces it.
+func refreshArrayStats(bp *storage.BufferPool, cat *catalog.Catalog) error {
 	arr, err := OpenArray(bp, cat)
 	if err != nil {
 		return err
@@ -275,7 +275,7 @@ func BuildArray(bp *storage.BufferPool, cat *catalog.Catalog, cfg ArrayBuildConf
 	if err := refreshBaseStats(bp, cat); err != nil {
 		return err
 	}
-	return RefreshArrayStats(bp, cat)
+	return refreshArrayStats(bp, cat)
 }
 
 // OpenArray opens the OLAP Array recorded in the catalog.

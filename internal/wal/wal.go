@@ -11,15 +11,15 @@
 // crash mid-operation leaves the previously committed state intact — the
 // uncommitted operation's pages are unreachable garbage because the root
 // switch itself is part of the committed page set.
+//
+// The log's records are framed by Records, the record file the delta
+// store's log is built on too: one framing, one torn-tail scan.
 package wal
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"os"
 	"sync"
 
@@ -33,31 +33,30 @@ const (
 	recBeforeImage = byte(3) // undo: page contents before first dirtying
 )
 
-// record header layout:
+// A page-log record is one Records payload:
 //
-//	[0:4)  payload length (page image length; 0 for commit)
-//	[4:8)  CRC32 (castagnoli) of type+lsn+pageid+payload
-//	[8:9)  record type
-//	[9:17) LSN
-//	[17:25) page id (0 for commit)
-const recHeaderSize = 25
-
-var crcTable = crc32.MakeTable(crc32.Castagnoli)
+//	[0:1)   record type
+//	[1:9)   LSN
+//	[9:17)  page id (0 for commit)
+//	[17:)   page image (empty for commit)
+//
+// recHeaderSize counts the frame header with it: a commit record's
+// length on disk.
+const (
+	pageRecHeader = 17
+	recHeaderSize = frameHeaderSize + pageRecHeader
+)
 
 // ErrClosed is returned by operations on a closed log.
 var ErrClosed = errors.New("wal: log closed")
 
-// Log is an append-only redo log backed by a single file.
+// Log is an append-only redo log backed by a single record file.
 type Log struct {
-	mu           sync.Mutex
-	file         *os.File
-	w            *bufio.Writer
-	nextLSN      uint64
-	closed       bool
-	appends      uint64 // page images appended, for stats/tests
-	beforeImages uint64
-	commits      uint64
-	fsyncs       uint64
+	mu      sync.Mutex
+	rec     *Records
+	buf     []byte // one record payload, reused
+	nextLSN uint64
+	stats   Stats
 }
 
 // Stats counts the log's activity since Open. PageImages and
@@ -71,30 +70,30 @@ type Stats struct {
 	Fsyncs       uint64 `json:"fsyncs"`
 }
 
+// pageRecords adapts fn to a Records scan, decoding each payload as a
+// page-log record. The image aliases the scan buffer.
+func pageRecords(fn func(typ byte, lsn uint64, pid storage.PageID, img []byte) error) func([]byte) error {
+	return func(p []byte) error {
+		if len(p) < pageRecHeader || len(p) > pageRecHeader+storage.PageSize {
+			return fmt.Errorf("wal: page-log record of %d bytes", len(p))
+		}
+		return fn(p[0], binary.LittleEndian.Uint64(p[1:9]), storage.PageID(binary.LittleEndian.Uint64(p[9:17])), p[pageRecHeader:])
+	}
+}
+
 // Open opens (creating if needed) the log at path. An existing log is
 // opened for appending after scanning it to establish the next LSN; call
 // Recover first if the volume may be behind the log.
 func Open(path string) (*Log, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var lastLSN uint64
+	rec, err := OpenRecords(path, pageRecords(func(_ byte, lsn uint64, _ storage.PageID, _ []byte) error {
+		lastLSN = lsn
+		return nil
+	}))
 	if err != nil {
-		return nil, fmt.Errorf("wal: open %s: %w", path, err)
-	}
-	// Scan to find the next LSN and the end of the valid prefix, then
-	// truncate any torn tail.
-	validEnd, lastLSN, _, err := scan(f, nil)
-	if err != nil {
-		f.Close()
 		return nil, err
 	}
-	if err := f.Truncate(validEnd); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: truncate torn tail: %w", err)
-	}
-	if _, err := f.Seek(validEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, err
-	}
-	return &Log{file: f, w: bufio.NewWriterSize(f, 1<<20), nextLSN: lastLSN + 1}, nil
+	return &Log{rec: rec, buf: make([]byte, pageRecHeader+storage.PageSize), nextLSN: lastLSN + 1}, nil
 }
 
 // LogPageImage appends a page-image redo record. It implements
@@ -106,19 +105,7 @@ func Open(path string) (*Log, error) {
 // loss ordering would additionally require an fsync per eviction; the
 // engine trades that for bulk-load speed and fsyncs only at commit.)
 func (l *Log) LogPageImage(id storage.PageID, img []byte) error {
-	if len(img) != storage.PageSize {
-		return fmt.Errorf("wal: page image of %d bytes", len(img))
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.appendLocked(recPageImage, uint64(id), img); err != nil {
-		return err
-	}
-	l.appends++
-	return l.w.Flush()
+	return l.logImage(recPageImage, id, img)
 }
 
 // LogBeforeImage appends an undo record holding the page's contents
@@ -127,19 +114,24 @@ func (l *Log) LogPageImage(id storage.PageID, img []byte) error {
 // before-images logged after the last commit, in reverse, to roll back
 // uncommitted in-place changes that reached the volume.
 func (l *Log) LogBeforeImage(id storage.PageID, img []byte) error {
+	return l.logImage(recBeforeImage, id, img)
+}
+
+func (l *Log) logImage(typ byte, id storage.PageID, img []byte) error {
 	if len(img) != storage.PageSize {
-		return fmt.Errorf("wal: before image of %d bytes", len(img))
+		return fmt.Errorf("wal: page image of %d bytes", len(img))
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.appendLocked(recBeforeImage, uint64(id), img); err != nil {
+	if err := l.appendLocked(typ, uint64(id), img); err != nil {
 		return err
 	}
-	l.beforeImages++
-	return nil
+	if typ == recBeforeImage {
+		l.stats.BeforeImages++
+		return nil
+	}
+	l.stats.PageImages++
+	return l.rec.Flush()
 }
 
 // AppendCommit appends a commit record and forces the log to stable
@@ -148,13 +140,10 @@ func (l *Log) LogBeforeImage(id storage.PageID, img []byte) error {
 func (l *Log) AppendCommit() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
 	if err := l.appendLocked(recCommit, 0, nil); err != nil {
 		return err
 	}
-	l.commits++
+	l.stats.Commits++
 	return l.syncLocked()
 }
 
@@ -162,36 +151,23 @@ func (l *Log) AppendCommit() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
 	return l.syncLocked()
 }
 
 func (l *Log) syncLocked() error {
-	if err := l.w.Flush(); err != nil {
+	if err := l.rec.Sync(); err != nil {
 		return err
 	}
-	if err := l.file.Sync(); err != nil {
-		return err
-	}
-	l.fsyncs++
+	l.stats.Fsyncs++
 	return nil
 }
 
-func (l *Log) appendLocked(typ byte, pid uint64, payload []byte) error {
-	var hdr [recHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	hdr[8] = typ
-	binary.LittleEndian.PutUint64(hdr[9:17], l.nextLSN)
-	binary.LittleEndian.PutUint64(hdr[17:25], pid)
-	crc := crc32.Checksum(hdr[8:recHeaderSize], crcTable)
-	crc = crc32.Update(crc, crcTable, payload)
-	binary.LittleEndian.PutUint32(hdr[4:8], crc)
-	if _, err := l.w.Write(hdr[:]); err != nil {
-		return err
-	}
-	if _, err := l.w.Write(payload); err != nil {
+func (l *Log) appendLocked(typ byte, pid uint64, img []byte) error {
+	p := l.buf[:pageRecHeader]
+	p[0] = typ
+	binary.LittleEndian.PutUint64(p[1:9], l.nextLSN)
+	binary.LittleEndian.PutUint64(p[9:17], pid)
+	if err := l.rec.Append(append(p, img...)); err != nil {
 		return err
 	}
 	l.nextLSN++
@@ -203,23 +179,10 @@ func (l *Log) appendLocked(typ byte, pid uint64, payload []byte) error {
 func (l *Log) Checkpoint() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return ErrClosed
-	}
-	if err := l.w.Flush(); err != nil {
+	if err := l.rec.Reset(); err != nil {
 		return err
 	}
-	if err := l.file.Truncate(0); err != nil {
-		return err
-	}
-	if _, err := l.file.Seek(0, io.SeekStart); err != nil {
-		return err
-	}
-	l.w.Reset(l.file)
-	if err := l.file.Sync(); err != nil {
-		return err
-	}
-	l.fsyncs++
+	l.stats.Fsyncs++
 	return nil
 }
 
@@ -228,98 +191,21 @@ func (l *Log) Checkpoint() error {
 func (l *Log) Size() (int64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.w.Flush(); err != nil {
-		return 0, err
-	}
-	st, err := l.file.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return st.Size(), nil
+	return l.rec.Size(), nil
 }
 
 // Stats reports the log's activity counters since Open.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return Stats{
-		PageImages:   l.appends,
-		BeforeImages: l.beforeImages,
-		Commits:      l.commits,
-		Fsyncs:       l.fsyncs,
-	}
+	return l.stats
 }
 
 // Close flushes and closes the log file.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return nil
-	}
-	l.closed = true
-	if err := l.w.Flush(); err != nil {
-		l.file.Close()
-		return err
-	}
-	return l.file.Close()
-}
-
-// replayRecord is one decoded log record passed to scan's callback.
-type replayRecord struct {
-	typ  byte
-	lsn  uint64
-	pid  storage.PageID
-	data []byte // page image, aliased to a scan-local buffer
-}
-
-// scan reads the log from the start, invoking fn for every intact record,
-// and returns the byte offset of the end of the valid prefix, the last
-// LSN seen, and the file offset just after the last commit record.
-// A corrupt or torn record ends the scan without error: everything after
-// it is discarded by the caller.
-func scan(f *os.File, fn func(r replayRecord) error) (validEnd int64, lastLSN uint64, lastCommitEnd int64, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, 0, err
-	}
-	r := bufio.NewReaderSize(f, 1<<20)
-	var off int64
-	var hdr [recHeaderSize]byte
-	payload := make([]byte, storage.PageSize)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			return off, lastLSN, lastCommitEnd, nil // clean or torn EOF
-		}
-		plen := binary.LittleEndian.Uint32(hdr[0:4])
-		if plen > storage.PageSize {
-			return off, lastLSN, lastCommitEnd, nil // corrupt length
-		}
-		if _, err := io.ReadFull(r, payload[:plen]); err != nil {
-			return off, lastLSN, lastCommitEnd, nil // torn payload
-		}
-		crc := crc32.Checksum(hdr[8:recHeaderSize], crcTable)
-		crc = crc32.Update(crc, crcTable, payload[:plen])
-		if crc != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return off, lastLSN, lastCommitEnd, nil // corrupt record
-		}
-		rec := replayRecord{
-			typ:  hdr[8],
-			lsn:  binary.LittleEndian.Uint64(hdr[9:17]),
-			pid:  storage.PageID(binary.LittleEndian.Uint64(hdr[17:25])),
-			data: payload[:plen],
-		}
-		off += int64(recHeaderSize) + int64(plen)
-		lastLSN = rec.lsn
-		if rec.typ == recCommit {
-			lastCommitEnd = off
-		}
-		if fn != nil {
-			if err := fn(rec); err != nil {
-				return off, lastLSN, lastCommitEnd, err
-			}
-		}
-		validEnd = off
-	}
+	return l.rec.Close()
 }
 
 // Recover restores the volume to its last committed state:
@@ -335,19 +221,20 @@ func scan(f *os.File, fn func(r replayRecord) error) (validEnd int64, lastLSN ui
 // It returns the number of page images applied (redo + undo). A missing
 // log file is not an error.
 func Recover(path string, disk storage.DiskManager) (int, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return 0, nil
+	// First pass: count the records up to and including the last commit.
+	var n, committed int
+	_, err := ScanRecords(path, pageRecords(func(typ byte, _ uint64, _ storage.PageID, _ []byte) error {
+		n++
+		if typ == recCommit {
+			committed = n
 		}
-		return 0, fmt.Errorf("wal: recover open %s: %w", path, err)
+		return nil
+	}))
+	if errors.Is(err, os.ErrNotExist) {
+		return 0, nil
 	}
-	defer f.Close()
-
-	// First pass: find the end of the last committed record.
-	_, _, lastCommitEnd, err := scan(f, nil)
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("wal: recover %s: %w", path, err)
 	}
 
 	writePage := func(pid storage.PageID, data []byte) error {
@@ -368,27 +255,26 @@ func Recover(path string, disk storage.DiskManager) (int, error) {
 		data []byte
 	}
 	var undo []undoRec
-	var off int64
-	_, _, _, err = scan(f, func(r replayRecord) error {
-		off += int64(recHeaderSize) + int64(len(r.data))
-		committed := off <= lastCommitEnd
-		switch r.typ {
+	i := 0
+	_, err = ScanRecords(path, pageRecords(func(typ byte, _ uint64, pid storage.PageID, img []byte) error {
+		i++
+		switch typ {
 		case recPageImage:
-			if !committed {
+			if i > committed {
 				return nil // uncommitted redo: ignore
 			}
-			if err := writePage(r.pid, r.data); err != nil {
+			if err := writePage(pid, img); err != nil {
 				return err
 			}
 			applied++
 		case recBeforeImage:
-			if committed {
+			if i <= committed {
 				return nil // superseded by the commit
 			}
-			undo = append(undo, undoRec{pid: r.pid, data: append([]byte(nil), r.data...)})
+			undo = append(undo, undoRec{pid: pid, data: append([]byte(nil), img...)})
 		}
 		return nil
-	})
+	}))
 	if err != nil {
 		return applied, err
 	}
@@ -410,5 +296,3 @@ func Recover(path string, disk storage.DiskManager) (int, error) {
 	}
 	return applied, nil
 }
-
-var errStopScan = errors.New("wal: stop scan")

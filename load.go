@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"repro/internal/array"
 	"repro/internal/exec"
 )
 
@@ -107,48 +106,6 @@ func (db *DB) BuildArray(cfg ArrayConfig) error {
 		}
 		return db.refreshCodecSnapshot()
 	})
-}
-
-// ArrayCellUpdate is one cell mutation for UpdateArrayCells.
-type ArrayCellUpdate struct {
-	Keys   []int64
-	Value  int64
-	Delete bool
-}
-
-// UpdateArrayCells applies cell mutations to the OLAP array copy-on-
-// write: a new array version sharing all untouched chunks and dimension
-// structures replaces the old one in the catalog. Call Commit to make
-// the switch durable. The fact file and bitmap indexes are NOT updated —
-// they describe the originally loaded facts; after updates the array is
-// the authoritative store (rebuild the relational side from source to
-// re-align it).
-func (db *DB) UpdateArrayCells(updates []ArrayCellUpdate) error {
-	db.writeMu.Lock()
-	defer db.writeMu.Unlock()
-	arr, err := exec.OpenArray(db.bp, db.cat)
-	if err != nil {
-		return err
-	}
-	converted := make([]array.CellUpdate, len(updates))
-	for i, u := range updates {
-		converted[i] = array.CellUpdate{Keys: u.Keys, Value: u.Value, Delete: u.Delete}
-	}
-	next, err := arr.Update(converted)
-	if err != nil {
-		return err
-	}
-	if uint64(next.State().First) == db.cat.ArrayState {
-		// Empty batch: no new array version was produced, so the catalog
-		// did not change — every cached result is still valid.
-		return nil
-	}
-	db.cat.ArrayState = uint64(next.State().First)
-	defer db.catalogChanged() // the new version stands even if its stats fail
-	if err := exec.RefreshArrayStats(db.bp, db.cat); err != nil {
-		return err
-	}
-	return db.refreshCodecSnapshot()
 }
 
 // BuildBitmapIndexes builds the §4.4 join bitmap indices on every

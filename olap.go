@@ -118,10 +118,6 @@ type Options struct {
 	// BufferPoolBytes sizes the buffer pool; 0 selects 16 MB, the
 	// configuration used in the paper's experiments.
 	BufferPoolBytes int
-	// DisableWAL turns off write-ahead logging for file-backed
-	// databases (bulk experiment loads that are rebuilt on loss).
-	// In-memory databases never log.
-	DisableWAL bool
 	// DeltaBudgetBytes caps the in-memory ingest delta store: once the
 	// uncompacted overlay reaches this many bytes, InsertCells blocks
 	// (backpressure) until a compaction drains it. 0 means unlimited.
@@ -129,9 +125,9 @@ type Options struct {
 }
 
 // DB is an open database handle. Queries (through Sessions), the ingest
-// path (InsertCells and friends), and the background compactor are safe
-// for concurrent use; the bulk write APIs (loads, builds, Commit,
-// UpdateArrayCells) run one at a time, never inside a compaction.
+// path (InsertCells), and the background compactor are safe for
+// concurrent use; the bulk write APIs (loads, builds, Commit) run one at
+// a time, never inside a compaction.
 type DB struct {
 	disk storage.DiskManager
 	bp   *storage.BufferPool
@@ -143,8 +139,7 @@ type DB struct {
 	path string
 
 	// writeMu serializes the writers that mutate the committed state:
-	// loads, builds, user commits, array updates, and the compactor's
-	// fold+commit. Under it the delta store's published array state
+	// loads, builds, user commits, and the compactor's fold+commit. Under it the delta store's published array state
 	// equals cat.ArrayState, so the compactor may fold onto its
 	// snapshot's. The ingest path does not take it — deltas live
 	// outside the page store until the compactor folds them.
@@ -157,10 +152,10 @@ type DB struct {
 	compactions    *obs.Counter
 	compactSeconds *obs.Histogram
 
-	// codecSnap is the latest array codec mix, republished by builds,
-	// cell updates, and compactions. Stats and the /metrics gauges
-	// read it instead of cat.Stats, which concurrent queries read
-	// without locks — the compactor must not mutate that in place.
+	// codecSnap is the latest array codec mix, republished by builds
+	// and compactions. Stats and the /metrics gauges read it instead of
+	// cat.Stats, which concurrent queries read without locks — the
+	// compactor must not mutate that in place.
 	codecSnap atomic.Pointer[codecSnapshot]
 
 	// compactTestHook, when set by a test, runs at each named stage of
@@ -174,10 +169,11 @@ type DB struct {
 var testWrapDisk func(storage.DiskManager) storage.DiskManager
 
 // Open opens (creating as needed) a database. For file-backed databases
-// with logging enabled, any committed WAL suffix is replayed first, so a
-// crash between Commit and Checkpoint is recovered transparently.
+// any committed WAL suffix is replayed first, so a crash between Commit
+// and Checkpoint is recovered transparently.
 func Open(opts Options) (*DB, error) {
 	db := &DB{path: opts.Path}
+	dwal := "" // the delta store's log; none in memory
 	if opts.Path == "" {
 		db.disk = storage.NewMemDiskManager()
 	} else {
@@ -185,13 +181,12 @@ func Open(opts Options) (*DB, error) {
 		if err != nil {
 			return nil, err
 		}
-		if !opts.DisableWAL {
-			if _, err := wal.Recover(walPath(opts.Path), d); err != nil {
-				d.Close()
-				return nil, fmt.Errorf("repro: recover: %w", err)
-			}
+		if _, err := wal.Recover(walPath(opts.Path), d); err != nil {
+			d.Close()
+			return nil, fmt.Errorf("repro: recover: %w", err)
 		}
 		db.disk = d
+		dwal = deltaWALPath(opts.Path)
 	}
 	if testWrapDisk != nil {
 		db.disk = testWrapDisk(db.disk)
@@ -204,7 +199,7 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	db.bp = storage.NewBufferPool(db.disk, frames)
-	if opts.Path != "" && !opts.DisableWAL {
+	if opts.Path != "" {
 		l, err := wal.Open(walPath(opts.Path))
 		if err != nil {
 			db.disk.Close()
@@ -226,10 +221,6 @@ func Open(opts Options) (*DB, error) {
 	}
 	db.cat = cat
 	db.ex = exec.NewExecutor(db.bp, cat)
-	dwal := ""
-	if opts.Path != "" && !opts.DisableWAL {
-		dwal = deltaWALPath(opts.Path)
-	}
 	ds, err := delta.Open(dwal, opts.DeltaBudgetBytes)
 	if err != nil {
 		db.closeQuietly()
@@ -270,9 +261,9 @@ type codecSnapshot struct {
 }
 
 // refreshCodecSnapshot republishes the codec mix after the array
-// changes. Unlike exec.RefreshArrayStats it never touches cat.Stats —
-// the compactor calls it while queries are planning against those
-// statistics lock-free.
+// changes. Unlike BuildArray's statistics refresh it never touches
+// cat.Stats — the compactor calls it while queries are planning against
+// those statistics lock-free.
 func (db *DB) refreshCodecSnapshot() error {
 	arr, err := exec.OpenArray(db.bp, db.cat)
 	if err != nil {
@@ -342,7 +333,7 @@ func (db *DB) closeQuietly() {
 // Commit makes all work since the previous Commit durable and atomic:
 // redo images of every dirty page are forced to the WAL, a commit record
 // is fsynced, the pages are flushed to the volume, and the log is
-// checkpointed. Without a WAL (in-memory or DisableWAL) it degenerates
+// checkpointed. An in-memory database has no WAL: there it degenerates
 // to a flush. Ingested deltas are NOT part of the page store — they are
 // already durable in their own log and are folded in by Compact.
 func (db *DB) Commit() error {

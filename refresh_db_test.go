@@ -265,7 +265,7 @@ func TestColdHotDifferential(t *testing.T) {
 	entries, built := db.Stats().ResultCache.Entries, counter("cache_cold_misses_total")
 	first := [3]int64{0, 0, 0}
 	model[first] = 7777
-	if err := db.UpdateCell(first[:], 7777); err != nil {
+	if err := db.InsertCells([]IngestCell{{Keys: first[:], Value: 7777}}); err != nil {
 		t.Fatal(err)
 	}
 	cached.SetParallel(1)
