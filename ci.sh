@@ -88,6 +88,9 @@ go test -run TestServedHitAllocs -count=1 ./internal/server/
 echo "== served cache hit: µs/hit (1 row) and ns/row (10 000 rows) =="
 go test -run '^$' -bench BenchmarkServedHit -benchtime 2000x ./internal/server/ | grep -E '^Benchmark'
 
+echo "== wire codec: ns/op and allocs/op for a row batch, a frame read and a query's other frames =="
+go test -run '^$' -bench 'BenchmarkDecodeRowBatch|BenchmarkReadFrameBuffer|BenchmarkFrameCodec' -benchtime 20000x ./internal/wire/ | grep -E '^Benchmark'
+
 echo "== warm Query 1: ns/cell and B/query, narrow and wide cube =="
 go test -run '^$' -bench BenchmarkArrayScanKernel -benchtime 1x ./internal/core/ | grep -E '^Benchmark'
 
