@@ -9,6 +9,7 @@ package client
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
@@ -164,7 +165,7 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	}
 	c := &Conn{nc: nc, br: bufio.NewReaderSize(nc, readBufferSize), cfg: cfg}
 	nc.SetDeadline(time.Now().Add(cfg.DialTimeout))
-	if err := c.writeFrame(wire.FrameHello, (&wire.Hello{Version: wire.Version}).Encode()); err != nil {
+	if err := c.writeFrame(wire.FrameHello, wire.Encode(&wire.Hello{Version: wire.Version})); err != nil {
 		nc.Close()
 		return nil, err
 	}
@@ -175,7 +176,8 @@ func Dial(addr string, cfg Config) (*Conn, error) {
 	}
 	switch t {
 	case wire.FrameHelloAck:
-		ack, err := wire.DecodeHelloAck(fb.Bytes())
+		var ack wire.HelloAck
+		err := wire.Decode(fb.Bytes(), &ack)
 		fb.Release()
 		if err != nil {
 			nc.Close()
@@ -267,8 +269,8 @@ func (c *Conn) nextRequest(ctx context.Context) (uint32, error) {
 // serverError turns an Error frame's payload into the typed *Error. A
 // cancellation the caller itself asked for surfaces as ctx's error.
 func (c *Conn) serverError(ctx context.Context, payload []byte) error {
-	ef, err := wire.DecodeError(payload)
-	if err != nil {
+	var ef wire.ErrorFrame
+	if err := wire.Decode(payload, &ef); err != nil {
 		c.broken.Store(true)
 		return err
 	}
@@ -278,15 +280,17 @@ func (c *Conn) serverError(ctx context.Context, payload []byte) error {
 	return &Error{Code: ErrorCode(ef.Code), Message: ef.Message, QueryID: ef.QueryID}
 }
 
-// roundTrip sends one request frame and reads its one reply: a frame of
-// type want carrying the request's ID is handed to decode, an Error
-// frame becomes the typed *Error, and anything else breaks the
-// connection. A cancelable request is one the server may block on: ctx
-// firing sends a Cancel frame (see watchCancel). The others are
+// roundTrip sends req as one request frame and reads its one reply: a
+// frame of type want carrying the request's ID is decoded into resp, an
+// Error frame becomes the typed *Error, and anything else breaks the
+// connection. The request's ID is allotted here and written over the
+// first four bytes of req's payload, where every request carries it
+// (wire.RequestID). A cancelable request is one the server may block on:
+// ctx firing sends a Cancel frame (see watchCancel). The others are
 // metadata reads answered on the server's frame loop and run under the
 // dial timeout instead.
-func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.FrameType,
-	encode func(id uint32) []byte, want wire.FrameType, decode func(payload []byte) error) error {
+func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.FrameType, req wire.Frame,
+	want wire.FrameType, resp wire.Frame) error {
 	id, err := c.nextRequest(ctx)
 	if err != nil {
 		return err
@@ -295,7 +299,9 @@ func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.Fram
 		c.nc.SetReadDeadline(time.Now().Add(c.cfg.DialTimeout))
 		defer c.nc.SetReadDeadline(time.Time{})
 	}
-	if err := c.writeFrame(reqType, encode(id)); err != nil {
+	payload := wire.Encode(req)
+	binary.BigEndian.PutUint32(payload, id)
+	if err := c.writeFrame(reqType, payload); err != nil {
 		return err
 	}
 	if cancelable {
@@ -315,7 +321,7 @@ func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.Fram
 		if got := wire.RequestID(fb.Bytes()); got != id {
 			err = fmt.Errorf("answers request %d, not %d", got, id)
 		} else {
-			err = decode(fb.Bytes())
+			err = wire.Decode(fb.Bytes(), resp)
 		}
 		if err != nil {
 			c.broken.Store(true)
@@ -335,12 +341,8 @@ func (c *Conn) roundTrip(ctx context.Context, cancelable bool, reqType wire.Fram
 // "TRACE" ("on"/"off"). The round-trip runs under the dial timeout (or
 // ctx, whichever fires first).
 func (c *Conn) SetOption(ctx context.Context, name, value string) error {
-	return c.roundTrip(ctx, false, wire.FrameSetOption,
-		func(id uint32) []byte { return (&wire.SetOption{ID: id, Name: name, Value: value}).Encode() },
-		wire.FrameOptionAck, func(p []byte) error {
-			_, err := wire.DecodeOptionAck(p)
-			return err
-		})
+	return c.roundTrip(ctx, false, wire.FrameSetOption, &wire.SetOption{Name: name, Value: value},
+		wire.FrameOptionAck, &wire.OptionAck{})
 }
 
 // SetCache turns this connection's server-side query-cache
@@ -386,19 +388,10 @@ func (c *Conn) Profiles(ctx context.Context, queryID string, limit int) (string,
 	if limit < 0 {
 		limit = 0
 	}
-	var out string
-	err := c.roundTrip(ctx, false, wire.FrameGetProfiles,
-		func(id uint32) []byte {
-			return (&wire.GetProfiles{ID: id, QueryID: queryID, Limit: uint32(limit)}).Encode()
-		},
-		wire.FrameProfilesResult, func(p []byte) error {
-			pr, err := wire.DecodeProfilesResult(p)
-			if err == nil {
-				out = pr.JSON
-			}
-			return err
-		})
-	return out, err
+	var out wire.ProfilesResult
+	err := c.roundTrip(ctx, false, wire.FrameGetProfiles, &wire.GetProfiles{QueryID: queryID, Limit: uint32(limit)},
+		wire.FrameProfilesResult, &out)
+	return out.JSON, err
 }
 
 // IngestCell is one cell state for Ingest, addressed by dimension keys
@@ -425,32 +418,23 @@ type DeltaStats struct {
 // while the server's delta store is over budget; canceling ctx sends a
 // Cancel frame that releases the wait server-side.
 func (c *Conn) Ingest(ctx context.Context, cells []IngestCell) error {
-	return c.roundTrip(ctx, true, wire.FrameIngest,
-		func(id uint32) []byte { return (&wire.Ingest{ID: id, Cells: cells}).Encode() },
-		wire.FrameIngestAck, func(p []byte) error {
-			_, err := wire.DecodeIngestAck(p)
-			return err
-		})
+	return c.roundTrip(ctx, true, wire.FrameIngest, &wire.Ingest{Cells: cells},
+		wire.FrameIngestAck, &wire.IngestAck{})
 }
 
 // DeltaStats reads the server's delta-store counters. The round-trip
 // runs under the dial timeout (or ctx, whichever fires first).
 func (c *Conn) DeltaStats(ctx context.Context) (*DeltaStats, error) {
-	var out *DeltaStats
-	err := c.roundTrip(ctx, false, wire.FrameDeltaStats,
-		func(id uint32) []byte { return (&wire.DeltaStatsReq{ID: id}).Encode() },
-		wire.FrameDeltaStatsResult, func(p []byte) error {
-			r, err := wire.DecodeDeltaStatsResult(p)
-			if err == nil {
-				out = &DeltaStats{
-					Cells: r.Cells, Bytes: r.Bytes,
-					DirtyChunks: r.DirtyChunks, TouchedChunks: r.TouchedChunks,
-					BudgetBytes: r.BudgetBytes, Compactions: r.Compactions,
-				}
-			}
-			return err
-		})
-	return out, err
+	var r wire.DeltaStatsResult
+	if err := c.roundTrip(ctx, false, wire.FrameDeltaStats, &wire.DeltaStatsReq{},
+		wire.FrameDeltaStatsResult, &r); err != nil {
+		return nil, err
+	}
+	return &DeltaStats{
+		Cells: r.Cells, Bytes: r.Bytes,
+		DirtyChunks: r.DirtyChunks, TouchedChunks: r.TouchedChunks,
+		BudgetBytes: r.BudgetBytes, Compactions: r.Compactions,
+	}, nil
 }
 
 // Compact asks the server to fold its accumulated deltas into the chunk
@@ -458,17 +442,9 @@ func (c *Conn) DeltaStats(ctx context.Context) (*DeltaStats, error) {
 // abandons the wait client-side only — the compaction itself is not
 // interruptible.
 func (c *Conn) Compact(ctx context.Context) (time.Duration, error) {
-	var elapsed time.Duration
-	err := c.roundTrip(ctx, true, wire.FrameCompact,
-		func(id uint32) []byte { return (&wire.CompactReq{ID: id}).Encode() },
-		wire.FrameCompactAck, func(p []byte) error {
-			ack, err := wire.DecodeCompactAck(p)
-			if err == nil {
-				elapsed = time.Duration(ack.ElapsedNS)
-			}
-			return err
-		})
-	return elapsed, err
+	var ack wire.CompactAck
+	err := c.roundTrip(ctx, true, wire.FrameCompact, &wire.CompactReq{}, wire.FrameCompactAck, &ack)
+	return time.Duration(ack.ElapsedNS), err
 }
 
 // watchCancel arms ctx-cancellation for request id: when ctx fires, a
@@ -485,7 +461,7 @@ func (c *Conn) watchCancel(ctx context.Context, id uint32) (stop func()) {
 		defer close(doneCh)
 		select {
 		case <-ctx.Done():
-			c.writeFrame(wire.FrameCancel, (&wire.Cancel{ID: id}).Encode())
+			c.writeFrame(wire.FrameCancel, wire.Encode(&wire.Cancel{ID: id}))
 			c.nc.SetReadDeadline(time.Now().Add(c.cfg.CancelGrace))
 		case <-stopCh:
 		}
@@ -529,7 +505,7 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 	// slow-query log even if the connection dies before the response.
 	qid := obs.NewQueryID()
 	q := &wire.Query{ID: id, Engine: wire.Engine(engine), SQL: sql, TraceID: qid}
-	if err := c.writeFrame(wire.FrameQuery, q.Encode()); err != nil {
+	if err := c.writeFrame(wire.FrameQuery, wire.Encode(q)); err != nil {
 		return err
 	}
 	if hdr == nil {
@@ -555,7 +531,8 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 		// the wire decoders copy everything they retain.
 		switch t {
 		case wire.FrameResultHeader:
-			h, err := wire.DecodeResultHeader(fb.Bytes())
+			var h wire.ResultHeader
+			err := wire.Decode(fb.Bytes(), &h)
 			fb.Release()
 			if err != nil || h.ID != id {
 				c.broken.Store(true)
@@ -566,7 +543,8 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 			hdr.GroupAttrs = h.GroupAttrs
 			hdr.Aggs = h.Aggs
 		case wire.FrameRowBatch:
-			rb, err := wire.DecodeRowBatch(fb.Bytes())
+			var rb wire.RowBatch
+			err := wire.Decode(fb.Bytes(), &rb)
 			fb.Release()
 			if err != nil || rb.ID != id {
 				c.broken.Store(true)
@@ -578,11 +556,12 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 			if err := onBatch(rb.Rows); err != nil {
 				batchErr = err
 				batchCanceled = true
-				c.writeFrame(wire.FrameCancel, (&wire.Cancel{ID: id}).Encode())
+				c.writeFrame(wire.FrameCancel, wire.Encode(&wire.Cancel{ID: id}))
 				c.nc.SetReadDeadline(time.Now().Add(c.cfg.CancelGrace))
 			}
 		case wire.FrameResultDone:
-			d, err := wire.DecodeResultDone(fb.Bytes())
+			var d wire.ResultDone
+			err := wire.Decode(fb.Bytes(), &d)
 			fb.Release()
 			if err != nil || d.ID != id {
 				c.broken.Store(true)
@@ -620,21 +599,14 @@ func (c *Conn) QueryFunc(ctx context.Context, sql string, engine Engine,
 // Explain asks the server to plan (and for EXPLAIN ANALYZE, run) sql
 // and returns the rendered explanation.
 func (c *Conn) Explain(ctx context.Context, sql string, engine Engine) (*Explanation, error) {
-	var out *Explanation
-	err := c.roundTrip(ctx, true, wire.FrameExplain,
-		func(id uint32) []byte { return (&wire.Explain{ID: id, Engine: wire.Engine(engine), SQL: sql}).Encode() },
-		wire.FrameExplainResult, func(p []byte) error {
-			er, err := wire.DecodeExplainResult(p)
-			if err == nil {
-				out = &Explanation{Chosen: er.Chosen, Engine: Engine(er.Engine), Text: er.Text}
-			}
-			return err
-		})
+	var er wire.ExplainResult
+	err := c.roundTrip(ctx, true, wire.FrameExplain, &wire.Explain{Engine: wire.Engine(engine), SQL: sql},
+		wire.FrameExplainResult, &er)
 	if err == nil {
 		err = ctx.Err() // answered, but the caller had already given up
 	}
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Explanation{Chosen: er.Chosen, Engine: Engine(er.Engine), Text: er.Text}, nil
 }

@@ -24,11 +24,11 @@ func dial(t *testing.T, srv *Server) *client.Conn {
 
 func wantProtocolError(t *testing.T, br *bufio.Reader) {
 	t.Helper()
-	ft, payload, err := wire.ReadFrame(br)
+	ft, payload, err := readFrame(br)
 	if err != nil || ft != wire.FrameError {
 		t.Fatalf("frame = %s, err = %v, want an error frame", ft, err)
 	}
-	if ef, err := wire.DecodeError(payload); err != nil || ef.Code != wire.CodeProtocol {
+	if ef, err := decodeAs[wire.ErrorFrame](payload); err != nil || ef.Code != wire.CodeProtocol {
 		t.Fatalf("error frame = %+v (%v), want CodeProtocol", ef, err)
 	}
 }
@@ -157,7 +157,7 @@ func TestProtocolConformance(t *testing.T) {
 					t.Fatal(err)
 				}
 				wantProtocolError(t, br)
-				if _, _, err := wire.ReadFrame(br); !errors.Is(err, io.EOF) {
+				if _, _, err := readFrame(br); !errors.Is(err, io.EOF) {
 					t.Fatalf("frame type %s: read after the error frame: %v, want the connection closed", ft, err)
 				}
 			}

@@ -52,13 +52,13 @@ func rawRequest(t testing.TB, nc net.Conn, br *bufio.Reader, ft wire.FrameType, 
 	}
 	var out []rawFrame
 	for {
-		rt, p, err := wire.ReadFrame(br)
+		rt, p, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("reading the response to a %s frame: %v", ft, err)
 		}
 		out = append(out, rawFrame{rt, p})
 		if rt == wire.FrameError {
-			ef, _ := wire.DecodeError(p)
+			ef, _ := decodeAs[wire.ErrorFrame](p)
 			t.Fatalf("%s frame answered with error %+v", ft, ef)
 		}
 		if rt == last {
@@ -71,7 +71,7 @@ func rawRequest(t testing.TB, nc net.Conn, br *bufio.Reader, ft wire.FrameType, 
 // in are the same bytes whether the server ran the engine and encoded
 // the rows (a miss), wrote the cache entry's image (the hit after it), or
 // ran with CACHE off and encoded rows that are in no entry — and they
-// are the bytes RowBatch.Encode gives for the engine's own rows. Only
+// are the bytes Encode gives a RowBatch of the engine's own rows. Only
 // ResultDone's elapsed time may differ.
 func TestResultStreamByteIdentity(t *testing.T) {
 	for _, batchRows := range []int{0, 7} { // neither 256 nor 7 divides 10 or 10 000
@@ -80,14 +80,14 @@ func TestResultStreamByteIdentity(t *testing.T) {
 			sql := wideQueries[rows]
 			t.Run(fmt.Sprintf("batch=%d/rows=%d", batchRows, rows), func(t *testing.T) {
 				const id = 2
-				query := (&wire.Query{ID: id, SQL: sql, TraceID: "the-same-every-time"}).Encode()
+				query := wire.Encode(&wire.Query{ID: id, SQL: sql, TraceID: "the-same-every-time"})
 				stats := func() repro.CacheStats { return db.Stats().ResultCache }
 				var streams [3][]rawFrame
 				for i, cacheOff := range []bool{false, false, true} {
 					nc, br := rawDial(t, srv.Addr().String())
 					if cacheOff {
 						rawRequest(t, nc, br, wire.FrameSetOption,
-							(&wire.SetOption{ID: 1, Name: "CACHE", Value: "off"}).Encode(), wire.FrameOptionAck)
+							wire.Encode(&wire.SetOption{ID: 1, Name: "CACHE", Value: "off"}), wire.FrameOptionAck)
 					}
 					before := stats()
 					streams[i] = rawRequest(t, nc, br, wire.FrameQuery, query, wire.FrameResultDone)
@@ -121,7 +121,7 @@ func TestResultStreamByteIdentity(t *testing.T) {
 					for _, r := range res.Rows[off:min(off+batch, len(res.Rows))] {
 						rb.Rows = append(rb.Rows, wire.Row(r))
 					}
-					want = append(want, rb.Encode())
+					want = append(want, wire.Encode(rb))
 				}
 
 				for i, stream := range streams {
@@ -131,14 +131,14 @@ func TestResultStreamByteIdentity(t *testing.T) {
 					}
 					for j, fr := range stream[1 : len(stream)-1] {
 						if fr.t != wire.FrameRowBatch || !bytes.Equal(fr.payload, want[j]) {
-							t.Fatalf("stream %d: frame %d is not batch %d of the engine's rows as RowBatch.Encode renders it", i, j+1, j)
+							t.Fatalf("stream %d: frame %d is not batch %d of the engine's rows as Encode renders it", i, j+1, j)
 						}
 					}
-					done, err := wire.DecodeResultDone(stream[len(stream)-1].payload)
+					done, err := decodeAs[wire.ResultDone](stream[len(stream)-1].payload)
 					if err != nil {
 						t.Fatal(err)
 					}
-					first, _ := wire.DecodeResultDone(streams[0][len(streams[0])-1].payload)
+					first, _ := decodeAs[wire.ResultDone](streams[0][len(streams[0])-1].payload)
 					done.ElapsedNS, first.ElapsedNS = 0, 0
 					if !reflect.DeepEqual(done, first) || done.Rows != int64(rows) {
 						t.Fatalf("stream %d: done frame %+v, the miss's %+v", i, done, first)
@@ -167,7 +167,7 @@ type hitClient struct {
 
 func newHitClient(t testing.TB, addr, sql string) *hitClient {
 	nc, br := rawDial(t, addr)
-	payload := (&wire.Query{SQL: sql, TraceID: "hit-client"}).Encode()
+	payload := wire.Encode(&wire.Query{SQL: sql, TraceID: "hit-client"})
 	var frame bytes.Buffer
 	if err := wire.WriteFrame(&frame, wire.FrameQuery, payload); err != nil {
 		t.Fatal(err)

@@ -2,8 +2,10 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"net"
 	"runtime"
 	"strings"
@@ -60,6 +62,29 @@ func newWideDB(t testing.TB, n, pad int) *repro.DB {
 	return db
 }
 
+// readFrame reads one frame and returns a copy of its payload, which
+// stays valid after the next read.
+func readFrame(r io.Reader) (wire.FrameType, []byte, error) {
+	ft, fb, err := wire.ReadFrameBuffer(r)
+	if err != nil {
+		return 0, nil, err
+	}
+	defer fb.Release()
+	return ft, bytes.Clone(fb.Bytes()), nil
+}
+
+// decodeAs decodes p into a new T, returning a nil frame on error.
+func decodeAs[T any, PT interface {
+	*T
+	wire.Frame
+}](p []byte) (PT, error) {
+	f := PT(new(T))
+	if err := wire.Decode(p, f); err != nil {
+		return nil, err
+	}
+	return f, nil
+}
+
 // rawHello opens a connection without the client package and sends a
 // Hello frame of the given version, for tests that must misbehave on the
 // wire.
@@ -70,7 +95,7 @@ func rawHello(t testing.TB, addr string, version uint16) (net.Conn, *bufio.Reade
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { nc.Close() })
-	if err := wire.WriteFrame(nc, wire.FrameHello, (&wire.Hello{Version: version}).Encode()); err != nil {
+	if err := wire.WriteFrame(nc, wire.FrameHello, wire.Encode(&wire.Hello{Version: version})); err != nil {
 		t.Fatal(err)
 	}
 	return nc, bufio.NewReader(nc)
@@ -80,7 +105,7 @@ func rawHello(t testing.TB, addr string, version uint16) (net.Conn, *bufio.Reade
 func rawDial(t testing.TB, addr string) (net.Conn, *bufio.Reader) {
 	t.Helper()
 	nc, br := rawHello(t, addr, wire.Version)
-	if ft, _, err := wire.ReadFrame(br); err != nil || ft != wire.FrameHelloAck {
+	if ft, _, err := readFrame(br); err != nil || ft != wire.FrameHelloAck {
 		t.Fatalf("handshake: frame %s, err %v", ft, err)
 	}
 	return nc, br
@@ -133,7 +158,7 @@ func TestServerStalledReaderFreesSlot(t *testing.T) {
 	}
 	wide := &wire.Query{ID: 1, Engine: wire.StarJoin,
 		SQL: "select sum(v), aname, bname from fact, a, b group by aname, bname"}
-	if err := wire.WriteFrame(stalled, wire.FrameQuery, wide.Encode()); err != nil {
+	if err := wire.WriteFrame(stalled, wire.FrameQuery, wire.Encode(wide)); err != nil {
 		t.Fatal(err)
 	}
 	// The stream has started (well past the handshake's few bytes) ...
@@ -179,17 +204,17 @@ func TestServerPipelineCap(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for id := uint32(1); id <= maxInflight+surplus; id++ {
 		q := &wire.Query{ID: id, SQL: retailQuery}
-		if err := wire.WriteFrame(nc, wire.FrameQuery, q.Encode()); err != nil {
+		if err := wire.WriteFrame(nc, wire.FrameQuery, wire.Encode(q)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	nc.SetReadDeadline(time.Now().Add(5 * time.Second))
 	for i := 0; i < surplus; i++ {
-		ft, payload, err := wire.ReadFrame(br)
+		ft, payload, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("rejection %d of %d: %v", i+1, surplus, err)
 		}
-		ef, err := wire.DecodeError(payload)
+		ef, err := decodeAs[wire.ErrorFrame](payload)
 		if ft != wire.FrameError || err != nil || ef.Code != wire.CodeAdmission || ef.ID <= maxInflight {
 			t.Fatalf("frame %s %+v (%v), want CodeAdmission for a request past the cap", ft, ef, err)
 		}
@@ -203,7 +228,7 @@ func TestServerPipelineCap(t *testing.T) {
 
 	<-srv.adm.slots // release: the admitted queries now run and stream
 	for done := 0; done < maxInflight; {
-		ft, _, err := wire.ReadFrame(br)
+		ft, _, err := readFrame(br)
 		if err != nil {
 			t.Fatalf("after %d results: %v", done, err)
 		}

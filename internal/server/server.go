@@ -35,6 +35,17 @@ import (
 // many bytes rather than one per frame.
 const writeBufferSize = 64 << 10
 
+// maxConns bounds the connections open at once; past it a new connection
+// is closed as soon as it is accepted, before it costs a goroutine or a
+// buffer. A constant, not a setting: each open connection holds about
+// 70 KiB of buffers, so the cap bounds them at about 35 MiB.
+const maxConns = 512
+
+// maxHelloPayload bounds a connection's first frame, which must be a
+// Hello (6 bytes of payload): until the handshake, a length prefix is an
+// unauthenticated claim and sizes nothing larger.
+const maxHelloPayload = 64
+
 // maxInflight bounds the requests one connection may have running or
 // queued at once; past it a request is refused with wire.CodeAdmission
 // on the frame loop, before it is decoded or given a goroutine. A
@@ -116,12 +127,17 @@ type Server struct {
 	drained  bool
 	connWG   sync.WaitGroup
 
+	// accepted, when set (by tests), runs between Accept and registering
+	// the connection.
+	accepted func()
+
 	qmu     sync.Mutex
 	queryWG sync.WaitGroup
 
 	// Metrics.
 	connsActive  atomic.Int64
 	connsTotal   *obs.Counter
+	connsRefused *obs.Counter
 	qAccepted    *obs.Counter
 	qQueued      *obs.Counter
 	qRejected    *obs.Counter
@@ -152,6 +168,8 @@ func New(be Backend, cfg Config) *Server {
 	reg.GaugeFunc("server_queries_waiting", "queries parked in the admission wait queue",
 		func() float64 { return float64(s.adm.waiting()) })
 	s.connsTotal = reg.Counter("server_connections_total", "client connections accepted")
+	s.connsRefused = reg.Counter("server_connections_refused_total",
+		"client connections closed at accept: the server was at its connection cap")
 	s.qAccepted = reg.Counter("server_queries_accepted_total", "queries admitted and executed")
 	s.qQueued = reg.Counter("server_queries_queued_total", "queries that waited for an admission slot")
 	s.qRejected = reg.Counter("server_queries_rejected_total", "queries rejected by admission control")
@@ -197,17 +215,19 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed (Shutdown)
 		}
-		if s.isDraining() {
+		if s.accepted != nil {
+			s.accepted()
+		}
+		c := &conn{srv: s, nc: countedConn{nc, s.bytesIn, s.bytesOut}}
+		c.ctx, c.cancel = context.WithCancel(context.Background())
+		if !s.register(c) {
+			c.cancel()
 			nc.Close()
 			continue
 		}
 		s.connsTotal.Inc()
 		s.connsActive.Add(1)
-		c := &conn{srv: s, nc: countedConn{nc, s.bytesIn, s.bytesOut}, sess: s.be.NewSession(&s.cfg)}
-		c.ctx, c.cancel = context.WithCancel(context.Background())
-		s.mu.Lock()
-		s.conns[c] = struct{}{}
-		s.mu.Unlock()
+		c.sess = s.be.NewSession(&s.cfg)
 		s.connWG.Add(1)
 		go func() {
 			defer s.connWG.Done()
@@ -218,6 +238,25 @@ func (s *Server) acceptLoop() {
 			s.connsActive.Add(-1)
 		}()
 	}
+}
+
+// register adds c to the open connections unless the server is draining
+// or at maxConns. The drain check and the insert share the critical
+// section Shutdown's sweep of conns takes, so a connection is either
+// swept or refused: none can register after the sweep and then idle
+// with Shutdown waiting on it.
+func (s *Server) register(c *conn) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.isDraining():
+		return false
+	case len(s.conns) >= maxConns:
+		s.connsRefused.Inc()
+		return false
+	}
+	s.conns[c] = struct{}{}
+	return true
 }
 
 // beginQuery registers one in-flight request, refusing when the server
@@ -371,8 +410,7 @@ func (c *conn) writeFrame(t wire.FrameType, payload []byte) error {
 }
 
 func (c *conn) writeError(id uint32, code wire.ErrorCode, msg, queryID string) {
-	c.writeFrame(wire.FrameError,
-		(&wire.ErrorFrame{ID: id, Code: code, Message: msg, QueryID: queryID}).Encode())
+	c.writeFrame(wire.FrameError, wire.Encode(&wire.ErrorFrame{ID: id, Code: code, Message: msg, QueryID: queryID}))
 }
 
 // fail answers request id with err as a typed Error frame and reports
@@ -401,12 +439,12 @@ func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) w
 
 // reply answers request id with the frame, or with fail when the
 // backend returned an error.
-func (c *conn) reply(ctx context.Context, id uint32, err error, t wire.FrameType, payload func() []byte) {
+func (c *conn) reply(ctx context.Context, id uint32, err error, t wire.FrameType, f wire.Frame) {
 	if err != nil {
 		c.fail(ctx, id, "", err)
 		return
 	}
-	c.writeFrame(t, payload())
+	c.writeFrame(t, wire.Encode(f))
 }
 
 // readFrame reads one frame into a pooled buffer the caller must
@@ -424,9 +462,19 @@ func (c *conn) readFrame() (wire.FrameType, *wire.Buffer, error) {
 }
 
 // handshake reads the Hello frame, under the read timeout from the
-// first byte, and answers it.
+// first byte, and answers it. The peer is not yet known to speak the
+// protocol, so a first frame longer than maxHelloPayload is refused on
+// its header alone.
 func (c *conn) handshake() bool {
 	c.nc.SetReadDeadline(time.Now().Add(c.srv.cfg.ReadTimeout))
+	hdr, err := c.r.Peek(5)
+	if err != nil {
+		return false
+	}
+	if n := binary.BigEndian.Uint32(hdr); n > maxHelloPayload {
+		c.writeError(0, wire.CodeProtocol, fmt.Sprintf("first frame claims %d bytes; a hello has at most %d", n, maxHelloPayload), "")
+		return false
+	}
 	t, fb, err := wire.ReadFrameBuffer(c.r)
 	if err != nil {
 		return false
@@ -436,8 +484,8 @@ func (c *conn) handshake() bool {
 		c.writeError(0, wire.CodeProtocol, fmt.Sprintf("expected hello, got %s", t), "")
 		return false
 	}
-	hello, err := wire.DecodeHello(fb.Bytes())
-	if err != nil {
+	var hello wire.Hello
+	if err := wire.Decode(fb.Bytes(), &hello); err != nil {
 		c.writeError(0, wire.CodeProtocol, err.Error(), "")
 		return false
 	}
@@ -447,7 +495,7 @@ func (c *conn) handshake() bool {
 		return false
 	}
 	ack := &wire.HelloAck{Version: wire.Version, Server: c.srv.be.Banner()}
-	return c.writeFrame(wire.FrameHelloAck, ack.Encode()) == nil
+	return c.writeFrame(wire.FrameHelloAck, wire.Encode(ack)) == nil
 }
 
 func (c *conn) serve() {
@@ -498,34 +546,34 @@ func (c *conn) dispatch(t wire.FrameType, p []byte, start time.Time) bool {
 	}
 	switch t {
 	case wire.FrameQuery:
-		var q *wire.Query
-		q, err = wire.DecodeQuery(p)
+		q := new(wire.Query)
+		err = wire.Decode(p, q)
 		run = func(ctx context.Context) { c.handleQuery(ctx, q) }
 	case wire.FrameExplain:
-		var ex *wire.Explain
-		ex, err = wire.DecodeExplain(p)
+		ex := new(wire.Explain)
+		err = wire.Decode(p, ex)
 		run = func(ctx context.Context) { c.handleExplain(ctx, ex) }
 	case wire.FrameIngest:
 		// Ingest and Compact skip query admission — writes land in the
 		// delta store, not the scan pipeline — but like every spawned
 		// request they are drain-tracked, and a Cancel frame or disconnect
 		// releases an ingest's backpressure wait.
-		var ing *wire.Ingest
-		ing, err = wire.DecodeIngest(p)
+		ing := new(wire.Ingest)
+		err = wire.Decode(p, ing)
 		run = func(ctx context.Context) {
 			c.reply(ctx, id, c.sess.Ingest(ctx, ing.Cells),
-				wire.FrameIngestAck, (&wire.IngestAck{ID: id, Cells: uint32(len(ing.Cells))}).Encode)
+				wire.FrameIngestAck, &wire.IngestAck{ID: id, Cells: uint32(len(ing.Cells))})
 		}
 	case wire.FrameCompact:
-		_, err = wire.DecodeCompactReq(p)
+		err = wire.Decode(p, &wire.CompactReq{})
 		run = func(ctx context.Context) {
 			elapsed, cerr := c.sess.Compact(ctx)
-			c.reply(ctx, id, cerr, wire.FrameCompactAck, (&wire.CompactAck{ID: id, ElapsedNS: elapsed.Nanoseconds()}).Encode)
+			c.reply(ctx, id, cerr, wire.FrameCompactAck, &wire.CompactAck{ID: id, ElapsedNS: elapsed.Nanoseconds()})
 		}
 	case wire.FramePing:
 		c.writeFrame(wire.FramePong, nil)
 	case wire.FrameCancel:
-		if _, err = wire.DecodeCancel(p); err == nil {
+		if err = wire.Decode(p, &wire.Cancel{}); err == nil {
 			c.imu.Lock()
 			if cancel, ok := c.inflight[id]; ok {
 				cancel()
@@ -533,27 +581,24 @@ func (c *conn) dispatch(t wire.FrameType, p []byte, start time.Time) bool {
 			c.imu.Unlock()
 		}
 	case wire.FrameSetOption:
-		var so *wire.SetOption
-		if so, err = wire.DecodeSetOption(p); err == nil {
+		var so wire.SetOption
+		if err = wire.Decode(p, &so); err == nil {
 			// An unknown name or value is a per-request error, not a
 			// protocol violation — the connection stays up.
-			c.reply(c.ctx, id, c.sess.SetOption(c.ctx, so.Name, so.Value),
-				wire.FrameOptionAck, (&wire.OptionAck{ID: id}).Encode)
+			c.reply(c.ctx, id, c.sess.SetOption(c.ctx, so.Name, so.Value), wire.FrameOptionAck, &wire.OptionAck{ID: id})
 		}
 	case wire.FrameGetProfiles:
-		var gp *wire.GetProfiles
-		if gp, err = wire.DecodeGetProfiles(p); err == nil {
+		var gp wire.GetProfiles
+		if err = wire.Decode(p, &gp); err == nil {
 			js, serr := c.sess.Profiles(c.ctx, gp.QueryID, int(gp.Limit))
-			c.reply(c.ctx, id, serr, wire.FrameProfilesResult, (&wire.ProfilesResult{ID: id, JSON: js}).Encode)
+			c.reply(c.ctx, id, serr, wire.FrameProfilesResult, &wire.ProfilesResult{ID: id, JSON: js})
 		}
 	case wire.FrameDeltaStats:
-		if _, err = wire.DecodeDeltaStatsReq(p); err == nil {
+		if err = wire.Decode(p, &wire.DeltaStatsReq{}); err == nil {
 			st, serr := c.sess.DeltaStats(c.ctx)
-			c.reply(c.ctx, id, serr, wire.FrameDeltaStatsResult, func() []byte {
-				return (&wire.DeltaStatsResult{
-					ID: id, Cells: st.Cells, Bytes: st.Bytes, DirtyChunks: st.DirtyChunks,
-					TouchedChunks: st.TouchedChunks, BudgetBytes: st.BudgetBytes, Compactions: st.Compactions,
-				}).Encode()
+			c.reply(c.ctx, id, serr, wire.FrameDeltaStatsResult, &wire.DeltaStatsResult{
+				ID: id, Cells: st.Cells, Bytes: st.Bytes, DirtyChunks: st.DirtyChunks,
+				TouchedChunks: st.TouchedChunks, BudgetBytes: st.BudgetBytes, Compactions: st.Compactions,
 			})
 		}
 	default:
@@ -685,7 +730,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 
 	hdr := &wire.ResultHeader{ID: q.ID, Plan: res.Plan, Engine: wire.Engine(res.Engine),
 		GroupAttrs: res.GroupAttrs, Aggs: res.Aggs}
-	if c.putFrame(wire.FrameResultHeader, 0, hdr.Encode(), false) != nil {
+	if c.putFrame(wire.FrameResultHeader, 0, wire.Encode(hdr), false) != nil {
 		return
 	}
 	// The row batches come out of the backend's image of them.
@@ -705,7 +750,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 	}
 	done := &wire.ResultDone{ID: q.ID, ElapsedNS: res.Elapsed.Nanoseconds(), Rows: int64(res.NumRows),
 		QueryID: res.QueryID, Trace: res.Trace}
-	c.writeFrame(wire.FrameResultDone, done.Encode())
+	c.writeFrame(wire.FrameResultDone, wire.Encode(done))
 }
 
 // handleExplain answers an Explain frame with the backend's rendered
@@ -729,5 +774,5 @@ func (c *conn) handleExplain(ctx context.Context, ex *wire.Explain) {
 	if !strings.HasSuffix(out.Text, "\n") {
 		out.Text += "\n"
 	}
-	c.writeFrame(wire.FrameExplainResult, out.Encode())
+	c.writeFrame(wire.FrameExplainResult, wire.Encode(out))
 }

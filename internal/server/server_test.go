@@ -173,17 +173,17 @@ func TestServerProtocolVersionMismatch(t *testing.T) {
 	}
 	defer nc.Close()
 	hello := &wire.Hello{Version: wire.Version + 9}
-	if err := wire.WriteFrame(nc, wire.FrameHello, hello.Encode()); err != nil {
+	if err := wire.WriteFrame(nc, wire.FrameHello, wire.Encode(hello)); err != nil {
 		t.Fatal(err)
 	}
-	ft, payload, err := wire.ReadFrame(bufio.NewReader(nc))
+	ft, payload, err := readFrame(bufio.NewReader(nc))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ft != wire.FrameError {
 		t.Fatalf("frame = %s, want error", ft)
 	}
-	ef, err := wire.DecodeError(payload)
+	ef, err := decodeAs[wire.ErrorFrame](payload)
 	if err != nil || ef.Code != wire.CodeProtocol {
 		t.Fatalf("error frame = %+v (%v), want CodeProtocol", ef, err)
 	}

@@ -2,6 +2,7 @@ package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 )
 
@@ -172,106 +173,208 @@ type ProfilesResult struct {
 	JSON string
 }
 
+// IngestCell is one cell state in an Ingest frame: dimension keys plus
+// the new measure, or a deletion. States are absolute, so retransmits
+// (and server-side WAL replays) are idempotent.
+type IngestCell struct {
+	Keys   []int64
+	Value  int64
+	Delete bool
+}
+
+// Ingest is the HTAP write frame: apply one batch of cell states
+// through the server's delta store. Answered with IngestAck, or Error
+// (unknown keys, no array, backpressure timeout).
+type Ingest struct {
+	ID    uint32
+	Cells []IngestCell
+}
+
+// IngestAck acknowledges an Ingest frame once the batch is durable in
+// the server's delta WAL and visible to queries.
+type IngestAck struct {
+	ID    uint32
+	Cells uint32 // cells applied
+}
+
+// DeltaStatsReq asks for the server's delta-store counters.
+type DeltaStatsReq struct {
+	ID uint32
+}
+
+// DeltaStatsResult answers DeltaStats with the store's counters.
+type DeltaStatsResult struct {
+	ID            uint32
+	Cells         int64
+	Bytes         int64
+	DirtyChunks   int64
+	TouchedChunks int64
+	BudgetBytes   int64
+	Compactions   int64
+}
+
+// CompactReq asks the server to fold the delta overlay into the chunk
+// store now (the manual trigger beside the background compactor).
+type CompactReq struct {
+	ID uint32
+}
+
+// CompactAck acknowledges a completed compaction.
+type CompactAck struct {
+	ID        uint32
+	ElapsedNS int64
+}
+
 // Err converts the frame to the *Error callers switch on.
 func (f *ErrorFrame) Err() *Error { return &Error{Code: f.Code, Message: f.Message} }
 
 // ---- payload encoding ----
 //
-// Payload fields are appended in declaration order: fixed-width integers
+// Payload fields are laid out in declaration order: fixed-width integers
 // big-endian, counts and lengths as uvarints, aggregate values as zigzag
 // varints (binary.AppendVarint), strings as uvarint length + bytes.
+//
+// Each frame states its layout once, as a fields method that walks a
+// codec over its fields in order. The same walk encodes, appending each
+// field to the payload, and decodes, consuming each field from it.
 
-func appendString(b []byte, s string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(s)))
-	return append(b, s...)
+// Frame is a frame that carries a payload: every frame type but Ping
+// and Pong.
+type Frame interface {
+	// fields walks the frame's fields through c and returns c after the
+	// last one. The codec travels by value: through a pointer it would
+	// escape to the heap on every call.
+	fields(c codec) codec
 }
 
-func appendStrings(b []byte, ss []string) []byte {
-	b = binary.AppendUvarint(b, uint64(len(ss)))
-	for _, s := range ss {
-		b = appendString(b, s)
-	}
-	return b
-}
+// Encode renders f's payload. It starts with room for 64 bytes, enough
+// for a typical reply frame whole.
+func Encode(f Frame) []byte { return f.fields(codec{enc: true, b: make([]byte, 0, 64)}).b }
 
-// dec is a cursor over one frame payload; the first malformed field
-// poisons it and every later read reports the same error.
-type dec struct {
+// Decode parses payload p into f. Everything f retains is copied out of
+// p, so p may be released once Decode returns.
+func Decode(p []byte, f Frame) error { return f.fields(codec{b: p}).done() }
+
+// codec is one walk over a payload. Encoding, b is the payload so far;
+// decoding, it is what is left to read, and the first malformed field
+// poisons the walk: err is set and every later step reads nothing.
+type codec struct {
+	enc bool
 	b   []byte
 	err error
 }
 
-func (d *dec) fail() {
-	if d.err == nil {
-		d.err = fmt.Errorf("wire: truncated or malformed frame payload")
+var errMalformed = errors.New("wire: truncated or malformed frame payload")
+
+func (c *codec) fail() *codec {
+	if c.err == nil {
+		c.err = errMalformed
 	}
+	return c
 }
 
-func (d *dec) u8() uint8 {
-	if d.err != nil || len(d.b) < 1 {
-		d.fail()
-		return 0
+// done checks that a decode consumed the payload exactly.
+func (c codec) done() error {
+	if c.err == nil && len(c.b) != 0 {
+		return fmt.Errorf("wire: %d trailing bytes in frame payload", len(c.b))
 	}
-	v := d.b[0]
-	d.b = d.b[1:]
-	return v
+	return c.err
 }
 
-func (d *dec) u16() uint16 {
-	if d.err != nil || len(d.b) < 2 {
-		d.fail()
-		return 0
+func (c *codec) u8(v *uint8) *codec {
+	switch {
+	case c.enc:
+		c.b = append(c.b, *v)
+	case c.err != nil || len(c.b) < 1:
+		return c.fail()
+	default:
+		*v, c.b = c.b[0], c.b[1:]
 	}
-	v := binary.BigEndian.Uint16(d.b)
-	d.b = d.b[2:]
-	return v
+	return c
 }
 
-func (d *dec) u32() uint32 {
-	if d.err != nil || len(d.b) < 4 {
-		d.fail()
-		return 0
+func (c *codec) u16(v *uint16) *codec {
+	switch {
+	case c.enc:
+		c.b = binary.BigEndian.AppendUint16(c.b, *v)
+	case c.err != nil || len(c.b) < 2:
+		return c.fail()
+	default:
+		*v, c.b = binary.BigEndian.Uint16(c.b), c.b[2:]
 	}
-	v := binary.BigEndian.Uint32(d.b)
-	d.b = d.b[4:]
-	return v
+	return c
 }
 
-func (d *dec) uvarint() uint64 {
-	if d.err != nil {
-		return 0
+func (c *codec) u32(v *uint32) *codec {
+	switch {
+	case c.enc:
+		c.b = binary.BigEndian.AppendUint32(c.b, *v)
+	case c.err != nil || len(c.b) < 4:
+		return c.fail()
+	default:
+		*v, c.b = binary.BigEndian.Uint32(c.b), c.b[4:]
 	}
-	v, n := binary.Uvarint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
-	}
-	d.b = d.b[n:]
-	return v
+	return c
 }
 
-func (d *dec) varint() int64 {
-	if d.err != nil {
-		return 0
+func (c *codec) uvarint(v *uint64) *codec {
+	if c.enc {
+		c.b = binary.AppendUvarint(c.b, *v)
+		return c
 	}
-	v, n := binary.Varint(d.b)
-	if n <= 0 {
-		d.fail()
-		return 0
+	x, n := binary.Uvarint(c.b)
+	if c.err != nil || n <= 0 {
+		return c.fail()
 	}
-	d.b = d.b[n:]
-	return v
+	*v, c.b = x, c.b[n:]
+	return c
 }
 
-func (d *dec) str() string {
-	n := d.uvarint()
-	if d.err != nil || uint64(len(d.b)) < n {
-		d.fail()
-		return ""
+// uvarint32 is a uint32 sent as a uvarint; a decoded value keeps its low
+// 32 bits.
+func (c *codec) uvarint32(v *uint32) *codec {
+	x := uint64(*v)
+	c.uvarint(&x)
+	*v = uint32(x)
+	return c
+}
+
+func (c *codec) varint(v *int64) *codec {
+	if c.enc {
+		c.b = binary.AppendVarint(c.b, *v)
+		return c
 	}
-	s := string(d.b[:n])
-	d.b = d.b[n:]
-	return s
+	x, n := binary.Varint(c.b)
+	if c.err != nil || n <= 0 {
+		return c.fail()
+	}
+	*v, c.b = x, c.b[n:]
+	return c
+}
+
+// flag is a bool sent as one byte, 1 or 0; any nonzero byte decodes as
+// true.
+func (c *codec) flag(v *bool) *codec {
+	var x uint8
+	if *v {
+		x = 1
+	}
+	c.u8(&x)
+	*v = x != 0
+	return c
+}
+
+func (c *codec) str(v *string) *codec {
+	if c.enc {
+		c.b = append(binary.AppendUvarint(c.b, uint64(len(*v))), *v...)
+		return c
+	}
+	var n uint64
+	if c.uvarint(&n).err != nil || uint64(len(c.b)) < n {
+		return c.fail()
+	}
+	*v, c.b = string(c.b[:n]), c.b[n:]
+	return c
 }
 
 // maxPrealloc caps what a decoder allocates up front from a count it
@@ -285,182 +388,98 @@ func prealloc(n uint64, remaining, minBytes int) int {
 	return int(min(n, uint64(remaining/minBytes), maxPrealloc))
 }
 
-func (d *dec) strings() []string {
-	n := d.uvarint()
-	if d.err != nil || n > uint64(len(d.b)) { // each string needs >= 1 byte
-		d.fail()
-		return nil
+// list walks a uvarint count and then each element through elem. A
+// decode refuses a count the remaining bytes cannot hold at minBytes per
+// element, before it allocates anything from it. elem gets the codec by
+// value: a pointer passed to a function value escapes to the heap.
+func list[T any](c *codec, v *[]T, minBytes int, elem func(codec, *T) codec) *codec {
+	n := uint64(len(*v))
+	if c.uvarint(&n); !c.enc {
+		if c.err != nil || n > uint64(len(c.b)/minBytes) {
+			return c.fail()
+		}
+		*v = make([]T, 0, prealloc(n, len(c.b), minBytes))
 	}
-	out := make([]string, 0, prealloc(n, len(d.b), 1))
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		out = append(out, d.str())
+	for i := 0; i < int(n) && c.err == nil; i++ {
+		if !c.enc {
+			var zero T
+			*v = append(*v, zero)
+		}
+		*c = elem(*c, &(*v)[i])
 	}
-	return out
+	return c
 }
 
-// done checks that the payload was consumed exactly.
-func (d *dec) done() error {
-	if d.err != nil {
-		return d.err
+// ---- the field list of every frame ----
+
+func (f *Hello) fields(c codec) codec {
+	magic := Magic
+	if c.u32(&magic).u16(&f.Version); magic != Magic && c.err == nil {
+		c.err = fmt.Errorf("wire: bad magic 0x%08x (not an olapd client?)", magic)
 	}
-	if len(d.b) != 0 {
-		return fmt.Errorf("wire: %d trailing bytes in frame payload", len(d.b))
-	}
-	return nil
+	return c
 }
 
-// ---- per-frame encode/decode ----
+func (f *HelloAck) fields(c codec) codec { return *c.u16(&f.Version).str(&f.Server) }
 
-// Encode renders the Hello payload.
-func (f *Hello) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, Magic)
-	return binary.BigEndian.AppendUint16(b, f.Version)
+func (f *Query) fields(c codec) codec {
+	return *c.u32(&f.ID).u8((*uint8)(&f.Engine)).str(&f.SQL).str(&f.TraceID)
 }
 
-// DecodeHello parses a Hello payload, validating the magic.
-func DecodeHello(p []byte) (*Hello, error) {
-	d := &dec{b: p}
-	magic := d.u32()
-	f := &Hello{Version: d.u16()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	if magic != Magic {
-		return nil, fmt.Errorf("wire: bad magic 0x%08x (not an olapd client?)", magic)
-	}
-	return f, nil
+func (f *Explain) fields(c codec) codec { return (*Query)(f).fields(c) }
+
+func (f *Cancel) fields(c codec) codec { return *c.u32(&f.ID) }
+
+func (f *SetOption) fields(c codec) codec { return *c.u32(&f.ID).str(&f.Name).str(&f.Value) }
+
+func (f *OptionAck) fields(c codec) codec { return *c.u32(&f.ID) }
+
+func (f *ResultHeader) fields(c codec) codec {
+	c.u32(&f.ID).str(&f.Plan).u8((*uint8)(&f.Engine))
+	list(&c, &f.GroupAttrs, 1, func(c codec, s *string) codec { return *c.str(s) })
+	return *list(&c, &f.Aggs, 1, func(c codec, a *uint8) codec { return *c.u8(a) })
 }
 
-// Encode renders the HelloAck payload.
-func (f *HelloAck) Encode() []byte {
-	b := binary.BigEndian.AppendUint16(nil, f.Version)
-	return appendString(b, f.Server)
+func (f *RowBatch) fields(c codec) codec { return *c.u32(&f.ID).rows(&f.Rows) }
+
+func (f *ResultDone) fields(c codec) codec {
+	return *c.u32(&f.ID).varint(&f.ElapsedNS).varint(&f.Rows).str(&f.QueryID).str(&f.Trace)
 }
 
-// DecodeHelloAck parses a HelloAck payload.
-func DecodeHelloAck(p []byte) (*HelloAck, error) {
-	d := &dec{b: p}
-	f := &HelloAck{Version: d.u16(), Server: d.str()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
+func (f *ExplainResult) fields(c codec) codec {
+	return *c.u32(&f.ID).str(&f.Chosen).u8((*uint8)(&f.Engine)).str(&f.Text)
 }
 
-func encodeQuery(id uint32, engine Engine, sql, traceID string) []byte {
-	b := binary.BigEndian.AppendUint32(nil, id)
-	b = append(b, byte(engine))
-	b = appendString(b, sql)
-	return appendString(b, traceID)
+func (f *ErrorFrame) fields(c codec) codec {
+	return *c.u32(&f.ID).u16((*uint16)(&f.Code)).str(&f.Message).str(&f.QueryID)
 }
 
-func decodeQuery(p []byte) (uint32, Engine, string, string, error) {
-	d := &dec{b: p}
-	id := d.u32()
-	engine := Engine(d.u8())
-	sql := d.str()
-	traceID := d.str()
-	if err := d.done(); err != nil {
-		return 0, 0, "", "", err
-	}
-	return id, engine, sql, traceID, nil
+func (f *GetProfiles) fields(c codec) codec {
+	return *c.u32(&f.ID).str(&f.QueryID).uvarint32(&f.Limit)
 }
 
-// Encode renders the Query payload.
-func (f *Query) Encode() []byte { return encodeQuery(f.ID, f.Engine, f.SQL, f.TraceID) }
+func (f *ProfilesResult) fields(c codec) codec { return *c.u32(&f.ID).str(&f.JSON) }
 
-// DecodeQuery parses a Query payload.
-func DecodeQuery(p []byte) (*Query, error) {
-	id, engine, sql, traceID, err := decodeQuery(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Query{ID: id, Engine: engine, SQL: sql, TraceID: traceID}, nil
+// A cell is a key count, a value and a flag: three bytes at least.
+func (f *Ingest) fields(c codec) codec {
+	return *list(c.u32(&f.ID), &f.Cells, 3, func(c codec, cell *IngestCell) codec {
+		list(&c, &cell.Keys, 1, func(c codec, k *int64) codec { return *c.varint(k) })
+		return *c.varint(&cell.Value).flag(&cell.Delete)
+	})
 }
 
-// Encode renders the Explain payload.
-func (f *Explain) Encode() []byte { return encodeQuery(f.ID, f.Engine, f.SQL, f.TraceID) }
+func (f *IngestAck) fields(c codec) codec { return *c.u32(&f.ID).uvarint32(&f.Cells) }
 
-// DecodeExplain parses an Explain payload.
-func DecodeExplain(p []byte) (*Explain, error) {
-	id, engine, sql, traceID, err := decodeQuery(p)
-	if err != nil {
-		return nil, err
-	}
-	return &Explain{ID: id, Engine: engine, SQL: sql, TraceID: traceID}, nil
+func (f *DeltaStatsReq) fields(c codec) codec { return *c.u32(&f.ID) }
+
+func (f *DeltaStatsResult) fields(c codec) codec {
+	return *c.u32(&f.ID).varint(&f.Cells).varint(&f.Bytes).varint(&f.DirtyChunks).
+		varint(&f.TouchedChunks).varint(&f.BudgetBytes).varint(&f.Compactions)
 }
 
-// Encode renders the Cancel payload.
-func (f *Cancel) Encode() []byte { return binary.BigEndian.AppendUint32(nil, f.ID) }
+func (f *CompactReq) fields(c codec) codec { return *c.u32(&f.ID) }
 
-// DecodeCancel parses a Cancel payload.
-func DecodeCancel(p []byte) (*Cancel, error) {
-	d := &dec{b: p}
-	f := &Cancel{ID: d.u32()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the SetOption payload.
-func (f *SetOption) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = appendString(b, f.Name)
-	return appendString(b, f.Value)
-}
-
-// DecodeSetOption parses a SetOption payload.
-func DecodeSetOption(p []byte) (*SetOption, error) {
-	d := &dec{b: p}
-	f := &SetOption{ID: d.u32(), Name: d.str(), Value: d.str()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the OptionAck payload.
-func (f *OptionAck) Encode() []byte { return binary.BigEndian.AppendUint32(nil, f.ID) }
-
-// DecodeOptionAck parses an OptionAck payload.
-func DecodeOptionAck(p []byte) (*OptionAck, error) {
-	d := &dec{b: p}
-	f := &OptionAck{ID: d.u32()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the ResultHeader payload.
-func (f *ResultHeader) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = appendString(b, f.Plan)
-	b = append(b, byte(f.Engine))
-	b = appendStrings(b, f.GroupAttrs)
-	b = binary.AppendUvarint(b, uint64(len(f.Aggs)))
-	return append(b, f.Aggs...)
-}
-
-// DecodeResultHeader parses a ResultHeader payload.
-func DecodeResultHeader(p []byte) (*ResultHeader, error) {
-	d := &dec{b: p}
-	f := &ResultHeader{
-		ID:         d.u32(),
-		Plan:       d.str(),
-		Engine:     Engine(d.u8()),
-		GroupAttrs: d.strings(),
-	}
-	n := d.uvarint()
-	for i := uint64(0); i < n && d.err == nil; i++ { // a hostile count stops at the payload's end
-		f.Aggs = append(f.Aggs, d.u8())
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
+func (f *CompactAck) fields(c codec) codec { return *c.u32(&f.ID).varint(&f.ElapsedNS) }
 
 // rowLike is any row type laid out like Row, so the engine's own row
 // type is encoded where it lies, without this package importing it.
@@ -480,7 +499,11 @@ func appendRows[R rowLike](b []byte, rows []R) []byte {
 	b = binary.AppendUvarint(b, uint64(len(rows)))
 	for i := range rows {
 		r := Row(rows[i])
-		b = appendStrings(b, r.Groups)
+		b = binary.AppendUvarint(b, uint64(len(r.Groups)))
+		for _, g := range r.Groups {
+			b = binary.AppendUvarint(b, uint64(len(g)))
+			b = append(b, g...)
+		}
 		b = binary.AppendVarint(b, r.Sum)
 		b = binary.AppendVarint(b, r.Count)
 		b = binary.AppendVarint(b, r.Min)
@@ -489,17 +512,12 @@ func appendRows[R rowLike](b []byte, rows []R) []byte {
 	return b
 }
 
-// Encode renders the RowBatch payload.
-func (f *RowBatch) Encode() []byte {
-	return appendRows(binary.BigEndian.AppendUint32(nil, f.ID), f.Rows)
-}
-
 // RowImage is a result's RowBatch frames encoded ahead of the request
 // that will carry them: per batch, the 4-byte big-endian length of the
 // payload's part after the request ID, then that part. A server keeps
 // one beside a cached result and answers every hit by writing, per
 // batch, a frame header, the request's ID and the stored bytes — the
-// same bytes RowBatch.Encode would have produced.
+// same bytes Encode would have produced for the RowBatch.
 type RowImage []byte
 
 // AppendRowImage appends rows to img in batches of batchRows.
@@ -532,9 +550,9 @@ func (img RowImage) Rows() ([]Row, error) {
 		}
 		var body []byte
 		body, img = img.Next()
-		d := &dec{b: body}
-		batch := d.rows()
-		if err := d.done(); err != nil {
+		var batch []Row
+		c := codec{b: body}
+		if err := c.rows(&batch).done(); err != nil {
 			return nil, err
 		}
 		rows = append(rows, batch...)
@@ -542,22 +560,27 @@ func (img RowImage) Rows() ([]Row, error) {
 	return rows, nil
 }
 
-// rows reads a row count and that many rows. The whole batch costs a
+// rows walks a row count and that many rows. Encoding is appendRows.
+// Decoding, the whole batch costs a
 // fixed number of allocations: one string holding a copy of the rest of
 // the payload, which every label is a substring of, and one []string
 // that every row's Groups is a slice of — capped at its own length, so
 // a caller appending to one row's Groups cannot write into the next's.
 // Holding on to any one label therefore keeps its batch's bytes alive.
 //
-// This is the client's hot loop, so it walks the string copy by index instead of going field by field through
-// the cursor.
-func (d *dec) rows() []Row {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
+// This is the client's hot loop, so it walks the string copy by index
+// instead of going field by field through the codec.
+func (c *codec) rows(v *[]Row) *codec {
+	if c.enc {
+		c.b = appendRows(c.b, *v)
+		return c
 	}
-	text := string(d.b)
-	rows := make([]Row, 0, prealloc(n, len(d.b), 5)) // a row is a count and four varints at least
+	var n uint64
+	if c.uvarint(&n); c.err != nil {
+		return c
+	}
+	text := string(c.b)
+	rows := make([]Row, 0, prealloc(n, len(c.b), 5)) // a row is a count and four varints at least
 	var groups []string
 	at := 0 // the next unread byte of text; negative once a field was malformed
 	for i := uint64(0); i < n && at >= 0; i++ {
@@ -588,11 +611,10 @@ func (d *dec) rows() []Row {
 		rows = append(rows, r)
 	}
 	if at < 0 {
-		d.fail()
-		return nil
+		return c.fail()
 	}
-	d.b = d.b[at:]
-	return rows
+	*v, c.b = rows, c.b[at:]
+	return c
 }
 
 // uvarintAt reads a uvarint from s at offset at and returns the offset
@@ -626,296 +648,4 @@ func varintAt(s string, at int) (int64, int) {
 		v = ^v
 	}
 	return v, at
-}
-
-// DecodeRowBatch parses a RowBatch payload.
-func DecodeRowBatch(p []byte) (*RowBatch, error) {
-	d := &dec{b: p}
-	f := &RowBatch{ID: d.u32()}
-	f.Rows = d.rows()
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the ResultDone payload.
-func (f *ResultDone) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = binary.AppendVarint(b, f.ElapsedNS)
-	b = binary.AppendVarint(b, f.Rows)
-	b = appendString(b, f.QueryID)
-	return appendString(b, f.Trace)
-}
-
-// DecodeResultDone parses a ResultDone payload.
-func DecodeResultDone(p []byte) (*ResultDone, error) {
-	d := &dec{b: p}
-	f := &ResultDone{
-		ID:        d.u32(),
-		ElapsedNS: d.varint(),
-		Rows:      d.varint(),
-		QueryID:   d.str(),
-		Trace:     d.str(),
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the ExplainResult payload.
-func (f *ExplainResult) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = appendString(b, f.Chosen)
-	b = append(b, byte(f.Engine))
-	return appendString(b, f.Text)
-}
-
-// DecodeExplainResult parses an ExplainResult payload.
-func DecodeExplainResult(p []byte) (*ExplainResult, error) {
-	d := &dec{b: p}
-	f := &ExplainResult{ID: d.u32(), Chosen: d.str(), Engine: Engine(d.u8()), Text: d.str()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the Error payload.
-func (f *ErrorFrame) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = binary.BigEndian.AppendUint16(b, uint16(f.Code))
-	b = appendString(b, f.Message)
-	return appendString(b, f.QueryID)
-}
-
-// DecodeError parses an Error payload.
-func DecodeError(p []byte) (*ErrorFrame, error) {
-	d := &dec{b: p}
-	f := &ErrorFrame{ID: d.u32(), Code: ErrorCode(d.u16()), Message: d.str(), QueryID: d.str()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the GetProfiles payload.
-func (f *GetProfiles) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = appendString(b, f.QueryID)
-	return binary.AppendUvarint(b, uint64(f.Limit))
-}
-
-// DecodeGetProfiles parses a GetProfiles payload.
-func DecodeGetProfiles(p []byte) (*GetProfiles, error) {
-	d := &dec{b: p}
-	f := &GetProfiles{ID: d.u32(), QueryID: d.str(), Limit: uint32(d.uvarint())}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// Encode renders the ProfilesResult payload.
-func (f *ProfilesResult) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	return appendString(b, f.JSON)
-}
-
-// DecodeProfilesResult parses a ProfilesResult payload.
-func DecodeProfilesResult(p []byte) (*ProfilesResult, error) {
-	d := &dec{b: p}
-	f := &ProfilesResult{ID: d.u32(), JSON: d.str()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// IngestCell is one cell state in an Ingest frame: dimension keys plus
-// the new measure, or a deletion. States are absolute, so retransmits
-// (and server-side WAL replays) are idempotent.
-type IngestCell struct {
-	Keys   []int64
-	Value  int64
-	Delete bool
-}
-
-// Ingest is the HTAP write frame: apply one batch of cell states
-// through the server's delta store. Answered with IngestAck, or Error
-// (unknown keys, no array, backpressure timeout).
-type Ingest struct {
-	ID    uint32
-	Cells []IngestCell
-}
-
-// Encode renders the Ingest payload.
-func (f *Ingest) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = binary.AppendUvarint(b, uint64(len(f.Cells)))
-	for i := range f.Cells {
-		c := &f.Cells[i]
-		b = binary.AppendUvarint(b, uint64(len(c.Keys)))
-		for _, k := range c.Keys {
-			b = binary.AppendVarint(b, k)
-		}
-		b = binary.AppendVarint(b, c.Value)
-		if c.Delete {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
-	}
-	return b
-}
-
-// DecodeIngest parses an Ingest payload.
-func DecodeIngest(p []byte) (*Ingest, error) {
-	d := &dec{b: p}
-	f := &Ingest{ID: d.u32()}
-	n := d.uvarint()
-	if d.err == nil {
-		f.Cells = make([]IngestCell, 0, prealloc(n, len(d.b), 3)) // a cell is a key count, a value and a flag at least
-	}
-	for i := uint64(0); i < n && d.err == nil; i++ {
-		nk := d.uvarint()
-		if d.err != nil || nk > uint64(len(d.b))+1 {
-			d.fail()
-			break
-		}
-		c := IngestCell{Keys: make([]int64, 0, prealloc(nk, len(d.b), 1))}
-		for k := uint64(0); k < nk && d.err == nil; k++ {
-			c.Keys = append(c.Keys, d.varint())
-		}
-		c.Value = d.varint()
-		c.Delete = d.u8() != 0
-		f.Cells = append(f.Cells, c)
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// IngestAck acknowledges an Ingest frame once the batch is durable in
-// the server's delta WAL and visible to queries.
-type IngestAck struct {
-	ID    uint32
-	Cells uint32 // cells applied
-}
-
-// Encode renders the IngestAck payload.
-func (f *IngestAck) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	return binary.AppendUvarint(b, uint64(f.Cells))
-}
-
-// DecodeIngestAck parses an IngestAck payload.
-func DecodeIngestAck(p []byte) (*IngestAck, error) {
-	d := &dec{b: p}
-	f := &IngestAck{ID: d.u32(), Cells: uint32(d.uvarint())}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DeltaStatsReq asks for the server's delta-store counters.
-type DeltaStatsReq struct {
-	ID uint32
-}
-
-// Encode renders the DeltaStats payload.
-func (f *DeltaStatsReq) Encode() []byte { return binary.BigEndian.AppendUint32(nil, f.ID) }
-
-// DecodeDeltaStatsReq parses a DeltaStats payload.
-func DecodeDeltaStatsReq(p []byte) (*DeltaStatsReq, error) {
-	d := &dec{b: p}
-	f := &DeltaStatsReq{ID: d.u32()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// DeltaStatsResult answers DeltaStats with the store's counters.
-type DeltaStatsResult struct {
-	ID            uint32
-	Cells         int64
-	Bytes         int64
-	DirtyChunks   int64
-	TouchedChunks int64
-	BudgetBytes   int64
-	Compactions   int64
-}
-
-// Encode renders the DeltaStatsResult payload.
-func (f *DeltaStatsResult) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	b = binary.AppendVarint(b, f.Cells)
-	b = binary.AppendVarint(b, f.Bytes)
-	b = binary.AppendVarint(b, f.DirtyChunks)
-	b = binary.AppendVarint(b, f.TouchedChunks)
-	b = binary.AppendVarint(b, f.BudgetBytes)
-	return binary.AppendVarint(b, f.Compactions)
-}
-
-// DecodeDeltaStatsResult parses a DeltaStatsResult payload.
-func DecodeDeltaStatsResult(p []byte) (*DeltaStatsResult, error) {
-	d := &dec{b: p}
-	f := &DeltaStatsResult{
-		ID:            d.u32(),
-		Cells:         d.varint(),
-		Bytes:         d.varint(),
-		DirtyChunks:   d.varint(),
-		TouchedChunks: d.varint(),
-		BudgetBytes:   d.varint(),
-		Compactions:   d.varint(),
-	}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// CompactReq asks the server to fold the delta overlay into the chunk
-// store now (the manual trigger beside the background compactor).
-type CompactReq struct {
-	ID uint32
-}
-
-// Encode renders the Compact payload.
-func (f *CompactReq) Encode() []byte { return binary.BigEndian.AppendUint32(nil, f.ID) }
-
-// DecodeCompactReq parses a Compact payload.
-func DecodeCompactReq(p []byte) (*CompactReq, error) {
-	d := &dec{b: p}
-	f := &CompactReq{ID: d.u32()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
-}
-
-// CompactAck acknowledges a completed compaction.
-type CompactAck struct {
-	ID        uint32
-	ElapsedNS int64
-}
-
-// Encode renders the CompactAck payload.
-func (f *CompactAck) Encode() []byte {
-	b := binary.BigEndian.AppendUint32(nil, f.ID)
-	return binary.AppendVarint(b, f.ElapsedNS)
-}
-
-// DecodeCompactAck parses a CompactAck payload.
-func DecodeCompactAck(p []byte) (*CompactAck, error) {
-	d := &dec{b: p}
-	f := &CompactAck{ID: d.u32(), ElapsedNS: d.varint()}
-	if err := d.done(); err != nil {
-		return nil, err
-	}
-	return f, nil
 }

@@ -10,7 +10,7 @@ import (
 
 func TestReadFrameBufferRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	want := (&Query{ID: 7, Engine: Array, SQL: "select sum(x)"}).Encode()
+	want := Encode(&Query{ID: 7, Engine: Array, SQL: "select sum(x)"})
 	if err := WriteFrame(&buf, FrameQuery, want); err != nil {
 		t.Fatal(err)
 	}
@@ -24,7 +24,7 @@ func TestReadFrameBufferRoundTrip(t *testing.T) {
 	if !bytes.Equal(fb.Bytes(), want) {
 		t.Fatalf("payload mismatch: %x vs %x", fb.Bytes(), want)
 	}
-	q, err := DecodeQuery(fb.Bytes())
+	q, err := decodeAs[Query](fb.Bytes())
 	fb.Release()
 	if err != nil || q.ID != 7 || q.SQL != "select sum(x)" {
 		t.Fatalf("decode after pooled read: %+v, %v", q, err)
@@ -88,7 +88,7 @@ func TestBufferReleaseNilAndReuse(t *testing.T) {
 }
 
 func BenchmarkWriteFramePooled(b *testing.B) {
-	payload := (&Query{ID: 1, Engine: Array, SQL: "select sum(x) from f group by a"}).Encode()
+	payload := Encode(&Query{ID: 1, Engine: Array, SQL: "select sum(x) from f group by a"})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if err := WriteFrame(io.Discard, FrameQuery, payload); err != nil {
@@ -99,7 +99,7 @@ func BenchmarkWriteFramePooled(b *testing.B) {
 
 func BenchmarkReadFrameBuffer(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteFrame(&buf, FrameQuery, (&Query{ID: 1, SQL: "select"}).Encode()); err != nil {
+	if err := WriteFrame(&buf, FrameQuery, Encode(&Query{ID: 1, SQL: "select"})); err != nil {
 		b.Fatal(err)
 	}
 	frame := buf.Bytes()

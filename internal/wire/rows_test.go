@@ -26,7 +26,7 @@ func testRows(n int) []Row {
 }
 
 // TestRowImageMatchesRowBatch: an image's batches are byte for byte the
-// payloads RowBatch.Encode produces, minus the request ID, for a batch
+// payloads Encode produces for a RowBatch, minus the request ID, for a batch
 // size that does not divide the row count, and decode back to the rows.
 func TestRowImageMatchesRowBatch(t *testing.T) {
 	rows := testRows(1000)
@@ -34,11 +34,11 @@ func TestRowImageMatchesRowBatch(t *testing.T) {
 		img := AppendRowImage(nil, rows, batch)
 		rest := img
 		for off := 0; off < len(rows); off += batch {
-			want := (&RowBatch{ID: 9, Rows: rows[off:min(off+batch, len(rows))]}).Encode()
+			want := Encode(&RowBatch{ID: 9, Rows: rows[off:min(off+batch, len(rows))]})
 			var body []byte
 			body, rest = rest.Next()
 			if !bytes.Equal(body, want[4:]) {
-				t.Fatalf("batch size %d: batch at row %d differs from RowBatch.Encode", batch, off)
+				t.Fatalf("batch size %d: batch at row %d differs from Encode's RowBatch", batch, off)
 			}
 		}
 		if len(rest) != 0 {
@@ -61,9 +61,9 @@ func TestRowImageMatchesRowBatch(t *testing.T) {
 // costs the frame struct, the rows, one string under every label and one
 // slice under every Groups — not five objects per row.
 func TestRowBatchDecodeAllocs(t *testing.T) {
-	payload := (&RowBatch{ID: 1, Rows: testRows(DefaultBatchRows)}).Encode()
+	payload := Encode(&RowBatch{ID: 1, Rows: testRows(DefaultBatchRows)})
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := DecodeRowBatch(payload); err != nil {
+		if _, err := decodeAs[RowBatch](payload); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -76,7 +76,7 @@ func TestRowBatchDecodeAllocs(t *testing.T) {
 // their labels, so each row's Groups must be capped at its own length —
 // appending to one row's must not overwrite the next row's first label.
 func TestRowBatchDecodeGroupsDoNotAlias(t *testing.T) {
-	rb, err := DecodeRowBatch((&RowBatch{ID: 1, Rows: testRows(3)}).Encode())
+	rb, err := decodeAs[RowBatch](Encode(&RowBatch{ID: 1, Rows: testRows(3)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,19 +98,19 @@ func TestDecodeBoundsPreallocation(t *testing.T) {
 	count := binary.AppendUvarint(nil, uint64(len(junk)))
 	for name, decode := range map[string]func() error{
 		"row batch": func() error {
-			_, err := DecodeRowBatch(append(append([]byte{0, 0, 0, 1}, count...), junk...))
+			_, err := decodeAs[RowBatch](append(append([]byte{0, 0, 0, 1}, count...), junk...))
 			return err
 		},
 		"row labels": func() error {
-			_, err := DecodeRowBatch(append(append([]byte{0, 0, 0, 1, 1}, count...), junk...))
+			_, err := decodeAs[RowBatch](append(append([]byte{0, 0, 0, 1, 1}, count...), junk...))
 			return err
 		},
 		"header attributes": func() error {
-			_, err := DecodeResultHeader(append(append([]byte{0, 0, 0, 1, 0, 0}, count...), junk...))
+			_, err := decodeAs[ResultHeader](append(append([]byte{0, 0, 0, 1, 0, 0}, count...), junk...))
 			return err
 		},
 		"ingest cells": func() error {
-			_, err := DecodeIngest(append(append([]byte{0, 0, 0, 1}, count...), junk...))
+			_, err := decodeAs[Ingest](append(append([]byte{0, 0, 0, 1}, count...), junk...))
 			return err
 		},
 	} {
@@ -130,11 +130,11 @@ func TestDecodeBoundsPreallocation(t *testing.T) {
 }
 
 func BenchmarkDecodeRowBatch(b *testing.B) {
-	payload := (&RowBatch{ID: 1, Rows: testRows(DefaultBatchRows)}).Encode()
+	payload := Encode(&RowBatch{ID: 1, Rows: testRows(DefaultBatchRows)})
 	b.ReportAllocs()
 	b.SetBytes(int64(len(payload)))
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeRowBatch(payload); err != nil {
+		if _, err := decodeAs[RowBatch](payload); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -63,12 +63,6 @@ const Version uint16 = 5
 // before trusting any length field.
 const Magic uint32 = 0x4F4C4150 // "OLAP"
 
-// MaxFrameSize bounds one frame's payload (16 MiB). Row batches are
-// far smaller; the bound exists so a corrupt or hostile length prefix
-// cannot make either side allocate unbounded memory. MaxPayload (in
-// pool.go) is the canonical name; this alias predates it.
-const MaxFrameSize = 16 << 20
-
 // DefaultBatchRows is how many result rows the server packs into one
 // RowBatch frame.
 const DefaultBatchRows = 256
@@ -254,23 +248,4 @@ func WriteFrame(w io.Writer, t FrameType, payload []byte) error {
 	_, err := w.Write(fb.b)
 	fb.Release()
 	return err
-}
-
-// ReadFrame reads one frame into a fresh heap slice the caller owns,
-// enforcing MaxPayload before allocating from the length prefix. Hot
-// paths use ReadFrameBuffer instead, which reuses pooled payloads.
-func ReadFrame(r io.Reader) (FrameType, []byte, error) {
-	var hdr [headerSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint32(hdr[:4])
-	if n > MaxPayload {
-		return 0, nil, fmt.Errorf("wire: frame payload %d exceeds %d bytes", n, MaxPayload)
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return FrameType(hdr[4]), payload, nil
 }
