@@ -63,11 +63,15 @@ go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
 echo "== warm Query 1 allocates at most 50 KB (chunks folded where they sit) =="
 go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
 
-echo "== fuzz smoke (store directory, codec decoders, in-place pair walk, blob directory, wire frame decoders, SQL front door, log record scan, delta batch decoder, 10s each) =="
+echo "== warm Query 2/3 allocates at most 50 KB (chunks seeked or filtered where they sit) =="
+go test -run TestWarmArraySelectAllocBytes -count=1 ./internal/core/
+
+echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, blob directory, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzOffsetPairWalk -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzBlobDirectory -fuzztime=10s ./internal/storage/
+go test -run='^$' -fuzz=FuzzBitmapDecode -fuzztime=10s ./internal/bitmap/
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzParseAndCompile -fuzztime=10s ./internal/query/
 go test -run='^$' -fuzz=FuzzRecordScan -fuzztime=10s ./internal/wal/

@@ -10,6 +10,7 @@ package bitmap
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"math/bits"
 	"sync"
 	"sync/atomic"
@@ -160,18 +161,6 @@ func (b *Bitmap) ParallelAnd(o *Bitmap, workers int) {
 	})
 }
 
-// ParallelOr is Or with the word loop split across workers; see
-// ParallelAnd for the contract.
-func (b *Bitmap) ParallelOr(o *Bitmap, workers int) {
-	b.checkLen(o, "Or")
-	logicalOps.Add(1)
-	b.parallelCombine(o, workers, func(dst, src []uint64) {
-		for i := range dst {
-			dst[i] |= src[i]
-		}
-	})
-}
-
 // parallelMinWords is the smallest word range worth a goroutine; below
 // it the spawn overhead dwarfs the combine loop.
 const parallelMinWords = 1 << 12
@@ -296,43 +285,160 @@ func (b *Bitmap) Marshal() []byte {
 	return out
 }
 
-// Unmarshal parses a bitmap produced by Marshal.
+// Unmarshal parses a bitmap produced by Marshal. It sizes the bitmap
+// from the encoding's header, so a caller decoding untrusted bytes
+// should know the length to expect and OR-decode into a bitmap of it
+// (OrDecoder) instead.
 func Unmarshal(data []byte) (*Bitmap, error) {
 	n, sz := binary.Uvarint(data)
-	if sz <= 0 {
+	if sz <= 0 || n > math.MaxUint64-63 {
 		return nil, fmt.Errorf("bitmap: corrupt header")
 	}
-	data = data[sz:]
 	b := New(n)
-	i := 0
-	for len(data) > 0 {
-		c, sz := binary.Uvarint(data)
-		if sz <= 0 {
-			return nil, fmt.Errorf("bitmap: corrupt run control")
-		}
-		data = data[sz:]
-		if c%2 == 0 {
-			i += int(c / 2)
-			if i > len(b.words) {
-				return nil, fmt.Errorf("bitmap: zero run past end")
+	d := b.OrDecoder()
+	if err := d.Feed(data); err != nil {
+		return nil, err
+	}
+	if err := d.Close(); err != nil {
+		return nil, err
+	}
+	return b, nil
+}
+
+// OrDecoder starts OR-ing a Marshal encoding into b as its bytes arrive:
+// Feed it the encoding in pieces of any size (the pages of a blob walk,
+// read in place), then Close it. Unmarshal is this decoder run on a new
+// bitmap, so both make the same checks: the header must give b's length,
+// no run may reach past the end, and the runs must cover every word.
+// After an error b holds some of the encoding's bits and is not to be
+// used.
+func (b *Bitmap) OrDecoder() OrDecoder { return OrDecoder{b: b} }
+
+// OrDecoder is the state of one OR-decode; see Bitmap.OrDecoder.
+type OrDecoder struct {
+	b      *Bitmap
+	header bool   // the header has been read
+	at     uint64 // the word the next run starts at
+	lit    uint64 // literal words still to come in the current run
+	part   [binary.MaxVarintLen64]byte
+	held   int // bytes of a varint or literal word split across pieces
+}
+
+// Feed decodes the next piece of the encoding.
+func (d *OrDecoder) Feed(p []byte) error {
+	for len(p) > 0 {
+		if d.held > 0 {
+			var err error
+			if p, err = d.finishPart(p); err != nil {
+				return err
 			}
 			continue
 		}
-		lit := int((c + 1) / 2)
-		if i+lit > len(b.words) || len(data) < lit*8 {
-			return nil, fmt.Errorf("bitmap: literal run past end")
+		if d.lit > 0 {
+			k := min(d.lit, uint64(len(p)/8))
+			w := d.b.words[d.at : d.at+k]
+			for j := range w {
+				w[j] |= binary.LittleEndian.Uint64(p[j*8:])
+			}
+			d.at, d.lit, p = d.at+k, d.lit-k, p[k*8:]
+			if d.lit > 0 && len(p) > 0 {
+				d.held = copy(d.part[:], p) // less than a word
+				p = nil
+			}
+			continue
 		}
-		for k := 0; k < lit; k++ {
-			b.words[i] = binary.LittleEndian.Uint64(data[k*8:])
-			i++
+		c, sz := binary.Uvarint(p)
+		if sz == 0 { // the piece ends inside the varint
+			d.held = copy(d.part[:], p)
+			return nil
 		}
-		data = data[lit*8:]
+		if sz < 0 {
+			return d.corrupt()
+		}
+		p = p[sz:]
+		if err := d.control(c); err != nil {
+			return err
+		}
 	}
-	if i != len(b.words) {
-		return nil, fmt.Errorf("bitmap: truncated: %d of %d words", i, len(b.words))
+	return nil
+}
+
+// finishPart completes the varint or literal word held from the last
+// piece with the first bytes of p, and returns the rest of p.
+func (d *OrDecoder) finishPart(p []byte) ([]byte, error) {
+	if d.lit > 0 {
+		k := copy(d.part[d.held:8], p)
+		if d.held += k; d.held < 8 {
+			return p[k:], nil
+		}
+		d.b.words[d.at] |= binary.LittleEndian.Uint64(d.part[:8])
+		d.at, d.lit, d.held = d.at+1, d.lit-1, 0
+		return p[k:], nil
 	}
-	b.trimTail()
-	return b, nil
+	k := 0
+	for k < len(p) && d.held < len(d.part) {
+		d.part[d.held] = p[k]
+		d.held, k = d.held+1, k+1
+		if p[k-1] < 0x80 {
+			break
+		}
+	}
+	c, sz := binary.Uvarint(d.part[:d.held])
+	if sz == 0 && d.held < len(d.part) {
+		return p[k:], nil
+	}
+	d.held = 0
+	if sz <= 0 { // an overflow, or ten bytes that never end
+		return nil, d.corrupt()
+	}
+	return p[k:], d.control(c)
+}
+
+// control applies one varint: the header, then run controls. An even
+// control c is c/2 zero words (nothing to OR); an odd one is c/2+1
+// literal words, whose bytes follow.
+func (d *OrDecoder) control(c uint64) error {
+	left := uint64(len(d.b.words)) - d.at
+	switch {
+	case !d.header:
+		if c != d.b.n {
+			return fmt.Errorf("bitmap: encoding of %d bits, want %d", c, d.b.n)
+		}
+		d.header = true
+	case c%2 == 0:
+		if c/2 > left {
+			return fmt.Errorf("bitmap: zero run past end")
+		}
+		d.at += c / 2
+	default:
+		if c/2+1 > left {
+			return fmt.Errorf("bitmap: literal run past end")
+		}
+		d.lit = c/2 + 1
+	}
+	return nil
+}
+
+func (d *OrDecoder) corrupt() error {
+	if !d.header {
+		return fmt.Errorf("bitmap: corrupt header")
+	}
+	return fmt.Errorf("bitmap: corrupt run control")
+}
+
+// Close ends the decode: the encoding must have ended on a run boundary,
+// with every word covered.
+func (d *OrDecoder) Close() error {
+	switch {
+	case d.held > 0 && d.lit == 0, !d.header:
+		return d.corrupt() // the encoding ends inside a varint, or has none
+	case d.lit > 0:
+		return fmt.Errorf("bitmap: literal run past end")
+	case d.at != uint64(len(d.b.words)):
+		return fmt.Errorf("bitmap: truncated: %d of %d words", d.at, len(d.b.words))
+	}
+	d.b.trimTail()
+	return nil
 }
 
 // SizeBytes reports the in-memory footprint of the raw bitmap in bytes.

@@ -217,26 +217,28 @@ func OpenIndexReader(lob *storage.LOBStore, ref storage.LOBRef) (*IndexReader, e
 	return &IndexReader{lob: lob, ref: ref, NBits: nbits, payloadStart: payloadStart, dir: dir}, nil
 }
 
-// ReadBitmap fetches and decodes one value's bitmap; ok is false when no
-// fact tuple carries the value.
-func (r *IndexReader) ReadBitmap(value string) (*Bitmap, bool, error) {
+// OrInto ORs value's bitmap into dst, decoding its run-length bytes
+// straight from the pinned pages of the index blob; ok is false when no
+// fact tuple carries the value. dst must be NBits long. After an error
+// dst is not to be used.
+func (r *IndexReader) OrInto(value string, dst *Bitmap) (ok bool, err error) {
 	e, ok := r.dir[value]
 	if !ok {
-		return nil, false, nil
+		return false, nil
+	}
+	if dst.n != r.NBits {
+		return false, fmt.Errorf("bitmap: index of %d bits OR-ed into a %d-bit bitmap", r.NBits, dst.n)
 	}
 	indexReads.Add(1)
-	data, err := r.lob.ReadRange(r.ref, r.payloadStart+e.off, e.n)
+	logicalOps.Add(1)
+	d := dst.OrDecoder()
+	if err = r.lob.WalkRange(r.ref, r.payloadStart+e.off, e.n, d.Feed); err == nil {
+		err = d.Close()
+	}
 	if err != nil {
-		return nil, false, err
+		return false, fmt.Errorf("bitmap: index bitmap %q: %w", value, err)
 	}
-	bm, err := Unmarshal(data)
-	if err != nil {
-		return nil, false, fmt.Errorf("bitmap: index bitmap %q: %w", value, err)
-	}
-	if bm.Len() != r.NBits {
-		return nil, false, fmt.Errorf("bitmap: index bitmap %q has %d bits, want %d", value, bm.Len(), r.NBits)
-	}
-	return bm, true, nil
+	return true, nil
 }
 
 // NumValues reports the number of values in the stored index.

@@ -134,13 +134,17 @@ func TestIndexReaderSeekableAccess(t *testing.T) {
 	}
 	for _, v := range ix.Values() {
 		want, _ := ix.Get(v)
-		got, ok, err := r.ReadBitmap(v)
+		got := New(r.NBits)
+		ok, err := r.OrInto(v, got)
 		if err != nil || !ok || !got.Equal(want) {
-			t.Fatalf("ReadBitmap(%s) = (%v, %v)", v, ok, err)
+			t.Fatalf("OrInto(%s) = (%v, %v)", v, ok, err)
 		}
 	}
-	if _, ok, err := r.ReadBitmap("ZZ"); err != nil || ok {
-		t.Fatalf("ReadBitmap(absent) = (%v, %v)", ok, err)
+	if ok, err := r.OrInto("ZZ", New(r.NBits)); err != nil || ok {
+		t.Fatalf("OrInto(absent) = (%v, %v)", ok, err)
+	}
+	if _, err := r.OrInto("AA1", New(r.NBits+1)); err == nil {
+		t.Fatal("OrInto a bitmap of another length succeeded")
 	}
 
 	// Seekable access must read fewer pages than loading the index.
@@ -152,7 +156,7 @@ func TestIndexReaderSeekableAccess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := r2.ReadBitmap("AA1"); err != nil {
+	if _, err := r2.OrInto("AA1", New(r2.NBits)); err != nil {
 		t.Fatal(err)
 	}
 	seek := bp.Stats().Sub(before).PhysicalReads

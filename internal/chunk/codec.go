@@ -134,6 +134,77 @@ func (p OffsetPairs) Next() (uint32, int64, OffsetPairs) {
 	return binary.LittleEndian.Uint32(p), int64(binary.LittleEndian.Uint64(p[4:offsetPairSize])), p[offsetPairSize:]
 }
 
+// Seek returns the pairs of p from the first whose offset is >= offset
+// on: the §4.2 binary search, run on pairs where they sit. p's offsets
+// must be ascending, as pairWalk has checked them to be. The search
+// gallops from the front (1, 2, 4, … pairs ahead) before it bisects, so
+// a seek to a near offset, the common step from one run to the next,
+// costs the log of the distance, not of the page.
+func (p OffsetPairs) Seek(offset uint32) OffsetPairs {
+	n, lo, hi := p.Len(), 0, 0
+	for step := 1; hi < n && binary.LittleEndian.Uint32(p[hi*offsetPairSize:]) < offset; step <<= 1 {
+		lo, hi = hi+1, hi+step
+	}
+	for hi = min(hi, n); lo < hi; {
+		mid := int(uint(lo+hi) >> 1)
+		if binary.LittleEndian.Uint32(p[mid*offsetPairSize:]) < offset {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return p[lo*offsetPairSize:]
+}
+
+// Runs yields a chunk's selected offsets as ascending, disjoint,
+// non-empty ranges [lo, hi); ok is false once they are exhausted, and on
+// every call after.
+type Runs interface {
+	NextRun() (lo, hi uint32, ok bool)
+}
+
+// PairSeek keeps, of a chunk handed over in offset order as runs of
+// pairs of any length (a walk's pages and carries), exactly the pairs
+// whose offsets fall in the ranges its Runs yield. Each range's start is
+// binary-searched inside the run that holds it, resuming across runs, so
+// the pairs between ranges are never looked at.
+type PairSeek struct {
+	runs   Runs
+	lo, hi uint32
+	state  uint8 // 0: no range taken yet; 1: in [lo, hi); 2: ranges exhausted
+}
+
+// NewPairSeek starts a seek over the ranges r yields.
+func NewPairSeek(r Runs) PairSeek { return PairSeek{runs: r} }
+
+func (s *PairSeek) advance() {
+	var ok bool
+	if s.lo, s.hi, ok = s.runs.NextRun(); ok {
+		s.state = 1
+	} else {
+		s.state = 2
+	}
+}
+
+// Cut splits p, the chunk's next pairs, into in — the pairs of the
+// current range, from the first at or past its start — and rest, the
+// pairs after in. Once p reaches past the current range, the next range
+// becomes current. Callers cut until rest is empty; after the last range
+// in and rest are both empty.
+func (s *PairSeek) Cut(p OffsetPairs) (in, rest OffsetPairs) {
+	if s.state == 0 {
+		s.advance()
+	}
+	if s.state == 2 {
+		return nil, nil
+	}
+	p = p.Seek(s.lo)
+	if rest = p.Seek(s.hi); len(rest) > 0 {
+		s.advance()
+	}
+	return p[:len(p)-len(rest)], rest
+}
+
 // Encode implements Codec.
 func (OffsetCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 	if err := checkSorted(cells, capacity); err != nil {

@@ -131,6 +131,81 @@ func TestScanRoutes(t *testing.T) {
 	}
 }
 
+// TestVisitChunkRoutes: VisitChunk hands exactly the chunk-offset chunks
+// — no overlay, not cached — to pairs, read in place, and every other
+// chunk to cells as ReadChunk returns it; Get, which reads through it,
+// finds every stored cell with its value at every valid coordinate and
+// nothing elsewhere, and a corrupt pair on a page the lookup never
+// needs is still an error.
+func TestVisitChunkRoutes(t *testing.T) {
+	bp := newStorePool(256)
+	mixed, _ := buildMixedStore(t, bp)
+	paged := buildPagedStore(t, bp)
+	for name, s := range map[string]*Store{"mixed": mixed, "paged": paged} {
+		want := readAll(t, s)
+		g := s.Geometry()
+		coords := make([]int, g.NumDims())
+		for cn := range s.entries {
+			var got []Cell
+			framed := false
+			err := s.VisitChunk(cn, func(_ int, c []Cell) error {
+				got = append(got, c...)
+				return nil
+			}, func(_ int, p OffsetPairs) error {
+				got, framed = appendPairs(got, p), true
+				return nil
+			})
+			if err != nil || !cellsEqual(got, want[cn]) {
+				t.Fatalf("%s chunk %d: VisitChunk diverges from ReadChunk (%v)", name, cn, err)
+			}
+			if _, offset := s.entryCodec(cn).(OffsetCodec); framed != (offset && len(got) > 0) {
+				t.Errorf("%s chunk %d (%s): read in place = %v", name, cn, s.ChunkCodecName(cn), framed)
+			}
+			for off := 0; off < g.ChunkCapacity(); off++ {
+				if !g.ValidOffset(cn, off) {
+					continue
+				}
+				wv, wok := SearchCells(want[cn], uint32(off))
+				v, ok, err := s.Get(g.Decompose(cn, off, coords))
+				if err != nil || v != wv || ok != wok {
+					t.Fatalf("%s chunk %d offset %d: Get = (%d, %v, %v), want (%d, %v)", name, cn, off, v, ok, err, wv, wok)
+				}
+			}
+		}
+		if n := bp.PinnedPages(); n != 0 {
+			t.Fatalf("%s: %d pages left pinned", name, n)
+		}
+	}
+
+	// The last pair of chunk 0 repeats its predecessor's offset: a lookup
+	// at the chunk's first offset, settled on its first page, still fails.
+	corruptChunk(t, paged, 0, func(enc []byte) []byte {
+		n := len(enc) / offsetPairSize
+		copy(enc[(n-1)*offsetPairSize:], enc[(n-2)*offsetPairSize:][:4])
+		return enc
+	})
+	if _, _, err := paged.Get([]int{0, 0}); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+		t.Fatalf("Get on a corrupt chunk: err = %v", err)
+	}
+
+	// An overlay chunk and a decoded-cache hit go to cells.
+	mixed.SetOverlay(map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}})
+	if err := mixed.VisitChunk(0, func(int, []Cell) error { return nil }, func(int, OffsetPairs) error {
+		t.Fatal("overlay chunk read in place")
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if v, ok, err := mixed.Get([]int{0, 1}); err != nil || !ok || v != 5 {
+		t.Fatalf("Get of an overlay cell = (%d, %v, %v)", v, ok, err)
+	}
+	mixed.SetOverlay(nil)
+	mixed.SetDecodedCache(oneChunkCache{0: {{Offset: 3, Value: 9}}})
+	if v, ok, err := mixed.Get(mixed.Geometry().Decompose(0, 3, make([]int, 2))); err != nil || !ok || v != 9 {
+		t.Fatalf("Get of a cached cell = (%d, %v, %v)", v, ok, err)
+	}
+}
+
 // oneChunkCache is a DecodedCache that holds fixed chunks.
 type oneChunkCache map[int][]Cell
 
@@ -245,7 +320,11 @@ func TestScanPairsConcurrent(t *testing.T) {
 // inner positions — and walks them as a chunk read in place. The walk
 // must accept exactly what OffsetCodec.DecodeAlloc accepts, and hand over
 // exactly its cells in order, so any fold of the pairs is the fold of the
-// cells.
+// cells. The seek must agree too: over random ascending offset ranges,
+// PairSeek keeps exactly the cells DecodeAlloc + LowerBound find, and the
+// point search Store.Get runs on a chunk read in place finds exactly what
+// SearchCells finds. Whatever DecodeAlloc rejects is an error on both,
+// even where no range reaches the bad pair.
 func FuzzOffsetPairWalk(f *testing.F) {
 	rng := rand.New(rand.NewSource(81))
 	const capacity = 600
@@ -274,25 +353,14 @@ func FuzzOffsetPairWalk(f *testing.F) {
 		page := int(pageRaw)%storage.PageSize + 1
 		want, wantErr := OffsetCodec{}.DecodeAlloc(data, capacity, nil)
 
-		var carry [offsetPairSize]byte
-		w := pairWalk{cn: 3, capacity: capacity, prev: -1, carry: &carry}
 		var got []Cell
-		collect := func(cn int, p OffsetPairs) error {
+		err := walkSplit(data, capacity, page, func(cn int, p OffsetPairs) error {
 			if cn != 3 || len(p) == 0 || len(p)%offsetPairSize != 0 {
 				t.Fatalf("a run of %d bytes for chunk %d", len(p), cn)
 			}
 			got = appendPairs(got, p)
 			return nil
-		}
-		// Pages alternate between two sizes, so boundaries fall anywhere.
-		var err error
-		for i, b := 0, data; len(b) > 0 && err == nil; i++ {
-			n := min(len(b), page+i%2*(page%offsetPairSize+1))
-			err, b = w.page(b[:n], collect), b[n:]
-		}
-		if err == nil && w.held > 0 {
-			err = errors.New("a partial pair")
-		}
+		})
 		if (err == nil) != (wantErr == nil) {
 			t.Fatalf("walk err %v, DecodeAlloc err %v", err, wantErr)
 		}
@@ -305,5 +373,90 @@ func FuzzOffsetPairWalk(f *testing.F) {
 				t.Fatalf("pair %d (offset %d) handed over unchecked", i, c.Offset)
 			}
 		}
+
+		// The seek, over ranges drawn from the input's own numbers.
+		rr := rand.New(rand.NewSource(int64(capRaw)<<16 | int64(pageRaw) ^ int64(len(data))))
+		var ranges runList
+		for lo := uint32(rr.Intn(8)); int(lo) < capacity+8; {
+			hi := lo + 1 + uint32(rr.Intn(12))
+			ranges = append(ranges, [2]uint32{lo, hi})
+			lo = hi + uint32(rr.Intn(30))
+		}
+		var kept []Cell
+		pending := ranges
+		seek := NewPairSeek(&pending)
+		err = walkSplit(data, capacity, page, func(_ int, p OffsetPairs) error {
+			for len(p) > 0 {
+				var in OffsetPairs
+				in, p = seek.Cut(p)
+				kept = appendPairs(kept, in)
+			}
+			return nil
+		})
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("seek err %v, DecodeAlloc err %v", err, wantErr)
+		}
+		if err == nil {
+			var found []Cell
+			at := 0
+			for _, r := range ranges {
+				for at = LowerBound(want, at, r[0]); at < len(want) && want[at].Offset < r[1]; at++ {
+					found = append(found, want[at])
+				}
+			}
+			if !cellsEqual(kept, found) {
+				t.Fatalf("seek kept %d cells, DecodeAlloc + LowerBound found %d", len(kept), len(found))
+			}
+		}
+
+		// The point search, at a few ranges' starts and stored cells.
+		offs := []uint32{0, uint32(capacity - 1)}
+		for i := 0; i < 8; i++ {
+			offs = append(offs, ranges[rr.Intn(len(ranges))][0])
+			if len(want) > 0 {
+				offs = append(offs, want[rr.Intn(len(want))].Offset)
+			}
+		}
+		for _, off := range offs {
+			ps := pointSeek{off: off}
+			err := walkSplit(data, capacity, page, ps.pairs)
+			if (err == nil) != (wantErr == nil) {
+				t.Fatalf("point search for %d: err %v, DecodeAlloc err %v", off, err, wantErr)
+			}
+			if v, ok := SearchCells(want, off); err == nil && (ps.found != ok || ps.value != v) {
+				t.Fatalf("point search for %d = (%d, %v), SearchCells = (%d, %v)", off, ps.value, ps.found, v, ok)
+			}
+		}
 	})
+}
+
+// walkSplit walks data as chunk 3 read in place, in pages that alternate
+// between two sizes so boundaries fall anywhere, with every check
+// walkPairs makes but the directory's cell count.
+func walkSplit(data []byte, capacity, page int, fn func(cn int, p OffsetPairs) error) error {
+	var carry [offsetPairSize]byte
+	w := pairWalk{cn: 3, capacity: capacity, prev: -1, carry: &carry}
+	for i, b := 0, data; len(b) > 0; i++ {
+		n := min(len(b), page+i%2*(page%offsetPairSize+1))
+		if err := w.page(b[:n], fn); err != nil {
+			return err
+		}
+		b = b[n:]
+	}
+	if w.held > 0 {
+		return errors.New("a partial pair")
+	}
+	return nil
+}
+
+// runList is a Runs over fixed ranges.
+type runList [][2]uint32
+
+func (r *runList) NextRun() (lo, hi uint32, ok bool) {
+	if len(*r) == 0 {
+		return 0, 0, false
+	}
+	lo, hi = (*r)[0][0], (*r)[0][1]
+	*r = (*r)[1:]
+	return lo, hi, true
 }

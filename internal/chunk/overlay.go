@@ -18,8 +18,6 @@ type OverlayCell struct {
 // Delete entries drop the cell.
 func (s *Store) SetOverlay(ov map[int][]OverlayCell) {
 	s.overlay = ov
-	s.cacheChunk = -1
-	s.cacheCells = nil
 }
 
 // mergeOverlayInto merge-joins base (offset-sorted decoded cells) with

@@ -69,11 +69,6 @@ type Store struct {
 	// cache's scan-resistance case and keep their scratch-buffer path).
 	shared DecodedCache
 
-	// One-chunk decode cache for point reads. Stores are single-reader
-	// per goroutine (clone the Store for concurrent readers).
-	cacheChunk int
-	cacheCells []Cell
-
 	// Scratch buffers reused by ScanChunks so a full-array scan does not
 	// allocate per chunk.
 	scratchEnc   []byte
@@ -153,12 +148,11 @@ func (b *Builder) NumCells() int64 { return b.n }
 // cross-product enumeration exploits (§4.2).
 func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 	s := &Store{
-		bp:         bp,
-		lob:        storage.NewLOBStore(bp),
-		geom:       b.geom,
-		codec:      b.codec,
-		entries:    make([]chunkEntry, b.geom.NumChunks()),
-		cacheChunk: -1,
+		bp:      bp,
+		lob:     storage.NewLOBStore(bp),
+		geom:    b.geom,
+		codec:   b.codec,
+		entries: make([]chunkEntry, b.geom.NumChunks()),
 	}
 	for cn := 0; cn < b.geom.NumChunks(); cn++ {
 		cells := b.cells[cn]
@@ -366,7 +360,6 @@ func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 		meta:       meta,
 		totalPages: d.totalPages,
 		validCells: d.validCells,
-		cacheChunk: -1,
 	}, nil
 }
 
@@ -448,12 +441,10 @@ func (s *Store) ChunkCells(chunkNum int) int64 {
 }
 
 // Clone returns a Store sharing the immutable directory but with its own
-// decode cache and scratch buffers, for use from another goroutine. The
+// scratch buffers and carry, for use from another goroutine. The
 // clone starts without an arena — each reader attaches its own.
 func (s *Store) Clone() *Store {
 	c := *s
-	c.cacheChunk = -1
-	c.cacheCells = nil
 	c.scratchEnc = nil
 	c.scratchCells = nil
 	c.mem = nil
@@ -472,12 +463,10 @@ func (s *Store) SetDecodedCache(d DecodedCache) { s.shared = d }
 // on this store or the arena's Reset — whichever comes first — so attach
 // arenas only to single-reader stores (per-query clones, per-worker
 // clones) whose reads never outlive the query. Attaching clears the
-// point-read cache and scratch buffers: they may reference a previous
-// arena that the caller is about to recycle.
+// scratch buffers: they may reference a previous arena that the caller
+// is about to recycle.
 func (s *Store) SetArena(a *arena.Arena) {
 	s.mem = a
-	s.cacheChunk = -1
-	s.cacheCells = nil
 	s.scratchEnc = nil
 	s.scratchCells = nil
 	if a == nil {
@@ -547,23 +536,64 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 	return cells, nil
 }
 
-// Get returns the value of the cell at coords and whether it is valid.
-// Point reads cache the last decoded chunk.
+// VisitChunk reads chunk cn for a reader that takes it either way: a
+// chunk-offset chunk with no overlay that the decoded-chunk cache does
+// not hold goes to pairs as runs read in place from its pinned frames
+// (walkPairs, no copy and no decode); any other chunk goes to cells as
+// ReadChunk returns it, so the cache still takes what is decoded.
+func (s *Store) VisitChunk(cn int, cells func(chunkNum int, c []Cell) error,
+	pairs func(chunkNum int, p OffsetPairs) error) error {
+	if cn >= 0 && cn < len(s.entries) && s.readsInPlace(cn) {
+		if s.shared != nil {
+			if c, ok := s.shared.GetDecoded(cn); ok {
+				return cells(cn, c)
+			}
+		}
+		return s.walkPairs(cn, pairs)
+	}
+	c, err := s.ReadChunk(cn)
+	if err != nil {
+		return err
+	}
+	return cells(cn, c)
+}
+
+// Get returns the value of the cell at coords and whether it is valid. A
+// chunk read in place is searched where it sits (OffsetPairs.Seek), and
+// the walk still checks every pair of the chunk.
 func (s *Store) Get(coords []int) (int64, bool, error) {
 	if err := s.geom.CheckCoords(coords); err != nil {
 		return 0, false, err
 	}
 	cn, off := s.geom.Locate(coords)
-	if cn != s.cacheChunk {
-		cells, err := s.ReadChunk(cn)
-		if err != nil {
-			return 0, false, err
-		}
-		s.cacheChunk = cn
-		s.cacheCells = cells
+	p := pointSeek{off: uint32(off)}
+	err := s.VisitChunk(cn, p.cells, p.pairs)
+	return p.value, p.found, err
+}
+
+// pointSeek looks one offset up in a chunk, whichever way VisitChunk
+// hands the chunk over.
+type pointSeek struct {
+	off   uint32
+	value int64
+	found bool
+}
+
+func (p *pointSeek) cells(_ int, c []Cell) error {
+	p.value, p.found = SearchCells(c, p.off)
+	return nil
+}
+
+func (p *pointSeek) pairs(_ int, run OffsetPairs) error {
+	if p.found {
+		return nil
 	}
-	v, ok := SearchCells(s.cacheCells, uint32(off))
-	return v, ok, nil
+	if q := run.Seek(p.off); len(q) > 0 {
+		if off, v, _ := q.Next(); off == p.off {
+			p.value, p.found = v, true
+		}
+	}
+	return nil
 }
 
 // ScanChunks invokes fn for every non-empty chunk in ascending chunk

@@ -22,12 +22,11 @@ type CellChange struct {
 // the chunk-level half of the engine's shadow-version update path.
 func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
 	out := &Store{
-		bp:         s.bp,
-		lob:        s.lob,
-		geom:       s.geom,
-		codec:      s.codec,
-		entries:    append([]chunkEntry(nil), s.entries...),
-		cacheChunk: -1,
+		bp:      s.bp,
+		lob:     s.lob,
+		geom:    s.geom,
+		codec:   s.codec,
+		entries: append([]chunkEntry(nil), s.entries...),
 	}
 	for cn, chs := range changes {
 		if cn < 0 || cn >= len(out.entries) {

@@ -292,9 +292,9 @@ func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSele
 	})
 	var claimed atomic.Int64
 	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {
-		// ReadChunk, not the scan path's scratch read: the candidate chunks
-		// are exactly the working set the shared decoded-chunk cache exists
-		// to retain.
+		// foldChunk, not the scan path: a chunk that must be decoded goes
+		// through ReadChunk, since the candidate chunks are the working set
+		// the shared decoded-chunk cache exists to retain.
 		p.res, p.m, p.err = runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
 			for {
 				t := claimed.Add(1) - 1

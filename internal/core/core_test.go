@@ -9,6 +9,7 @@ import (
 	"testing/quick"
 
 	"repro/internal/array"
+	"repro/internal/bitmap"
 	"repro/internal/catalog"
 	"repro/internal/factfile"
 	"repro/internal/storage"
@@ -510,19 +511,20 @@ func TestLOBBitmapSource(t *testing.T) {
 		refs[key] = uint64(ref.First)
 	}
 	src := &LOBBitmapSource{Lob: lob, Refs: refs}
-	bm, ok, err := src.BitmapFor("dim0", "h01", "V0_0_0")
+	bm := bitmap.New(fx.ff.NumTuples())
+	ok, err := src.OrBitmap("dim0", "h01", "V0_0_0", bm)
 	if err != nil || !ok || bm.Count() == 0 {
-		t.Fatalf("BitmapFor = (%v, %v, %v)", bm, ok, err)
+		t.Fatalf("OrBitmap = (%v, %v, %v)", bm, ok, err)
 	}
 	// The per-value bitmap must equal the in-memory one.
 	if wantBM, _ := fx.bmaps["dim0.h01"].Get("V0_0_0"); !bm.Equal(wantBM) {
 		t.Fatal("seekable bitmap differs from in-memory bitmap")
 	}
-	if _, ok, err := src.BitmapFor("dim0", "h01", "NO_SUCH"); err != nil || ok {
-		t.Fatalf("BitmapFor absent value = (%v, %v)", ok, err)
+	if ok, err := src.OrBitmap("dim0", "h01", "NO_SUCH", bm); err != nil || ok {
+		t.Fatalf("OrBitmap absent value = (%v, %v)", ok, err)
 	}
-	if _, _, err := src.BitmapFor("dim0", "nope", "x"); err == nil {
-		t.Fatal("BitmapFor of unknown attr succeeded")
+	if _, err := src.OrBitmap("dim0", "nope", "x", bm); err == nil {
+		t.Fatal("OrBitmap of unknown attr succeeded")
 	}
 
 	sels := []Selection{{Dim: 0, Level: 0, Values: []string{"V0_0_0"}}}

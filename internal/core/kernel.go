@@ -50,8 +50,23 @@ type chunkKernel struct {
 	hi, lo       []int32
 	hiKey, loKey int
 
-	inLists [][]int // probe scratch: the chunk's selected in-chunk coordinates
-	inPos   []int   // probe scratch: the cross-product odometer
+	// The chunk being folded under a selection (begin): its selected
+	// in-chunk coordinates per dimension, the odometer over their cross
+	// product (the last dimension's entry indexes its list), and how the
+	// chunk is read — seek the cross product's offset runs, or one masked
+	// pass over every cell.
+	inLists  [][]int
+	inPos    []int
+	runsDone bool
+	next     [2]uint32 // the stretch after the run NextRun last yielded
+	nextOK   bool
+	seeking  bool
+	seek     chunk.PairSeek
+	cands    int   // the chunk's candidate cells: the cross product's size
+	cells    int   // the chunk's cells
+	hits     int64 // cells the seek found
+	foldCell func(cn int, cells []chunk.Cell) error
+	foldPair func(cn int, p chunk.OffsetPairs) error
 }
 
 // newChunkKernel builds the kernel aggregating the cells sel selects (nil
@@ -103,6 +118,7 @@ func newChunkKernel(g *chunk.Geometry, gm *groupMapper, sel *chunkSelection, ar 
 	k.loMagic = ^uint64(0)/uint64(bestLo) + 1
 	k.hi = arena.Make[int32](ar, bestHi)
 	k.lo = arena.Make[int32](ar, bestLo)
+	k.foldCell, k.foldPair = k.chunkCells, k.chunkPairs
 	return k
 }
 
@@ -229,62 +245,163 @@ func (k *chunkKernel) consolidatePairs(cn int, p chunk.OffsetPairs) error {
 	return nil
 }
 
-// consolidateSelected folds the selected cells of chunk cn, one of the
-// selection's candidate chunks. The §4.2 algorithm probes the
-// offset-sorted cells once per element of the chunk's cross product;
-// when that costs more binary-search steps than the chunk has cells, one
-// masked pass over the cells is cheaper and consolidate takes it
-// instead. Both the candidate count and the cell count are the chunk's
-// own, so the choice needs no setting. Probed chunks count Probes and
-// ProbeHits, filtered ones CellsScanned.
-func (k *chunkKernel) consolidateSelected(cn int, cells []chunk.Cell, m *Metrics) error {
-	if len(cells) == 0 {
-		return nil
+// foldChunk reads chunk cn and aggregates its cells — the selected
+// ones, when the kernel has a selection. VisitChunk decides the route: a
+// clean chunk-offset chunk the decoded-chunk cache does not hold is
+// folded from its pinned frames, any other chunk from ReadChunk's cells.
+// Seeking chunks count Probes (their candidate cells) and ProbeHits,
+// filtered ones CellsScanned.
+func (k *chunkKernel) foldChunk(store *chunk.Store, cn int, m *Metrics) error {
+	m.ChunksRead++
+	k.begin(cn, int(store.ChunkCells(cn)))
+	if err := store.VisitChunk(cn, k.foldCell, k.foldPair); err != nil {
+		return err
 	}
-	inLists, pos := k.inLists, k.inPos
-	candidates := 1
-	for d, rest := len(inLists)-1, cn; d >= 0; d-- {
-		inLists[d] = k.sel.inChunk[d][rest%k.chunksPer[d]]
+	if k.seeking {
+		m.Probes += int64(k.cands)
+		m.ProbeHits += k.hits
+	} else {
+		m.CellsScanned += int64(k.cells)
+	}
+	return nil
+}
+
+// begin points the kernel at chunk cn, holding cells cells, and decides
+// how a selection reads it. The §4.2 enumeration visits the chunk's
+// cross product in ascending offset order as runs, one per contiguous
+// stretch of the last dimension's list under each element of the
+// leading dimensions' cross product, and binary-searches each run's
+// start: about seeks x log2(cells) steps. When that exceeds the cells,
+// one masked pass over them is cheaper. Both counts are the chunk's
+// own, so the choice needs no setting.
+func (k *chunkKernel) begin(cn, cells int) {
+	k.cells, k.hits, k.seeking = cells, 0, false
+	if k.sel == nil || cells == 0 {
+		return
+	}
+	lists, pos := k.inLists, k.inPos
+	k.cands = 1
+	for d, rest := len(lists)-1, cn; d >= 0; d-- {
+		lists[d] = k.sel.inChunk[d][rest%k.chunksPer[d]]
 		rest /= k.chunksPer[d]
-		candidates *= len(inLists[d])
+		k.cands *= len(lists[d])
 		pos[d] = 0
 	}
-	if candidates*bits.Len(uint(len(cells)-1)) > len(cells) {
-		m.CellsScanned += int64(len(cells))
-		return k.consolidate(cn, cells)
+	if k.runsDone = k.cands == 0; k.runsDone {
+		return
 	}
-	k.load(cn)
-	// The cross product in odometer order is ascending offsetInChunk, so
-	// each search resumes where the previous one stopped.
-	last := 0
+	last := lists[len(lists)-1]
+	runs := 1
+	for i := 1; i < len(last); i++ {
+		if last[i] != last[i-1]+1 {
+			runs++
+		}
+	}
+	seeks := k.cands / len(last) * runs
+	if k.seeking = seeks*bits.Len(uint(cells-1)) <= cells; k.seeking {
+		k.load(cn)
+		k.seek = chunk.NewPairSeek(k)
+		k.next[0], k.next[1], k.nextOK = k.stretch()
+	}
+}
+
+// NextRun yields the current chunk's next run of selected offsets, in
+// ascending order: stretches (see stretch) that meet end to end, as
+// whole rows of the last dimension under consecutive coordinates of the
+// one before do, form one run.
+func (k *chunkKernel) NextRun() (lo, hi uint32, ok bool) {
+	if !k.nextOK {
+		return 0, 0, false
+	}
+	lo, hi = k.next[0], k.next[1]
 	for {
-		off := uint32(0)
-		for d, l := range inLists {
-			off = off*uint32(k.shape[d]) + uint32(l[pos[d]])
+		k.next[0], k.next[1], k.nextOK = k.stretch()
+		if !k.nextOK || k.next[0] != hi {
+			return lo, hi, true
 		}
-		m.Probes++
-		last = chunk.LowerBound(cells, last, off)
-		if last < len(cells) && cells[last].Offset == off {
-			m.ProbeHits++
-			q, r := splitOffset(off, k.loMagic, k.loSize)
-			// The lists hold only in-bounds selected indexes, so a
-			// negative sum is a group table's unselected entry.
-			if idx := k.hi[q] + k.lo[r]; idx >= 0 {
-				k.res.aggs[idx].add(cells[last].Value)
-			}
-		}
-		d := len(pos) - 1
+		hi = k.next[1]
+	}
+}
+
+// stretch yields the current chunk's next stretch of selected offsets,
+// in ascending order: the odometer over the leading dimensions' lists
+// fixes its base, and it is one contiguous stretch of the last
+// dimension's list.
+func (k *chunkKernel) stretch() (lo, hi uint32, ok bool) {
+	if k.runsDone {
+		return 0, 0, false
+	}
+	lists, pos := k.inLists, k.inPos
+	n := len(lists) - 1
+	if pos[n] == len(lists[n]) {
+		d := n - 1
 		for ; d >= 0; d-- {
-			pos[d]++
-			if pos[d] < len(inLists[d]) {
+			if pos[d]++; pos[d] < len(lists[d]) {
 				break
 			}
 			pos[d] = 0
 		}
 		if d < 0 {
-			return nil
+			k.runsDone = true
+			return 0, 0, false
+		}
+		pos[n] = 0
+	}
+	base := uint32(0)
+	for d := 0; d < n; d++ {
+		base = base*uint32(k.shape[d]) + uint32(lists[d][pos[d]])
+	}
+	base *= uint32(k.shape[n])
+	last, j := lists[n], pos[n]
+	e := j + 1
+	for e < len(last) && last[e] == last[e-1]+1 {
+		e++
+	}
+	pos[n] = e
+	return base + uint32(last[j]), base + uint32(last[e-1]) + 1, true
+}
+
+// chunkCells folds a chunk handed over as decoded cells. Their count
+// can differ from the directory's (an overlay merged in), so the
+// selection's decision is taken again on it.
+func (k *chunkKernel) chunkCells(cn int, cells []chunk.Cell) error {
+	if len(cells) != k.cells {
+		k.begin(cn, len(cells))
+	}
+	if !k.seeking {
+		return k.consolidate(cn, cells)
+	}
+	at := 0
+	for lo, hi, ok := k.NextRun(); ok && at < len(cells); lo, hi, ok = k.NextRun() {
+		// The runs hold only in-bounds selected offsets, so a negative
+		// sum is a group table's unselected entry.
+		for at = chunk.LowerBound(cells, at, lo); at < len(cells) && cells[at].Offset < hi; at++ {
+			k.hits++
+			q, r := splitOffset(cells[at].Offset, k.loMagic, k.loSize)
+			if idx := k.hi[q] + k.lo[r]; idx >= 0 {
+				k.res.aggs[idx].add(cells[at].Value)
+			}
 		}
 	}
+	return nil
+}
+
+// chunkPairs folds one run of a chunk read in place: the pairs the seek
+// keeps, or all of them under the selection's masks.
+func (k *chunkKernel) chunkPairs(cn int, p chunk.OffsetPairs) error {
+	if !k.seeking {
+		return k.consolidatePairs(cn, p)
+	}
+	for len(p) > 0 {
+		var in chunk.OffsetPairs
+		if in, p = k.seek.Cut(p); len(in) > 0 {
+			k.hits += int64(in.Len())
+			if err := k.consolidatePairs(cn, in); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }
 
 // chunkSelection is the per-query state of a §4.2 selection: each

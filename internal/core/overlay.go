@@ -129,9 +129,9 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 
 // foldChunks aggregates the listed chunks that the kernel's selection
 // reaches: the one loop behind the relational overlay fold and the array
-// engine's hot side. It reads through ReadChunk — every statement
-// refreshing after the same batch wants the same decoded, overlay-merged
-// cells, so they belong in the chunk cache.
+// engine's hot side. A chunk with an overlay reads through ReadChunk —
+// every statement refreshing after the same batch wants the same
+// decoded, overlay-merged cells, so they belong in the chunk cache.
 func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks []int, m *Metrics) error {
 	for _, cn := range chunks {
 		if k.sel != nil && !k.sel.reaches(cn) {
@@ -145,21 +145,6 @@ func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks
 		}
 	}
 	return nil
-}
-
-// foldChunk reads chunk cn and aggregates its cells — the selected ones,
-// when the kernel has a selection.
-func (k *chunkKernel) foldChunk(store *chunk.Store, cn int, m *Metrics) error {
-	cells, err := store.ReadChunk(cn)
-	if err != nil {
-		return err
-	}
-	m.ChunksRead++
-	if k.sel != nil {
-		return k.consolidateSelected(cn, cells, m)
-	}
-	m.CellsScanned += int64(len(cells))
-	return k.consolidate(cn, cells)
 }
 
 // SelectionChunks returns the sorted candidate chunk numbers the §4.2

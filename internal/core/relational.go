@@ -483,13 +483,14 @@ func BuildBitmapIndexes(ff *factfile.File, dims []*catalog.DimensionTable) (map[
 	return out, nil
 }
 
-// BitmapIndexSource provides single-value bitmaps from the join bitmap
+// BitmapIndexSource serves single-value bitmaps from the join bitmap
 // index on a (dimension, attr) pair — the §4.5 access pattern ("retrieve
-// the bitmaps for the selected values"). ok is false when no fact tuple
-// carries the value; an error means the index itself is missing or
-// unreadable.
+// the bitmaps for the selected values"). OrBitmap ORs value's bitmap
+// into dst, which must cover every fact tuple; ok is false when no fact
+// tuple carries the value. An error means the index itself is missing
+// or unreadable.
 type BitmapIndexSource interface {
-	BitmapFor(dim, attr, value string) (bm *bitmap.Bitmap, ok bool, err error)
+	OrBitmap(dim, attr, value string, dst *bitmap.Bitmap) (ok bool, err error)
 }
 
 // BitmapSelectConsolidate evaluates a consolidation with selection using
@@ -498,12 +499,13 @@ type BitmapIndexSource interface {
 // fetch exactly the qualifying tuples from the fact file and aggregate
 // them (with the same per-dimension group hash tables as the star join).
 //
-// s.Workers splits the bitmap word loops only: each AND/OR runs across
-// word ranges (bitmap.ParallelAnd/Or fall back to the sequential loop on
-// small bitmaps, so operation counts never depend on the degree), while
-// retrieval and the fetch stay sequential — the LOB readers are not
-// shareable and the fetch is I/O-ordered. ctx is checked between bitmap
-// retrievals and during the fetch.
+// Each selected value's bitmap is OR-ed straight into the predicate's
+// merge buffer as it is read, with no bitmap of its own. s.Workers
+// splits the AND's word loop only (bitmap.ParallelAnd falls back to the
+// sequential loop on small bitmaps, so operation counts never depend on
+// the degree), while retrieval and the fetch stay sequential — the LOB
+// readers are not shareable and the fetch is I/O-ordered. ctx is checked
+// between bitmap retrievals and during the fetch.
 func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
 	src BitmapIndexSource, s ScanSpec) (*Result, Metrics, error) {
 	return relConsolidate(ctx, ff, dims, s, 1, false,
@@ -525,13 +527,12 @@ func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*cat
 				schema := dims[sel.Dim].Schema
 				merged.ClearAll()
 				for _, v := range sel.Values {
-					bm, ok, err := src.BitmapFor(schema.Name, schema.Attrs[sel.Level], v)
+					ok, err := src.OrBitmap(schema.Name, schema.Attrs[sel.Level], v, merged)
 					if err != nil {
 						return err
 					}
 					if ok {
 						m.BitmapsRead++
-						merged.ParallelOr(bm, s.Workers)
 						m.BitmapANDs++
 					}
 				}
@@ -547,27 +548,34 @@ func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*cat
 // MemBitmapSource adapts an in-memory index map to BitmapIndexSource.
 type MemBitmapSource map[string]*bitmap.Index
 
-// BitmapFor implements BitmapIndexSource.
-func (s MemBitmapSource) BitmapFor(dim, attr, value string) (*bitmap.Bitmap, bool, error) {
+// OrBitmap implements BitmapIndexSource.
+func (s MemBitmapSource) OrBitmap(dim, attr, value string, dst *bitmap.Bitmap) (bool, error) {
 	ix, ok := s[catalog.BitmapKey(dim, attr)]
 	if !ok {
-		return nil, false, fmt.Errorf("core: no bitmap index on %s.%s", dim, attr)
+		return false, fmt.Errorf("core: no bitmap index on %s.%s", dim, attr)
 	}
 	bm, ok := ix.Get(value)
-	return bm, ok, nil
+	if !ok {
+		return false, nil
+	}
+	if bm.Len() != dst.Len() {
+		return false, fmt.Errorf("core: bitmap index on %s.%s has %d bits, want %d", dim, attr, bm.Len(), dst.Len())
+	}
+	dst.Or(bm)
+	return true, nil
 }
 
 // LOBBitmapSource serves single value bitmaps from index blobs recorded
 // in a catalog, reading only the directory plus the requested values'
-// payload ranges. Index readers are cached per attribute.
+// payload ranges, in place. Index readers are cached per attribute.
 type LOBBitmapSource struct {
 	Lob     *storage.LOBStore
 	Refs    map[string]uint64 // catalog.BitmapIndexes
 	readers map[string]*bitmap.IndexReader
 }
 
-// BitmapFor implements BitmapIndexSource.
-func (s *LOBBitmapSource) BitmapFor(dim, attr, value string) (*bitmap.Bitmap, bool, error) {
+// OrBitmap implements BitmapIndexSource.
+func (s *LOBBitmapSource) OrBitmap(dim, attr, value string, dst *bitmap.Bitmap) (bool, error) {
 	key := catalog.BitmapKey(dim, attr)
 	if s.readers == nil {
 		s.readers = make(map[string]*bitmap.IndexReader)
@@ -576,14 +584,14 @@ func (s *LOBBitmapSource) BitmapFor(dim, attr, value string) (*bitmap.Bitmap, bo
 	if !ok {
 		ref, exists := s.Refs[key]
 		if !exists {
-			return nil, false, fmt.Errorf("core: no bitmap index on %s.%s (build indexes first)", dim, attr)
+			return false, fmt.Errorf("core: no bitmap index on %s.%s (build indexes first)", dim, attr)
 		}
 		var err error
 		r, err = bitmap.OpenIndexReader(s.Lob, storage.LOBRef{First: storage.PageID(ref)})
 		if err != nil {
-			return nil, false, err
+			return false, err
 		}
 		s.readers[key] = r
 	}
-	return r.ReadBitmap(value)
+	return r.OrInto(value, dst)
 }

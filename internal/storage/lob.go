@@ -179,6 +179,19 @@ func (s *LOBStore) Walk(ref LOBRef, fn func(page []byte) error) error {
 	return s.walk(ref, 0, -1, func(page []byte, _ int) error { return fn(page) })
 }
 
+// WalkRange is Walk over the blob's bytes [off, off+n) only, fetching
+// just the directory and data pages that cover them: ReadRange without
+// the copy. The first and last pages are cut to the range.
+func (s *LOBStore) WalkRange(ref LOBRef, off, n int, fn func(page []byte) error) error {
+	if off < 0 || n < 0 {
+		return fmt.Errorf("storage: WalkRange(%d, %d)", off, n)
+	}
+	if n == 0 && ref.Valid() {
+		return nil // no page covers an empty range
+	}
+	return s.walk(ref, off, n, func(page []byte, _ int) error { return fn(page) })
+}
+
 var errInvalidRef = errors.New("storage: read of invalid blob ref")
 
 // walkRun is how many data pages a blob walk pins under one pool lock.
