@@ -122,10 +122,54 @@ func Open(bp *storage.BufferPool, meta storage.PageID) *Tree {
 // Root returns the meta page id identifying this tree.
 func (t *Tree) Root() storage.PageID { return t.meta }
 
-// fetchNode pins a node page for reading, counting the fetch.
+// fetchMeta pins the meta page for reading, counting the fetch.
+func (t *Tree) fetchMeta() ([]byte, error) {
+	nodeReads.Add(1)
+	return t.bp.FetchPage(t.meta)
+}
+
+// fetchNode pins a node page for reading, counting the fetch. A node
+// that claims more entries than its page holds is released with an
+// error, so no reader slices past the page.
 func (t *Tree) fetchNode(id storage.PageID) ([]byte, error) {
 	nodeReads.Add(1)
-	return t.bp.FetchPage(id)
+	buf, err := t.bp.FetchPage(id)
+	if err != nil {
+		return nil, err
+	}
+	if err := checkCount(id, buf); err != nil {
+		t.bp.Unpin(id, false)
+		return nil, err
+	}
+	return buf, nil
+}
+
+// checkCount reports a node page whose entry count is more than a page
+// of its type holds; any type but a leaf is bounded as an internal node.
+func checkCount(id storage.PageID, buf []byte) error {
+	limit := MaxInternalEntries
+	if buf[0] == leafNode {
+		limit = MaxLeafEntries
+	}
+	if n := nodeCount(buf); n > limit {
+		return fmt.Errorf("btree: corrupt node %v: %d entries, its page holds %d", id, n, limit)
+	}
+	return nil
+}
+
+// checkPath fails a descent or leaf chain that has visited hops pages
+// when the volume holds fewer: a corrupt child or next pointer made a
+// cycle. It reads the volume's size only at powers of two from 64 on, so
+// a sound descent never reads it, and a cycle ends within 64 pages or
+// twice the volume's, whichever is more.
+func (t *Tree) checkPath(hops uint64) error {
+	if hops < 64 || hops&(hops-1) != 0 {
+		return nil
+	}
+	if vol := t.bp.Disk().NumPages(); hops > vol {
+		return fmt.Errorf("btree: corrupt tree %v: a path of %d pages on a %d-page volume", t.meta, hops, vol)
+	}
+	return nil
 }
 
 // setBranching caps the per-node entry count; test hook.
@@ -147,7 +191,7 @@ func (t *Tree) maxInternal() int {
 
 // Len reports the number of entries in the tree.
 func (t *Tree) Len() (uint64, error) {
-	buf, err := t.fetchNode(t.meta)
+	buf, err := t.fetchMeta()
 	if err != nil {
 		return 0, err
 	}
@@ -157,7 +201,7 @@ func (t *Tree) Len() (uint64, error) {
 
 // Height reports the tree height (1 when the root is a leaf).
 func (t *Tree) Height() (int, error) {
-	buf, err := t.fetchNode(t.meta)
+	buf, err := t.fetchMeta()
 	if err != nil {
 		return 0, err
 	}
@@ -278,7 +322,7 @@ type promotion struct {
 // Insert adds the (key, value) entry. Duplicate (key, value) pairs are
 // stored once per Insert call — the tree is a multiset.
 func (t *Tree) Insert(key int64, value uint64) error {
-	metaBuf, err := t.fetchNode(t.meta)
+	metaBuf, err := t.fetchMeta()
 	if err != nil {
 		return err
 	}
@@ -325,6 +369,10 @@ func (t *Tree) Insert(key int64, value uint64) error {
 func (t *Tree) insertInto(node storage.PageID, key int64, value uint64) (*promotion, error) {
 	buf, err := t.bp.FetchPageForWrite(node)
 	if err != nil {
+		return nil, err
+	}
+	if err := checkCount(node, buf); err != nil {
+		t.bp.Unpin(node, false)
 		return nil, err
 	}
 	if buf[0] == leafNode {
@@ -466,7 +514,7 @@ func (t *Tree) insertLeaf(node storage.PageID, buf []byte, key int64, value uint
 
 // descendToLeaf returns the leaf page that would contain (k, v).
 func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, error) {
-	metaBuf, err := t.fetchNode(t.meta)
+	metaBuf, err := t.fetchMeta()
 	if err != nil {
 		return storage.InvalidPageID, err
 	}
@@ -474,7 +522,10 @@ func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, error) {
 	if err := t.bp.Unpin(t.meta, false); err != nil {
 		return storage.InvalidPageID, err
 	}
-	for {
+	for hops := uint64(1); ; hops++ {
+		if err := t.checkPath(hops); err != nil {
+			return storage.InvalidPageID, err
+		}
 		buf, err := t.fetchNode(node)
 		if err != nil {
 			return storage.InvalidPageID, err
@@ -533,7 +584,10 @@ func (t *Tree) findEntry(key int64, value uint64) (storage.PageID, int, bool, er
 	if err != nil {
 		return storage.InvalidPageID, 0, false, err
 	}
-	for node.Valid() {
+	for hops := uint64(1); node.Valid(); hops++ {
+		if err := t.checkPath(hops); err != nil {
+			return storage.InvalidPageID, 0, false, err
+		}
 		buf, err := t.fetchNode(node)
 		if err != nil {
 			return storage.InvalidPageID, 0, false, err
@@ -572,7 +626,10 @@ func (t *Tree) AscendRange(loKey, hiKey int64, fn func(key int64, value uint64) 
 	if err != nil {
 		return err
 	}
-	for node.Valid() {
+	for hops := uint64(1); node.Valid(); hops++ {
+		if err := t.checkPath(hops); err != nil {
+			return err
+		}
 		buf, err := t.fetchNode(node)
 		if err != nil {
 			return err
@@ -642,7 +699,7 @@ func (t *Tree) Delete(key int64, value uint64) (bool, error) {
 // NumPages counts the pages the tree occupies (meta + all nodes) by
 // walking it; used for storage accounting, not on hot paths.
 func (t *Tree) NumPages() (int64, error) {
-	metaBuf, err := t.fetchNode(t.meta)
+	metaBuf, err := t.fetchMeta()
 	if err != nil {
 		return 0, err
 	}
@@ -685,7 +742,7 @@ func (t *Tree) countNodes(node storage.PageID) (int64, error) {
 // entry ordering within and across leaves, separator consistency, and
 // meta entry count. Tests call it after randomized workloads.
 func (t *Tree) CheckInvariants() error {
-	metaBuf, err := t.fetchNode(t.meta)
+	metaBuf, err := t.fetchMeta()
 	if err != nil {
 		return err
 	}

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -472,5 +474,86 @@ func TestBTreeLargeSequentialAndReverse(t *testing.T) {
 				return nil
 			})
 		})
+	}
+}
+
+// rootLeaf returns the page id of t's root, a leaf in these tests.
+func rootLeaf(t *testing.T, tr *Tree) storage.PageID {
+	t.Helper()
+	buf, err := tr.fetchMeta()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := storage.PageID(storage.GetUint64(buf, metaRootOff))
+	if err := tr.bp.Unpin(tr.meta, false); err != nil {
+		t.Fatal(err)
+	}
+	return root
+}
+
+// patchNode rewrites part of a node page, as a corrupt volume would
+// present it.
+func patchNode(t *testing.T, bp *storage.BufferPool, id storage.PageID, patch func(buf []byte)) {
+	t.Helper()
+	buf, err := bp.FetchPageForWrite(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	patch(buf)
+	if err := bp.Unpin(id, true); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestBTreeCorruptCount is a regression test: a leaf whose count field
+// read 0xFFFF made Search slice past the page and panic.
+func TestBTreeCorruptCount(t *testing.T) {
+	tr, bp := newTestTree(t, 16)
+	for k := int64(1); k <= 5; k++ {
+		if err := tr.Insert(k, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	patchNode(t, bp, rootLeaf(t, tr), func(buf []byte) { storage.PutUint16(buf, nodeCountOff, 0xFFFF) })
+	if _, err := tr.Search(5); err == nil || !strings.Contains(err.Error(), "65535 entries") {
+		t.Fatalf("Search on a 65535-entry leaf: err = %v", err)
+	}
+	if err := tr.Insert(6, 6); err == nil {
+		t.Fatal("Insert accepted a 65535-entry leaf")
+	}
+	if n := bp.PinnedPages(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
+	}
+}
+
+// TestBTreeLeafChainLoop is a regression test: a leaf whose next pointer
+// named itself made Search follow the chain forever.
+func TestBTreeLeafChainLoop(t *testing.T) {
+	tr, bp := newTestTree(t, 16)
+	for k := int64(1); k <= 5; k++ {
+		if err := tr.Insert(k, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	root := rootLeaf(t, tr)
+	patchNode(t, bp, root, func(buf []byte) { storage.PutUint64(buf, leafNextOff, uint64(root)) })
+	done := make(chan error, 1)
+	go func() {
+		_, err := tr.Search(9)
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), "-page volume") {
+			t.Fatalf("Search along a looping leaf chain: err = %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Search along a looping leaf chain still running after 10 s")
+	}
+	if _, err := tr.Contains(9, 9); err == nil {
+		t.Fatal("Contains followed a looping leaf chain without error")
+	}
+	if n := bp.PinnedPages(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
 	}
 }

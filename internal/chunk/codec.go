@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"math/bits"
+	"sync/atomic"
 )
 
 // Cell is one valid array cell within a chunk: its offsetInChunk and its
@@ -292,21 +293,32 @@ type pairWalk struct {
 }
 
 // page forwards the pairs that the next page of the chunk completes.
-func (w *pairWalk) page(b []byte, fn func(cn int, p OffsetPairs) error) error {
+// stamp is the stamp of the page's frame (LOBStore.Walk). Once the
+// page's whole pairs pass the order check, it is set to a tag of what
+// that check rested on besides the bytes: the capacity, how many carry
+// bytes came first and how many bytes were checked. A page whose frame
+// holds the tag has not changed since, and skips the per-pair check.
+func (w *pairWalk) page(b []byte, stamp *atomic.Uint64, fn func(cn int, p OffsetPairs) error) error {
+	k := 0
 	if w.held > 0 {
-		k := copy(w.carry[w.held:], b)
+		k = copy(w.carry[w.held:], b)
 		if w.held += k; w.held < offsetPairSize {
 			return nil
 		}
 		w.held, b = 0, b[k:]
-		if err := w.forward(w.carry[:], fn); err != nil {
+		if err := w.forward(w.carry[:], false, fn); err != nil {
 			return err
 		}
 	}
 	whole := len(b) - len(b)%offsetPairSize
 	if whole > 0 {
-		if err := w.forward(OffsetPairs(b[:whole]), fn); err != nil {
+		tag := uint64(w.capacity)<<24 | uint64(k)<<16 | uint64(whole)
+		checked := stamp.Load() == tag
+		if err := w.forward(OffsetPairs(b[:whole]), checked, fn); err != nil {
 			return err
+		}
+		if !checked {
+			stamp.Store(tag)
 		}
 	}
 	w.held = copy(w.carry[:], b[whole:])
@@ -314,11 +326,16 @@ func (w *pairWalk) page(b []byte, fn func(cn int, p OffsetPairs) error) error {
 }
 
 // forward hands p to fn once its offsets are checked to continue the
-// chunk's strictly ascending run below capacity.
-func (w *pairWalk) forward(p OffsetPairs, fn func(cn int, p OffsetPairs) error) error {
+// chunk's strictly ascending run below capacity. When checked, p's own
+// order was checked before, and only its first offset is compared with
+// the run before it.
+func (w *pairWalk) forward(p OffsetPairs, checked bool, fn func(cn int, p OffsetPairs) error) error {
+	prev, q := w.prev, p
+	if checked && int64(binary.LittleEndian.Uint32(p)) > prev {
+		prev, q = int64(binary.LittleEndian.Uint32(p[len(p)-offsetPairSize:])), nil
+	}
 	// Eight pairs per branch: a difference below 1 anywhere makes the OR
 	// negative, and the pair-at-a-time loop then finds and reports it.
-	prev, q := w.prev, p
 	for ; len(q) >= 8*offsetPairSize; q = q[8*offsetPairSize:] {
 		a := int64(binary.LittleEndian.Uint32(q))
 		b := int64(binary.LittleEndian.Uint32(q[offsetPairSize:]))

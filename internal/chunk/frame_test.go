@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/storage"
@@ -212,6 +213,28 @@ type oneChunkCache map[int][]Cell
 func (c oneChunkCache) GetDecoded(cn int) ([]Cell, bool) { cells, ok := c[cn]; return cells, ok }
 func (c oneChunkCache) PutDecoded(int, []Cell)           {}
 
+// BenchmarkStoreGet times a warm point read: Store.Get at random
+// coordinates of a chunk-offset store whose chunks span pages, every
+// page already checked once in its frame.
+func BenchmarkStoreGet(b *testing.B) {
+	s := buildPagedStore(b, newStorePool(256))
+	rng := rand.New(rand.NewSource(5))
+	coords := make([][]int, 1024)
+	for i := range coords {
+		coords[i] = []int{rng.Intn(70), rng.Intn(50)}
+		if _, _, err := s.Get(coords[i]); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Get(coords[i%len(coords)]); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // TestScanPairsFailures: every way a chunk read in place can fail is an
 // error, never wrong cells, and leaves nothing pinned — a consumer error,
 // a cancel between chunks, and each check decodeOffsetPairs and the
@@ -340,6 +363,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 	unsorted := append([]byte(nil), enc...)
 	copy(unsorted[9*offsetPairSize:], unsorted[8*offsetPairSize:][:4])
 	f.Add(uint16(capacity), uint16(17), unsorted)
+	f.Add(uint16(capacity), uint16(5*offsetPairSize), unsorted) // the bad pair inside a page
 	f.Add(uint16(10), uint16(12), enc)
 	// The headers of the two blob-directory crashers — 5000 entries, a
 	// 64 TiB length — as chunk bytes.
@@ -354,7 +378,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 		want, wantErr := OffsetCodec{}.DecodeAlloc(data, capacity, nil)
 
 		var got []Cell
-		err := walkSplit(data, capacity, page, func(cn int, p OffsetPairs) error {
+		err := walkSplit(t, data, capacity, page, func(cn int, p OffsetPairs) error {
 			if cn != 3 || len(p) == 0 || len(p)%offsetPairSize != 0 {
 				t.Fatalf("a run of %d bytes for chunk %d", len(p), cn)
 			}
@@ -385,7 +409,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 		var kept []Cell
 		pending := ranges
 		seek := NewPairSeek(&pending)
-		err = walkSplit(data, capacity, page, func(_ int, p OffsetPairs) error {
+		err = walkSplit(t, data, capacity, page, func(_ int, p OffsetPairs) error {
 			for len(p) > 0 {
 				var in OffsetPairs
 				in, p = seek.Cut(p)
@@ -419,7 +443,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 		}
 		for _, off := range offs {
 			ps := pointSeek{off: off}
-			err := walkSplit(data, capacity, page, ps.pairs)
+			err := walkSplit(t, data, capacity, page, ps.pairs)
 			if (err == nil) != (wantErr == nil) {
 				t.Fatalf("point search for %d: err %v, DecodeAlloc err %v", off, err, wantErr)
 			}
@@ -432,13 +456,37 @@ func FuzzOffsetPairWalk(f *testing.F) {
 
 // walkSplit walks data as chunk 3 read in place, in pages that alternate
 // between two sizes so boundaries fall anywhere, with every check
-// walkPairs makes but the directory's cell count.
-func walkSplit(data []byte, capacity, page int, fn func(cn int, p OffsetPairs) error) error {
+// walkPairs makes but the directory's cell count. Each page has a stamp
+// of its own, as a frame does, and data is walked twice: fn sees the
+// second walk, which finds the stamps the first walk left. The second
+// walk must forward exactly the pairs, and end in exactly the error, of
+// the first — a page that failed its check was never stamped.
+func walkSplit(t testing.TB, data []byte, capacity, page int, fn func(cn int, p OffsetPairs) error) error {
+	t.Helper()
+	stamps := make([]atomic.Uint64, len(data)/page+1)
+	var first, second []Cell
+	err1 := walkStamped(data, capacity, page, stamps, func(_ int, p OffsetPairs) error {
+		first = appendPairs(first, p)
+		return nil
+	})
+	err2 := walkStamped(data, capacity, page, stamps, func(cn int, p OffsetPairs) error {
+		second = appendPairs(second, p)
+		return fn(cn, p)
+	})
+	if fmt.Sprint(err1) != fmt.Sprint(err2) || !cellsEqual(first, second) {
+		t.Fatalf("stamped re-walk forwarded %d cells and %v; the first walk %d cells and %v",
+			len(second), err2, len(first), err1)
+	}
+	return err2
+}
+
+// walkStamped is one walk of walkSplit, page i stamped in stamps[i].
+func walkStamped(data []byte, capacity, page int, stamps []atomic.Uint64, fn func(cn int, p OffsetPairs) error) error {
 	var carry [offsetPairSize]byte
 	w := pairWalk{cn: 3, capacity: capacity, prev: -1, carry: &carry}
 	for i, b := 0, data; len(b) > 0; i++ {
 		n := min(len(b), page+i%2*(page%offsetPairSize+1))
-		if err := w.page(b[:n], fn); err != nil {
+		if err := w.page(b[:n], &stamps[i], fn); err != nil {
 			return err
 		}
 		b = b[n:]

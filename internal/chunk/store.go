@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/storage"
@@ -585,8 +586,8 @@ func (p *pointSeek) cells(_ int, c []Cell) error {
 }
 
 func (p *pointSeek) pairs(_ int, run OffsetPairs) error {
-	if p.found {
-		return nil
+	if p.found || binary.LittleEndian.Uint32(run[len(run)-offsetPairSize:]) < p.off {
+		return nil // found already, or every pair of run lies before it
 	}
 	if q := run.Seek(p.off); len(q) > 0 {
 		if off, v, _ := q.Next(); off == p.off {
@@ -666,8 +667,8 @@ func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) er
 	e := s.entries[cn]
 	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: &s.carry}
 	var inner error // the callback's own error: a corrupt pair, or fn's
-	err := s.lob.Walk(e.ref, func(page []byte) error {
-		inner = w.page(page, fn)
+	err := s.lob.Walk(e.ref, func(page []byte, stamp *atomic.Uint64) error {
+		inner = w.page(page, stamp, fn)
 		return inner
 	})
 	if inner != nil {

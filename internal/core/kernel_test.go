@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -10,6 +11,7 @@ import (
 	"repro/internal/catalog"
 	"repro/internal/chunk"
 	"repro/internal/factfile"
+	"repro/internal/storage"
 )
 
 // kernelCase is one random cube of the kernel differential: a fixture
@@ -318,6 +320,92 @@ func TestPairsFoldLikeCells(t *testing.T) {
 			t.Fatalf("%v: pairs fold != cells fold: %s", spec, DiffRows(got, want))
 		}
 	}
+}
+
+// TestReloadedPagesAreRechecked: a chunk page skips its order check only
+// while its frame holds the bytes that passed it. A page that goes bad on
+// disk after a warm walk stamped its frame is checked again once the pool
+// reloads it, so the scan, the selection fold and Get all fail on it
+// rather than fold it. DropAll empties the pool the same way both times,
+// so each page reloads into the frame it was stamped in: only the stamp's
+// clearing on load makes the check run again.
+func TestReloadedPagesAreRechecked(t *testing.T) {
+	fx := scanFixture(t)
+	store := fx.arr.Store()
+	g := store.Geometry()
+	if name := store.ChunkCodecName(0); name != chunk.CodecOffset {
+		t.Fatalf("chunk 0 is %s", name)
+	}
+	cells, err := store.ReadChunk(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := chunk.OffsetCodec{}.Encode(cells, g.ChunkCapacity())
+	if err != nil || len(enc) < 2*storage.PageSize {
+		t.Fatalf("chunk 0 encodes to %d bytes (%v), want two pages or more", len(enc), err)
+	}
+
+	group := GroupSpec{{Target: GroupByLevel}, {}, {}, {}}
+	reads := []struct {
+		name string
+		read func() error
+	}{
+		{"scan", func() error { return runArray(fx, ScanSpec{Group: group}) }},
+		{"selection", func() error {
+			return runArray(fx, ScanSpec{Group: group, Selections: []Selection{
+				{0, 0, []string{"V0_0_0", "V0_0_1", "V0_0_2"}}, {3, 0, []string{"V3_0_0", "V3_0_1"}}}})
+		}},
+		{"get", func() error { _, _, err := store.Get(make([]int, g.NumDims())); return err }},
+	}
+	if err := fx.bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.bp.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if err := r.read(); err != nil {
+			t.Fatalf("warm %s: %v", r.name, err)
+		}
+	}
+
+	// Chunk 0's second page, on disk: its whole pair 100 repeats pair
+	// 99's offset. Its first whole pair starts at byte 4.
+	disk, page := fx.bp.Disk(), make([]byte, storage.PageSize)
+	id := storage.InvalidPageID
+	for i := uint64(0); i < disk.NumPages() && !id.Valid(); i++ {
+		if err := disk.ReadPage(storage.PageID(i), page); err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(page, enc[storage.PageSize:2*storage.PageSize]) {
+			id = storage.PageID(i)
+		}
+	}
+	if !id.Valid() {
+		t.Fatal("chunk 0's second page is not on disk")
+	}
+	at := 4 + 100*12
+	copy(page[at:at+4], page[at-12:])
+	if err := disk.WritePage(id, page); err != nil {
+		t.Fatal(err)
+	}
+	if err := fx.bp.DropAll(); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range reads {
+		if err := r.read(); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+			t.Errorf("%s after the reload: err = %v, want the order check's error", r.name, err)
+		}
+	}
+}
+
+// runArray runs scan on the array engine and drops the result.
+func runArray(fx *fixture, scan ScanSpec) error {
+	res, _, err := ArrayConsolidate(bg, fx.arr, scan)
+	if err == nil {
+		res.Release()
+	}
+	return err
 }
 
 // BenchmarkArrayScanKernel times the warm sequential Query 1 — page

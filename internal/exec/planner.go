@@ -189,26 +189,30 @@ func (e *Executor) plan(spec *query.Spec, engine Engine, workers int, reach *chu
 		}
 		plans = append(plans, newStar())
 
+		// Without usable stats the legacy heuristic stands: preference
+		// order. With them each candidate is costed once, and explain
+		// reports those costs.
+		chosen = plans[0]
+		costs := make([]Cost, 0, 3) // array, bitmap, star join
 		if statsUsable(st) {
-			chosen = plans[0]
-			best := chosen.Estimate(st).Total()
-			for _, p := range plans[1:] {
-				if c := p.Estimate(st).Total(); c < best {
-					chosen, best = p, c
+			best := 0
+			for i, p := range plans {
+				if costs = append(costs, p.Estimate(st)); costs[i].Total() < costs[best].Total() {
+					chosen, best = p, i
 				}
 			}
-		} else {
-			chosen = plans[0] // legacy heuristic: preference order
 		}
-		return chosen, e.explain(&ps.scan, chosen, plans, false, st), nil
+		return chosen, e.explain(&ps.scan, chosen, plans, costs, false, st), nil
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown engine %v", engine)
 	}
-	return chosen, e.explain(&ps.scan, chosen, []Plan{chosen}, forced, st), nil
+	return chosen, e.explain(&ps.scan, chosen, []Plan{chosen}, nil, forced, st), nil
 }
 
 // explain assembles the Explanation for a planning decision over scan.
-func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, forced bool, st *catalog.Stats) *Explanation {
+// costs holds the candidates' estimates when the caller has taken them
+// (nil: explain takes them, if the stats are usable).
+func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, costs []Cost, forced bool, st *catalog.Stats) *Explanation {
 	x := &Explanation{
 		Chosen:      chosen.Name(),
 		Engine:      chosen.Engine(),
@@ -217,9 +221,11 @@ func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, force
 		Selectivity: 1,
 	}
 	usable := statsUsable(st)
-	for _, p := range plans {
+	for i, p := range plans {
 		var c Cost
-		if usable {
+		if i < len(costs) {
+			c = costs[i]
+		} else if usable {
 			c = p.Estimate(st)
 		}
 		x.Candidates = append(x.Candidates, Candidate{

@@ -96,6 +96,12 @@ type frame struct {
 	data  []byte
 	pins  int32
 	dirty bool
+
+	// checked is the frame's stamp: a nonzero tag a reader stores once it
+	// has checked the bytes (LOBStore.Walk hands it on with the page). It
+	// is zeroed whenever the bytes are loaded or may change: a pin that
+	// reads the page, FetchPageForWrite, NewPage and a dirty unpin.
+	checked atomic.Uint64
 }
 
 // BufferPool caches pages over a DiskManager, replacing the least
@@ -272,18 +278,23 @@ func (bp *BufferPool) FetchPage(id PageID) ([]byte, error) {
 	bp.logicalReads.Add(1)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	return bp.pin(id)
+	f, err := bp.pin(id)
+	if err != nil {
+		return nil, err
+	}
+	return f.data, nil
 }
 
-// pin is FetchPage's body. Caller holds bp.mu.
-func (bp *BufferPool) pin(id PageID) ([]byte, error) {
+// pin is FetchPage's body; it returns the pinned frame. Caller holds
+// bp.mu.
+func (bp *BufferPool) pin(id PageID) (*frame, error) {
 	if idx, ok := bp.table[id]; ok {
 		f := &bp.frames[idx]
 		if f.pins == 0 {
 			bp.lruRemove(idx)
 		}
 		f.pins++
-		return f.data, nil
+		return f, nil
 	}
 	idx, err := bp.victim()
 	if err != nil {
@@ -298,8 +309,9 @@ func (bp *BufferPool) pin(id PageID) ([]byte, error) {
 	f.id = id
 	f.pins = 1
 	f.dirty = false
+	f.checked.Store(0)
 	bp.table[id] = idx
-	return f.data, nil
+	return f, nil
 }
 
 // FetchPageForWrite pins the page for modification. It behaves like
@@ -325,6 +337,7 @@ func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
 			bp.lruRemove(idx)
 		}
 		f.pins++
+		f.checked.Store(0)
 		return f.data, nil
 	}
 	idx, err := bp.victim()
@@ -337,6 +350,7 @@ func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
 		return nil, err
 	}
 	bp.physicalReads.Add(1)
+	f.checked.Store(0)
 	if undo != nil {
 		if err := undo.LogBeforeImage(id, f.data); err != nil {
 			bp.free = append(bp.free, idx)
@@ -371,6 +385,7 @@ func (bp *BufferPool) NewPage() (PageID, []byte, error) {
 	f.id = id
 	f.pins = 1
 	f.dirty = true
+	f.checked.Store(0)
 	bp.table[id] = idx
 	return id, f.data, nil
 }
@@ -407,6 +422,7 @@ func (bp *BufferPool) unpin(id PageID, dirty bool) error {
 	}
 	if dirty {
 		f.dirty = true
+		f.checked.Store(0)
 	}
 	f.pins--
 	if f.pins == 0 {
@@ -416,21 +432,22 @@ func (bp *BufferPool) unpin(id PageID, dirty bool) error {
 }
 
 // pinRun pins every page of ids under one lock acquisition, setting
-// pages[i] to page ids[i]'s frame, with FetchPage's contract per page.
-// It pins all of them or none: on an error the pins it took are released
-// before it returns, and no logical read is counted.
-func (bp *BufferPool) pinRun(ids []PageID, pages [][]byte) error {
+// frames[i] to page ids[i]'s frame — its bytes and its stamp — with
+// FetchPage's contract per page. It pins all of them or none: on an
+// error the pins it took are released before it returns, and no logical
+// read is counted.
+func (bp *BufferPool) pinRun(ids []PageID, frames []*frame) error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	for i, id := range ids {
-		buf, err := bp.pin(id)
+		f, err := bp.pin(id)
 		if err != nil {
 			for _, pinned := range ids[:i] {
 				bp.unpin(pinned, false)
 			}
 			return err
 		}
-		pages[i] = buf
+		frames[i] = f
 	}
 	bp.logicalReads.Add(uint64(len(ids)))
 	return nil

@@ -3,6 +3,7 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 )
 
@@ -304,4 +305,68 @@ func TestBufferPoolConcurrentFetch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+}
+
+// TestFrameStampClears: a frame's stamp survives clean pins and unpins,
+// and is zeroed by everything that loads the frame's bytes or may change
+// them: a pin that reads the page, FetchPageForWrite (hit or miss),
+// NewPage and a dirty Unpin. Every frame is stamped before a load, so
+// the check holds whichever free frame the pool picks.
+func TestFrameStampClears(t *testing.T) {
+	bp := newTestPool(2)
+	stamp := func(id PageID) *atomic.Uint64 {
+		bp.mu.Lock()
+		defer bp.mu.Unlock()
+		return &bp.frames[bp.table[id]].checked
+	}
+	stampAll := func() {
+		for i := range bp.frames {
+			bp.frames[i].checked.Store(7)
+		}
+	}
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := func(what string, id PageID, v uint64) {
+		t.Helper()
+		if got := stamp(id).Load(); got != v {
+			t.Fatalf("%s: stamp %d, want %d", what, got, v)
+		}
+	}
+
+	stampAll()
+	id, _, err := bp.NewPage()
+	must(err)
+	want("NewPage", id, 0)
+	stamp(id).Store(7)
+	must(bp.Unpin(id, true))
+	want("dirty Unpin", id, 0)
+
+	stamp(id).Store(7)
+	_, err = bp.FetchPage(id)
+	must(err)
+	must(bp.Unpin(id, false))
+	want("clean pin and Unpin", id, 7)
+
+	_, err = bp.FetchPageForWrite(id)
+	must(err)
+	want("FetchPageForWrite hit", id, 0)
+	must(bp.Unpin(id, false))
+
+	must(bp.DropAll())
+	stampAll()
+	_, err = bp.FetchPage(id)
+	must(err)
+	want("pin miss", id, 0)
+	must(bp.Unpin(id, false))
+
+	must(bp.DropAll())
+	stampAll()
+	_, err = bp.FetchPageForWrite(id)
+	must(err)
+	want("FetchPageForWrite miss", id, 0)
+	must(bp.Unpin(id, false))
 }

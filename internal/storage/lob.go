@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync/atomic"
 )
 
 // Large-object (blob) storage. A blob is written once and read many
@@ -159,7 +160,7 @@ func (s *LOBStore) ReadInto(ref LOBRef, buf []byte) ([]byte, error) {
 // than the pages it is read from.
 func (s *LOBStore) readInto(ref LOBRef, off, n int, buf []byte) ([]byte, error) {
 	out := buf[:0]
-	err := s.walk(ref, off, n, func(page []byte, listed int) error {
+	err := s.walk(ref, off, n, func(page []byte, listed int, _ *atomic.Uint64) error {
 		out = append(slices.Grow(out, listed), page...)
 		return nil
 	})
@@ -175,8 +176,13 @@ func (s *LOBStore) readInto(ref LOBRef, off, n int, buf []byte) ([]byte, error) 
 // neither written nor retained. It is ReadInto without the copy. An
 // error from fn stops the walk and is returned as is; every exit leaves
 // nothing pinned.
-func (s *LOBStore) Walk(ref LOBRef, fn func(page []byte) error) error {
-	return s.walk(ref, 0, -1, func(page []byte, _ int) error { return fn(page) })
+//
+// stamp is the stamp of the page's frame. It reads 0 until a reader
+// stores a tag of what it has checked of these bytes, and the pool
+// zeroes it whenever the bytes are loaded or may change, so a reader
+// that finds its own tag there may skip checks those bytes have passed.
+func (s *LOBStore) Walk(ref LOBRef, fn func(page []byte, stamp *atomic.Uint64) error) error {
+	return s.walk(ref, 0, -1, func(page []byte, _ int, stamp *atomic.Uint64) error { return fn(page, stamp) })
 }
 
 // WalkRange is Walk over the blob's bytes [off, off+n) only, fetching
@@ -189,10 +195,13 @@ func (s *LOBStore) WalkRange(ref LOBRef, off, n int, fn func(page []byte) error)
 	if n == 0 && ref.Valid() {
 		return nil // no page covers an empty range
 	}
-	return s.walk(ref, off, n, func(page []byte, _ int) error { return fn(page) })
+	return s.walk(ref, off, n, func(page []byte, _ int, _ *atomic.Uint64) error { return fn(page) })
 }
 
 var errInvalidRef = errors.New("storage: read of invalid blob ref")
+
+// walkFunc takes one page of a blob walk (see walk).
+type walkFunc func(page []byte, listed int, stamp *atomic.Uint64) error
 
 // walkRun is how many data pages a blob walk pins under one pool lock.
 const walkRun = 8
@@ -213,13 +222,13 @@ type blobWalk struct {
 
 // walk hands fn the blob's bytes [off, off+n) (n < 0: to its end) page by
 // page, as slices of the frames the pages are pinned in; listed is how
-// many of those bytes this page and the rest of its directory page hold.
-// The directory is read in place. Data pages are pinned walkRun at a time
-// beside the pinned directory page, each run under one pool lock; when
-// the pool cannot hold a run, the rest of that directory page goes one
-// page at a time with the directory page released, as a copying read of
-// one page would.
-func (s *LOBStore) walk(ref LOBRef, off, n int, fn func(page []byte, listed int) error) error {
+// many of those bytes this page and the rest of its directory page hold,
+// and stamp its frame's stamp. The directory is read in place. Data
+// pages are pinned walkRun at a time beside the pinned directory page,
+// each run under one pool lock; when the pool cannot hold a run, the
+// rest of that directory page goes one page at a time with the
+// directory page released, as a copying read of one page would.
+func (s *LOBStore) walk(ref LOBRef, off, n int, fn walkFunc) error {
 	if !ref.Valid() {
 		return errInvalidRef
 	}
@@ -246,7 +255,7 @@ func (s *LOBStore) walk(ref LOBRef, off, n int, fn func(page []byte, listed int)
 
 // dirPage walks the entries of directory page dir that fall inside the
 // range and returns the next directory page.
-func (w *blobWalk) dirPage(dir PageID, vol uint64, fn func([]byte, int) error) (PageID, error) {
+func (w *blobWalk) dirPage(dir PageID, vol uint64, fn walkFunc) (PageID, error) {
 	buf, err := w.bp.FetchPage(dir)
 	if err != nil {
 		return InvalidPageID, err
@@ -300,17 +309,17 @@ func (w *blobWalk) setEnd(length, vol uint64) error {
 
 // run pins the data pages ids, the first of which has data-page index
 // p, under one pool lock, hands them on, and unpins them under one more.
-func (w *blobWalk) run(ids []PageID, p int, fn func([]byte, int) error) error {
-	var pages [walkRun][]byte
-	if err := w.bp.pinRun(ids, pages[:len(ids)]); err != nil {
+func (w *blobWalk) run(ids []PageID, p int, fn walkFunc) error {
+	var frames [walkRun]*frame
+	if err := w.bp.pinRun(ids, frames[:len(ids)]); err != nil {
 		return err
 	}
 	defer w.bp.unpinRun(ids)
-	for j, page := range pages[:len(ids)] {
+	for j, f := range frames[:len(ids)] {
 		start := (p + j) * PageSize
 		lo := max(w.off-start, 0)
 		w.next = p + j + 1
-		if err := fn(page[lo:min(w.end-start, PageSize)], w.listedTo-start-lo); err != nil {
+		if err := fn(f.data[lo:min(w.end-start, PageSize)], w.listedTo-start-lo, &f.checked); err != nil {
 			return err
 		}
 	}
@@ -320,7 +329,7 @@ func (w *blobWalk) run(ids []PageID, p int, fn func([]byte, int) error) error {
 // oneByOne copies entries [lo, hi) of the pinned directory page dir,
 // whose first entry has data-page index first, releases the directory
 // page, and hands the data pages on holding one pin at a time.
-func (w *blobWalk) oneByOne(dir PageID, buf []byte, first, lo, hi int, fn func([]byte, int) error) error {
+func (w *blobWalk) oneByOne(dir PageID, buf []byte, first, lo, hi int, fn walkFunc) error {
 	ids := make([]PageID, max(hi-lo, 0))
 	for j := range ids {
 		ids[j] = PageID(GetUint64(buf, lobDirEntriesOff+(lo+j)*8))

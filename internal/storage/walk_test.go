@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -25,7 +26,7 @@ func writeBlob(t testing.TB, bp *BufferPool, n int, seed int64) ([]byte, LOBRef)
 // walkAll collects what Walk hands over.
 func walkAll(s *LOBStore, ref LOBRef) ([]byte, error) {
 	var out []byte
-	err := s.Walk(ref, func(page []byte) error {
+	err := s.Walk(ref, func(page []byte, _ *atomic.Uint64) error {
 		out = append(out, page...)
 		return nil
 	})
@@ -132,7 +133,7 @@ func TestWalkPinDiscipline(t *testing.T) {
 		stop := errors.New("stop")
 		for _, at := range []int{0, 1, walkRun - 1, walkRun, pages - 1} {
 			seen := 0
-			err := s.Walk(ref, func([]byte) error {
+			err := s.Walk(ref, func([]byte, *atomic.Uint64) error {
 				if seen == at {
 					return stop
 				}
