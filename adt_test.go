@@ -99,3 +99,45 @@ func TestArrayADTFunctions(t *testing.T) {
 		t.Fatalf("ArraySlice(unknown key) = (%v, %v)", cells, err)
 	}
 }
+
+// TestArrayADTReadsOnlyOverlappingChunks: ArraySum and ArraySlice read
+// only the chunks their box overlaps. Each call runs on a cold buffer
+// pool and is measured in pages read from disk. ArrayGet of a cell of
+// chunk (1,1,1) is the yardstick: the three key B-trees, the chunk, and
+// what opening the array reads. A sum over the whole cube reads the
+// same plus the other eleven chunks, which gives the pages per chunk.
+func TestArrayADTReadsOnlyOverlappingChunks(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db) // 12x8x6 in 4x4x3 chunks: 3x2x2 of them
+	cold := func(f func() error) uint64 {
+		t.Helper()
+		if err := db.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.Stats().Buffer.PhysicalReads
+		if err := f(); err != nil {
+			t.Fatal(err)
+		}
+		return db.Stats().Buffer.PhysicalReads - before
+	}
+	get := cold(func() error { _, _, err := db.ArrayGet([]int64{4, 4, 3}); return err })
+	all := cold(func() error { _, err := db.ArraySum([]int64{0, 0, 0}, []int64{11, 7, 5}); return err })
+	perChunk := (all - get) / 11
+	if perChunk == 0 {
+		t.Fatalf("a whole-cube sum read %d pages, a point read %d", all, get)
+	}
+	// The box is chunk (1,1,1), whole.
+	if sum := cold(func() error { _, err := db.ArraySum([]int64{4, 4, 3}, []int64{7, 7, 5}); return err }); sum > get {
+		t.Fatalf("a sum inside one chunk read %d pages, a point read in it %d", sum, get)
+	}
+	// Product 5 lies in the second product slab: 2x2 chunks. The slice
+	// resolves one key, so it reads at most what Get reads and three
+	// more chunks.
+	if slice := cold(func() error { _, err := db.ArraySlice("product", 5); return err }); slice > get+3*perChunk {
+		t.Fatalf("a slice through 4 chunks read %d pages, want at most %d", slice, get+3*perChunk)
+	}
+}

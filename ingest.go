@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/array"
-	"repro/internal/chunk"
 	"repro/internal/delta"
 	"repro/internal/storage"
 )
@@ -114,15 +113,7 @@ func (db *DB) Compact() error {
 	// On an adaptive store the rewrite re-picks each touched chunk's
 	// codec: a chunk an ingest stream filled in migrates from chunk-
 	// offset pairs to difference sequences, and back after deletes.
-	changes := make(map[int][]chunk.CellChange, len(ov))
-	for cn, cells := range ov {
-		chs := make([]chunk.CellChange, len(cells))
-		for i, c := range cells {
-			chs[i] = chunk.CellChange{Offset: c.Offset, Value: c.Value, Delete: c.Delete}
-		}
-		changes[cn] = chs
-	}
-	next, err := arr.ApplyChunkChanges(changes)
+	next, err := arr.ApplyChunkChanges(ov)
 	if err != nil {
 		return err
 	}

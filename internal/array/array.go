@@ -412,72 +412,79 @@ func (a *Array) Get(keys []int64) (int64, bool, error) {
 // [lo[i], hi[i]] — the ADT's subset-sum function (§3.5). Only chunks
 // overlapping the box are read.
 func (a *Array) SumRange(lo, hi []int) (int64, error) {
-	g := a.Geometry()
-	if len(lo) != g.NumDims() || len(hi) != g.NumDims() {
-		return 0, fmt.Errorf("array: box rank mismatch")
-	}
-	dims := g.Dims()
-	for i := range lo {
-		if lo[i] < 0 || hi[i] >= dims[i] || lo[i] > hi[i] {
-			return 0, fmt.Errorf("array: box [%d,%d] out of dimension %d (size %d)", lo[i], hi[i], i, dims[i])
-		}
-	}
 	var sum int64
-	coords := make([]int, g.NumDims())
-	err := a.store.ScanChunks(func(cn int, cells []chunk.Cell) error {
-		start := g.ChunkStart(cn)
-		ext := g.ChunkExtent(cn)
-		for i := range start {
-			if start[i]+ext[i] <= lo[i] || start[i] > hi[i] {
-				return nil // chunk disjoint from the box
-			}
-		}
-		for _, c := range cells {
-			g.Decompose(cn, int(c.Offset), coords)
-			inside := true
-			for i := range coords {
-				if coords[i] < lo[i] || coords[i] > hi[i] {
-					inside = false
-					break
-				}
-			}
-			if inside {
-				sum += c.Value
-			}
-		}
+	err := a.eachCell(lo, hi, func(_ []int, value int64) error {
+		sum += value
 		return nil
 	})
 	return sum, err
 }
 
 // Slice invokes fn for every valid cell whose index along dim equals
-// idx — the ADT's slicing function (§3.5). Coordinates passed to fn are
-// reused across calls.
+// idx — the ADT's slicing function (§3.5): the box pinned to idx along
+// dim and whole along every other dimension. Coordinates passed to fn
+// are reused across calls.
 func (a *Array) Slice(dim, idx int, fn func(coords []int, value int64) error) error {
-	g := a.Geometry()
-	if dim < 0 || dim >= g.NumDims() {
+	dims := a.Geometry().Dims()
+	if dim < 0 || dim >= len(dims) {
 		return fmt.Errorf("array: slice dimension %d out of range", dim)
 	}
-	if idx < 0 || idx >= g.Dims()[dim] {
-		return fmt.Errorf("array: slice index %d out of dimension %d", idx, dim)
+	lo, hi := make([]int, len(dims)), make([]int, len(dims))
+	for i, n := range dims {
+		hi[i] = n - 1
 	}
-	coords := make([]int, g.NumDims())
-	return a.store.ScanChunks(func(cn int, cells []chunk.Cell) error {
-		start := g.ChunkStart(cn)
-		ext := g.ChunkExtent(cn)
-		if idx < start[dim] || idx >= start[dim]+ext[dim] {
-			return nil // chunk does not intersect the slice
+	lo[dim], hi[dim] = idx, idx
+	return a.eachCell(lo, hi, fn)
+}
+
+// eachCell invokes fn, in ascending chunk and offset order, for every
+// valid cell inside the inclusive index-space box [lo[i], hi[i]]. It
+// reads only the chunks the box overlaps.
+func (a *Array) eachCell(lo, hi []int, fn func(coords []int, value int64) error) error {
+	g := a.Geometry()
+	dims, shape := g.Dims(), g.ChunkShape()
+	if len(lo) != len(dims) || len(hi) != len(dims) {
+		return fmt.Errorf("array: box rank mismatch")
+	}
+	for i := range lo {
+		if lo[i] < 0 || hi[i] >= dims[i] || lo[i] > hi[i] {
+			return fmt.Errorf("array: box [%d,%d] out of dimension %d (size %d)", lo[i], hi[i], i, dims[i])
 		}
+	}
+	// An odometer over the chunk coordinates the box spans, last
+	// dimension fastest: ascending chunk numbers.
+	cc := make([]int, len(dims))
+	for i := range cc {
+		cc[i] = lo[i] / shape[i]
+	}
+	coords := make([]int, len(dims))
+	for {
+		cn := g.ChunkNumber(cc)
+		cells, err := a.store.ReadChunk(cn)
+		if err != nil {
+			return err
+		}
+	cell:
 		for _, c := range cells {
 			g.Decompose(cn, int(c.Offset), coords)
-			if coords[dim] == idx {
-				if err := fn(coords, c.Value); err != nil {
-					return err
+			for i, x := range coords {
+				if x < lo[i] || x > hi[i] {
+					continue cell
 				}
 			}
+			if err := fn(coords, c.Value); err != nil {
+				return err
+			}
 		}
-		return nil
-	})
+		d := len(cc) - 1
+		for ; d >= 0 && cc[d] == hi[d]/shape[d]; d-- {
+			cc[d] = lo[d] / shape[d]
+		}
+		if d < 0 {
+			return nil
+		}
+		cc[d]++
+	}
 }
 
 // SizeBytes reports the on-disk footprint of the ADT: the chunk store,

@@ -5,24 +5,25 @@ import (
 	"repro/internal/storage"
 )
 
-// ApplyChunkChanges produces a new version of the array with the cell
-// changes applied — the ADT's Write function (§3.5) realized copy-on-
-// write, for cells already resolved to (chunk, offset): only the
-// touched chunks are re-encoded; untouched chunks, the dimension
-// B-trees, the IndexToIndex arrays, and the dictionaries are shared with
-// the receiver, which remains a valid snapshot. The new version's
+// ApplyChunkChanges produces a new version of the array with an overlay
+// of cell states folded in (chunk.Store.Update) — the ADT's Write
+// function (§3.5) realized copy-on-write, for cells already resolved to
+// (chunk, offset): only the touched chunks are re-encoded; untouched
+// chunks, the dimension B-trees, the IndexToIndex arrays, and the
+// dictionaries are shared with the receiver, which remains a valid
+// snapshot. The new version's
 // State() must be published (catalog + commit) to take effect. The delta
 // compactor is its one caller: its overlay is stored by location.
 //
 // The receiver must read base cells only (no overlay attached), or the
-// changes would fold over already-merged data. On an adaptive store the
+// overlay would fold over already-merged data. On an adaptive store the
 // rewrite re-picks each touched chunk's codec, so compaction migrates
 // chunks whose density shifted to the now-smaller encoding.
-func (a *Array) ApplyChunkChanges(changes map[int][]chunk.CellChange) (*Array, error) {
-	if len(changes) == 0 {
+func (a *Array) ApplyChunkChanges(ov map[int][]chunk.OverlayCell) (*Array, error) {
+	if len(ov) == 0 {
 		return a, nil
 	}
-	store, err := a.store.Update(changes)
+	store, err := a.store.Update(ov)
 	if err != nil {
 		return nil, err
 	}

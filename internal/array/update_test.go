@@ -1,6 +1,7 @@
 package array
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/chunk"
@@ -14,11 +15,11 @@ type write struct {
 	delete bool
 }
 
-// locate resolves key-addressed writes to the (chunk, offset) changes
+// locate resolves key-addressed writes to the offset-sorted overlay
 // ApplyChunkChanges takes, the way the ingest path resolves them.
-func locate(t *testing.T, a *Array, ws []write) map[int][]chunk.CellChange {
+func locate(t *testing.T, a *Array, ws []write) map[int][]chunk.OverlayCell {
 	t.Helper()
-	changes := make(map[int][]chunk.CellChange)
+	changes := make(map[int][]chunk.OverlayCell)
 	coords := make([]int, len(a.dims))
 	for _, w := range ws {
 		for i, k := range w.keys {
@@ -29,7 +30,10 @@ func locate(t *testing.T, a *Array, ws []write) map[int][]chunk.CellChange {
 			coords[i] = idx
 		}
 		cn, off := a.Geometry().Locate(coords)
-		changes[cn] = append(changes[cn], chunk.CellChange{Offset: uint32(off), Value: w.value, Delete: w.delete})
+		changes[cn] = append(changes[cn], chunk.OverlayCell{Offset: uint32(off), Value: w.value, Delete: w.delete})
+	}
+	for _, cells := range changes {
+		slices.SortFunc(cells, func(x, y chunk.OverlayCell) int { return int(x.Offset) - int(y.Offset) })
 	}
 	return changes
 }
@@ -116,11 +120,11 @@ func TestArrayUpdateErrorsAndNoop(t *testing.T) {
 	// Key errors are the ingest path's (the root package tests them);
 	// here a change can only name a location that does not exist.
 	n := a.Geometry().NumChunks()
-	if _, err := a.ApplyChunkChanges(map[int][]chunk.CellChange{n: {{Offset: 0, Value: 1}}}); err == nil {
+	if _, err := a.ApplyChunkChanges(map[int][]chunk.OverlayCell{n: {{Offset: 0, Value: 1}}}); err == nil {
 		t.Fatal("update to a chunk past the array succeeded")
 	}
 	capacity := uint32(a.Geometry().ChunkCapacity())
-	if _, err := a.ApplyChunkChanges(map[int][]chunk.CellChange{0: {{Offset: capacity, Value: 1}}}); err == nil {
+	if _, err := a.ApplyChunkChanges(map[int][]chunk.OverlayCell{0: {{Offset: capacity, Value: 1}}}); err == nil {
 		t.Fatal("update to an offset past the chunk succeeded")
 	}
 }

@@ -512,35 +512,61 @@ func (t *Tree) insertLeaf(node storage.PageID, buf []byte, key int64, value uint
 	return &promotion{key: rs[0].k, val: rs[0].v, right: rightID}, nil
 }
 
-// descendToLeaf returns the leaf page that would contain (k, v).
-func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, error) {
+// descendToLeaf returns the leaf page that would contain (k, v), still
+// pinned: the caller reads it and unpins it.
+func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, []byte, error) {
 	metaBuf, err := t.fetchMeta()
 	if err != nil {
-		return storage.InvalidPageID, err
+		return storage.InvalidPageID, nil, err
 	}
 	node := storage.PageID(storage.GetUint64(metaBuf, metaRootOff))
 	if err := t.bp.Unpin(t.meta, false); err != nil {
-		return storage.InvalidPageID, err
+		return storage.InvalidPageID, nil, err
 	}
 	for hops := uint64(1); ; hops++ {
 		if err := t.checkPath(hops); err != nil {
-			return storage.InvalidPageID, err
+			return storage.InvalidPageID, nil, err
 		}
 		buf, err := t.fetchNode(node)
 		if err != nil {
-			return storage.InvalidPageID, err
+			return storage.InvalidPageID, nil, err
 		}
 		if buf[0] == leafNode {
-			if err := t.bp.Unpin(node, false); err != nil {
-				return storage.InvalidPageID, err
-			}
-			return node, nil
+			return node, buf, nil
 		}
 		child := intChild(buf, intChildForSeek(buf, k, v))
 		if err := t.bp.Unpin(node, false); err != nil {
-			return storage.InvalidPageID, err
+			return storage.InvalidPageID, nil, err
 		}
 		node = child
+	}
+}
+
+// walkLeaves hands visit the leaf that would contain (k, v), pinned by
+// the descent, and then each leaf after it along the chain, until visit
+// reports done, fails, or the chain ends. Each leaf is unpinned after
+// its visit.
+func (t *Tree) walkLeaves(k int64, v uint64, visit func(id storage.PageID, buf []byte) (bool, error)) error {
+	node, buf, err := t.descendToLeaf(k, v)
+	if err != nil {
+		return err
+	}
+	for hops := uint64(2); ; hops++ {
+		done, err := visit(node, buf)
+		next := leafNext(buf)
+		if uerr := t.bp.Unpin(node, false); err == nil {
+			err = uerr
+		}
+		if err != nil || done || !next.Valid() {
+			return err
+		}
+		if err := t.checkPath(hops); err != nil {
+			return err
+		}
+		if buf, err = t.fetchNode(next); err != nil {
+			return err
+		}
+		node = next
 	}
 }
 
@@ -579,35 +605,20 @@ func (t *Tree) SearchFirst(key int64) (uint64, bool, error) {
 // findEntry locates the leftmost leaf slot holding exactly (key, value).
 // The seek descent lands left of an equal separator, so the walk may need
 // to follow the leaf chain forward past empty-of-target leaves.
-func (t *Tree) findEntry(key int64, value uint64) (storage.PageID, int, bool, error) {
-	node, err := t.descendToLeaf(key, value)
+func (t *Tree) findEntry(key int64, value uint64) (leaf storage.PageID, slot int, found bool, err error) {
+	leaf = storage.InvalidPageID
+	err = t.walkLeaves(key, value, func(id storage.PageID, buf []byte) (bool, error) {
+		i := leafLowerBound(buf, key, value)
+		if i == nodeCount(buf) {
+			return false, nil
+		}
+		leaf, slot, found = id, i, leafKey(buf, i) == key && leafVal(buf, i) == value
+		return true, nil
+	})
 	if err != nil {
 		return storage.InvalidPageID, 0, false, err
 	}
-	for hops := uint64(1); node.Valid(); hops++ {
-		if err := t.checkPath(hops); err != nil {
-			return storage.InvalidPageID, 0, false, err
-		}
-		buf, err := t.fetchNode(node)
-		if err != nil {
-			return storage.InvalidPageID, 0, false, err
-		}
-		n := nodeCount(buf)
-		i := leafLowerBound(buf, key, value)
-		if i < n {
-			found := leafKey(buf, i) == key && leafVal(buf, i) == value
-			if err := t.bp.Unpin(node, false); err != nil {
-				return storage.InvalidPageID, 0, false, err
-			}
-			return node, i, found, nil
-		}
-		next := leafNext(buf)
-		if err := t.bp.Unpin(node, false); err != nil {
-			return storage.InvalidPageID, 0, false, err
-		}
-		node = next
-	}
-	return storage.InvalidPageID, 0, false, nil
+	return leaf, slot, found, nil
 }
 
 // Contains reports whether the exact (key, value) entry is present.
@@ -622,40 +633,23 @@ func (t *Tree) AscendRange(loKey, hiKey int64, fn func(key int64, value uint64) 
 	if loKey > hiKey {
 		return nil
 	}
-	node, err := t.descendToLeaf(loKey, 0)
-	if err != nil {
-		return err
-	}
-	for hops := uint64(1); node.Valid(); hops++ {
-		if err := t.checkPath(hops); err != nil {
-			return err
-		}
-		buf, err := t.fetchNode(node)
-		if err != nil {
-			return err
-		}
+	err := t.walkLeaves(loKey, 0, func(_ storage.PageID, buf []byte) (bool, error) {
 		n := nodeCount(buf)
-		i := leafLowerBound(buf, loKey, 0)
-		for ; i < n; i++ {
+		for i := leafLowerBound(buf, loKey, 0); i < n; i++ {
 			k := leafKey(buf, i)
 			if k > hiKey {
-				return t.bp.Unpin(node, false)
+				return true, nil
 			}
 			if err := fn(k, leafVal(buf, i)); err != nil {
-				t.bp.Unpin(node, false)
-				if errors.Is(err, ErrStopScan) {
-					return nil
-				}
-				return err
+				return true, err
 			}
 		}
-		next := leafNext(buf)
-		if err := t.bp.Unpin(node, false); err != nil {
-			return err
-		}
-		node = next
+		return false, nil
+	})
+	if errors.Is(err, ErrStopScan) {
+		return nil
 	}
-	return nil
+	return err
 }
 
 // Ascend invokes fn for every entry in the tree in (key, value) order.

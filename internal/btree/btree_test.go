@@ -557,3 +557,56 @@ func TestBTreeLeafChainLoop(t *testing.T) {
 		t.Fatalf("%d pages left pinned", n)
 	}
 }
+
+// TestBTreeLookupPinsLeafOnce: a lookup reads the meta page and one page
+// per level, no more — the descent hands the leaf it found to the leaf
+// walk still pinned instead of fetching it a second time — and leaves
+// nothing pinned. A key equal to a separator is the exception by one
+// page: the seek lands left of it and steps along the leaf chain.
+func TestBTreeLookupPinsLeafOnce(t *testing.T) {
+	tr, bp := newTestTree(t, 64)
+	tr.setBranching(4)
+	for k := int64(0); k < 10; k++ {
+		if err := tr.Insert(k, uint64(k)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if h, err := tr.Height(); err != nil || h != 2 {
+		t.Fatalf("Height = (%d, %v), want a two-level tree", h, err)
+	}
+	root := rootLeaf(t, tr)
+	buf, err := tr.fetchNode(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	separator := map[int64]bool{}
+	for i := 0; i < nodeCount(buf); i++ {
+		separator[intKey(buf, i)] = true
+	}
+	if err := bp.Unpin(root, false); err != nil {
+		t.Fatal(err)
+	}
+	for k := int64(0); k < 10; k++ {
+		want := uint64(3) // meta, root, leaf
+		if separator[k] {
+			want++
+		}
+		before := bp.Stats().LogicalReads
+		if v, ok, err := tr.SearchFirst(k); err != nil || !ok || v != uint64(k) {
+			t.Fatalf("SearchFirst(%d) = (%d, %v, %v)", k, v, ok, err)
+		}
+		if n := bp.Stats().LogicalReads - before; n != want {
+			t.Fatalf("SearchFirst(%d) fetched %d pages, want %d", k, n, want)
+		}
+		before = bp.Stats().LogicalReads
+		if ok, err := tr.Contains(k, uint64(k)); err != nil || !ok {
+			t.Fatalf("Contains(%d) = (%v, %v)", k, ok, err)
+		}
+		if n := bp.Stats().LogicalReads - before; n != want {
+			t.Fatalf("Contains(%d) fetched %d pages, want %d", k, n, want)
+		}
+	}
+	if n := bp.PinnedPages(); n != 0 {
+		t.Fatalf("%d pages left pinned", n)
+	}
+}

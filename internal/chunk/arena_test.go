@@ -40,11 +40,11 @@ func TestWarmDecodeZeroAlloc(t *testing.T) {
 				t.Fatal(err)
 			}
 			alloc := scratchAllocator(arena.New())
-			if _, err := codec.DecodeAlloc(enc, capacity, alloc); err != nil {
+			if _, err := codec.Decode(enc, capacity, alloc); err != nil {
 				t.Fatal(err)
 			}
 			avg := testing.AllocsPerRun(200, func() {
-				if _, err := codec.DecodeAlloc(enc, capacity, alloc); err != nil {
+				if _, err := codec.Decode(enc, capacity, alloc); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -67,11 +67,11 @@ func TestDecodeAllocMatchesDecode(t *testing.T) {
 				t.Fatal(err)
 			}
 			a := arena.New()
-			got, err := codec.DecodeAlloc(enc, capacity, func(n int) []Cell {
+			got, err := codec.Decode(enc, capacity, func(n int) []Cell {
 				return arena.Make[Cell](a, n)
 			})
 			if err != nil {
-				t.Fatalf("%s DecodeAlloc: %v", codec.Name(), err)
+				t.Fatalf("%s arena decode: %v", codec.Name(), err)
 			}
 			if !cellsEqual(got, cells) {
 				t.Fatalf("%s arena decode mismatch at density %v", codec.Name(), density)
@@ -148,13 +148,13 @@ func BenchmarkWarmDecodeArena(b *testing.B) {
 				b.Fatal(err)
 			}
 			alloc := scratchAllocator(arena.New())
-			if _, err := codec.DecodeAlloc(enc, capacity, alloc); err != nil {
+			if _, err := codec.Decode(enc, capacity, alloc); err != nil {
 				b.Fatal(err)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := codec.DecodeAlloc(enc, capacity, alloc); err != nil {
+				if _, err := codec.Decode(enc, capacity, alloc); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -36,12 +36,11 @@ type Codec interface {
 	Name() string
 	// Encode serializes cells for a chunk with the given cell capacity.
 	Encode(cells []Cell, capacity int) ([]byte, error)
-	// Decode parses data produced by Encode with the same capacity.
-	Decode(data []byte, capacity int) ([]Cell, error)
-	// DecodeAlloc is Decode with the destination chosen by alloc (nil
-	// means the GC heap). Decoders size the slice exactly — they count
-	// cells before allocating — so alloc is called at most once.
-	DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]Cell, error)
+	// Decode parses data produced by Encode with the same capacity into
+	// a slice alloc supplies (nil means the GC heap). Decoders size the
+	// slice exactly — they count cells before allocating — so alloc is
+	// called at most once.
+	Decode(data []byte, capacity int, alloc CellAllocator) ([]Cell, error)
 }
 
 // CodecByName returns the codec registered under name. CodecAdaptive is
@@ -220,12 +219,7 @@ func (OffsetCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 }
 
 // Decode implements Codec.
-func (c OffsetCodec) Decode(data []byte, capacity int) ([]Cell, error) {
-	return c.DecodeAlloc(data, capacity, nil)
-}
-
-// DecodeAlloc implements Codec.
-func (OffsetCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
+func (OffsetCodec) Decode(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
 	if len(data)%offsetPairSize != 0 {
 		return nil, fmt.Errorf("chunk: offset-coded chunk of %d bytes", len(data))
 	}
@@ -233,24 +227,6 @@ func (OffsetCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) (
 		alloc = heapCells
 	}
 	cells := alloc(len(data) / offsetPairSize)
-	if err := decodeOffsetPairs(data, capacity, cells); err != nil {
-		return nil, err
-	}
-	return cells, nil
-}
-
-// DecodeInto decodes into dst (grown as needed), so scan loops can reuse
-// one cell buffer across chunks. Kept closure-free so the warm reuse path
-// does not allocate at all.
-func (OffsetCodec) DecodeInto(data []byte, capacity int, dst []Cell) ([]Cell, error) {
-	if len(data)%offsetPairSize != 0 {
-		return nil, fmt.Errorf("chunk: offset-coded chunk of %d bytes", len(data))
-	}
-	n := len(data) / offsetPairSize
-	if cap(dst) < n {
-		dst = make([]Cell, n)
-	}
-	cells := dst[:n]
 	if err := decodeOffsetPairs(data, capacity, cells); err != nil {
 		return nil, err
 	}
@@ -416,14 +392,9 @@ func (DenseCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
-func (c DenseCodec) Decode(data []byte, capacity int) ([]Cell, error) {
-	return c.DecodeAlloc(data, capacity, nil)
-}
-
-// DecodeAlloc implements Codec. A first pass popcounts the validity
+// Decode implements Codec. A first pass popcounts the validity
 // bitmap so the destination is sized exactly before any cell is read.
-func (DenseCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
+func (DenseCodec) Decode(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
 	bmBytes := (capacity + 7) / 8
 	if len(data) != bmBytes+capacity*8 {
 		return nil, fmt.Errorf("chunk: dense chunk of %d bytes, want %d", len(data), bmBytes+capacity*8)
@@ -475,18 +446,13 @@ func (LZWCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// Decode implements Codec.
-func (c LZWCodec) Decode(data []byte, capacity int) ([]Cell, error) {
-	return c.DecodeAlloc(data, capacity, nil)
-}
-
-// DecodeAlloc implements Codec. The decoded cell slice comes from alloc
+// Decode implements Codec. The decoded cell slice comes from alloc
 // like every other codec; only the intermediate dense image lives on the
 // GC heap. It is read at its exact expected size (a valid stream is
 // always bmBytes+capacity*8 bytes), never with io.ReadAll, so corrupt
 // input cannot balloon the decode — any overrun or shortfall is an
 // error.
-func (LZWCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
+func (LZWCodec) Decode(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
 	r := lzw.NewReader(bytes.NewReader(data), lzw.LSB, 8)
 	defer r.Close()
 	want := (capacity+7)/8 + capacity*8
@@ -503,5 +469,5 @@ func (LZWCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]C
 	default:
 		return nil, fmt.Errorf("chunk: lzw decode: %w", err)
 	}
-	return DenseCodec{}.DecodeAlloc(dense, capacity, alloc)
+	return DenseCodec{}.Decode(dense, capacity, alloc)
 }

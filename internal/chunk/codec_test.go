@@ -44,7 +44,7 @@ func TestCodecRoundtripAll(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Encode(density=%v): %v", density, err)
 				}
-				got, err := codec.Decode(enc, capacity)
+				got, err := codec.Decode(enc, capacity, nil)
 				if err != nil {
 					t.Fatalf("Decode(density=%v): %v", density, err)
 				}
@@ -87,13 +87,13 @@ func TestCodecEncodeRejectsBadInput(t *testing.T) {
 }
 
 func TestCodecDecodeRejectsCorrupt(t *testing.T) {
-	if _, err := (OffsetCodec{}).Decode(make([]byte, 13), 100); err == nil {
+	if _, err := (OffsetCodec{}).Decode(make([]byte, 13), 100, nil); err == nil {
 		t.Error("offset codec accepted ragged length")
 	}
-	if _, err := (DenseCodec{}).Decode(make([]byte, 5), 100); err == nil {
+	if _, err := (DenseCodec{}).Decode(make([]byte, 5), 100, nil); err == nil {
 		t.Error("dense codec accepted wrong length")
 	}
-	if _, err := (LZWCodec{}).Decode([]byte{0xFF, 0x00, 0x01}, 100); err == nil {
+	if _, err := (LZWCodec{}).Decode([]byte{0xFF, 0x00, 0x01}, 100, nil); err == nil {
 		t.Error("lzw codec accepted garbage")
 	}
 	// Diff-seq: run count beyond capacity, truncated directory, empty
@@ -107,7 +107,7 @@ func TestCodecDecodeRejectsCorrupt(t *testing.T) {
 		{1, 0, 2, 1, 2, 3, 4},       // 2 cells but <16 value bytes
 		{0, 9, 9, 9, 9, 9, 9, 9, 9}, // 0 runs but trailing value bytes
 	} {
-		if _, err := (DiffSeqCodec{}).Decode(bad, 100); err == nil {
+		if _, err := (DiffSeqCodec{}).Decode(bad, 100, nil); err == nil {
 			t.Errorf("diff-seq codec accepted corrupt input %v", bad)
 		}
 	}
@@ -199,7 +199,7 @@ func TestCodecQuickRoundtripAndSearch(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			got, err := codec.Decode(enc, capacity)
+			got, err := codec.Decode(enc, capacity, nil)
 			if err != nil || !cellsEqual(got, cells) {
 				return false
 			}

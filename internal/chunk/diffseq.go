@@ -116,16 +116,11 @@ func (DiffSeqCodec) Encode(cells []Cell, capacity int) ([]byte, error) {
 	return out, nil
 }
 
-// Decode implements Codec.
-func (c DiffSeqCodec) Decode(data []byte, capacity int) ([]Cell, error) {
-	return c.DecodeAlloc(data, capacity, nil)
-}
-
-// DecodeAlloc implements Codec. A first pass over the run directory
+// Decode implements Codec. A first pass over the run directory
 // validates it and sums the run lengths, so the destination is sized
 // exactly before any cell is written — alloc is called at most once and
 // the warm arena path stays allocation-free.
-func (DiffSeqCodec) DecodeAlloc(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
+func (DiffSeqCodec) Decode(data []byte, capacity int, alloc CellAllocator) ([]Cell, error) {
 	runs64, sz := binary.Uvarint(data)
 	if sz <= 0 {
 		return nil, fmt.Errorf("chunk: corrupt diff-seq run count")

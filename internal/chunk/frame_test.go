@@ -23,11 +23,25 @@ func appendPairs(cells []Cell, p OffsetPairs) []Cell {
 	return cells
 }
 
-// scanRoutes scans s with both callbacks and returns every chunk's cells
-// as they arrived, and the chunks that arrived as pairs.
+// visitAll reads every chunk of s through VisitChunk, in chunk order,
+// checking ctx before each, as a query's scan does.
+func visitAll(ctx context.Context, s *Store, cells func(int, []Cell) error, pairs func(int, OffsetPairs) error) error {
+	for cn := range s.entries {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if err := s.VisitChunk(cn, cells, pairs); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// scanRoutes reads every chunk of s through VisitChunk and returns every
+// chunk's cells as they arrived, and the chunks that arrived as pairs.
 func scanRoutes(ctx context.Context, s *Store) (map[int][]Cell, map[int]bool, error) {
 	got, framed := map[int][]Cell{}, map[int]bool{}
-	err := s.ScanChunkRange(ctx, 0, len(s.entries),
+	err := visitAll(ctx, s,
 		func(cn int, cells []Cell) error {
 			got[cn] = append([]Cell(nil), cells...)
 			return nil
@@ -81,20 +95,20 @@ func corruptChunk(t testing.TB, s *Store, cn int, mutate func(enc []byte) []byte
 	s.entries[cn].ref, s.entries[cn].bytes = ref, uint64(len(enc))
 }
 
-// TestScanRoutes: a scan with a pairs callback reads exactly the
-// chunk-offset chunks in place — no overlay, not cached — and hands
+// TestScanRoutes: a scan of every chunk through VisitChunk reads exactly
+// the chunk-offset chunks in place — no overlay, not cached — and hands
 // every other chunk over decoded, with the same cells ReadChunk returns.
 // It holds in a pool too small for a run of pages, and leaves nothing
 // pinned.
 func TestScanRoutes(t *testing.T) {
+	bp := newStorePool(256)
+	mixed, _ := buildMixedStore(t, bp)
+	paged := buildPagedStore(t, bp)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
 	for _, frames := range []int{256, 2} {
-		bp := newStorePool(256)
-		mixed, _ := buildMixedStore(t, bp)
-		paged := buildPagedStore(t, bp)
 		small := storage.NewBufferPool(bp.Disk(), frames)
-		if err := bp.FlushAll(); err != nil {
-			t.Fatal(err)
-		}
 		for name, s := range map[string]*Store{"mixed": mixed, "paged": paged} {
 			want := readAll(t, s)
 			s = s.Clone()
@@ -118,15 +132,13 @@ func TestScanRoutes(t *testing.T) {
 	}
 
 	// An overlay chunk and a decoded-cache hit keep the decoded route.
-	bp := newStorePool(256)
-	s, _ := buildMixedStore(t, bp)
-	s.SetOverlay(map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}})
-	if _, framed, err := scanRoutes(context.Background(), s); err != nil || framed[0] {
+	mixed.SetOverlay(map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}})
+	if _, framed, err := scanRoutes(context.Background(), mixed); err != nil || framed[0] {
 		t.Fatalf("overlay chunk read in place (%v)", err)
 	}
-	s.SetOverlay(nil)
-	s.SetDecodedCache(oneChunkCache{0: {{Offset: 3, Value: 9}}})
-	got, framed, err := scanRoutes(context.Background(), s)
+	mixed.SetOverlay(nil)
+	mixed.SetDecodedCache(oneChunkCache{0: {{Offset: 3, Value: 9}}})
+	got, framed, err := scanRoutes(context.Background(), mixed)
 	if err != nil || framed[0] || !cellsEqual(got[0], []Cell{{Offset: 3, Value: 9}}) {
 		t.Fatalf("cached chunk: read in place %v, cells %v (%v)", framed[0], got[0], err)
 	}
@@ -237,9 +249,9 @@ func BenchmarkStoreGet(b *testing.B) {
 
 // TestScanPairsFailures: every way a chunk read in place can fail is an
 // error, never wrong cells, and leaves nothing pinned — a consumer error,
-// a cancel between chunks, and each check decodeOffsetPairs and the
-// scratch read make: order, capacity, whole pairs, and the directory's
-// cell count.
+// a cancel between chunks of a VisitChunk loop, and each check
+// decodeOffsetPairs and ReadChunk make: order, capacity, whole pairs,
+// and the directory's cell count.
 func TestScanPairsFailures(t *testing.T) {
 	stop := errors.New("consumer stop")
 	cases := []struct {
@@ -284,7 +296,7 @@ func TestScanPairsFailures(t *testing.T) {
 			if c.pairs != nil {
 				pairs = c.pairs(ctx, cancel)
 			}
-			err := s.ScanChunkRange(ctx, 0, len(s.entries), func(int, []Cell) error { return nil }, pairs)
+			err := visitAll(ctx, s, func(int, []Cell) error { return nil }, pairs)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
@@ -341,12 +353,12 @@ func TestScanPairsConcurrent(t *testing.T) {
 // FuzzOffsetPairWalk splits arbitrary bytes into pages of arbitrary size
 // — the seeds put a pair across a page boundary at every one of its 11
 // inner positions — and walks them as a chunk read in place. The walk
-// must accept exactly what OffsetCodec.DecodeAlloc accepts, and hand over
+// must accept exactly what OffsetCodec.Decode accepts, and hand over
 // exactly its cells in order, so any fold of the pairs is the fold of the
 // cells. The seek must agree too: over random ascending offset ranges,
-// PairSeek keeps exactly the cells DecodeAlloc + LowerBound find, and the
+// PairSeek keeps exactly the cells Decode + LowerBound find, and the
 // point search Store.Get runs on a chunk read in place finds exactly what
-// SearchCells finds. Whatever DecodeAlloc rejects is an error on both,
+// SearchCells finds. Whatever Decode rejects is an error on both,
 // even where no range reaches the bad pair.
 func FuzzOffsetPairWalk(f *testing.F) {
 	rng := rand.New(rand.NewSource(81))
@@ -375,7 +387,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 	f.Fuzz(func(t *testing.T, capRaw, pageRaw uint16, data []byte) {
 		capacity := int(capRaw)%4096 + 1
 		page := int(pageRaw)%storage.PageSize + 1
-		want, wantErr := OffsetCodec{}.DecodeAlloc(data, capacity, nil)
+		want, wantErr := OffsetCodec{}.Decode(data, capacity, nil)
 
 		var got []Cell
 		err := walkSplit(t, data, capacity, page, func(cn int, p OffsetPairs) error {
@@ -386,10 +398,10 @@ func FuzzOffsetPairWalk(f *testing.F) {
 			return nil
 		})
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("walk err %v, DecodeAlloc err %v", err, wantErr)
+			t.Fatalf("walk err %v, Decode err %v", err, wantErr)
 		}
 		if err == nil && !cellsEqual(got, want) {
-			t.Fatalf("walk handed %d cells, DecodeAlloc decoded %d", len(got), len(want))
+			t.Fatalf("walk handed %d cells, Decode decoded %d", len(got), len(want))
 		}
 		// Whatever went out before an error was a valid prefix.
 		for i, c := range got {
@@ -418,7 +430,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 			return nil
 		})
 		if (err == nil) != (wantErr == nil) {
-			t.Fatalf("seek err %v, DecodeAlloc err %v", err, wantErr)
+			t.Fatalf("seek err %v, Decode err %v", err, wantErr)
 		}
 		if err == nil {
 			var found []Cell
@@ -429,7 +441,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 				}
 			}
 			if !cellsEqual(kept, found) {
-				t.Fatalf("seek kept %d cells, DecodeAlloc + LowerBound found %d", len(kept), len(found))
+				t.Fatalf("seek kept %d cells, Decode + LowerBound found %d", len(kept), len(found))
 			}
 		}
 
@@ -445,7 +457,7 @@ func FuzzOffsetPairWalk(f *testing.F) {
 			ps := pointSeek{off: off}
 			err := walkSplit(t, data, capacity, page, ps.pairs)
 			if (err == nil) != (wantErr == nil) {
-				t.Fatalf("point search for %d: err %v, DecodeAlloc err %v", off, err, wantErr)
+				t.Fatalf("point search for %d: err %v, Decode err %v", off, err, wantErr)
 			}
 			if v, ok := SearchCells(want, off); err == nil && (ps.found != ok || ps.value != v) {
 				t.Fatalf("point search for %d = (%d, %v), SearchCells = (%d, %v)", off, ps.value, ps.found, v, ok)

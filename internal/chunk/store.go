@@ -1,7 +1,6 @@
 package chunk
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -11,9 +10,6 @@ import (
 	"repro/internal/arena"
 	"repro/internal/storage"
 )
-
-// ErrStopScan stops a chunk scan early without error.
-var ErrStopScan = errors.New("chunk: stop scan")
 
 // ErrDirFormatV1 is what opening a store whose directory has no format
 // header returns: the v1 layout (one store-wide codec, untagged entries),
@@ -66,12 +62,11 @@ type Store struct {
 
 	// shared, when set, is a concurrent decoded-chunk cache sitting
 	// above the buffer pool: ReadChunk probes it and offers what it
-	// decodes; ScanChunks probes but never populates (scans are the
-	// cache's scan-resistance case and keep their scratch-buffer path).
+	// decodes.
 	shared DecodedCache
 
-	// Scratch buffers reused by ScanChunks so a full-array scan does not
-	// allocate per chunk.
+	// Scratch buffers ReadChunk reuses when an arena is attached and no
+	// cache is, so a query's reads do not allocate per chunk.
 	scratchEnc   []byte
 	scratchCells []Cell
 
@@ -88,13 +83,13 @@ type Store struct {
 	// files changing. Clones share the snapshot (it is never mutated).
 	overlay map[int][]OverlayCell
 
-	// mergeScratch is the reused merge destination for the scan path
+	// mergeScratch is the reused merge destination of a scratch read
 	// when a chunk has overlay cells; like scratchCells it is valid only
 	// until the next read on this store.
 	mergeScratch []Cell
 
-	// carry holds a chunk-offset pair split across two pages while the
-	// scan reads a chunk in place (walkPairs).
+	// carry holds a chunk-offset pair split across two pages while a
+	// chunk is read in place (walkPairs).
 	carry [offsetPairSize]byte
 }
 
@@ -484,10 +479,13 @@ func (s *Store) SetArena(a *arena.Arena) {
 	}
 }
 
-// ReadChunk returns the decoded, offset-sorted cells of the chunk. Empty
-// chunks decode to nil. The returned slice may be shared with the
-// decoded-chunk cache; callers must treat it as read-only (every engine
-// reader does — updates copy before merging).
+// ReadChunk returns the decoded, offset-sorted cells of the chunk,
+// merged with the overlay. Empty chunks decode to nil. The returned
+// slice may be shared with the decoded-chunk cache; callers must treat
+// it as read-only (every engine reader does — updates copy before
+// merging). With an arena attached and no cache, the cells live in the
+// store's scratch buffers and are valid until the next read on this
+// store; otherwise they are on the GC heap.
 func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 	if chunkNum < 0 || chunkNum >= len(s.entries) {
 		return nil, fmt.Errorf("chunk: chunk number %d out of [0,%d)", chunkNum, len(s.entries))
@@ -505,22 +503,27 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 			return cells, nil
 		}
 	}
-	if s.shared == nil && s.mem != nil {
-		// With an arena and no shared cache, nothing downstream may retain
-		// the cells, so point reads take the scratch-reuse path too: the
-		// result is valid until the next read on this store.
-		return s.readChunkScratch(chunkNum)
-	}
 	// A shared cache takes ownership of what it is offered (PutDecoded),
 	// so anything that might reach it must live on the GC heap — never in
-	// an arena that resets at end of query.
+	// an arena that resets at end of query. Without one, nothing
+	// downstream may retain the cells, and an arena-backed read reuses
+	// the scratch buffers: zero allocations once warm.
+	scratch := s.shared == nil && s.mem != nil
 	var cells []Cell
 	if e.ref.Valid() {
-		data, err := s.lob.Read(e.ref)
+		var data []byte
+		var err error
+		var alloc CellAllocator
+		if scratch {
+			data, err = s.lob.ReadInto(e.ref, s.scratchEnc)
+			s.scratchEnc, alloc = data, s.scratchAlloc
+		} else {
+			data, err = s.lob.Read(e.ref)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("chunk: read chunk %d: %w", chunkNum, err)
 		}
-		cells, err = s.entryCodec(chunkNum).Decode(data, s.geom.ChunkCapacity())
+		cells, err = s.entryCodec(chunkNum).Decode(data, s.geom.ChunkCapacity(), alloc)
 		if err != nil {
 			return nil, fmt.Errorf("chunk: decode chunk %d: %w", chunkNum, err)
 		}
@@ -529,7 +532,14 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 		}
 	}
 	if len(ov) > 0 {
-		cells = mergeOverlayInto(make([]Cell, 0, len(cells)+len(ov)), cells, ov)
+		if scratch {
+			// Into the reused merge buffer, never in place: cells may
+			// alias the decode scratch the next read reuses.
+			s.mergeScratch = mergeOverlayInto(s.mergeScratch[:0], cells, ov)
+			cells = s.mergeScratch
+		} else {
+			cells = mergeOverlayInto(make([]Cell, 0, len(cells)+len(ov)), cells, ov)
+		}
 	}
 	if s.shared != nil {
 		s.shared.PutDecoded(chunkNum, cells)
@@ -597,63 +607,7 @@ func (p *pointSeek) pairs(_ int, run OffsetPairs) error {
 	return nil
 }
 
-// ScanChunks invokes fn for every non-empty chunk in ascending chunk
-// order with its decoded cells. The cells slice is reused between calls
-// and is valid only during the callback. Return ErrStopScan from fn to
-// stop early.
-func (s *Store) ScanChunks(fn func(chunkNum int, cells []Cell) error) error {
-	return s.ScanChunkRange(context.Background(), 0, len(s.entries), fn, nil)
-}
-
-// ScanChunkRange scans the non-empty chunks with lo <= chunkNum < hi, in
-// ascending order, with the same callback contract as ScanChunks. The
-// bounds are clamped to the directory; the context is checked before
-// every chunk read. Parallel consolidation partitions the chunk
-// directory into disjoint ranges, one per worker, each on its own Store
-// clone.
-//
-// A chunk in the decoded-chunk cache goes to fn as cached (read-only,
-// merged with this snapshot's overlay); a miss does not populate the
-// cache, so one full scan cannot flush the probe working set. With pairs
-// set, a miss on a chunk-offset chunk with no overlay is not decoded at
-// all: pairs receives its cells in offset order as one or more runs read
-// in place from the pinned frames (walkPairs), each borrowed like a page
-// of LOBStore.Walk.
-func (s *Store) ScanChunkRange(ctx context.Context, lo, hi int, fn func(chunkNum int, cells []Cell) error,
-	pairs func(chunkNum int, p OffsetPairs) error) error {
-	for cn := max(lo, 0); cn < min(hi, len(s.entries)); cn++ {
-		if !s.entries[cn].ref.Valid() && len(s.overlay[cn]) == 0 {
-			continue
-		}
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		cells, cached := []Cell(nil), false
-		if s.shared != nil {
-			cells, cached = s.shared.GetDecoded(cn)
-		}
-		var err error
-		switch {
-		case cached:
-			err = fn(cn, cells)
-		case pairs != nil && s.readsInPlace(cn):
-			err = s.walkPairs(cn, pairs)
-		default:
-			if cells, err = s.readChunkScratch(cn); err == nil {
-				err = fn(cn, cells)
-			}
-		}
-		if errors.Is(err, ErrStopScan) {
-			return nil
-		}
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// readsInPlace reports whether a scan can take chunk cn straight from
+// readsInPlace reports whether VisitChunk can take chunk cn straight from
 // the frames it sits in: a non-empty chunk-offset chunk with no overlay.
 func (s *Store) readsInPlace(cn int) bool {
 	_, offset := s.entryCodec(cn).(OffsetCodec)
@@ -662,7 +616,7 @@ func (s *Store) readsInPlace(cn int) bool {
 
 // walkPairs hands chunk cn, a chunk-offset chunk with no overlay cells,
 // to fn as runs of pairs read in place from the pinned buffer-pool
-// frames, with every check the scratch read makes of a decoded chunk.
+// frames, with every check ReadChunk makes of a decoded chunk.
 func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) error {
 	e := s.entries[cn]
 	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: &s.carry}
@@ -683,45 +637,4 @@ func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) er
 		return fmt.Errorf("chunk: chunk %d decoded %d cells, directory says %d", cn, w.pairs, e.cells)
 	}
 	return nil
-}
-
-// readChunkScratch reads and decodes a chunk into the store's scratch
-// buffers. The result is invalidated by the next readChunkScratch call.
-func (s *Store) readChunkScratch(cn int) ([]Cell, error) {
-	e := s.entries[cn]
-	ov := s.overlay[cn]
-	var cells []Cell
-	if e.ref.Valid() {
-		data, err := s.lob.ReadInto(e.ref, s.scratchEnc)
-		if err != nil {
-			return nil, fmt.Errorf("chunk: read chunk %d: %w", cn, err)
-		}
-		s.scratchEnc = data
-		codec := s.entryCodec(cn)
-		if s.scratchAlloc != nil {
-			// Arena-backed scratch: grows from the arena on the first chunks,
-			// then reuses the high-water slice — zero allocations once warm.
-			cells, err = codec.DecodeAlloc(data, s.geom.ChunkCapacity(), s.scratchAlloc)
-		} else if oc, ok := codec.(OffsetCodec); ok {
-			cells, err = oc.DecodeInto(data, s.geom.ChunkCapacity(), s.scratchCells)
-			if err == nil {
-				s.scratchCells = cells
-			}
-		} else {
-			cells, err = codec.Decode(data, s.geom.ChunkCapacity())
-		}
-		if err != nil {
-			return nil, fmt.Errorf("chunk: decode chunk %d: %w", cn, err)
-		}
-		if uint64(len(cells)) != e.cells {
-			return nil, fmt.Errorf("chunk: chunk %d decoded %d cells, directory says %d", cn, len(cells), e.cells)
-		}
-	}
-	if len(ov) > 0 {
-		// Merge into the reused merge buffer, never in place: cells may
-		// alias the decode scratch slice the next read reuses.
-		s.mergeScratch = mergeOverlayInto(s.mergeScratch[:0], cells, ov)
-		cells = s.mergeScratch
-	}
-	return cells, nil
 }

@@ -84,10 +84,10 @@ func TestStoreBuildGetScan(t *testing.T) {
 				}
 			}
 
-			// Full scan recovers every cell exactly once.
+			// Reading every chunk recovers every cell exactly once.
 			seen := int64(0)
 			dst := make([]int, 3)
-			err := s.ScanChunks(func(cn int, cells []Cell) error {
+			for cn, cells := range readAll(t, s) {
 				for _, c := range cells {
 					s.geom.Decompose(cn, int(c.Offset), dst)
 					want, valid := ref[coordKey(dst)]
@@ -96,10 +96,6 @@ func TestStoreBuildGetScan(t *testing.T) {
 					}
 					seen++
 				}
-				return nil
-			})
-			if err != nil {
-				t.Fatalf("ScanChunks: %v", err)
 			}
 			if seen != int64(len(ref)) {
 				t.Fatalf("scan saw %d cells, want %d", seen, len(ref))
@@ -154,16 +150,10 @@ func TestStoreEmptyChunksSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	visited := 0
-	s.ScanChunks(func(cn int, cells []Cell) error {
-		visited++
-		if cn != 2 || len(cells) != 1 || cells[0].Value != 44 {
-			t.Fatalf("scan visited chunk %d with %d cells", cn, len(cells))
+	for cn, cells := range readAll(t, s) {
+		if cn == 2 && (len(cells) != 1 || cells[0].Value != 44) || cn != 2 && len(cells) != 0 {
+			t.Fatalf("chunk %d read %d cells", cn, len(cells))
 		}
-		return nil
-	})
-	if visited != 1 {
-		t.Fatalf("scan visited %d chunks, want 1", visited)
 	}
 	cells, err := s.ReadChunk(0)
 	if err != nil || cells != nil {
@@ -202,30 +192,6 @@ func TestStoreBuilderValidation(t *testing.T) {
 	}
 	if b.NumCells() != 1 {
 		t.Fatalf("NumCells = %d", b.NumCells())
-	}
-}
-
-func TestStoreScanEarlyStop(t *testing.T) {
-	bp := newStorePool(256)
-	g := mustGeometry(t, []int{20}, []int{2})
-	b := NewBuilder(g, OffsetCodec{})
-	for i := 0; i < 20; i++ {
-		b.Add([]int{i}, int64(i))
-	}
-	s, err := b.Write(bp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	visited := 0
-	err = s.ScanChunks(func(int, []Cell) error {
-		visited++
-		if visited == 3 {
-			return ErrStopScan
-		}
-		return nil
-	})
-	if err != nil || visited != 3 {
-		t.Fatalf("early stop: visited=%d err=%v", visited, err)
 	}
 }
 

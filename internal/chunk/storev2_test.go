@@ -135,11 +135,11 @@ func TestUpdateRecodesAdaptiveChunks(t *testing.T) {
 	}
 
 	// Drive chunk 0 dense: fill offsets 0..299.
-	fill := make([]CellChange, 0, 300)
+	fill := make([]OverlayCell, 0, 300)
 	for off := 0; off < 300; off++ {
-		fill = append(fill, CellChange{Offset: uint32(off), Value: int64(off)})
+		fill = append(fill, OverlayCell{Offset: uint32(off), Value: int64(off)})
 	}
-	upd, err := s.Update(map[int][]CellChange{0: fill})
+	upd, err := s.Update(map[int][]OverlayCell{0: fill})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,13 +148,13 @@ func TestUpdateRecodesAdaptiveChunks(t *testing.T) {
 	}
 
 	// Delete most of it again: the re-pick must flip back to offset.
-	del := make([]CellChange, 0, 296)
+	del := make([]OverlayCell, 0, 296)
 	for off := 0; off < 300; off++ {
 		if off%50 != 0 {
-			del = append(del, CellChange{Offset: uint32(off), Delete: true})
+			del = append(del, OverlayCell{Offset: uint32(off), Delete: true})
 		}
 	}
-	back, err := upd.Update(map[int][]CellChange{0: del})
+	back, err := upd.Update(map[int][]OverlayCell{0: del})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,25 +2,35 @@ package chunk
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/storage"
 )
 
-// CellChange is one cell mutation for Store.Update: set the cell at
-// Offset to Value, or delete it.
-type CellChange struct {
-	Offset uint32
-	Value  int64
-	Delete bool
-}
-
-// Update produces a new Store with the changes applied, copy-on-write:
-// only chunks with changes are re-encoded and written; untouched chunks
-// share their blobs with the receiver (blobs are immutable, so sharing
-// is safe). The receiver remains a valid, unchanged snapshot — this is
-// the chunk-level half of the engine's shadow-version update path.
-func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
+// Update produces a new Store with the overlay folded in,
+// copy-on-write: only chunks with overlay cells are re-encoded and
+// written; untouched chunks share their blobs with the receiver (blobs
+// are immutable, so sharing is safe). The receiver remains a valid,
+// unchanged snapshot — this is the chunk-level half of the engine's
+// shadow-version update path. Each chunk folds with the merge every
+// reader of the same overlay runs (ReadChunk), so what is written is
+// what those readers saw. The overlay is checked whole before anything
+// is written: every slice must hold offsets strictly ascending and
+// valid in its chunk.
+func (s *Store) Update(ov map[int][]OverlayCell) (*Store, error) {
+	for cn, cells := range ov {
+		if cn < 0 || cn >= len(s.entries) {
+			return nil, fmt.Errorf("chunk: update to chunk %d of %d", cn, len(s.entries))
+		}
+		for i, c := range cells {
+			if i > 0 && c.Offset <= cells[i-1].Offset {
+				return nil, fmt.Errorf("chunk: update to chunk %d not strictly sorted at %d (%d then %d)",
+					cn, i, cells[i-1].Offset, c.Offset)
+			}
+			if int(c.Offset) >= s.geom.ChunkCapacity() || !s.geom.ValidOffset(cn, int(c.Offset)) {
+				return nil, fmt.Errorf("chunk: update offset %d invalid in chunk %d", c.Offset, cn)
+			}
+		}
+	}
 	out := &Store{
 		bp:      s.bp,
 		lob:     s.lob,
@@ -28,18 +38,12 @@ func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
 		codec:   s.codec,
 		entries: append([]chunkEntry(nil), s.entries...),
 	}
-	for cn, chs := range changes {
-		if cn < 0 || cn >= len(out.entries) {
-			return nil, fmt.Errorf("chunk: update to chunk %d of %d", cn, len(out.entries))
-		}
+	for cn, chs := range ov {
 		cells, err := s.ReadChunk(cn)
 		if err != nil {
 			return nil, err
 		}
-		merged, err := applyChanges(s.geom, cn, cells, chs)
-		if err != nil {
-			return nil, err
-		}
+		merged := mergeOverlayInto(make([]Cell, 0, len(cells)+len(chs)), cells, chs)
 		if len(merged) == 0 {
 			out.entries[cn] = chunkEntry{ref: storage.InvalidLOBRef}
 			continue
@@ -87,37 +91,5 @@ func (s *Store) Update(changes map[int][]CellChange) (*Store, error) {
 		return nil, fmt.Errorf("chunk: write metadata: %w", err)
 	}
 	out.meta = ref
-	return out, nil
-}
-
-// applyChanges merges sorted cells with a change list.
-func applyChanges(g *Geometry, cn int, cells []Cell, chs []CellChange) ([]Cell, error) {
-	// Last change to an offset wins; validate offsets.
-	byOff := make(map[uint32]CellChange, len(chs))
-	for _, ch := range chs {
-		if int(ch.Offset) >= g.ChunkCapacity() || !g.ValidOffset(cn, int(ch.Offset)) {
-			return nil, fmt.Errorf("chunk: update offset %d invalid in chunk %d", ch.Offset, cn)
-		}
-		byOff[ch.Offset] = ch
-	}
-	out := make([]Cell, 0, len(cells)+len(byOff))
-	for _, c := range cells {
-		ch, ok := byOff[c.Offset]
-		if !ok {
-			out = append(out, c)
-			continue
-		}
-		delete(byOff, c.Offset)
-		if !ch.Delete {
-			out = append(out, Cell{Offset: c.Offset, Value: ch.Value})
-		}
-	}
-	for off, ch := range byOff {
-		if ch.Delete {
-			continue // deleting an absent cell is a no-op
-		}
-		out = append(out, Cell{Offset: off, Value: ch.Value})
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Offset < out[j].Offset })
 	return out, nil
 }

@@ -160,37 +160,28 @@ func runKernel(a *array.Array, spec GroupSpec, sel *chunkSelection,
 }
 
 // arrayScan is §4.1 over the whole chunk directory, split across the
-// workers into contiguous ranges by splitRange. Each worker aggregates
-// into a private cube; the partials merge at the end (every tracked
-// aggregate is distributive). The buffer pool is shared and thread-safe,
-// so workers contend only on page fetches. The chunks of s.Hot are not
-// read: a worker scans the runs between them.
+// workers into contiguous ranges by splitRange. Each worker folds its
+// range chunk by chunk (foldChunk) into a private cube; the partials
+// merge at the end (every tracked aggregate is distributive). The buffer
+// pool is shared and thread-safe, so workers contend only on page
+// fetches. The chunks of s.Hot and the empty ones are not read.
 func arrayScan(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metrics, error) {
 	chunks := a.Geometry().NumChunks()
 	return runParts(ctx, s.Workers, chunks, func(ctx context.Context, w, n int, p *workerPartial) {
-		wlo, whi := splitRange(0, chunks, w, n)
+		lo, hi := splitRange(0, chunks, w, n)
 		p.res, p.m, p.err = runKernel(a, s.Group, nil, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			fold := func(cn int, cells []chunk.Cell) error {
-				m.ChunksRead++
-				m.CellsScanned += int64(len(cells))
-				return k.consolidate(cn, cells)
-			}
-			last := -1 // a chunk read in place arrives as one or more runs
-			foldPairs := func(cn int, p chunk.OffsetPairs) error {
-				if cn != last {
-					m.ChunksRead++
-					last = cn
+			for cn := lo; cn < hi; cn++ {
+				if _, hot := slices.BinarySearch(s.Hot, cn); hot || store.ChunkCells(cn) == 0 {
+					continue
 				}
-				m.CellsScanned += int64(p.Len())
-				return k.consolidatePairs(cn, p)
-			}
-			for _, skip := range s.Hot {
-				if err := store.ScanChunkRange(ctx, wlo, min(skip, whi), fold, foldPairs); err != nil {
+				if err := ctx.Err(); err != nil {
 					return err
 				}
-				wlo = max(wlo, skip+1)
+				if err := k.foldChunk(store, cn, m); err != nil {
+					return err
+				}
 			}
-			return store.ScanChunkRange(ctx, wlo, whi, fold, foldPairs)
+			return nil
 		})
 		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
 	})
@@ -292,9 +283,6 @@ func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSele
 	})
 	var claimed atomic.Int64
 	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {
-		// foldChunk, not the scan path: a chunk that must be decoded goes
-		// through ReadChunk, since the candidate chunks are the working set
-		// the shared decoded-chunk cache exists to retain.
 		p.res, p.m, p.err = runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
 			for {
 				t := claimed.Add(1) - 1

@@ -3,8 +3,6 @@ package core
 import (
 	"testing"
 	"testing/quick"
-
-	"repro/internal/storage"
 )
 
 func TestRollUpMatchesDirectConsolidation(t *testing.T) {
@@ -165,95 +163,5 @@ func TestQuickParallelEqualsSerial(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMaterializeResultRoundtrip(t *testing.T) {
-	fx := defaultFixture(t, 46)
-	spec := GroupByAttrs(3, 0)
-	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 1024)
-	arr, dims, err := MaterializeResult(bp, res, MaterializeOptions{
-		DimNames: []string{"d0g", "d1g", "d2g"},
-		AttrName: "grp",
-	})
-	if err != nil {
-		t.Fatalf("MaterializeResult: %v", err)
-	}
-	if len(dims) != 3 || dims[0].Schema.Name != "d0g" || dims[0].Schema.Attrs[0] != "grp" {
-		t.Fatalf("dims = %+v", dims[0].Schema)
-	}
-	if arr.NumValidCells() != int64(res.NumGroups()) {
-		t.Fatalf("materialized cells = %d, want %d", arr.NumValidCells(), res.NumGroups())
-	}
-
-	// Re-consolidating the materialized result over everything must
-	// reproduce the original grand total (sum is distributive).
-	reagg, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: GroupSpec{
-		{Target: Collapse}, {Target: Collapse}, {Target: Collapse},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var wantTotal int64
-	for _, r := range res.Rows() {
-		wantTotal += r.Sum
-	}
-	rows := reagg.Rows()
-	if len(rows) != 1 || rows[0].Sum != wantTotal {
-		t.Fatalf("re-aggregated total = %+v, want %d", rows, wantTotal)
-	}
-
-	// Grouping the materialized array by its label attribute must match
-	// rolling up the original result.
-	grouped, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: GroupSpec{
-		{Target: GroupByLevel, Level: 0}, {Target: Collapse}, {Target: Collapse},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, err := res.RollUp(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rolled, err := r1.RollUp(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gr := grouped.SortedRows()
-	rr := rolled.SortedRows()
-	if len(gr) != len(rr) {
-		t.Fatalf("group counts differ: %d vs %d", len(gr), len(rr))
-	}
-	for i := range gr {
-		// Sums must agree; counts differ by design (the materialized
-		// array has one cell per group).
-		if gr[i].Groups[0] != rr[i].Groups[0] || gr[i].Sum != rr[i].Sum {
-			t.Fatalf("group %d: %+v vs %+v", i, gr[i], rr[i])
-		}
-	}
-}
-
-func TestMaterializeResultErrors(t *testing.T) {
-	fx := defaultFixture(t, 47)
-	res, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupSpec{
-		{Target: Collapse}, {Target: Collapse}, {Target: Collapse},
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 64)
-	if _, _, err := MaterializeResult(bp, res, MaterializeOptions{}); err == nil {
-		t.Fatal("materializing a collapsed result succeeded")
-	}
-	res2, _, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: GroupByAttrs(3, 0)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := MaterializeResult(bp, res2, MaterializeOptions{Agg: Avg}); err == nil {
-		t.Fatal("materializing avg succeeded")
 	}
 }

@@ -187,7 +187,7 @@ func randomSelections(rng *rand.Rand, attrCards [][]int) []Selection {
 
 // TestKernelDifferential drives the one chunk kernel through every array
 // path — full scans, selections that probe some chunks and filter
-// others, sequential and parallel, bounded, with and without a pending
+// others, sequential and parallel, with and without a pending
 // delta overlay — over random geometries, and holds each answer to the
 // reference consolidator's, cell for cell.
 func TestKernelDifferential(t *testing.T) {
@@ -240,12 +240,6 @@ func TestKernelDifferential(t *testing.T) {
 					t.Fatalf("%s degree %d: select counters %+v, sequential %+v", name, deg, m, seq)
 				}
 			}
-			if maxCells := 1 + rng.Intn(40); len(want) > 0 {
-				rows, _, err := ArrayConsolidateBounded(fx.arr, spec, maxCells)
-				if err == nil && !RowsEqual(rows, want) {
-					t.Fatalf("%s: bounded(%d) != reference: %s", name, maxCells, DiffRows(rows, want))
-				}
-			}
 		}
 	}
 	if probed == 0 || filtered == 0 {
@@ -277,9 +271,6 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 	sels := []Selection{{Dim: 0, Level: 0, Values: []string{"V0_0_0", "V0_0_1"}}}
 	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Selections: sels, Group: spec}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("select error = %v, want %q", err, want)
-	}
-	if _, _, err := ArrayConsolidateBounded(arr, spec, 2); err == nil || !strings.Contains(err.Error(), want) {
-		t.Fatalf("bounded error = %v, want %q", err, want)
 	}
 	// An offset past the chunk capacity cannot come out of a decoder, but
 	// the kernel must not trust that either.
@@ -313,8 +304,15 @@ func TestPairsFoldLikeCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := newChunkKernel(fx.arr.Geometry(), gm, nil, nil)
-		if err := fx.arr.Store().Clone().ScanChunks(k.consolidate); err != nil {
-			t.Fatal(err)
+		store := fx.arr.Store().Clone()
+		for cn := 0; cn < fx.arr.Geometry().NumChunks(); cn++ {
+			cells, err := store.ReadChunk(cn)
+			if err == nil {
+				err = k.consolidate(cn, cells)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
 		if got, want := got.SortedRows(), gm.result.SortedRows(); !RowsEqual(got, want) {
 			t.Fatalf("%v: pairs fold != cells fold: %s", spec, DiffRows(got, want))

@@ -324,13 +324,7 @@ func compactDeltas(bp *storage.BufferPool, ds *delta.Store) error {
 	if err != nil {
 		return err
 	}
-	changes := make(map[int][]chunk.CellChange, len(ov))
-	for cn, cells := range ov {
-		for _, oc := range cells {
-			changes[cn] = append(changes[cn], chunk.CellChange{Offset: oc.Offset, Value: oc.Value, Delete: oc.Delete})
-		}
-	}
-	next, err := base.ApplyChunkChanges(changes)
+	next, err := base.ApplyChunkChanges(ov)
 	if err != nil {
 		return err
 	}
