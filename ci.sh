@@ -55,7 +55,7 @@ go test -race -count=50 -run 'TestGenerationSwap/readers_and_a_writer|TestOldGen
 
 echo "== parallel differential suite under -race (GOMAXPROCS=4) =="
 GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
-    ./internal/core/... ./internal/exec/... ./internal/bitmap/... ./internal/server/...
+    ./internal/core/... ./internal/exec/... ./internal/server/...
 
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/

@@ -54,7 +54,8 @@ const (
 	CodeCanceled  = ErrorCode(wire.CodeCanceled)
 	CodeExec      = ErrorCode(wire.CodeExec)
 	CodeShutdown  = ErrorCode(wire.CodeShutdown)
-	// CodeUnsupported: the server's backend does not have the operation.
+	// CodeUnsupported: the server does not have the operation (reserved;
+	// see wire.CodeUnsupported).
 	CodeUnsupported = ErrorCode(wire.CodeUnsupported)
 )
 

@@ -19,6 +19,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -37,8 +38,7 @@ import (
 // session is what the CLI drives: the protocol's request frames as
 // methods. A *client.Conn is one as it stands; embedded mode adapts the
 // session olapd itself would open over the database, so both modes run
-// the same loop, the same meta-commands and the same renderer, and a
-// backend answers what it does not have with "not supported".
+// the same loop, the same meta-commands and the same renderer.
 type session interface {
 	Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error)
 	Explain(ctx context.Context, sql string, engine client.Engine) (*client.Explanation, error)
@@ -51,7 +51,7 @@ type session interface {
 
 // embedded is a server.Session with the rows read back out of the frames
 // a server would have sent.
-type embedded struct{ server.Session }
+type embedded struct{ *server.Session }
 
 func (e embedded) Query(ctx context.Context, sql string, engine client.Engine) (*client.Result, error) {
 	res, err := e.Session.Query(ctx, sql, engine)
@@ -127,7 +127,7 @@ func main() {
 			cfg.SlowQueryLog = slog.New(slog.NewTextHandler(os.Stderr, nil))
 			cfg.SlowQueryMin = time.Duration(*slowMS) * time.Millisecond
 		}
-		c.s, c.db = embedded{server.Local{DB: db}.NewSession(&cfg)}, db
+		c.s, c.db = embedded{server.NewSession(db, &cfg)}, db
 		banner = "repro OLAP engine"
 	}
 
@@ -267,8 +267,7 @@ var metaCommands = map[string]func(c *cli, arg string) error{
 	// stats: the cross-layer engine snapshot.
 	"stats": func(c *cli, _ string) error {
 		if c.db == nil {
-			return fmt.Errorf("%w: stats reads an embedded database (-db); a server exports the same on /metrics",
-				server.ErrUnsupported)
+			return errors.New("not supported: stats reads an embedded database (-db); a server exports the same on /metrics")
 		}
 		printStats(c.db)
 		return nil

@@ -11,7 +11,7 @@ import (
 
 // embeddedCLI is the cli main builds for -db mode.
 func embeddedCLI(db *repro.DB) *cli {
-	return &cli{s: embedded{server.Local{DB: db}.NewSession(&server.Config{})}, db: db, maxRows: 10}
+	return &cli{s: embedded{server.NewSession(db, &server.Config{})}, db: db, maxRows: 10}
 }
 
 func TestParseEngine(t *testing.T) {

@@ -84,7 +84,7 @@ func main() {
 		cfg.SlowQueryLog = log
 		cfg.SlowQueryMin = time.Duration(*slowMS) * time.Millisecond
 	}
-	srv := server.New(server.Local{DB: db}, cfg)
+	srv := server.New(db, cfg)
 	if err := srv.Start(); err != nil {
 		db.Close()
 		fatal(err)

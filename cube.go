@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/exec"
 	"repro/internal/query"
 )
 
@@ -57,23 +56,4 @@ func (db *DB) Cube(sql string) ([]CuboidResult, error) {
 		out = append(out, CuboidResult{GroupAttrs: attrs, Rows: c.Result.SortedRows()})
 	}
 	return out, nil
-}
-
-// QueryParallel evaluates a selection-free consolidation on the OLAP
-// array with the chunk scan spread over the given number of workers
-// (0 = GOMAXPROCS) — the parallelization sketched as future work in §6
-// of the paper. It is QueryOn(sql, ArrayEngine) in a session whose
-// parallel degree is workers; Metrics.ParallelDegree reports how many
-// actually ran.
-func (db *DB) QueryParallel(sql string, workers int) (*Result, error) {
-	spec, err := query.ParseAndCompile(sql, db.cat.Schema)
-	if err != nil {
-		return nil, err
-	}
-	if len(spec.Selections) > 0 {
-		return nil, fmt.Errorf("repro: QueryParallel does not take selections")
-	}
-	ex := exec.NewSessionExecutor(db.ex.Context())
-	ex.SetParallel(workers)
-	return ex.Execute(spec, ArrayEngine)
 }

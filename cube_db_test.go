@@ -71,18 +71,17 @@ func TestDBQueryParallel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 1, 3, 16} {
-		par, err := db.QueryParallel(retailQuery, workers)
+		sess := db.Session()
+		sess.SetParallel(workers)
+		par, err := sess.QueryOn(retailQuery, ArrayEngine)
 		if err != nil {
-			t.Fatalf("QueryParallel(%d): %v", workers, err)
+			t.Fatalf("parallel %d: %v", workers, err)
 		}
 		if !core.RowsEqual(par.Rows, serial.Rows) {
 			t.Fatalf("parallel(%d) != serial: %s", workers, core.DiffRows(par.Rows, serial.Rows))
 		}
 		if d := par.Metrics.ParallelDegree; workers > 1 && (d < 2 || d > workers) {
-			t.Fatalf("QueryParallel(%d) ran at degree %d", workers, d)
+			t.Fatalf("parallel %d ran at degree %d", workers, d)
 		}
-	}
-	if _, err := db.QueryParallel(retailSelectQuery, 2); err == nil {
-		t.Fatal("QueryParallel with selection succeeded")
 	}
 }

@@ -98,20 +98,22 @@ func TestIngestDifferential(t *testing.T) {
 		}
 	}
 
-	// QueryParallel and Cube read the array too, and must see the same
-	// pending deltas the executor's array engine does.
+	// A parallel session and Cube read the array too, and must see the
+	// same pending deltas the executor's array engine does.
 	for name, db := range map[string]*DB{"delta": dbDelta, "compacted": dbCompact} {
 		want, err := db.QueryOn(retailQuery, ArrayEngine)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
 		for _, deg := range []int{1, 2} {
-			got, err := db.QueryParallel(retailQuery, deg)
+			sess := db.Session()
+			sess.SetParallel(deg)
+			got, err := sess.QueryOn(retailQuery, ArrayEngine)
 			if err != nil {
-				t.Fatalf("%s QueryParallel(%d): %v", name, deg, err)
+				t.Fatalf("%s parallel %d: %v", name, deg, err)
 			}
 			if !core.RowsEqual(got.Rows, want.Rows) {
-				t.Fatalf("%s QueryParallel(%d) vs array engine: %s", name, deg,
+				t.Fatalf("%s parallel %d vs array engine: %s", name, deg,
 					core.DiffRows(got.Rows, want.Rows))
 			}
 		}

@@ -156,7 +156,9 @@ func TestIntegrationFileBackedEndToEnd(t *testing.T) {
 			t.Fatalf("engine %v after reopen differs: %s", eng, core.DiffRows(res.Rows, want.Rows))
 		}
 	}
-	par, err := db2.QueryParallel(sql, 4)
+	sess := db2.Session()
+	sess.SetParallel(4)
+	par, err := sess.QueryOn(sql, ArrayEngine)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync"
 	"sync/atomic"
 )
 
@@ -144,49 +143,6 @@ func (b *Bitmap) Not() {
 		b.words[i] = ^b.words[i]
 	}
 	b.trimTail()
-}
-
-// ParallelAnd is And with the word loop split across workers, each
-// combining a disjoint word range. One logical op is counted regardless
-// of degree, so counters match the sequential path exactly; the result
-// is bit-identical because every word is touched by exactly one worker.
-// workers <= 1 (or a bitmap too small to split) runs sequentially.
-func (b *Bitmap) ParallelAnd(o *Bitmap, workers int) {
-	b.checkLen(o, "And")
-	logicalOps.Add(1)
-	b.parallelCombine(o, workers, func(dst, src []uint64) {
-		for i := range dst {
-			dst[i] &= src[i]
-		}
-	})
-}
-
-// parallelMinWords is the smallest word range worth a goroutine; below
-// it the spawn overhead dwarfs the combine loop.
-const parallelMinWords = 1 << 12
-
-// parallelCombine applies op to disjoint word ranges of b and o, fanned
-// out across up to workers goroutines.
-func (b *Bitmap) parallelCombine(o *Bitmap, workers int, op func(dst, src []uint64)) {
-	n := len(b.words)
-	if max := n / parallelMinWords; workers > max {
-		workers = max
-	}
-	if workers <= 1 {
-		op(b.words, o.words)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := n * w / workers
-		hi := n * (w + 1) / workers
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			op(b.words[lo:hi], o.words[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
 }
 
 func (b *Bitmap) checkLen(o *Bitmap, op string) {

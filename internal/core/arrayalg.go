@@ -4,11 +4,9 @@ import (
 	"context"
 	"fmt"
 	"slices"
-	"sync/atomic"
 
 	"repro/internal/arena"
 	"repro/internal/array"
-	"repro/internal/chunk"
 )
 
 // groupMapper is the phase-1 state of the array algorithms: for each
@@ -109,8 +107,12 @@ func (gm *groupMapper) cellIndex(coords []int) int {
 //     and probe the offset-sorted cells by binary search, aggregating
 //     the hits into the result cube.
 //
-// ctx is checked before every chunk read, so a canceled query stops
-// after the chunk in flight.
+// Either way the run is one list of candidate chunks (arrayCandidates),
+// claimed chunk by chunk by s.Workers workers that each fold into a
+// private cube, merged at the end (every tracked aggregate is
+// distributive). Per-chunk cost varies wildly with density, so claiming
+// balances where static ranges would not. ctx is checked before every
+// chunk read, so a canceled query stops after the chunk in flight.
 func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metrics, error) {
 	if err := validateArray(a, &s); err != nil {
 		return nil, Metrics{}, err
@@ -119,72 +121,58 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 	if err != nil {
 		return nil, Metrics{}, err
 	}
+	chunks, workers := arrayCandidates(a, sel, &s), s.Workers
 	if s.OnlyHot { // a handful of chunks: not worth a fan-out
-		return runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			return k.foldChunks(ctx, store, s.Hot, m)
-		})
+		workers = 1
+	}
+	// One pooled arena per worker holds its cube, its kernel's tables and
+	// its store clone's decode scratch; the cube carries it until Release.
+	return runParts(ctx, workers, len(chunks), func(ctx context.Context, _ int, next func() (int, bool), p *workerPartial) {
+		ar := queryArenas.Get()
+		gm, err := newArrayGroupMapperIn(a, s.Group, ar)
+		if err != nil {
+			queryArenas.Put(ar)
+			p.err = err
+			return
+		}
+		store := a.Store().Clone()
+		store.SetArena(ar)
+		p.res = gm.result
+		p.err = newChunkKernel(a.Geometry(), gm, sel, ar).foldClaimed(ctx, store, chunks, next, &p.m)
+		p.rows, p.io = p.m.ProbeHits+p.m.CellsScanned, p.m.ChunksRead
+	})
+}
+
+// arrayCandidates lists, ascending, the chunks an array run reads: with
+// s.OnlyHot the chunks of s.Hot that sel reaches, otherwise every other
+// chunk with cells that sel (nil = every cell) reaches. The Hot chunks
+// are listed whatever their cells: the hot side exists to fold their
+// overlay.
+func arrayCandidates(a *array.Array, sel *chunkSelection, s *ScanSpec) []int {
+	if s.OnlyHot {
+		return sel.reached(s.Hot)
+	}
+	keep := func(cn int) bool {
+		_, hot := slices.BinarySearch(s.Hot, cn)
+		return !hot && a.Store().ChunkCells(cn) > 0
 	}
 	if sel != nil {
-		return arraySelect(ctx, a, s, sel)
+		return sel.candidateChunks(keep)
 	}
-	return arrayScan(ctx, a, s)
+	n := a.Geometry().NumChunks()
+	out := make([]int, 0, n)
+	for cn := range n {
+		if keep(cn) {
+			out = append(out, cn)
+		}
+	}
+	return out
 }
 
 // validateArray checks s against a's dimensions.
 func validateArray(a *array.Array, s *ScanSpec) error {
 	dims := a.Dims()
 	return s.validate(len(dims), func(i int) (string, int) { return dims[i].Name, len(dims[i].Levels) })
-}
-
-// runKernel runs body with a chunk kernel that aggregates into a fresh
-// result cube, reading through a private clone of a's chunk store. One
-// pooled arena per call — so per sequential query or per parallel
-// worker — holds the cube, the kernel's tables and the clone's decode
-// scratch; the result carries it until Release.
-func runKernel(a *array.Array, spec GroupSpec, sel *chunkSelection,
-	body func(store *chunk.Store, k *chunkKernel, m *Metrics) error) (*Result, Metrics, error) {
-	var m Metrics
-	ar := queryArenas.Get()
-	gm, err := newArrayGroupMapperIn(a, spec, ar)
-	if err != nil {
-		queryArenas.Put(ar)
-		return nil, m, err
-	}
-	store := a.Store().Clone()
-	store.SetArena(ar)
-	if err := body(store, newChunkKernel(a.Geometry(), gm, sel, ar), &m); err != nil {
-		gm.result.Release()
-		return nil, m, err
-	}
-	return gm.result, m, nil
-}
-
-// arrayScan is §4.1 over the whole chunk directory, split across the
-// workers into contiguous ranges by splitRange. Each worker folds its
-// range chunk by chunk (foldChunk) into a private cube; the partials
-// merge at the end (every tracked aggregate is distributive). The buffer
-// pool is shared and thread-safe, so workers contend only on page
-// fetches. The chunks of s.Hot and the empty ones are not read.
-func arrayScan(ctx context.Context, a *array.Array, s ScanSpec) (*Result, Metrics, error) {
-	chunks := a.Geometry().NumChunks()
-	return runParts(ctx, s.Workers, chunks, func(ctx context.Context, w, n int, p *workerPartial) {
-		lo, hi := splitRange(0, chunks, w, n)
-		p.res, p.m, p.err = runKernel(a, s.Group, nil, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			for cn := lo; cn < hi; cn++ {
-				if _, hot := slices.BinarySearch(s.Hot, cn); hot || store.ChunkCells(cn) == 0 {
-					continue
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := k.foldChunk(store, cn, m); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		p.rows, p.io = p.m.CellsScanned, p.m.ChunksRead
-	})
 }
 
 // intersectSorted intersects two ascending int slices.
@@ -267,38 +255,6 @@ func newArraySelection(a *array.Array, sels []Selection) (*chunkSelection, error
 		return nil, err
 	}
 	return newChunkSelection(a.Geometry(), lists), nil
-}
-
-// arraySelect is §4.2 over the candidate chunks (chunks listed in s.Hot
-// or without valid cells are skipped unread). The candidates are
-// materialized once in chunk-number order and claimed from an atomic
-// dispenser — by the one sequential reader, or by workers each folding
-// into a private cube merged at the end (per-chunk cost varies wildly
-// with density, so static ranges would balance poorly).
-func arraySelect(ctx context.Context, a *array.Array, s ScanSpec, sel *chunkSelection) (*Result, Metrics, error) {
-	base := a.Store()
-	candidates := sel.candidateChunks(func(cn int) bool {
-		_, skip := slices.BinarySearch(s.Hot, cn)
-		return !skip && base.ChunkCells(cn) > 0
-	})
-	var claimed atomic.Int64
-	return runParts(ctx, s.Workers, len(candidates), func(ctx context.Context, _, _ int, p *workerPartial) {
-		p.res, p.m, p.err = runKernel(a, s.Group, sel, func(store *chunk.Store, k *chunkKernel, m *Metrics) error {
-			for {
-				t := claimed.Add(1) - 1
-				if t >= int64(len(candidates)) {
-					return nil
-				}
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				if err := k.foldChunk(store, candidates[t], m); err != nil {
-					return err
-				}
-			}
-		})
-		p.rows, p.io = p.m.ProbeHits+p.m.CellsScanned, p.m.ChunksRead
-	})
 }
 
 // SelectionSelectivity estimates the fraction of the cube's cells that

@@ -449,6 +449,21 @@ func (s *chunkSelection) reaches(cn int) bool {
 	return true
 }
 
+// reached returns the chunks of the ascending list chunks that s
+// reaches; a nil selection reaches them all, and gets chunks back.
+func (s *chunkSelection) reached(chunks []int) []int {
+	if s == nil {
+		return chunks
+	}
+	var out []int
+	for _, cn := range chunks {
+		if s.reaches(cn) {
+			out = append(out, cn)
+		}
+	}
+	return out
+}
+
 // candidateChunks returns, ascending, the numbers of the chunks that
 // overlap the selection's cross product and that keep accepts (nil
 // keeps all).

@@ -120,27 +120,26 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 		return err
 	}
 	m.OverlayTouched = int64(len(s.Overlay.Chunks))
-	if err := newChunkKernel(g, gm, sel, res.mem).foldChunks(ctx, a.Store(), s.Overlay.Chunks, m); err != nil {
+	chunks := sel.reached(s.Overlay.Chunks)
+	if err := newChunkKernel(g, gm, sel, res.mem).foldClaimed(ctx, a.Store(), chunks, dispense(len(chunks)), m); err != nil {
 		return err
 	}
 	m.OverlayFoldNS = time.Since(start).Nanoseconds()
 	return nil
 }
 
-// foldChunks aggregates the listed chunks that the kernel's selection
-// reaches: the one loop behind the relational overlay fold and the array
-// engine's hot side. A chunk with an overlay reads through ReadChunk —
-// every statement refreshing after the same batch wants the same
-// decoded, overlay-merged cells, so they belong in the chunk cache.
-func (k *chunkKernel) foldChunks(ctx context.Context, store *chunk.Store, chunks []int, m *Metrics) error {
-	for _, cn := range chunks {
-		if k.sel != nil && !k.sel.reaches(cn) {
-			continue
-		}
+// foldClaimed folds the chunks of the list that next claims, until it
+// runs dry: a parallel worker's loop, and the sequential one of the hot
+// side and the relational overlay fold. A chunk with an overlay reads
+// through ReadChunk — every statement refreshing after the same batch
+// wants the same decoded, overlay-merged cells, so they belong in the
+// chunk cache.
+func (k *chunkKernel) foldClaimed(ctx context.Context, store *chunk.Store, chunks []int, next func() (int, bool), m *Metrics) error {
+	for i, ok := next(); ok; i, ok = next() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := k.foldChunk(store, cn, m); err != nil {
+		if err := k.foldChunk(store, chunks[i], m); err != nil {
 			return err
 		}
 	}

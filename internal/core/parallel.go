@@ -33,21 +33,25 @@ type workerPartial struct {
 	busy time.Duration
 }
 
-// runParts splits a run over units of work across workers: it clamps
-// the requested degree to the units — an idle worker with no partition
-// to scan is pure overhead — runs fn once per worker w of n, each
-// filling its own partial, and merges the partial cubes into one result.
-// A single worker runs inline on the caller's goroutine and its partial
-// is the result: sequential execution is this function at workers <= 1,
-// not a second code path. On failure every partial cube is released.
-func runParts(ctx context.Context, workers, units int, fn func(ctx context.Context, w, n int, p *workerPartial)) (*Result, Metrics, error) {
-	parts := make([]workerPartial, clampWorkers(workers, units))
+// runParts runs fn on up to workers workers over units units of work and
+// merges their partial cubes into one result. It is the one fan-out of
+// every engine: the units sit behind one atomic dispenser, and each
+// worker's next claims the lowest unit no worker has claimed yet, until
+// the run is dry, so a worker that drew cheap units claims more and none
+// waits on a static share. The degree is clamped to the units — a worker
+// with nothing to claim is pure overhead. A single worker runs inline on
+// the caller's goroutine and its partial is the result: sequential
+// execution is this function at workers <= 1, not a second code path. On
+// failure every partial cube is released.
+func runParts(ctx context.Context, workers, units int, fn func(ctx context.Context, w int, next func() (int, bool), p *workerPartial)) (*Result, Metrics, error) {
+	parts := make([]workerPartial, ClampWorkers(workers, units))
+	next := dispense(units)
 	var err error
 	if len(parts) == 1 {
-		fn(ctx, 0, 1, &parts[0])
+		fn(ctx, 0, next, &parts[0])
 		err = parts[0].err
 	} else {
-		err = runWorkers(ctx, parts, fn)
+		err = runWorkers(ctx, parts, func(ctx context.Context, w int) { fn(ctx, w, next, &parts[w]) })
 	}
 	if err != nil {
 		for w := range parts {
@@ -58,9 +62,20 @@ func runParts(ctx context.Context, workers, units int, fn func(ctx context.Conte
 	return mergeParts(parts)
 }
 
-// clampWorkers bounds a parallel degree by the available work units, and
+// dispense returns the dispenser of a run over the units [0, n): each
+// call of next claims, for whichever goroutine calls, the lowest unit no
+// call has claimed yet, and reports false once none is left.
+func dispense(n int) (next func() (int, bool)) {
+	var claimed atomic.Int64
+	return func() (int, bool) {
+		u := claimed.Add(1) - 1
+		return int(u), u < int64(n)
+	}
+}
+
+// ClampWorkers bounds a parallel degree by the available work units, and
 // below by 1.
-func clampWorkers(workers, units int) int {
+func ClampWorkers(workers, units int) int {
 	return max(min(workers, units), 1)
 }
 
@@ -70,7 +85,7 @@ func clampWorkers(workers, units int) int {
 // cancellation propagates the same way. Worker errors are reported in
 // worker order (caller cancellation wins) for determinism, a failure
 // ahead of the context.Canceled it induced in the siblings.
-func runWorkers(ctx context.Context, parts []workerPartial, fn func(ctx context.Context, w, n int, p *workerPartial)) error {
+func runWorkers(ctx context.Context, parts []workerPartial, fn func(ctx context.Context, w int)) error {
 	wctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var wg sync.WaitGroup
@@ -86,7 +101,7 @@ func runWorkers(ctx context.Context, parts []workerPartial, fn func(ctx context.
 			// profiles attribute samples to individual workers of a
 			// specific query.
 			pprof.Do(wctx, pprof.Labels("worker", strconv.Itoa(w)), func(ctx context.Context) {
-				fn(ctx, w, len(parts), &parts[w])
+				fn(ctx, w)
 			})
 			parts[w].busy = time.Since(start)
 			if parts[w].err != nil {
@@ -112,9 +127,9 @@ func runWorkers(ctx context.Context, parts []workerPartial, fn func(ctx context.
 }
 
 // mergeParts folds the workers' partial cubes and counters into one
-// result. int64 aggregation is associative and the merge order is fixed
-// (worker 0 first), so the merged cube is bit-identical to a sequential
-// run whatever the interleaving was. The per-worker breakdown and the
+// result, worker 0 first. int64 aggregation is associative and
+// commutative, so the merged cube is bit-identical to a sequential run
+// whichever worker claimed which unit. The per-worker breakdown and the
 // efficiency figure land in the merged Metrics; a lone partial is a
 // sequential run and reports neither.
 func mergeParts(parts []workerPartial) (*Result, Metrics, error) {

@@ -37,8 +37,10 @@ func parallelCases() []parallelCase {
 // TestParallelEqualsSequentialAllEngines is the differential suite: for
 // every engine and every degree in {1, 2, 8}, the parallel algorithm
 // must return exactly the rows its sequential counterpart returns, and
-// the additive counters (tuples/cells scanned, probe hits) must sum to
-// the sequential totals.
+// the additive counters (tuples/cells scanned, probe hits, chunks read,
+// bitmap ANDs) must sum to the sequential totals — the dispenser hands
+// out every unit exactly once, and an operation counts once whatever
+// the degree.
 func TestParallelEqualsSequentialAllEngines(t *testing.T) {
 	fx := defaultFixture(t, 42)
 	degrees := []int{1, 2, 8}
@@ -76,6 +78,14 @@ func TestParallelEqualsSequentialAllEngines(t *testing.T) {
 					if m.ProbeHits != seqM.ProbeHits {
 						t.Errorf("%s degree %d: ProbeHits = %d, want %d",
 							eng, deg, m.ProbeHits, seqM.ProbeHits)
+					}
+					if m.ChunksRead != seqM.ChunksRead {
+						t.Errorf("%s degree %d: ChunksRead = %d, want %d",
+							eng, deg, m.ChunksRead, seqM.ChunksRead)
+					}
+					if m.BitmapANDs != seqM.BitmapANDs {
+						t.Errorf("%s degree %d: BitmapANDs = %d, want %d",
+							eng, deg, m.BitmapANDs, seqM.BitmapANDs)
 					}
 				}
 			}
@@ -156,8 +166,8 @@ func TestClampWorkers(t *testing.T) {
 		{-3, 100, 1}, // and so is anything below it
 	}
 	for _, c := range cases {
-		if got := clampWorkers(c.workers, c.units); got != c.want {
-			t.Errorf("clampWorkers(%d, %d) = %d, want %d", c.workers, c.units, got, c.want)
+		if got := ClampWorkers(c.workers, c.units); got != c.want {
+			t.Errorf("ClampWorkers(%d, %d) = %d, want %d", c.workers, c.units, got, c.want)
 		}
 	}
 }

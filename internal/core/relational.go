@@ -313,22 +313,21 @@ func (t *tupleAgg) add(keys []int64, v int64) {
 }
 
 // relConsolidate is the frame both relational engines run in: validate
-// the spec, build the dimension hashes once, give each worker an
-// aggregator over its extent-aligned tuple range [lo, hi), merge the
-// partial cubes, and — when deltas are pending — fold the touched chunks
-// the query can reach back in from the merged array (foldOverlay).
+// the spec, build the dimension hashes once, run scan on up to s.Workers
+// workers — each with an aggregator of its own, claiming the run's units
+// units of work through next — merge the partial cubes, and — when
+// deltas are pending — fold the touched chunks the query can reach back
+// in from the merged array (foldOverlay).
 //
-// The fact file's O(1) addressing makes starting mid-file free, and
-// extent alignment means workers never share a page. The hashes and key
-// sets are write-free after construction and shared read-only. They live
-// with worker 0's cube in one arena, which travels with the merged
-// result; the other workers aggregate into clones of that cube in arenas
-// of their own, recycled as they merge.
+// The hashes and key sets are write-free after construction and shared
+// read-only. They live with worker 0's cube in one arena, which travels
+// with the merged result; the other workers aggregate into clones of
+// that cube in arenas of their own, recycled as they merge.
 //
 // filterScan says whether scan needs the selections applied tuple by
 // tuple (the star join) or has already applied them (the bitmap fetch).
-func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, s ScanSpec, workers int, filterScan bool,
-	scan func(ctx context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error) (*Result, Metrics, error) {
+func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, s ScanSpec, units int, filterScan bool,
+	scan func(ctx context.Context, t *tupleAgg, next func() (int, bool), m *Metrics) error) (*Result, Metrics, error) {
 	err := s.validate(len(dims), func(i int) (string, int) { return dims[i].Schema.Name, len(dims[i].Schema.Attrs) })
 	if err != nil {
 		return nil, Metrics{}, err
@@ -351,9 +350,8 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 		}
 	}
 
-	exts := ff.NumExtents()
-	perExt, perPage := uint64(ff.ExtentTuples()), int64(ff.TuplesPerPage())
-	res, m, err := runParts(ctx, workers, exts, func(ctx context.Context, w, n int, p *workerPartial) {
+	perPage := int64(ff.TuplesPerPage())
+	res, m, err := runParts(ctx, s.Workers, units, func(ctx context.Context, w int, next func() (int, bool), p *workerPartial) {
 		p.res = st.result
 		if w > 0 {
 			war := queryArenas.Get()
@@ -363,8 +361,7 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 			}
 		}
 		t := newTupleAgg(ctx, st.hashes, p.res, filters, df)
-		lo, hi := splitRange(0, exts, w, n)
-		p.err = scan(ctx, t, uint64(lo)*perExt, uint64(hi)*perExt, &p.m)
+		p.err = scan(ctx, t, next, &p.m)
 		p.rows, p.io = t.tuples, (t.tuples+perPage-1)/perPage
 	})
 	if err != nil {
@@ -389,11 +386,17 @@ func relConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.Dime
 // (no bitmap index): each selected dimension contributes an in-memory
 // set of qualifying keys and non-members are dropped tuple by tuple —
 // the "no index" relational baseline the bitmap algorithm of §4.5 is
-// built to beat. s.Workers partitions the scan by extent ranges.
+// built to beat. s.Workers workers claim the fact file's extents one at
+// a time: the file's O(1) addressing makes starting mid-file free, and
+// extents never share a page.
 func StarJoinConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable, s ScanSpec) (*Result, Metrics, error) {
-	return relConsolidate(ctx, ff, dims, s, s.Workers, true,
-		func(_ context.Context, t *tupleAgg, lo, hi uint64, m *Metrics) error {
-			err := ff.ScanRange(lo, hi, t.record)
+	perExt := uint64(ff.ExtentTuples())
+	return relConsolidate(ctx, ff, dims, s, ff.NumExtents(), true,
+		func(_ context.Context, t *tupleAgg, next func() (int, bool), m *Metrics) error {
+			var err error
+			for e, ok := next(); ok && err == nil; e, ok = next() {
+				err = ff.ScanRange(uint64(e)*perExt, uint64(e+1)*perExt, t.record)
+			}
 			m.TuplesScanned = t.tuples
 			return err
 		})
@@ -500,16 +503,15 @@ type BitmapIndexSource interface {
 // them (with the same per-dimension group hash tables as the star join).
 //
 // Each selected value's bitmap is OR-ed straight into the predicate's
-// merge buffer as it is read, with no bitmap of its own. s.Workers
-// splits the AND's word loop only (bitmap.ParallelAnd falls back to the
-// sequential loop on small bitmaps, so operation counts never depend on
-// the degree), while retrieval and the fetch stay sequential — the LOB
-// readers are not shareable and the fetch is I/O-ordered. ctx is checked
-// between bitmap retrievals and during the fetch.
+// merge buffer as it is read, with no bitmap of its own. The run is one
+// unit, so one worker whatever s.Workers: the LOB readers are not
+// shareable, a word-parallel AND is too short to pay for its goroutines,
+// and the fetch is I/O-ordered. ctx is checked between bitmap retrievals
+// and during the fetch.
 func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*catalog.DimensionTable,
 	src BitmapIndexSource, s ScanSpec) (*Result, Metrics, error) {
 	return relConsolidate(ctx, ff, dims, s, 1, false,
-		func(ctx context.Context, t *tupleAgg, _, _ uint64, m *Metrics) error {
+		func(ctx context.Context, t *tupleAgg, _ func() (int, bool), m *Metrics) error {
 			// The working bitmaps (ResultBitmap + per-predicate merge
 			// buffer) share the query arena with the hash tables and the
 			// cube.
@@ -536,7 +538,7 @@ func BitmapSelectConsolidate(ctx context.Context, ff *factfile.File, dims []*cat
 						m.BitmapANDs++
 					}
 				}
-				result.ParallelAnd(merged, s.Workers)
+				result.And(merged)
 				m.BitmapANDs++
 			}
 			err := ff.FetchBits(result, t.record)

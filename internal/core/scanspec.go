@@ -15,7 +15,8 @@ type ScanSpec struct {
 	Group GroupSpec
 	// Workers is the intra-query parallel degree. Anything <= 1 runs
 	// sequentially on the caller's goroutine; a larger degree is clamped
-	// to the engine's work units (chunks, candidate chunks, extents).
+	// to the engine's work units (the array's candidate chunks, the fact
+	// file's extents), which the workers claim one at a time.
 	// Resolving "use every core" to a number is the caller's business.
 	Workers int
 	// Overlay makes the relational engines agree with an array that has
@@ -46,13 +47,4 @@ func (s *ScanSpec) validate(nDims int, dim func(i int) (name string, levels int)
 		}
 	}
 	return nil
-}
-
-// splitRange returns part i of n of the half-open range [lo, hi). It is
-// the only partitioning arithmetic in the package: the parallel workers
-// cut the chunk directory and the fact file's extents with it, so the
-// parts always tile the whole.
-func splitRange(lo, hi, i, n int) (int, int) {
-	span := hi - lo
-	return lo + span*i/n, lo + span*(i+1)/n
 }

@@ -42,22 +42,6 @@ func (e *Executor) parallelDegree() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// clampUnits bounds a plan's degree by its estimated work units. Degree
-// 0 (a plan constructed outside the executor, e.g. directly in tests)
-// stays sequential so Estimate is deterministic without an executor.
-func clampUnits(deg, units int) int {
-	if units < 1 {
-		units = 1
-	}
-	if deg > units {
-		deg = units
-	}
-	if deg < 1 {
-		deg = 1
-	}
-	return deg
-}
-
 // extentUnits estimates the fact file's extent count from statistics —
 // the star join's parallel work units.
 func extentUnits(factPages int64) int {

@@ -218,7 +218,7 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 		// is the I/O, one aggregation step per valid cell is the CPU. The
 		// CPU divides across the chunk-parallel workers; the I/O does not
 		// (the buffer pool is shared).
-		p.estDeg = clampUnits(p.scan.Workers, a.NumChunks)
+		p.estDeg = core.ClampWorkers(p.scan.Workers, a.NumChunks)
 		p.est = Cost{
 			IO:   float64(a.EncodedBytes) / storage.PageSize,
 			CPU:  float64(a.ValidCells) * cpuCellCost / float64(p.estDeg),
@@ -260,7 +260,7 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 	}
 	p.estChunks = candChunks
 	p.estProbes = candCells
-	p.estDeg = clampUnits(p.scan.Workers, int(candChunks))
+	p.estDeg = core.ClampWorkers(p.scan.Workers, int(candChunks))
 
 	// Per candidate chunk the kernel probes the cross product or, when
 	// one masked pass over the chunk's cells is cheaper, filter-scans it
@@ -413,7 +413,7 @@ func (p *starJoinPlan) Estimate(st *catalog.Stats) Cost {
 	// The star join always scans the whole fact file and hashes every
 	// dimension, whatever the selectivity. The per-tuple join/group CPU
 	// divides across extent-partitioned workers.
-	p.estDeg = clampUnits(p.scan.Workers, extentUnits(st.FactPages))
+	p.estDeg = core.ClampWorkers(p.scan.Workers, extentUnits(st.FactPages))
 	p.est = Cost{
 		IO:   float64(st.FactPages + st.DimensionPages()),
 		CPU:  float64(st.FactTuples) * cpuTupleCost / float64(p.estDeg),
@@ -523,9 +523,10 @@ type bitmapPlan struct {
 	estFtch float64 // predicted fetch pages
 }
 
-// chosenDegree is always 1: scan.Workers only splits the bitmap word
-// loops, while retrieval and the fetch are sequential, so the plan
-// claims no CPU discount and EXPLAIN reports no parallel degree.
+// chosenDegree is always 1: the engine runs the bitmap plan as one unit
+// of work — retrieval and the AND, then the I/O-ordered fetch — whatever
+// scan.Workers says, so the plan claims no CPU discount and EXPLAIN
+// reports no parallel degree.
 func (p *bitmapPlan) chosenDegree() int { return 1 }
 
 func (p *bitmapPlan) Name() string { return "bitmap-factfile" }

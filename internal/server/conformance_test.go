@@ -56,8 +56,8 @@ func parkQuery(t *testing.T, srv *Server, conn *client.Conn) <-chan error {
 }
 
 // TestProtocolConformance runs the protocol-level behaviours — the ones
-// the connection loop owns, whatever answers the requests — against the
-// Local backend.
+// the connection loop owns, whatever answers the requests — against a
+// database's sessions.
 func TestProtocolConformance(t *testing.T) {
 	ctx := context.Background()
 	cases := []struct {
@@ -164,7 +164,7 @@ func TestProtocolConformance(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		// The subtest path names the backend the cases ran against.
+		// The subtest path names what the cases ran against.
 		t.Run("local/"+tc.name, func(t *testing.T) {
 			srv, _ := startServer(t, tc.cfg)
 			tc.run(t, srv)

@@ -107,7 +107,7 @@ func TestServerConnectionCap(t *testing.T) {
 // its handshake, idle with no read deadline, and Shutdown would wait on
 // it forever, whatever its own deadline.
 func TestServerShutdownSweepsLateAccept(t *testing.T) {
-	srv := New(Local{DB: newTestDB(t)}, Config{})
+	srv := New(newTestDB(t), Config{})
 	parked := make(chan struct{})
 	srv.accepted = func() {
 		close(parked)

@@ -29,7 +29,7 @@ func startWideServer(t testing.TB, cfg Config) (*Server, *repro.DB) {
 	t.Helper()
 	db := newWideDB(t, 100, 0)
 	db.EnableQueryCache(64 << 20)
-	srv := New(Local{DB: db}, cfg)
+	srv := New(db, cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

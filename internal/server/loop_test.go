@@ -141,7 +141,7 @@ func waitFor(t testing.TB, what string, limit time.Duration, cond func() bool) {
 // stream behind.
 func TestServerStalledReaderFreesSlot(t *testing.T) {
 	db := newWideDB(t, 200, 60)
-	srv := New(Local{DB: db}, Config{MaxConcurrent: 1, QueueDepth: 4, WriteTimeout: 3 * time.Second})
+	srv := New(db, Config{MaxConcurrent: 1, QueueDepth: 4, WriteTimeout: 3 * time.Second})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,7 +241,7 @@ func TestServerPipelineCap(t *testing.T) {
 	}
 }
 
-// TestEngineBytesMirrorEngines pins what the local backend's direct
+// TestEngineBytesMirrorEngines pins what the session's direct
 // conversions rely on: the protocol's engine byte has the values of the
 // repro engine constants.
 func TestEngineBytesMirrorEngines(t *testing.T) {

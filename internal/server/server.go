@@ -1,13 +1,13 @@
 // Package server is olapd's network front-end, and the only one: a TCP
 // listener speaking the internal/wire protocol, mapping one connection
-// to one Session of a Backend — an embedded database (Local). Every
+// to one Session over an embedded database (a *repro.DB). Every
 // query passes the admission controller (bounded concurrency, bounded
 // wait queue, typed rejections), runs with a per-query context that a
 // client Cancel frame or disconnect cancels, and streams its result back
 // row-batch-at-a-time. Shutdown drains: the
 // listener closes, new queries are refused with wire.CodeShutdown, and
 // in-flight queries finish before the caller gets control back to close
-// the backend.
+// the database.
 package server
 
 import (
@@ -24,6 +24,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	repro "repro"
 	"repro/client"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -74,7 +75,7 @@ type Config struct {
 	BatchRows int
 	// SlowQueryLog, when non-nil, receives structured reports of
 	// queries at or above SlowQueryMin, session by session. This and the
-	// fields below are session defaults, applied by Backend.NewSession.
+	// fields below are session defaults, applied by NewSession.
 	SlowQueryLog *slog.Logger
 	// SlowQueryMin is the slow-query threshold.
 	SlowQueryMin time.Duration
@@ -110,9 +111,12 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// Server serves the wire protocol over TCP for one Backend.
+// banner names the server in the HelloAck frame.
+const banner = "repro-olapd/1"
+
+// Server serves the wire protocol over TCP for one database.
 type Server struct {
-	be  Backend
+	db  *repro.DB
 	cfg Config
 	lis net.Listener
 	adm *admission
@@ -149,18 +153,18 @@ type Server struct {
 	frameLatency *obs.Histogram
 }
 
-// New creates a server over be and registers its metrics in the
-// backend's registry. Call Start to listen.
-func New(be Backend, cfg Config) *Server {
+// New creates a server over db and registers its metrics in the
+// database's registry. Call Start to listen.
+func New(db *repro.DB, cfg Config) *Server {
 	s := &Server{
-		be:       be,
+		db:       db,
 		cfg:      cfg.withDefaults(),
 		conns:    make(map[*conn]struct{}),
 		draining: make(chan struct{}),
 	}
 	s.adm = newAdmission(s.cfg.MaxConcurrent, s.cfg.QueueDepth)
 
-	reg := be.Registry()
+	reg := db.Registry()
 	reg.GaugeFunc("server_connections_active", "client connections currently open",
 		func() float64 { return float64(s.connsActive.Load()) })
 	reg.GaugeFunc("server_queries_active", "queries currently holding an admission slot",
@@ -227,7 +231,7 @@ func (s *Server) acceptLoop() {
 		}
 		s.connsTotal.Inc()
 		s.connsActive.Add(1)
-		c.sess = s.be.NewSession(&s.cfg)
+		c.sess = NewSession(s.db, &s.cfg)
 		s.connWG.Add(1)
 		go func() {
 			defer s.connWG.Done()
@@ -277,7 +281,7 @@ func (s *Server) beginQuery() bool {
 // (their result streams included), then every connection is closed.
 // When ctx expires first, remaining queries are canceled hard and
 // ctx's error is returned. After Shutdown returns the caller may close
-// the backend — a database's WAL — knowing no query is mid-flight.
+// the database — and its WAL — knowing no query is mid-flight.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.qmu.Lock()
 	if !s.drained {
@@ -336,7 +340,7 @@ func (c countedConn) Write(p []byte) (int, error) {
 type conn struct {
 	srv    *Server
 	nc     net.Conn
-	sess   Session
+	sess   *Session
 	ctx    context.Context // canceled on disconnect or hard shutdown
 	cancel context.CancelFunc
 
@@ -414,9 +418,9 @@ func (c *conn) writeError(id uint32, code wire.ErrorCode, msg, queryID string) {
 }
 
 // fail answers request id with err as a typed Error frame and reports
-// the code it chose: canceled when the request's context is done,
-// CodeUnsupported for ErrUnsupported, a *client.Error's own code (a
-// backend's parse or option rejection), CodeExec otherwise. queryID,
+// the code it chose: canceled when the request's context is done, a
+// *client.Error's own code (a session's parse or option rejection),
+// CodeExec otherwise. queryID,
 // when known, lets the client join the error against /debug/queries and
 // the slow-query log.
 func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) wire.ErrorCode {
@@ -425,8 +429,6 @@ func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) w
 	switch {
 	case ctx.Err() != nil:
 		code, msg = wire.CodeCanceled, "canceled"
-	case errors.Is(err, ErrUnsupported):
-		code = wire.CodeUnsupported
 	case errors.As(err, &ce):
 		code = wire.ErrorCode(ce.Code)
 		if err == error(ce) {
@@ -438,7 +440,7 @@ func (c *conn) fail(ctx context.Context, id uint32, queryID string, err error) w
 }
 
 // reply answers request id with the frame, or with fail when the
-// backend returned an error.
+// session returned an error.
 func (c *conn) reply(ctx context.Context, id uint32, err error, t wire.FrameType, f wire.Frame) {
 	if err != nil {
 		c.fail(ctx, id, "", err)
@@ -494,7 +496,7 @@ func (c *conn) handshake() bool {
 			fmt.Sprintf("protocol version %d not supported (server speaks %d)", hello.Version, wire.Version), "")
 		return false
 	}
-	ack := &wire.HelloAck{Version: wire.Version, Server: c.srv.be.Banner()}
+	ack := &wire.HelloAck{Version: wire.Version, Server: banner}
 	return c.writeFrame(wire.FrameHelloAck, wire.Encode(ack)) == nil
 }
 
@@ -696,7 +698,7 @@ func (c *conn) failQuery(ctx context.Context, id uint32, queryID string, err err
 }
 
 // handleQuery executes one Query frame end to end: admission, the
-// backend call under the per-query context, and the result stream
+// session call under the per-query context, and the result stream
 // (header, row batches, done).
 func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 	if q.Engine > wire.Bitmap {
@@ -713,7 +715,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 	if !ok {
 		return
 	}
-	// Hand the identity and the measured admission wait to the backend:
+	// Hand the identity and the measured admission wait to the session:
 	// an executor grafts the wait into the span tree and stamps the ID
 	// through the trace, slow-query log, flight recorder, and pprof
 	// labels.
@@ -733,7 +735,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 	if c.putFrame(wire.FrameResultHeader, 0, wire.Encode(hdr), false) != nil {
 		return
 	}
-	// The row batches come out of the backend's image of them.
+	// The row batches come out of the session's image of them.
 	for img := res.Frames; len(img) > 0; {
 		// Cancellation between batches: a canceled client stops the
 		// stream without waiting for the remaining rows.
@@ -753,7 +755,7 @@ func (c *conn) handleQuery(ctx context.Context, q *wire.Query) {
 	c.writeFrame(wire.FrameResultDone, wire.Encode(done))
 }
 
-// handleExplain answers an Explain frame with the backend's rendered
+// handleExplain answers an Explain frame with the session's rendered
 // explanation; it is admitted like a query because EXPLAIN ANALYZE runs
 // one.
 func (c *conn) handleExplain(ctx context.Context, ex *wire.Explain) {

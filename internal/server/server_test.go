@@ -92,7 +92,7 @@ group by city`
 func startServer(t testing.TB, cfg Config) (*Server, *repro.DB) {
 	t.Helper()
 	db := newTestDB(t)
-	srv := New(Local{DB: db}, cfg)
+	srv := New(db, cfg)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func TestServerOnBatchError(t *testing.T) {
 // returns cleanly, and the listener stops accepting.
 func TestServerDrain(t *testing.T) {
 	db := newTestDB(t)
-	srv := New(Local{DB: db}, Config{MaxConcurrent: 1, QueueDepth: 4})
+	srv := New(db, Config{MaxConcurrent: 1, QueueDepth: 4})
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}

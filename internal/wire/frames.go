@@ -96,8 +96,7 @@ type Cancel struct {
 
 // SetOption flips a per-session switch by name: "CACHE" on|off,
 // "PARALLEL" n or "TRACE" on|off (case-insensitive);
-// unknown names or values are answered with Error{CodeProtocol}, an
-// option the backend does not have with Error{CodeUnsupported}, and the
+// unknown names or values are answered with Error{CodeProtocol}, and the
 // session continues.
 type SetOption struct {
 	ID    uint32

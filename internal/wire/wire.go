@@ -23,9 +23,8 @@
 // payload and exist for connection health checks. SetOption
 // (id, name, value) flips a per-session switch — CACHE on|off,
 // PARALLEL n or TRACE on|off — and is acknowledged with OptionAck (id)
-// or rejected without dropping the connection: with Error{CodeProtocol}
-// for an unknown name or a bad value, with Error{CodeUnsupported} for an
-// option the server's backend does not have.
+// or rejected without dropping the connection, with Error{CodeProtocol}
+// for an unknown name or a bad value.
 //
 // Tracing: a Query frame carries the client-minted query ID (TraceID)
 // that names the execution in the server's slow-query log, flight
@@ -170,9 +169,9 @@ const (
 	CodeExec ErrorCode = 5
 	// CodeShutdown: the server is draining and accepts no new queries.
 	CodeShutdown ErrorCode = 6
-	// CodeUnsupported: the server's backend does not have the requested
-	// operation (a REPL meta-command such as stats over the wire). The
-	// request did nothing and the connection stays usable.
+	// CodeUnsupported is reserved: a server without the requested
+	// operation would answer with it, the request having done nothing
+	// and the connection staying usable. This server has every one.
 	CodeUnsupported ErrorCode = 7
 )
 
