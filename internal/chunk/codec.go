@@ -269,7 +269,7 @@ type pairWalk struct {
 }
 
 // page forwards the pairs that the next page of the chunk completes.
-// stamp is the stamp of the page's frame (LOBStore.Walk). Once the
+// stamp is the stamp of the page's frame (LOBStore.WalkExtent). Once the
 // page's whole pairs pass the order check, it is set to a tag of what
 // that check rested on besides the bytes: the capacity, how many carry
 // bytes came first and how many bytes were checked. A page whose frame

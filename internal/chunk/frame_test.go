@@ -83,16 +83,62 @@ func buildPagedStore(t testing.TB, bp *storage.BufferPool) *Store {
 // bytes, keeping the directory entry's cell count.
 func corruptChunk(t testing.TB, s *Store, cn int, mutate func(enc []byte) []byte) {
 	t.Helper()
-	enc, err := s.lob.Read(s.entries[cn].ref)
+	enc, err := s.lob.ReadExtent(s.entries[cn].ref, int(s.entries[cn].bytes), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	enc = mutate(enc)
-	ref, _, err := s.lob.Write(enc)
+	ref, _, err := s.lob.WriteExtent(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	s.entries[cn].ref, s.entries[cn].bytes = ref, uint64(len(enc))
+}
+
+// TestColdChunkReadsOwnPages: from a dropped pool, reading a chunk
+// costs exactly the ⌈bytes/PageSize⌉ pages of its extent and no page
+// more, whichever codec wrote it and whichever way it is read; and a
+// store's footprint is exactly the pages its build added to the volume.
+func TestColdChunkReadsOwnPages(t *testing.T) {
+	bp := newStorePool(64)
+	g, err := NewGeometry([]int{120, 120}, []int{60, 60})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, codec := range []Codec{OffsetCodec{}, DiffSeqCodec{}, DenseCodec{}} {
+		grew := bp.Disk().NumPages()
+		s, _ := buildRandomStore(t, bp, g, codec, 0.5, 3)
+		grew = bp.Disk().NumPages() - grew
+		if got := s.SizeBytes(); got != int64(grew)*storage.PageSize {
+			t.Errorf("%s: SizeBytes = %d, the build added %d pages", codec.Name(), got, grew)
+		}
+		reads := map[string]func(cn int) error{
+			"ReadChunk": func(cn int) error { _, err := s.ReadChunk(cn); return err },
+			"VisitChunk": func(cn int) error {
+				return s.VisitChunk(cn, func(int, []Cell) error { return nil },
+					func(int, OffsetPairs) error { return nil })
+			},
+		}
+		for cn, e := range s.entries {
+			want := (e.bytes + storage.PageSize - 1) / storage.PageSize
+			if want < 2 {
+				t.Fatalf("%s chunk %d: %d bytes, want a chunk of several pages", codec.Name(), cn, e.bytes)
+			}
+			for name, read := range reads {
+				if err := bp.DropAll(); err != nil {
+					t.Fatal(err)
+				}
+				before := bp.Stats()
+				if err := read(cn); err != nil {
+					t.Fatalf("%s chunk %d: %s: %v", codec.Name(), cn, name, err)
+				}
+				if got := bp.Stats().Sub(before).PhysicalReads; got != want {
+					t.Errorf("%s chunk %d (%d bytes): cold %s read %d pages, want %d",
+						codec.Name(), cn, e.bytes, name, got, want)
+				}
+			}
+		}
+	}
 }
 
 // TestScanRoutes: a scan of every chunk through VisitChunk reads exactly

@@ -170,21 +170,36 @@ func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chunk: encode chunk %d: %w", cn, err)
 		}
-		ref, pages, err := s.lob.Write(enc)
+		ref, _, err := s.lob.WriteExtent(enc)
 		if err != nil {
 			return nil, fmt.Errorf("chunk: write chunk %d: %w", cn, err)
 		}
 		s.entries[cn] = chunkEntry{ref: ref, bytes: uint64(len(enc)), cells: uint64(len(cells)), codec: codecID(codec)}
-		s.totalPages += int64(pages)
-		s.validCells += int64(len(cells))
 	}
+	if err := s.writeMeta(); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
 
+// writeMeta derives the store's totals from its entries and writes its
+// directory blob. Chunks an update did not touch share their extents
+// with the store they came from, and count toward both footprints.
+func (s *Store) writeMeta() error {
+	var chunkPages int64
+	s.validCells = 0
+	for _, e := range s.entries {
+		if e.ref.Valid() {
+			chunkPages += int64(storage.ExtentPages(int(e.bytes)))
+			s.validCells += int64(e.cells)
+		}
+	}
 	// The directory records the store's total footprint including the
 	// directory blob itself, so its own page count must be added before
 	// marshaling. Updating the count can change the uvarint width and
 	// hence the blob size, so iterate to a fixpoint (converges in at
 	// most a couple of rounds).
-	chunkPages := s.totalPages
+	s.totalPages = chunkPages
 	for {
 		metaPages := int64(storage.BlobPages(len(s.marshalMeta())))
 		if s.totalPages == chunkPages+metaPages {
@@ -192,13 +207,12 @@ func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 		}
 		s.totalPages = chunkPages + metaPages
 	}
-	meta := s.marshalMeta()
-	ref, _, err := s.lob.Write(meta)
+	ref, _, err := s.lob.Write(s.marshalMeta())
 	if err != nil {
-		return nil, fmt.Errorf("chunk: write metadata: %w", err)
+		return fmt.Errorf("chunk: write metadata: %w", err)
 	}
 	s.meta = ref
-	return s, nil
+	return nil
 }
 
 // storeFormatVersion is the directory format this build reads and
@@ -515,10 +529,10 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 		var err error
 		var alloc CellAllocator
 		if scratch {
-			data, err = s.lob.ReadInto(e.ref, s.scratchEnc)
+			data, err = s.lob.ReadExtent(e.ref, int(e.bytes), s.scratchEnc)
 			s.scratchEnc, alloc = data, s.scratchAlloc
 		} else {
-			data, err = s.lob.Read(e.ref)
+			data, err = s.lob.ReadExtent(e.ref, int(e.bytes), nil)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("chunk: read chunk %d: %w", chunkNum, err)
@@ -621,7 +635,7 @@ func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) er
 	e := s.entries[cn]
 	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: &s.carry}
 	var inner error // the callback's own error: a corrupt pair, or fn's
-	err := s.lob.Walk(e.ref, func(page []byte, stamp *atomic.Uint64) error {
+	err := s.lob.WalkExtent(e.ref, int(e.bytes), func(page []byte, stamp *atomic.Uint64) error {
 		inner = w.page(page, stamp, fn)
 		return inner
 	})

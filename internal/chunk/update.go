@@ -60,36 +60,14 @@ func (s *Store) Update(ov map[int][]OverlayCell) (*Store, error) {
 		if err != nil {
 			return nil, fmt.Errorf("chunk: re-encode chunk %d: %w", cn, err)
 		}
-		ref, _, err := s.lob.Write(enc)
+		ref, _, err := s.lob.WriteExtent(enc)
 		if err != nil {
 			return nil, fmt.Errorf("chunk: write chunk %d: %w", cn, err)
 		}
 		out.entries[cn] = chunkEntry{ref: ref, bytes: uint64(len(enc)), cells: uint64(len(merged)), codec: codecID(codec)}
 	}
-
-	// Recompute footprint and cell counts from the directory (shared
-	// blobs count toward both snapshots' footprints).
-	out.totalPages = 0
-	out.validCells = 0
-	for _, e := range out.entries {
-		if e.ref.Valid() {
-			out.totalPages += int64(storage.BlobPages(int(e.bytes)))
-			out.validCells += int64(e.cells)
-		}
+	if err := out.writeMeta(); err != nil {
+		return nil, err
 	}
-	chunkPages := out.totalPages
-	for {
-		metaPages := int64(storage.BlobPages(len(out.marshalMeta())))
-		if out.totalPages == chunkPages+metaPages {
-			break
-		}
-		out.totalPages = chunkPages + metaPages
-	}
-	meta := out.marshalMeta()
-	ref, _, err := s.lob.Write(meta)
-	if err != nil {
-		return nil, fmt.Errorf("chunk: write metadata: %w", err)
-	}
-	out.meta = ref
 	return out, nil
 }

@@ -167,11 +167,11 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 
 	const want = `plan: bitmap-factfile  engine=bitmap  S=0.166667  [forced, analyzed]
 candidates:
-  -> bitmap-factfile            cost=49.7 (io=49.7 cpu=0.0) rows=48
+  -> bitmap-factfile            cost=49.0 (io=49.0 cpu=0.0) rows=48
 tree:
   consolidate [aggregate fetched tuples] (est rows=48 io=0.0) (act rows=2 io=0.0 time=<t>)
     factfile-fetch [fetch qualifying tuples in ascending tuple order] (est rows=48 io=48.0) (act rows=41 io=0.0)
-      bitmap-and [AND 2 selection bitmaps] (est rows=0 io=1.7) (act rows=41 io=0.0 bitmaps=2 ands=4)
+      bitmap-and [AND 2 selection bitmaps] (est rows=0 io=1.0) (act rows=41 io=0.0 bitmaps=2 ands=4)
         bitmap [dim0.h02 = 'AA1']
         bitmap [dim1.h12 = 'AA0']
 `

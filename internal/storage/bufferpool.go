@@ -98,9 +98,9 @@ type frame struct {
 	dirty bool
 
 	// checked is the frame's stamp: a nonzero tag a reader stores once it
-	// has checked the bytes (LOBStore.Walk hands it on with the page). It
-	// is zeroed whenever the bytes are loaded or may change: a pin that
-	// reads the page, FetchPageForWrite, NewPage and a dirty unpin.
+	// has checked the bytes (LOBStore.WalkExtent hands it on with the
+	// page). It is zeroed whenever the bytes are loaded or may change: a
+	// pin that reads the page, FetchPageForWrite, pinFresh and a dirty unpin.
 	checked atomic.Uint64
 }
 
@@ -367,31 +367,38 @@ func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
 // NewPage allocates a fresh page on disk, pins it, and returns its id and
 // zeroed bytes.
 func (bp *BufferPool) NewPage() (PageID, []byte, error) {
-	id, err := bp.disk.Allocate(1)
+	id, err := bp.AllocateExtent(1)
 	if err != nil {
 		return InvalidPageID, nil, err
 	}
-	bp.allocations.Add(1)
+	buf, err := bp.pinFresh(id)
+	if err != nil {
+		return InvalidPageID, nil, err
+	}
+	return id, buf, nil
+}
+
+// pinFresh pins page id, just allocated, in a frame without reading it,
+// and returns the frame's bytes zeroed and dirty.
+func (bp *BufferPool) pinFresh(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
 	idx, err := bp.victim()
 	if err != nil {
-		return InvalidPageID, nil, err
+		return nil, err
 	}
 	f := &bp.frames[idx]
-	for i := range f.data {
-		f.data[i] = 0
-	}
+	clear(f.data)
 	f.id = id
 	f.pins = 1
 	f.dirty = true
 	f.checked.Store(0)
 	bp.table[id] = idx
-	return id, f.data, nil
+	return f.data, nil
 }
 
 // AllocateExtent reserves n contiguous pages on disk without caching them.
-// The fact file uses this to build its extents.
+// The fact file and the blob store build their extents with it.
 func (bp *BufferPool) AllocateExtent(n int) (PageID, error) {
 	id, err := bp.disk.Allocate(n)
 	if err != nil {

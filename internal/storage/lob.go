@@ -10,22 +10,18 @@ import (
 // Large-object (blob) storage. A blob is written once and read many
 // times, which matches how the engine uses blobs: array chunks, serialized
 // bitmaps, and catalog metadata are all replaced wholesale rather than
-// updated in place. A blob is addressed by the page id of its first
-// directory page.
+// updated in place. A blob is one extent of contiguous pages, addressed
+// by its first page; nothing else about it is stored.
 //
-// Directory page layout:
+// A chunk's extent holds the chunk's bytes from byte 0: the chunk
+// directory keeps each chunk's first page and byte length, as the paper
+// keeps "the OID and the length of each chunk" (§3.3). A self-describing
+// blob (catalog, array master, chunk-store directory, bitmap index)
+// starts with its length, so its first page alone addresses it:
 //
-//	[0:8)   next directory page id (InvalidPageID at end of chain)
-//	[8:16)  total blob length in bytes (meaningful on the first page only)
-//	[16:20) number of data-page entries on this directory page
-//	[20:)   data page ids, 8 bytes each
-const (
-	lobDirNextOff    = 0
-	lobDirLenOff     = 8
-	lobDirCountOff   = 16
-	lobDirEntriesOff = 20
-	lobDirMaxEntries = (PageSize - lobDirEntriesOff) / 8
-)
+//	[0:8)  blob length in bytes
+//	[8:)   the blob's bytes, running on through the extent's pages
+const lobLenSize = 8
 
 // LOBRef addresses a stored blob.
 type LOBRef struct {
@@ -38,16 +34,13 @@ var InvalidLOBRef = LOBRef{First: InvalidPageID}
 // Valid reports whether the reference addresses a blob.
 func (r LOBRef) Valid() bool { return r.First.Valid() }
 
-// BlobPages returns the number of pages (directory + data) a blob of n
+// ExtentPages returns the number of pages the extent of an n-byte chunk
+// occupies, matching what WriteExtent reports: at least one.
+func ExtentPages(n int) int { return max(1, (n+PageSize-1)/PageSize) }
+
+// BlobPages returns the number of pages a self-describing blob of n
 // bytes occupies, matching what Write reports.
-func BlobPages(n int) int {
-	numData := (n + PageSize - 1) / PageSize
-	numDir := (numData + lobDirMaxEntries - 1) / lobDirMaxEntries
-	if numDir == 0 {
-		numDir = 1
-	}
-	return numData + numDir
-}
+func BlobPages(n int) int { return ExtentPages(lobLenSize + n) }
 
 // LOBStore reads and writes blobs through a buffer pool.
 type LOBStore struct {
@@ -57,63 +50,46 @@ type LOBStore struct {
 // NewLOBStore creates a blob store over bp.
 func NewLOBStore(bp *BufferPool) *LOBStore { return &LOBStore{bp: bp} }
 
-// Write stores data as a new blob and returns its reference and the total
-// number of pages the blob occupies (directory + data).
+// Write stores data as a new self-describing blob and returns its
+// reference and the number of pages it occupies.
 func (s *LOBStore) Write(data []byte) (LOBRef, int, error) {
-	numData := (len(data) + PageSize - 1) / PageSize
-	pagesUsed := 0
-
-	// Write the data pages first, collecting their ids.
-	dataIDs := make([]PageID, 0, numData)
-	for off := 0; off < len(data); off += PageSize {
-		id, buf, err := s.bp.NewPage()
-		if err != nil {
-			return InvalidLOBRef, 0, err
-		}
-		n := copy(buf, data[off:])
-		_ = n
-		if err := s.bp.Unpin(id, true); err != nil {
-			return InvalidLOBRef, 0, err
-		}
-		dataIDs = append(dataIDs, id)
-		pagesUsed++
-	}
-
-	// Build the directory chain. The chain is created back to front so
-	// each directory page can record its successor when written.
-	numDir := (len(dataIDs) + lobDirMaxEntries - 1) / lobDirMaxEntries
-	if numDir == 0 {
-		numDir = 1 // empty blob still needs a head page for the length
-	}
-	next := InvalidPageID
-	var first PageID
-	for d := numDir - 1; d >= 0; d-- {
-		id, buf, err := s.bp.NewPage()
-		if err != nil {
-			return InvalidLOBRef, 0, err
-		}
-		lo := d * lobDirMaxEntries
-		hi := lo + lobDirMaxEntries
-		if hi > len(dataIDs) {
-			hi = len(dataIDs)
-		}
-		PutUint64(buf, lobDirNextOff, uint64(next))
-		PutUint64(buf, lobDirLenOff, uint64(len(data)))
-		PutUint32(buf, lobDirCountOff, uint32(hi-lo))
-		for i, did := range dataIDs[lo:hi] {
-			PutUint64(buf, lobDirEntriesOff+i*8, uint64(did))
-		}
-		if err := s.bp.Unpin(id, true); err != nil {
-			return InvalidLOBRef, 0, err
-		}
-		next = id
-		first = id
-		pagesUsed++
-	}
-	return LOBRef{First: first}, pagesUsed, nil
+	return s.write(data, lobLenSize)
 }
 
-// Length returns the stored length of the blob in bytes.
+// WriteExtent stores data from byte 0 of a new extent and returns its
+// reference and the number of pages it occupies. The caller keeps the
+// length: ReadExtent and WalkExtent take it back.
+func (s *LOBStore) WriteExtent(data []byte) (LOBRef, int, error) {
+	return s.write(data, 0)
+}
+
+// write allocates one extent for a skip-byte length header and data, and
+// fills its pages, each pinned fresh.
+func (s *LOBStore) write(data []byte, skip int) (LOBRef, int, error) {
+	pages := ExtentPages(skip + len(data))
+	first, err := s.bp.AllocateExtent(pages)
+	if err != nil {
+		return InvalidLOBRef, 0, err
+	}
+	for i := range pages {
+		id := first + PageID(i)
+		buf, err := s.bp.pinFresh(id)
+		if err != nil {
+			return InvalidLOBRef, 0, err
+		}
+		if lo := i*PageSize - skip; lo < 0 { // data's byte lo is the page's byte 0
+			PutUint64(buf, 0, uint64(len(data)))
+			copy(buf[skip:], data)
+		} else {
+			copy(buf, data[lo:])
+		}
+		s.bp.Unpin(id, true) // pinned just above, so it cannot fail
+	}
+	return LOBRef{First: first}, pages, nil
+}
+
+// Length returns the length a self-describing blob's header records.
+// Every read checks it against the volume's end before sizing anything.
 func (s *LOBStore) Length(ref LOBRef) (int, error) {
 	if !ref.Valid() {
 		return 0, errInvalidRef
@@ -122,46 +98,84 @@ func (s *LOBStore) Length(ref LOBRef) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	n := int(GetUint64(buf, lobDirLenOff))
-	if err := s.bp.Unpin(ref.First, false); err != nil {
-		return 0, err
-	}
+	n := int(GetUint64(buf, 0))
+	s.bp.Unpin(ref.First, false) // pinned just above, so it cannot fail
 	return n, nil
 }
 
-// Read returns the full contents of the blob.
+// Read returns the full contents of a self-describing blob.
 func (s *LOBStore) Read(ref LOBRef) ([]byte, error) {
-	return s.ReadInto(ref, nil)
+	n, err := s.Length(ref)
+	if err != nil {
+		return nil, err
+	}
+	return s.readInto(ref.First, lobLenSize, n, nil)
 }
 
-// ReadRange returns n bytes of the blob starting at byte offset off,
-// fetching only the directory and data pages that cover the range. The
-// bitmap index uses it to retrieve a single value's bitmap without
-// loading the whole index blob.
+// ReadRange returns n bytes of a self-describing blob starting at byte
+// offset off, fetching only the pages that cover the range. The bitmap
+// index uses it to retrieve a single value's bitmap without loading the
+// whole index blob.
 func (s *LOBStore) ReadRange(ref LOBRef, off, n int) ([]byte, error) {
+	if err := s.checkRange(ref, off, n); err != nil {
+		return nil, err
+	}
+	return s.readInto(ref.First, lobLenSize+off, n, nil)
+}
+
+// WalkRange hands fn a self-describing blob's bytes [off, off+n) page by
+// page, as slices of the frames the pages are pinned in: ReadRange
+// without the copy. A page is borrowed: it is valid only for the
+// duration of the call and must be neither written nor retained.
+func (s *LOBStore) WalkRange(ref LOBRef, off, n int, fn func(page []byte) error) error {
+	if err := s.checkRange(ref, off, n); err != nil {
+		return err
+	}
+	return s.walk(ref.First, lobLenSize+off, n, func(page []byte, _ *atomic.Uint64) error { return fn(page) })
+}
+
+// checkRange refuses a range outside a self-describing blob.
+func (s *LOBStore) checkRange(ref LOBRef, off, n int) error {
 	if off < 0 || n < 0 {
-		return nil, fmt.Errorf("storage: ReadRange(%d, %d)", off, n)
+		return fmt.Errorf("storage: blob range (%d, %d)", off, n)
 	}
-	if n == 0 && ref.Valid() {
-		return []byte{}, nil // no page covers an empty range
+	length, err := s.Length(ref)
+	if err != nil {
+		return err
 	}
-	return s.readInto(ref, off, n, nil)
+	if off > length || n > length-off {
+		return fmt.Errorf("storage: blob range past its end (%d+%d > %d)", off, n, length)
+	}
+	return nil
 }
 
-// ReadInto reads the blob into buf, growing it as needed, and returns the
-// filled slice. Hot scan paths reuse one buffer across many blobs.
-func (s *LOBStore) ReadInto(ref LOBRef, buf []byte) ([]byte, error) {
-	return s.readInto(ref, 0, -1, buf)
+// ReadExtent reads the n bytes of the extent at ref into buf, growing it
+// as needed, and returns the filled slice. Hot scan paths reuse one
+// buffer across many chunks.
+func (s *LOBStore) ReadExtent(ref LOBRef, n int, buf []byte) ([]byte, error) {
+	return s.readInto(ref.First, 0, n, buf)
 }
 
-// readInto copies the blob's bytes [off, off+n) (n < 0: to its end) into
-// buf[:0]. It grows buf by what each directory page lists, never by the
-// length field alone, so a corrupt length cannot ask for more memory
-// than the pages it is read from.
-func (s *LOBStore) readInto(ref LOBRef, off, n int, buf []byte) ([]byte, error) {
+// WalkExtent hands fn the n bytes of the extent at ref page by page, as
+// the buffer-pool frames they are pinned in: ReadExtent without the
+// copy. A page is borrowed as in WalkRange. An error from fn stops the
+// walk and is returned as is; every exit leaves nothing pinned.
+//
+// stamp is the stamp of the page's frame. It reads 0 until a reader
+// stores a tag of what it has checked of these bytes, and the pool
+// zeroes it whenever the bytes are loaded or may change, so a reader
+// that finds its own tag there may skip checks those bytes have passed.
+func (s *LOBStore) WalkExtent(ref LOBRef, n int, fn func(page []byte, stamp *atomic.Uint64) error) error {
+	return s.walk(ref.First, 0, n, fn)
+}
+
+// readInto copies the extent's bytes [off, off+n) into buf[:0]. It grows
+// buf only once the walk has checked the range against the volume, so a
+// corrupt length cannot ask for more memory than the volume holds.
+func (s *LOBStore) readInto(first PageID, off, n int, buf []byte) ([]byte, error) {
 	out := buf[:0]
-	err := s.walk(ref, off, n, func(page []byte, listed int, _ *atomic.Uint64) error {
-		out = append(slices.Grow(out, listed), page...)
+	err := s.walk(first, off, n, func(page []byte, _ *atomic.Uint64) error {
+		out = append(slices.Grow(out, n-len(out)), page...)
 		return nil
 	})
 	if err != nil {
@@ -170,175 +184,60 @@ func (s *LOBStore) readInto(ref LOBRef, off, n int, buf []byte) ([]byte, error) 
 	return out, nil
 }
 
-// Walk hands fn the blob's data pages in order, each cut to the blob's
-// length, as the buffer-pool frames they are pinned in. A page is
-// borrowed: it is valid only for the duration of the call and must be
-// neither written nor retained. It is ReadInto without the copy. An
-// error from fn stops the walk and is returned as is; every exit leaves
-// nothing pinned.
-//
-// stamp is the stamp of the page's frame. It reads 0 until a reader
-// stores a tag of what it has checked of these bytes, and the pool
-// zeroes it whenever the bytes are loaded or may change, so a reader
-// that finds its own tag there may skip checks those bytes have passed.
-func (s *LOBStore) Walk(ref LOBRef, fn func(page []byte, stamp *atomic.Uint64) error) error {
-	return s.walk(ref, 0, -1, func(page []byte, _ int, stamp *atomic.Uint64) error { return fn(page, stamp) })
-}
-
-// WalkRange is Walk over the blob's bytes [off, off+n) only, fetching
-// just the directory and data pages that cover them: ReadRange without
-// the copy. The first and last pages are cut to the range.
-func (s *LOBStore) WalkRange(ref LOBRef, off, n int, fn func(page []byte) error) error {
-	if off < 0 || n < 0 {
-		return fmt.Errorf("storage: WalkRange(%d, %d)", off, n)
-	}
-	if n == 0 && ref.Valid() {
-		return nil // no page covers an empty range
-	}
-	return s.walk(ref, off, n, func(page []byte, _ int, _ *atomic.Uint64) error { return fn(page) })
-}
-
 var errInvalidRef = errors.New("storage: read of invalid blob ref")
 
 // walkFunc takes one page of a blob walk (see walk).
-type walkFunc func(page []byte, listed int, stamp *atomic.Uint64) error
+type walkFunc func(page []byte, stamp *atomic.Uint64) error
 
-// walkRun is how many data pages a blob walk pins under one pool lock.
+// walkRun is how many pages a blob walk pins under one pool lock.
 const walkRun = 8
 
-// blobWalk is one pass over the data bytes [off, end) of a blob. Its
-// methods take the callback as an argument rather than a field, which
-// keeps the caller's closure off the heap.
-type blobWalk struct {
-	bp *BufferPool
-
-	off, n int // the requested range; n < 0 = to the blob's end
-	end    int // off+n, or the blob's length; set by the first directory page
-
-	first    int // data-page index of the current directory page's first entry
-	next     int // data-page index of the next page to hand on
-	listedTo int // byte position the current directory page's entries reach
-}
-
-// walk hands fn the blob's bytes [off, off+n) (n < 0: to its end) page by
-// page, as slices of the frames the pages are pinned in; listed is how
-// many of those bytes this page and the rest of its directory page hold,
-// and stamp its frame's stamp. The directory is read in place. Data
-// pages are pinned walkRun at a time beside the pinned directory page,
-// each run under one pool lock; when the pool cannot hold a run, the
-// rest of that directory page goes one page at a time with the
-// directory page released, as a copying read of one page would.
-func (s *LOBStore) walk(ref LOBRef, off, n int, fn walkFunc) error {
-	if !ref.Valid() {
+// walk hands fn the bytes [off, off+n) of the extent starting at page
+// first, page by page, as slices of the frames the pages are pinned in,
+// with each frame's stamp. It refuses a range that runs past the
+// volume's end. Pages are pinned walkRun at a time, each run under one
+// pool lock; when the pool cannot hold a run, the rest goes one page at
+// a time, as a copying read of one page would.
+func (s *LOBStore) walk(first PageID, off, n int, fn walkFunc) error {
+	if !first.Valid() {
 		return errInvalidRef
 	}
 	vol := s.bp.disk.NumPages()
-	w := blobWalk{bp: s.bp, off: off, n: n, end: -1}
-	for hops, dir := uint64(0), ref.First; dir.Valid(); hops++ {
-		if hops >= vol {
-			return fmt.Errorf("storage: corrupt blob directory chain from %v", ref.First)
-		}
-		next, err := w.dirPage(dir, vol, fn)
-		if err != nil {
-			return err
-		}
-		if w.first*PageSize >= w.end {
-			break
-		}
-		dir = next
+	if uint64(first) >= vol || off < 0 || n < 0 || uint64(off)+uint64(n) > (vol-uint64(first))*PageSize {
+		return fmt.Errorf("storage: blob bytes [%d, +%d) at %v run past the %d-page volume", off, n, first, vol)
 	}
-	if got := max(w.off, w.next*PageSize); got < w.end {
-		return fmt.Errorf("storage: blob truncated, %d bytes missing", w.end-got)
+	if n == 0 {
+		return nil // no page covers an empty range
 	}
-	return nil
-}
-
-// dirPage walks the entries of directory page dir that fall inside the
-// range and returns the next directory page.
-func (w *blobWalk) dirPage(dir PageID, vol uint64, fn walkFunc) (PageID, error) {
-	buf, err := w.bp.FetchPage(dir)
-	if err != nil {
-		return InvalidPageID, err
-	}
-	next := PageID(GetUint64(buf, lobDirNextOff))
-	count := int(GetUint32(buf, lobDirCountOff))
-	if count > lobDirMaxEntries {
-		err = fmt.Errorf("storage: corrupt blob directory %v: %d entries", dir, count)
-	} else if w.end < 0 {
-		err = w.setEnd(GetUint64(buf, lobDirLenOff), vol)
-	}
-	if err != nil {
-		w.bp.Unpin(dir, false)
-		return InvalidPageID, err
-	}
-	first := w.first
-	lo := max(w.off/PageSize, w.next, first) - first
-	hi := min((w.end+PageSize-1)/PageSize-first, count)
-	w.first += count
-	w.listedTo = min(w.end, w.first*PageSize)
-	var ids [walkRun]PageID
-	for i := lo; i < hi; i += walkRun {
-		k := min(walkRun, hi-i)
-		for j := range k {
-			ids[j] = PageID(GetUint64(buf, lobDirEntriesOff+(i+j)*8))
-		}
-		if err := w.run(ids[:k], first+i, fn); errors.Is(err, ErrBufferPoolFull) {
-			return next, w.oneByOne(dir, buf, first, i, hi, fn)
+	for p, end, step := off/PageSize, off+n, walkRun; p*PageSize < end; {
+		k := min(step, (end+PageSize-1)/PageSize-p)
+		if err := s.run(first+PageID(p), k, p, off, end, fn); errors.Is(err, ErrBufferPoolFull) && step > 1 {
+			step = 1
 		} else if err != nil {
-			w.bp.Unpin(dir, false)
-			return InvalidPageID, err
-		}
-	}
-	return next, w.bp.Unpin(dir, false)
-}
-
-// setEnd fixes the end of the range from the blob's length field. A
-// length no volume of vol pages could hold is corruption, not a request.
-func (w *blobWalk) setEnd(length, vol uint64) error {
-	if length > vol*PageSize {
-		return fmt.Errorf("storage: corrupt blob length %d on a %d-page volume", length, vol)
-	}
-	if w.end = int(length); w.n >= 0 {
-		if uint64(w.off+w.n) > length {
-			return fmt.Errorf("storage: ReadRange past blob end (%d+%d > %d)", w.off, w.n, length)
-		}
-		w.end = w.off + w.n
-	}
-	return nil
-}
-
-// run pins the data pages ids, the first of which has data-page index
-// p, under one pool lock, hands them on, and unpins them under one more.
-func (w *blobWalk) run(ids []PageID, p int, fn walkFunc) error {
-	var frames [walkRun]*frame
-	if err := w.bp.pinRun(ids, frames[:len(ids)]); err != nil {
-		return err
-	}
-	defer w.bp.unpinRun(ids)
-	for j, f := range frames[:len(ids)] {
-		start := (p + j) * PageSize
-		lo := max(w.off-start, 0)
-		w.next = p + j + 1
-		if err := fn(f.data[lo:min(w.end-start, PageSize)], w.listedTo-start-lo, &f.checked); err != nil {
 			return err
+		} else {
+			p += k
 		}
 	}
 	return nil
 }
 
-// oneByOne copies entries [lo, hi) of the pinned directory page dir,
-// whose first entry has data-page index first, releases the directory
-// page, and hands the data pages on holding one pin at a time.
-func (w *blobWalk) oneByOne(dir PageID, buf []byte, first, lo, hi int, fn walkFunc) error {
-	ids := make([]PageID, max(hi-lo, 0))
-	for j := range ids {
-		ids[j] = PageID(GetUint64(buf, lobDirEntriesOff+(lo+j)*8))
+// run pins the k pages from id, the extent's page p onward, under one
+// pool lock, hands on their bytes inside [off, end), and unpins them
+// under one more.
+func (s *LOBStore) run(id PageID, k, p, off, end int, fn walkFunc) error {
+	var ids [walkRun]PageID
+	var frames [walkRun]*frame
+	for j := range k {
+		ids[j] = id + PageID(j)
 	}
-	if err := w.bp.Unpin(dir, false); err != nil {
+	if err := s.bp.pinRun(ids[:k], frames[:k]); err != nil {
 		return err
 	}
-	for j := range ids {
-		if err := w.run(ids[j:j+1], first+lo+j, fn); err != nil {
+	defer s.bp.unpinRun(ids[:k])
+	for j, f := range frames[:k] {
+		start := (p + j) * PageSize
+		if err := fn(f.data[max(off-start, 0):min(end-start, PageSize)], &f.checked); err != nil {
 			return err
 		}
 	}

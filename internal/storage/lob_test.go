@@ -10,8 +10,8 @@ import (
 func TestLOBRoundtripSizes(t *testing.T) {
 	bp := newTestPool(64)
 	s := NewLOBStore(bp)
-	sizes := []int{0, 1, 100, PageSize - 1, PageSize, PageSize + 1,
-		3 * PageSize, lobDirMaxEntries * PageSize, lobDirMaxEntries*PageSize + 5}
+	sizes := []int{0, 1, 100, PageSize - lobLenSize, PageSize - lobLenSize + 1, PageSize - 1, PageSize,
+		PageSize + 1, 3 * PageSize, walkRun * PageSize, walkRun*PageSize + 5}
 	rng := rand.New(rand.NewSource(1))
 	for _, n := range sizes {
 		data := make([]byte, n)
@@ -20,13 +20,8 @@ func TestLOBRoundtripSizes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Write(%d bytes): %v", n, err)
 		}
-		wantData := (n + PageSize - 1) / PageSize
-		wantDir := (wantData + lobDirMaxEntries - 1) / lobDirMaxEntries
-		if wantDir == 0 {
-			wantDir = 1
-		}
-		if pages != wantData+wantDir {
-			t.Errorf("Write(%d bytes) used %d pages, want %d", n, pages, wantData+wantDir)
+		if want := (n + lobLenSize + PageSize - 1) / PageSize; pages != want || pages != BlobPages(n) {
+			t.Errorf("Write(%d bytes) used %d pages, want %d", n, pages, want)
 		}
 		got, err := s.Read(ref)
 		if err != nil {
@@ -41,6 +36,18 @@ func TestLOBRoundtripSizes(t *testing.T) {
 		}
 		if l != n {
 			t.Fatalf("Length = %d, want %d", l, n)
+		}
+		// The same bytes as a raw extent: from byte 0, length kept by
+		// the caller.
+		ref, pages, err = s.WriteExtent(data)
+		if err != nil {
+			t.Fatalf("WriteExtent(%d bytes): %v", n, err)
+		}
+		if want := max(1, (n+PageSize-1)/PageSize); pages != want || pages != ExtentPages(n) {
+			t.Errorf("WriteExtent(%d bytes) used %d pages, want %d", n, pages, want)
+		}
+		if got, err := s.ReadExtent(ref, n, nil); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("ReadExtent(%d bytes) = %d bytes, %v", n, len(got), err)
 		}
 	}
 	if bp.PinnedPages() != 0 {
@@ -126,7 +133,7 @@ func TestLOBReadRange(t *testing.T) {
 	if _, err := s.ReadRange(ref, 2*PageSize, 100); err != nil {
 		t.Fatal(err)
 	}
-	if d := bp.Stats().Sub(before); d.PhysicalReads > 2 { // directory + 1 data page
+	if d := bp.Stats().Sub(before); d.PhysicalReads > 2 { // length header + 1 data page
 		t.Fatalf("ReadRange fetched %d pages for a 100-byte range", d.PhysicalReads)
 	}
 	// Errors.

@@ -17,7 +17,7 @@ import (
 //	[12:)   entries: 32-byte zero-padded name + 8-byte value
 const (
 	superMagic      = "OLAP"
-	superVersion    = 1
+	superVersion    = 2 // v2: a blob is one extent (v1 chained directory pages)
 	superCountOff   = 8
 	superEntriesOff = 12
 	superNameLen    = 32
@@ -54,12 +54,13 @@ func OpenSuperblock(bp *BufferPool) (*Superblock, error) {
 	if err != nil {
 		return nil, err
 	}
-	ok := bytes.Equal(buf[0:4], []byte(superMagic)) && GetUint32(buf, 4) == superVersion
+	magic, version := string(buf[0:4]), GetUint32(buf, 4)
 	if err := bp.Unpin(HeaderPageID, false); err != nil {
 		return nil, err
 	}
-	if !ok {
-		return nil, fmt.Errorf("storage: bad superblock magic or version")
+	if magic != superMagic || version != superVersion {
+		return nil, fmt.Errorf("storage: volume format %q v%d (this build reads %q v%d)",
+			magic, version, superMagic, superVersion)
 	}
 	return &Superblock{bp: bp}, nil
 }

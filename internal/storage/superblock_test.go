@@ -2,6 +2,7 @@ package storage
 
 import (
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -89,6 +90,25 @@ func TestSuperblockRejectsGarbage(t *testing.T) {
 	bp := NewBufferPool(d, 4)
 	if _, err := OpenSuperblock(bp); err == nil {
 		t.Fatal("OpenSuperblock accepted a corrupt header")
+	}
+}
+
+// A volume written before blobs became single extents (superblock v1)
+// is refused by name, before any of its blobs is read.
+func TestSuperblockRejectsV1Volume(t *testing.T) {
+	d := NewMemDiskManager()
+	if _, err := d.Allocate(1); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, PageSize)
+	copy(buf, superMagic)
+	PutUint32(buf, 4, 1)
+	if err := d.WritePage(0, buf); err != nil {
+		t.Fatal(err)
+	}
+	_, err := OpenSuperblock(NewBufferPool(d, 4))
+	if err == nil || !strings.Contains(err.Error(), "v1") || !strings.Contains(err.Error(), "v2") {
+		t.Fatalf("OpenSuperblock(v1 volume) = %v, want an error naming v1 and v2", err)
 	}
 }
 

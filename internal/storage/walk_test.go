@@ -23,10 +23,14 @@ func writeBlob(t testing.TB, bp *BufferPool, n int, seed int64) ([]byte, LOBRef)
 	return data, ref
 }
 
-// walkAll collects what Walk hands over.
+// walkAll collects what WalkRange hands over of the whole blob.
 func walkAll(s *LOBStore, ref LOBRef) ([]byte, error) {
+	n, err := s.Length(ref)
+	if err != nil {
+		return nil, err
+	}
 	var out []byte
-	err := s.Walk(ref, func(page []byte, _ *atomic.Uint64) error {
+	err = s.WalkRange(ref, 0, n, func(page []byte) error {
 		out = append(out, page...)
 		return nil
 	})
@@ -54,40 +58,32 @@ func assertUnpinned(t testing.TB, bp *BufferPool, what string) {
 	}
 }
 
-// TestWalkMatchesRead: Walk hands over exactly the bytes Read copies,
-// for blobs that end mid-page, on a page boundary, past one run and past
-// one directory page.
+// TestWalkMatchesRead: a walk hands over exactly the bytes a read
+// copies, for blobs and raw extents that end mid-page, on a page
+// boundary and past one run.
 func TestWalkMatchesRead(t *testing.T) {
 	bp := newTestPool(64)
 	s := NewLOBStore(bp)
-	for i, n := range []int{0, 1, PageSize, 3*PageSize + 7, walkRun*PageSize + 1, lobDirMaxEntries*PageSize + 5} {
+	for i, n := range []int{0, 1, PageSize - lobLenSize, PageSize, 3*PageSize + 7, walkRun*PageSize + 1, 3 * walkRun * PageSize} {
 		data, ref := writeBlob(t, bp, n, int64(i))
 		got, err := walkAll(s, ref)
 		if err != nil || !bytes.Equal(got, data) {
-			t.Fatalf("%d bytes: Walk = %d bytes, %v", n, len(got), err)
+			t.Fatalf("%d bytes: WalkRange = %d bytes, %v", n, len(got), err)
+		}
+		ref, _, err = s.WriteExtent(data)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = got[:0]
+		err = s.WalkExtent(ref, n, func(page []byte, _ *atomic.Uint64) error {
+			got = append(got, page...)
+			return nil
+		})
+		if err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("%d bytes: WalkExtent = %d bytes, %v", n, len(got), err)
 		}
 		assertUnpinned(t, bp, fmt.Sprintf("%d-byte walk", n))
 	}
-}
-
-// TestCorruptDirectoryCount is a regression test: ReadRange trusted the
-// directory's entry count and, with 5000 entries, sliced past the page
-// and panicked with the directory page still pinned.
-func TestCorruptDirectoryCount(t *testing.T) {
-	bp := newTestPool(16)
-	s := NewLOBStore(bp)
-	_, ref := writeBlob(t, bp, 3*PageSize, 1)
-	patchPage(t, bp, ref.First, func(buf []byte) { PutUint32(buf, lobDirCountOff, 5000) })
-	if _, err := s.ReadRange(ref, 0, 10); err == nil {
-		t.Fatal("ReadRange accepted a 5000-entry directory page")
-	}
-	if _, err := s.Read(ref); err == nil {
-		t.Fatal("Read accepted a 5000-entry directory page")
-	}
-	if _, err := walkAll(s, ref); err == nil {
-		t.Fatal("Walk accepted a 5000-entry directory page")
-	}
-	assertUnpinned(t, bp, "corrupt count")
 }
 
 // TestCorruptBlobLength is a regression test: Read sized its buffer from
@@ -96,27 +92,23 @@ func TestCorruptDirectoryCount(t *testing.T) {
 func TestCorruptBlobLength(t *testing.T) {
 	bp := newTestPool(16)
 	s := NewLOBStore(bp)
+	writeBlob(t, bp, 3*PageSize, 1)
 	_, ref := writeBlob(t, bp, 2*PageSize, 2)
-	patchPage(t, bp, ref.First, func(buf []byte) { PutUint64(buf, lobDirLenOff, 1<<46) })
+	patchPage(t, bp, ref.First, func(buf []byte) { PutUint64(buf, 0, 1<<46) })
 	if _, err := s.Read(ref); err == nil {
 		t.Fatal("Read accepted a 64 TiB blob length")
-	}
-	if _, err := s.ReadInto(ref, make([]byte, 0, 16)); err == nil {
-		t.Fatal("ReadInto accepted a 64 TiB blob length")
 	}
 	if _, err := walkAll(s, ref); err == nil {
 		t.Fatal("Walk accepted a 64 TiB blob length")
 	}
-	// A length the volume could hold but the listed pages do not cover is
-	// a truncated blob, and the read stays sized by the pages listed.
-	patchPage(t, bp, ref.First, func(buf []byte) { PutUint64(buf, lobDirLenOff, 5*PageSize) })
+	// A length the volume could hold, but that runs past the volume's end
+	// from where the blob starts, is refused before anything is sized.
+	patchPage(t, bp, ref.First, func(buf []byte) { PutUint64(buf, 0, 5*PageSize) })
 	if _, err := s.Read(ref); err == nil {
-		t.Fatal("Read accepted a blob longer than its pages")
+		t.Fatal("Read accepted a blob running past the volume's end")
 	}
-	// A directory chain that loops back on itself ends in an error.
-	patchPage(t, bp, ref.First, func(buf []byte) { PutUint64(buf, lobDirNextOff, uint64(ref.First)) })
-	if _, err := walkAll(s, ref); err == nil {
-		t.Fatal("Walk accepted a directory chain that loops")
+	if _, err := s.ReadExtent(ref, 5*PageSize, make([]byte, 0, 16)); err == nil {
+		t.Fatal("ReadExtent accepted an extent running past the volume's end")
 	}
 	assertUnpinned(t, bp, "corrupt length")
 }
@@ -133,7 +125,7 @@ func TestWalkPinDiscipline(t *testing.T) {
 		stop := errors.New("stop")
 		for _, at := range []int{0, 1, walkRun - 1, walkRun, pages - 1} {
 			seen := 0
-			err := s.Walk(ref, func([]byte, *atomic.Uint64) error {
+			err := s.WalkRange(ref, 0, pages*PageSize, func([]byte) error {
 				if seen == at {
 					return stop
 				}
@@ -151,7 +143,7 @@ func TestWalkPinDiscipline(t *testing.T) {
 		bp := NewBufferPool(fd, 64)
 		s := NewLOBStore(bp)
 		_, ref := writeBlob(t, bp, pages*PageSize, 4)
-		for _, after := range []int{1, 3, walkRun + 2} { // reads before the fault: the directory, then data
+		for _, after := range []int{1, 3, walkRun + 2} { // reads before the fault: the length header, then the rest
 			if err := bp.DropAll(); err != nil {
 				t.Fatal(err)
 			}
@@ -168,8 +160,7 @@ func TestWalkPinDiscipline(t *testing.T) {
 		}
 	})
 	t.Run("pool-too-small", func(t *testing.T) {
-		// One frame is what a copying read needs: the directory page and
-		// then each data page in turn.
+		// One frame is what a copying read needs: each page in turn.
 		for _, frames := range []int{1, 2, walkRun} {
 			bp := newTestPool(frames)
 			s := NewLOBStore(bp)
@@ -222,41 +213,32 @@ func TestWalkConcurrent(t *testing.T) {
 	assertUnpinned(t, bp, "concurrent walks")
 }
 
-// FuzzBlobDirectory puts arbitrary bytes where a blob's first directory
-// page sits, over a small volume of known pages, and reads the blob every
-// way there is. Each read returns data or an error, never panics, never
-// sizes a buffer past what the volume could hold, and leaves nothing
-// pinned — whatever the pool size.
-func FuzzBlobDirectory(f *testing.F) {
-	valid := func(n int) []byte {
-		bp := newTestPool(16)
-		_, ref := writeBlob(f, bp, n, 6)
-		buf, err := bp.FetchPage(ref.First)
-		if err != nil {
-			f.Fatal(err)
-		}
-		defer bp.Unpin(ref.First, false)
-		return append([]byte(nil), buf[:lobDirEntriesOff+8*((n+PageSize-1)/PageSize)]...)
+// FuzzBlobExtent puts arbitrary bytes where the header page of a
+// self-describing blob sits, over a small volume of known pages, and
+// reads that blob every way there is; then it reads an arbitrary (first
+// page, byte length) as a chunk's raw extent. Each read returns data or
+// an error, never panics, never sizes a buffer past what the volume
+// could hold, and leaves nothing pinned — whatever the pool size.
+func FuzzBlobExtent(f *testing.F) {
+	header := func(n uint64) []byte {
+		buf := make([]byte, lobLenSize)
+		PutUint64(buf, 0, n)
+		return buf
 	}
-	f.Add(valid(3*PageSize+5), uint8(16))
-	f.Add(valid(walkRun*PageSize), uint8(3))
-	crasher := valid(3 * PageSize)
-	PutUint32(crasher, lobDirCountOff, 5000) // the ReadRange panic
-	f.Add(crasher, uint8(16))
-	crasher = valid(2 * PageSize)
-	PutUint64(crasher, lobDirLenOff, 1<<46) // the out-of-memory crash
-	f.Add(crasher, uint8(16))
-	f.Fuzz(func(t *testing.T, dir []byte, framesRaw uint8) {
+	f.Add(header(3*PageSize+5), uint64(1), uint64(3*PageSize+5), uint8(16))
+	f.Add(header(walkRun*PageSize), uint64(0), uint64(walkRun*PageSize), uint8(3))
+	f.Add(header(1<<46), uint64(2), uint64(1<<46), uint8(16)) // the out-of-memory crash
+	f.Add(header(PageSize), uint64(5), uint64(2*PageSize), uint8(1))
+	f.Fuzz(func(t *testing.T, hdr []byte, first, length uint64, framesRaw uint8) {
 		bp := newTestPool(1 + int(framesRaw)%16)
 		s := NewLOBStore(bp)
-		// The volume: a blob (whose pages the fuzzed directory may list),
-		// then the page the fuzzed directory goes to.
+		// The volume: a blob, then the header page of the fuzzed blob.
 		writeBlob(t, bp, 5*PageSize, 7)
 		id, buf, err := bp.NewPage()
 		if err != nil {
 			t.Fatal(err)
 		}
-		copy(buf, dir)
+		copy(buf, hdr)
 		if err := bp.Unpin(id, true); err != nil {
 			t.Fatal(err)
 		}
@@ -273,6 +255,15 @@ func FuzzBlobDirectory(f *testing.F) {
 		got, err = s.ReadRange(ref, PageSize-3, 20)
 		check("ReadRange", got, err)
 		got, err = walkAll(s, ref)
-		check("Walk", got, err)
+		check("WalkRange", got, err)
+		extent := LOBRef{First: PageID(first)}
+		got, err = s.ReadExtent(extent, int(length), nil)
+		check("ReadExtent", got, err)
+		got = nil
+		err = s.WalkExtent(extent, int(length), func(page []byte, _ *atomic.Uint64) error {
+			got = append(got, page...)
+			return nil
+		})
+		check("WalkExtent", got, err)
 	})
 }
