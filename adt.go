@@ -9,18 +9,18 @@ import (
 // The OLAP Array ADT's direct function set (§3.5 of the paper): a Read
 // function, a subset-sum function, and a slicing function, addressed by
 // dimension keys. These bypass the SQL layer and operate on the array
-// exactly as Paradise-SQL method invocations did. Each call reads a
-// clone of the shared array handle with the delta overlay's snapshot
-// attached, so it sees ingested cells before and after compaction.
+// exactly as Paradise-SQL method invocations did. Each call reads the
+// shared master array through a reader under one published delta view,
+// so it sees ingested cells before and after compaction.
 
 // ArrayGet reads one cell of the OLAP array by dimension keys; ok is
 // false when any key is unknown or the cell holds no data.
 func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
-	arr, err := db.ex.Context().ArrayClone()
+	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		return 0, false, err
 	}
-	return arr.Get(keys)
+	return arr.Get(view, keys)
 }
 
 // ArraySum sums the valid cells inside the inclusive key box
@@ -28,7 +28,7 @@ func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
 // array indices through the dimension B-trees; only chunks overlapping
 // the box are read.
 func (db *DB) ArraySum(loKeys, hiKeys []int64) (int64, error) {
-	arr, err := db.ex.Context().ArrayClone()
+	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		return 0, err
 	}
@@ -40,7 +40,7 @@ func (db *DB) ArraySum(loKeys, hiKeys []int64) (int64, error) {
 	if err != nil {
 		return 0, err
 	}
-	return arr.SumRange(lo, hi)
+	return arr.SumRange(view, lo, hi)
 }
 
 // ArraySliceCell is one cell yielded by ArraySlice.
@@ -53,7 +53,7 @@ type ArraySliceCell struct {
 // ArraySlice returns every valid cell whose key along the named
 // dimension equals key — the ADT's slicing function.
 func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
-	arr, err := db.ex.Context().ArrayClone()
+	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		return nil, err
 	}
@@ -70,7 +70,7 @@ func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
 	}
 	var out []ArraySliceCell
 	dims := arr.Dims()
-	err = arr.Slice(di, idx, func(coords []int, value int64) error {
+	err = arr.Slice(view, di, idx, func(coords []int, value int64) error {
 		keys := make([]int64, len(coords))
 		for i, c := range coords {
 			keys[i] = dims[i].Keys[c]

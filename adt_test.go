@@ -141,3 +141,30 @@ func TestArrayADTReadsOnlyOverlappingChunks(t *testing.T) {
 		t.Fatalf("a slice through 4 chunks read %d pages, want at most %d", slice, get+3*perChunk)
 	}
 }
+
+// TestWarmArrayGetZeroAlloc: a warm point read of a chunk-offset array
+// with no deltas pending allocates nothing — the master array, its chunk
+// store and the published delta view are shared, the reader lives on the
+// stack, and the chunk is searched where it sits in its pinned frames.
+func TestWarmArrayGetZeroAlloc(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetailArray(t, db, ArrayConfig{Codec: "chunk-offset"})
+	keys := []int64{4, 0, 0}
+	if v, ok, err := db.ArrayGet(keys); err != nil || !ok || v != 400 {
+		t.Fatalf("ArrayGet(4,0,0) = (%d, %v, %v)", v, ok, err)
+	}
+	if st := db.DeltaStats(); st.Cells != 0 {
+		t.Fatalf("%d delta cells pending", st.Cells)
+	}
+	if avg := testing.AllocsPerRun(200, func() {
+		if _, _, err := db.ArrayGet(keys); err != nil {
+			t.Fatal(err)
+		}
+	}); avg != 0 {
+		t.Fatalf("warm ArrayGet allocates %.1f objects/op, want 0", avg)
+	}
+}

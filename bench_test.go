@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/array"
 	"repro/internal/bench"
+	"repro/internal/chunk"
 	"repro/internal/core"
 	"repro/internal/datagen"
 	"repro/internal/exec"
@@ -246,7 +247,7 @@ func BenchmarkCube(b *testing.B) {
 	b.Run("lattice", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, _, err := core.ArrayCube(arr, spec.Group); err != nil {
+			if _, _, err := core.ArrayCube(arr, chunk.View{}, spec.Group); err != nil {
 				b.Fatal(err)
 			}
 		}

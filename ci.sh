@@ -52,6 +52,7 @@ go test -race ./...
 # run proves nothing; 50 runs take about 40 s on 2 vCPUs.
 echo "== one-snapshot stress under -race (50 runs) =="
 go test -race -count=50 -run 'TestGenerationSwap/readers_and_a_writer|TestOldGenerationSeesCompactedCells' ./internal/exec/
+go test -race -count=50 -run 'TestViewsSelfConsistent' ./internal/delta/
 
 echo "== parallel differential suite under -race (GOMAXPROCS=4) =="
 GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
@@ -59,6 +60,9 @@ GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
 
 echo "== warm arena decode allocates nothing =="
 go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
+
+echo "== warm ArrayGet on a chunk-offset array allocates nothing =="
+go test -run TestWarmArrayGetZeroAlloc -count=1 .
 
 echo "== warm Query 1 allocates at most 50 KB (chunks folded where they sit) =="
 go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/

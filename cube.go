@@ -27,13 +27,13 @@ func (db *DB) Cube(sql string) ([]CuboidResult, error) {
 	if len(spec.Selections) > 0 {
 		return nil, fmt.Errorf("repro: Cube does not take selections")
 	}
-	// A clone from the execution context carries the pending deltas, so
-	// the cube agrees with what queries see.
-	arr, err := db.ex.Context().ArrayClone()
+	// Read under the execution context's view, the cube sees the pending
+	// deltas, so it agrees with what queries see.
+	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		return nil, err
 	}
-	cuboids, _, err := core.ArrayCube(arr, spec.Group)
+	cuboids, _, err := core.ArrayCube(arr, view, spec.Group)
 	if err != nil {
 		return nil, err
 	}

@@ -214,7 +214,7 @@ func TestCompactPublishesBeforeDrain(t *testing.T) {
 	retailIngest(t, db)
 	before := db.cat.ArrayState
 	db.compactTestHook = func(stage string) error {
-		if state, _, _, _ := db.ds.Snapshot(); stage == "committed" && state != db.cat.ArrayState {
+		if state := db.ds.View().State; stage == "committed" && state != db.cat.ArrayState {
 			t.Errorf("committed with state %d published, folded %d", state, db.cat.ArrayState)
 		}
 		return nil

@@ -45,9 +45,9 @@ func (db *DB) InsertCellsContext(ctx context.Context, cells []IngestCell) error 
 	if !db.ex.HasArray() {
 		return fmt.Errorf("repro: ingest requires a built array (BuildArray)")
 	}
-	// The clone is used only for its immutable dimension maps and
-	// geometry; no chunks are decoded here.
-	arr, err := db.ex.Context().ArrayClone()
+	// Only the master's dimension maps and geometry are read here; no
+	// chunk is.
+	arr, _, err := db.ex.Context().Array()
 	if err != nil {
 		return err
 	}
@@ -83,14 +83,14 @@ func (db *DB) DeltaStats() DeltaStats { return db.ds.Stats() }
 func (db *DB) CompactionsTotal() int64 { return db.compactions.Value() }
 
 // Compact folds the current delta overlay into the chunk-offset-
-// compressed chunk store and drains what it folded: snapshot the base
-// state and the overlay, apply the overlay copy-on-write to that
-// state's overlay-free master (only the touched chunks are re-encoded),
-// publish the new array version, and commit durably — then remove the
-// folded deltas from the store and its WAL. Queries run concurrently
-// throughout: a snapshot pairs (old base, full overlay), (new, full) or
-// (new, drained), and in-flight clones keep reading the pages of the
-// version their snapshot named.
+// compressed chunk store and drains what it folded: take the published
+// view's base state and overlay, apply the overlay copy-on-write to that
+// state's master (only the touched chunks are re-encoded), publish the
+// new array version, and commit durably — then remove the folded deltas
+// from the store and its WAL. Queries run concurrently throughout: a
+// view pairs (old base, full overlay), (new, full) or (new, drained),
+// and in-flight readers keep reading the pages of the version their
+// view named.
 //
 // The step order is what makes a crash at any point recoverable: the
 // delta WAL is only rewritten after the fold is durably committed, and
@@ -100,20 +100,19 @@ func (db *DB) CompactionsTotal() int64 { return db.compactions.Value() }
 func (db *DB) Compact() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
-	state, ov, versions, touched := db.ds.Snapshot()
-	if state == 0 || len(ov) == 0 {
+	view := db.ds.View()
+	if view.State == 0 || len(view.Overlay) == 0 {
 		return nil
 	}
 	start := time.Now()
-	// A fresh overlay-free handle: the fold must read base cells only.
-	arr, err := array.Open(db.bp, storage.LOBRef{First: storage.PageID(state)})
+	arr, err := array.Open(db.bp, storage.LOBRef{First: storage.PageID(view.State)})
 	if err != nil {
 		return err
 	}
 	// On an adaptive store the rewrite re-picks each touched chunk's
 	// codec: a chunk an ingest stream filled in migrates from chunk-
 	// offset pairs to difference sequences, and back after deletes.
-	next, err := arr.ApplyChunkChanges(ov)
+	next, err := arr.ApplyChunkChanges(view.Overlay)
 	if err != nil {
 		return err
 	}
@@ -122,9 +121,9 @@ func (db *DB) Compact() error {
 	}
 	db.cat.ArrayState = uint64(next.State().First)
 	db.ds.Publish(db.cat.ArrayState)
-	// A chunk first touched after the snapshot is not drained below, so
-	// it stays in the delta WAL, whose replay touches it again.
-	db.cat.DeltaChunks = touched
+	// A chunk first touched after the view is not drained below, so it
+	// stays in the delta WAL, whose replay touches it again.
+	db.cat.DeltaChunks = view.Touched
 	// Republish the codec mix (chunks may have re-picked codecs above).
 	// cat.Stats itself stays untouched: concurrent queries cost plans
 	// against it without locks, and compaction changes no answer.
@@ -140,7 +139,7 @@ func (db *DB) Compact() error {
 	if err := db.compactHook("committed"); err != nil {
 		return err
 	}
-	if err := db.ds.Drain(versions); err != nil {
+	if err := db.ds.Drain(view.Versions); err != nil {
 		return err
 	}
 	db.compactions.Inc()

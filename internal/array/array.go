@@ -94,7 +94,8 @@ type Array struct {
 	state storage.LOBRef
 }
 
-// Store exposes the underlying chunk store.
+// Store exposes the underlying chunk store. It is immutable: read its
+// chunks through a chunk.Reader (Store().Reader), one per goroutine.
 func (a *Array) Store() *chunk.Store { return a.store }
 
 // Geometry exposes the chunked-array geometry.
@@ -112,16 +113,6 @@ func (a *Array) State() storage.LOBRef { return a.state }
 
 // NumValidCells reports the number of valid cells (fact tuples).
 func (a *Array) NumValidCells() int64 { return a.store.NumValidCells() }
-
-// Clone returns an Array sharing the immutable dimension structures,
-// B-trees, and chunk directory, but with a private chunk-decode cache
-// and scratch buffers, so each goroutine can read its own clone
-// concurrently (B-tree and buffer pool reads are already thread-safe).
-func (a *Array) Clone() *Array {
-	c := *a
-	c.store = a.store.Clone()
-	return &c
-}
 
 // FactSource yields the fact tuples to load: each Next call returns the
 // per-dimension keys and the measure, with ok=false at end of stream.
@@ -387,14 +378,19 @@ func Open(bp *storage.BufferPool, state storage.LOBRef) (*Array, error) {
 	return a, nil
 }
 
-// Get returns the measure at the given dimension keys, resolving each key
-// through the dimension B-trees (the ADT's Read function, §3.5). ok is
-// false when any key is unknown or the cell is invalid.
-func (a *Array) Get(keys []int64) (int64, bool, error) {
+// Get returns the measure at the given dimension keys under v, resolving
+// each key through the dimension B-trees (the ADT's Read function,
+// §3.5). ok is false when any key is unknown or the cell is invalid.
+func (a *Array) Get(v chunk.View, keys []int64) (int64, bool, error) {
 	if len(keys) != len(a.dims) {
 		return 0, false, fmt.Errorf("array: %d keys for %d dimensions", len(keys), len(a.dims))
 	}
-	coords := make([]int, len(keys))
+	var small [8]int // a point read of a cube of usual rank allocates nothing
+	coords := small[:]
+	if len(keys) > len(small) {
+		coords = make([]int, len(keys))
+	}
+	coords = coords[:len(keys)]
 	for i, k := range keys {
 		idx, ok, err := a.dims[i].IndexOf(k)
 		if err != nil {
@@ -405,26 +401,27 @@ func (a *Array) Get(keys []int64) (int64, bool, error) {
 		}
 		coords[i] = idx
 	}
-	return a.store.Get(coords)
+	r := a.store.Reader(v, nil)
+	return r.Get(coords)
 }
 
-// SumRange sums the valid cells inside the inclusive index-space box
-// [lo[i], hi[i]] — the ADT's subset-sum function (§3.5). Only chunks
+// SumRange sums the valid cells under v inside the inclusive index-space
+// box [lo[i], hi[i]] — the ADT's subset-sum function (§3.5). Only chunks
 // overlapping the box are read.
-func (a *Array) SumRange(lo, hi []int) (int64, error) {
+func (a *Array) SumRange(v chunk.View, lo, hi []int) (int64, error) {
 	var sum int64
-	err := a.eachCell(lo, hi, func(_ []int, value int64) error {
+	err := a.eachCell(v, lo, hi, func(_ []int, value int64) error {
 		sum += value
 		return nil
 	})
 	return sum, err
 }
 
-// Slice invokes fn for every valid cell whose index along dim equals
-// idx — the ADT's slicing function (§3.5): the box pinned to idx along
-// dim and whole along every other dimension. Coordinates passed to fn
-// are reused across calls.
-func (a *Array) Slice(dim, idx int, fn func(coords []int, value int64) error) error {
+// Slice invokes fn for every valid cell under v whose index along dim
+// equals idx — the ADT's slicing function (§3.5): the box pinned to idx
+// along dim and whole along every other dimension. Coordinates passed
+// to fn are reused across calls.
+func (a *Array) Slice(v chunk.View, dim, idx int, fn func(coords []int, value int64) error) error {
 	dims := a.Geometry().Dims()
 	if dim < 0 || dim >= len(dims) {
 		return fmt.Errorf("array: slice dimension %d out of range", dim)
@@ -434,13 +431,13 @@ func (a *Array) Slice(dim, idx int, fn func(coords []int, value int64) error) er
 		hi[i] = n - 1
 	}
 	lo[dim], hi[dim] = idx, idx
-	return a.eachCell(lo, hi, fn)
+	return a.eachCell(v, lo, hi, fn)
 }
 
 // eachCell invokes fn, in ascending chunk and offset order, for every
-// valid cell inside the inclusive index-space box [lo[i], hi[i]]. It
-// reads only the chunks the box overlaps.
-func (a *Array) eachCell(lo, hi []int, fn func(coords []int, value int64) error) error {
+// valid cell under v inside the inclusive index-space box [lo[i], hi[i]].
+// It reads only the chunks the box overlaps.
+func (a *Array) eachCell(v chunk.View, lo, hi []int, fn func(coords []int, value int64) error) error {
 	g := a.Geometry()
 	dims, shape := g.Dims(), g.ChunkShape()
 	if len(lo) != len(dims) || len(hi) != len(dims) {
@@ -458,9 +455,10 @@ func (a *Array) eachCell(lo, hi []int, fn func(coords []int, value int64) error)
 		cc[i] = lo[i] / shape[i]
 	}
 	coords := make([]int, len(dims))
+	r := a.store.Reader(v, nil)
 	for {
 		cn := g.ChunkNumber(cc)
-		cells, err := a.store.ReadChunk(cn)
+		cells, err := r.ReadChunk(cn)
 		if err != nil {
 			return err
 		}

@@ -97,7 +97,7 @@ func TestArrayBuildAndGet(t *testing.T) {
 
 	for k0 := int64(0); k0 < 6; k0++ {
 		for k1 := int64(0); k1 < 4; k1++ {
-			v, ok, err := a.Get([]int64{k0, k1})
+			v, ok, err := a.Get(chunk.View{}, []int64{k0, k1})
 			if err != nil {
 				t.Fatalf("Get(%d,%d): %v", k0, k1, err)
 			}
@@ -108,10 +108,10 @@ func TestArrayBuildAndGet(t *testing.T) {
 		}
 	}
 	// Unknown key.
-	if _, ok, err := a.Get([]int64{99, 0}); err != nil || ok {
+	if _, ok, err := a.Get(chunk.View{}, []int64{99, 0}); err != nil || ok {
 		t.Fatalf("Get with unknown key = (%v, %v)", ok, err)
 	}
-	if _, _, err := a.Get([]int64{1}); err == nil {
+	if _, _, err := a.Get(chunk.View{}, []int64{1}); err == nil {
 		t.Fatal("Get with wrong arity succeeded")
 	}
 }
@@ -179,7 +179,7 @@ func TestArrayReopen(t *testing.T) {
 	}
 	for k := [2]int64{0, 0}; k[0] < 6; k[0]++ {
 		for k[1] = 0; k[1] < 4; k[1]++ {
-			v, ok, err := a2.Get(k[:])
+			v, ok, err := a2.Get(chunk.View{}, k[:])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -209,7 +209,7 @@ func TestArraySumRange(t *testing.T) {
 	for _, v := range ref {
 		want += v
 	}
-	got, err := a.SumRange([]int{0, 0}, []int{5, 3})
+	got, err := a.SumRange(chunk.View{}, []int{0, 0}, []int{5, 3})
 	if err != nil || got != want {
 		t.Fatalf("SumRange(all) = (%d, %v), want %d", got, err, want)
 	}
@@ -220,18 +220,18 @@ func TestArraySumRange(t *testing.T) {
 			want += v
 		}
 	}
-	got, err = a.SumRange([]int{2, 1}, []int{4, 2})
+	got, err = a.SumRange(chunk.View{}, []int{2, 1}, []int{4, 2})
 	if err != nil || got != want {
 		t.Fatalf("SumRange(box) = (%d, %v), want %d", got, err, want)
 	}
 	// Bad boxes.
-	if _, err := a.SumRange([]int{0}, []int{1}); err == nil {
+	if _, err := a.SumRange(chunk.View{}, []int{0}, []int{1}); err == nil {
 		t.Fatal("rank mismatch accepted")
 	}
-	if _, err := a.SumRange([]int{0, 0}, []int{6, 3}); err == nil {
+	if _, err := a.SumRange(chunk.View{}, []int{0, 0}, []int{6, 3}); err == nil {
 		t.Fatal("out-of-bounds box accepted")
 	}
-	if _, err := a.SumRange([]int{3, 0}, []int{2, 3}); err == nil {
+	if _, err := a.SumRange(chunk.View{}, []int{3, 0}, []int{2, 3}); err == nil {
 		t.Fatal("inverted box accepted")
 	}
 }
@@ -241,7 +241,7 @@ func TestArraySlice(t *testing.T) {
 	a, ref := buildTestArray(t, bp)
 	var got int64
 	count := 0
-	err := a.Slice(0, 3, func(coords []int, value int64) error {
+	err := a.Slice(chunk.View{}, 0, 3, func(coords []int, value int64) error {
 		if coords[0] != 3 {
 			return fmt.Errorf("slice yielded coords %v", coords)
 		}
@@ -263,10 +263,10 @@ func TestArraySlice(t *testing.T) {
 	if got != want || count != wantCount {
 		t.Fatalf("Slice sum=%d count=%d, want %d/%d", got, count, want, wantCount)
 	}
-	if err := a.Slice(5, 0, func([]int, int64) error { return nil }); err == nil {
+	if err := a.Slice(chunk.View{}, 5, 0, func([]int, int64) error { return nil }); err == nil {
 		t.Fatal("Slice with bad dimension accepted")
 	}
-	if err := a.Slice(0, 99, func([]int, int64) error { return nil }); err == nil {
+	if err := a.Slice(chunk.View{}, 0, 99, func([]int, int64) error { return nil }); err == nil {
 		t.Fatal("Slice with bad index accepted")
 	}
 }
@@ -355,7 +355,7 @@ func TestArrayLargerRandomized(t *testing.T) {
 		t.Fatalf("codec = %s", a.Store().CodecName())
 	}
 	for k, want := range ref {
-		v, ok, err := a.Get(k[:])
+		v, ok, err := a.Get(chunk.View{}, k[:])
 		if err != nil || !ok || v != want {
 			t.Fatalf("Get(%v) = (%d, %v, %v), want %d", k, v, ok, err, want)
 		}
@@ -364,7 +364,7 @@ func TestArrayLargerRandomized(t *testing.T) {
 	for _, v := range ref {
 		want += v
 	}
-	total, err = a.SumRange([]int{0, 0, 0}, []int{12, 8, 16})
+	total, err = a.SumRange(chunk.View{}, []int{0, 0, 0}, []int{12, 8, 16})
 	if err != nil || total != want {
 		t.Fatalf("SumRange(all) = (%d, %v), want %d", total, err, want)
 	}

@@ -15,8 +15,9 @@ import (
 // State() must be published (catalog + commit) to take effect. The delta
 // compactor is its one caller: its overlay is stored by location.
 //
-// The receiver must read base cells only (no overlay attached), or the
-// overlay would fold over already-merged data. On an adaptive store the
+// The fold reads the receiver's base cells alone (chunk.Store.Update
+// reads through a plain reader), so the overlay never folds over
+// already-merged data. On an adaptive store the
 // rewrite re-picks each touched chunk's codec, so compaction migrates
 // chunks whose density shifted to the now-smaller encoding.
 func (a *Array) ApplyChunkChanges(ov map[int][]chunk.OverlayCell) (*Array, error) {

@@ -57,12 +57,12 @@ func TestArrayUpdateCopyOnWrite(t *testing.T) {
 
 	// Old version unchanged.
 	for k, want := range ref {
-		v, ok, err := a.Get(k[:])
+		v, ok, err := a.Get(chunk.View{}, k[:])
 		if err != nil || !ok || v != want {
 			t.Fatalf("old version Get(%v) = (%d, %v, %v), want %d", k, v, ok, err, want)
 		}
 	}
-	if v, ok, _ := a.Get([]int64{1, 0}); ok {
+	if v, ok, _ := a.Get(chunk.View{}, []int64{1, 0}); ok {
 		t.Fatalf("old version sees inserted cell: %d", v)
 	}
 
@@ -77,7 +77,7 @@ func TestArrayUpdateCopyOnWrite(t *testing.T) {
 	want[[2]int64{2, 3}] = -7
 	for k0 := int64(0); k0 < 6; k0++ {
 		for k1 := int64(0); k1 < 4; k1++ {
-			v, ok, err := next.Get([]int64{k0, k1})
+			v, ok, err := next.Get(chunk.View{}, []int64{k0, k1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,7 +103,7 @@ func TestArrayUpdateCopyOnWrite(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open(updated): %v", err)
 	}
-	v, ok, err := re.Get([]int64{1, 0})
+	v, ok, err := re.Get(chunk.View{}, []int64{1, 0})
 	if err != nil || !ok || v != 555 {
 		t.Fatalf("reopened updated Get = (%d, %v, %v)", v, ok, err)
 	}
@@ -146,7 +146,7 @@ func TestArrayUpdateEmptiesChunk(t *testing.T) {
 		t.Fatalf("cells after full delete = %d", next.NumValidCells())
 	}
 	for k := range ref {
-		if _, ok, _ := next.Get([]int64{k[0], k[1]}); ok {
+		if _, ok, _ := next.Get(chunk.View{}, []int64{k[0], k[1]}); ok {
 			t.Fatalf("cell %v survived deletion", k)
 		}
 	}

@@ -207,7 +207,8 @@ func buildStore(geom *chunk.Geometry, mode string, cells []chunk.Cell) (*chunk.S
 
 // timeDecode measures a warm full-chunk decode: pages are resident
 // after the first read, so the loop isolates codec decode cost.
-func timeDecode(store *chunk.Store) (int64, error) {
+func timeDecode(s *chunk.Store) (int64, error) {
+	store := s.Reader(chunk.View{}, nil)
 	if _, err := store.ReadChunk(0); err != nil { // warm the pool
 		return 0, err
 	}

@@ -128,15 +128,13 @@ func TestResultCacheImageAccounting(t *testing.T) {
 // a Clear by the executor; within one cache, the byte-bounded LRU.
 func TestChunkCacheEpochAndLRU(t *testing.T) {
 	c := NewChunkCache(cellBytes*10, obs.NewRegistry())
-	v1 := c.View(nil)
 	cells := []chunk.Cell{{Offset: 0, Value: 42}}
-	v1.PutDecoded(7, cells)
-	if got, ok := v1.GetDecoded(7); !ok || got[0].Value != 42 {
+	c.PutDecoded(7, 0, cells)
+	if got, ok := c.GetDecoded(7, 0); !ok || got[0].Value != 42 {
 		t.Fatalf("GetDecoded = %v, %v", got, ok)
 	}
 	c.Clear()
-	v2 := c.View(nil)
-	if _, ok := v2.GetDecoded(7); ok {
+	if _, ok := c.GetDecoded(7, 0); ok {
 		t.Fatal("a chunk survived Clear")
 	}
 	if st := c.Stats(); st.Invalidated != 1 || st.Bytes != 0 {
@@ -145,12 +143,12 @@ func TestChunkCacheEpochAndLRU(t *testing.T) {
 	// LRU eviction under the byte bound: 10 one-cell chunks fit, the
 	// 11th evicts the least recently used.
 	for i := 0; i < 11; i++ {
-		v2.PutDecoded(i, cells)
+		c.PutDecoded(i, 0, cells)
 	}
-	if _, ok := v2.GetDecoded(0); ok {
+	if _, ok := c.GetDecoded(0, 0); ok {
 		t.Fatal("LRU chunk 0 survived")
 	}
-	if _, ok := v2.GetDecoded(10); !ok {
+	if _, ok := c.GetDecoded(10, 0); !ok {
 		t.Fatal("most recent chunk evicted")
 	}
 }
@@ -161,18 +159,17 @@ func TestChunkCacheEpochAndLRU(t *testing.T) {
 // current reader wants, and must not install its stale decode over it.
 func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
 	c := NewChunkCache(cellBytes*100, obs.NewRegistry())
-	older := c.View(map[int]uint64{7: 3})
-	newer := c.View(map[int]uint64{7: 4})
+	const older, newer = 3, 4
 	stale := []chunk.Cell{{Offset: 0, Value: 3}}
 	fresh := []chunk.Cell{{Offset: 0, Value: 4}}
-	newer.PutDecoded(7, fresh)
+	c.PutDecoded(7, newer, fresh)
 	for i := 0; i < 5; i++ {
-		// What a store does on a miss: decode and offer the cells.
-		if got, ok := older.GetDecoded(7); ok {
+		// What a reader does on a miss: decode and offer the cells.
+		if got, ok := c.GetDecoded(7, older); ok {
 			t.Fatalf("round %d: the older view was served version-4 cells %v", i, got)
 		}
-		older.PutDecoded(7, stale)
-		if got, ok := newer.GetDecoded(7); !ok || got[0].Value != 4 {
+		c.PutDecoded(7, older, stale)
+		if got, ok := c.GetDecoded(7, newer); !ok || got[0].Value != 4 {
 			t.Fatalf("round %d: the newer view got %v, %v after an older view probed; want its own cells", i, got, ok)
 		}
 	}
@@ -181,8 +178,7 @@ func TestChunkCacheOlderViewLeavesNewerEntry(t *testing.T) {
 	}
 	// A newer version still supersedes: the first reader past the next
 	// batch drops the entry and installs its own.
-	next := c.View(map[int]uint64{7: 5})
-	if _, ok := next.GetDecoded(7); ok {
+	if _, ok := c.GetDecoded(7, 5); ok {
 		t.Fatal("a version-4 entry was served to a version-5 reader")
 	}
 	if c.Len() != 0 {

@@ -57,10 +57,11 @@ func NewChunkCache(maxBytes int64, reg *obs.Registry) *ChunkCache {
 	}
 }
 
-// get returns the decoded cells of chunkNum if cached under version.
-// Versions only grow, so an entry newer than the probe is what current
-// readers want: a reader on an older snapshot misses, leaving it.
-func (c *ChunkCache) get(chunkNum int, version uint64) ([]chunk.Cell, bool) {
+// GetDecoded returns the decoded cells of chunkNum if cached under
+// version — the chunk's delta version in the reader's view. Versions
+// only grow, so an entry newer than the probe is what current readers
+// want: a reader on an older snapshot misses, leaving it.
+func (c *ChunkCache) GetDecoded(chunkNum int, version uint64) ([]chunk.Cell, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[chunkNum]
@@ -82,11 +83,11 @@ func (c *ChunkCache) get(chunkNum int, version uint64) ([]chunk.Cell, bool) {
 	return e.cells, true
 }
 
-// put stores the decoded cells of chunkNum under version. The slice is
-// retained and served to later readers, which treat decoded cells as
-// read-only throughout the engine. An older snapshot's cells do not
-// replace a newer entry.
-func (c *ChunkCache) put(chunkNum int, cells []chunk.Cell, version uint64) {
+// PutDecoded stores the decoded cells of chunkNum under version. The
+// slice is retained and served to later readers, which treat decoded
+// cells as read-only throughout the engine. An older snapshot's cells do
+// not replace a newer entry.
+func (c *ChunkCache) PutDecoded(chunkNum int, version uint64, cells []chunk.Cell) {
 	bytes := int64(len(cells)) * cellBytes
 	if bytes > c.maxBytes/4 {
 		return
@@ -152,26 +153,4 @@ func (c *ChunkCache) Clear() {
 	c.entries = make(map[int]*list.Element)
 	c.lru.Init()
 	c.bytes = 0
-}
-
-// View binds the cache to one per-chunk delta version vector, yielding
-// the chunk.DecodedCache a chunk store consults. The vector is captured
-// when an array clone is handed out, so a clone that raced an ingest
-// batch populates entries no current probe will accept. versions may be
-// nil (no deltas ever: every chunk reads as version 0).
-func (c *ChunkCache) View(versions map[int]uint64) chunk.DecodedCache {
-	return &chunkView{cache: c, versions: versions}
-}
-
-type chunkView struct {
-	cache    *ChunkCache
-	versions map[int]uint64 // read-only snapshot, shared across clones
-}
-
-func (v *chunkView) GetDecoded(chunkNum int) ([]chunk.Cell, bool) {
-	return v.cache.get(chunkNum, v.versions[chunkNum])
-}
-
-func (v *chunkView) PutDecoded(chunkNum int, cells []chunk.Cell) {
-	v.cache.put(chunkNum, cells, v.versions[chunkNum])
 }

@@ -80,10 +80,9 @@ func TestDecodeAllocMatchesDecode(t *testing.T) {
 	}
 }
 
-// A store with an arena attached (and no shared decoded cache) serves
-// reads through the scratch path; contents must match the heap path and
-// the arena must stop growing once the scratch slice covers the largest
-// chunk.
+// A reader with an arena (and no decoded cache) serves reads through the
+// scratch path; contents must match the heap path and the arena must
+// stop growing once the scratch slice covers the largest chunk.
 func TestStoreArenaScratchPath(t *testing.T) {
 	g, err := NewGeometry([]int{12, 12}, []int{4, 4})
 	if err != nil {
@@ -92,20 +91,13 @@ func TestStoreArenaScratchPath(t *testing.T) {
 	bp := newStorePool(64)
 	s, _ := buildRandomStore(t, bp, g, OffsetCodec{}, 0.6, 21)
 
-	heap := map[int][]Cell{}
-	for cn := 0; cn < g.NumChunks(); cn++ {
-		cells, err := s.ReadChunk(cn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		heap[cn] = append([]Cell(nil), cells...)
-	}
+	heap := readAll(t, plain(s))
 
 	a := arena.New()
-	s.SetArena(a)
+	r := s.Reader(View{}, a)
 	for pass := 0; pass < 2; pass++ {
 		for cn := 0; cn < g.NumChunks(); cn++ {
-			cells, err := s.ReadChunk(cn)
+			cells, err := r.ReadChunk(cn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -116,24 +108,12 @@ func TestStoreArenaScratchPath(t *testing.T) {
 	}
 	grown := a.InUse()
 	for cn := 0; cn < g.NumChunks(); cn++ {
-		if _, err := s.ReadChunk(cn); err != nil {
+		if _, err := r.ReadChunk(cn); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if a.InUse() != grown {
 		t.Fatalf("arena grew on warm re-scan: %d -> %d bytes", grown, a.InUse())
-	}
-
-	// Detaching the arena restores heap reads.
-	s.SetArena(nil)
-	for cn := 0; cn < g.NumChunks(); cn++ {
-		cells, err := s.ReadChunk(cn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !cellsEqual(cells, heap[cn]) {
-			t.Fatalf("chunk %d: post-detach read diverges", cn)
-		}
 	}
 }
 

@@ -259,7 +259,9 @@ func decodeOffsetPairs(data []byte, capacity int, cells []Cell) error {
 // chunk's bytes page by page and forwards them as runs of whole pairs,
 // checking across the whole chunk what decodeOffsetPairs checks, before
 // any pair reaches the consumer. A pair split across two pages is
-// reassembled in carry and forwarded as a run of one.
+// reassembled in carry and forwarded as a run of one. carry, nil until
+// the first split, is heap memory the walk's owner may keep for its next
+// walk: a run handed to the consumer must not point into the walk itself.
 type pairWalk struct {
 	cn, capacity int
 	prev         int64 // the last offset forwarded; -1 before the first
@@ -297,7 +299,12 @@ func (w *pairWalk) page(b []byte, stamp *atomic.Uint64, fn func(cn int, p Offset
 			stamp.Store(tag)
 		}
 	}
-	w.held = copy(w.carry[:], b[whole:])
+	if rest := b[whole:]; len(rest) > 0 {
+		if w.carry == nil {
+			w.carry = new([offsetPairSize]byte)
+		}
+		w.held = copy(w.carry[:], rest)
+	}
 	return nil
 }
 

@@ -23,25 +23,31 @@ func appendPairs(cells []Cell, p OffsetPairs) []Cell {
 	return cells
 }
 
-// visitAll reads every chunk of s through VisitChunk, in chunk order,
+// plain returns a reader of s under the zero View, with no arena.
+func plain(s *Store) *Reader {
+	r := s.Reader(View{}, nil)
+	return &r
+}
+
+// visitAll reads every chunk through r's VisitChunk, in chunk order,
 // checking ctx before each, as a query's scan does.
-func visitAll(ctx context.Context, s *Store, cells func(int, []Cell) error, pairs func(int, OffsetPairs) error) error {
-	for cn := range s.entries {
+func visitAll(ctx context.Context, r *Reader, cells func(int, []Cell) error, pairs func(int, OffsetPairs) error) error {
+	for cn := range r.s.entries {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := s.VisitChunk(cn, cells, pairs); err != nil {
+		if err := r.VisitChunk(cn, cells, pairs); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// scanRoutes reads every chunk of s through VisitChunk and returns every
+// scanRoutes reads every chunk through r's VisitChunk and returns every
 // chunk's cells as they arrived, and the chunks that arrived as pairs.
-func scanRoutes(ctx context.Context, s *Store) (map[int][]Cell, map[int]bool, error) {
+func scanRoutes(ctx context.Context, r *Reader) (map[int][]Cell, map[int]bool, error) {
 	got, framed := map[int][]Cell{}, map[int]bool{}
-	err := visitAll(ctx, s,
+	err := visitAll(ctx, r,
 		func(cn int, cells []Cell) error {
 			got[cn] = append([]Cell(nil), cells...)
 			return nil
@@ -113,9 +119,9 @@ func TestColdChunkReadsOwnPages(t *testing.T) {
 			t.Errorf("%s: SizeBytes = %d, the build added %d pages", codec.Name(), got, grew)
 		}
 		reads := map[string]func(cn int) error{
-			"ReadChunk": func(cn int) error { _, err := s.ReadChunk(cn); return err },
+			"ReadChunk": func(cn int) error { _, err := plain(s).ReadChunk(cn); return err },
 			"VisitChunk": func(cn int) error {
-				return s.VisitChunk(cn, func(int, []Cell) error { return nil },
+				return plain(s).VisitChunk(cn, func(int, []Cell) error { return nil },
 					func(int, OffsetPairs) error { return nil })
 			},
 		}
@@ -156,10 +162,12 @@ func TestScanRoutes(t *testing.T) {
 	for _, frames := range []int{256, 2} {
 		small := storage.NewBufferPool(bp.Disk(), frames)
 		for name, s := range map[string]*Store{"mixed": mixed, "paged": paged} {
-			want := readAll(t, s)
-			s = s.Clone()
-			s.bp, s.lob = small, storage.NewLOBStore(small)
-			got, framed, err := scanRoutes(context.Background(), s)
+			want := readAll(t, plain(s))
+			s, err := Open(small, s.Meta())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, framed, err := scanRoutes(context.Background(), plain(s))
 			if err != nil {
 				t.Fatalf("%s, %d frames: %v", name, frames, err)
 			}
@@ -178,13 +186,12 @@ func TestScanRoutes(t *testing.T) {
 	}
 
 	// An overlay chunk and a decoded-cache hit keep the decoded route.
-	mixed.SetOverlay(map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}})
-	if _, framed, err := scanRoutes(context.Background(), mixed); err != nil || framed[0] {
+	overlaid := mixed.Reader(View{Overlay: map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}}}, nil)
+	if _, framed, err := scanRoutes(context.Background(), &overlaid); err != nil || framed[0] {
 		t.Fatalf("overlay chunk read in place (%v)", err)
 	}
-	mixed.SetOverlay(nil)
-	mixed.SetDecodedCache(oneChunkCache{0: {{Offset: 3, Value: 9}}})
-	got, framed, err := scanRoutes(context.Background(), mixed)
+	cached := mixed.Reader(View{Cache: oneChunkCache{0: {{Offset: 3, Value: 9}}}}, nil)
+	got, framed, err := scanRoutes(context.Background(), &cached)
 	if err != nil || framed[0] || !cellsEqual(got[0], []Cell{{Offset: 3, Value: 9}}) {
 		t.Fatalf("cached chunk: read in place %v, cells %v (%v)", framed[0], got[0], err)
 	}
@@ -201,13 +208,13 @@ func TestVisitChunkRoutes(t *testing.T) {
 	mixed, _ := buildMixedStore(t, bp)
 	paged := buildPagedStore(t, bp)
 	for name, s := range map[string]*Store{"mixed": mixed, "paged": paged} {
-		want := readAll(t, s)
+		want := readAll(t, plain(s))
 		g := s.Geometry()
 		coords := make([]int, g.NumDims())
 		for cn := range s.entries {
 			var got []Cell
 			framed := false
-			err := s.VisitChunk(cn, func(_ int, c []Cell) error {
+			err := plain(s).VisitChunk(cn, func(_ int, c []Cell) error {
 				got = append(got, c...)
 				return nil
 			}, func(_ int, p OffsetPairs) error {
@@ -225,7 +232,7 @@ func TestVisitChunkRoutes(t *testing.T) {
 					continue
 				}
 				wv, wok := SearchCells(want[cn], uint32(off))
-				v, ok, err := s.Get(g.Decompose(cn, off, coords))
+				v, ok, err := plain(s).Get(g.Decompose(cn, off, coords))
 				if err != nil || v != wv || ok != wok {
 					t.Fatalf("%s chunk %d offset %d: Get = (%d, %v, %v), want (%d, %v)", name, cn, off, v, ok, err, wv, wok)
 				}
@@ -243,24 +250,23 @@ func TestVisitChunkRoutes(t *testing.T) {
 		copy(enc[(n-1)*offsetPairSize:], enc[(n-2)*offsetPairSize:][:4])
 		return enc
 	})
-	if _, _, err := paged.Get([]int{0, 0}); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
+	if _, _, err := plain(paged).Get([]int{0, 0}); err == nil || !strings.Contains(err.Error(), "not strictly sorted") {
 		t.Fatalf("Get on a corrupt chunk: err = %v", err)
 	}
 
 	// An overlay chunk and a decoded-cache hit go to cells.
-	mixed.SetOverlay(map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}})
-	if err := mixed.VisitChunk(0, func(int, []Cell) error { return nil }, func(int, OffsetPairs) error {
+	overlaid := mixed.Reader(View{Overlay: map[int][]OverlayCell{0: {{Offset: 1, Value: 5}}}}, nil)
+	if err := overlaid.VisitChunk(0, func(int, []Cell) error { return nil }, func(int, OffsetPairs) error {
 		t.Fatal("overlay chunk read in place")
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if v, ok, err := mixed.Get([]int{0, 1}); err != nil || !ok || v != 5 {
+	if v, ok, err := overlaid.Get([]int{0, 1}); err != nil || !ok || v != 5 {
 		t.Fatalf("Get of an overlay cell = (%d, %v, %v)", v, ok, err)
 	}
-	mixed.SetOverlay(nil)
-	mixed.SetDecodedCache(oneChunkCache{0: {{Offset: 3, Value: 9}}})
-	if v, ok, err := mixed.Get(mixed.Geometry().Decompose(0, 3, make([]int, 2))); err != nil || !ok || v != 9 {
+	cached := mixed.Reader(View{Cache: oneChunkCache{0: {{Offset: 3, Value: 9}}}}, nil)
+	if v, ok, err := cached.Get(mixed.Geometry().Decompose(0, 3, make([]int, 2))); err != nil || !ok || v != 9 {
 		t.Fatalf("Get of a cached cell = (%d, %v, %v)", v, ok, err)
 	}
 }
@@ -268,14 +274,17 @@ func TestVisitChunkRoutes(t *testing.T) {
 // oneChunkCache is a DecodedCache that holds fixed chunks.
 type oneChunkCache map[int][]Cell
 
-func (c oneChunkCache) GetDecoded(cn int) ([]Cell, bool) { cells, ok := c[cn]; return cells, ok }
-func (c oneChunkCache) PutDecoded(int, []Cell)           {}
+func (c oneChunkCache) GetDecoded(cn int, _ uint64) ([]Cell, bool) {
+	cells, ok := c[cn]
+	return cells, ok
+}
+func (c oneChunkCache) PutDecoded(int, uint64, []Cell) {}
 
-// BenchmarkStoreGet times a warm point read: Store.Get at random
+// BenchmarkStoreGet times a warm point read: Reader.Get at random
 // coordinates of a chunk-offset store whose chunks span pages, every
 // page already checked once in its frame.
 func BenchmarkStoreGet(b *testing.B) {
-	s := buildPagedStore(b, newStorePool(256))
+	s := plain(buildPagedStore(b, newStorePool(256)))
 	rng := rand.New(rand.NewSource(5))
 	coords := make([][]int, 1024)
 	for i := range coords {
@@ -342,7 +351,7 @@ func TestScanPairsFailures(t *testing.T) {
 			if c.pairs != nil {
 				pairs = c.pairs(ctx, cancel)
 			}
-			err := visitAll(ctx, s, func(int, []Cell) error { return nil }, pairs)
+			err := visitAll(ctx, plain(s), func(int, []Cell) error { return nil }, pairs)
 			if err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
@@ -353,15 +362,19 @@ func TestScanPairsFailures(t *testing.T) {
 	}
 }
 
-// TestScanPairsConcurrent runs four scans over clones of one store at
-// once, in a pool smaller than the store (run it with -race): each sees
-// every cell, and nothing is left pinned.
+// TestScanPairsConcurrent runs four scans over one store at once, each
+// through its own Reader, in a pool smaller than the store (run it with
+// -race): each sees every cell, and nothing is left pinned.
 func TestScanPairsConcurrent(t *testing.T) {
 	bp := newStorePool(256)
 	s := buildPagedStore(t, bp)
-	want := readAll(t, s)
+	want := readAll(t, plain(s))
 	small := storage.NewBufferPool(bp.Disk(), 24)
 	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Open(small, s.Meta())
+	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
@@ -370,10 +383,9 @@ func TestScanPairsConcurrent(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			c := s.Clone()
-			c.bp, c.lob = small, storage.NewLOBStore(small)
+			r := shared.Reader(View{}, nil)
 			for i := 0; i < 10; i++ {
-				got, _, err := scanRoutes(context.Background(), c)
+				got, _, err := scanRoutes(context.Background(), &r)
 				for cn, cells := range want {
 					if err == nil && !cellsEqual(got[cn], cells) {
 						err = fmt.Errorf("chunk %d diverges", cn)
@@ -540,8 +552,7 @@ func walkSplit(t testing.TB, data []byte, capacity, page int, fn func(cn int, p 
 
 // walkStamped is one walk of walkSplit, page i stamped in stamps[i].
 func walkStamped(data []byte, capacity, page int, stamps []atomic.Uint64, fn func(cn int, p OffsetPairs) error) error {
-	var carry [offsetPairSize]byte
-	w := pairWalk{cn: 3, capacity: capacity, prev: -1, carry: &carry}
+	w := pairWalk{cn: 3, capacity: capacity, prev: -1}
 	for i, b := 0, data; len(b) > 0; i++ {
 		n := min(len(b), page+i%2*(page%offsetPairSize+1))
 		if err := w.page(b[:n], &stamps[i], fn); err != nil {

@@ -148,7 +148,7 @@ func TestV1BlobNeverStartsWithZero(t *testing.T) {
 
 // FuzzStoreUpdate holds compaction to merge-on-read: an overlay folded
 // into a store by Update reads back, chunk for chunk, as ReadChunk reads
-// the old store with the overlay attached, and the old store is
+// the old store through a reader under the overlay, and the old store is
 // unchanged. The base is a forced chunk-offset or diff-seq store, or an
 // adaptive one; the overlay sets, overwrites and deletes present and
 // absent cells. Unless raw, each chunk's overlay is first sorted, its
@@ -215,7 +215,7 @@ func FuzzStoreUpdate(f *testing.F) {
 			}
 		}
 
-		before := readAll(t, base)
+		before := readAll(t, plain(base))
 		pages := bp.Disk().NumPages()
 		upd, err := base.Update(ov)
 		if !ok {
@@ -230,9 +230,8 @@ func FuzzStoreUpdate(f *testing.F) {
 		if err != nil {
 			t.Fatalf("Update: %v", err)
 		}
-		merged := base.Clone()
-		merged.SetOverlay(ov)
-		want, got := readAll(t, merged), readAll(t, upd)
+		merged := base.Reader(View{Overlay: ov}, nil)
+		want, got := readAll(t, &merged), readAll(t, plain(upd))
 		var n int64
 		for cn, cells := range want {
 			if !cellsEqual(got[cn], cells) {
@@ -243,7 +242,7 @@ func FuzzStoreUpdate(f *testing.F) {
 		if upd.NumValidCells() != n {
 			t.Fatalf("Update counts %d cells, the chunks hold %d", upd.NumValidCells(), n)
 		}
-		for cn, cells := range readAll(t, base) {
+		for cn, cells := range readAll(t, plain(base)) {
 			if !cellsEqual(cells, before[cn]) {
 				t.Fatalf("chunk %d of the old store changed", cn)
 			}

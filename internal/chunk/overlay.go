@@ -10,16 +10,6 @@ type OverlayCell struct {
 	Delete bool
 }
 
-// SetOverlay attaches a per-chunk overlay snapshot to the store (nil
-// detaches). Every slice must be offset-sorted, duplicate-free, and
-// immutable after the call: the map and slices are shared by every
-// Clone of this store and read without locking. Reads merge the overlay
-// over the encoded base cells — the overlay wins on equal offsets, and
-// Delete entries drop the cell.
-func (s *Store) SetOverlay(ov map[int][]OverlayCell) {
-	s.overlay = ov
-}
-
 // mergeOverlayInto merge-joins base (offset-sorted decoded cells) with
 // ov (offset-sorted overlay) into dst, which is returned. Overlay
 // entries win on equal offsets; deletes drop the cell.

@@ -30,24 +30,28 @@ type chunkEntry struct {
 }
 
 // DecodedCache is an optional process-level cache of decoded chunks a
-// Store consults before paying the blob read + decode. Implementations
-// must be safe for concurrent use (clones of one Store share the same
-// cache); cell slices that cross the interface are shared and must be
-// treated as read-only by everyone.
+// Reader consults before paying the blob read + decode. Entries are
+// tagged with the chunk's delta version, which the reader takes from its
+// View, so an entry never crosses snapshots. Implementations must be
+// safe for concurrent use (every reader of a statement shares one);
+// cell slices that cross the interface are shared and must be treated
+// as read-only by everyone.
 type DecodedCache interface {
 	// GetDecoded returns the decoded, offset-sorted cells of the chunk
-	// if cached.
-	GetDecoded(chunkNum int) ([]Cell, bool)
-	// PutDecoded offers freshly decoded cells for retention; the cache
-	// takes ownership of the slice.
-	PutDecoded(chunkNum int, cells []Cell)
+	// if cached under version.
+	GetDecoded(chunkNum int, version uint64) ([]Cell, bool)
+	// PutDecoded offers freshly decoded cells for retention under
+	// version; the cache takes ownership of the slice.
+	PutDecoded(chunkNum int, version uint64, cells []Cell)
 }
 
 // Store is a persistent chunked array: one blob per non-empty chunk plus
-// a metadata directory blob. A Store is immutable once built; rebuilding
-// writes a new Store.
+// a metadata directory blob — the paper's per-array directory of each
+// chunk's OID and length (§3.3). A Store is immutable: Builder.Write,
+// Open and Update return it complete, and no field is written after, so
+// any number of goroutines read it at once, each through its own Reader.
+// Rebuilding writes a new Store.
 type Store struct {
-	bp   *storage.BufferPool
 	lob  *storage.LOBStore
 	geom *Geometry
 	// codec is the forced store-wide codec, or nil for an adaptive
@@ -59,38 +63,45 @@ type Store struct {
 
 	totalPages int64
 	validCells int64
+}
 
-	// shared, when set, is a concurrent decoded-chunk cache sitting
-	// above the buffer pool: ReadChunk probes it and offers what it
-	// decodes.
-	shared DecodedCache
+// View is what the readers of one statement read a Store under: the
+// pending delta overlay of one instant, the per-chunk versions of the
+// same instant, and the decoded-chunk cache those versions tag. Its maps
+// are immutable and shared by every reader. The zero View reads the
+// base cells alone, uncached.
+type View struct {
+	// Overlay holds per-chunk cell states merged over the base cells on
+	// every read: each slice offset-sorted and duplicate-free. The
+	// overlay wins on equal offsets, and Delete entries drop the cell.
+	Overlay map[int][]OverlayCell
+	// Versions holds each chunk's delta version (absent = 0): the tag of
+	// what a reader takes from Cache and offers it.
+	Versions map[int]uint64
+	// Cache, when set, is a decoded-chunk cache above the buffer pool:
+	// ReadChunk probes it and offers what it decodes.
+	Cache DecodedCache
+}
 
-	// Scratch buffers ReadChunk reuses when an arena is attached and no
-	// cache is, so a query's reads do not allocate per chunk.
-	scratchEnc   []byte
-	scratchCells []Cell
+// Reader reads one Store under one View for one goroutine: it owns the
+// scratch its reads reuse, carved from the arena it was made with. Make
+// one per goroutine (Store.Reader) over the one shared Store; a Reader
+// is not safe for concurrent use.
+type Reader struct {
+	s *Store
+	v View
 
-	// mem, when set via SetArena, supplies decode destinations for this
-	// store's query-lifetime reads. scratchAlloc is the matching
-	// CellAllocator, built once so the hot decode path does not allocate
-	// a closure per chunk.
-	mem          *arena.Arena
+	// scratchAlloc, set when the reader has an arena, supplies decode
+	// destinations from it; built once so the hot decode path does not
+	// allocate a closure per chunk. scratchEnc and mergeScratch are the
+	// reused read buffer and merge destination of the same reads.
 	scratchAlloc CellAllocator
-
-	// overlay, when set via SetOverlay, is an immutable per-chunk delta
-	// snapshot merged over the base cells on every read path, so a query
-	// clone sees (base + deltas as of clone time) without the chunk
-	// files changing. Clones share the snapshot (it is never mutated).
-	overlay map[int][]OverlayCell
-
-	// mergeScratch is the reused merge destination of a scratch read
-	// when a chunk has overlay cells; like scratchCells it is valid only
-	// until the next read on this store.
+	scratchEnc   []byte
 	mergeScratch []Cell
 
 	// carry holds a chunk-offset pair split across two pages while a
-	// chunk is read in place (walkPairs).
-	carry [offsetPairSize]byte
+	// chunk is read in place (walkPairs); allocated at the first split.
+	carry *[offsetPairSize]byte
 }
 
 // Builder accumulates cells and writes them out as a Store.
@@ -144,7 +155,6 @@ func (b *Builder) NumCells() int64 { return b.n }
 // cross-product enumeration exploits (§4.2).
 func (b *Builder) Write(bp *storage.BufferPool) (*Store, error) {
 	s := &Store{
-		bp:      bp,
 		lob:     storage.NewLOBStore(bp),
 		geom:    b.geom,
 		codec:   b.codec,
@@ -362,7 +372,6 @@ func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 		return nil, fmt.Errorf("open chunk store, directory blob at page %d: %w", uint64(meta.First), err)
 	}
 	return &Store{
-		bp:         bp,
 		lob:        lob,
 		geom:       d.geom,
 		codec:      d.codec,
@@ -436,101 +445,82 @@ func (s *Store) EncodedBytes() int64 {
 	return n
 }
 
+// Reader returns a reader of s under v. With mem set and no cache in v,
+// the cells ReadChunk returns live in the reader's scratch, carved from
+// mem: valid until the reader's next read or mem's Reset, whichever
+// comes first. Otherwise they are on the GC heap.
+func (s *Store) Reader(v View, mem *arena.Arena) Reader {
+	r := Reader{s: s, v: v}
+	if mem != nil {
+		r.scratchAlloc = scratchCells(mem)
+	}
+	return r
+}
+
+// scratchCells is a CellAllocator that reuses one slice carved from
+// mem, growing it only when a chunk needs more cells.
+func scratchCells(mem *arena.Arena) CellAllocator {
+	var cells []Cell
+	return func(n int) []Cell {
+		if cap(cells) >= n {
+			return cells[:n]
+		}
+		cells = arena.Make[Cell](mem, n)
+		return cells
+	}
+}
+
 // ChunkCells reports the valid-cell count of one chunk without reading
-// it. With an overlay attached the figure is an upper bound (an overlay
+// it. With an overlay pending the figure is an upper bound (an overlay
 // entry may overwrite or delete a base cell): callers only use it to
 // skip chunks with a zero bound, and a zero bound implies the merged
 // chunk is empty. A nonzero bound over an actually-empty merge (all
 // deletes) just costs one read that yields no cells.
-func (s *Store) ChunkCells(chunkNum int) int64 {
-	n := int64(s.entries[chunkNum].cells)
-	if ov := s.overlay[chunkNum]; len(ov) > 0 {
-		n += int64(len(ov))
-	}
-	return n
-}
-
-// Clone returns a Store sharing the immutable directory but with its own
-// scratch buffers and carry, for use from another goroutine. The
-// clone starts without an arena — each reader attaches its own.
-func (s *Store) Clone() *Store {
-	c := *s
-	c.scratchEnc = nil
-	c.scratchCells = nil
-	c.mem = nil
-	c.scratchAlloc = nil
-	c.mergeScratch = nil
-	return &c
-}
-
-// SetDecodedCache attaches a shared decoded-chunk cache (nil detaches).
-// Clones of this Store copy the attachment.
-func (s *Store) SetDecodedCache(d DecodedCache) { s.shared = d }
-
-// SetArena attaches an arena supplying decode destinations for this
-// store's reads (nil detaches). With an arena attached, cells returned by
-// ReadChunk are carved from it and remain valid only until the next read
-// on this store or the arena's Reset — whichever comes first — so attach
-// arenas only to single-reader stores (per-query clones, per-worker
-// clones) whose reads never outlive the query. Attaching clears the
-// scratch buffers: they may reference a previous arena that the caller
-// is about to recycle.
-func (s *Store) SetArena(a *arena.Arena) {
-	s.mem = a
-	s.scratchEnc = nil
-	s.scratchCells = nil
-	if a == nil {
-		s.scratchAlloc = nil
-		return
-	}
-	s.scratchAlloc = func(n int) []Cell {
-		if cap(s.scratchCells) >= n {
-			return s.scratchCells[:n]
-		}
-		c := arena.Make[Cell](a, n)
-		s.scratchCells = c
-		return c
-	}
+func (r *Reader) ChunkCells(chunkNum int) int64 {
+	return int64(r.s.entries[chunkNum].cells) + int64(len(r.v.Overlay[chunkNum]))
 }
 
 // ReadChunk returns the decoded, offset-sorted cells of the chunk,
 // merged with the overlay. Empty chunks decode to nil. The returned
 // slice may be shared with the decoded-chunk cache; callers must treat
 // it as read-only (every engine reader does — updates copy before
-// merging). With an arena attached and no cache, the cells live in the
-// store's scratch buffers and are valid until the next read on this
-// store; otherwise they are on the GC heap.
-func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
+// merging). With an arena and no cache, the cells live in the reader's
+// scratch and are valid until its next read; otherwise they are on the
+// GC heap.
+func (r *Reader) ReadChunk(chunkNum int) ([]Cell, error) {
+	s := r.s
 	if chunkNum < 0 || chunkNum >= len(s.entries) {
 		return nil, fmt.Errorf("chunk: chunk number %d out of [0,%d)", chunkNum, len(s.entries))
 	}
 	e := s.entries[chunkNum]
-	ov := s.overlay[chunkNum]
+	ov := r.v.Overlay[chunkNum]
 	if !e.ref.Valid() && len(ov) == 0 {
 		return nil, nil
 	}
-	if s.shared != nil {
-		// Cached cells were merged with this store's overlay snapshot
-		// before being offered; the cache's per-chunk version tag keeps
-		// entries from crossing snapshots.
-		if cells, ok := s.shared.GetDecoded(chunkNum); ok {
+	cache := r.v.Cache
+	var version uint64
+	if cache != nil {
+		// Cached cells were merged with the overlay of the instant their
+		// version names, so the tag keeps entries from crossing views.
+		version = r.v.Versions[chunkNum]
+		if cells, ok := cache.GetDecoded(chunkNum, version); ok {
 			return cells, nil
 		}
 	}
-	// A shared cache takes ownership of what it is offered (PutDecoded),
-	// so anything that might reach it must live on the GC heap — never in
+	// A cache takes ownership of what it is offered (PutDecoded), so
+	// anything that might reach it must live on the GC heap — never in
 	// an arena that resets at end of query. Without one, nothing
 	// downstream may retain the cells, and an arena-backed read reuses
 	// the scratch buffers: zero allocations once warm.
-	scratch := s.shared == nil && s.mem != nil
+	scratch := cache == nil && r.scratchAlloc != nil
 	var cells []Cell
 	if e.ref.Valid() {
 		var data []byte
 		var err error
 		var alloc CellAllocator
 		if scratch {
-			data, err = s.lob.ReadExtent(e.ref, int(e.bytes), s.scratchEnc)
-			s.scratchEnc, alloc = data, s.scratchAlloc
+			data, err = s.lob.ReadExtent(e.ref, int(e.bytes), r.scratchEnc)
+			r.scratchEnc, alloc = data, r.scratchAlloc
 		} else {
 			data, err = s.lob.ReadExtent(e.ref, int(e.bytes), nil)
 		}
@@ -549,14 +539,14 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 		if scratch {
 			// Into the reused merge buffer, never in place: cells may
 			// alias the decode scratch the next read reuses.
-			s.mergeScratch = mergeOverlayInto(s.mergeScratch[:0], cells, ov)
-			cells = s.mergeScratch
+			r.mergeScratch = mergeOverlayInto(r.mergeScratch[:0], cells, ov)
+			cells = r.mergeScratch
 		} else {
 			cells = mergeOverlayInto(make([]Cell, 0, len(cells)+len(ov)), cells, ov)
 		}
 	}
-	if s.shared != nil {
-		s.shared.PutDecoded(chunkNum, cells)
+	if cache != nil {
+		cache.PutDecoded(chunkNum, version, cells)
 	}
 	return cells, nil
 }
@@ -566,17 +556,17 @@ func (s *Store) ReadChunk(chunkNum int) ([]Cell, error) {
 // not hold goes to pairs as runs read in place from its pinned frames
 // (walkPairs, no copy and no decode); any other chunk goes to cells as
 // ReadChunk returns it, so the cache still takes what is decoded.
-func (s *Store) VisitChunk(cn int, cells func(chunkNum int, c []Cell) error,
+func (r *Reader) VisitChunk(cn int, cells func(chunkNum int, c []Cell) error,
 	pairs func(chunkNum int, p OffsetPairs) error) error {
-	if cn >= 0 && cn < len(s.entries) && s.readsInPlace(cn) {
-		if s.shared != nil {
-			if c, ok := s.shared.GetDecoded(cn); ok {
+	if cn >= 0 && cn < len(r.s.entries) && r.readsInPlace(cn) {
+		if r.v.Cache != nil {
+			if c, ok := r.v.Cache.GetDecoded(cn, r.v.Versions[cn]); ok {
 				return cells(cn, c)
 			}
 		}
-		return s.walkPairs(cn, pairs)
+		return r.walkPairs(cn, pairs)
 	}
-	c, err := s.ReadChunk(cn)
+	c, err := r.ReadChunk(cn)
 	if err != nil {
 		return err
 	}
@@ -586,13 +576,13 @@ func (s *Store) VisitChunk(cn int, cells func(chunkNum int, c []Cell) error,
 // Get returns the value of the cell at coords and whether it is valid. A
 // chunk read in place is searched where it sits (OffsetPairs.Seek), and
 // the walk still checks every pair of the chunk.
-func (s *Store) Get(coords []int) (int64, bool, error) {
-	if err := s.geom.CheckCoords(coords); err != nil {
+func (r *Reader) Get(coords []int) (int64, bool, error) {
+	if err := r.s.geom.CheckCoords(coords); err != nil {
 		return 0, false, err
 	}
-	cn, off := s.geom.Locate(coords)
+	cn, off := r.s.geom.Locate(coords)
 	p := pointSeek{off: uint32(off)}
-	err := s.VisitChunk(cn, p.cells, p.pairs)
+	err := r.VisitChunk(cn, p.cells, p.pairs)
 	return p.value, p.found, err
 }
 
@@ -623,22 +613,24 @@ func (p *pointSeek) pairs(_ int, run OffsetPairs) error {
 
 // readsInPlace reports whether VisitChunk can take chunk cn straight from
 // the frames it sits in: a non-empty chunk-offset chunk with no overlay.
-func (s *Store) readsInPlace(cn int) bool {
-	_, offset := s.entryCodec(cn).(OffsetCodec)
-	return offset && s.entries[cn].cells > 0 && len(s.overlay[cn]) == 0
+func (r *Reader) readsInPlace(cn int) bool {
+	_, offset := r.s.entryCodec(cn).(OffsetCodec)
+	return offset && r.s.entries[cn].cells > 0 && len(r.v.Overlay[cn]) == 0
 }
 
 // walkPairs hands chunk cn, a chunk-offset chunk with no overlay cells,
 // to fn as runs of pairs read in place from the pinned buffer-pool
 // frames, with every check ReadChunk makes of a decoded chunk.
-func (s *Store) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) error {
+func (r *Reader) walkPairs(cn int, fn func(chunkNum int, p OffsetPairs) error) error {
+	s := r.s
 	e := s.entries[cn]
-	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: &s.carry}
+	w := pairWalk{cn: cn, capacity: s.geom.ChunkCapacity(), prev: -1, carry: r.carry}
 	var inner error // the callback's own error: a corrupt pair, or fn's
 	err := s.lob.WalkExtent(e.ref, int(e.bytes), func(page []byte, stamp *atomic.Uint64) error {
 		inner = w.page(page, stamp, fn)
 		return inner
 	})
+	r.carry = w.carry
 	if inner != nil {
 		return inner
 	} else if err != nil {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/arena"
 	"repro/internal/storage"
 )
 
@@ -72,7 +73,7 @@ func TestStoreBuildGetScan(t *testing.T) {
 				for j := 0; j < 11; j++ {
 					for k := 0; k < 8; k++ {
 						coords[0], coords[1], coords[2] = i, j, k
-						v, ok, err := s.Get(coords)
+						v, ok, err := plain(s).Get(coords)
 						if err != nil {
 							t.Fatalf("Get(%v): %v", coords, err)
 						}
@@ -87,7 +88,7 @@ func TestStoreBuildGetScan(t *testing.T) {
 			// Reading every chunk recovers every cell exactly once.
 			seen := int64(0)
 			dst := make([]int, 3)
-			for cn, cells := range readAll(t, s) {
+			for cn, cells := range readAll(t, plain(s)) {
 				for _, c := range cells {
 					s.geom.Decompose(cn, int(c.Offset), dst)
 					want, valid := ref[coordKey(dst)]
@@ -126,7 +127,7 @@ func TestStoreReopen(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		for j := 0; j < 10; j++ {
 			coords[0], coords[1] = i, j
-			v, ok, err := s2.Get(coords)
+			v, ok, err := plain(s2).Get(coords)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,16 +151,16 @@ func TestStoreEmptyChunksSkipped(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for cn, cells := range readAll(t, s) {
+	for cn, cells := range readAll(t, plain(s)) {
 		if cn == 2 && (len(cells) != 1 || cells[0].Value != 44) || cn != 2 && len(cells) != 0 {
 			t.Fatalf("chunk %d read %d cells", cn, len(cells))
 		}
 	}
-	cells, err := s.ReadChunk(0)
+	cells, err := plain(s).ReadChunk(0)
 	if err != nil || cells != nil {
 		t.Fatalf("ReadChunk(empty) = (%v, %v)", cells, err)
 	}
-	if s.ChunkCells(2) != 1 || s.ChunkCells(0) != 0 {
+	if plain(s).ChunkCells(2) != 1 || plain(s).ChunkCells(0) != 0 {
 		t.Fatal("ChunkCells wrong")
 	}
 }
@@ -195,22 +196,30 @@ func TestStoreBuilderValidation(t *testing.T) {
 	}
 }
 
-func TestStoreCloneIndependentCache(t *testing.T) {
+// TestReadersDoNotShareScratch: two readers of one store, each with its
+// own arena, decode into their own scratch — cells one returned stay
+// intact while the other reads a different chunk.
+func TestReadersDoNotShareScratch(t *testing.T) {
 	bp := newStorePool(256)
 	g := mustGeometry(t, []int{10, 10}, []int{5, 5})
-	s, _ := buildRandomStore(t, bp, g, OffsetCodec{}, 0.5, 3)
-	c := s.Clone()
-	// Warm different chunks in each; both must stay correct.
-	if _, _, err := s.Get([]int{0, 0}); err != nil {
+	s, _ := buildRandomStore(t, bp, g, DiffSeqCodec{}, 0.5, 3)
+	want := readAll(t, plain(s))
+	r1, r2 := s.Reader(View{}, arena.New()), s.Reader(View{}, arena.New())
+	first, err := r1.ReadChunk(0)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.Get([]int{9, 9}); err != nil {
-		t.Fatal(err)
+	for cn := 1; cn < g.NumChunks(); cn++ {
+		cells, err := r2.ReadChunk(cn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !cellsEqual(cells, want[cn]) {
+			t.Fatalf("second reader, chunk %d: %v, want %v", cn, cells, want[cn])
+		}
 	}
-	v1, ok1, _ := s.Get([]int{9, 9})
-	v2, ok2, _ := c.Get([]int{9, 9})
-	if v1 != v2 || ok1 != ok2 {
-		t.Fatal("clone cache interference")
+	if !cellsEqual(first, want[0]) {
+		t.Fatalf("first reader's chunk 0 changed under the second reader's reads: %v, want %v", first, want[0])
 	}
 }
 
@@ -234,10 +243,10 @@ func TestStoreGetInvalidCoords(t *testing.T) {
 	bp := newStorePool(64)
 	g := mustGeometry(t, []int{4}, []int{2})
 	s, _ := buildRandomStore(t, bp, g, OffsetCodec{}, 1, 1)
-	if _, _, err := s.Get([]int{4}); err == nil {
+	if _, _, err := plain(s).Get([]int{4}); err == nil {
 		t.Fatal("Get out of bounds succeeded")
 	}
-	if _, err := s.ReadChunk(99); err == nil {
+	if _, err := plain(s).ReadChunk(99); err == nil {
 		t.Fatal("ReadChunk out of range succeeded")
 	}
 }

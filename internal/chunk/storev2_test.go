@@ -37,11 +37,11 @@ func buildMixedStore(t *testing.T, bp *storage.BufferPool) (*Store, *Geometry) {
 	return s, g
 }
 
-func readAll(t *testing.T, s *Store) map[int][]Cell {
+func readAll(t *testing.T, r *Reader) map[int][]Cell {
 	t.Helper()
 	out := map[int][]Cell{}
-	for cn := 0; cn < s.Geometry().NumChunks(); cn++ {
-		cells, err := s.ReadChunk(cn)
+	for cn := 0; cn < r.s.Geometry().NumChunks(); cn++ {
+		cells, err := r.ReadChunk(cn)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -64,7 +64,7 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 		t.Fatalf("dense chunk tagged %q, want %q", got, CodecDiffSeq)
 	}
 
-	want := readAll(t, s)
+	want := readAll(t, plain(s))
 	ro, err := Open(bp, s.Meta())
 	if err != nil {
 		t.Fatal(err)
@@ -72,7 +72,7 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	if !ro.Adaptive() {
 		t.Fatal("reopened store is not adaptive")
 	}
-	for cn, cells := range readAll(t, ro) {
+	for cn, cells := range readAll(t, plain(ro)) {
 		if !cellsEqual(cells, want[cn]) {
 			t.Fatalf("chunk %d diverges after reopen", cn)
 		}
@@ -165,7 +165,7 @@ func TestUpdateRecodesAdaptiveChunks(t *testing.T) {
 	// Under the new tag, contents must match a reference replay: the 8
 	// original cells sat at offsets {0, 50, ..., 350}; fill overwrites
 	// the six below 300, leaving the survivors at 300 and 350.
-	cells, err := upd.ReadChunk(0)
+	cells, err := plain(upd).ReadChunk(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,9 +11,9 @@ import (
 // written; untouched chunks share their blobs with the receiver (blobs
 // are immutable, so sharing is safe). The receiver remains a valid,
 // unchanged snapshot — this is the chunk-level half of the engine's
-// shadow-version update path. Each chunk folds with the merge every
-// reader of the same overlay runs (ReadChunk), so what is written is
-// what those readers saw. The overlay is checked whole before anything
+// shadow-version update path. Each chunk's base is read through a plain
+// Reader and folds with the merge every reader of the same overlay runs
+// (ReadChunk), so what is written is what those readers saw. The overlay is checked whole before anything
 // is written: every slice must hold offsets strictly ascending and
 // valid in its chunk.
 func (s *Store) Update(ov map[int][]OverlayCell) (*Store, error) {
@@ -32,14 +32,14 @@ func (s *Store) Update(ov map[int][]OverlayCell) (*Store, error) {
 		}
 	}
 	out := &Store{
-		bp:      s.bp,
 		lob:     s.lob,
 		geom:    s.geom,
 		codec:   s.codec,
 		entries: append([]chunkEntry(nil), s.entries...),
 	}
+	base := s.Reader(View{}, nil)
 	for cn, chs := range ov {
-		cells, err := s.ReadChunk(cn)
+		cells, err := base.ReadChunk(cn)
 		if err != nil {
 			return nil, err
 		}

@@ -126,7 +126,7 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 		workers = 1
 	}
 	// One pooled arena per worker holds its cube, its kernel's tables and
-	// its store clone's decode scratch; the cube carries it until Release.
+	// its reader's decode scratch; the cube carries it until Release.
 	return runParts(ctx, workers, len(chunks), func(ctx context.Context, _ int, next func() (int, bool), p *workerPartial) {
 		ar := queryArenas.Get()
 		gm, err := newArrayGroupMapperIn(a, s.Group, ar)
@@ -135,26 +135,26 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 			p.err = err
 			return
 		}
-		store := a.Store().Clone()
-		store.SetArena(ar)
+		r := a.Store().Reader(s.View, ar)
 		p.res = gm.result
-		p.err = newChunkKernel(a.Geometry(), gm, sel, ar).foldClaimed(ctx, store, chunks, next, &p.m)
+		p.err = newChunkKernel(a.Geometry(), gm, sel, ar).foldClaimed(ctx, &r, chunks, next, &p.m)
 		p.rows, p.io = p.m.ProbeHits+p.m.CellsScanned, p.m.ChunksRead
 	})
 }
 
 // arrayCandidates lists, ascending, the chunks an array run reads: with
 // s.OnlyHot the chunks of s.Hot that sel reaches, otherwise every other
-// chunk with cells that sel (nil = every cell) reaches. The Hot chunks
-// are listed whatever their cells: the hot side exists to fold their
-// overlay.
+// chunk with cells under s.View that sel (nil = every cell) reaches. The
+// Hot chunks are listed whatever their cells: the hot side exists to
+// fold their overlay.
 func arrayCandidates(a *array.Array, sel *chunkSelection, s *ScanSpec) []int {
 	if s.OnlyHot {
 		return sel.reached(s.Hot)
 	}
+	counts := a.Store().Reader(s.View, nil)
 	keep := func(cn int) bool {
 		_, hot := slices.BinarySearch(s.Hot, cn)
-		return !hot && a.Store().ChunkCells(cn) > 0
+		return !hot && counts.ChunkCells(cn) > 0
 	}
 	if sel != nil {
 		return sel.candidateChunks(keep)

@@ -169,17 +169,12 @@ func defaultFixture(t testing.TB, seed int64) *fixture {
 // engine through one table of ScanSpecs.
 var engines = []string{"array", "starjoin", "bitmap"}
 
-// run hands s to the named engine over the fixture's data. The array
-// engine's pending deltas ride on the array itself, so with an overlay
-// it reads the overlay's clone.
+// run hands s to the named engine over the fixture's data. Pending
+// deltas ride in s: the array engine reads them under s.View.
 func (fx *fixture) run(ctx context.Context, engine string, s ScanSpec) (*Result, Metrics, error) {
 	switch engine {
 	case "array":
-		arr := fx.arr
-		if s.Overlay != nil {
-			arr = s.Overlay.Arr
-		}
-		return ArrayConsolidate(ctx, arr, s)
+		return ArrayConsolidate(ctx, fx.arr, s)
 	case "starjoin":
 		return StarJoinConsolidate(ctx, fx.ff, fx.dims, s)
 	case "bitmap":

@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/array"
+	"repro/internal/chunk"
 )
 
 // Cuboid is one group-by of a data cube: the subset of dimensions
@@ -43,8 +44,9 @@ func subsetKey(dims []int) string {
 // with a single pass over the array, and every coarser cuboid is rolled
 // up from its smallest already-materialized parent in the cube lattice —
 // the aggregates are distributive, so no second array scan is needed.
-func ArrayCube(a *array.Array, spec GroupSpec) ([]Cuboid, Metrics, error) {
-	base, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: spec})
+// The scan reads the array under v.
+func ArrayCube(a *array.Array, v chunk.View, spec GroupSpec) ([]Cuboid, Metrics, error) {
+	base, m, err := ArrayConsolidate(context.TODO(), a, ScanSpec{Group: spec, View: v})
 	if err != nil {
 		return nil, m, err
 	}

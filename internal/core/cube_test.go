@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"testing/quick"
+
+	"repro/internal/chunk"
 )
 
 func TestRollUpMatchesDirectConsolidation(t *testing.T) {
@@ -37,7 +39,7 @@ func TestRollUpMatchesDirectConsolidation(t *testing.T) {
 func TestArrayCubeMatchesNaive(t *testing.T) {
 	fx := defaultFixture(t, 42)
 	spec := GroupByAttrs(3, 0)
-	fast, _, err := ArrayCube(fx.arr, spec)
+	fast, _, err := ArrayCube(fx.arr, chunk.View{}, spec)
 	if err != nil {
 		t.Fatalf("ArrayCube: %v", err)
 	}
@@ -67,7 +69,7 @@ func TestArrayCubeMatchesNaive(t *testing.T) {
 func TestArrayCubeScansArrayOnce(t *testing.T) {
 	fx := defaultFixture(t, 43)
 	spec := GroupByAttrs(3, 0)
-	_, mFast, err := ArrayCube(fx.arr, spec)
+	_, mFast, err := ArrayCube(fx.arr, chunk.View{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +92,7 @@ func TestArrayCubeWithMixedSpec(t *testing.T) {
 		{Target: Collapse},
 		{Target: GroupByKey},
 	}
-	cuboids, _, err := ArrayCube(fx.arr, spec)
+	cuboids, _, err := ArrayCube(fx.arr, chunk.View{}, spec)
 	if err != nil {
 		t.Fatal(err)
 	}

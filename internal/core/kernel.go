@@ -251,10 +251,10 @@ func (k *chunkKernel) consolidatePairs(cn int, p chunk.OffsetPairs) error {
 // folded from its pinned frames, any other chunk from ReadChunk's cells.
 // Seeking chunks count Probes (their candidate cells) and ProbeHits,
 // filtered ones CellsScanned.
-func (k *chunkKernel) foldChunk(store *chunk.Store, cn int, m *Metrics) error {
+func (k *chunkKernel) foldChunk(r *chunk.Reader, cn int, m *Metrics) error {
 	m.ChunksRead++
-	k.begin(cn, int(store.ChunkCells(cn)))
-	if err := store.VisitChunk(cn, k.foldCell, k.foldPair); err != nil {
+	k.begin(cn, int(r.ChunkCells(cn)))
+	if err := r.VisitChunk(cn, k.foldCell, k.foldPair); err != nil {
 		return err
 	}
 	if k.seeking {

@@ -21,6 +21,7 @@ type kernelCase struct {
 	fx         *fixture
 	attrCards  [][]int
 	validCells int64
+	view       chunk.View // the pending overlay's, for overlay cases
 }
 
 // randomKernelCase draws a geometry of 1-5 dimensions with sizes that
@@ -44,21 +45,21 @@ func randomKernelCase(t *testing.T, rng *rand.Rand, overlay bool) kernelCase {
 	base := randomFacts(rng, dimSizes, []float64{0.05, 0.4, 0.95}[rng.Intn(3)])
 	fx.load(t, base, shape)
 	if !overlay {
-		return kernelCase{fx, attrCards, int64(len(base.keys))}
+		return kernelCase{fx, attrCards, int64(len(base.keys)), chunk.View{}}
 	}
-	fold, merged, validCells := layOverlay(t, rng, fx, nil)
-	fx.arr, fx.ff = fold.Arr, merged
-	return kernelCase{fx, attrCards, validCells}
+	deltas, merged, validCells := layOverlay(t, rng, fx, nil)
+	fx.ff = merged
+	return kernelCase{fx, attrCards, validCells, deltas.view}
 }
 
 // layOverlay puts a loaded fixture mid-ingest. It draws random upserts
-// and deletes and returns them as an OverlayFold — a clone of fx.arr
-// with the deltas pending, plus the chunks they touch — next to a fact
+// and deletes and returns them as pending deltas over fx.arr — the
+// fold of the chunks they touch and the view that reads them — next to a fact
 // file holding the state once they are merged, and that state's cell
 // count. fx itself is unchanged, so its fact file is now stale in the
 // touched chunks. within, when set, keeps the deltas to the chunks it
 // accepts.
-func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture, within func(cn int) bool) (*OverlayFold, *factfile.File, int64) {
+func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture, within func(cn int) bool) (*pending, *factfile.File, int64) {
 	g := fx.arr.Geometry()
 	n := g.NumDims()
 	// The test keys are 0..size-1 and the array indexes them in key
@@ -129,17 +130,30 @@ func layOverlay(t *testing.T, rng *rand.Rand, fx *fixture, within func(cn int) b
 	return fold, newFactFile(t, fx.bp, n, file), int64(len(merged))
 }
 
-// pendingOverlay returns a clone of fx.arr with ov (cells in any order)
-// pending over it, and the chunks ov touches.
-func pendingOverlay(fx *fixture, ov map[int][]chunk.OverlayCell) *OverlayFold {
-	fold := &OverlayFold{Arr: fx.arr.Clone()}
+// pending is an overlay laid over a fixture's array: the fold the
+// relational engines take, and the view every array read takes.
+type pending struct {
+	*OverlayFold
+	view chunk.View
+}
+
+// on returns s with the deltas pending; a nil p leaves s at rest.
+func (p *pending) on(s ScanSpec) ScanSpec {
+	if p != nil {
+		s.Overlay, s.View = p.OverlayFold, p.view
+	}
+	return s
+}
+
+// pendingOverlay lays ov (cells in any order) over fx.arr.
+func pendingOverlay(fx *fixture, ov map[int][]chunk.OverlayCell) *pending {
+	fold := &OverlayFold{Arr: fx.arr}
 	for cn := range ov {
 		sort.Slice(ov[cn], func(i, j int) bool { return ov[cn][i].Offset < ov[cn][j].Offset })
 		fold.Chunks = append(fold.Chunks, cn)
 	}
 	sort.Ints(fold.Chunks)
-	fold.Arr.Store().SetOverlay(ov)
-	return fold
+	return &pending{fold, chunk.View{Overlay: ov}}
 }
 
 // randomSpec mixes Collapse, GroupByKey and GroupByLevel.
@@ -212,7 +226,7 @@ func TestKernelDifferential(t *testing.T) {
 			}
 			var seq Metrics
 			for _, deg := range []int{1, 2, 8} {
-				res, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: deg})
+				res, m, err := ArrayConsolidate(bg, fx.arr, ScanSpec{Group: spec, Workers: deg, View: c.view})
 				if err != nil {
 					t.Fatalf("%s degree %d: scan: %v", name, deg, err)
 				}
@@ -224,7 +238,7 @@ func TestKernelDifferential(t *testing.T) {
 						name, deg, m.CellsScanned, m.Probes, c.validCells)
 				}
 
-				res, m, err = ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: spec, Workers: deg})
+				res, m, err = ArrayConsolidate(bg, fx.arr, ScanSpec{Selections: sels, Group: spec, Workers: deg, View: c.view})
 				if err != nil {
 					t.Fatalf("%s degree %d: select: %v", name, deg, err)
 				}
@@ -255,13 +269,12 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 	// 6x6, full, in 4x4 chunks: chunk 3 covers rows and columns 4..7, of
 	// which 4 and 5 exist; offset 2 is row 4, column 6.
 	fx := buildFixture(t, 5, []int{6, 6}, [][]int{{2}, {2}}, 1, []int{4, 4})
-	arr := fx.arr.Clone()
-	arr.Store().SetOverlay(map[int][]chunk.OverlayCell{3: {{Offset: 2, Value: 7}}})
+	arr, view := fx.arr, chunk.View{Overlay: map[int][]chunk.OverlayCell{3: {{Offset: 2, Value: 7}}}}
 	const want = "chunk 3: offset 2 outside array bounds"
 
 	spec := GroupByAttrs(2, 0)
 	for _, deg := range []int{1, 2} {
-		_, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec, Workers: deg})
+		_, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec, Workers: deg, View: view})
 		if err == nil || !strings.Contains(err.Error(), want) {
 			t.Fatalf("degree %d: scan error = %v, want %q", deg, err, want)
 		}
@@ -269,13 +282,13 @@ func TestKernelRejectsCellOutsideBounds(t *testing.T) {
 	// A selection meets the same cell where it filter-scans the chunk
 	// (four candidates against five cells here).
 	sels := []Selection{{Dim: 0, Level: 0, Values: []string{"V0_0_0", "V0_0_1"}}}
-	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Selections: sels, Group: spec}); err == nil || !strings.Contains(err.Error(), want) {
+	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Selections: sels, Group: spec, View: view}); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("select error = %v, want %q", err, want)
 	}
 	// An offset past the chunk capacity cannot come out of a decoder, but
 	// the kernel must not trust that either.
-	arr.Store().SetOverlay(map[int][]chunk.OverlayCell{0: {{Offset: 16, Value: 7}}})
-	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec}); err == nil || !strings.Contains(err.Error(), "chunk 0: offset 16 outside") {
+	view = chunk.View{Overlay: map[int][]chunk.OverlayCell{0: {{Offset: 16, Value: 7}}}}
+	if _, _, err := ArrayConsolidate(bg, arr, ScanSpec{Group: spec, View: view}); err == nil || !strings.Contains(err.Error(), "chunk 0: offset 16 outside") {
 		t.Fatalf("scan error = %v, want offset 16 of chunk 0 rejected", err)
 	}
 }
@@ -304,7 +317,7 @@ func TestPairsFoldLikeCells(t *testing.T) {
 			t.Fatal(err)
 		}
 		k := newChunkKernel(fx.arr.Geometry(), gm, nil, nil)
-		store := fx.arr.Store().Clone()
+		store := fx.arr.Store().Reader(chunk.View{}, nil)
 		for cn := 0; cn < fx.arr.Geometry().NumChunks(); cn++ {
 			cells, err := store.ReadChunk(cn)
 			if err == nil {
@@ -329,9 +342,9 @@ func TestPairsFoldLikeCells(t *testing.T) {
 // clearing on load makes the check run again.
 func TestReloadedPagesAreRechecked(t *testing.T) {
 	fx := scanFixture(t)
-	store := fx.arr.Store()
-	g := store.Geometry()
-	if name := store.ChunkCodecName(0); name != chunk.CodecOffset {
+	store := fx.arr.Store().Reader(chunk.View{}, nil)
+	g := fx.arr.Geometry()
+	if name := fx.arr.Store().ChunkCodecName(0); name != chunk.CodecOffset {
 		t.Fatalf("chunk 0 is %s", name)
 	}
 	cells, err := store.ReadChunk(0)
@@ -437,7 +450,7 @@ func BenchmarkArrayScanKernel(b *testing.B) {
 // them — so a selection reaches few chunks, and with upserts pending in
 // the 8 chunks of the newest last-dimension slab: the state the htap
 // workload's writer leaves. The fact file is stale wherever they landed.
-func foldFixture(tb testing.TB) (*fixture, *OverlayFold) {
+func foldFixture(tb testing.TB) (*fixture, *pending) {
 	dimSizes, cards := []int{40, 40, 40, 25}, [][]int{{10}, {10}, {10}, {10}}
 	fx := newFixtureDimsFunc(tb, dimSizes, cards, func(i, li int, k int64) int {
 		return int(k) * cards[i][li] / dimSizes[i]
@@ -483,7 +496,7 @@ func TestFoldReadsOnlyReachableChunks(t *testing.T) {
 	fx, fold := foldFixture(t)
 	spec := GroupSpec{{Target: GroupByLevel}, {}, {}, {Target: GroupByKey}}
 	for _, c := range foldCases {
-		scan := ScanSpec{Selections: c.sels, Group: spec, Overlay: fold}
+		scan := fold.on(ScanSpec{Selections: c.sels, Group: spec})
 		want, _, err := fx.run(bg, "array", scan)
 		if err != nil {
 			t.Fatalf("%s array: %v", c.name, err)
@@ -513,7 +526,7 @@ func BenchmarkOverlayFold(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var cells int64
 			for i := 0; i < b.N; i++ {
-				res, m, err := fx.run(bg, "bitmap", ScanSpec{Selections: c.sels, Group: spec, Overlay: fold})
+				res, m, err := fx.run(bg, "bitmap", fold.on(ScanSpec{Selections: c.sels, Group: spec}))
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -33,7 +33,7 @@ func ArraySelectConsolidateNaive(a *array.Array, sels []Selection, spec GroupSpe
 
 	g := a.Geometry()
 	n := g.NumDims()
-	store := a.Store()
+	store := a.Store().Reader(chunk.View{}, nil)
 	coords := make([]int, n)
 	sel := make([]int, n)
 	cachedChunk := -1

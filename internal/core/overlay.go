@@ -12,8 +12,8 @@ import (
 )
 
 // OverlayFold carries what the relational engines need to agree with
-// the array engine while a delta overlay is live. Arr is an array clone
-// with the query's overlay snapshot attached (reads yield base+delta
+// the array engine while a delta overlay is live. Arr is the master
+// array, read under the ScanSpec's View (reads yield base+delta
 // merged); Chunks is the sorted set of chunks EVER touched by ingest —
 // not just currently-dirty ones, because fact tuples falling in a
 // once-touched chunk stay stale forever (compaction folds deltas into
@@ -121,7 +121,8 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 	}
 	m.OverlayTouched = int64(len(s.Overlay.Chunks))
 	chunks := sel.reached(s.Overlay.Chunks)
-	if err := newChunkKernel(g, gm, sel, res.mem).foldClaimed(ctx, a.Store(), chunks, dispense(len(chunks)), m); err != nil {
+	r := a.Store().Reader(s.View, nil)
+	if err := newChunkKernel(g, gm, sel, res.mem).foldClaimed(ctx, &r, chunks, dispense(len(chunks)), m); err != nil {
 		return err
 	}
 	m.OverlayFoldNS = time.Since(start).Nanoseconds()
@@ -134,12 +135,12 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 // through ReadChunk — every statement refreshing after the same batch
 // wants the same decoded, overlay-merged cells, so they belong in the
 // chunk cache.
-func (k *chunkKernel) foldClaimed(ctx context.Context, store *chunk.Store, chunks []int, next func() (int, bool), m *Metrics) error {
+func (k *chunkKernel) foldClaimed(ctx context.Context, r *chunk.Reader, chunks []int, next func() (int, bool), m *Metrics) error {
 	for i, ok := next(); ok; i, ok = next() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		if err := k.foldChunk(store, chunks[i], m); err != nil {
+		if err := k.foldChunk(r, chunks[i], m); err != nil {
 			return err
 		}
 	}

@@ -25,7 +25,7 @@ func TestOverlayEqualsReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	type state struct {
 		name    string
-		overlay *OverlayFold
+		overlay *pending
 		truth   *factfile.File
 		dims    []*catalog.DimensionTable
 		engines []string
@@ -73,7 +73,7 @@ func TestOverlayEqualsReference(t *testing.T) {
 					var scanned [2]int64
 					for i, workers := range []int{1, 4} {
 						name := fmt.Sprintf("%s %s workers=%d", st.name, eng, workers)
-						scan := ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers, Overlay: st.overlay}
+						scan := st.overlay.on(ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers})
 						res, m, err := run.run(bg, eng, scan)
 						if err != nil {
 							t.Fatalf("%s: %v", name, err)
@@ -148,19 +148,19 @@ func TestColdPlusHotEqualsWhole(t *testing.T) {
 		for cut, hot := range cuts {
 			for _, workers := range []int{1, 4} {
 				name := fmt.Sprintf("%s cut=%s workers=%d", tc.name, cut, workers)
-				scan := ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers}
-				whole, wm, err := ArrayConsolidate(bg, fold.Arr, scan)
+				scan := ScanSpec{Selections: tc.sels, Group: tc.spec, Workers: workers, View: fold.view}
+				whole, wm, err := ArrayConsolidate(bg, fx.arr, scan)
 				if err != nil {
 					t.Fatalf("%s uncut: %v", name, err)
 				}
 				scan.Hot = hot
-				cold, cm, err := ArrayConsolidate(bg, fold.Arr, scan)
+				cold, cm, err := ArrayConsolidate(bg, fx.arr, scan)
 				if err != nil {
 					t.Fatalf("%s cold: %v", name, err)
 				}
 				kept := cold.Clone()
 				scan.OnlyHot = true
-				hotRes, hm, err := ArrayConsolidate(bg, fold.Arr, scan)
+				hotRes, hm, err := ArrayConsolidate(bg, fx.arr, scan)
 				if err != nil {
 					t.Fatalf("%s hot: %v", name, err)
 				}

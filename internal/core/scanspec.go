@@ -1,6 +1,10 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/chunk"
+)
 
 // ScanSpec is everything one consolidation run varies over. The
 // engines' run functions — ArrayConsolidate, StarJoinConsolidate,
@@ -19,10 +23,15 @@ type ScanSpec struct {
 	// file's extents), which the workers claim one at a time.
 	// Resolving "use every core" to a number is the caller's business.
 	Workers int
-	// Overlay makes the relational engines agree with an array that has
-	// pending deltas; nil means none were ever ingested. The array
-	// engine reads its overlay through the array it is handed and
-	// ignores this field.
+	// View is what every array read of the run reads the chunk store
+	// under: the pending overlay of one delta instant, the versions of
+	// that instant and the decoded-chunk cache they tag. Each worker
+	// reads through its own chunk.Reader over it. The zero View reads
+	// the base cells alone, uncached.
+	View chunk.View
+	// Overlay makes the relational engines agree with the array under
+	// View; nil means nothing in reach was ever ingested. The array
+	// engine reads its overlay through View and ignores this field.
 	Overlay *OverlayFold
 	// Hot, ascending, cuts an array run at the chunks ingest has touched:
 	// the run aggregates every chunk of its range but these or, with

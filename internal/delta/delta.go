@@ -1,10 +1,11 @@
 // Package delta is the in-memory half of the HTAP ingest path: a
 // per-chunk overlay store that writers append to without touching the
 // chunk files, logged to a dedicated write-ahead file for crash
-// recovery. Queries attach an immutable snapshot of the overlay to
-// their array clone and merge it as chunks stream; a background
-// compactor periodically folds cold deltas into the chunk-offset-
-// compressed chunks and drains what it folded.
+// recovery. Every write publishes one immutable View of the store —
+// base state, overlay, versions, touched chunks — that queries read
+// without a lock or a copy, merging its overlay as chunks stream through
+// their readers; a background compactor periodically folds cold deltas
+// into the chunk-offset-compressed chunks and drains what it folded.
 //
 // Deltas are absolute cell states (set this cell to this value, or
 // delete it), not arithmetic increments. That makes every replay and
@@ -19,8 +20,11 @@ package delta
 import (
 	"context"
 	"errors"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chunk"
 	"repro/internal/wal"
@@ -57,6 +61,34 @@ type Stats struct {
 	BudgetBytes int64
 }
 
+// View is one published instant of the store: the array base state,
+// the overlay over it, the per-chunk versions and the ever-touched
+// chunks, all of the same instant, so no reader pairs a base with the
+// deltas of another. A View is immutable — writers publish a new one —
+// so readers share it without a lock or a copy.
+type View struct {
+	// State is the published array base the overlay applies over.
+	// Publish moves it.
+	State uint64
+
+	// Overlay maps chunk number to offset-sorted, duplicate-free cell
+	// states awaiting compaction.
+	Overlay map[int][]chunk.OverlayCell
+
+	// Versions counts ingest batches per chunk. A chunk's version never
+	// resets — compaction does not change what a reader of that chunk
+	// observes, so drained chunks keep their version and cache entries
+	// tagged with it stay valid across the fold.
+	Versions map[int]uint64
+
+	// Touched lists, ascending, every chunk ever ingested into,
+	// surviving drains and — via the catalog — restarts. Relational
+	// engines skip tuples falling in touched chunks and re-aggregate
+	// those chunks from the array instead, which is what keeps the three
+	// engines bit-identical before and after any number of compactions.
+	Touched []int
+}
+
 // Store is the delta overlay store. All methods are safe for concurrent
 // use; Apply blocks while the store is over its byte budget (waiting for
 // a compaction to drain it) unless the context ends first.
@@ -64,30 +96,10 @@ type Store struct {
 	mu   sync.Mutex
 	cond *sync.Cond
 
-	// chunks holds the live overlay: chunk number -> offset-sorted,
-	// duplicate-free cell states. Every slice is immutable once stored
-	// (Apply builds merged replacements), so Snapshot can hand the
-	// slices to query clones with a shallow map copy.
-	chunks map[int][]chunk.OverlayCell
-
-	// versions counts ingest batches per chunk. A chunk's version never
-	// resets — compaction does not change what a reader of that chunk
-	// observes, so drained chunks keep their version and cache entries
-	// tagged with it stay valid across the fold.
-	versions map[int]uint64
-
-	// touched is every chunk ever ingested into, surviving drains and —
-	// via the catalog — restarts. Relational engines skip tuples falling
-	// in touched chunks and re-aggregate those chunks from the array
-	// instead, which is what keeps the three engines bit-identical
-	// before and after any number of compactions.
-	touched map[int]struct{}
-
-	// state is the published array base the overlay applies over.
-	// Publish moves it; Snapshot and Versions read it in the same
-	// acquisition as the overlay, so no reader pairs a base with the
-	// deltas of another.
-	state uint64
+	// view is the published instant. Writers build its successor under
+	// mu, copy-on-write (no map or slice a View holds is ever mutated),
+	// and store it; readers load it.
+	view atomic.Pointer[View]
 
 	cells  int64
 	bytes  int64
@@ -102,34 +114,44 @@ type Store struct {
 // are replayed into the store. budgetBytes, when positive, is the
 // backpressure threshold for Apply.
 func Open(walPath string, budgetBytes int64) (*Store, error) {
-	s := &Store{
-		chunks:   make(map[int][]chunk.OverlayCell),
-		versions: make(map[int]uint64),
-		touched:  make(map[int]struct{}),
-		budget:   budgetBytes,
-	}
+	s := &Store{budget: budgetBytes}
 	s.cond = sync.NewCond(&s.mu)
-	if walPath == "" {
-		return s, nil
+	v := &View{Overlay: make(map[int][]chunk.OverlayCell), Versions: make(map[int]uint64)}
+	if walPath != "" {
+		log, batches, err := openLog(walPath)
+		if err != nil {
+			return nil, err
+		}
+		s.log = log
+		for _, b := range batches {
+			s.applyLocked(v, b)
+		}
 	}
-	log, batches, err := openLog(walPath)
-	if err != nil {
-		return nil, err
-	}
-	s.log = log
-	for _, b := range batches {
-		s.applyLocked(b)
-	}
+	s.view.Store(v)
 	return s, nil
 }
+
+// View returns the published instant. It takes no lock and copies
+// nothing; the View must be treated as read-only.
+func (s *Store) View() *View { return s.view.Load() }
 
 // SeedTouched marks chunks as ever-touched, used at open to restore the
 // dirty-filter set the catalog persisted at the last compaction commit.
 func (s *Store) SeedTouched(chunks []int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v := *s.view.Load()
 	for _, cn := range chunks {
-		s.touched[cn] = struct{}{}
+		v.touch(cn)
+	}
+	s.view.Store(&v)
+}
+
+// touch adds cn to the ascending touched list, copying the list rather
+// than writing into one an earlier view holds.
+func (v *View) touch(cn int) {
+	if i, found := slices.BinarySearch(v.Touched, cn); !found {
+		v.Touched = slices.Insert(slices.Clip(v.Touched), i, cn)
 	}
 }
 
@@ -167,13 +189,17 @@ func (s *Store) Apply(ctx context.Context, cells []Cell) error {
 			return err
 		}
 	}
-	s.applyLocked(cells)
+	v := *s.view.Load()
+	v.Overlay, v.Versions = maps.Clone(v.Overlay), maps.Clone(v.Versions)
+	s.applyLocked(&v, cells)
+	s.view.Store(&v)
 	return nil
 }
 
-// applyLocked folds one batch into the overlay. Slices already stored
-// are never mutated: each touched chunk gets a freshly merged slice.
-func (s *Store) applyLocked(cells []Cell) {
+// applyLocked folds one batch into v, a view not yet published. Overlay
+// slices already stored are never mutated: each touched chunk gets a
+// freshly merged slice.
+func (s *Store) applyLocked(v *View, cells []Cell) {
 	byChunk := make(map[int][]chunk.OverlayCell)
 	for _, c := range cells {
 		byChunk[c.Chunk] = append(byChunk[c.Chunk], chunk.OverlayCell{
@@ -191,89 +217,52 @@ func (s *Store) applyLocked(cells []Cell) {
 			}
 			dedup = append(dedup, c)
 		}
-		prev := s.chunks[cn]
+		prev := v.Overlay[cn]
 		next := chunk.MergeOverlayCells(prev, dedup)
-		s.chunks[cn] = next
+		v.Overlay[cn] = next
 		s.cells += int64(len(next) - len(prev))
 		s.bytes += int64(len(next)-len(prev)) * cellCost
-		s.versions[cn]++
-		s.touched[cn] = struct{}{}
+		v.Versions[cn]++
+		v.touch(cn)
 	}
 }
 
-// Publish makes state the array base every later snapshot pairs its
+// Publish makes state the array base every later view pairs its
 // overlay with. A compactor publishes its fold before it drains, so a
-// snapshot is (old base, full overlay), (new, full) or (new, drained):
-// all three read the same cells, because replaying absolute cell states
-// is idempotent.
+// view is (old base, full overlay), (new, full) or (new, drained): all
+// three read the same cells, because replaying absolute cell states is
+// idempotent.
 func (s *Store) Publish(state uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.state = state
-}
-
-// Snapshot returns the published base state, the overlay (a shallow map
-// copy over immutable slices), the per-chunk version vector, and the
-// sorted ever-touched chunk list, captured atomically. The state names
-// the master a query clone opens and the overlay is attached to it; the
-// versions tag its decoded-chunk cache view; the touched list drives the
-// relational dirty filter.
-func (s *Store) Snapshot() (uint64, map[int][]chunk.OverlayCell, map[int]uint64, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var ov map[int][]chunk.OverlayCell
-	if len(s.chunks) > 0 {
-		ov = make(map[int][]chunk.OverlayCell, len(s.chunks))
-		for cn, cells := range s.chunks {
-			ov[cn] = cells
-		}
-	}
-	versions, touched := s.versionsLocked()
-	return s.state, ov, versions, touched
-}
-
-// Versions is Snapshot without the overlay (for cache-key computation,
-// without copying the overlay itself).
-func (s *Store) Versions() (uint64, map[int]uint64, []int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	versions, touched := s.versionsLocked()
-	return s.state, versions, touched
-}
-
-func (s *Store) versionsLocked() (map[int]uint64, []int) {
-	versions := make(map[int]uint64, len(s.versions))
-	for cn, v := range s.versions {
-		versions[cn] = v
-	}
-	touched := make([]int, 0, len(s.touched))
-	for cn := range s.touched {
-		touched = append(touched, cn)
-	}
-	sort.Ints(touched)
-	return versions, touched
+	v := *s.view.Load() // only the state changes: the maps are shared
+	v.State = state
+	s.view.Store(&v)
 }
 
 // Drain removes the overlay of every chunk whose version still matches
-// snapVersions — i.e. exactly what the compactor folded. A chunk
-// ingested into after the snapshot keeps its whole current slice:
+// folded — the Versions of the view the compactor folded. A chunk
+// ingested into after that view keeps its whole current slice:
 // re-merging it over the folded base is idempotent, so nothing is
 // lost and nothing is double-counted. The delta WAL is rewritten to
 // hold only what remains, and blocked writers are woken.
-func (s *Store) Drain(snapVersions map[int]uint64) error {
+func (s *Store) Drain(folded map[int]uint64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for cn, cells := range s.chunks {
-		if s.versions[cn] != snapVersions[cn] {
+	v := *s.view.Load()
+	v.Overlay = maps.Clone(v.Overlay)
+	for cn, cells := range v.Overlay {
+		if v.Versions[cn] != folded[cn] {
 			continue
 		}
 		s.cells -= int64(len(cells))
 		s.bytes -= int64(len(cells)) * cellCost
-		delete(s.chunks, cn)
+		delete(v.Overlay, cn)
 	}
+	s.view.Store(&v)
 	var err error
 	if s.log != nil {
-		err = rewriteLog(s.log, s.chunks)
+		err = rewriteLog(s.log, v.Overlay)
 	}
 	s.cond.Broadcast()
 	return err
@@ -283,11 +272,12 @@ func (s *Store) Drain(snapVersions map[int]uint64) error {
 func (s *Store) Stats() Stats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	v := s.view.Load()
 	return Stats{
 		Cells:         s.cells,
 		Bytes:         s.bytes,
-		DirtyChunks:   len(s.chunks),
-		TouchedChunks: len(s.touched),
+		DirtyChunks:   len(v.Overlay),
+		TouchedChunks: len(v.Touched),
 		BudgetBytes:   s.budget,
 	}
 }

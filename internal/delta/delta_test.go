@@ -2,10 +2,13 @@ package delta
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -28,7 +31,8 @@ func TestApplySnapshotDrain(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	_, ov, versions, touched := s.Snapshot()
+	dv := s.View()
+	ov, versions, touched := dv.Overlay, dv.Versions, dv.Touched
 	if got := ov[2]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 7, Value: 11}}) {
 		t.Fatalf("chunk 2 overlay = %v", got)
 	}
@@ -47,7 +51,8 @@ func TestApplySnapshotDrain(t *testing.T) {
 	if err := s.Drain(versions); err != nil {
 		t.Fatal(err)
 	}
-	_, ov2, _, touched2 := s.Snapshot()
+	dv = s.View()
+	ov2, touched2 := dv.Overlay, dv.Touched
 	if _, ok := ov2[5]; ok {
 		t.Fatal("chunk 5 survived drain")
 	}
@@ -84,7 +89,8 @@ func TestWALReplayAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ov, versions, _ := re.Snapshot()
+	dv := re.View()
+	ov, versions := dv.Overlay, dv.Versions
 	if got := ov[1]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 3, Value: 43}}) {
 		t.Fatalf("replayed chunk 1 = %v", got)
 	}
@@ -107,7 +113,7 @@ func TestWALReplayAndRewrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ov2, _, _ := re2.Snapshot()
+	ov2 := re2.View().Overlay
 	if _, ok := ov2[4]; ok {
 		t.Fatal("drained chunk 4 came back after rewrite")
 	}
@@ -144,7 +150,7 @@ func TestWALTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, ov, _, _ := re.Snapshot()
+	ov := re.View().Overlay
 	if got := ov[0]; !reflect.DeepEqual(got, []chunk.OverlayCell{{Offset: 1, Value: 5}}) {
 		t.Fatalf("after torn tail, chunk 0 = %v (want only the first batch)", got)
 	}
@@ -163,7 +169,7 @@ func TestBackpressure(t *testing.T) {
 	}
 
 	// A further Apply must block until a Drain frees room.
-	_, _, versions, _ := s.Snapshot()
+	versions := s.View().Versions
 	done := make(chan error, 1)
 	go func() {
 		done <- s.Apply(ctx, []Cell{{Chunk: 1, Offset: 0, Value: 3}})
@@ -231,7 +237,8 @@ func TestSnapshotPairs(t *testing.T) {
 				return
 			default:
 			}
-			_, ov, versions, _ := s.Snapshot()
+			dv := s.View()
+			ov, versions := dv.Overlay, dv.Versions
 			if len(ov) == 0 {
 				continue
 			}
@@ -258,7 +265,8 @@ func TestSnapshotPairs(t *testing.T) {
 				default:
 				}
 				ack := acked.Load()
-				state, ov, _, _ := s.Snapshot()
+				dv := s.View()
+				state, ov := dv.State, dv.Overlay
 				v, ok := folded(state)
 				if !ok {
 					t.Errorf("snapshot names state %d, which was never published", state)
@@ -283,4 +291,103 @@ func TestSnapshotPairs(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+}
+
+// TestViewsSelfConsistent: one reader loops View() while writers Apply
+// to several chunks, a compactor Drains what it saw and Publishes, and a
+// seeder marks chunks touched. Every view holds together — each overlay
+// chunk is touched and has a version, the touched list is ascending —
+// and across successive views no version falls and no touched chunk is
+// forgotten. Run it with -race: a writer that edited a published map in
+// place fails here.
+func TestViewsSelfConsistent(t *testing.T) {
+	s, err := Open("", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	ctx := context.Background()
+	done := make(chan struct{})
+	var writers, reader sync.WaitGroup
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 400; i++ {
+				batch := []Cell{{Chunk: (i + w) % 7, Offset: uint32(i % 5), Value: int64(i)}, {Chunk: 7 + w, Offset: 1, Delete: i%3 == 0}}
+				if err := s.Apply(ctx, batch); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	writers.Add(1)
+	go func() { // the compactor and the seeder
+		defer writers.Done()
+		for state := uint64(1); state <= 200; state++ {
+			v := s.View()
+			s.Publish(state)
+			if err := s.Drain(v.Versions); err != nil {
+				t.Error(err)
+				return
+			}
+			s.SeedTouched([]int{int(20 + state%5)})
+			runtime.Gosched()
+		}
+	}()
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		var prev *View
+		for views := 0; ; views++ {
+			select {
+			case <-done:
+				if views < 2 {
+					t.Errorf("the reader took %d views", views)
+				}
+				return
+			default:
+			}
+			v := s.View()
+			if err := checkView(prev, v); err != "" {
+				t.Error(err)
+				return
+			}
+			prev = v
+		}
+	}()
+	writers.Wait()
+	close(done)
+	reader.Wait()
+}
+
+// checkView reports what is wrong with v on its own, or as the view
+// taken after prev (nil = the first); "" when nothing is.
+func checkView(prev, v *View) string {
+	if !sort.IntsAreSorted(v.Touched) {
+		return fmt.Sprintf("touched %v not ascending", v.Touched)
+	}
+	for cn := range v.Overlay {
+		if _, ok := slices.BinarySearch(v.Touched, cn); !ok {
+			return fmt.Sprintf("overlay chunk %d not in touched %v", cn, v.Touched)
+		}
+		if v.Versions[cn] == 0 {
+			return fmt.Sprintf("overlay chunk %d has no version", cn)
+		}
+	}
+	if prev == nil {
+		return ""
+	}
+	for cn, ver := range prev.Versions {
+		if v.Versions[cn] < ver {
+			return fmt.Sprintf("chunk %d: version %d after %d", cn, v.Versions[cn], ver)
+		}
+	}
+	for _, cn := range prev.Touched {
+		if _, ok := slices.BinarySearch(v.Touched, cn); !ok {
+			return fmt.Sprintf("touched chunk %d forgotten", cn)
+		}
+	}
+	return ""
 }

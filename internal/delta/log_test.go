@@ -46,7 +46,8 @@ func TestGoldenLogBytes(t *testing.T) {
 	if got, _ := os.ReadFile(path); hex.EncodeToString(got) != goldenLog {
 		t.Fatalf("log bytes = %x\nwant        %s", got, goldenLog)
 	}
-	_, want, versions, _ := s.Snapshot()
+	dv := s.View()
+	want, versions := dv.Overlay, dv.Versions
 	if err := s.Drain(map[int]uint64{7: versions[7]}); err != nil {
 		t.Fatal(err)
 	}
@@ -67,7 +68,7 @@ func TestGoldenLogBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, got, _, _ := re.Snapshot()
+		got := re.View().Overlay
 		re.Close()
 		wantNow := want
 		if name == "drained" {

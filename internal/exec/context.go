@@ -55,10 +55,10 @@ type ExecContext struct {
 	mu sync.Mutex
 
 	// ds, when set, is the HTAP delta overlay store and the one publisher
-	// of the array state. Query clones open the master of its snapshot's
-	// state under the snapshot's overlay (merge-on-read) and version
-	// vector (fine-grained chunk-cache invalidation); the executor folds
-	// the version vector into result-cache keys. Set once at open, before
+	// of the array state. A query reads the master of its view's state
+	// through readers under the view's overlay (merge-on-read) and
+	// versions (fine-grained chunk-cache invalidation); the executor folds
+	// the versions into result-cache keys. Set once at open, before
 	// queries run; nil in contexts built directly in tests.
 	ds *delta.Store
 }
@@ -81,8 +81,8 @@ type generation struct {
 	flight cache.Group
 
 	// The mid-tier query cache, budget bytes split evenly between the
-	// semantic result cache and the decoded-chunk cache attached to
-	// array clones; nil while budget is 0. The singleflight instruments
+	// semantic result cache and the decoded-chunk cache the generation's
+	// array readers consult; nil while budget is 0. The singleflight instruments
 	// are carried from generation to generation once the cache was on.
 	budget     int64
 	resCache   *cache.ResultCache
@@ -91,10 +91,9 @@ type generation struct {
 	sfWait     *obs.Histogram
 	hasArray   bool // an array was built at the swap; compaction never adds or drops one
 
-	// Dimension tables, fact files, and B-trees are read without mutable
-	// state, so the handles can be used from many goroutines. The chunk
-	// store's decode cache is the one share-unsafe piece; only clones of
-	// arr are handed out.
+	// Dimension tables, fact files, B-trees and the chunk store are read
+	// without mutable state, so the handles are shared by every
+	// goroutine; each reads arr's chunks through its own chunk.Reader.
 	mu       sync.Mutex
 	dims     []*catalog.DimensionTable
 	ff       *factfile.File
@@ -212,7 +211,7 @@ func (c *ExecContext) swap(budget int64) {
 		budget:   budget,
 		sfDedup:  old.sfDedup,
 		sfWait:   old.sfWait,
-		hasArray: c.ingestView(old, nil, false).state != 0,
+		hasArray: c.ingestView(old, nil).d.State != 0,
 	}
 	if budget > 0 {
 		half := budget / 2
@@ -328,9 +327,7 @@ func (g *generation) factFile(c *ExecContext) (*factfile.File, error) {
 
 // master returns the shared master array at state, opening it unless the
 // one slot holds that state (views differ only while a compaction
-// publishes). Only its immutable structures — dimension maps and
-// geometry — may be read through the returned handle; reads that decode
-// chunks go through a clone (arrayCloneWith).
+// publishes). Its chunks are read through readers (ingestView.array).
 func (g *generation) master(c *ExecContext, state uint64) (*array.Array, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -344,29 +341,27 @@ func (g *generation) master(c *ExecContext, state uint64) (*array.Array, error) 
 	return g.arr, nil
 }
 
-// ArrayClone returns a private clone of the OLAP array: the master copy
-// (dimension maps, B-trees, chunk directory) is opened once and shared;
-// the clone carries its own chunk-decode cache so the caller can read
-// without synchronizing with other queries. With a delta store
-// attached, the clone also carries an immutable overlay snapshot, so
-// every read through it yields (base + deltas as of clone time), stable
-// against concurrent ingest and compaction.
-func (c *ExecContext) ArrayClone() (*array.Array, error) {
-	v := c.ingestView(c.gen.Load(), nil, true)
-	return c.arrayCloneWith(&v)
+// Array returns the master OLAP array of the current instant and the
+// chunk view its readers read it under: with a delta store attached,
+// the overlay and versions of one published view, so every read yields
+// (base + deltas as of this call), stable against concurrent ingest and
+// compaction. Nothing is copied; the array and the view are shared and
+// read-only.
+func (c *ExecContext) Array() (*array.Array, chunk.View, error) {
+	v := c.ingestView(c.gen.Load(), nil)
+	return v.array(c)
 }
 
-// ingestView is what one execution sees of live ingest: the array state,
-// overlay, version vector and ever-touched list of one instant — so the
-// base, the engines, the decoded-chunk cache tags and the rows' key
-// cannot disagree on a batch or a compaction that landed in between —
-// the last narrowed to the statement's reach.
+// ingestView is what one execution sees of live ingest: one published
+// delta view — array state, overlay, versions and ever-touched list of
+// one instant — so the base, the engines, the decoded-chunk cache tags
+// and the rows' key cannot disagree on a batch or a compaction that
+// landed in between; and that view's touched list narrowed to the
+// statement's reach.
 type ingestView struct {
-	g        *generation // what the execution began under: its handles, its chunk cache
-	state    uint64      // the array master the overlay applies over
-	ov       map[int][]chunk.OverlayCell
-	versions map[int]uint64
-	hot      []int // ever-touched chunks the statement can reach, ascending
+	g   *generation // what the execution began under: its handles, its chunk cache
+	d   *delta.View // shared, read-only
+	hot []int       // ever-touched chunks the statement can reach, ascending
 
 	// rc, when set, is where an array run cut at hot keeps the cube of
 	// the other chunks: under st's fingerprint and the hot list. Nil runs
@@ -376,20 +371,31 @@ type ingestView struct {
 }
 
 // ingestView takes the view of an execution under g of a statement with
-// that reach. A cache probe needs only the key: it asks for no overlay
-// and copies none.
-func (c *ExecContext) ingestView(g *generation, reach *chunkReach, overlay bool) (v ingestView) {
+// that reach. It copies nothing but the narrowed hot list.
+func (c *ExecContext) ingestView(g *generation, reach *chunkReach) (v ingestView) {
 	v.g = g
-	switch ds := c.ds; {
-	case ds == nil:
-		v.state = c.cat.ArrayState // nothing moves it without a delta store
-	case overlay:
-		v.state, v.ov, v.versions, v.hot = ds.Snapshot()
-	default:
-		v.state, v.versions, v.hot = ds.Versions()
+	if c.ds != nil {
+		v.d = c.ds.View()
+	} else {
+		v.d = &delta.View{State: c.cat.ArrayState} // nothing moves it without a delta store
 	}
 	v.hot = reach.narrow(c, &v)
 	return v
+}
+
+// array returns the master at v's state, from v's generation, and the
+// chunk view its readers take: v's overlay and versions over the
+// generation's decoded-chunk cache.
+func (v *ingestView) array(c *ExecContext) (*array.Array, chunk.View, error) {
+	arr, err := v.g.master(c, v.d.State)
+	if err != nil {
+		return nil, chunk.View{}, err
+	}
+	cv := chunk.View{Overlay: v.d.Overlay, Versions: v.d.Versions}
+	if cc := v.g.chunkCache; cc != nil {
+		cv.Cache = cc
+	}
+	return arr, cv, nil
 }
 
 // keySuffix extends a result-cache key under live ingest: tag plus a
@@ -408,31 +414,11 @@ func (v *ingestView) keySuffix(tag string, versioned bool) string {
 		binary.LittleEndian.PutUint64(buf[:], uint64(cn))
 		h.Write(buf[:])
 		if versioned {
-			binary.LittleEndian.PutUint64(buf[:], v.versions[cn])
+			binary.LittleEndian.PutUint64(buf[:], v.d.Versions[cn])
 			h.Write(buf[:])
 		}
 	}
 	return tag + strconv.FormatUint(h.Sum64(), 16)
-}
-
-// arrayCloneWith clones the master at v's state, from v's generation,
-// over v's overlay and version vector.
-func (c *ExecContext) arrayCloneWith(v *ingestView) (*array.Array, error) {
-	arr, err := v.g.master(c, v.state)
-	if err != nil {
-		return nil, err
-	}
-	cl := arr.Clone()
-	if len(v.ov) > 0 {
-		cl.Store().SetOverlay(v.ov)
-	}
-	if cc := v.g.chunkCache; cc != nil {
-		// Bound to the version vector of the same instant as the overlay:
-		// a clone racing an ingest batch populates entries tagged so that
-		// no later probe accepts them.
-		cl.Store().SetDecodedCache(cc.View(v.versions))
-	}
-	return cl, nil
 }
 
 // chunkReach is the set of chunks a statement's selections can read:
@@ -445,34 +431,47 @@ type chunkReach struct {
 	once sync.Once
 	cand []int // ascending
 	all  bool  // the lookup failed: no narrowing
+
+	// last is the touched list narrowed most recently and what it
+	// narrowed to. A delta view's touched list is immutable and replaced
+	// whole only when a chunk is first touched, so the statement's next
+	// runs under the same list neither filter nor allocate.
+	last atomic.Pointer[narrowed]
 }
 
-// narrow filters v's touched list (ascending, v's own) down to the
-// chunks the statement can reach. A nil reach, no selections, or a
-// failed lookup keep the whole set, which is always correct; nothing
-// touched asks nothing, so a database without ingest never pays the
-// index-list lookups.
+type narrowed struct{ touched, hot []int }
+
+// narrow filters v's touched list (ascending, shared) down to the
+// chunks the statement can reach. The result is shared and read-only. A
+// nil reach, no selections, or a failed lookup keep the whole set,
+// which is always correct; nothing touched asks nothing, so a database
+// without ingest never pays the index-list lookups.
 func (r *chunkReach) narrow(c *ExecContext, v *ingestView) []int {
-	if r == nil || len(r.sels) == 0 || len(v.hot) == 0 {
-		return v.hot
+	touched := v.d.Touched
+	if r == nil || len(r.sels) == 0 || len(touched) == 0 {
+		return touched
 	}
 	r.once.Do(func() {
-		arr, err := v.g.master(c, v.state)
+		arr, err := v.g.master(c, v.d.State)
 		if err == nil {
 			r.cand, err = core.SelectionChunks(arr, r.sels)
 		}
 		r.all = err != nil
 	})
 	if r.all {
-		return v.hot
+		return touched
 	}
-	out := v.hot[:0]
-	for _, cn := range v.hot {
+	if n := r.last.Load(); n != nil && len(n.touched) == len(touched) && &n.touched[0] == &touched[0] {
+		return n.hot
+	}
+	n := &narrowed{touched: touched}
+	for _, cn := range touched {
 		if _, ok := slices.BinarySearch(r.cand, cn); ok {
-			out = append(out, cn)
+			n.hot = append(n.hot, cn)
 		}
 	}
-	return out
+	r.last.Store(n)
+	return n.hot
 }
 
 // size is how many chunks the statement reaches. Call after narrow.

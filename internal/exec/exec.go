@@ -414,7 +414,8 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	// ingested, keeping legacy keys byte-identical.
 	key := st.fingerprint
 	prof.Fingerprint = st.fpHash
-	if probe := e.ctx.ingestView(g, st.reach, false); len(probe.hot) > 0 {
+	probe := e.ctx.ingestView(g, st.reach)
+	if len(probe.hot) > 0 {
 		key += probe.keySuffix("|cv", true)
 		prof.Fingerprint = fingerprintHash(key)
 	}
@@ -422,8 +423,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	prof.CacheEpoch = g.id
 	rc := g.resCache
 	if rc == nil || e.cacheOff.Load() {
-		view := e.ctx.ingestView(g, st.reach, true)
-		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr, &view)
+		rqr, rerr := e.runPlan(ctx, tr, prof, st, qr, &probe)
 		return e.finishQuery(tr, prof, rqr, rerr)
 	}
 
@@ -447,9 +447,9 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	// reading replaced objects.
 	var leaderQR *QueryResult
 	v, shared, err := g.flight.Do(ctx, key, func() (any, error) {
-		// One snapshot for the whole execution; the rows go under its key,
+		// One view for the whole execution; the rows go under its key,
 		// not the probe's, so a batch that landed in between is in both.
-		view := e.ctx.ingestView(g, st.reach, true)
+		view := e.ctx.ingestView(g, st.reach)
 		view.rc, view.st = rc, st
 		key := st.fingerprint + view.keySuffix("|cv", true)
 		// Double-check under the flight: a goroutine that missed the
@@ -615,7 +615,7 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 	prof.SortTime = sortSp.Duration
 	// Rows are GC-heap copies; the cube and the query's decode scratch
 	// live in the result's arena, which can be recycled now. The plan's
-	// array clone died with plan.Run, so nothing still reads from it.
+	// chunk readers died with plan.Run, so nothing still reads from it.
 	res.Release()
 	qr.Metrics = metrics
 	qr.Elapsed = time.Since(start)

@@ -80,7 +80,7 @@ func TestGenerationSwap(t *testing.T) {
 		old.resCache.Put(st.fingerprint, cr, resultBytes(cr.rows), 1)
 		old.resCache.AddImage(st.fingerprint, cr, 64)
 		old.resCache.PutCold(st.fingerprint+"|cold", &core.Result{}, 64, 1)
-		old.chunkCache.View(nil).PutDecoded(0, []chunk.Cell{{Offset: 0, Value: 1}})
+		old.chunkCache.PutDecoded(0, 0, []chunk.Cell{{Offset: 0, Value: 1}})
 
 		cur := c.gen.Load()
 		if cur == old || cur.id != old.id+1 {
@@ -136,13 +136,14 @@ func TestGenerationSwap(t *testing.T) {
 	t.Run("readers and a writer", func(t *testing.T) {
 		// The two states: state 1 raises the first cell of every chunk by
 		// 1000 through the delta store, state 0 puts the base value back.
-		arr, err := c.ArrayClone()
+		arr, view, err := c.Array()
 		if err != nil {
 			t.Fatal(err)
 		}
+		r := arr.Store().Reader(view, nil)
 		var batch [2][]delta.Cell
 		for cn := 0; cn < arr.Geometry().NumChunks(); cn++ {
-			cells, err := arr.Store().ReadChunk(cn)
+			cells, err := r.ReadChunk(cn)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -301,7 +302,7 @@ func TestGenerationSwap(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view := c.ingestView(g, st.reach, false)
+			view := c.ingestView(g, st.reach)
 			if _, ok := g.resCache.Get(st.fingerprint + view.keySuffix("|cv", true)); ok {
 				rows++
 			}
@@ -313,23 +314,23 @@ func TestGenerationSwap(t *testing.T) {
 	})
 }
 
-// compactDeltas folds ds's overlay into the master of its snapshot's
-// state and publishes the fold before it drains, as DB.Compact does.
+// compactDeltas folds ds's overlay into the master of its view's state
+// and publishes the fold before it drains, as DB.Compact does.
 func compactDeltas(bp *storage.BufferPool, ds *delta.Store) error {
-	state, ov, versions, _ := ds.Snapshot()
-	if len(ov) == 0 {
+	v := ds.View()
+	if len(v.Overlay) == 0 {
 		return nil
 	}
-	base, err := openArray(bp, state) // overlay-free
+	base, err := openArray(bp, v.State)
 	if err != nil {
 		return err
 	}
-	next, err := base.ApplyChunkChanges(ov)
+	next, err := base.ApplyChunkChanges(v.Overlay)
 	if err != nil {
 		return err
 	}
 	ds.Publish(uint64(next.State().First))
-	return ds.Drain(versions)
+	return ds.Drain(v.Versions)
 }
 
 // TestOldGenerationSeesCompactedCells: a query that began before a
@@ -348,13 +349,14 @@ func TestOldGenerationSeesCompactedCells(t *testing.T) {
 
 	// The old generation, with its master opened at the state it began at.
 	old := c.gen.Load()
-	arr, err := c.ArrayClone()
+	arr, view, err := c.Array()
 	if err != nil {
 		t.Fatal(err)
 	}
+	r := arr.Store().Reader(view, nil)
 	cn, cell := -1, chunk.Cell{}
 	for n := 0; n < arr.Geometry().NumChunks() && cn < 0; n++ {
-		cells, err := arr.Store().ReadChunk(n)
+		cells, err := r.ReadChunk(n)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -377,12 +379,13 @@ func TestOldGenerationSeesCompactedCells(t *testing.T) {
 		t.Fatalf("%d overlay cells after the compaction: it drained nothing", st.Cells)
 	}
 
-	v := c.ingestView(old, nil, true)
-	cl, err := c.arrayCloneWith(&v)
+	v := c.ingestView(old, nil)
+	arr, cv, err := v.array(c)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells, err := cl.Store().ReadChunk(cn)
+	r = arr.Store().Reader(cv, nil)
+	cells, err := r.ReadChunk(cn)
 	if err != nil {
 		t.Fatal(err)
 	}

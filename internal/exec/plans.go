@@ -285,11 +285,12 @@ func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
 // merged with a fold of the hot chunks alone (DESIGN.md §3j). With
 // nothing in reach touched, or everything, the run is the plain one.
 func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error) {
-	arr, err := ec.arrayCloneWith(view)
+	arr, cv, err := view.array(ec)
 	if err != nil {
 		return nil, core.Metrics{}, err
 	}
 	scan := p.scan
+	scan.View = cv
 	if view.rc == nil || len(view.hot) == 0 || len(view.hot) == p.reach.size(arr) {
 		return core.ArrayConsolidate(ctx, arr, scan)
 	}
@@ -452,8 +453,8 @@ func (p *planScan) relationalInputs(ec *ExecContext, view *ingestView) (*factfil
 	// Narrowing the touched chunks to the statement's reach is sound for
 	// the dirty filter too: a tuple that passes the selections lies in one
 	// of their candidate chunks, so a stale one outside them is dropped.
-	cl, err := ec.arrayCloneWith(view)
-	scan.Overlay = &core.OverlayFold{Arr: cl, Chunks: view.hot}
+	arr, cv, err := view.array(ec)
+	scan.View, scan.Overlay = cv, &core.OverlayFold{Arr: arr, Chunks: view.hot}
 	return ff, dims, scan, err
 }
 

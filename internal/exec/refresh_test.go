@@ -52,16 +52,17 @@ func TestRefreshReadsOnlyHotChunks(t *testing.T) {
 
 	db.ingestSlab(t, 100)
 	// The slab's cells as a reader of this snapshot sees them, counted
-	// through a clone detached from the chunk cache.
-	arr, err := db.ex.Context().ArrayClone()
+	// through a reader that bypasses the chunk cache.
+	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		t.Fatal(err)
 	}
-	arr.Store().SetDecodedCache(nil)
+	view.Cache = nil
+	r := arr.Store().Reader(view, nil)
 	var slabCells int64
 	for i := 0; i < 8; i++ {
 		cn, _ := db.geom.Locate([]int{i & 1 * 20, i >> 1 & 1 * 20, i >> 2 * 20, 20})
-		cells, err := arr.Store().ReadChunk(cn)
+		cells, err := r.ReadChunk(cn)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -141,7 +141,7 @@ type DB struct {
 	// writeMu serializes the writers that mutate the committed state:
 	// loads, builds, user commits, and the compactor's fold+commit. Under it the delta store's published array state
 	// equals cat.ArrayState, so the compactor may fold onto its
-	// snapshot's. The ingest path does not take it — deltas live
+	// view's. The ingest path does not take it — deltas live
 	// outside the page store until the compactor folds them.
 	writeMu sync.Mutex
 
