@@ -2,8 +2,10 @@ package repro
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/array"
+	"repro/internal/core"
 )
 
 // The OLAP Array ADT's direct function set (§3.5 of the paper): a Read
@@ -24,23 +26,25 @@ func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
 }
 
 // ArraySum sums the valid cells inside the inclusive key box
-// [loKeys[i], hiKeys[i]] along each dimension. Keys are resolved to
-// array indices through the dimension B-trees; only chunks overlapping
-// the box are read.
+// [loKeys[i], hiKeys[i]] along each dimension: the cells whose key along
+// every dimension lies in its range, whatever order the keys were loaded
+// in. Both bounds of each range must be keys of the dimension. Only the
+// chunks holding cells of the box are read.
 func (db *DB) ArraySum(loKeys, hiKeys []int64) (int64, error) {
 	arr, view, err := db.ex.Context().Array()
 	if err != nil {
 		return 0, err
 	}
-	lo, err := resolveIndexes(arr, loKeys)
+	lists, err := keyBox(arr, loKeys, hiKeys)
 	if err != nil {
 		return 0, err
 	}
-	hi, err := resolveIndexes(arr, hiKeys)
-	if err != nil {
-		return 0, err
-	}
-	return arr.SumRange(view, lo, hi)
+	var sum int64
+	err = core.ArrayBox(arr, view, lists, func(_ []int, value int64) error {
+		sum += value
+		return nil
+	})
+	return sum, err
 }
 
 // ArraySliceCell is one cell yielded by ArraySlice.
@@ -59,7 +63,7 @@ func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
 	}
 	di := db.cat.Schema.DimIndex(dim)
 	if di < 0 {
-		return nil, errUnknownDimension(dim)
+		return nil, fmt.Errorf("repro: unknown dimension %s", dim)
 	}
 	idx, ok, err := arr.Dims()[di].IndexOf(key)
 	if err != nil {
@@ -68,9 +72,13 @@ func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
 	if !ok {
 		return nil, nil
 	}
+	lists, err := core.SliceBox(arr, di, idx)
+	if err != nil {
+		return nil, err
+	}
 	var out []ArraySliceCell
 	dims := arr.Dims()
-	err = arr.Slice(view, di, idx, func(coords []int, value int64) error {
+	err = core.ArrayBox(arr, view, lists, func(coords []int, value int64) error {
 		keys := make([]int64, len(coords))
 		for i, c := range coords {
 			keys[i] = dims[i].Keys[c]
@@ -81,27 +89,23 @@ func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
 	return out, err
 }
 
-// resolveIndexes maps dimension keys to array indices through the
-// dimension B-trees, failing on unknown keys.
-func resolveIndexes(arr *array.Array, keys []int64) ([]int, error) {
+// keyBox resolves the key box [lo[i], hi[i]] to each dimension's
+// ascending list of the indexes whose keys lie in the range, through the
+// dimension B-trees. It fails on an inverted range or an unknown bound.
+func keyBox(arr *array.Array, lo, hi []int64) ([][]int, error) {
 	dims := arr.Dims()
-	if len(keys) != len(dims) {
-		return nil, fmt.Errorf("repro: %d keys for %d dimensions", len(keys), len(dims))
+	if len(lo) != len(dims) || len(hi) != len(dims) {
+		return nil, fmt.Errorf("repro: %d and %d keys for %d dimensions", len(lo), len(hi), len(dims))
 	}
-	out := make([]int, len(keys))
-	for i, k := range keys {
-		idx, ok, err := dims[i].IndexOf(k)
-		if err != nil {
+	lists := make([][]int, len(dims))
+	for i, d := range dims {
+		if lo[i] > hi[i] || !slices.Contains(d.Keys, lo[i]) || !slices.Contains(d.Keys, hi[i]) {
+			return nil, fmt.Errorf("repro: %s key range [%d, %d] is inverted or bounded by an unknown key", d.Name, lo[i], hi[i])
+		}
+		var err error
+		if lists[i], err = d.IndexRange(lo[i], hi[i]); err != nil {
 			return nil, err
 		}
-		if !ok {
-			return nil, fmt.Errorf("repro: unknown %s key %d", dims[i].Name, k)
-		}
-		out[i] = idx
 	}
-	return out, nil
-}
-
-func errUnknownDimension(dim string) error {
-	return fmt.Errorf("repro: unknown dimension %s", dim)
+	return lists, nil
 }

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"maps"
 	"testing"
 )
 
@@ -166,5 +167,173 @@ func TestWarmArrayGetZeroAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Fatalf("warm ArrayGet allocates %.1f objects/op, want 0", avg)
+	}
+}
+
+// TestArraySumKeyBoxOutOfOrder: a key box selects the cells whose keys
+// lie in it, whatever order the keys were loaded in. Array indexes
+// follow load order, so an index range between the bounds' indexes is
+// not the key box.
+func TestArraySumKeyBoxOutOfOrder(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		order  []int64
+		lo, hi int64
+	}{
+		{"interleaved", []int64{0, 6, 1, 7, 2, 8, 3, 9, 4, 10, 5, 11}, 1, 3},
+		{"descending", []int64{11, 10, 9, 8, 7, 6, 5, 4, 3, 2, 1, 0}, 2, 5},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			db, err := Open(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			loadRetailProducts(t, db, ArrayConfig{ChunkShape: []int{4, 4, 3}}, c.order)
+			lo, hi := []int64{c.lo, 0, 0}, []int64{c.hi, 7, 5}
+			got, err := db.ArraySum(lo, hi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := oracleSum(t, db, lo, hi); got != want {
+				t.Fatalf("ArraySum(%v, %v) = %d, ArrayGet over the box sums %d", lo, hi, got, want)
+			}
+			if _, err := db.ArraySum(hi, lo); err == nil {
+				t.Fatalf("inverted key box %v..%v accepted", hi, lo)
+			}
+		})
+	}
+}
+
+// oracleSum sums ArrayGet over every cell of the key box [lo, hi] of the
+// retail cube, whose keys are 0..n-1 along every dimension.
+func oracleSum(t *testing.T, db *DB, lo, hi []int64) int64 {
+	t.Helper()
+	var sum int64
+	for _, v := range oracleCells(t, db, lo, hi) {
+		sum += v
+	}
+	return sum
+}
+
+// oracleCells reads every valid cell of the key box [lo, hi] with
+// ArrayGet, keyed by its keys.
+func oracleCells(t *testing.T, db *DB, lo, hi []int64) map[[3]int64]int64 {
+	t.Helper()
+	out := map[[3]int64]int64{}
+	for p := lo[0]; p <= hi[0]; p++ {
+		for s := lo[1]; s <= hi[1]; s++ {
+			for tm := lo[2]; tm <= hi[2]; tm++ {
+				v, ok, err := db.ArrayGet([]int64{p, s, tm})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if ok {
+					out[[3]int64{p, s, tm}] = v
+				}
+			}
+		}
+	}
+	return out
+}
+
+// TestArrayADTDifferential: ArraySum and ArraySlice agree with ArrayGet
+// over every cell of the box, on every codec, with deltas pending
+// (overwrites, new cells, deletes) and again after they are compacted.
+// The chunk shape leaves partial edge chunks along every dimension.
+func TestArrayADTDifferential(t *testing.T) {
+	sizes := []int64{12, 8, 6}
+	boxes := []struct {
+		name   string
+		lo, hi []int64
+	}{
+		{"whole cube", []int64{0, 0, 0}, []int64{11, 7, 5}},
+		{"one chunk", []int64{5, 3, 0}, []int64{9, 5, 3}},
+		{"straddling", []int64{3, 2, 2}, []int64{7, 6, 5}},
+		{"partial edge chunk", []int64{10, 6, 4}, []int64{11, 7, 5}},
+		{"one cell", []int64{7, 3, 2}, []int64{7, 3, 2}},
+		{"one empty cell", []int64{7, 3, 1}, []int64{7, 3, 1}},
+	}
+	dims := []string{"product", "store", "time"}
+	for _, codec := range []string{"chunk-offset", "dense", "diff-seq", "lzw", "adaptive"} {
+		t.Run(codec, func(t *testing.T) {
+			db, err := Open(Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			loadRetailArray(t, db, ArrayConfig{ChunkShape: []int{5, 3, 4}, Codec: codec})
+			err = db.InsertCells([]IngestCell{
+				{Keys: []int64{4, 0, 0}, Value: 999},    // overwrite
+				{Keys: []int64{7, 3, 1}, Value: 71},     // new, next to a stored cell
+				{Keys: []int64{11, 7, 4}, Value: 1174},  // new, in the partial edge chunk
+				{Keys: []int64{10, 7, 5}, Delete: true}, // delete, in the partial edge chunk
+				{Keys: []int64{5, 3, 0}, Delete: true},  // delete
+				{Keys: []int64{6, 4, 2}, Value: -3},     // overwrite with a negative
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, state := range []string{"pending", "compacted"} {
+				if state == "compacted" {
+					if err := db.Compact(); err != nil {
+						t.Fatal(err)
+					}
+					if st := db.DeltaStats(); st.Cells != 0 {
+						t.Fatalf("%d delta cells left after Compact", st.Cells)
+					}
+				}
+				for _, b := range boxes {
+					want := oracleCells(t, db, b.lo, b.hi)
+					var wantSum int64
+					for _, v := range want {
+						wantSum += v
+					}
+					if got, err := db.ArraySum(b.lo, b.hi); err != nil || got != wantSum {
+						t.Fatalf("%s: ArraySum %s = %d, %v; ArrayGet sums %d", state, b.name, got, err, wantSum)
+					}
+				}
+				for d, name := range dims {
+					for key := int64(0); key < sizes[d]; key++ {
+						lo, hi := []int64{0, 0, 0}, []int64{11, 7, 5}
+						lo[d], hi[d] = key, key
+						want := oracleCells(t, db, lo, hi)
+						cells, err := db.ArraySlice(name, key)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got := map[[3]int64]int64{}
+						for _, c := range cells {
+							got[[3]int64{c.Keys[0], c.Keys[1], c.Keys[2]}] = c.Value
+						}
+						if len(got) != len(cells) || !maps.Equal(got, want) {
+							t.Fatalf("%s: ArraySlice(%s, %d) = %v, ArrayGet reads %v", state, name, key, cells, want)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestArrayADTLeavesChunkCacheEmpty: the ADT's box reads take a clean
+// chunk-offset chunk from its pinned frames, so they leave nothing in
+// the decoded-chunk cache.
+func TestArrayADTLeavesChunkCacheEmpty(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetailArray(t, db, ArrayConfig{ChunkShape: []int{4, 4, 3}, Codec: "chunk-offset"})
+	db.EnableQueryCache(8 << 20)
+	if _, err := db.ArraySum([]int64{0, 0, 0}, []int64{11, 7, 5}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.ArraySlice("product", 5); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.Stats().ChunkCache; st.Entries != 0 || st.Bytes != 0 {
+		t.Fatalf("the decoded-chunk cache holds %d entries, %d B after ArraySum and ArraySlice", st.Entries, st.Bytes)
 	}
 }

@@ -64,6 +64,9 @@ go test -run TestWarmDecodeZeroAlloc -count=1 ./internal/chunk/
 echo "== warm ArrayGet on a chunk-offset array allocates nothing =="
 go test -run TestWarmArrayGetZeroAlloc -count=1 .
 
+echo "== ArraySum/ArraySlice on a clean chunk-offset array leave the decoded-chunk cache empty =="
+go test -run TestArrayADTLeavesChunkCacheEmpty -count=1 .
+
 echo "== warm Query 1 allocates at most 50 KB (chunks folded where they sit) =="
 go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
 

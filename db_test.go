@@ -30,11 +30,18 @@ func loadRetail(t testing.TB, db *DB) {
 // tests that exercise specific codecs or chunk shapes.
 func loadRetailArray(t testing.TB, db *DB, cfg ArrayConfig) {
 	t.Helper()
+	loadRetailProducts(t, db, cfg, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11})
+}
+
+// loadRetailProducts is loadRetailArray with the product keys 0..11
+// loaded in the order given, which is the order of their array indexes.
+func loadRetailProducts(t testing.TB, db *DB, cfg ArrayConfig, productKeys []int64) {
+	t.Helper()
 	if err := db.CreateStarSchema(retailSchema()); err != nil {
 		t.Fatalf("CreateStarSchema: %v", err)
 	}
 	var products, stores, times []DimensionRow
-	for k := int64(0); k < 12; k++ {
+	for _, k := range productKeys {
 		products = append(products, DimensionRow{Key: k,
 			Attrs: []string{fmt.Sprintf("type%d", k%4), fmt.Sprintf("cat%d", k%2)}})
 	}

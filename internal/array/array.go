@@ -19,6 +19,7 @@ package array
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/btree"
 	"repro/internal/catalog"
@@ -84,6 +85,19 @@ func (d *Dimension) Size() int { return len(d.Keys) }
 func (d *Dimension) IndexOf(key int64) (int, bool, error) {
 	v, ok, err := d.keyTree.SearchFirst(key)
 	return int(v), ok, err
+}
+
+// IndexRange returns, ascending, the array indexes of the keys in
+// [lo, hi], through the B-tree. Indexes follow load order, not key
+// order, so a key range is an index set, not an index range.
+func (d *Dimension) IndexRange(lo, hi int64) ([]int, error) {
+	var out []int
+	err := d.keyTree.AscendRange(lo, hi, func(_ int64, v uint64) error {
+		out = append(out, int(v))
+		return nil
+	})
+	slices.Sort(out)
+	return out, err
 }
 
 // Array is an instance of the OLAP Array ADT.
@@ -403,86 +417,6 @@ func (a *Array) Get(v chunk.View, keys []int64) (int64, bool, error) {
 	}
 	r := a.store.Reader(v, nil)
 	return r.Get(coords)
-}
-
-// SumRange sums the valid cells under v inside the inclusive index-space
-// box [lo[i], hi[i]] — the ADT's subset-sum function (§3.5). Only chunks
-// overlapping the box are read.
-func (a *Array) SumRange(v chunk.View, lo, hi []int) (int64, error) {
-	var sum int64
-	err := a.eachCell(v, lo, hi, func(_ []int, value int64) error {
-		sum += value
-		return nil
-	})
-	return sum, err
-}
-
-// Slice invokes fn for every valid cell under v whose index along dim
-// equals idx — the ADT's slicing function (§3.5): the box pinned to idx
-// along dim and whole along every other dimension. Coordinates passed
-// to fn are reused across calls.
-func (a *Array) Slice(v chunk.View, dim, idx int, fn func(coords []int, value int64) error) error {
-	dims := a.Geometry().Dims()
-	if dim < 0 || dim >= len(dims) {
-		return fmt.Errorf("array: slice dimension %d out of range", dim)
-	}
-	lo, hi := make([]int, len(dims)), make([]int, len(dims))
-	for i, n := range dims {
-		hi[i] = n - 1
-	}
-	lo[dim], hi[dim] = idx, idx
-	return a.eachCell(v, lo, hi, fn)
-}
-
-// eachCell invokes fn, in ascending chunk and offset order, for every
-// valid cell under v inside the inclusive index-space box [lo[i], hi[i]].
-// It reads only the chunks the box overlaps.
-func (a *Array) eachCell(v chunk.View, lo, hi []int, fn func(coords []int, value int64) error) error {
-	g := a.Geometry()
-	dims, shape := g.Dims(), g.ChunkShape()
-	if len(lo) != len(dims) || len(hi) != len(dims) {
-		return fmt.Errorf("array: box rank mismatch")
-	}
-	for i := range lo {
-		if lo[i] < 0 || hi[i] >= dims[i] || lo[i] > hi[i] {
-			return fmt.Errorf("array: box [%d,%d] out of dimension %d (size %d)", lo[i], hi[i], i, dims[i])
-		}
-	}
-	// An odometer over the chunk coordinates the box spans, last
-	// dimension fastest: ascending chunk numbers.
-	cc := make([]int, len(dims))
-	for i := range cc {
-		cc[i] = lo[i] / shape[i]
-	}
-	coords := make([]int, len(dims))
-	r := a.store.Reader(v, nil)
-	for {
-		cn := g.ChunkNumber(cc)
-		cells, err := r.ReadChunk(cn)
-		if err != nil {
-			return err
-		}
-	cell:
-		for _, c := range cells {
-			g.Decompose(cn, int(c.Offset), coords)
-			for i, x := range coords {
-				if x < lo[i] || x > hi[i] {
-					continue cell
-				}
-			}
-			if err := fn(coords, c.Value); err != nil {
-				return err
-			}
-		}
-		d := len(cc) - 1
-		for ; d >= 0 && cc[d] == hi[d]/shape[d]; d-- {
-			cc[d] = lo[d] / shape[d]
-		}
-		if d < 0 {
-			return nil
-		}
-		cc[d]++
-	}
 }
 
 // SizeBytes reports the on-disk footprint of the ADT: the chunk store,

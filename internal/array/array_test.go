@@ -200,77 +200,6 @@ func TestArrayReopen(t *testing.T) {
 	}
 }
 
-func TestArraySumRange(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 256)
-	a, ref := buildTestArray(t, bp)
-
-	// Whole-array sum.
-	var want int64
-	for _, v := range ref {
-		want += v
-	}
-	got, err := a.SumRange(chunk.View{}, []int{0, 0}, []int{5, 3})
-	if err != nil || got != want {
-		t.Fatalf("SumRange(all) = (%d, %v), want %d", got, err, want)
-	}
-	// Sub-box: indices equal keys here.
-	want = 0
-	for k, v := range ref {
-		if k[0] >= 2 && k[0] <= 4 && k[1] >= 1 && k[1] <= 2 {
-			want += v
-		}
-	}
-	got, err = a.SumRange(chunk.View{}, []int{2, 1}, []int{4, 2})
-	if err != nil || got != want {
-		t.Fatalf("SumRange(box) = (%d, %v), want %d", got, err, want)
-	}
-	// Bad boxes.
-	if _, err := a.SumRange(chunk.View{}, []int{0}, []int{1}); err == nil {
-		t.Fatal("rank mismatch accepted")
-	}
-	if _, err := a.SumRange(chunk.View{}, []int{0, 0}, []int{6, 3}); err == nil {
-		t.Fatal("out-of-bounds box accepted")
-	}
-	if _, err := a.SumRange(chunk.View{}, []int{3, 0}, []int{2, 3}); err == nil {
-		t.Fatal("inverted box accepted")
-	}
-}
-
-func TestArraySlice(t *testing.T) {
-	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 256)
-	a, ref := buildTestArray(t, bp)
-	var got int64
-	count := 0
-	err := a.Slice(chunk.View{}, 0, 3, func(coords []int, value int64) error {
-		if coords[0] != 3 {
-			return fmt.Errorf("slice yielded coords %v", coords)
-		}
-		got += value
-		count++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	wantCount := 0
-	for k, v := range ref {
-		if k[0] == 3 {
-			want += v
-			wantCount++
-		}
-	}
-	if got != want || count != wantCount {
-		t.Fatalf("Slice sum=%d count=%d, want %d/%d", got, count, want, wantCount)
-	}
-	if err := a.Slice(chunk.View{}, 5, 0, func([]int, int64) error { return nil }); err == nil {
-		t.Fatal("Slice with bad dimension accepted")
-	}
-	if err := a.Slice(chunk.View{}, 0, 99, func([]int, int64) error { return nil }); err == nil {
-		t.Fatal("Slice with bad index accepted")
-	}
-}
-
 func TestArrayBuildErrors(t *testing.T) {
 	bp := storage.NewBufferPool(storage.NewMemDiskManager(), 256)
 	if _, err := Build(bp, nil, &sliceFacts{}, BuildConfig{}); err == nil {
@@ -360,13 +289,8 @@ func TestArrayLargerRandomized(t *testing.T) {
 			t.Fatalf("Get(%v) = (%d, %v, %v), want %d", k, v, ok, err, want)
 		}
 	}
-	var total, want int64
-	for _, v := range ref {
-		want += v
-	}
-	total, err = a.SumRange(chunk.View{}, []int{0, 0, 0}, []int{12, 8, 16})
-	if err != nil || total != want {
-		t.Fatalf("SumRange(all) = (%d, %v), want %d", total, err, want)
+	if n := a.NumValidCells(); n != int64(len(ref)) {
+		t.Fatalf("NumValidCells = %d, want %d", n, len(ref))
 	}
 	if bp.PinnedPages() != 0 {
 		t.Fatalf("%d pages still pinned", bp.PinnedPages())

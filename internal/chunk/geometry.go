@@ -121,15 +121,6 @@ func (g *Geometry) ChunkCoords(chunkNum int) []int {
 	return out
 }
 
-// ChunkNumber is the inverse of ChunkCoords.
-func (g *Geometry) ChunkNumber(chunkCoords []int) int {
-	n := 0
-	for i, c := range chunkCoords {
-		n = n*g.chunksPer[i] + c
-	}
-	return n
-}
-
 // ChunkOf returns the chunk number containing the cell at coords.
 func (g *Geometry) ChunkOf(coords []int) int {
 	n, _ := g.Locate(coords)
@@ -166,40 +157,6 @@ func (g *Geometry) ValidOffset(chunkNum, offset int) bool {
 		offset /= cs
 	}
 	return true
-}
-
-// ChunkStart returns the coordinates of the first cell of the chunk.
-func (g *Geometry) ChunkStart(chunkNum int) []int {
-	cc := g.ChunkCoords(chunkNum)
-	for i := range cc {
-		cc[i] *= g.chunkShape[i]
-	}
-	return cc
-}
-
-// ChunkExtent returns the clipped size of the chunk along each dimension
-// (smaller than the chunk shape only for partial edge chunks).
-func (g *Geometry) ChunkExtent(chunkNum int) []int {
-	cc := g.ChunkCoords(chunkNum)
-	out := make([]int, len(g.dims))
-	for i := range cc {
-		start := cc[i] * g.chunkShape[i]
-		ext := g.chunkShape[i]
-		if start+ext > g.dims[i] {
-			ext = g.dims[i] - start
-		}
-		out[i] = ext
-	}
-	return out
-}
-
-// ChunkCellCount returns the number of in-bounds cells of the chunk.
-func (g *Geometry) ChunkCellCount(chunkNum int) int {
-	n := 1
-	for _, e := range g.ChunkExtent(chunkNum) {
-		n *= e
-	}
-	return n
 }
 
 // Equal reports whether two geometries describe the same layout.

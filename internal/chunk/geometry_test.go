@@ -98,11 +98,10 @@ func TestGeometryValidOffsetEdges(t *testing.T) {
 	if g.ValidOffset(2, 1) || g.ValidOffset(2, 2) {
 		t.Fatal("offsets past dimension end reported valid")
 	}
-	if got := g.ChunkCellCount(2); got != 1 {
-		t.Fatalf("ChunkCellCount(2) = %d, want 1", got)
-	}
-	if got := g.ChunkCellCount(0); got != 3 {
-		t.Fatalf("ChunkCellCount(0) = %d, want 3", got)
+	for off := 0; off < 3; off++ {
+		if !g.ValidOffset(0, off) {
+			t.Fatalf("offset %d of the first, whole chunk reported invalid", off)
+		}
 	}
 }
 
@@ -116,27 +115,22 @@ func TestGeometryChunkCoordsAndExtent(t *testing.T) {
 			t.Fatalf("ChunkCoords(last) = %v, want %v", cc, want)
 		}
 	}
-	if g.ChunkNumber(cc) != last {
-		t.Fatalf("ChunkNumber(ChunkCoords(last)) = %d, want %d", g.ChunkNumber(cc), last)
+	// The last chunk starts at (20, 20, 20, 90) and is whole.
+	if cn, off := g.Locate([]int{20, 20, 20, 90}); cn != last || off != 0 {
+		t.Fatalf("Locate(start of last) = (%d, %d), want (%d, 0)", cn, off, last)
 	}
-	start := g.ChunkStart(last)
-	wantStart := []int{20, 20, 20, 90}
-	for i := range wantStart {
-		if start[i] != wantStart[i] {
-			t.Fatalf("ChunkStart(last) = %v, want %v", start, wantStart)
-		}
+	if !g.ValidOffset(last, g.ChunkCapacity()-1) {
+		t.Fatal("the last offset of the whole last chunk reported invalid")
 	}
-	ext := g.ChunkExtent(last)
-	wantExt := []int{20, 20, 20, 10}
-	for i := range wantExt {
-		if ext[i] != wantExt[i] {
-			t.Fatalf("ChunkExtent(last) = %v, want %v", ext, wantExt)
-		}
-	}
-	// Sum of per-chunk cell counts must equal the array cell count.
+	// The in-bounds cells of all chunks add up to the array's cells.
+	g = mustGeometry(t, []int{7, 5, 3}, []int{3, 2, 2})
 	var sum int64
 	for cn := 0; cn < g.NumChunks(); cn++ {
-		sum += int64(g.ChunkCellCount(cn))
+		for off := 0; off < g.ChunkCapacity(); off++ {
+			if g.ValidOffset(cn, off) {
+				sum++
+			}
+		}
 	}
 	if sum != g.NumCells() {
 		t.Fatalf("chunk cell counts sum to %d, want %d", sum, g.NumCells())

@@ -222,15 +222,7 @@ func unionSorted(a, b []int) []int {
 // no predicate yield the full index range. The selections must have
 // passed ScanSpec.validate.
 func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
-	dims := a.Dims()
-	lists := make([][]int, len(dims))
-	for i, d := range dims {
-		all := make([]int, d.Size())
-		for b := range all {
-			all[b] = b
-		}
-		lists[i] = all
-	}
+	dims, lists := a.Dims(), wholeLists(a)
 	for _, s := range sels {
 		var merged []int
 		for _, v := range s.Values {

@@ -50,16 +50,10 @@ type chunkKernel struct {
 	hi, lo       []int32
 	hiKey, loKey int
 
-	// The chunk being folded under a selection (begin): its selected
-	// in-chunk coordinates per dimension, the odometer over their cross
-	// product (the last dimension's entry indexes its list), and how the
-	// chunk is read — seek the cross product's offset runs, or one masked
-	// pass over every cell.
-	inLists  [][]int
-	inPos    []int
-	runsDone bool
-	next     [2]uint32 // the stretch after the run NextRun last yielded
-	nextOK   bool
+	// The chunk being folded under a selection (begin): its offset runs,
+	// and how the chunk is read — seek the runs, or one masked pass over
+	// every cell.
+	runs     chunkRuns
 	seeking  bool
 	seek     chunk.PairSeek
 	cands    int   // the chunk's candidate cells: the cross product's size
@@ -84,8 +78,7 @@ func newChunkKernel(g *chunk.Geometry, gm *groupMapper, sel *chunkSelection, ar 
 		chunksPer: make([]int, n),
 		hiKey:     -1,
 		loKey:     -1,
-		inLists:   make([][]int, n),
-		inPos:     make([]int, n),
+		runs:      newChunkRuns(n, sel),
 	}
 	li := 0
 	for d, tab := range gm.maps {
@@ -267,10 +260,10 @@ func (k *chunkKernel) foldChunk(r *chunk.Reader, cn int, m *Metrics) error {
 }
 
 // begin points the kernel at chunk cn, holding cells cells, and decides
-// how a selection reads it. The §4.2 enumeration visits the chunk's
-// cross product in ascending offset order as runs, one per contiguous
-// stretch of the last dimension's list under each element of the
-// leading dimensions' cross product, and binary-searches each run's
+// how a selection reads it. The §4.2 enumeration (chunkRuns) visits the
+// chunk's cross product in ascending offset order as runs, one per
+// contiguous stretch of the last dimension's list under each element of
+// the leading dimensions' cross product, and binary-searches each run's
 // start: about seeks x log2(cells) steps. When that exceeds the cells,
 // one masked pass over them is cheaper. Both counts are the chunk's
 // own, so the choice needs no setting.
@@ -279,18 +272,10 @@ func (k *chunkKernel) begin(cn, cells int) {
 	if k.sel == nil || cells == 0 {
 		return
 	}
-	lists, pos := k.inLists, k.inPos
-	k.cands = 1
-	for d, rest := len(lists)-1, cn; d >= 0; d-- {
-		lists[d] = k.sel.inChunk[d][rest%k.chunksPer[d]]
-		rest /= k.chunksPer[d]
-		k.cands *= len(lists[d])
-		pos[d] = 0
-	}
-	if k.runsDone = k.cands == 0; k.runsDone {
+	if k.cands = k.runs.begin(cn); k.cands == 0 {
 		return
 	}
-	last := lists[len(lists)-1]
+	last := k.runs.lists[len(k.runs.lists)-1]
 	runs := 1
 	for i := 1; i < len(last); i++ {
 		if last[i] != last[i-1]+1 {
@@ -300,26 +285,63 @@ func (k *chunkKernel) begin(cn, cells int) {
 	seeks := k.cands / len(last) * runs
 	if k.seeking = seeks*bits.Len(uint(cells-1)) <= cells; k.seeking {
 		k.load(cn)
-		k.seek = chunk.NewPairSeek(k)
-		k.next[0], k.next[1], k.nextOK = k.stretch()
+		k.seek = chunk.NewPairSeek(&k.runs)
 	}
+}
+
+// chunkRuns enumerates one chunk's share of a selection's cross product
+// (§4.2) as runs of offsets, in ascending order: begin points it at a
+// chunk, and NextRun yields the runs. The kernel's seek and the box walk
+// (ArrayBox) both read a chunk through it.
+type chunkRuns struct {
+	sel *chunkSelection
+	// The chunk's selected in-chunk coordinates per dimension, and the
+	// odometer over their cross product (the last dimension's entry
+	// indexes its list).
+	lists  [][]int
+	pos    []int
+	done   bool
+	next   [2]uint32 // the stretch after the run NextRun last yielded
+	nextOK bool
+}
+
+// newChunkRuns makes the run enumerator of sel over n dimensions.
+func newChunkRuns(n int, sel *chunkSelection) chunkRuns {
+	return chunkRuns{sel: sel, lists: make([][]int, n), pos: make([]int, n)}
+}
+
+// begin points the runs at chunk cn, from its first, and returns the
+// size of the chunk's cross product.
+func (e *chunkRuns) begin(cn int) (cands int) {
+	lists, pos := e.lists, e.pos
+	cands = 1
+	for d, rest := len(lists)-1, cn; d >= 0; d-- {
+		slabs := e.sel.inChunk[d]
+		lists[d] = slabs[rest%len(slabs)]
+		rest /= len(slabs)
+		cands *= len(lists[d])
+		pos[d] = 0
+	}
+	e.done = cands == 0
+	e.next[0], e.next[1], e.nextOK = e.stretch()
+	return cands
 }
 
 // NextRun yields the current chunk's next run of selected offsets, in
 // ascending order: stretches (see stretch) that meet end to end, as
 // whole rows of the last dimension under consecutive coordinates of the
 // one before do, form one run.
-func (k *chunkKernel) NextRun() (lo, hi uint32, ok bool) {
-	if !k.nextOK {
+func (e *chunkRuns) NextRun() (lo, hi uint32, ok bool) {
+	if !e.nextOK {
 		return 0, 0, false
 	}
-	lo, hi = k.next[0], k.next[1]
+	lo, hi = e.next[0], e.next[1]
 	for {
-		k.next[0], k.next[1], k.nextOK = k.stretch()
-		if !k.nextOK || k.next[0] != hi {
+		e.next[0], e.next[1], e.nextOK = e.stretch()
+		if !e.nextOK || e.next[0] != hi {
 			return lo, hi, true
 		}
-		hi = k.next[1]
+		hi = e.next[1]
 	}
 }
 
@@ -327,11 +349,11 @@ func (k *chunkKernel) NextRun() (lo, hi uint32, ok bool) {
 // in ascending order: the odometer over the leading dimensions' lists
 // fixes its base, and it is one contiguous stretch of the last
 // dimension's list.
-func (k *chunkKernel) stretch() (lo, hi uint32, ok bool) {
-	if k.runsDone {
+func (e *chunkRuns) stretch() (lo, hi uint32, ok bool) {
+	if e.done {
 		return 0, 0, false
 	}
-	lists, pos := k.inLists, k.inPos
+	lists, pos := e.lists, e.pos
 	n := len(lists) - 1
 	if pos[n] == len(lists[n]) {
 		d := n - 1
@@ -342,23 +364,23 @@ func (k *chunkKernel) stretch() (lo, hi uint32, ok bool) {
 			pos[d] = 0
 		}
 		if d < 0 {
-			k.runsDone = true
+			e.done = true
 			return 0, 0, false
 		}
 		pos[n] = 0
 	}
 	base := uint32(0)
 	for d := 0; d < n; d++ {
-		base = base*uint32(k.shape[d]) + uint32(lists[d][pos[d]])
+		base = base*uint32(e.sel.shape[d]) + uint32(lists[d][pos[d]])
 	}
-	base *= uint32(k.shape[n])
+	base *= uint32(e.sel.shape[n])
 	last, j := lists[n], pos[n]
-	e := j + 1
-	for e < len(last) && last[e] == last[e-1]+1 {
-		e++
+	end := j + 1
+	for end < len(last) && last[end] == last[end-1]+1 {
+		end++
 	}
-	pos[n] = e
-	return base + uint32(last[j]), base + uint32(last[e-1]) + 1, true
+	pos[n] = end
+	return base + uint32(last[j]), base + uint32(last[end-1]) + 1, true
 }
 
 // chunkCells folds a chunk handed over as decoded cells. Their count
@@ -372,7 +394,7 @@ func (k *chunkKernel) chunkCells(cn int, cells []chunk.Cell) error {
 		return k.consolidate(cn, cells)
 	}
 	at := 0
-	for lo, hi, ok := k.NextRun(); ok && at < len(cells); lo, hi, ok = k.NextRun() {
+	for lo, hi, ok := k.runs.NextRun(); ok && at < len(cells); lo, hi, ok = k.runs.NextRun() {
 		// The runs hold only in-bounds selected offsets, so a negative
 		// sum is a group table's unselected entry.
 		for at = chunk.LowerBound(cells, at, lo); at < len(cells) && cells[at].Offset < hi; at++ {
@@ -414,12 +436,13 @@ type chunkSelection struct {
 	// masks[d][base] reports whether base is selected; nil for a
 	// dimension selected whole.
 	masks [][]bool
+	shape []int // the chunk shape
 }
 
 // newChunkSelection buckets the per-dimension sorted index lists.
 func newChunkSelection(g *chunk.Geometry, lists [][]int) *chunkSelection {
 	dims, shape := g.Dims(), g.ChunkShape()
-	s := &chunkSelection{inChunk: make([][][]int, len(lists)), masks: make([][]bool, len(lists))}
+	s := &chunkSelection{inChunk: make([][][]int, len(lists)), masks: make([][]bool, len(lists)), shape: shape}
 	for d, list := range lists {
 		side := shape[d]
 		s.inChunk[d] = make([][]int, (dims[d]+side-1)/side)
@@ -436,28 +459,16 @@ func newChunkSelection(g *chunk.Geometry, lists [][]int) *chunkSelection {
 	return s
 }
 
-// reaches reports whether chunk cn overlaps the selection's cross
-// product, i.e. is one of its candidate chunks.
-func (s *chunkSelection) reaches(cn int) bool {
-	for d := len(s.inChunk) - 1; d >= 0; d-- {
-		slabs := len(s.inChunk[d])
-		if len(s.inChunk[d][cn%slabs]) == 0 {
-			return false
-		}
-		cn /= slabs
-	}
-	return true
-}
-
 // reached returns the chunks of the ascending list chunks that s
 // reaches; a nil selection reaches them all, and gets chunks back.
 func (s *chunkSelection) reached(chunks []int) []int {
 	if s == nil {
 		return chunks
 	}
+	runs := newChunkRuns(len(s.inChunk), s)
 	var out []int
 	for _, cn := range chunks {
-		if s.reaches(cn) {
+		if runs.begin(cn) > 0 { // cn overlaps the cross product
 			out = append(out, cn)
 		}
 	}
