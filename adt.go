@@ -18,10 +18,11 @@ import (
 // ArrayGet reads one cell of the OLAP array by dimension keys; ok is
 // false when any key is unknown or the cell holds no data.
 func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
-	arr, view, err := db.ex.Context().Array()
+	arr, view, hold, err := db.ex.Context().HoldArray()
 	if err != nil {
 		return 0, false, err
 	}
+	defer hold.Release()
 	return arr.Get(view, keys)
 }
 
@@ -31,10 +32,11 @@ func (db *DB) ArrayGet(keys []int64) (value int64, ok bool, err error) {
 // in. Both bounds of each range must be keys of the dimension. Only the
 // chunks holding cells of the box are read.
 func (db *DB) ArraySum(loKeys, hiKeys []int64) (int64, error) {
-	arr, view, err := db.ex.Context().Array()
+	arr, view, hold, err := db.ex.Context().HoldArray()
 	if err != nil {
 		return 0, err
 	}
+	defer hold.Release()
 	lists, err := keyBox(arr, loKeys, hiKeys)
 	if err != nil {
 		return 0, err
@@ -57,10 +59,11 @@ type ArraySliceCell struct {
 // ArraySlice returns every valid cell whose key along the named
 // dimension equals key — the ADT's slicing function.
 func (db *DB) ArraySlice(dim string, key int64) ([]ArraySliceCell, error) {
-	arr, view, err := db.ex.Context().Array()
+	arr, view, hold, err := db.ex.Context().HoldArray()
 	if err != nil {
 		return nil, err
 	}
+	defer hold.Release()
 	di := db.cat.Schema.DimIndex(dim)
 	if di < 0 {
 		return nil, fmt.Errorf("repro: unknown dimension %s", dim)

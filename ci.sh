@@ -54,6 +54,13 @@ echo "== one-snapshot stress under -race (50 runs) =="
 go test -race -count=50 -run 'TestGenerationSwap/readers_and_a_writer|TestOldGenerationSeesCompactedCells' ./internal/exec/
 go test -race -count=50 -run 'TestViewsSelfConsistent' ./internal/delta/
 
+# A compaction's replaced extents are freed only once no reader holds a
+# state that reaches them, and reused; a volume that poisons freed pages
+# catches a held reader that reads one.
+echo "== reclamation under -race (bounded growth, held snapshot on a poisoning volume, holds vs reclaim) =="
+go test -race -count=1 -run 'TestCompactionGrowthBounded|TestHeldSnapshotSurvivesCompactions' .
+go test -race -count=1 -run 'TestReclaimNeverPassesAHeldState' ./internal/delta/
+
 echo "== parallel differential suite under -race (GOMAXPROCS=4) =="
 GOMAXPROCS=4 go test -race -count=1 -run 'Parallel|ClampWorkers' \
     ./internal/core/... ./internal/exec/... ./internal/server/...
@@ -73,7 +80,7 @@ go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
 echo "== warm Query 2/3 allocates at most 50 KB (chunks seeked or filtered where they sit) =="
 go test -run TestWarmArraySelectAllocBytes -count=1 ./internal/core/
 
-echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, B-tree node pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, 10s each) =="
+echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, B-tree node pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, catalog blob + mark pass, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzOffsetPairWalk -fuzztime=10s ./internal/chunk/
@@ -85,6 +92,7 @@ go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzParseAndCompile -fuzztime=10s ./internal/query/
 go test -run='^$' -fuzz=FuzzRecordScan -fuzztime=10s ./internal/wal/
 go test -run='^$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/delta/
+go test -run='^$' -fuzz=FuzzCatalogBlob -fuzztime=10s ./internal/exec/
 
 echo "== warm StarJoin/bitmap allocations bounded and flat =="
 go test -run TestWarmStarJoinBoundedAllocs -count=1 ./internal/core/

@@ -403,6 +403,8 @@ func parseInsertCells(arg string) ([]client.IngestCell, error) {
 func printStats(db *repro.DB) {
 	es := db.Stats()
 	fmt.Printf("buffer: %s evictions=%d\n", es.Buffer.String(), es.Buffer.Evictions)
+	fmt.Printf("volume: pages=%d free=%d pending=%d reused=%d\n",
+		es.Volume.Pages, es.Volume.FreePages, es.Volume.PendingPages, es.Volume.ReusedPages)
 	if es.HasWAL {
 		fmt.Printf("wal: page_images=%d before_images=%d commits=%d fsyncs=%d\n",
 			es.WAL.PageImages, es.WAL.BeforeImages, es.WAL.Commits, es.WAL.Fsyncs)

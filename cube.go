@@ -29,10 +29,11 @@ func (db *DB) Cube(sql string) ([]CuboidResult, error) {
 	}
 	// Read under the execution context's view, the cube sees the pending
 	// deltas, so it agrees with what queries see.
-	arr, view, err := db.ex.Context().Array()
+	arr, view, hold, err := db.ex.Context().HoldArray()
 	if err != nil {
 		return nil, err
 	}
+	defer hold.Release()
 	cuboids, _, err := core.ArrayCube(arr, view, spec.Group)
 	if err != nil {
 		return nil, err

@@ -45,34 +45,46 @@ func (db *DB) InsertCellsContext(ctx context.Context, cells []IngestCell) error 
 	if !db.ex.HasArray() {
 		return fmt.Errorf("repro: ingest requires a built array (BuildArray)")
 	}
-	// Only the master's dimension maps and geometry are read here; no
-	// chunk is.
-	arr, _, err := db.ex.Context().Array()
+	out, err := db.locate(cells)
 	if err != nil {
 		return err
 	}
+	return db.ds.Apply(ctx, out)
+}
+
+// locate resolves cells' keys to (chunk, offset) through the dimension
+// B-trees of the published master. Its hold on the master's state ends
+// before InsertCells may wait on backpressure for a compaction.
+func (db *DB) locate(cells []IngestCell) ([]delta.Cell, error) {
+	// Only the master's dimension maps and geometry are read here; no
+	// chunk is.
+	arr, _, hold, err := db.ex.Context().HoldArray()
+	if err != nil {
+		return nil, err
+	}
+	defer hold.Release()
 	dims := arr.Dims()
 	g := arr.Geometry()
 	coords := make([]int, len(dims))
 	out := make([]delta.Cell, len(cells))
 	for i, c := range cells {
 		if len(c.Keys) != len(dims) {
-			return fmt.Errorf("repro: ingest: cell %d has %d keys for %d dimensions", i, len(c.Keys), len(dims))
+			return nil, fmt.Errorf("repro: ingest: cell %d has %d keys for %d dimensions", i, len(c.Keys), len(dims))
 		}
 		for d, k := range c.Keys {
 			idx, ok, err := dims[d].IndexOf(k)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			if !ok {
-				return fmt.Errorf("repro: ingest: cell %d references unknown %s key %d", i, dims[d].Name, k)
+				return nil, fmt.Errorf("repro: ingest: cell %d references unknown %s key %d", i, dims[d].Name, k)
 			}
 			coords[d] = idx
 		}
 		cn, off := g.Locate(coords)
 		out[i] = delta.Cell{Chunk: cn, Offset: uint32(off), Value: c.Value, Delete: c.Delete}
 	}
-	return db.ds.Apply(ctx, out)
+	return out, nil
 }
 
 // DeltaStats snapshots the ingest delta store's counters.
@@ -136,6 +148,9 @@ func (db *DB) Compact() error {
 	if err := db.commitLocked(); err != nil {
 		return err
 	}
+	// The commit is durable, and nothing it reaches is in what next
+	// replaced; a reader may still hold the view's state, or an older one.
+	db.retire(view.Seq, arr.Superseded(next)...)
 	if err := db.compactHook("committed"); err != nil {
 		return err
 	}

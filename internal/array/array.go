@@ -102,10 +102,11 @@ func (d *Dimension) IndexRange(lo, hi int64) ([]int, error) {
 
 // Array is an instance of the OLAP Array ADT.
 type Array struct {
-	bp    *storage.BufferPool
-	store *chunk.Store
-	dims  []*Dimension
-	state storage.LOBRef
+	bp         *storage.BufferPool
+	store      *chunk.Store
+	dims       []*Dimension
+	state      storage.LOBRef
+	statePages int // the master blob's extent
 }
 
 // Store exposes the underlying chunk store. It is immutable: read its
@@ -255,11 +256,11 @@ func Build(bp *storage.BufferPool, dims []*catalog.DimensionTable, facts FactSou
 	a.store = store
 
 	// Persist the master blob.
-	ref, _, err := storage.NewLOBStore(bp).Write(a.marshalState())
+	ref, pages, err := storage.NewLOBStore(bp).Write(a.marshalState())
 	if err != nil {
 		return nil, err
 	}
-	a.state = ref
+	a.state, a.statePages = ref, pages
 	return a, nil
 }
 
@@ -314,6 +315,17 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
+// count reads a count of items that take at least a byte each, so one
+// larger than the bytes left is corrupt, not a request for a huge slice.
+func (r *reader) count() int {
+	n := r.uvarint()
+	if r.err == nil && n > uint64(len(r.data)) {
+		r.err = fmt.Errorf("array: corrupt state blob (count %d, %d bytes left)", n, len(r.data))
+		return 0
+	}
+	return int(n)
+}
+
 func (r *reader) varint() int64 {
 	if r.err != nil {
 		return 0
@@ -348,22 +360,22 @@ func Open(bp *storage.BufferPool, state storage.LOBRef) (*Array, error) {
 		return nil, err
 	}
 	r := &reader{data: data}
-	a := &Array{bp: bp, state: state}
+	a := &Array{bp: bp, state: state, statePages: storage.BlobPages(len(data))}
 	storeMeta := storage.PageID(r.uvarint())
-	nDims := int(r.uvarint())
+	nDims := r.count()
 	for i := 0; i < nDims && r.err == nil; i++ {
 		d := &Dimension{Name: r.str()}
 		d.keyTree = btree.Open(bp, storage.PageID(r.uvarint()))
-		nKeys := int(r.uvarint())
+		nKeys := r.count()
 		d.Keys = make([]int64, nKeys)
 		for k := range d.Keys {
 			d.Keys[k] = r.varint()
 		}
-		nLevels := int(r.uvarint())
+		nLevels := r.count()
 		for li := 0; li < nLevels && r.err == nil; li++ {
 			l := &Level{Attr: r.str(), codes: make(map[string]int32)}
 			l.attrTree = btree.Open(bp, storage.PageID(r.uvarint()))
-			nDict := int(r.uvarint())
+			nDict := r.count()
 			l.Dict = make([]string, nDict)
 			for c := range l.Dict {
 				l.Dict[c] = r.str()
@@ -390,6 +402,37 @@ func Open(bp *storage.BufferPool, state storage.LOBRef) (*Array, error) {
 			store.Geometry().NumDims(), len(a.dims))
 	}
 	return a, nil
+}
+
+// Pages hands mark every page of the array: its master blob, each
+// dimension's key B-tree and attribute B-trees, and the chunk store.
+func (a *Array) Pages(mark func(first storage.PageID, n int) error) error {
+	if err := mark(a.state.First, a.statePages); err != nil {
+		return err
+	}
+	for _, d := range a.dims {
+		if err := d.keyTree.Pages(mark); err != nil {
+			return fmt.Errorf("array: dimension %s: %w", d.Name, err)
+		}
+		for _, l := range d.Levels {
+			if err := l.attrTree.Pages(mark); err != nil {
+				return fmt.Errorf("array: %s.%s: %w", d.Name, l.Attr, err)
+			}
+		}
+	}
+	return a.store.Pages(mark)
+}
+
+// Superseded returns the extents of a that next, made from a by
+// ApplyChunkChanges, no longer references: a's master blob, its chunk
+// store's directory blob and every chunk the update rewrote. Both share
+// the rest, B-trees included.
+func (a *Array) Superseded(next *Array) []storage.Extent {
+	var out []storage.Extent
+	if next.state != a.state {
+		out = append(out, storage.Extent{First: a.state.First, N: a.statePages})
+	}
+	return append(out, a.store.Superseded(next.store)...)
 }
 
 // Get returns the measure at the given dimension keys under v, resolving
@@ -422,26 +465,10 @@ func (a *Array) Get(v chunk.View, keys []int64) (int64, bool, error) {
 // SizeBytes reports the on-disk footprint of the ADT: the chunk store,
 // the master blob, and all B-tree pages.
 func (a *Array) SizeBytes() (int64, error) {
-	total := a.store.SizeBytes()
-	lob := storage.NewLOBStore(a.bp)
-	n, err := lob.Length(a.state)
-	if err != nil {
-		return 0, err
-	}
-	total += int64(storage.BlobPages(n)) * storage.PageSize
-	for _, d := range a.dims {
-		pages, err := d.keyTree.NumPages()
-		if err != nil {
-			return 0, err
-		}
-		total += pages * storage.PageSize
-		for _, l := range d.Levels {
-			pages, err := l.attrTree.NumPages()
-			if err != nil {
-				return 0, err
-			}
-			total += pages * storage.PageSize
-		}
-	}
-	return total, nil
+	var pages int64
+	err := a.Pages(func(_ storage.PageID, n int) error {
+		pages += int64(n)
+		return nil
+	})
+	return pages * storage.PageSize, err
 }

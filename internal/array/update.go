@@ -29,10 +29,10 @@ func (a *Array) ApplyChunkChanges(ov map[int][]chunk.OverlayCell) (*Array, error
 		return nil, err
 	}
 	next := &Array{bp: a.bp, store: store, dims: a.dims}
-	ref, _, err := storage.NewLOBStore(a.bp).Write(next.marshalState())
+	ref, pages, err := storage.NewLOBStore(a.bp).Write(next.marshalState())
 	if err != nil {
 		return nil, err
 	}
-	next.state = ref
+	next.state, next.statePages = ref, pages
 	return next, nil
 }

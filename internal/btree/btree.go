@@ -693,43 +693,55 @@ func (t *Tree) Delete(key int64, value uint64) (bool, error) {
 // NumPages counts the pages the tree occupies (meta + all nodes) by
 // walking it; used for storage accounting, not on hot paths.
 func (t *Tree) NumPages() (int64, error) {
-	metaBuf, err := t.fetchMeta()
-	if err != nil {
-		return 0, err
-	}
-	root := storage.PageID(storage.GetUint64(metaBuf, metaRootOff))
-	if err := t.bp.Unpin(t.meta, false); err != nil {
-		return 0, err
-	}
-	n, err := t.countNodes(root)
-	return n + 1, err
+	var n int64
+	err := t.Pages(func(_ storage.PageID, k int) error {
+		n += int64(k)
+		return nil
+	})
+	return n, err
 }
 
-func (t *Tree) countNodes(node storage.PageID) (int64, error) {
+// Pages hands mark every page of the tree: the meta page, then the
+// nodes depth first. Each node is marked before it is read, so a mark
+// that refuses a page seen before stops a corrupt child pointer that
+// makes a cycle.
+func (t *Tree) Pages(mark func(first storage.PageID, n int) error) error {
+	if err := mark(t.meta, 1); err != nil {
+		return err
+	}
+	metaBuf, err := t.fetchMeta()
+	if err != nil {
+		return err
+	}
+	root := storage.PageID(storage.GetUint64(metaBuf, metaRootOff))
+	t.bp.Unpin(t.meta, false)
+	return t.nodePages(root, mark)
+}
+
+func (t *Tree) nodePages(node storage.PageID, mark func(first storage.PageID, n int) error) error {
+	if err := mark(node, 1); err != nil {
+		return err
+	}
 	buf, err := t.fetchNode(node)
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if buf[0] == leafNode {
-		return 1, t.bp.Unpin(node, false)
+		t.bp.Unpin(node, false)
+		return nil
 	}
 	n := nodeCount(buf)
 	children := make([]storage.PageID, 0, n+1)
 	for i := 0; i <= n; i++ {
 		children = append(children, intChild(buf, i))
 	}
-	if err := t.bp.Unpin(node, false); err != nil {
-		return 0, err
-	}
-	total := int64(1)
+	t.bp.Unpin(node, false)
 	for _, c := range children {
-		sub, err := t.countNodes(c)
-		if err != nil {
-			return 0, err
+		if err := t.nodePages(c, mark); err != nil {
+			return err
 		}
-		total += sub
 	}
-	return total, nil
+	return nil
 }
 
 // CheckInvariants walks the whole tree verifying structural invariants:

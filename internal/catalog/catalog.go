@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"repro/internal/heap"
 	"repro/internal/storage"
 )
 
@@ -88,14 +89,14 @@ func (c *Catalog) Save(bp *storage.BufferPool, sb *storage.Superblock) error {
 // Load reads the catalog published in the superblock; a database with no
 // catalog yet yields an empty catalog.
 func Load(bp *storage.BufferPool, sb *storage.Superblock) (*Catalog, error) {
-	root, ok, err := sb.GetRoot(catalogRoot)
+	root, ok, err := Root(sb)
 	if err != nil {
 		return nil, err
 	}
 	if !ok {
 		return NewCatalog(), nil
 	}
-	data, err := storage.NewLOBStore(bp).Read(storage.LOBRef{First: storage.PageID(root)})
+	data, err := storage.NewLOBStore(bp).Read(storage.LOBRef{First: root})
 	if err != nil {
 		return nil, fmt.Errorf("catalog: read blob: %w", err)
 	}
@@ -114,6 +115,36 @@ func Load(bp *storage.BufferPool, sb *storage.Superblock) (*Catalog, error) {
 		c.BitmapIndexes = make(map[string]uint64)
 	}
 	return c, nil
+}
+
+// Root returns the first page of the catalog blob the superblock
+// publishes; ok is false on a volume that has none yet.
+func Root(sb *storage.Superblock) (storage.PageID, bool, error) {
+	root, ok, err := sb.GetRoot(catalogRoot)
+	return storage.PageID(root), ok, err
+}
+
+// Pages hands mark what the catalog itself keeps on the volume: the
+// catalog blob the superblock publishes, and every dimension table's
+// heap pages.
+func (c *Catalog) Pages(bp *storage.BufferPool, sb *storage.Superblock, mark func(first storage.PageID, n int) error) error {
+	root, ok, err := Root(sb)
+	if err != nil || !ok {
+		return err
+	}
+	ext, err := storage.NewLOBStore(bp).BlobExtent(storage.LOBRef{First: root})
+	if err != nil {
+		return fmt.Errorf("catalog: blob: %w", err)
+	}
+	if err := mark(ext.First, ext.N); err != nil {
+		return fmt.Errorf("catalog: blob: %w", err)
+	}
+	for name, hdr := range c.DimHeaps {
+		if err := heap.Open(bp, storage.PageID(hdr)).Pages(mark); err != nil {
+			return fmt.Errorf("catalog: dimension %s: %w", name, err)
+		}
+	}
+	return nil
 }
 
 // OpenDimension opens the named dimension table from the catalog.

@@ -57,9 +57,10 @@ type Store struct {
 	// codec is the forced store-wide codec, or nil for an adaptive
 	// store whose chunks carry their own tags. Reads always go through
 	// each entry's tag; codec only governs how updates re-encode.
-	codec   Codec
-	entries []chunkEntry
-	meta    storage.LOBRef
+	codec     Codec
+	entries   []chunkEntry
+	meta      storage.LOBRef
+	metaPages int // the directory blob's extent
 
 	totalPages int64
 	validCells int64
@@ -217,11 +218,11 @@ func (s *Store) writeMeta() error {
 		}
 		s.totalPages = chunkPages + metaPages
 	}
-	ref, _, err := s.lob.Write(s.marshalMeta())
+	ref, pages, err := s.lob.Write(s.marshalMeta())
 	if err != nil {
 		return fmt.Errorf("chunk: write metadata: %w", err)
 	}
-	s.meta = ref
+	s.meta, s.metaPages = ref, pages
 	return nil
 }
 
@@ -377,9 +378,46 @@ func Open(bp *storage.BufferPool, meta storage.LOBRef) (*Store, error) {
 		codec:      d.codec,
 		entries:    d.entries,
 		meta:       meta,
+		metaPages:  storage.BlobPages(len(data)),
 		totalPages: d.totalPages,
 		validCells: d.validCells,
 	}, nil
+}
+
+// Pages hands mark the store's extents: its directory blob, then each
+// non-empty chunk's (first page, ⌈bytes/PageSize⌉).
+func (s *Store) Pages(mark func(first storage.PageID, n int) error) error {
+	if err := mark(s.meta.First, s.metaPages); err != nil {
+		return err
+	}
+	for cn, e := range s.entries {
+		if !e.ref.Valid() {
+			continue
+		}
+		if e.bytes > uint64(1)<<40 { // past any volume; ExtentPages would wrap
+			return fmt.Errorf("chunk: chunk %d claims %d bytes", cn, e.bytes)
+		}
+		if err := mark(e.ref.First, storage.ExtentPages(int(e.bytes))); err != nil {
+			return fmt.Errorf("chunk: chunk %d: %w", cn, err)
+		}
+	}
+	return nil
+}
+
+// Superseded returns the extents of s that next, made from s by Update,
+// no longer references: the directory blob, and the extent of every
+// chunk Update rewrote or emptied.
+func (s *Store) Superseded(next *Store) []storage.Extent {
+	var out []storage.Extent
+	if next.meta != s.meta {
+		out = append(out, storage.Extent{First: s.meta.First, N: s.metaPages})
+	}
+	for cn, e := range s.entries {
+		if e.ref.Valid() && (cn >= len(next.entries) || next.entries[cn].ref != e.ref) {
+			out = append(out, storage.Extent{First: e.ref.First, N: storage.ExtentPages(int(e.bytes))})
+		}
+	}
+	return out
 }
 
 // Meta returns the metadata blob reference identifying this store.

@@ -71,6 +71,12 @@ type View struct {
 	// Publish moves it.
 	State uint64
 
+	// Seq numbers the publication of State: a new one for every Publish
+	// that moves the state, never repeated, even when a later state's
+	// master lands on the pages of an earlier, freed one. What is cached
+	// by state is cached by Seq.
+	Seq uint64
+
 	// Overlay maps chunk number to offset-sorted, duplicate-free cell
 	// states awaiting compaction.
 	Overlay map[int][]chunk.OverlayCell
@@ -87,6 +93,80 @@ type View struct {
 	// those chunks from the array instead, which is what keeps the three
 	// engines bit-identical before and after any number of compactions.
 	Touched []int
+
+	base *base // shared by every view of State
+}
+
+// base is one published state: every view of it shares one count of
+// the readers that hold it. Pages a commit retired from this state or an
+// older one are freed only once no reader holds either.
+type base struct {
+	seq     uint64
+	holds   atomic.Int64
+	retired atomic.Bool // a later Publish replaced the state
+	s       *Store
+}
+
+// Acquire returns the published view and holds its state until Release:
+// the pages the state reaches are not freed while it is held. It is
+// hazard-style and allocates nothing: count the hold, re-load the
+// published view, and retry if the state moved in between — a compactor
+// that publishes, commits and retires after the re-load sees the hold.
+func (s *Store) Acquire() *View {
+	for {
+		v := s.view.Load()
+		v.base.holds.Add(1)
+		if s.view.Load().base == v.base {
+			return v
+		}
+		v.base.release()
+	}
+}
+
+// Release ends the hold Acquire took on v's state. A view Acquire did
+// not return (nil, or one made by hand) holds nothing.
+func (v *View) Release() {
+	if v != nil && v.base != nil {
+		v.base.release()
+	}
+}
+
+func (b *base) release() {
+	if b.holds.Add(-1) == 0 && b.retired.Load() {
+		b.s.Reclaim()
+	}
+}
+
+// SetReclaimer installs what frees retired pages: it is called with the
+// oldest state sequence any reader still holds (the current one when
+// none is), after a commit retires pages and whenever the last holder
+// of a replaced state lets go. Call once, before readers run.
+func (s *Store) SetReclaimer(f func(oldest uint64)) {
+	s.mu.Lock()
+	s.reclaimer = f
+	s.mu.Unlock()
+}
+
+// Reclaim hands the installed reclaimer the oldest held state sequence.
+func (s *Store) Reclaim() {
+	s.mu.Lock()
+	keep := s.replaced[:0]
+	for _, b := range s.replaced {
+		if b.holds.Load() > 0 {
+			keep = append(keep, b)
+		}
+	}
+	clear(s.replaced[len(keep):])
+	s.replaced = keep
+	oldest := s.view.Load().Seq
+	if len(keep) > 0 {
+		oldest = keep[0].seq // replaced in publish order
+	}
+	f := s.reclaimer
+	s.mu.Unlock()
+	if f != nil {
+		f(oldest)
+	}
 }
 
 // Store is the delta overlay store. All methods are safe for concurrent
@@ -107,6 +187,11 @@ type Store struct {
 
 	log    *wal.Records
 	closed bool
+
+	// replaced lists, oldest first, the bases Publish replaced that a
+	// reader may still hold; Reclaim drops the ones none does.
+	replaced  []*base
+	reclaimer func(oldest uint64)
 }
 
 // Open creates a delta store. walPath names the dedicated delta WAL
@@ -116,7 +201,8 @@ type Store struct {
 func Open(walPath string, budgetBytes int64) (*Store, error) {
 	s := &Store{budget: budgetBytes}
 	s.cond = sync.NewCond(&s.mu)
-	v := &View{Overlay: make(map[int][]chunk.OverlayCell), Versions: make(map[int]uint64)}
+	v := &View{Seq: 1, Overlay: make(map[int][]chunk.OverlayCell), Versions: make(map[int]uint64)}
+	v.base = &base{seq: v.Seq, s: s}
 	if walPath != "" {
 		log, batches, err := openLog(walPath)
 		if err != nil {
@@ -232,11 +318,22 @@ func (s *Store) applyLocked(v *View, cells []Cell) {
 // view is (old base, full overlay), (new, full) or (new, drained): all
 // three read the same cells, because replaying absolute cell states is
 // idempotent.
+//
+// A state that moves starts a new base under the next sequence; the
+// replaced one is retired, and once its last holder lets go, Reclaim
+// runs.
 func (s *Store) Publish(state uint64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	v := *s.view.Load() // only the state changes: the maps are shared
-	v.State = state
+	if v.State == state {
+		return
+	}
+	old := v.base
+	v.State, v.Seq = state, v.Seq+1
+	v.base = &base{seq: v.Seq, s: s}
+	old.retired.Store(true)
+	s.replaced = append(s.replaced, old)
 	s.view.Store(&v)
 }
 

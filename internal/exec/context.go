@@ -94,11 +94,11 @@ type generation struct {
 	// Dimension tables, fact files, B-trees and the chunk store are read
 	// without mutable state, so the handles are shared by every
 	// goroutine; each reads arr's chunks through its own chunk.Reader.
-	mu       sync.Mutex
-	dims     []*catalog.DimensionTable
-	ff       *factfile.File
-	arr      *array.Array
-	arrState uint64
+	mu     sync.Mutex
+	dims   []*catalog.DimensionTable
+	ff     *factfile.File
+	arr    *array.Array
+	arrSeq uint64 // the delta view sequence arr was opened at
 }
 
 // NewExecContext creates the shared execution state for a catalog,
@@ -211,7 +211,7 @@ func (c *ExecContext) swap(budget int64) {
 		budget:   budget,
 		sfDedup:  old.sfDedup,
 		sfWait:   old.sfWait,
-		hasArray: c.ingestView(old, nil).d.State != 0,
+		hasArray: c.state() != 0,
 	}
 	if budget > 0 {
 		half := budget / 2
@@ -325,31 +325,58 @@ func (g *generation) factFile(c *ExecContext) (*factfile.File, error) {
 	return g.ff, nil
 }
 
-// master returns the shared master array at state, opening it unless the
-// one slot holds that state (views differ only while a compaction
-// publishes). Its chunks are read through readers (ingestView.array).
-func (g *generation) master(c *ExecContext, state uint64) (*array.Array, error) {
+// master returns the shared master array at v's state, opening it unless
+// the one slot holds v's publication of it (views differ only while a
+// compaction publishes). The slot is keyed by the publish sequence, not
+// the state: a freed master's pages may carry a later master. Its chunks
+// are read through readers (ingestView.array).
+func (g *generation) master(c *ExecContext, v *delta.View) (*array.Array, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.arr == nil || g.arrState != state {
-		arr, err := openArray(c.bp, state)
+	if g.arr == nil || g.arrSeq != v.Seq {
+		arr, err := openArray(c.bp, v.State)
 		if err != nil {
 			return nil, err
 		}
-		g.arr, g.arrState = arr, state
+		g.arr, g.arrSeq = arr, v.Seq
 	}
 	return g.arr, nil
 }
 
-// Array returns the master OLAP array of the current instant and the
-// chunk view its readers read it under: with a delta store attached,
-// the overlay and versions of one published view, so every read yields
+// HoldArray returns the master OLAP array of the current instant, the
+// chunk view its readers read it under, and the hold that keeps the
+// pages of its state from being freed: with a delta store attached, the
+// overlay and versions of one published view, so every read yields
 // (base + deltas as of this call), stable against concurrent ingest and
-// compaction. Nothing is copied; the array and the view are shared and
-// read-only.
-func (c *ExecContext) Array() (*array.Array, chunk.View, error) {
+// compaction. The caller releases the hold (hold.Release) when it has
+// read what it will, on every path. Nothing is copied or allocated; the
+// array and the view are shared and read-only.
+func (c *ExecContext) HoldArray() (*array.Array, chunk.View, *delta.View, error) {
 	v := c.ingestView(c.gen.Load(), nil)
-	return v.array(c)
+	arr, cv, err := v.array(c)
+	if err != nil {
+		v.release()
+		return nil, chunk.View{}, nil, err
+	}
+	return arr, cv, v.d, nil
+}
+
+// Array is HoldArray for a reader no compaction can run under (a writer
+// holding the database's write lock, or a test): it lets go of the hold
+// before it returns.
+func (c *ExecContext) Array() (*array.Array, chunk.View, error) {
+	arr, cv, hold, err := c.HoldArray()
+	hold.Release()
+	return arr, cv, err
+}
+
+// state is the published array state, or the catalog's without a delta
+// store. It holds nothing: callers only compare it with 0.
+func (c *ExecContext) state() uint64 {
+	if c.ds != nil {
+		return c.ds.View().State
+	}
+	return c.cat.ArrayState
 }
 
 // ingestView is what one execution sees of live ingest: one published
@@ -371,11 +398,12 @@ type ingestView struct {
 }
 
 // ingestView takes the view of an execution under g of a statement with
-// that reach. It copies nothing but the narrowed hot list.
+// that reach, holding its state (delta.Store.Acquire) until release. It
+// copies nothing but the narrowed hot list.
 func (c *ExecContext) ingestView(g *generation, reach *chunkReach) (v ingestView) {
 	v.g = g
 	if c.ds != nil {
-		v.d = c.ds.View()
+		v.d = c.ds.Acquire()
 	} else {
 		v.d = &delta.View{State: c.cat.ArrayState} // nothing moves it without a delta store
 	}
@@ -383,11 +411,15 @@ func (c *ExecContext) ingestView(g *generation, reach *chunkReach) (v ingestView
 	return v
 }
 
+// release ends the view's hold on its state: the execution, or the
+// cache probe, reads nothing more through it.
+func (v *ingestView) release() { v.d.Release() }
+
 // array returns the master at v's state, from v's generation, and the
 // chunk view its readers take: v's overlay and versions over the
 // generation's decoded-chunk cache.
 func (v *ingestView) array(c *ExecContext) (*array.Array, chunk.View, error) {
-	arr, err := v.g.master(c, v.d.State)
+	arr, err := v.g.master(c, v.d)
 	if err != nil {
 		return nil, chunk.View{}, err
 	}
@@ -452,7 +484,7 @@ func (r *chunkReach) narrow(c *ExecContext, v *ingestView) []int {
 		return touched
 	}
 	r.once.Do(func() {
-		arr, err := v.g.master(c, v.d.State)
+		arr, err := v.g.master(c, v.d)
 		if err == nil {
 			r.cand, err = core.SelectionChunks(arr, r.sels)
 		}

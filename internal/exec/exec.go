@@ -415,6 +415,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 	key := st.fingerprint
 	prof.Fingerprint = st.fpHash
 	probe := e.ctx.ingestView(g, st.reach)
+	defer probe.release()
 	if len(probe.hot) > 0 {
 		key += probe.keySuffix("|cv", true)
 		prof.Fingerprint = fingerprintHash(key)
@@ -450,6 +451,7 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		// One view for the whole execution; the rows go under its key,
 		// not the probe's, so a batch that landed in between is in both.
 		view := e.ctx.ingestView(g, st.reach)
+		defer view.release()
 		view.rc, view.st = rc, st
 		key := st.fingerprint + view.keySuffix("|cv", true)
 		// Double-check under the flight: a goroutine that missed the

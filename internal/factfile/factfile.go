@@ -115,10 +115,13 @@ func Open(bp *storage.BufferPool, hdr storage.PageID) (*File, error) {
 	f.recsPage = storage.PageSize / f.recSize
 	f.recsExt = f.recsPage * f.extPages
 	numExt := int(storage.GetUint32(buf, hdrNExtentsOff))
-	nHere := numExt
-	if nHere > hdrMaxEntries {
-		nHere = hdrMaxEntries
+	// Every extent holds at least one page, so a count the volume could
+	// not hold is corrupt, not a request for a huge directory.
+	if uint64(numExt) > bp.Disk().NumPages() {
+		bp.Unpin(hdr, false)
+		return nil, fmt.Errorf("factfile: corrupt header at %v: %d extents on a %d-page volume", hdr, numExt, bp.Disk().NumPages())
 	}
+	nHere := min(numExt, hdrMaxEntries)
 	f.extents = make([]storage.PageID, 0, numExt)
 	for i := 0; i < nHere; i++ {
 		f.extents = append(f.extents, storage.PageID(storage.GetUint64(buf, hdrEntriesOff+i*8)))
@@ -145,6 +148,39 @@ func Open(bp *storage.BufferPool, hdr storage.PageID) (*File, error) {
 		return nil, fmt.Errorf("factfile: directory truncated: %d of %d extents", len(f.extents), numExt)
 	}
 	return f, nil
+}
+
+// Pages hands mark every page of the file: the header, the directory's
+// overflow pages in chain order, and each extent whole. A mark that
+// refuses a page seen before stops an overflow chain that loops.
+func (f *File) Pages(mark func(first storage.PageID, n int) error) error {
+	if err := mark(f.hdr, 1); err != nil {
+		return err
+	}
+	buf, err := f.bp.FetchPage(f.hdr)
+	if err != nil {
+		return err
+	}
+	next := storage.PageID(storage.GetUint64(buf, hdrNextDirOff))
+	f.bp.Unpin(f.hdr, false)
+	for held := hdrMaxEntries; held < len(f.extents); held += ovfMaxEntries {
+		if err := mark(next, 1); err != nil {
+			return err
+		}
+		obuf, err := f.bp.FetchPage(next)
+		if err != nil {
+			return err
+		}
+		nn := storage.PageID(storage.GetUint64(obuf, ovfNextOff))
+		f.bp.Unpin(next, false)
+		next = nn
+	}
+	for _, first := range f.extents {
+		if err := mark(first, f.extPages); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Root returns the header page id identifying this file.

@@ -290,6 +290,34 @@ func (f *File) Delete(rid RID) error {
 	return f.bp.Unpin(f.hdr, true)
 }
 
+// Pages hands mark every page of the file: the header page, then the
+// data pages in chain order. Each page is marked before it is read, so a
+// mark that refuses a page seen before stops a chain that loops.
+func (f *File) Pages(mark func(first storage.PageID, n int) error) error {
+	if err := mark(f.hdr, 1); err != nil {
+		return err
+	}
+	hdr, err := f.bp.FetchPage(f.hdr)
+	if err != nil {
+		return err
+	}
+	page := storage.PageID(storage.GetUint64(hdr, hdrFirstOff))
+	f.bp.Unpin(f.hdr, false)
+	for page.Valid() {
+		if err := mark(page, 1); err != nil {
+			return err
+		}
+		buf, err := f.bp.FetchPage(page)
+		if err != nil {
+			return err
+		}
+		next := storage.PageID(storage.GetUint64(buf, pageNextOff))
+		f.bp.Unpin(page, false)
+		page = next
+	}
+	return nil
+}
+
 // Scan invokes fn for every live record in file order. The record slice
 // passed to fn is only valid during the call. Returning a non-nil error
 // from fn stops the scan and propagates the error; return ErrStopScan to

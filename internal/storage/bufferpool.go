@@ -73,6 +73,15 @@ func (bp *BufferPool) Instrument(reg *obs.Registry) {
 	reg.GaugeFunc("bufferpool_frames",
 		"pool capacity in pages",
 		func() float64 { return float64(len(bp.frames)) })
+	reg.GaugeFunc("storage_free_pages",
+		"volume pages free for reuse",
+		func() float64 { return float64(bp.Space().FreePages) })
+	reg.GaugeFunc("storage_pending_pages",
+		"volume pages a commit replaced, waiting for the snapshots that may read them",
+		func() float64 { return float64(bp.Space().PendingPages) })
+	reg.CounterFunc("storage_reused_pages_total",
+		"allocated pages that reused freed pages instead of extending the volume",
+		func() int64 { return int64(bp.alloc.reused.Load()) })
 	bp.readLatency.Store(reg.Histogram("bufferpool_read_seconds",
 		"physical page read latency", nil))
 }
@@ -118,6 +127,9 @@ type BufferPool struct {
 	table  map[PageID]int // page id -> frame index
 	free   []int          // indices of empty frames
 	logger PageLogger     // write-ahead hook, may be nil
+
+	// alloc hands out the volume's pages, reusing freed extents.
+	alloc allocator
 
 	// The unpinned frames in unpin order: a doubly linked list threaded
 	// through frame indexes, whose sentinel is index len(frames) — its
@@ -364,8 +376,8 @@ func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
 	return f.data, nil
 }
 
-// NewPage allocates a fresh page on disk, pins it, and returns its id and
-// zeroed bytes.
+// NewPage allocates a page (AllocateExtent), pins it, and returns its id
+// and zeroed bytes.
 func (bp *BufferPool) NewPage() (PageID, []byte, error) {
 	id, err := bp.AllocateExtent(1)
 	if err != nil {
@@ -379,13 +391,26 @@ func (bp *BufferPool) NewPage() (PageID, []byte, error) {
 }
 
 // pinFresh pins page id, just allocated, in a frame without reading it,
-// and returns the frame's bytes zeroed and dirty.
+// and returns the frame's bytes zeroed and dirty. A reused page may
+// still be cached from its last life: pinFresh takes that frame over,
+// since a second frame of the same id would leave the table pointing at
+// whichever one was mapped last, and an eviction of the other would
+// unmap it.
 func (bp *BufferPool) pinFresh(id PageID) ([]byte, error) {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	idx, err := bp.victim()
-	if err != nil {
-		return nil, err
+	idx, cached := bp.table[id]
+	if cached {
+		if bp.frames[idx].pins > 0 {
+			return nil, fmt.Errorf("storage: allocated %v is pinned", id)
+		}
+		bp.lruRemove(idx)
+	} else {
+		var err error
+		if idx, err = bp.victim(); err != nil {
+			return nil, err
+		}
+		bp.table[id] = idx
 	}
 	f := &bp.frames[idx]
 	clear(f.data)
@@ -393,19 +418,28 @@ func (bp *BufferPool) pinFresh(id PageID) ([]byte, error) {
 	f.pins = 1
 	f.dirty = true
 	f.checked.Store(0)
-	bp.table[id] = idx
 	return f.data, nil
 }
 
-// AllocateExtent reserves n contiguous pages on disk without caching them.
-// The fact file and the blob store build their extents with it.
-func (bp *BufferPool) AllocateExtent(n int) (PageID, error) {
-	id, err := bp.disk.Allocate(n)
-	if err != nil {
-		return InvalidPageID, err
+// dropFrames empties the frames that cache pages of e, now free, without
+// writing them: nothing will read their bytes again. A pinned frame is
+// left where it is (pinFresh refuses it). Caller holds the allocator's
+// lock.
+func (bp *BufferPool) dropFrames(e Extent) {
+	bp.mu.Lock()
+	defer bp.mu.Unlock()
+	for id := e.First; id < e.end(); id++ {
+		idx, ok := bp.table[id]
+		if !ok || bp.frames[idx].pins > 0 {
+			continue
+		}
+		f := &bp.frames[idx]
+		delete(bp.table, id)
+		bp.lruRemove(idx)
+		f.id = InvalidPageID
+		f.dirty = false
+		bp.free = append(bp.free, idx)
 	}
-	bp.allocations.Add(uint64(n))
-	return id, nil
 }
 
 // Unpin releases one pin on the page, marking the frame dirty when the

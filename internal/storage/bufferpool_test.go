@@ -370,3 +370,69 @@ func TestFrameStampClears(t *testing.T) {
 	want("FetchPageForWrite miss", id, 0)
 	must(bp.Unpin(id, false))
 }
+
+// TestPinFreshTakesOverCachedFrame frees a page, lets a stray read cache
+// its old bytes again, reuses its id, and re-reads it after the pool has
+// turned over. pinFresh used to map the id to a second frame; evicting
+// the stale first one then unmapped the id, and the re-read went to the
+// volume's old bytes.
+func TestPinFreshTakesOverCachedFrame(t *testing.T) {
+	bp := newTestPool(4)
+	if _, err := bp.Disk().Allocate(1); err != nil { // the superblock's page
+		t.Fatal(err)
+	}
+	id, buf, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 1
+	bp.Unpin(id, true)
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	if err := bp.Free(Extent{First: id, N: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := bp.FetchPage(id); err != nil { // the stray read
+		t.Fatal(err)
+	}
+	bp.Unpin(id, false)
+	again, buf, err := bp.NewPage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again != id {
+		t.Fatalf("NewPage = %v, want the freed %v", again, id)
+	}
+	if buf[0] != 0 {
+		t.Fatal("a reused page's frame is not zeroed")
+	}
+	buf[0] = 2
+	bp.Unpin(id, true)
+	// Three more pages and a read of the reused one between them, so the
+	// least recently unpinned frame is the stray read's: the third page
+	// evicts it, which unmapped the id if the reuse went to another frame.
+	newPage := func() {
+		p, _, err := bp.NewPage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.Unpin(p, true)
+	}
+	reread := func() {
+		t.Helper()
+		got, err := bp.FetchPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer bp.Unpin(id, false)
+		if got[0] != 2 {
+			t.Fatalf("re-read of the reused page = %d, want 2", got[0])
+		}
+	}
+	newPage()
+	reread()
+	newPage()
+	newPage()
+	reread()
+}

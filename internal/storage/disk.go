@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"os"
 	"sync"
+	"sync/atomic"
 )
 
 // DiskManager moves pages between memory and stable storage. All
@@ -13,7 +14,9 @@ type DiskManager interface {
 	ReadPage(id PageID, buf []byte) error
 	// WritePage persists buf (len PageSize) as the contents of page id.
 	WritePage(id PageID, buf []byte) error
-	// Allocate reserves n new contiguous pages and returns the first id.
+	// Allocate extends the volume by n contiguous pages and returns the
+	// first id. Reusing freed pages is the buffer pool's allocator's job,
+	// not the volume's.
 	Allocate(n int) (PageID, error)
 	// NumPages reports how many pages have been allocated.
 	NumPages() uint64
@@ -23,12 +26,20 @@ type DiskManager interface {
 	Close() error
 }
 
+// A Discarder is a DiskManager told when pages stop holding anything a
+// reader can reach, so that it may drop their contents. The pages stay
+// allocated: the buffer pool's allocator hands them out again, and what
+// a read of one returns before it is written again is unspecified.
+type Discarder interface {
+	Discard(first PageID, n int)
+}
+
 // FileDiskManager stores pages in a single operating-system file, the
 // equivalent of a SHORE volume.
 type FileDiskManager struct {
-	mu    sync.Mutex
+	grow  sync.Mutex // held across an extension of the file
 	file  *os.File
-	pages uint64
+	pages atomic.Uint64
 }
 
 var _ DiskManager = (*FileDiskManager)(nil)
@@ -48,7 +59,9 @@ func OpenFileDiskManager(path string) (*FileDiskManager, error) {
 		f.Close()
 		return nil, fmt.Errorf("storage: %s has size %d, not a multiple of the page size", path, st.Size())
 	}
-	return &FileDiskManager{file: f, pages: uint64(st.Size() / PageSize)}, nil
+	d := &FileDiskManager{file: f}
+	d.pages.Store(uint64(st.Size() / PageSize))
+	return d, nil
 }
 
 // ReadPage implements DiskManager.
@@ -56,10 +69,7 @@ func (d *FileDiskManager) ReadPage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return ErrShortPage
 	}
-	d.mu.Lock()
-	allocated := uint64(id) < d.pages
-	d.mu.Unlock()
-	if !allocated {
+	if uint64(id) >= d.pages.Load() {
 		return fmt.Errorf("%w: %v", ErrPageNotAllocated, id)
 	}
 	_, err := d.file.ReadAt(buf, int64(id)*PageSize)
@@ -74,10 +84,7 @@ func (d *FileDiskManager) WritePage(id PageID, buf []byte) error {
 	if len(buf) != PageSize {
 		return ErrShortPage
 	}
-	d.mu.Lock()
-	allocated := uint64(id) < d.pages
-	d.mu.Unlock()
-	if !allocated {
+	if uint64(id) >= d.pages.Load() {
 		return fmt.Errorf("%w: %v", ErrPageNotAllocated, id)
 	}
 	if _, err := d.file.WriteAt(buf, int64(id)*PageSize); err != nil {
@@ -86,29 +93,26 @@ func (d *FileDiskManager) WritePage(id PageID, buf []byte) error {
 	return nil
 }
 
-// Allocate implements DiskManager. Pages come back zero-filled because the
-// file is extended rather than rewritten.
+// Allocate implements DiskManager. The new pages read back zero-filled,
+// as the file system extends the file with zeros. The file is extended
+// before the page count moves, under one lock, so no page is counted
+// before the file covers it, and a failed extension counts none.
 func (d *FileDiskManager) Allocate(n int) (PageID, error) {
 	if n <= 0 {
 		return InvalidPageID, fmt.Errorf("storage: allocate %d pages", n)
 	}
-	d.mu.Lock()
-	first := d.pages
-	d.pages += uint64(n)
-	newSize := int64(d.pages) * PageSize
-	d.mu.Unlock()
-	if err := d.file.Truncate(newSize); err != nil {
-		return InvalidPageID, fmt.Errorf("storage: extend to %d pages: %w", d.pages, err)
+	d.grow.Lock()
+	defer d.grow.Unlock()
+	first := d.pages.Load()
+	if err := d.file.Truncate(int64(first+uint64(n)) * PageSize); err != nil {
+		return InvalidPageID, fmt.Errorf("storage: extend to %d pages: %w", first+uint64(n), err)
 	}
+	d.pages.Store(first + uint64(n))
 	return PageID(first), nil
 }
 
 // NumPages implements DiskManager.
-func (d *FileDiskManager) NumPages() uint64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.pages
-}
+func (d *FileDiskManager) NumPages() uint64 { return d.pages.Load() }
 
 // Sync implements DiskManager.
 func (d *FileDiskManager) Sync() error { return d.file.Sync() }
@@ -124,7 +128,10 @@ type MemDiskManager struct {
 	pages [][]byte
 }
 
-var _ DiskManager = (*MemDiskManager)(nil)
+var (
+	_ DiskManager = (*MemDiskManager)(nil)
+	_ Discarder   = (*MemDiskManager)(nil)
+)
 
 // NewMemDiskManager returns an empty in-memory volume.
 func NewMemDiskManager() *MemDiskManager { return &MemDiskManager{} }
@@ -139,6 +146,10 @@ func (d *MemDiskManager) ReadPage(id PageID, buf []byte) error {
 	if uint64(id) >= uint64(len(d.pages)) {
 		return fmt.Errorf("%w: %v", ErrPageNotAllocated, id)
 	}
+	if d.pages[id] == nil { // discarded
+		clear(buf)
+		return nil
+	}
 	copy(buf, d.pages[id])
 	return nil
 }
@@ -152,6 +163,9 @@ func (d *MemDiskManager) WritePage(id PageID, buf []byte) error {
 	defer d.mu.Unlock()
 	if uint64(id) >= uint64(len(d.pages)) {
 		return fmt.Errorf("%w: %v", ErrPageNotAllocated, id)
+	}
+	if d.pages[id] == nil {
+		d.pages[id] = make([]byte, PageSize)
 	}
 	copy(d.pages[id], buf)
 	return nil
@@ -169,6 +183,16 @@ func (d *MemDiskManager) Allocate(n int) (PageID, error) {
 		d.pages = append(d.pages, make([]byte, PageSize))
 	}
 	return first, nil
+}
+
+// Discard implements Discarder: a freed page's memory goes back to the
+// runtime, and the page reads as zeros until it is written again.
+func (d *MemDiskManager) Discard(first PageID, n int) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for id := first; id < first+PageID(n) && uint64(id) < uint64(len(d.pages)); id++ {
+		d.pages[id] = nil
+	}
 }
 
 // NumPages implements DiskManager.

@@ -160,6 +160,10 @@ type CodecUsage struct {
 
 // Sizes computes the storage report for the loaded objects.
 func (db *DB) Sizes() (*SizeReport, error) {
+	// Under the write lock, the catalog's array is the published one, and
+	// no compaction can retire its pages while they are read.
+	db.writeMu.Lock()
+	defer db.writeMu.Unlock()
 	if db.cat.Schema == nil {
 		return nil, fmt.Errorf("repro: no schema defined")
 	}

@@ -86,6 +86,8 @@ type (
 	FlightRecorder = obs.FlightRecorder
 	// CacheStats are one cache layer's cumulative counters.
 	CacheStats = cache.Stats
+	// SpaceStats account for the volume's pages.
+	SpaceStats = storage.SpaceStats
 )
 
 // Aggregate functions, re-exported for reading Result rows.
@@ -220,6 +222,7 @@ func Open(opts Options) (*DB, error) {
 		return nil, err
 	}
 	db.cat = cat
+	db.freeUnreachable()
 	db.ex = exec.NewExecutor(db.bp, cat)
 	ds, err := delta.Open(dwal, opts.DeltaBudgetBytes)
 	if err != nil {
@@ -227,6 +230,9 @@ func Open(opts Options) (*DB, error) {
 		return nil, fmt.Errorf("repro: delta recover: %w", err)
 	}
 	db.ds = ds
+	// An extent Reclaim refuses (one already free) stays out of the free
+	// list: leaked until the next open's mark pass, never handed out twice.
+	ds.SetReclaimer(func(oldest uint64) { _ = db.bp.Reclaim(oldest) })
 	ds.SeedTouched(cat.DeltaChunks)
 	db.ex.Context().SetDeltaStore(ds)
 	reg := db.ex.Context().Registry()
@@ -252,6 +258,21 @@ func Open(opts Options) (*DB, error) {
 			func() int64 { return int64(l.Stats().Fsyncs) })
 	}
 	return db, nil
+}
+
+// freeUnreachable is the mark pass of Open: it marks every page a
+// committed structure reaches from the superblock (exec.MarkPass) and
+// frees every other page below the volume's end. What an array rebuild
+// replaced, a compaction that failed, or a crash left behind is
+// reclaimed here. A volume the pass cannot walk — some structure is
+// corrupt — frees nothing, and reads fail where they always did.
+func (db *DB) freeUnreachable() {
+	m := storage.NewMarks(db.disk.NumPages())
+	if exec.MarkPass(db.bp, db.sb, db.cat, m.Mark) == nil {
+		// Nothing is free yet and every unmarked run lies inside the
+		// volume past the superblock, so Free has nothing to refuse.
+		_ = db.bp.Free(m.Unmarked()...)
+	}
 }
 
 // codecSnapshot is one published view of the array's codec mix.
@@ -349,8 +370,15 @@ func (db *DB) Commit() error {
 // commitLocked is the durable half of Commit, shared with the compactor
 // — which must NOT announce a catalog change, because a compaction
 // changes no observable content and the caches should survive it.
-// Callers hold writeMu.
+// Once the commit is durable, the catalog blob it replaced is freed: no
+// query reads a catalog blob (Open does). Callers hold writeMu.
 func (db *DB) commitLocked() error {
+	var replaced []storage.Extent
+	if root, ok, err := catalog.Root(db.sb); err == nil && ok {
+		if ext, err := storage.NewLOBStore(db.bp).BlobExtent(storage.LOBRef{First: root}); err == nil {
+			replaced = append(replaced, ext)
+		}
+	}
 	if err := db.cat.Save(db.bp, db.sb); err != nil {
 		return err
 	}
@@ -370,7 +398,16 @@ func (db *DB) commitLocked() error {
 			return err
 		}
 	}
+	db.retire(0, replaced...)
 	return nil
+}
+
+// retire hands what a durable commit unlinked to the pending list under
+// tag, the sequence of the newest state that may still read it (0: no
+// state does), and frees what no held state can reach any more.
+func (db *DB) retire(tag uint64, exts ...storage.Extent) {
+	db.bp.Retire(tag, exts...)
+	db.ds.Reclaim()
 }
 
 // Close stops the background compactor, commits outstanding work, and
@@ -437,12 +474,16 @@ type EngineStats struct {
 	// ArrayCodecs breaks the array's encoded payload down by the codec
 	// each chunk is tagged with; nil when no array is built.
 	ArrayCodecs map[string]CodecUsage `json:"array_codecs,omitempty"`
+	// Volume accounts for the volume's pages: its size, the pages free
+	// for reuse and pending (retired by a commit, waiting for the
+	// snapshots that may read them), and the pages allocations reused.
+	Volume SpaceStats `json:"volume"`
 }
 
 // Stats returns a cross-layer engine snapshot: buffer pool counters,
 // WAL counters, and planner-statistics age.
 func (db *DB) Stats() EngineStats {
-	es := EngineStats{Buffer: db.bp.Stats()}
+	es := EngineStats{Buffer: db.bp.Stats(), Volume: db.bp.Space()}
 	es.BufferHitRate = es.Buffer.HitRate()
 	if db.log != nil {
 		es.WAL = db.log.Stats()
