@@ -80,12 +80,13 @@ go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
 echo "== warm Query 2/3 allocates at most 50 KB (chunks seeked or filtered where they sit) =="
 go test -run TestWarmArraySelectAllocBytes -count=1 ./internal/core/
 
-echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, B-tree node pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, catalog blob + mark pass, 10s each) =="
+echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, commit slots, B-tree node pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, catalog blob + mark pass, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzOffsetPairWalk -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzStoreUpdate -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzBlobExtent -fuzztime=10s ./internal/storage/
+go test -run='^$' -fuzz=FuzzSuperblockSlot -fuzztime=10s ./internal/storage/
 go test -run='^$' -fuzz=FuzzBTreeNode -fuzztime=10s ./internal/btree/
 go test -run='^$' -fuzz=FuzzBitmapDecode -fuzztime=10s ./internal/bitmap/
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/

@@ -406,8 +406,7 @@ func printStats(db *repro.DB) {
 	fmt.Printf("volume: pages=%d free=%d pending=%d reused=%d\n",
 		es.Volume.Pages, es.Volume.FreePages, es.Volume.PendingPages, es.Volume.ReusedPages)
 	if es.HasWAL {
-		fmt.Printf("wal: page_images=%d before_images=%d commits=%d fsyncs=%d\n",
-			es.WAL.PageImages, es.WAL.BeforeImages, es.WAL.Commits, es.WAL.Fsyncs)
+		fmt.Printf("commits: %d fsyncs=%d\n", es.WAL.Commits, es.WAL.Fsyncs)
 	}
 	if es.StatsAge > 0 {
 		fmt.Printf("planner stats age: %v\n", es.StatsAge.Round(time.Second))

@@ -105,10 +105,9 @@ func crashCompaction(t *testing.T, stage string, wantRows []Row) string {
 		fd.armed.Store(false)
 	}
 
-	// Crash: lose the buffer pool, keep whatever reached the volume,
-	// the page WAL, and the delta WAL.
+	// Crash: lose the buffer pool, keep whatever reached the volume
+	// and the delta WAL.
 	db.ds.Close()
-	db.log.Close()
 	db.disk.Close()
 	return path
 }

@@ -8,10 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// catalogRoot is the superblock root name under which the catalog blob is
-// published.
-const catalogRoot = "catalog"
-
 // CatalogVersion is the current catalog layout version. Version 2 added
 // persisted planner statistics (Stats). Older blobs (version 0/1, which
 // never wrote a version field) still decode — their Stats are simply
@@ -21,8 +17,8 @@ const CatalogVersion = 2
 
 // Catalog is the persistent database catalog: the star schema plus the
 // storage roots of every physical object. It is serialized as JSON into a
-// blob whose reference lives in the superblock; updates write a new blob
-// and atomically switch the root (the shadow-root commit protocol).
+// blob that the superblock's commit slot names; updates write a new blob
+// and commit by switching the slot to it (storage.Superblock.Commit).
 type Catalog struct {
 	// Version is the layout version the blob was written with; see
 	// CatalogVersion.
@@ -71,8 +67,8 @@ func NewCatalog() *Catalog {
 // BitmapKey names a bitmap index in the catalog.
 func BitmapKey(dim, attr string) string { return dim + "." + attr }
 
-// Save serializes the catalog to a new blob and publishes it in the
-// superblock. The caller commits the WAL afterwards.
+// Save serializes the catalog to a new blob and commits it: once every
+// dirty page is on the volume, the superblock's next slot names it.
 func (c *Catalog) Save(bp *storage.BufferPool, sb *storage.Superblock) error {
 	c.Version = CatalogVersion
 	data, err := json.Marshal(c)
@@ -83,16 +79,13 @@ func (c *Catalog) Save(bp *storage.BufferPool, sb *storage.Superblock) error {
 	if err != nil {
 		return fmt.Errorf("catalog: write blob: %w", err)
 	}
-	return sb.SetRoot(catalogRoot, uint64(ref.First))
+	return sb.Commit(ref.First)
 }
 
-// Load reads the catalog published in the superblock; a database with no
-// catalog yet yields an empty catalog.
+// Load reads the catalog the superblock's commit names; a database with
+// no catalog yet yields an empty catalog.
 func Load(bp *storage.BufferPool, sb *storage.Superblock) (*Catalog, error) {
-	root, ok, err := Root(sb)
-	if err != nil {
-		return nil, err
-	}
+	root, ok := sb.Catalog()
 	if !ok {
 		return NewCatalog(), nil
 	}
@@ -117,20 +110,13 @@ func Load(bp *storage.BufferPool, sb *storage.Superblock) (*Catalog, error) {
 	return c, nil
 }
 
-// Root returns the first page of the catalog blob the superblock
-// publishes; ok is false on a volume that has none yet.
-func Root(sb *storage.Superblock) (storage.PageID, bool, error) {
-	root, ok, err := sb.GetRoot(catalogRoot)
-	return storage.PageID(root), ok, err
-}
-
 // Pages hands mark what the catalog itself keeps on the volume: the
-// catalog blob the superblock publishes, and every dimension table's
-// heap pages.
+// catalog blob the superblock's commit names, and every dimension
+// table's heap pages.
 func (c *Catalog) Pages(bp *storage.BufferPool, sb *storage.Superblock, mark func(first storage.PageID, n int) error) error {
-	root, ok, err := Root(sb)
-	if err != nil || !ok {
-		return err
+	root, ok := sb.Catalog()
+	if !ok {
+		return nil
 	}
 	ext, err := storage.NewLOBStore(bp).BlobExtent(storage.LOBRef{First: root})
 	if err != nil {

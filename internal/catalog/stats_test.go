@@ -86,7 +86,7 @@ func TestLegacyCatalogDecodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.SetRoot(catalogRoot, uint64(ref.First)); err != nil {
+	if err := sb.Commit(ref.First); err != nil {
 		t.Fatal(err)
 	}
 	c, err := Load(bp, sb)
@@ -117,7 +117,7 @@ func TestNewerCatalogRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.SetRoot(catalogRoot, uint64(ref.First)); err != nil {
+	if err := sb.Commit(ref.First); err != nil {
 		t.Fatal(err)
 	}
 	_, err = Load(bp, sb)

@@ -9,10 +9,9 @@ import (
 	"repro/internal/wal"
 )
 
-// The delta store keeps its own log rather than sharing the page WAL:
-// the page WAL is checkpoint-truncated on every commit, while delta
-// batches must survive until the compaction that folds them commits.
-// It is a wal.Records file with one batch per record:
+// Ingested batches are not in the volume until a compaction folds them
+// in and commits, so the delta store keeps them in a log of its own
+// until then. It is a wal.Records file with one batch per record:
 //
 //	payload: uvarint cell count, then per cell
 //	         uvarint chunk, uvarint offset, varint value, u8 delete

@@ -53,13 +53,17 @@ func OpenDimensions(bp *storage.BufferPool, cat *catalog.Catalog) ([]*catalog.Di
 	return out, nil
 }
 
-// LoadDimensionRow appends one member row to the named dimension.
+// LoadDimensionRow appends one member row to the named dimension. The
+// first row after a commit moves the table to fresh pages (heap.Insert),
+// so the catalog takes its root again.
 func LoadDimensionRow(bp *storage.BufferPool, cat *catalog.Catalog, dim string, key int64, attrs []string) error {
 	dt, err := cat.OpenDimension(bp, dim)
 	if err != nil {
 		return err
 	}
-	return dt.Insert(key, attrs)
+	err = dt.Insert(key, attrs)
+	cat.DimHeaps[dim] = uint64(dt.Root())
+	return err
 }
 
 // FactSource is the pull cursor bulk fact loads consume; it matches

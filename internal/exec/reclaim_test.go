@@ -133,27 +133,27 @@ func fuzzVolume(t testing.TB) (*storage.BufferPool, *storage.Superblock, storage
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sb.SetRoot("catalog", uint64(blob)); err != nil {
+	if err := sb.Commit(blob); err != nil {
 		t.Fatal(err)
 	}
 	return bp, sb, blob, data
 }
 
-// writeBlob writes data as the self-describing blob at first, over
-// pages fresh or not.
+// writeBlob writes data as the self-describing blob at first. The
+// blob is committed, so it is written straight to the volume, and the
+// pool is emptied so that reads see it.
 func writeBlob(t testing.TB, bp *storage.BufferPool, first storage.PageID, data []byte) {
 	t.Helper()
 	img := make([]byte, 4*storage.PageSize)
 	storage.PutUint64(img, 0, uint64(len(data)))
 	copy(img[8:], data)
 	for i := 0; i < 4; i++ {
-		id := first + storage.PageID(i)
-		buf, err := bp.FetchPageForWrite(id)
-		if err != nil {
+		if err := bp.Disk().WritePage(first+storage.PageID(i), img[i*storage.PageSize:(i+1)*storage.PageSize]); err != nil {
 			t.Fatal(err)
 		}
-		copy(buf, img[i*storage.PageSize:])
-		bp.Unpin(id, true)
+	}
+	if err := bp.DropAll(); err != nil {
+		t.Fatal(err)
 	}
 }
 

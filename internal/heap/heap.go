@@ -17,16 +17,12 @@ import (
 //	[8:10)  slot count
 //	[10:12) free-end offset (records are packed downward from PageSize)
 //	[12:)   slot array: 2-byte record offset + 2-byte record length
-//
-// A slot with offset 0 is a tombstone (page offsets below the slot array
-// are never 0).
 const (
-	pageNextOff     = 0
-	pageSlotCntOff  = 8
-	pageFreeEndOff  = 10
-	pageSlotsOff    = 12
-	slotSize        = 4
-	tombstoneOffset = 0
+	pageNextOff    = 0
+	pageSlotCntOff = 8
+	pageFreeEndOff = 10
+	pageSlotsOff   = 12
+	slotSize       = 4
 
 	// MaxRecordSize is the largest record a heap file accepts.
 	MaxRecordSize = storage.PageSize - pageSlotsOff - slotSize
@@ -37,7 +33,7 @@ const (
 //	[0:8)   first data page id
 //	[8:16)  last data page id
 //	[16:24) number of data pages
-//	[24:32) live tuple count
+//	[24:32) tuple count
 const (
 	hdrFirstOff  = 0
 	hdrLastOff   = 8
@@ -51,14 +47,9 @@ type RID struct {
 	Slot uint16
 }
 
-// String implements fmt.Stringer.
-func (r RID) String() string { return fmt.Sprintf("rid(%d,%d)", uint64(r.Page), r.Slot) }
-
-// ErrNotFound is returned for RIDs that do not address a live record.
-var ErrNotFound = errors.New("heap: record not found")
-
 // File is a heap file. It is addressed by the page id of its header page,
-// which callers persist (in the catalog or a superblock root).
+// which callers persist in the catalog. Insert moves it to fresh pages
+// after a commit, so callers persist Root again after inserting.
 type File struct {
 	bp  *storage.BufferPool
 	hdr storage.PageID
@@ -89,7 +80,7 @@ func Open(bp *storage.BufferPool, hdr storage.PageID) *File {
 // Root returns the header page id identifying this file.
 func (f *File) Root() storage.PageID { return f.hdr }
 
-// NumTuples reports the number of live records.
+// NumTuples reports the number of records.
 func (f *File) NumTuples() (uint64, error) {
 	buf, err := f.bp.FetchPage(f.hdr)
 	if err != nil {
@@ -132,10 +123,27 @@ func initDataPage(buf []byte) {
 	storage.PutUint16(buf, pageFreeEndOff, storage.PageSize)
 }
 
-// Insert appends a record and returns its RID.
+// Insert appends a record and returns its RID. A file the last commit
+// reaches is not written in place: the first Insert after a commit
+// copies it, header and chain, into fresh pages in scan order, and Root
+// moves to the copy. The old pages stay as they are for readers that
+// hold them, until the next open's mark pass frees them.
 func (f *File) Insert(rec []byte) (RID, error) {
 	if len(rec) > MaxRecordSize {
 		return RID{}, fmt.Errorf("heap: record of %d bytes exceeds max %d", len(rec), MaxRecordSize)
+	}
+	if !f.bp.Writable(f.hdr) {
+		cp, err := Create(f.bp)
+		if err != nil {
+			return RID{}, err
+		}
+		if err := f.Scan(func(_ RID, rec []byte) error {
+			_, err := cp.Insert(rec)
+			return err
+		}); err != nil {
+			return RID{}, err
+		}
+		f.hdr = cp.hdr
 	}
 	hdr, err := f.bp.FetchPageForWrite(f.hdr)
 	if err != nil {
@@ -212,84 +220,6 @@ func insertInto(buf []byte, pid storage.PageID, rec []byte) RID {
 	return RID{Page: pid, Slot: uint16(slots)}
 }
 
-// Get returns a copy of the record at rid.
-func (f *File) Get(rid RID) ([]byte, error) {
-	buf, err := f.bp.FetchPage(rid.Page)
-	if err != nil {
-		return nil, err
-	}
-	defer f.bp.Unpin(rid.Page, false)
-	slots := int(storage.GetUint16(buf, pageSlotCntOff))
-	if int(rid.Slot) >= slots {
-		return nil, fmt.Errorf("%w: %v", ErrNotFound, rid)
-	}
-	slotOff := pageSlotsOff + int(rid.Slot)*slotSize
-	off := int(storage.GetUint16(buf, slotOff))
-	if off == tombstoneOffset {
-		return nil, fmt.Errorf("%w: %v (deleted)", ErrNotFound, rid)
-	}
-	n := int(storage.GetUint16(buf, slotOff+2))
-	out := make([]byte, n)
-	copy(out, buf[off:off+n])
-	return out, nil
-}
-
-// Update rewrites the record at rid in place. The new record must have
-// the same length as the old one (the engine stores fixed-layout records,
-// so this is not a practical restriction).
-func (f *File) Update(rid RID, rec []byte) error {
-	buf, err := f.bp.FetchPageForWrite(rid.Page)
-	if err != nil {
-		return err
-	}
-	slots := int(storage.GetUint16(buf, pageSlotCntOff))
-	if int(rid.Slot) >= slots {
-		f.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("%w: %v", ErrNotFound, rid)
-	}
-	slotOff := pageSlotsOff + int(rid.Slot)*slotSize
-	off := int(storage.GetUint16(buf, slotOff))
-	n := int(storage.GetUint16(buf, slotOff+2))
-	if off == tombstoneOffset {
-		f.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("%w: %v (deleted)", ErrNotFound, rid)
-	}
-	if n != len(rec) {
-		f.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("heap: update length %d != stored length %d", len(rec), n)
-	}
-	copy(buf[off:off+n], rec)
-	return f.bp.Unpin(rid.Page, true)
-}
-
-// Delete tombstones the record at rid. The space is not reclaimed.
-func (f *File) Delete(rid RID) error {
-	buf, err := f.bp.FetchPageForWrite(rid.Page)
-	if err != nil {
-		return err
-	}
-	slots := int(storage.GetUint16(buf, pageSlotCntOff))
-	if int(rid.Slot) >= slots {
-		f.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("%w: %v", ErrNotFound, rid)
-	}
-	slotOff := pageSlotsOff + int(rid.Slot)*slotSize
-	if storage.GetUint16(buf, slotOff) == tombstoneOffset {
-		f.bp.Unpin(rid.Page, false)
-		return fmt.Errorf("%w: %v (deleted)", ErrNotFound, rid)
-	}
-	storage.PutUint16(buf, slotOff, tombstoneOffset)
-	if err := f.bp.Unpin(rid.Page, true); err != nil {
-		return err
-	}
-	hdr, err := f.bp.FetchPageForWrite(f.hdr)
-	if err != nil {
-		return err
-	}
-	storage.PutUint64(hdr, hdrNTupsOff, storage.GetUint64(hdr, hdrNTupsOff)-1)
-	return f.bp.Unpin(f.hdr, true)
-}
-
 // Pages hands mark every page of the file: the header page, then the
 // data pages in chain order. Each page is marked before it is read, so a
 // mark that refuses a page seen before stops a chain that loops.
@@ -318,7 +248,7 @@ func (f *File) Pages(mark func(first storage.PageID, n int) error) error {
 	return nil
 }
 
-// Scan invokes fn for every live record in file order. The record slice
+// Scan invokes fn for every record in file order. The record slice
 // passed to fn is only valid during the call. Returning a non-nil error
 // from fn stops the scan and propagates the error; return ErrStopScan to
 // stop early without error.
@@ -340,9 +270,6 @@ func (f *File) Scan(fn func(rid RID, rec []byte) error) error {
 		for s := 0; s < slots; s++ {
 			slotOff := pageSlotsOff + s*slotSize
 			off := int(storage.GetUint16(buf, slotOff))
-			if off == tombstoneOffset {
-				continue
-			}
 			n := int(storage.GetUint16(buf, slotOff+2))
 			if err := fn(RID{Page: page, Slot: uint16(s)}, buf[off:off+n]); err != nil {
 				f.bp.Unpin(page, false)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -20,6 +21,23 @@ func newTestFile(t *testing.T, frames int) (*File, *storage.BufferPool) {
 	return f, bp
 }
 
+// scanAll returns every record of f with its RID, in scan order.
+func scanAll(t *testing.T, f *File) ([]RID, [][]byte) {
+	t.Helper()
+	var rids []RID
+	var recs [][]byte
+	if err := f.Scan(func(rid RID, rec []byte) error {
+		rids = append(rids, rid)
+		recs = append(recs, bytes.Clone(rec))
+		return nil
+	}); err != nil {
+		t.Fatalf("Scan: %v", err)
+	}
+	return rids, recs
+}
+
+// TestHeapInsertGet: each record reads back, through Scan, at the RID
+// its Insert returned.
 func TestHeapInsertGet(t *testing.T) {
 	f, bp := newTestFile(t, 8)
 	recs := [][]byte{
@@ -35,14 +53,9 @@ func TestHeapInsertGet(t *testing.T) {
 		}
 		rids = append(rids, rid)
 	}
-	for i, rid := range rids {
-		got, err := f.Get(rid)
-		if err != nil {
-			t.Fatalf("Get(%v): %v", rid, err)
-		}
-		if !bytes.Equal(got, recs[i]) {
-			t.Fatalf("Get(%v) = %q, want %q", rid, got, recs[i])
-		}
+	gotRIDs, got := scanAll(t, f)
+	if !slices.Equal(gotRIDs, rids) || !slices.EqualFunc(got, recs, bytes.Equal) {
+		t.Fatalf("Scan = %v %q, want %v %q", gotRIDs, got, rids, recs)
 	}
 	n, err := f.NumTuples()
 	if err != nil || n != 3 {
@@ -73,12 +86,12 @@ func TestHeapSpillsAcrossPages(t *testing.T) {
 	if pages < 8 {
 		t.Fatalf("only %d data pages for %d x 3000-byte records", pages, n)
 	}
-	for i, rid := range rids {
-		got, err := f.Get(rid)
-		if err != nil {
-			t.Fatalf("Get %d: %v", i, err)
-		}
-		if got[0] != byte(i) || len(got) != 3000 {
+	gotRIDs, got := scanAll(t, f)
+	if !slices.Equal(gotRIDs, rids) {
+		t.Fatalf("Scan RIDs = %v, want %v", gotRIDs, rids)
+	}
+	for i, rec := range got {
+		if rec[0] != byte(i) || len(rec) != 3000 {
 			t.Fatalf("record %d corrupted", i)
 		}
 	}
@@ -133,56 +146,6 @@ func TestHeapScanEarlyStop(t *testing.T) {
 	}
 }
 
-func TestHeapUpdate(t *testing.T) {
-	f, _ := newTestFile(t, 8)
-	rid, err := f.Insert([]byte("aaaa"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Update(rid, []byte("bbbb")); err != nil {
-		t.Fatalf("Update: %v", err)
-	}
-	got, err := f.Get(rid)
-	if err != nil || string(got) != "bbbb" {
-		t.Fatalf("Get after update = (%q, %v)", got, err)
-	}
-	if err := f.Update(rid, []byte("toolong")); err == nil {
-		t.Fatal("Update with different length succeeded")
-	}
-	if err := f.Update(RID{Page: rid.Page, Slot: 99}, []byte("bbbb")); err == nil {
-		t.Fatal("Update of bogus slot succeeded")
-	}
-}
-
-func TestHeapDelete(t *testing.T) {
-	f, _ := newTestFile(t, 8)
-	a, _ := f.Insert([]byte("a"))
-	b, _ := f.Insert([]byte("b"))
-	c, _ := f.Insert([]byte("c"))
-	if err := f.Delete(b); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := f.Get(b); err == nil {
-		t.Fatal("Get of deleted record succeeded")
-	}
-	if err := f.Delete(b); err == nil {
-		t.Fatal("double Delete succeeded")
-	}
-	n, _ := f.NumTuples()
-	if n != 2 {
-		t.Fatalf("NumTuples after delete = %d, want 2", n)
-	}
-	var seen []string
-	f.Scan(func(rid RID, rec []byte) error {
-		seen = append(seen, string(rec))
-		return nil
-	})
-	if len(seen) != 2 || seen[0] != "a" || seen[1] != "c" {
-		t.Fatalf("scan after delete = %v", seen)
-	}
-	_, _ = a, c
-}
-
 func TestHeapRejectsOversizedRecord(t *testing.T) {
 	f, _ := newTestFile(t, 8)
 	if _, err := f.Insert(make([]byte, MaxRecordSize+1)); err == nil {
@@ -226,26 +189,80 @@ func TestHeapReopenByRoot(t *testing.T) {
 	}
 	root := f.Root()
 
-	f2 := Open(bp, root)
-	got, err := f2.Get(rid)
-	if err != nil || string(got) != "persisted" {
-		t.Fatalf("Get after reopen = (%q, %v)", got, err)
+	rids, got := scanAll(t, Open(bp, root))
+	if len(got) != 1 || rids[0] != rid || string(got[0]) != "persisted" {
+		t.Fatalf("Scan after reopen = %v %q", rids, got)
 	}
 }
 
-func TestHeapGetErrors(t *testing.T) {
-	f, _ := newTestFile(t, 8)
-	rid, _ := f.Insert([]byte("x"))
-	if _, err := f.Get(RID{Page: rid.Page, Slot: 5}); err == nil {
-		t.Fatal("Get of out-of-range slot succeeded")
+// TestHeapInsertAfterCommitCopies: the first Insert after a commit
+// moves the file into fresh pages, in scan order; the committed pages
+// are not written, and the old root still scans the committed records.
+func TestHeapInsertAfterCommitCopies(t *testing.T) {
+	disk := storage.NewMemDiskManager()
+	bp := storage.NewBufferPool(disk, 4)
+	sb, err := storage.OpenSuperblock(bp)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if RID.String(rid) == "" {
-		t.Fatal("RID.String empty")
+	f, err := Create(bp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][]byte
+	for i := 0; i < 7; i++ {
+		rec := bytes.Repeat([]byte{byte('a' + i)}, 3000) // ~2 per page
+		want = append(want, rec)
+		if _, err := f.Insert(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sb.Commit(f.Root()); err != nil {
+		t.Fatal(err)
+	}
+	old := f.Root()
+	committed := make(map[storage.PageID][]byte)
+	if err := Open(bp, old).Pages(func(id storage.PageID, _ int) error {
+		buf := make([]byte, storage.PageSize)
+		committed[id] = buf
+		return disk.ReadPage(id, buf)
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 3; i++ {
+		rec := []byte(fmt.Sprintf("late-%d", i))
+		want = append(want, rec)
+		if _, err := f.Insert(rec); err != nil {
+			t.Fatalf("Insert after the commit: %v", err)
+		}
+	}
+	if f.Root() == old {
+		t.Fatal("Insert after a commit kept the committed root")
+	}
+	if _, got := scanAll(t, f); !slices.EqualFunc(got, want, bytes.Equal) {
+		t.Fatalf("the copy scans %d records, want %d in order", len(got), len(want))
+	}
+	if _, got := scanAll(t, Open(bp, old)); !slices.EqualFunc(got, want[:7], bytes.Equal) {
+		t.Fatalf("the committed root scans %d records, want the 7 committed", len(got))
+	}
+	if err := bp.FlushAll(); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, storage.PageSize)
+	for id, img := range committed {
+		if err := disk.ReadPage(id, buf); err != nil || !bytes.Equal(buf, img) {
+			t.Fatalf("committed %v changed on disk (%v)", id, err)
+		}
+	}
+	if bp.PinnedPages() != 0 {
+		t.Fatalf("%d pages still pinned", bp.PinnedPages())
 	}
 }
 
-// Property: a random sequence of inserts is fully recoverable by Get and
-// by Scan, in order, under heavy page churn (tiny buffer pool).
+// Property: a random sequence of inserts is fully recoverable by Scan,
+// in order and at the RIDs Insert returned, under heavy page churn
+// (tiny buffer pool).
 func TestHeapQuickInsertRoundtrip(t *testing.T) {
 	f := func(seed int64, count uint8) bool {
 		bp := storage.NewBufferPool(storage.NewMemDiskManager(), 4)
@@ -266,12 +283,6 @@ func TestHeapQuickInsertRoundtrip(t *testing.T) {
 				return false
 			}
 			rids[i] = rid
-		}
-		for i := range recs {
-			got, err := hf.Get(rids[i])
-			if err != nil || !bytes.Equal(got, recs[i]) {
-				return false
-			}
 		}
 		i := 0
 		err = hf.Scan(func(rid RID, rec []byte) error {

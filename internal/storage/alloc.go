@@ -25,14 +25,16 @@ func (e Extent) end() PageID { return e.First + PageID(e.N) }
 // allocated again. None of it is persisted: the free list is rebuilt by
 // the mark pass at every open, so a crash leaks at most until then.
 
-// allocator is the buffer pool's free-extent list and its pending list.
-// The free list is ascending and coalesced: no two of its extents
-// overlap or touch. Allocation is first fit; the file is extended only
-// when no free extent fits.
+// allocator is the buffer pool's free-extent list, its pending list, and
+// the extents allocated since the last commit (fresh), the only pages a
+// write pin may take. The free and fresh lists are ascending and
+// coalesced: no two of a list's extents overlap or touch. Allocation is
+// first fit; the file is extended only when no free extent fits.
 type allocator struct {
 	mu        sync.Mutex
 	free      []Extent
 	freePages int64
+	fresh     []Extent
 	pending   []retired
 	pendPages int64
 	reused    atomic.Uint64
@@ -63,28 +65,56 @@ func (a *allocator) take(n int) (PageID, bool) {
 	return InvalidPageID, false
 }
 
-// put adds e to the free list, merging it with the free extents it
-// touches. An extent that overlaps one already free is refused: handing
-// its pages out twice would corrupt both owners. Caller holds a.mu.
-func (a *allocator) put(e Extent) error {
-	i, _ := slices.BinarySearchFunc(a.free, e.First, func(f Extent, id PageID) int {
-		return cmp.Compare(f.First, id)
+// find returns the index of the first extent of the ascending list l
+// that ends after id.
+func find(l []Extent, id PageID) int {
+	i, _ := slices.BinarySearchFunc(l, id, func(e Extent, id PageID) int {
+		return cmp.Compare(e.end(), id+1)
 	})
-	if (i > 0 && a.free[i-1].end() > e.First) || (i < len(a.free) && a.free[i].First < e.end()) {
-		return fmt.Errorf("storage: free of %d pages at %v overlaps a free extent", e.N, e.First)
+	return i
+}
+
+// holds reports whether the ascending list l holds page id.
+func holds(l []Extent, id PageID) bool {
+	i := find(l, id)
+	return i < len(l) && l[i].First <= id
+}
+
+// insert adds e to the ascending, coalesced list l, merging it with the
+// extents it touches. An extent that overlaps one already in l is
+// refused: handing its pages out twice would corrupt both owners.
+func insert(l []Extent, e Extent) ([]Extent, error) {
+	i := find(l, e.First)
+	if i < len(l) && l[i].First < e.end() {
+		return l, fmt.Errorf("storage: %d pages at %v overlap an extent already listed", e.N, e.First)
 	}
-	a.freePages += int64(e.N)
-	if i > 0 && a.free[i-1].end() == e.First {
+	if i > 0 && l[i-1].end() == e.First {
 		i--
-		e = Extent{First: a.free[i].First, N: a.free[i].N + e.N}
-		a.free = slices.Delete(a.free, i, i+1)
+		e = Extent{First: l[i].First, N: l[i].N + e.N}
+		l = slices.Delete(l, i, i+1)
 	}
-	if i < len(a.free) && a.free[i].First == e.end() {
-		e.N += a.free[i].N
-		a.free = slices.Delete(a.free, i, i+1)
+	if i < len(l) && l[i].First == e.end() {
+		e.N += l[i].N
+		l = slices.Delete(l, i, i+1)
 	}
-	a.free = slices.Insert(a.free, i, e)
-	return nil
+	return slices.Insert(l, i, e), nil
+}
+
+// remove takes e's pages out of the ascending list l.
+func remove(l []Extent, e Extent) []Extent {
+	for i := find(l, e.First); i < len(l) && l[i].First < e.end(); {
+		x := l[i]
+		var keep []Extent
+		if x.First < e.First {
+			keep = append(keep, Extent{First: x.First, N: int(e.First - x.First)})
+		}
+		if x.end() > e.end() {
+			keep = append(keep, Extent{First: e.end(), N: int(x.end() - e.end())})
+		}
+		l = slices.Replace(l, i, i+1, keep...)
+		i += len(keep)
+	}
+	return l
 }
 
 // AllocateExtent reserves n contiguous pages without caching them: the
@@ -107,8 +137,31 @@ func (bp *BufferPool) AllocateExtent(n int) (PageID, error) {
 			return InvalidPageID, err
 		}
 	}
+	fresh, err := insert(a.fresh, Extent{First: id, N: n})
+	if err != nil {
+		return InvalidPageID, err
+	}
+	a.fresh = fresh
 	bp.allocations.Add(uint64(n))
 	return id, nil
+}
+
+// Writable reports whether a write pin may take page id: whether it was
+// allocated since the last commit, so that no committed root reaches it.
+func (bp *BufferPool) Writable(id PageID) bool {
+	a := &bp.alloc
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return holds(a.fresh, id)
+}
+
+// committed starts the next commit interval: what was allocated before
+// it is reachable from a durable root now, or from nothing.
+func (bp *BufferPool) committed() {
+	a := &bp.alloc
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.fresh = a.fresh[:0]
 }
 
 // extend grows the volume for an n-page extent, starting it at a free
@@ -135,7 +188,7 @@ func (bp *BufferPool) extend(n int) (PageID, error) {
 // Free makes extents free at once: pages nothing can reach, which is
 // what the mark pass finds at open. Their cached frames are dropped and
 // a Discarder volume is told. An extent outside the volume, touching the
-// superblock, or overlapping a free extent is refused and reported.
+// commit slots, or overlapping a free extent is refused and reported.
 func (bp *BufferPool) Free(exts ...Extent) error {
 	a := &bp.alloc
 	a.mu.Lock()
@@ -151,12 +204,16 @@ func (bp *BufferPool) Free(exts ...Extent) error {
 
 // freeExtent is Free for one extent. Caller holds a.mu.
 func (bp *BufferPool) freeExtent(e Extent) error {
-	if e.N <= 0 || e.First == HeaderPageID || !e.First.Valid() || uint64(e.end()) > bp.disk.NumPages() || e.end() < e.First {
+	if e.N <= 0 || e.First < SlotPages || !e.First.Valid() || uint64(e.end()) > bp.disk.NumPages() || e.end() < e.First {
 		return fmt.Errorf("storage: free of %d pages at %v on a %d-page volume", e.N, e.First, bp.disk.NumPages())
 	}
-	if err := bp.alloc.put(e); err != nil {
+	free, err := insert(bp.alloc.free, e)
+	if err != nil {
 		return err
 	}
+	bp.alloc.free = free
+	bp.alloc.freePages += int64(e.N)
+	bp.alloc.fresh = remove(bp.alloc.fresh, e)
 	bp.dropFrames(e)
 	if d, ok := bp.disk.(Discarder); ok {
 		d.Discard(e.First, e.N)
@@ -234,11 +291,11 @@ type Marks struct {
 }
 
 // NewMarks returns an empty mark set over a volume of pages pages, with
-// the superblock marked.
+// the commit slots marked.
 func NewMarks(pages uint64) *Marks {
 	m := &Marks{pages: pages, bits: make([]uint64, (pages+63)/64)}
-	if pages > 0 {
-		m.bits[0] = 1
+	for p := uint64(0); p < min(pages, SlotPages); p++ {
+		m.bits[0] |= 1 << p
 	}
 	return m
 }

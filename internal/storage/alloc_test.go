@@ -79,7 +79,8 @@ func TestAllocatorRefusesBadFrees(t *testing.T) {
 	for _, e := range []Extent{
 		{First: 7, N: 1},  // inside a free extent
 		{First: 3, N: 3},  // overlaps its start
-		{First: 0, N: 1},  // the superblock
+		{First: 0, N: 1},  // a commit slot
+		{First: 1, N: 2},  // the other
 		{First: 18, N: 3}, // past the end
 		{First: 10, N: 0}, // empty
 		{First: InvalidPageID, N: 1},
@@ -142,12 +143,12 @@ func TestMarks(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	for _, e := range []Extent{{4, 1}, {19, 2}, {20, 1}, {0, 1}, {5, 0}, {InvalidPageID, 1}} {
+	for _, e := range []Extent{{4, 1}, {19, 2}, {20, 1}, {0, 1}, {1, 1}, {5, 0}, {InvalidPageID, 1}} {
 		if err := m.Mark(e.First, e.N); err == nil {
 			t.Errorf("Mark(%v) succeeded", e)
 		}
 	}
-	want := []Extent{{1, 2}, {5, 4}, {14, 6}}
+	want := []Extent{{2, 1}, {5, 4}, {14, 6}}
 	if got := m.Unmarked(); !slices.Equal(got, want) {
 		t.Fatalf("Unmarked = %v, want %v", got, want)
 	}

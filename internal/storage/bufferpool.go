@@ -126,7 +126,6 @@ type BufferPool struct {
 	frames []frame
 	table  map[PageID]int // page id -> frame index
 	free   []int          // indices of empty frames
-	logger PageLogger     // write-ahead hook, may be nil
 
 	// alloc hands out the volume's pages, reusing freed extents.
 	alloc allocator
@@ -154,21 +153,6 @@ type BufferPool struct {
 // DefaultFrames is the number of frames in a 16 MB pool, matching the
 // configuration used in the paper's experiments.
 const DefaultFrames = 16 << 20 / PageSize
-
-// PageLogger receives the image of every dirty page immediately before it
-// is written to the volume, implementing the write-ahead rule. The WAL
-// satisfies this interface.
-type PageLogger interface {
-	LogPageImage(id PageID, img []byte) error
-}
-
-// BeforeImageLogger is the optional undo extension of PageLogger: when
-// the installed logger also implements it, FetchPageForWrite records the
-// pre-modification image of clean pages, letting recovery roll back
-// uncommitted in-place changes. The WAL satisfies this interface too.
-type BeforeImageLogger interface {
-	LogBeforeImage(id PageID, img []byte) error
-}
 
 // NewBufferPool creates a pool with the given number of frames over disk
 // (0 selects DefaultFrames).
@@ -218,22 +202,9 @@ func (bp *BufferPool) lruRemove(idx int) {
 	bp.lruLen--
 }
 
-// SetPageLogger installs the write-ahead hook. Pass nil to disable
-// logging. Must be called before the pool is shared between goroutines.
-func (bp *BufferPool) SetPageLogger(l PageLogger) {
-	bp.mu.Lock()
-	bp.logger = l
-	bp.mu.Unlock()
-}
-
-// writeBack persists a dirty frame, honouring the write-ahead rule.
-// Caller holds bp.mu and f.dirty is true.
+// writeBack persists a dirty frame. Caller holds bp.mu and f.dirty is
+// true.
 func (bp *BufferPool) writeBack(f *frame) error {
-	if bp.logger != nil {
-		if err := bp.logger.LogPageImage(f.id, f.data); err != nil {
-			return err
-		}
-	}
 	if err := bp.disk.WritePage(f.id, f.data); err != nil {
 		return err
 	}
@@ -327,52 +298,22 @@ func (bp *BufferPool) pin(id PageID) (*frame, error) {
 }
 
 // FetchPageForWrite pins the page for modification. It behaves like
-// FetchPage, and additionally — when the installed logger supports undo —
-// records the page's before-image the first time a clean page is taken
-// for writing, so an uncommitted modification that later reaches the
-// volume can be rolled back by recovery. Mutating call sites (heap,
-// B-tree, fact file, superblock updates) use this; read paths use
-// FetchPage.
+// FetchPage, but only for a page allocated since the last commit
+// (Writable): what a committed root reaches is never written in place,
+// so a crash before the next commit finds it as it was. Mutating call
+// sites (heap, B-tree, fact file) use this; read paths use FetchPage.
 func (bp *BufferPool) FetchPageForWrite(id PageID) ([]byte, error) {
+	if !bp.Writable(id) {
+		return nil, fmt.Errorf("storage: write pin of %v, which the last commit may reach", id)
+	}
 	bp.logicalReads.Add(1)
 	bp.mu.Lock()
 	defer bp.mu.Unlock()
-	undo, _ := bp.logger.(BeforeImageLogger)
-	if idx, ok := bp.table[id]; ok {
-		f := &bp.frames[idx]
-		if undo != nil && !f.dirty {
-			if err := undo.LogBeforeImage(id, f.data); err != nil {
-				return nil, err
-			}
-		}
-		if f.pins == 0 {
-			bp.lruRemove(idx)
-		}
-		f.pins++
-		f.checked.Store(0)
-		return f.data, nil
-	}
-	idx, err := bp.victim()
+	f, err := bp.pin(id)
 	if err != nil {
 		return nil, err
 	}
-	f := &bp.frames[idx]
-	if err := bp.readPage(id, f.data); err != nil {
-		bp.free = append(bp.free, idx)
-		return nil, err
-	}
-	bp.physicalReads.Add(1)
 	f.checked.Store(0)
-	if undo != nil {
-		if err := undo.LogBeforeImage(id, f.data); err != nil {
-			bp.free = append(bp.free, idx)
-			return nil, err
-		}
-	}
-	f.id = id
-	f.pins = 1
-	f.dirty = false
-	bp.table[id] = idx
 	return f.data, nil
 }
 
@@ -504,29 +445,7 @@ func (bp *BufferPool) unpinRun(ids []PageID) {
 	}
 }
 
-// LogDirtyPages passes the image of every dirty cached page to the
-// installed page logger without writing or cleaning the pages. The commit
-// protocol calls it before forcing the log, so the redo information for
-// the whole operation is durable before any page reaches the volume.
-// A nil logger makes this a no-op.
-func (bp *BufferPool) LogDirtyPages() error {
-	bp.mu.Lock()
-	defer bp.mu.Unlock()
-	if bp.logger == nil {
-		return nil
-	}
-	for i := range bp.frames {
-		f := &bp.frames[i]
-		if f.id.Valid() && f.dirty {
-			if err := bp.logger.LogPageImage(f.id, f.data); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// FlushAll writes every dirty cached page to disk.
+// FlushAll writes every dirty cached page to disk and syncs it.
 func (bp *BufferPool) FlushAll() error {
 	bp.mu.Lock()
 	defer bp.mu.Unlock()

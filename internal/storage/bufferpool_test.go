@@ -378,7 +378,7 @@ func TestFrameStampClears(t *testing.T) {
 // volume's old bytes.
 func TestPinFreshTakesOverCachedFrame(t *testing.T) {
 	bp := newTestPool(4)
-	if _, err := bp.Disk().Allocate(1); err != nil { // the superblock's page
+	if _, err := bp.Disk().Allocate(SlotPages); err != nil { // the commit slots
 		t.Fatal(err)
 	}
 	id, buf, err := bp.NewPage()

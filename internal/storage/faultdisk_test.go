@@ -134,87 +134,3 @@ func TestLOBSurfacesDiskFaults(t *testing.T) {
 		t.Fatalf("blob write fault = %v", err)
 	}
 }
-
-// failLogger injects WAL failures.
-type failLogger struct{ fail bool }
-
-func (l *failLogger) LogPageImage(PageID, []byte) error {
-	if l.fail {
-		return errInjected
-	}
-	return nil
-}
-
-func (l *failLogger) LogBeforeImage(PageID, []byte) error {
-	if l.fail {
-		return errInjected
-	}
-	return nil
-}
-
-// TestWriteAheadFailureBlocksVolumeWrite: if the logger fails, the dirty
-// page must NOT reach the volume.
-func TestWriteAheadFailureBlocksVolumeWrite(t *testing.T) {
-	disk := NewMemDiskManager()
-	bp := NewBufferPool(disk, 4)
-	lg := &failLogger{}
-	bp.SetPageLogger(lg)
-
-	id, buf, err := bp.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 0xAB
-	bp.Unpin(id, true)
-
-	lg.fail = true
-	if err := bp.FlushAll(); !errors.Is(err, errInjected) {
-		t.Fatalf("FlushAll with failing logger = %v", err)
-	}
-	raw := make([]byte, PageSize)
-	if err := disk.ReadPage(id, raw); err != nil {
-		t.Fatal(err)
-	}
-	if raw[0] == 0xAB {
-		t.Fatal("page reached the volume despite write-ahead failure")
-	}
-
-	lg.fail = false
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-	disk.ReadPage(id, raw)
-	if raw[0] != 0xAB {
-		t.Fatal("page lost after logger recovered")
-	}
-}
-
-// TestFetchPageForWriteLoggerFailure: a failing before-image logger must
-// abort the write fetch.
-func TestFetchPageForWriteLoggerFailure(t *testing.T) {
-	disk := NewMemDiskManager()
-	bp := NewBufferPool(disk, 4)
-	lg := &failLogger{}
-	bp.SetPageLogger(lg)
-
-	id, _, err := bp.NewPage()
-	if err != nil {
-		t.Fatal(err)
-	}
-	bp.Unpin(id, true)
-	if err := bp.FlushAll(); err != nil {
-		t.Fatal(err)
-	}
-
-	lg.fail = true
-	if _, err := bp.FetchPageForWrite(id); !errors.Is(err, errInjected) {
-		t.Fatalf("FetchPageForWrite with failing logger = %v", err)
-	}
-	lg.fail = false
-	got, err := bp.FetchPageForWrite(id)
-	if err != nil {
-		t.Fatalf("FetchPageForWrite after recovery: %v", err)
-	}
-	_ = got
-	bp.Unpin(id, false)
-}

@@ -21,13 +21,10 @@ const (
 
 	// InvalidPageID marks the absence of a page reference.
 	InvalidPageID = PageID(0xFFFFFFFFFFFFFFFF)
-
-	// HeaderPageID is the page that holds the database superblock.
-	HeaderPageID = PageID(0)
 )
 
-// PageID identifies a page within the database file. Page 0 is the
-// superblock; data pages start at 1.
+// PageID identifies a page within the database file. Pages 0 and 1 are
+// the commit slots (Superblock); data pages start at SlotPages.
 type PageID uint64
 
 // String implements fmt.Stringer.

@@ -1,3 +1,9 @@
+// Package wal is the record file under the ingest delta store's log:
+// an append-only file of checksummed, self-delimiting records whose
+// scan stops at the first torn or corrupt one, so a crash mid-append
+// loses only that record. The page store needs no log: a commit is a
+// root switch (storage.Superblock), and nothing it reaches is written
+// in place.
 package wal
 
 import (
@@ -11,8 +17,7 @@ import (
 	"path/filepath"
 )
 
-// Records is an append-only file of self-delimiting records, the one
-// framing both logs share:
+// Records is an append-only file of self-delimiting records:
 //
 //	[u32 payload length][u32 CRC32-C of payload][payload]
 //
@@ -22,20 +27,22 @@ import (
 //
 // A failed write, flush or sync fails the file: it may now end in a torn
 // record, behind which anything appended later would be cut by the next
-// open's scan. Every later Append, Flush, Sync, Reset and Rewrite
-// returns the first error until the file is reopened.
+// open's scan. Every later Append, Sync and Rewrite returns the first
+// error until the file is reopened.
 type Records struct {
 	path string
 	f    *os.File
 	w    *bufio.Writer
-	size int64 // logical end, buffered records included
 	err  error
 }
 
+// ErrClosed is returned by operations on a closed file.
+var ErrClosed = errors.New("wal: log closed")
+
 const frameHeaderSize = 8
 
-// recordsBufSize buffers appends between flushes: several page images
-// per write system call, and little resident memory for the delta log.
+// recordsBufSize buffers appends between syncs: several batches per
+// write system call, and little resident memory.
 const recordsBufSize = 64 << 10
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -50,7 +57,11 @@ func OpenRecords(path string, fn func(payload []byte) error) (*Records, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	end, err := ScanRecords(path, fn)
+	st, err := f.Stat()
+	var end int64
+	if err == nil {
+		end, err = scanFrames(bufio.NewReaderSize(f, recordsBufSize), st.Size(), fn)
+	}
 	if err == nil {
 		err = f.Truncate(end)
 	}
@@ -58,23 +69,7 @@ func OpenRecords(path string, fn func(payload []byte) error) (*Records, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: open %s: %w", path, err)
 	}
-	return &Records{path: path, f: f, w: bufio.NewWriterSize(f, recordsBufSize), size: end}, nil
-}
-
-// ScanRecords calls fn with the payload of every intact record of the
-// file at path, read-only, as OpenRecords does, and returns the length
-// of the intact prefix.
-func ScanRecords(path string, fn func(payload []byte) error) (int64, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	return scanFrames(bufio.NewReaderSize(f, recordsBufSize), st.Size(), fn)
+	return &Records{path: path, f: f, w: bufio.NewWriterSize(f, recordsBufSize)}, nil
 }
 
 // scanFrames reads records from r, which holds size bytes, and returns
@@ -128,22 +123,17 @@ func (r *Records) fail(err error) error {
 	return err
 }
 
-// Append buffers one record. It reaches the operating system at the next
-// Flush and stable storage at the next Sync.
+// Append buffers one record. It reaches stable storage at the next Sync.
 func (r *Records) Append(payload []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	if err := writeFrame(r.w, payload); err != nil {
-		return r.fail(err)
-	}
-	r.size += frameHeaderSize + int64(len(payload))
-	return nil
+	return r.fail(writeFrame(r.w, payload))
 }
 
-// Flush hands the buffered records to the operating system, which keeps
+// flush hands the buffered records to the operating system, which keeps
 // them across a process crash.
-func (r *Records) Flush() error {
+func (r *Records) flush() error {
 	if r.err != nil {
 		return r.err
 	}
@@ -152,22 +142,8 @@ func (r *Records) Flush() error {
 
 // Sync flushes and forces every record appended so far to stable storage.
 func (r *Records) Sync() error {
-	if err := r.Flush(); err != nil {
+	if err := r.flush(); err != nil {
 		return err
-	}
-	return r.fail(r.f.Sync())
-}
-
-// Reset empties the file in place, buffered records included, and
-// forces the empty file to stable storage.
-func (r *Records) Reset() error {
-	if r.err != nil {
-		return r.err
-	}
-	r.w.Reset(r.f)
-	r.size = 0
-	if err := r.f.Truncate(0); err != nil {
-		return r.fail(err)
 	}
 	return r.fail(r.f.Sync())
 }
@@ -180,7 +156,7 @@ func (r *Records) Reset() error {
 // the rename leaves the old file in place and working, one after it
 // fails the file.
 func (r *Records) Rewrite(payloads [][]byte) error {
-	if err := r.Flush(); err != nil {
+	if err := r.flush(); err != nil {
 		return err
 	}
 	tmp := r.path + ".tmp"
@@ -189,12 +165,10 @@ func (r *Records) Rewrite(payloads [][]byte) error {
 		return err
 	}
 	r.w.Reset(f)
-	var size int64
 	for _, p := range payloads {
 		if err = writeFrame(r.w, p); err != nil {
 			break
 		}
-		size += frameHeaderSize + int64(len(p))
 	}
 	if err == nil {
 		err = r.w.Flush()
@@ -213,7 +187,7 @@ func (r *Records) Rewrite(payloads [][]byte) error {
 	}
 	// The old handle names an unlinked file; nothing is read from it.
 	r.f.Close()
-	r.f, r.size = f, size
+	r.f = f
 	d, err := os.Open(filepath.Dir(r.path))
 	if err == nil {
 		err = d.Sync()
@@ -221,9 +195,6 @@ func (r *Records) Rewrite(payloads [][]byte) error {
 	}
 	return r.fail(err)
 }
-
-// Size reports the file's length in bytes, buffered records included.
-func (r *Records) Size() int64 { return r.size }
 
 // Close flushes what a healthy file buffered and closes it; every later
 // call returns ErrClosed, and a second Close nil.

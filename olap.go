@@ -20,7 +20,8 @@
 //	                    group by city`)
 //
 // Everything sits on a paged storage substrate (buffer pool, blobs,
-// extents, WAL) playing the role SHORE played for Paradise in the paper.
+// extents, commit slots) playing the role SHORE played for Paradise in
+// the paper.
 package repro
 
 import (
@@ -41,7 +42,6 @@ import (
 	"repro/internal/exec"
 	"repro/internal/obs"
 	"repro/internal/storage"
-	"repro/internal/wal"
 )
 
 // Re-exported schema types: the public API speaks the catalog's types.
@@ -71,8 +71,9 @@ type (
 	Cost = exec.Cost
 	// Stats are buffer pool I/O counters.
 	Stats = storage.Stats
-	// WALStats are write-ahead log counters.
-	WALStats = wal.Stats
+	// WALStats count the durable commits since open and the fsyncs
+	// they issued.
+	WALStats = storage.CommitStats
 	// AggFunc selects an aggregate function.
 	AggFunc = core.AggFunc
 	// MetricsSnapshot is a point-in-time copy of every engine metric.
@@ -135,7 +136,6 @@ type DB struct {
 	bp   *storage.BufferPool
 	sb   *storage.Superblock
 	cat  *catalog.Catalog
-	log  *wal.Log
 	ex   *exec.Executor
 	ds   *delta.Store
 	path string
@@ -170,9 +170,11 @@ type DB struct {
 // (fault injection for crash-recovery tests).
 var testWrapDisk func(storage.DiskManager) storage.DiskManager
 
-// Open opens (creating as needed) a database. For file-backed databases
-// any committed WAL suffix is replayed first, so a crash between Commit
-// and Checkpoint is recovered transparently.
+// Open opens (creating as needed) a database at its last durable
+// commit: the valid commit slot with the highest sequence. Whatever an
+// interrupted commit or operation wrote after it is unreachable from
+// that commit, and the mark pass frees it; the delta log replays the
+// cells ingested since the last compaction.
 func Open(opts Options) (*DB, error) {
 	db := &DB{path: opts.Path}
 	dwal := "" // the delta store's log; none in memory
@@ -182,10 +184,6 @@ func Open(opts Options) (*DB, error) {
 		d, err := storage.OpenFileDiskManager(opts.Path)
 		if err != nil {
 			return nil, err
-		}
-		if _, err := wal.Recover(walPath(opts.Path), d); err != nil {
-			d.Close()
-			return nil, fmt.Errorf("repro: recover: %w", err)
 		}
 		db.disk = d
 		dwal = deltaWALPath(opts.Path)
@@ -201,15 +199,6 @@ func Open(opts Options) (*DB, error) {
 		}
 	}
 	db.bp = storage.NewBufferPool(db.disk, frames)
-	if opts.Path != "" {
-		l, err := wal.Open(walPath(opts.Path))
-		if err != nil {
-			db.disk.Close()
-			return nil, err
-		}
-		db.log = l
-		db.bp.SetPageLogger(l)
-	}
 	sb, err := storage.OpenSuperblock(db.bp)
 	if err != nil {
 		db.closeQuietly()
@@ -245,17 +234,13 @@ func Open(opts Options) (*DB, error) {
 	db.compactSeconds = reg.Histogram("compaction_seconds",
 		"wall time per delta compaction", nil)
 	db.registerCodecMetrics(reg)
-	if db.log != nil {
-		l := db.log
-		reg.CounterFunc("wal_page_images_total",
-			"redo page images appended to the WAL",
-			func() int64 { return int64(l.Stats().PageImages) })
+	if opts.Path != "" {
 		reg.CounterFunc("wal_commits_total",
-			"commit records appended to the WAL",
-			func() int64 { return int64(l.Stats().Commits) })
+			"durable commits: slot switches",
+			func() int64 { return int64(sb.Stats().Commits) })
 		reg.CounterFunc("wal_fsyncs_total",
-			"fsyncs issued by the WAL",
-			func() int64 { return int64(l.Stats().Fsyncs) })
+			"fsyncs issued by commits, of the volume and of the slot",
+			func() int64 { return int64(sb.Stats().Fsyncs) })
 	}
 	return db, nil
 }
@@ -332,31 +317,27 @@ func (db *DB) codecUsage(name string) CodecUsage {
 	return CodecUsage{Chunks: cs.Chunks, EncodedBytes: cs.EncodedBytes}
 }
 
-// walPath derives the log path from the volume path.
-func walPath(path string) string { return path + ".wal" }
-
 // deltaWALPath derives the ingest delta log path from the volume path.
-// It is a separate file from the page WAL because the page WAL is
-// truncated at every checkpoint, while delta records must survive until
-// a compaction folds them into the chunk store.
+// Ingested cells are not in the volume until a compaction folds them
+// in, so they are made durable in this log of their own.
 func deltaWALPath(path string) string { return path + ".deltawal" }
 
 func (db *DB) closeQuietly() {
 	if db.ds != nil {
 		db.ds.Close()
 	}
-	if db.log != nil {
-		db.log.Close()
-	}
 	db.disk.Close()
 }
 
-// Commit makes all work since the previous Commit durable and atomic:
-// redo images of every dirty page are forced to the WAL, a commit record
-// is fsynced, the pages are flushed to the volume, and the log is
-// checkpointed. An in-memory database has no WAL: there it degenerates
-// to a flush. Ingested deltas are NOT part of the page store — they are
-// already durable in their own log and are folded in by Compact.
+// Commit makes all work since the previous Commit durable and atomic by
+// a root switch: a new catalog blob is written, every dirty page is
+// flushed and the volume fsynced, and then the older commit slot is
+// written to name the new catalog and fsynced. A crash before that last
+// fsync reopens at the previous commit. Nothing a commit reaches is
+// written in place afterwards, so the previous commit stays whole on
+// disk until the next one. An in-memory database takes the same steps.
+// Ingested deltas are NOT part of the page store: they are already
+// durable in their own log and are folded in by Compact.
 func (db *DB) Commit() error {
 	db.writeMu.Lock()
 	defer db.writeMu.Unlock()
@@ -370,33 +351,18 @@ func (db *DB) Commit() error {
 // commitLocked is the durable half of Commit, shared with the compactor
 // — which must NOT announce a catalog change, because a compaction
 // changes no observable content and the caches should survive it.
-// Once the commit is durable, the catalog blob it replaced is freed: no
-// query reads a catalog blob (Open does). Callers hold writeMu.
+// Once the slot is durable, the catalog blob it replaced is freed: no
+// query reads a catalog blob (Open does), and the slot that still names
+// it is the next one a commit overwrites. Callers hold writeMu.
 func (db *DB) commitLocked() error {
 	var replaced []storage.Extent
-	if root, ok, err := catalog.Root(db.sb); err == nil && ok {
+	if root, ok := db.sb.Catalog(); ok {
 		if ext, err := storage.NewLOBStore(db.bp).BlobExtent(storage.LOBRef{First: root}); err == nil {
 			replaced = append(replaced, ext)
 		}
 	}
 	if err := db.cat.Save(db.bp, db.sb); err != nil {
 		return err
-	}
-	if db.log != nil {
-		if err := db.bp.LogDirtyPages(); err != nil {
-			return err
-		}
-		if err := db.log.AppendCommit(); err != nil {
-			return err
-		}
-	}
-	if err := db.bp.FlushAll(); err != nil {
-		return err
-	}
-	if db.log != nil {
-		if err := db.log.Checkpoint(); err != nil {
-			return err
-		}
 	}
 	db.retire(0, replaced...)
 	return nil
@@ -421,11 +387,6 @@ func (db *DB) Close() error {
 			commitErr = err
 		}
 	}
-	if db.log != nil {
-		if err := db.log.Close(); err != nil && commitErr == nil {
-			commitErr = err
-		}
-	}
 	if err := db.disk.Close(); err != nil && commitErr == nil {
 		commitErr = err
 	}
@@ -437,15 +398,16 @@ func (db *DB) Close() error {
 func (db *DB) Schema() *StarSchema { return db.cat.Schema }
 
 // EngineStats is one cross-layer health snapshot: buffer pool I/O,
-// write-ahead log activity, and the age of the planner statistics.
+// commits and their fsyncs, and the age of the planner statistics.
 type EngineStats struct {
 	// Buffer holds the cumulative buffer pool counters.
 	Buffer Stats `json:"buffer"`
 	// BufferHitRate is the fraction of logical reads served from memory.
 	BufferHitRate float64 `json:"buffer_hit_rate"`
-	// WAL holds the log counters; zero when HasWAL is false.
+	// WAL counts commits and the fsyncs they issued (volume and slot);
+	// zero when HasWAL is false.
 	WAL WALStats `json:"wal"`
-	// HasWAL reports whether this database logs (file-backed, WAL on).
+	// HasWAL reports whether this database's commits reach a file.
 	HasWAL bool `json:"has_wal"`
 	// StatsAge is the time since the planner statistics were last
 	// collected; zero when the catalog carries none (planner falls back
@@ -481,12 +443,12 @@ type EngineStats struct {
 }
 
 // Stats returns a cross-layer engine snapshot: buffer pool counters,
-// WAL counters, and planner-statistics age.
+// commit counters, and planner-statistics age.
 func (db *DB) Stats() EngineStats {
 	es := EngineStats{Buffer: db.bp.Stats(), Volume: db.bp.Space()}
 	es.BufferHitRate = es.Buffer.HitRate()
-	if db.log != nil {
-		es.WAL = db.log.Stats()
+	if db.path != "" {
+		es.WAL = db.sb.Stats()
 		es.HasWAL = true
 	}
 	if st := db.cat.Stats; st != nil && st.CollectedUnix > 0 {

@@ -404,7 +404,6 @@ func TestCrashInReusedExtentRecovers(t *testing.T) {
 		t.Fatal("nothing reached the volume")
 	}
 	db.ds.Close()
-	db.log.Close()
 	db.disk.Close()
 
 	db2, err := Open(Options{Path: path, BufferPoolBytes: 8 * storage.PageSize})
