@@ -9,6 +9,7 @@ cd "$(dirname "$0")"
 echo "== ledger =="
 echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
 echo "test Go lines outside benchmark/: $(find . -name '*_test.go' -not -path './benchmark/*' | xargs wc -l | tail -n 1 | awk '{print $1}')"
+echo "test Go lines in root + internal/core + internal/exec: $(cat ./*_test.go internal/core/*_test.go internal/exec/*_test.go | wc -l)"
 for cmd in olapd olapcli olapbench; do
     echo "$cmd flags: $(grep -cE '= flag\.[A-Z][A-Za-z0-9]*\(' "cmd/$cmd/main.go")"
 done
@@ -54,6 +55,12 @@ echo "== one-snapshot stress under -race (50 runs) =="
 go test -race -count=50 -run 'TestGenerationSwap/readers_and_a_writer|TestOldGenerationSeesCompactedCells' ./internal/exec/
 go test -race -count=50 -run 'TestViewsSelfConsistent' ./internal/delta/
 
+# The spec: every committed seed of the crash-and-compare simulation
+# (sim_test.go), under the detector, with its served reads and the
+# writers it runs inside a read's view acquisition.
+echo "== simulation, every committed seed, under -race =="
+go test -race -count=1 -run 'TestSimulation' .
+
 # A compaction's replaced extents are freed only once no reader holds a
 # state that reaches them, and reused; a volume that poisons freed pages
 # catches a held reader that reads one.
@@ -80,7 +87,7 @@ go test -run TestWarmArrayScanAllocBytes -count=1 ./internal/core/
 echo "== warm Query 2/3 allocates at most 50 KB (chunks seeked or filtered where they sit) =="
 go test -run TestWarmArraySelectAllocBytes -count=1 ./internal/core/
 
-echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, commit slots, B-tree node pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, catalog blob + mark pass, 10s each) =="
+echo "== fuzz smoke (store directory, codec decoders, in-place pair walk and seek, compaction vs merge-on-read, blob extents, commit slots, B-tree node pages, heap pages, bitmap run decoder, wire frame decoders, SQL front door, log record scan, delta batch decoder, catalog blob + mark pass, 10s each) =="
 go test -run='^$' -fuzz=FuzzStoreDir -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzCodecDecode -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzOffsetPairWalk -fuzztime=10s ./internal/chunk/
@@ -88,10 +95,11 @@ go test -run='^$' -fuzz=FuzzStoreUpdate -fuzztime=10s ./internal/chunk/
 go test -run='^$' -fuzz=FuzzBlobExtent -fuzztime=10s ./internal/storage/
 go test -run='^$' -fuzz=FuzzSuperblockSlot -fuzztime=10s ./internal/storage/
 go test -run='^$' -fuzz=FuzzBTreeNode -fuzztime=10s ./internal/btree/
+go test -run='^$' -fuzz=FuzzHeapPage -fuzztime=10s ./internal/heap/
 go test -run='^$' -fuzz=FuzzBitmapDecode -fuzztime=10s ./internal/bitmap/
 go test -run='^$' -fuzz=FuzzFrameDecode -fuzztime=10s ./internal/wire/
 go test -run='^$' -fuzz=FuzzParseAndCompile -fuzztime=10s ./internal/query/
-go test -run='^$' -fuzz=FuzzRecordScan -fuzztime=10s ./internal/wal/
+go test -run='^$' -fuzz=FuzzRecordScan -fuzztime=10s ./internal/delta/
 go test -run='^$' -fuzz=FuzzDecodeBatch -fuzztime=10s ./internal/delta/
 go test -run='^$' -fuzz=FuzzCatalogBlob -fuzztime=10s ./internal/exec/
 

@@ -12,71 +12,6 @@ import (
 	"repro/internal/storage"
 )
 
-// TestCrashRollsBackUncommittedInPlaceChanges: a committed database is
-// appended to (dimension rows after the commit) under a tiny buffer pool
-// so the uncommitted changes are evicted to the volume, then the process
-// "crashes" before Commit. Reopening must find the committed state.
-func TestCrashRollsBackUncommittedInPlaceChanges(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "crash.db")
-
-	db, err := Open(Options{Path: path, BufferPoolBytes: 64 * 1024}) // 8 frames
-	if err != nil {
-		t.Fatal(err)
-	}
-	loadRetail(t, db)
-	if err := db.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	want, err := db.QueryOn(retailQuery, StarJoinEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantRows, err := dimRowCount(db, "product")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	// Uncommitted in-place mutation: append 500 products. With 8 frames,
-	// the dirtied heap pages (and the heap header) are repeatedly
-	// evicted to the volume.
-	var extra []DimensionRow
-	for k := int64(1000); k < 1500; k++ {
-		extra = append(extra, DimensionRow{Key: k, Attrs: []string{"typeX", "catX"}})
-	}
-	if err := db.LoadDimension("product", extra); err != nil {
-		t.Fatal(err)
-	}
-	if got, _ := dimRowCount(db, "product"); got != wantRows+500 {
-		t.Fatalf("pre-crash row count = %d", got)
-	}
-
-	// Crash: the process dies without Commit. Closing the raw handles
-	// mimics losing the buffer pool; the volume keeps whatever was
-	// evicted, in pages the committed root does not reach.
-	db.disk.Close()
-
-	db2, err := Open(Options{Path: path, BufferPoolBytes: 64 * 1024})
-	if err != nil {
-		t.Fatalf("reopen after crash: %v", err)
-	}
-	defer db2.Close()
-
-	got, err := dimRowCount(db2, "product")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != wantRows {
-		t.Fatalf("product rows after recovery = %d, want committed %d", got, wantRows)
-	}
-	res, err := db2.QueryOn(retailQuery, StarJoinEngine)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !core.RowsEqual(res.Rows, want.Rows) {
-		t.Fatalf("query after recovery differs: %s", core.DiffRows(res.Rows, want.Rows))
-	}
-}
-
 // dimRowCount counts rows in a dimension through the public query path.
 func dimRowCount(db *DB, dim string) (int64, error) {
 	// count(*) grouped by nothing over a selection-free consolidation

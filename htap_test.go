@@ -199,30 +199,3 @@ func TestWritersBesideCompaction(t *testing.T) {
 	close(done)
 	wg.Wait()
 }
-
-// TestCompactPublishesBeforeDrain: by the time a compaction has committed
-// (and so before it drains), the delta store must name the folded state.
-// Publishing after the drain would let a snapshot pair the old base with
-// a drained overlay.
-func TestCompactPublishesBeforeDrain(t *testing.T) {
-	db, err := Open(Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer db.Close()
-	loadRetail(t, db)
-	retailIngest(t, db)
-	before := db.cat.ArrayState
-	db.compactTestHook = func(stage string) error {
-		if state := db.ds.View().State; stage == "committed" && state != db.cat.ArrayState {
-			t.Errorf("committed with state %d published, folded %d", state, db.cat.ArrayState)
-		}
-		return nil
-	}
-	if err := db.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if db.cat.ArrayState == before {
-		t.Fatal("compaction produced no new array version")
-	}
-}

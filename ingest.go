@@ -45,6 +45,9 @@ func (db *DB) InsertCellsContext(ctx context.Context, cells []IngestCell) error 
 	if !db.ex.HasArray() {
 		return fmt.Errorf("repro: ingest requires a built array (BuildArray)")
 	}
+	if db.rebuilt.Load() {
+		return fmt.Errorf("repro: commit the rebuilt array before ingesting into it")
+	}
 	out, err := db.locate(cells)
 	if err != nil {
 		return err

@@ -199,16 +199,6 @@ func (t *Tree) Len() (uint64, error) {
 	return n, t.bp.Unpin(t.meta, false)
 }
 
-// Height reports the tree height (1 when the root is a leaf).
-func (t *Tree) Height() (int, error) {
-	buf, err := t.fetchMeta()
-	if err != nil {
-		return 0, err
-	}
-	h := int(storage.GetUint64(buf, metaHeightOff))
-	return h, t.bp.Unpin(t.meta, false)
-}
-
 // cmp orders composite entries.
 func cmp(k1 int64, v1 uint64, k2 int64, v2 uint64) int {
 	switch {
@@ -576,16 +566,6 @@ func (t *Tree) SearchEach(key int64, fn func(value uint64) error) error {
 	return t.AscendRange(key, key, func(_ int64, v uint64) error { return fn(v) })
 }
 
-// Search returns all values stored under key, in ascending order.
-func (t *Tree) Search(key int64) ([]uint64, error) {
-	var out []uint64
-	err := t.SearchEach(key, func(v uint64) error {
-		out = append(out, v)
-		return nil
-	})
-	return out, err
-}
-
 // SearchFirst returns the smallest value under key; ok is false when the
 // key is absent.
 func (t *Tree) SearchFirst(key int64) (uint64, bool, error) {
@@ -600,31 +580,6 @@ func (t *Tree) SearchFirst(key int64) (uint64, bool, error) {
 		return 0, false, err
 	}
 	return val, found, nil
-}
-
-// findEntry locates the leftmost leaf slot holding exactly (key, value).
-// The seek descent lands left of an equal separator, so the walk may need
-// to follow the leaf chain forward past empty-of-target leaves.
-func (t *Tree) findEntry(key int64, value uint64) (leaf storage.PageID, slot int, found bool, err error) {
-	leaf = storage.InvalidPageID
-	err = t.walkLeaves(key, value, func(id storage.PageID, buf []byte) (bool, error) {
-		i := leafLowerBound(buf, key, value)
-		if i == nodeCount(buf) {
-			return false, nil
-		}
-		leaf, slot, found = id, i, leafKey(buf, i) == key && leafVal(buf, i) == value
-		return true, nil
-	})
-	if err != nil {
-		return storage.InvalidPageID, 0, false, err
-	}
-	return leaf, slot, found, nil
-}
-
-// Contains reports whether the exact (key, value) entry is present.
-func (t *Tree) Contains(key int64, value uint64) (bool, error) {
-	_, _, found, err := t.findEntry(key, value)
-	return found, err
 }
 
 // AscendRange invokes fn for every entry with loKey <= key <= hiKey in
@@ -656,38 +611,6 @@ func (t *Tree) AscendRange(loKey, hiKey int64, fn func(key int64, value uint64) 
 func (t *Tree) Ascend(fn func(key int64, value uint64) error) error {
 	min, max := int64(-1<<63), int64(1<<63-1)
 	return t.AscendRange(min, max, fn)
-}
-
-// Delete removes one occurrence of the exact (key, value) entry. It
-// reports whether an entry was removed. Nodes are not rebalanced (the
-// engine's indices are bulk-built and rarely shrink), so space from
-// deletions is reused only by later inserts into the same leaf.
-func (t *Tree) Delete(key int64, value uint64) (bool, error) {
-	leaf, i, found, err := t.findEntry(key, value)
-	if err != nil || !found {
-		return false, err
-	}
-	buf, err := t.bp.FetchPageForWrite(leaf)
-	if err != nil {
-		return false, err
-	}
-	n := nodeCount(buf)
-	// Re-verify under the pin; findEntry released the page.
-	if i >= n || leafKey(buf, i) != key || leafVal(buf, i) != value {
-		return false, t.bp.Unpin(leaf, false)
-	}
-	copy(buf[leafEntriesOff+i*leafEntrySize:leafEntriesOff+(n-1)*leafEntrySize],
-		buf[leafEntriesOff+(i+1)*leafEntrySize:leafEntriesOff+n*leafEntrySize])
-	setNodeCount(buf, n-1)
-	if err := t.bp.Unpin(leaf, true); err != nil {
-		return false, err
-	}
-	metaBuf, err := t.bp.FetchPageForWrite(t.meta)
-	if err != nil {
-		return false, err
-	}
-	storage.PutUint64(metaBuf, metaCountOff, storage.GetUint64(metaBuf, metaCountOff)-1)
-	return true, t.bp.Unpin(t.meta, true)
 }
 
 // NumPages counts the pages the tree occupies (meta + all nodes) by

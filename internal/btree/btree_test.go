@@ -28,11 +28,11 @@ func TestBTreeEmpty(t *testing.T) {
 	if err != nil || n != 0 {
 		t.Fatalf("Len = (%d, %v), want 0", n, err)
 	}
-	h, err := tr.Height()
+	h, err := height(tr)
 	if err != nil || h != 1 {
 		t.Fatalf("Height = (%d, %v), want 1", h, err)
 	}
-	vals, err := tr.Search(5)
+	vals, err := search(tr, 5)
 	if err != nil || len(vals) != 0 {
 		t.Fatalf("Search on empty = (%v, %v)", vals, err)
 	}
@@ -49,7 +49,7 @@ func TestBTreeInsertSearchSmall(t *testing.T) {
 		}
 	}
 	for i := int64(0); i < 100; i++ {
-		vals, err := tr.Search(i)
+		vals, err := search(tr, i)
 		if err != nil {
 			t.Fatalf("Search(%d): %v", i, err)
 		}
@@ -57,7 +57,7 @@ func TestBTreeInsertSearchSmall(t *testing.T) {
 			t.Fatalf("Search(%d) = %v, want [%d]", i, vals, i*10)
 		}
 	}
-	if vals, _ := tr.Search(1000); len(vals) != 0 {
+	if vals, _ := search(tr, 1000); len(vals) != 0 {
 		t.Fatalf("Search(absent) = %v", vals)
 	}
 	if bp.PinnedPages() != 0 {
@@ -73,7 +73,7 @@ func TestBTreeSplitsGrowHeight(t *testing.T) {
 			t.Fatalf("Insert %d: %v", i, err)
 		}
 	}
-	h, _ := tr.Height()
+	h, _ := height(tr)
 	if h < 2 {
 		t.Fatalf("height = %d after %d inserts, want >= 2", h, n)
 	}
@@ -96,7 +96,7 @@ func TestBTreeDeepTreeWithSmallBranching(t *testing.T) {
 			t.Fatalf("Insert: %v", err)
 		}
 	}
-	h, _ := tr.Height()
+	h, _ := height(tr)
 	if h < 4 {
 		t.Fatalf("height = %d with branching 4 and %d keys, want deep tree", h, n)
 	}
@@ -104,7 +104,7 @@ func TestBTreeDeepTreeWithSmallBranching(t *testing.T) {
 		t.Fatalf("CheckInvariants: %v", err)
 	}
 	for i := 0; i < n; i++ {
-		vals, err := tr.Search(int64(i))
+		vals, err := search(tr, int64(i))
 		if err != nil || len(vals) != 1 || vals[0] != uint64(i)+7 {
 			t.Fatalf("Search(%d) = (%v, %v)", i, vals, err)
 		}
@@ -126,7 +126,7 @@ func TestBTreeDuplicateKeys(t *testing.T) {
 		t.Fatalf("CheckInvariants: %v", err)
 	}
 	for k := 0; k < 10; k++ {
-		vals, err := tr.Search(int64(k))
+		vals, err := search(tr, int64(k))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -158,7 +158,7 @@ func TestBTreeExactDuplicateEntries(t *testing.T) {
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants: %v", err)
 	}
-	vals, err := tr.Search(7)
+	vals, err := search(tr, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,39 +259,10 @@ func TestBTreeSearchFirstAndContains(t *testing.T) {
 		v    uint64
 		want bool
 	}{{5, 40, true}, {5, 50, true}, {5, 60, false}, {6, 40, false}} {
-		got, err := tr.Contains(tc.k, tc.v)
+		got, err := contains(tr, tc.k, tc.v)
 		if err != nil || got != tc.want {
 			t.Fatalf("Contains(%d,%d) = (%v, %v), want %v", tc.k, tc.v, got, err, tc.want)
 		}
-	}
-}
-
-func TestBTreeDelete(t *testing.T) {
-	tr, _ := newTestTree(t, 512)
-	tr.setBranching(4)
-	for i := 0; i < 200; i++ {
-		tr.Insert(int64(i%20), uint64(i))
-	}
-	// Delete every value under key 3.
-	vals, _ := tr.Search(3)
-	for _, v := range vals {
-		ok, err := tr.Delete(3, v)
-		if err != nil || !ok {
-			t.Fatalf("Delete(3, %d) = (%v, %v)", v, ok, err)
-		}
-	}
-	if vals, _ := tr.Search(3); len(vals) != 0 {
-		t.Fatalf("key 3 still has values %v after delete", vals)
-	}
-	if ok, _ := tr.Delete(3, 3); ok {
-		t.Fatal("Delete of absent entry reported true")
-	}
-	n, _ := tr.Len()
-	if n != 190 {
-		t.Fatalf("Len after deletes = %d, want 190", n)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("CheckInvariants after deletes: %v", err)
 	}
 }
 
@@ -311,15 +282,15 @@ func TestBTreeReopen(t *testing.T) {
 	if err != nil || n != 10000 {
 		t.Fatalf("reopened Len = (%d, %v)", n, err)
 	}
-	vals, err := tr2.Search(9999)
+	vals, err := search(tr2, 9999)
 	if err != nil || len(vals) != 1 || vals[0] != 9999*3 {
 		t.Fatalf("reopened Search = (%v, %v)", vals, err)
 	}
 }
 
-// TestBTreeRandomizedAgainstReference drives the tree with random inserts
-// and deletes, mirroring them in an in-memory reference, and checks
-// lookups, ordered iteration, and invariants.
+// TestBTreeRandomizedAgainstReference drives the tree with random
+// inserts, duplicates included, mirroring them in an in-memory
+// reference, and checks ordered iteration and invariants.
 func TestBTreeRandomizedAgainstReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	tr, bp := newTestTree(t, 2048)
@@ -332,23 +303,10 @@ func TestBTreeRandomizedAgainstReference(t *testing.T) {
 	for op := 0; op < 5000; op++ {
 		k := int64(rng.Intn(50) - 25)
 		v := uint64(rng.Intn(40))
-		if rng.Intn(3) > 0 { // 2/3 inserts
-			if err := tr.Insert(k, v); err != nil {
-				t.Fatalf("Insert: %v", err)
-			}
-			ref[entry{k, v}]++
-		} else {
-			ok, err := tr.Delete(k, v)
-			if err != nil {
-				t.Fatalf("Delete: %v", err)
-			}
-			if ok != (ref[entry{k, v}] > 0) {
-				t.Fatalf("Delete(%d,%d) = %v, reference disagrees", k, v, ok)
-			}
-			if ok {
-				ref[entry{k, v}]--
-			}
+		if err := tr.Insert(k, v); err != nil {
+			t.Fatalf("Insert: %v", err)
 		}
+		ref[entry{k, v}]++
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("CheckInvariants: %v", err)
@@ -407,7 +365,7 @@ func TestBTreeQuickSearchMatchesInserts(t *testing.T) {
 		}
 		for k, want := range ref {
 			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
-			got, err := tr.Search(k)
+			got, err := search(tr, k)
 			if err != nil || len(got) != len(want) {
 				return false
 			}
@@ -515,7 +473,7 @@ func TestBTreeCorruptCount(t *testing.T) {
 		}
 	}
 	patchNode(t, bp, rootLeaf(t, tr), func(buf []byte) { storage.PutUint16(buf, nodeCountOff, 0xFFFF) })
-	if _, err := tr.Search(5); err == nil || !strings.Contains(err.Error(), "65535 entries") {
+	if _, err := search(tr, 5); err == nil || !strings.Contains(err.Error(), "65535 entries") {
 		t.Fatalf("Search on a 65535-entry leaf: err = %v", err)
 	}
 	if err := tr.Insert(6, 6); err == nil {
@@ -539,7 +497,7 @@ func TestBTreeLeafChainLoop(t *testing.T) {
 	patchNode(t, bp, root, func(buf []byte) { storage.PutUint64(buf, leafNextOff, uint64(root)) })
 	done := make(chan error, 1)
 	go func() {
-		_, err := tr.Search(9)
+		_, err := search(tr, 9)
 		done <- err
 	}()
 	select {
@@ -550,7 +508,7 @@ func TestBTreeLeafChainLoop(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Search along a looping leaf chain still running after 10 s")
 	}
-	if _, err := tr.Contains(9, 9); err == nil {
+	if _, err := contains(tr, 9, 9); err == nil {
 		t.Fatal("Contains followed a looping leaf chain without error")
 	}
 	if n := bp.PinnedPages(); n != 0 {
@@ -571,7 +529,7 @@ func TestBTreeLookupPinsLeafOnce(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if h, err := tr.Height(); err != nil || h != 2 {
+	if h, err := height(tr); err != nil || h != 2 {
 		t.Fatalf("Height = (%d, %v), want a two-level tree", h, err)
 	}
 	root := rootLeaf(t, tr)
@@ -599,7 +557,7 @@ func TestBTreeLookupPinsLeafOnce(t *testing.T) {
 			t.Fatalf("SearchFirst(%d) fetched %d pages, want %d", k, n, want)
 		}
 		before = bp.Stats().LogicalReads
-		if ok, err := tr.Contains(k, uint64(k)); err != nil || !ok {
+		if ok, err := contains(tr, k, uint64(k)); err != nil || !ok {
 			t.Fatalf("Contains(%d) = (%v, %v)", k, ok, err)
 		}
 		if n := bp.Stats().LogicalReads - before; n != want {
@@ -609,4 +567,37 @@ func TestBTreeLookupPinsLeafOnce(t *testing.T) {
 	if n := bp.PinnedPages(); n != 0 {
 		t.Fatalf("%d pages left pinned", n)
 	}
+}
+
+// search returns every value stored under key, in ascending order.
+func search(tr *Tree, key int64) ([]uint64, error) {
+	var out []uint64
+	err := tr.SearchEach(key, func(v uint64) error {
+		out = append(out, v)
+		return nil
+	})
+	return out, err
+}
+
+// contains reports whether the exact (key, value) entry is present.
+func contains(tr *Tree, key int64, value uint64) (bool, error) {
+	found := false
+	err := tr.SearchEach(key, func(v uint64) error {
+		if found = v == value; found {
+			return ErrStopScan
+		}
+		return nil
+	})
+	return found, err
+}
+
+// height reads the tree height off the meta page: 1 when the root is a
+// leaf.
+func height(tr *Tree) (int, error) {
+	buf, err := tr.fetchMeta()
+	if err != nil {
+		return 0, err
+	}
+	h := int(storage.GetUint64(buf, metaHeightOff))
+	return h, tr.bp.Unpin(tr.meta, false)
 }

@@ -53,7 +53,7 @@ func fuzzTreeBytes(f *testing.F) []byte {
 }
 
 // FuzzBTreeNode reads arbitrary bytes as the node pages of a tree under
-// a valid meta page, through Search, AscendRange and Contains. Whatever
+// a valid meta page, through SearchEach, SearchFirst and AscendRange. Whatever
 // the pages say, every call returns — an error is fine, a panic or a
 // hang is not — nothing is left pinned, and no call hands over more
 // entries than the pages could hold.
@@ -99,11 +99,18 @@ func FuzzBTreeNode(f *testing.F) {
 		done := make(chan string, 1)
 		go func() {
 			for _, k := range []int64{math.MinInt64, -1, 0, 3, 5, 9, math.MaxInt64} {
-				if vals, _ := tr.Search(k); len(vals) > limit {
-					done <- "Search handed over too many values"
+				n := 0
+				tr.SearchEach(k, func(uint64) error {
+					if n++; n > limit {
+						return ErrStopScan
+					}
+					return nil
+				})
+				if n > limit {
+					done <- "SearchEach handed over too many values"
 					return
 				}
-				tr.Contains(k, uint64(k))
+				tr.SearchFirst(k)
 			}
 			n := 0
 			tr.AscendRange(math.MinInt64, math.MaxInt64, func(int64, uint64) error {

@@ -103,24 +103,3 @@ func (t *DimensionTable) Scan(fn func(key int64, attrs []string) error) error {
 		return fn(key, attrs)
 	})
 }
-
-// Lookup returns the attrs of the row with the given key, scanning the
-// table (dimension tables are small; point access goes through the
-// array's B-trees or the executor's hash tables, not this method).
-func (t *DimensionTable) Lookup(key int64) ([]string, bool, error) {
-	var out []string
-	found := false
-	err := t.file.Scan(func(_ heap.RID, rec []byte) error {
-		k, attrs, err := decodeRow(rec, len(t.Schema.Attrs))
-		if err != nil {
-			return err
-		}
-		if k == key {
-			out = attrs
-			found = true
-			return heap.ErrStopScan
-		}
-		return nil
-	})
-	return out, found, err
-}

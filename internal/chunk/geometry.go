@@ -111,16 +111,6 @@ func (g *Geometry) Locate(coords []int) (chunkNum int, offset int) {
 	return chunkNum, offset
 }
 
-// ChunkCoords returns the per-dimension chunk indices of chunk chunkNum.
-func (g *Geometry) ChunkCoords(chunkNum int) []int {
-	out := make([]int, len(g.dims))
-	for i := len(g.dims) - 1; i >= 0; i-- {
-		out[i] = chunkNum % g.chunksPer[i]
-		chunkNum /= g.chunksPer[i]
-	}
-	return out
-}
-
 // ChunkOf returns the chunk number containing the cell at coords.
 func (g *Geometry) ChunkOf(coords []int) int {
 	n, _ := g.Locate(coords)

@@ -430,9 +430,6 @@ func (s *Store) Geometry() *Geometry { return s.geom }
 // "adaptive" when each chunk carries its own tag.
 func (s *Store) CodecName() string { return s.modeName() }
 
-// Adaptive reports whether codec selection is per-chunk.
-func (s *Store) Adaptive() bool { return s.codec == nil }
-
 // entryCodec returns the codec that encoded the given chunk.
 func (s *Store) entryCodec(cn int) Codec { return codecTable[s.entries[cn].codec] }
 

@@ -54,8 +54,8 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	bp := newStorePool(256)
 	s, _ := buildMixedStore(t, bp)
 
-	if !s.Adaptive() || s.CodecName() != CodecAdaptive {
-		t.Fatalf("Adaptive=%v CodecName=%q", s.Adaptive(), s.CodecName())
+	if s.CodecName() != CodecAdaptive {
+		t.Fatalf("CodecName=%q", s.CodecName())
 	}
 	if got := s.ChunkCodecName(0); got != CodecOffset {
 		t.Fatalf("sparse chunk tagged %q, want %q", got, CodecOffset)
@@ -69,7 +69,7 @@ func TestAdaptiveStoreRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ro.Adaptive() {
+	if ro.CodecName() != CodecAdaptive {
 		t.Fatal("reopened store is not adaptive")
 	}
 	for cn, cells := range readAll(t, plain(ro)) {

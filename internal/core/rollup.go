@@ -6,32 +6,6 @@ import (
 	"repro/internal/arena"
 )
 
-// GroupLabels returns, per grouped dimension in dimension order, the
-// label of each group index.
-func (r *Result) GroupLabels() [][]string { return r.labels }
-
-// EachCell invokes fn for every non-empty result cell with its group
-// coordinates (one per grouped dimension, in dimension order) and its
-// aggregate state. The coords slice is reused between calls.
-func (r *Result) EachCell(fn func(coords []int, row Row) error) error {
-	coords := make([]int, len(r.labels))
-	for idx, a := range r.aggs {
-		if a.count == 0 {
-			continue
-		}
-		rem := idx
-		for i := range r.labels {
-			coords[i] = rem / r.strides[i]
-			rem %= r.strides[i]
-		}
-		row := Row{Sum: a.sum, Count: a.count, Min: a.min, Max: a.max}
-		if err := fn(coords, row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // emptyCloneIn allocates, from a, a zeroed result with the same grouping
 // shape and the same (shared, read-only) label slices — the thread-local
 // partial accumulator of one parallel worker, guaranteed Merge-compatible

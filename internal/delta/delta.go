@@ -27,7 +27,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/chunk"
-	"repro/internal/wal"
 )
 
 // ErrClosed is returned by Apply after Close.
@@ -115,6 +114,9 @@ type base struct {
 func (s *Store) Acquire() *View {
 	for {
 		v := s.view.Load()
+		if h := AcquireHook.Load(); h != nil {
+			(*h)()
+		}
 		v.base.holds.Add(1)
 		if s.view.Load().base == v.base {
 			return v
@@ -122,6 +124,11 @@ func (s *Store) Acquire() *View {
 		v.base.release()
 	}
 }
+
+// AcquireHook, when a test sets it, runs in Acquire between the load of
+// the published view and the hold on it: the one point where a writer
+// that publishes, commits and retires must be seen by the re-load.
+var AcquireHook atomic.Pointer[func()]
 
 // Release ends the hold Acquire took on v's state. A view Acquire did
 // not return (nil, or one made by hand) holds nothing.
@@ -185,7 +192,7 @@ type Store struct {
 	bytes  int64
 	budget int64
 
-	log    *wal.Records
+	log    *Records
 	closed bool
 
 	// replaced lists, oldest first, the bases Publish replaced that a

@@ -6,12 +6,11 @@ import (
 	"sort"
 
 	"repro/internal/chunk"
-	"repro/internal/wal"
 )
 
 // Ingested batches are not in the volume until a compaction folds them
 // in and commits, so the delta store keeps them in a log of its own
-// until then. It is a wal.Records file with one batch per record:
+// until then. It is a Records file with one batch per record:
 //
 //	payload: uvarint cell count, then per cell
 //	         uvarint chunk, uvarint offset, varint value, u8 delete
@@ -21,9 +20,9 @@ import (
 
 // openLog opens (creating if absent) the delta log and replays its
 // batches.
-func openLog(path string) (*wal.Records, [][]Cell, error) {
+func openLog(path string) (*Records, [][]Cell, error) {
 	var batches [][]Cell
-	log, err := wal.OpenRecords(path, func(p []byte) error {
+	log, err := OpenRecords(path, func(p []byte) error {
 		b, err := decodeBatch(p)
 		if err != nil {
 			return err
@@ -35,7 +34,7 @@ func openLog(path string) (*wal.Records, [][]Cell, error) {
 }
 
 // rewriteLog replaces the log with one batch per remaining dirty chunk.
-func rewriteLog(log *wal.Records, remaining map[int][]chunk.OverlayCell) error {
+func rewriteLog(log *Records, remaining map[int][]chunk.OverlayCell) error {
 	chunks := make([]int, 0, len(remaining))
 	for cn := range remaining {
 		chunks = append(chunks, cn)

@@ -285,10 +285,6 @@ func (e *Executor) prepare(spec *query.Spec, engine Engine, workers int) (*state
 // another query's singleflight. The shared chunk cache is unaffected.
 func (e *Executor) SetCacheEnabled(on bool) { e.cacheOff.Store(!on) }
 
-// CacheEnabled reports whether this executor participates in the query
-// cache (regardless of whether the database has one configured).
-func (e *Executor) CacheEnabled() bool { return !e.cacheOff.Load() }
-
 // SetTrace switches per-session tracing: with TRACE on, every query
 // collects the fully sampled span tree (per-worker spans included) and
 // the result carries it for rendering — the session-level override of

@@ -251,39 +251,59 @@ func (f *File) Pages(mark func(first storage.PageID, n int) error) error {
 // Scan invokes fn for every record in file order. The record slice
 // passed to fn is only valid during the call. Returning a non-nil error
 // from fn stops the scan and propagates the error; return ErrStopScan to
-// stop early without error.
+// stop early without error. A chain longer than the header's page count
+// or the volume (one that loops, say) or a slot that runs past its page
+// is an error.
 func (f *File) Scan(fn func(rid RID, rec []byte) error) error {
 	hdr, err := f.bp.FetchPage(f.hdr)
 	if err != nil {
 		return err
 	}
 	page := storage.PageID(storage.GetUint64(hdr, hdrFirstOff))
+	npages := min(storage.GetUint64(hdr, hdrNPagesOff), f.bp.Disk().NumPages())
 	if err := f.bp.Unpin(f.hdr, false); err != nil {
 		return err
 	}
-	for page.Valid() {
+	for walked := uint64(0); page.Valid(); walked++ {
+		if walked == npages {
+			return fmt.Errorf("heap %v: page chain runs past its %d pages", f.hdr, npages)
+		}
 		buf, err := f.bp.FetchPage(page)
 		if err != nil {
 			return err
 		}
-		slots := int(storage.GetUint16(buf, pageSlotCntOff))
-		for s := 0; s < slots; s++ {
-			slotOff := pageSlotsOff + s*slotSize
-			off := int(storage.GetUint16(buf, slotOff))
-			n := int(storage.GetUint16(buf, slotOff+2))
-			if err := fn(RID{Page: page, Slot: uint16(s)}, buf[off:off+n]); err != nil {
-				f.bp.Unpin(page, false)
-				if errors.Is(err, ErrStopScan) {
-					return nil
-				}
-				return err
+		if err := scanPage(page, buf, fn); err != nil {
+			f.bp.Unpin(page, false)
+			if errors.Is(err, ErrStopScan) {
+				return nil
 			}
+			return err
 		}
 		next := storage.PageID(storage.GetUint64(buf, pageNextOff))
 		if err := f.bp.Unpin(page, false); err != nil {
 			return err
 		}
 		page = next
+	}
+	return nil
+}
+
+// scanPage invokes fn for every record on one data page.
+func scanPage(page storage.PageID, buf []byte, fn func(rid RID, rec []byte) error) error {
+	slots := int(storage.GetUint16(buf, pageSlotCntOff))
+	if pageSlotsOff+slots*slotSize > len(buf) {
+		return fmt.Errorf("heap: page %v: %d slots overrun the page", page, slots)
+	}
+	for s := 0; s < slots; s++ {
+		slotOff := pageSlotsOff + s*slotSize
+		off := int(storage.GetUint16(buf, slotOff))
+		n := int(storage.GetUint16(buf, slotOff+2))
+		if off+n > len(buf) {
+			return fmt.Errorf("heap: page %v: slot %d runs past the page end", page, s)
+		}
+		if err := fn(RID{Page: page, Slot: uint16(s)}, buf[off:off+n]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

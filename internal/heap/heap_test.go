@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/storage"
 )
@@ -297,4 +298,76 @@ func TestHeapQuickInsertRoundtrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzHeapPages is the data pages a FuzzHeapPage input fills after the
+// header page; fuzzHeapBytes is how much of each page it writes.
+const (
+	fuzzHeapPages = 3
+	fuzzHeapBytes = 64
+)
+
+// FuzzHeapPage reads arbitrary bytes as a heap file's header page and
+// the front of its data pages (chain link, slot count, slot array),
+// through Scan and Pages. Whatever the pages say, both return — an error
+// is fine, a panic or a hang is not — and nothing is left pinned.
+func FuzzHeapPage(f *testing.F) {
+	// A valid file: header 0 chains data page 1 (two records) to page 2
+	// (one record).
+	valid := make([]byte, 32+fuzzHeapPages*fuzzHeapBytes)
+	storage.PutUint64(valid, hdrFirstOff, 1)
+	storage.PutUint64(valid, hdrLastOff, 2)
+	storage.PutUint64(valid, hdrNPagesOff, 2)
+	storage.PutUint64(valid, hdrNTupsOff, 3)
+	for i, recs := range [][2]int{{2, 2}, {1, 3}} {
+		pg := valid[32+i*fuzzHeapBytes:]
+		storage.PutUint64(pg, pageNextOff, uint64(storage.InvalidPageID))
+		if i == 0 {
+			storage.PutUint64(pg, pageNextOff, 2)
+		}
+		storage.PutUint16(pg, pageSlotCntOff, uint16(recs[0]))
+		for s := 0; s < recs[0]; s++ {
+			storage.PutUint16(pg, pageSlotsOff+s*slotSize, uint16(storage.PageSize-(s+1)*recs[1]))
+			storage.PutUint16(pg, pageSlotsOff+s*slotSize+2, uint16(recs[1]))
+		}
+	}
+	f.Add(valid)
+	looped := bytes.Clone(valid)
+	storage.PutUint64(looped[32+fuzzHeapBytes:], pageNextOff, 1) // page 2 links back to 1
+	storage.PutUint64(looped, hdrNPagesOff, 1<<40)
+	f.Add(looped)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		bp := storage.NewBufferPool(storage.NewMemDiskManager(), 4)
+		for i := 0; i <= fuzzHeapPages; i++ {
+			id, buf, err := bp.NewPage()
+			if err != nil {
+				t.Fatal(err)
+			}
+			lo, n := 0, 32
+			if i > 0 {
+				lo, n = 32+(i-1)*fuzzHeapBytes, fuzzHeapBytes
+			}
+			if lo < len(data) {
+				copy(buf, data[lo:min(lo+n, len(data))])
+			}
+			if err := bp.Unpin(id, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		file := Open(bp, 0)
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			file.Scan(func(RID, []byte) error { return nil })
+			file.Pages(storage.NewMarks(bp.Disk().NumPages()).Mark)
+		}()
+		select {
+		case <-done:
+		case <-time.After(10 * time.Second):
+			t.Fatal("a walk still running after 10 s")
+		}
+		if n := bp.PinnedPages(); n != 0 {
+			t.Fatalf("%d pages left pinned", n)
+		}
+	})
 }

@@ -88,9 +88,6 @@ func (s *Sampler) SetEvery(every int) {
 	s.every.Store(uint64(every))
 }
 
-// Every reports the current rate (0 = never).
-func (s *Sampler) Every() int { return int(s.every.Load()) }
-
 // Sample reports whether this query should collect fine-grained spans.
 func (s *Sampler) Sample() bool {
 	if s == nil {

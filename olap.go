@@ -160,6 +160,10 @@ type DB struct {
 	// compactor must not mutate that in place.
 	codecSnap atomic.Pointer[codecSnapshot]
 
+	// rebuilt is set by a rebuild of the array and cleared by the next
+	// commit; ingest waits for that commit (BuildArray).
+	rebuilt atomic.Bool
+
 	// compactTestHook, when set by a test, runs at each named stage of
 	// Compact ("applied", "swapped", "committed") so crash tests can
 	// fail or kill the process at precise points.
@@ -364,6 +368,7 @@ func (db *DB) commitLocked() error {
 	if err := db.cat.Save(db.bp, db.sb); err != nil {
 		return err
 	}
+	db.rebuilt.Store(false)
 	db.retire(0, replaced...)
 	return nil
 }

@@ -26,7 +26,10 @@ type poisonDisk struct {
 	reads int // reads of freed pages refused
 }
 
-var errFreedRead = errors.New("read of a freed page")
+var (
+	errFreedRead    = errors.New("read of a freed page")
+	errCompactFault = errors.New("injected compaction fault")
+)
 
 func (d *poisonDisk) Discard(first storage.PageID, n int) {
 	poison := bytes.Repeat([]byte{0xDB}, storage.PageSize)
