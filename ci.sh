@@ -40,6 +40,19 @@ echo "== benchmark module builds and tests =="
 echo "== EXPLAIN ANALYZE golden output =="
 go test -run TestExplainAnalyzeGolden -count=1 ./internal/exec/
 
+# One line per selected-dimension count k on the Fig 8/9 fixture: the
+# plan Auto chose, each plan's estimated work and the work its forced
+# run counted, priced under the test model.
+echo "== planner ledger: estimated vs counted work per k =="
+ledger=$(mktemp)
+if ! go test -run '^TestPlannerCrossover$' -count=1 -v ./internal/exec/ >"$ledger"; then
+    cat "$ledger" >&2
+    rm -f "$ledger"
+    exit 1
+fi
+grep -o 'ledger .*' "$ledger"
+rm -f "$ledger"
+
 echo "== metrics endpoint smoke =="
 go test -run TestMetricsEndpoint -count=1 .
 

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/core"
 )
 
 // retailIngest is the differential workload: overwrite, insert, and
@@ -111,6 +113,42 @@ func TestOverlayFoldIsObservable(t *testing.T) {
 		if om := other.Metrics; om.OverlayTouched != 0 || om.ChunksRead != 0 ||
 			strings.Contains(other.Explanation.String(), "overlay-fold") {
 			t.Errorf("%v: a statement that cannot reach the touched chunk paid for a fold: %+v", eng, om)
+		}
+	}
+}
+
+// TestRebuildRefusedAfterCompactedIngest: cells ingested and compacted
+// live in the array alone, so rebuilding it from the fact file is
+// refused, and every engine answers as before the attempt.
+func TestRebuildRefusedAfterCompactedIngest(t *testing.T) {
+	db, err := Open(Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	loadRetail(t, db)
+	retailIngest(t, db)
+	if err := db.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	before := map[Engine][]Row{}
+	for _, e := range []Engine{ArrayEngine, StarJoinEngine, BitmapEngine} {
+		r, err := db.QueryOn(retailQuery, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before[e] = r.Rows
+	}
+	if err := db.BuildArray(ArrayConfig{ChunkShape: []int{4, 4, 3}}); err == nil {
+		t.Fatal("BuildArray after a compacted ingest succeeded")
+	}
+	for e, want := range before {
+		r, err := db.QueryOn(retailQuery, e)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !core.RowsEqual(r.Rows, want) {
+			t.Errorf("%v after the refused rebuild: %s", e, core.DiffRows(r.Rows, want))
 		}
 	}
 }

@@ -52,19 +52,20 @@ func (l *Level) Code(value string) (int32, bool) {
 
 // IndexList returns the sorted base-index list for the given attribute
 // value, via the level's B-tree — the paper's "join index for the
-// selected value" (§4.2). A value not in the dictionary yields an empty
-// list.
-func (l *Level) IndexList(value string) ([]int, error) {
+// selected value" (§4.2) — and the B-tree pages the lookup pinned. A
+// value not in the dictionary yields an empty list and looks nothing
+// up.
+func (l *Level) IndexList(value string) ([]int, int, error) {
 	code, ok := l.codes[value]
 	if !ok {
-		return nil, nil
+		return nil, 0, nil
 	}
 	var out []int
-	err := l.attrTree.SearchEach(int64(code), func(v uint64) error {
+	pages, err := l.attrTree.SearchPages(int64(code), func(v uint64) error {
 		out = append(out, int(v))
 		return nil
 	})
-	return out, err
+	return out, pages, err
 }
 
 // Dimension holds the per-dimension state of the ADT.

@@ -153,16 +153,19 @@ func TestArrayDimensionStructures(t *testing.T) {
 
 	// Index lists via the attribute B-tree: members with h01 = A1 are
 	// keys 1, 4 -> base indices 1, 4.
-	list, err := h01.IndexList("A1")
+	list, pages, err := h01.IndexList("A1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(list) != 2 || list[0] != 1 || list[1] != 4 {
 		t.Fatalf("IndexList(A1) = %v, want [1 4]", list)
 	}
-	empty, err := h01.IndexList("ZZ")
-	if err != nil || empty != nil {
-		t.Fatalf("IndexList(ZZ) = (%v, %v)", empty, err)
+	if pages < 2 { // the meta page and at least the leaf
+		t.Fatalf("IndexList(A1) pinned %d pages", pages)
+	}
+	empty, pages, err := h01.IndexList("ZZ")
+	if err != nil || empty != nil || pages != 0 {
+		t.Fatalf("IndexList(ZZ) = (%v, %d pages, %v)", empty, pages, err)
 	}
 }
 
@@ -194,7 +197,7 @@ func TestArrayReopen(t *testing.T) {
 	if h02.Attr != "h02" || h02.NumDistinct() != 2 {
 		t.Fatalf("reopened h02: %s/%d", h02.Attr, h02.NumDistinct())
 	}
-	list, err := h02.IndexList("B0")
+	list, _, err := h02.IndexList("B0")
 	if err != nil || len(list) != 3 { // keys 0, 2, 4
 		t.Fatalf("reopened IndexList(B0) = (%v, %v)", list, err)
 	}

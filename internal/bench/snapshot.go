@@ -45,7 +45,7 @@ type MeasurementSnapshot struct {
 	PhysicalReads uint64  `json:"physical_reads"`
 	LogicalReads  uint64  `json:"logical_reads"`
 	EstIO         float64 `json:"est_io"`
-	EstCPU        float64 `json:"est_cpu"`
+	EstNS         float64 `json:"est_ns"`
 	EstRows       int64   `json:"est_rows"`
 	// CachedElapsedNS is the wall time of the warm rerun through the
 	// query cache; CacheHit reports whether it actually hit.
@@ -107,7 +107,7 @@ func Snapshot(fig *Figure, opts Options) *FigureSnapshot {
 				PhysicalReads:   m.IO.PhysicalReads,
 				LogicalReads:    m.IO.LogicalReads,
 				EstIO:           m.Metrics.EstCostIO,
-				EstCPU:          m.Metrics.EstCostCPU,
+				EstNS:           m.Metrics.EstNS,
 				EstRows:         m.Metrics.EstRows,
 				CachedElapsedNS: m.CachedElapsed.Nanoseconds(),
 				CacheHit:        m.CacheHit,

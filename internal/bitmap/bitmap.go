@@ -241,6 +241,43 @@ func (b *Bitmap) Marshal() []byte {
 	return out
 }
 
+// EncodedLen reports len(b.Marshal()) without building the encoding.
+func (b *Bitmap) EncodedLen() int {
+	n := uvarintLen(b.n)
+	for i := 0; i < len(b.words); {
+		j, zero := i, b.words[i] == 0
+		for j < len(b.words) && (b.words[j] == 0) == zero {
+			j++
+		}
+		if zero {
+			n += uvarintLen(uint64(j-i) * 2)
+		} else {
+			n += uvarintLen(uint64(j-i)*2-1) + 8*(j-i)
+		}
+		i = j
+	}
+	return n
+}
+
+// PagesTouched reports how many groups of perPage consecutive positions
+// hold a set bit — the fact pages a fetch of b's tuples reads, at
+// perPage tuples a page.
+func (b *Bitmap) PagesTouched(perPage uint64) int64 {
+	var n int64
+	for pos, ok := b.NextSet(0); ok; pos, ok = b.NextSet((pos/perPage + 1) * perPage) {
+		n++
+	}
+	return n
+}
+
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
+}
+
 // Unmarshal parses a bitmap produced by Marshal. It sizes the bitmap
 // from the encoding's header, so a caller decoding untrusted bytes
 // should know the length to expect and OR-decode into a bitmap of it

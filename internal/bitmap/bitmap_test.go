@@ -240,3 +240,24 @@ func TestBitmapQuickDeMorgan(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestEncodedLenAndPagesTouched: EncodedLen is the length Marshal
+// writes, and PagesTouched counts the perPage-wide groups holding a bit.
+func TestEncodedLenAndPagesTouched(t *testing.T) {
+	for _, bits := range [][]uint64{nil, {0}, {5, 6, 700, 701, 9000}, {63, 64, 127, 128, 129, 4095}} {
+		b := New(10000)
+		for _, i := range bits {
+			b.Set(i)
+		}
+		if got, want := b.EncodedLen(), len(b.Marshal()); got != want {
+			t.Errorf("bits %v: EncodedLen %d, Marshal writes %d", bits, got, want)
+		}
+		groups := map[uint64]bool{}
+		for _, i := range bits {
+			groups[i/100] = true
+		}
+		if got := b.PagesTouched(100); got != int64(len(groups)) {
+			t.Errorf("bits %v: PagesTouched(100) = %d, want %d", bits, got, len(groups))
+		}
+	}
+}

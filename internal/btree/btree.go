@@ -30,6 +30,13 @@ var nodeReads atomic.Int64
 // NodeReads reports the cumulative node page fetches.
 func NodeReads() int64 { return nodeReads.Load() }
 
+// lookups counts root-to-leaf descents across every tree in the process:
+// one per search, whatever it finds.
+var lookups atomic.Int64
+
+// Lookups reports the cumulative searches.
+func Lookups() int64 { return lookups.Load() }
+
 // Node page layout. Byte 0 holds the node type.
 //
 // Leaf:
@@ -503,30 +510,32 @@ func (t *Tree) insertLeaf(node storage.PageID, buf []byte, key int64, value uint
 }
 
 // descendToLeaf returns the leaf page that would contain (k, v), still
-// pinned: the caller reads it and unpins it.
-func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, []byte, error) {
+// pinned: the caller reads it and unpins it. It also reports how many
+// pages the descent pinned: the meta page and one per level.
+func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, []byte, int, error) {
+	lookups.Add(1)
 	metaBuf, err := t.fetchMeta()
 	if err != nil {
-		return storage.InvalidPageID, nil, err
+		return storage.InvalidPageID, nil, 1, err
 	}
 	node := storage.PageID(storage.GetUint64(metaBuf, metaRootOff))
 	if err := t.bp.Unpin(t.meta, false); err != nil {
-		return storage.InvalidPageID, nil, err
+		return storage.InvalidPageID, nil, 1, err
 	}
 	for hops := uint64(1); ; hops++ {
 		if err := t.checkPath(hops); err != nil {
-			return storage.InvalidPageID, nil, err
+			return storage.InvalidPageID, nil, int(hops), err
 		}
 		buf, err := t.fetchNode(node)
 		if err != nil {
-			return storage.InvalidPageID, nil, err
+			return storage.InvalidPageID, nil, int(hops), err
 		}
 		if buf[0] == leafNode {
-			return node, buf, nil
+			return node, buf, int(hops) + 1, nil
 		}
 		child := intChild(buf, intChildForSeek(buf, k, v))
 		if err := t.bp.Unpin(node, false); err != nil {
-			return storage.InvalidPageID, nil, err
+			return storage.InvalidPageID, nil, int(hops) + 1, err
 		}
 		node = child
 	}
@@ -535,11 +544,12 @@ func (t *Tree) descendToLeaf(k int64, v uint64) (storage.PageID, []byte, error) 
 // walkLeaves hands visit the leaf that would contain (k, v), pinned by
 // the descent, and then each leaf after it along the chain, until visit
 // reports done, fails, or the chain ends. Each leaf is unpinned after
-// its visit.
-func (t *Tree) walkLeaves(k int64, v uint64, visit func(id storage.PageID, buf []byte) (bool, error)) error {
-	node, buf, err := t.descendToLeaf(k, v)
+// its visit. It reports how many pages it pinned, the descent's among
+// them.
+func (t *Tree) walkLeaves(k int64, v uint64, visit func(id storage.PageID, buf []byte) (bool, error)) (int, error) {
+	node, buf, pages, err := t.descendToLeaf(k, v)
 	if err != nil {
-		return err
+		return pages, err
 	}
 	for hops := uint64(2); ; hops++ {
 		done, err := visit(node, buf)
@@ -548,22 +558,30 @@ func (t *Tree) walkLeaves(k int64, v uint64, visit func(id storage.PageID, buf [
 			err = uerr
 		}
 		if err != nil || done || !next.Valid() {
-			return err
+			return pages, err
 		}
 		if err := t.checkPath(hops); err != nil {
-			return err
+			return pages, err
 		}
 		if buf, err = t.fetchNode(next); err != nil {
-			return err
+			return pages + 1, err
 		}
 		node = next
+		pages++
 	}
 }
 
 // SearchEach invokes fn for every value stored under key, in ascending
 // value order.
 func (t *Tree) SearchEach(key int64, fn func(value uint64) error) error {
-	return t.AscendRange(key, key, func(_ int64, v uint64) error { return fn(v) })
+	_, err := t.SearchPages(key, fn)
+	return err
+}
+
+// SearchPages is SearchEach that also reports how many pages the search
+// pinned: the meta page, one per level, and each further leaf it walked.
+func (t *Tree) SearchPages(key int64, fn func(value uint64) error) (int, error) {
+	return t.ascendRange(key, key, func(_ int64, v uint64) error { return fn(v) })
 }
 
 // SearchFirst returns the smallest value under key; ok is false when the
@@ -585,10 +603,16 @@ func (t *Tree) SearchFirst(key int64) (uint64, bool, error) {
 // AscendRange invokes fn for every entry with loKey <= key <= hiKey in
 // (key, value) order. Return ErrStopScan from fn to stop early.
 func (t *Tree) AscendRange(loKey, hiKey int64, fn func(key int64, value uint64) error) error {
+	_, err := t.ascendRange(loKey, hiKey, fn)
+	return err
+}
+
+// ascendRange is AscendRange, reporting the pages it pinned.
+func (t *Tree) ascendRange(loKey, hiKey int64, fn func(key int64, value uint64) error) (int, error) {
 	if loKey > hiKey {
-		return nil
+		return 0, nil
 	}
-	err := t.walkLeaves(loKey, 0, func(_ storage.PageID, buf []byte) (bool, error) {
+	pages, err := t.walkLeaves(loKey, 0, func(_ storage.PageID, buf []byte) (bool, error) {
 		n := nodeCount(buf)
 		for i := leafLowerBound(buf, loKey, 0); i < n; i++ {
 			k := leafKey(buf, i)
@@ -602,9 +626,9 @@ func (t *Tree) AscendRange(loKey, hiKey int64, fn func(key int64, value uint64) 
 		return false, nil
 	})
 	if errors.Is(err, ErrStopScan) {
-		return nil
+		return pages, nil
 	}
-	return err
+	return pages, err
 }
 
 // Ascend invokes fn for every entry in the tree in (key, value) order.

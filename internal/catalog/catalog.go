@@ -101,6 +101,11 @@ func Load(bp *storage.BufferPool, sb *storage.Superblock) (*Catalog, error) {
 		return nil, fmt.Errorf("catalog: version %d is newer than this engine (max %d)",
 			c.Version, CatalogVersion)
 	}
+	if c.Stats != nil {
+		if err := c.Stats.validate(); err != nil {
+			return nil, err
+		}
+	}
 	if c.DimHeaps == nil {
 		c.DimHeaps = make(map[string]uint64)
 	}

@@ -1,6 +1,11 @@
 package catalog
 
-import "repro/internal/storage"
+import (
+	"fmt"
+	"math"
+
+	"repro/internal/storage"
+)
 
 // Stats are the planner statistics collected while the physical objects
 // are loaded and built (LoadFacts, BuildArray, BuildBitmapIndexes). They
@@ -24,6 +29,60 @@ type Stats struct {
 	// Bitmaps maps BitmapKey(dim, attr) to that index's statistics;
 	// nil until indexes are built.
 	Bitmaps map[string]BitmapIndexStats `json:"bitmaps,omitempty"`
+	// Model prices the work the planner counts for each plan; measured
+	// whenever the statistics are collected. Nil in statistics collected
+	// before it existed: the planner then falls back to its heuristic.
+	Model *CostModel `json:"model,omitempty"`
+}
+
+// CostModelVersion is the layout of CostModel this engine writes and
+// reads. A catalog carrying another version is refused at open.
+const CostModelVersion = 1
+
+// CostModel is the price, in nanoseconds, of each unit of work the
+// planner counts: measured on the machine and the volume the statistics
+// were collected on (DESIGN §3b), so the planner minimises predicted
+// time rather than pages.
+type CostModel struct {
+	Version int `json:"version"`
+	// CellNS folds one valid cell into a cube (a scan or filter-scan).
+	CellNS float64 `json:"cell_ns"`
+	// ProbeNS visits one candidate cell of a selection's cross product.
+	ProbeNS float64 `json:"probe_ns"`
+	// TupleNS joins and aggregates one fact tuple, scanned or fetched.
+	TupleNS float64 `json:"tuple_ns"`
+	// WordNS ANDs, ORs, clears or scans one 64-bit bitmap word.
+	WordNS float64 `json:"word_ns"`
+	// PageHitNS pins and unpins one page the buffer pool holds.
+	PageHitNS float64 `json:"page_hit_ns"`
+	// PageMissNS reads one page from the volume into the pool.
+	PageMissNS float64 `json:"page_miss_ns"`
+}
+
+// Validate refuses a model of another version or with a coefficient
+// that is not a finite positive number of nanoseconds.
+func (m *CostModel) Validate() error {
+	if m.Version != CostModelVersion {
+		return fmt.Errorf("catalog: cost model version %d, want %d", m.Version, CostModelVersion)
+	}
+	for _, c := range []struct {
+		name string
+		ns   float64
+	}{
+		{"cell", m.CellNS}, {"probe", m.ProbeNS}, {"tuple", m.TupleNS},
+		{"word", m.WordNS}, {"page hit", m.PageHitNS}, {"page miss", m.PageMissNS},
+	} {
+		if !(c.ns > 0) || math.IsInf(c.ns, 0) {
+			return fmt.Errorf("catalog: cost model %s coefficient %g is not a finite positive time", c.name, c.ns)
+		}
+	}
+	return nil
+}
+
+// String renders the coefficients, as EXPLAIN prints them.
+func (m *CostModel) String() string {
+	return fmt.Sprintf("v%d cell=%.2fns probe=%.2fns tuple=%.2fns word=%.2fns page_hit=%.0fns page_miss=%.0fns",
+		m.Version, m.CellNS, m.ProbeNS, m.TupleNS, m.WordNS, m.PageHitNS, m.PageMissNS)
 }
 
 // DimensionStats describes one dimension table.
@@ -74,6 +133,43 @@ type BitmapIndexStats struct {
 	Values int `json:"values"`
 	// Pages is the index blob footprint in pages.
 	Pages int64 `json:"pages"`
+	// Counts holds each value's bitmap statistics, one entry per value;
+	// nil in statistics collected before they existed.
+	Counts map[string]ValueCount `json:"counts,omitempty"`
+}
+
+// ValueCount describes one value's bitmap: how many fact tuples carry
+// the value, on how many fact pages they lie — fewer than Cardenas'
+// formula predicts when the load order clusters the dimension — and the
+// size of its run-length encoding.
+type ValueCount struct {
+	Tuples    uint64 `json:"tuples"`
+	FactPages int64  `json:"fact_pages"`
+	Bytes     int64  `json:"bytes"`
+}
+
+// validate refuses statistics no load could have collected: a value
+// count that exceeds the fact table it counts, a count list that does
+// not match the index's value count, or a malformed cost model.
+func (s *Stats) validate() error {
+	for key, bs := range s.Bitmaps {
+		if bs.Counts == nil {
+			continue
+		}
+		if len(bs.Counts) != bs.Values {
+			return fmt.Errorf("catalog: bitmap index %s counts %d values, has %d", key, len(bs.Counts), bs.Values)
+		}
+		for v, c := range bs.Counts {
+			if c.Tuples > s.FactTuples || c.FactPages < 0 || c.FactPages > s.FactPages || c.Bytes < 0 {
+				return fmt.Errorf("catalog: bitmap index %s value %q: %d tuples on %d pages of a %d-tuple, %d-page fact file",
+					key, v, c.Tuples, c.FactPages, s.FactTuples, s.FactPages)
+			}
+		}
+	}
+	if s.Model != nil {
+		return s.Model.Validate()
+	}
+	return nil
 }
 
 // Dim returns the statistics of the named dimension, or nil.

@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -26,7 +27,13 @@ func testStats() *Stats {
 		},
 		Bitmaps: map[string]BitmapIndexStats{
 			BitmapKey("dim0", "h02"): {Values: 4, Pages: 40},
+			BitmapKey("dim1", "h12"): {Values: 2, Pages: 20, Counts: map[string]ValueCount{
+				"AA0": {Tuples: 320000, FactPages: 4650, Bytes: 80000},
+				"AA1": {Tuples: 320000, FactPages: 2325, Bytes: 40},
+			}},
 		},
+		Model: &CostModel{Version: CostModelVersion, CellNS: 4, ProbeNS: 4, TupleNS: 40,
+			WordNS: 1, PageHitNS: 60, PageMissNS: 900},
 	}
 }
 
@@ -148,5 +155,58 @@ func TestStatsLookups(t *testing.T) {
 	if PagesOf(0) != 0 || PagesOf(1) != 1 ||
 		PagesOf(storage.PageSize) != 1 || PagesOf(storage.PageSize+1) != 2 {
 		t.Fatal("PagesOf rounding wrong")
+	}
+}
+
+// TestStatsRefusedOnLoad: a catalog whose statistics no load could have
+// collected — a value counted on more tuples or pages than the fact
+// table has, a count list that is not the index's values, a cost model
+// of another version or with a coefficient that is not a finite positive
+// time — is refused at open, as other malformed fields are.
+func TestStatsRefusedOnLoad(t *testing.T) {
+	key := BitmapKey("dim1", "h12")
+	for _, c := range []struct {
+		name  string
+		spoil func(st *Stats)
+	}{
+		{"tuples past the fact table", func(st *Stats) {
+			st.Bitmaps[key].Counts["AA0"] = ValueCount{Tuples: st.FactTuples + 1}
+		}},
+		{"pages past the fact file", func(st *Stats) {
+			st.Bitmaps[key].Counts["AA1"] = ValueCount{Tuples: 1, FactPages: st.FactPages + 1}
+		}},
+		{"a count list shorter than the values", func(st *Stats) { delete(st.Bitmaps[key].Counts, "AA1") }},
+		{"an unknown model version", func(st *Stats) { st.Model.Version = CostModelVersion + 1 }},
+		{"a zero coefficient", func(st *Stats) { st.Model.WordNS = 0 }},
+		{"a negative coefficient", func(st *Stats) { st.Model.PageMissNS = -1 }},
+		{"an infinite coefficient", func(st *Stats) { st.Model.CellNS = math.Inf(1) }},
+		{"a NaN coefficient", func(st *Stats) { st.Model.ProbeNS = math.NaN() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := testStats()
+			c.spoil(st)
+			if err := st.validate(); err == nil {
+				t.Fatal("validate accepted the statistics")
+			}
+			if math.IsInf(st.Model.CellNS, 0) || math.IsNaN(st.Model.ProbeNS) {
+				return // JSON cannot carry them; validate is what stands guard
+			}
+			bp := storage.NewBufferPool(storage.NewMemDiskManager(), 32)
+			sb, err := storage.OpenSuperblock(bp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cat := NewCatalog()
+			cat.Schema, cat.Stats = testSchema(), st
+			if err := cat.Save(bp, sb); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Load(bp, sb); err == nil {
+				t.Fatal("Load accepted the catalog")
+			}
+		})
+	}
+	if err := testStats().validate(); err != nil {
+		t.Fatalf("the well-formed statistics: %v", err)
 	}
 }

@@ -464,6 +464,15 @@ func (s *Store) CodecStats() map[string]CodecStat {
 	return out
 }
 
+// ChunkSize reports a stored chunk's valid cells and the pages a cold
+// read of it costs, ⌈bytes/PageSize⌉ (a chunk blob is one extent with
+// no directory page), from the directory alone; both are 0 for an empty
+// chunk.
+func (s *Store) ChunkSize(cn int) (cells, pages int64) {
+	e := s.entries[cn]
+	return int64(e.cells), int64(e.bytes+storage.PageSize-1) / storage.PageSize
+}
+
 // NumValidCells reports the number of stored (valid) cells.
 func (s *Store) NumValidCells() int64 { return s.validCells }
 

@@ -99,7 +99,8 @@ func (gm *groupMapper) cellIndex(coords []int) int {
 // With selections it is the algorithm of §4.2:
 //
 //  1. probe the per-attribute B-trees for the selected values' index
-//     lists and merge them into a final list per dimension;
+//     lists and merge them into a final list per dimension — or take
+//     s.Resolved, the statement's lists looked up once;
 //  2. enumerate the cross-product of the final lists in chunk-number
 //     order, skipping chunks that overlap no cross-product element (or
 //     hold no valid cells) without reading them;
@@ -117,7 +118,7 @@ func ArrayConsolidate(ctx context.Context, a *array.Array, s ScanSpec) (*Result,
 	if err := validateArray(a, &s); err != nil {
 		return nil, Metrics{}, err
 	}
-	sel, err := newArraySelection(a, s.Selections)
+	sel, err := selectionOf(a, &s)
 	if err != nil {
 		return nil, Metrics{}, err
 	}
@@ -215,54 +216,13 @@ func unionSorted(a, b []int) []int {
 	return out
 }
 
-// selectionIndexLists resolves the per-dimension final index lists of
-// §4.2: for each dimension, the B-tree index lists of the selected values
-// are retrieved and merged (values on one attribute union; predicates on
-// different attributes of the same dimension intersect). Dimensions with
-// no predicate yield the full index range. The selections must have
-// passed ScanSpec.validate.
-func selectionIndexLists(a *array.Array, sels []Selection) ([][]int, error) {
-	dims, lists := a.Dims(), wholeLists(a)
-	for _, s := range sels {
-		var merged []int
-		for _, v := range s.Values {
-			list, err := dims[s.Dim].Levels[s.Level].IndexList(v)
-			if err != nil {
-				return nil, err
-			}
-			merged = unionSorted(merged, list)
-		}
-		lists[s.Dim] = intersectSorted(lists[s.Dim], merged)
-	}
-	return lists, nil
-}
-
-// newArraySelection resolves sels into the kernel's selection; nil = all.
-func newArraySelection(a *array.Array, sels []Selection) (*chunkSelection, error) {
-	if len(sels) == 0 {
-		return nil, nil
-	}
-	lists, err := selectionIndexLists(a, sels)
-	if err != nil {
-		return nil, err
-	}
-	return newChunkSelection(a.Geometry(), lists), nil
-}
-
 // SelectionSelectivity estimates the fraction of the cube's cells that
 // satisfy the selections, assuming independence — the S = s^r of §5.6.
 // Used by the harness to label benchmark series.
 func SelectionSelectivity(a *array.Array, sels []Selection) (float64, error) {
-	if err := validateArray(a, &ScanSpec{Selections: sels}); err != nil {
-		return 0, err
-	}
-	lists, err := selectionIndexLists(a, sels)
+	r, err := ResolveSelection(a, sels)
 	if err != nil {
 		return 0, err
 	}
-	s := 1.0
-	for i, l := range lists {
-		s *= float64(len(l)) / float64(a.Dims()[i].Size())
-	}
-	return s, nil
+	return r.Selectivity(), nil
 }

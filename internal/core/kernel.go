@@ -260,30 +260,17 @@ func (k *chunkKernel) foldChunk(r *chunk.Reader, cn int, m *Metrics) error {
 }
 
 // begin points the kernel at chunk cn, holding cells cells, and decides
-// how a selection reads it. The §4.2 enumeration (chunkRuns) visits the
-// chunk's cross product in ascending offset order as runs, one per
-// contiguous stretch of the last dimension's list under each element of
-// the leading dimensions' cross product, and binary-searches each run's
-// start: about seeks x log2(cells) steps. When that exceeds the cells,
-// one masked pass over them is cheaper. Both counts are the chunk's
-// own, so the choice needs no setting.
+// how a selection reads it (seekPays): seek the §4.2 enumeration's runs
+// (chunkRuns) of the chunk's cross product, or one masked pass over its
+// cells. Both counts are the chunk's own, so the choice needs no
+// setting.
 func (k *chunkKernel) begin(cn, cells int) {
 	k.cells, k.hits, k.seeking = cells, 0, false
 	if k.sel == nil || cells == 0 {
 		return
 	}
-	if k.cands = k.runs.begin(cn); k.cands == 0 {
-		return
-	}
-	last := k.runs.lists[len(k.runs.lists)-1]
-	runs := 1
-	for i := 1; i < len(last); i++ {
-		if last[i] != last[i-1]+1 {
-			runs++
-		}
-	}
-	seeks := k.cands / len(last) * runs
-	if k.seeking = seeks*bits.Len(uint(cells-1)) <= cells; k.seeking {
+	k.cands = k.runs.begin(cn)
+	if k.seeking = seekPays(k.cands, k.runs.lists[len(k.runs.lists)-1], cells); k.seeking {
 		k.load(cn)
 		k.seek = chunk.NewPairSeek(&k.runs)
 	}

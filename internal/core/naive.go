@@ -21,10 +21,11 @@ func ArraySelectConsolidateNaive(a *array.Array, sels []Selection, spec GroupSpe
 	if err != nil {
 		return nil, m, err
 	}
-	lists, err := selectionIndexLists(a, sels)
+	r, err := ResolveSelection(a, sels)
 	if err != nil {
 		return nil, m, err
 	}
+	lists := r.lists
 	for _, l := range lists {
 		if len(l) == 0 {
 			return gm.result, m, nil

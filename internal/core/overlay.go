@@ -115,7 +115,7 @@ func foldOverlay(ctx context.Context, s *ScanSpec, hashes []*dimHash, res *Resul
 			gm.maps[d][b] = code
 		}
 	}
-	sel, err := newArraySelection(a, s.Selections)
+	sel, err := selectionOf(a, s)
 	if err != nil {
 		return err
 	}
@@ -145,20 +145,4 @@ func (k *chunkKernel) foldClaimed(ctx context.Context, r *chunk.Reader, chunks [
 		}
 	}
 	return nil
-}
-
-// SelectionChunks returns the sorted candidate chunk numbers the §4.2
-// selection algorithm would enumerate for sels over a — the set of
-// chunks whose content can influence the query's result. Used by the
-// executor to scope result-cache version vectors: an ingest into a
-// chunk outside this set cannot invalidate the cached result.
-func SelectionChunks(a *array.Array, sels []Selection) ([]int, error) {
-	if err := validateArray(a, &ScanSpec{Selections: sels}); err != nil {
-		return nil, err
-	}
-	lists, err := selectionIndexLists(a, sels)
-	if err != nil {
-		return nil, err
-	}
-	return newChunkSelection(a.Geometry(), lists).candidateChunks(nil), nil
 }

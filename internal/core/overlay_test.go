@@ -46,10 +46,11 @@ func TestOverlayEqualsReference(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			states := []state{{"at-rest", nil, fx.ff, fx.dims, engines}, anywhere, dangling}
 			if len(tc.sels) > 0 {
-				cand, err := SelectionChunks(fx.arr, tc.sels)
+				r, err := ResolveSelection(fx.arr, tc.sels)
 				if err != nil {
 					t.Fatal(err)
 				}
+				cand := r.Chunks()
 				reach := map[int]bool{}
 				for _, cn := range cand {
 					reach[cn] = true

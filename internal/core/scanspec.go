@@ -15,6 +15,10 @@ import (
 type ScanSpec struct {
 	// Selections are the query's predicates; none selects every cell.
 	Selections []Selection
+	// Resolved, when set, is Selections resolved against the array
+	// (ResolveSelection): an array run, or a relational run's overlay
+	// fold, then looks up no index list of its own.
+	Resolved *ResolvedSelection
 	// Group holds one grouping choice per dimension.
 	Group GroupSpec
 	// Workers is the intra-query parallel degree. Anything <= 1 runs

@@ -336,9 +336,9 @@ type Metrics struct {
 	// Planner estimates for the chosen plan, filled by the executor
 	// before the run so every result carries predicted next to measured
 	// cost. Zero when the planner had no statistics to estimate with.
-	EstCostIO  float64 // predicted page reads
-	EstCostCPU float64 // predicted CPU work, in page-read equivalents
-	EstRows    int64   // predicted qualifying fact tuples
+	EstCostIO float64 // predicted page reads
+	EstNS     float64 // predicted time, nanoseconds
+	EstRows   int64   // predicted qualifying fact tuples
 
 	// Intra-query parallelism. ParallelDegree is the number of workers
 	// that actually ran (0 or 1 = sequential); WorkerRows, WorkerIO,

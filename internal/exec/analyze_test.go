@@ -148,12 +148,14 @@ func TestExplainAnalyzeActualsMatchCounters(t *testing.T) {
 var scrubTimes = regexp.MustCompile(`time=[0-9][^ )]*`)
 
 // TestExplainAnalyzeGolden pins the EXPLAIN ANALYZE rendering: stable
-// fields (plan, candidates, est and act rows/io, measured counters)
-// byte-for-byte, with only wall times scrubbed. The pool is warm after
-// the build, so act io is deterministically 0.
+// fields (plan, the model, candidates, est and act rows/io, counted and
+// measured counters) byte-for-byte, with only wall times scrubbed. The
+// plans are priced with the fixed test model, and the pool is warm
+// after the build, so act io is deterministically 0.
 func TestExplainAnalyzeGolden(t *testing.T) {
 	bp, cat, _ := buildTestDB(t, true, true)
 	e := NewExecutor(bp, cat)
+	e.ctx.model = &testModel
 
 	spec, err := query.ParseAndCompile("explain analyze "+testQ2, cat.Schema)
 	if err != nil {
@@ -166,12 +168,13 @@ func TestExplainAnalyzeGolden(t *testing.T) {
 	got := scrubTimes.ReplaceAllString(qr.Explanation.String(), "time=<t>")
 
 	const want = `plan: bitmap-factfile  engine=bitmap  S=0.166667  [forced, analyzed]
+model: v1 cell=5.00ns probe=4.00ns tuple=40.00ns word=1.50ns page_hit=100ns page_miss=2000ns miss_share=0.00
 candidates:
-  -> bitmap-factfile            cost=49.0 (io=49.0 cpu=0.0) rows=48
+  -> bitmap-factfile            cost=3.3us io=7.0 rows=42
 tree:
-  consolidate [aggregate fetched tuples] (est rows=48 io=0.0) (act rows=2 io=0.0 time=<t>)
-    factfile-fetch [fetch qualifying tuples in ascending tuple order] (est rows=48 io=48.0) (act rows=41 io=0.0)
-      bitmap-and [AND 2 selection bitmaps] (est rows=0 io=1.0) (act rows=41 io=0.0 bitmaps=2 ands=4)
+  consolidate [aggregate fetched tuples] (est rows=42 io=0.0) (act rows=2 io=0.0 time=<t>)
+    factfile-fetch [fetch qualifying tuples in ascending tuple order] (est rows=42 io=1.0) (act rows=41 io=0.0)
+      bitmap-and [AND 2 selection bitmaps] (est rows=42 io=4.0 words=38) (act rows=41 io=0.0 bitmaps=2 ands=4)
         bitmap [dim0.h02 = 'AA1']
         bitmap [dim1.h12 = 'AA0']
 `

@@ -54,6 +54,10 @@ type ExecContext struct {
 	// mu serialises swap.
 	mu sync.Mutex
 
+	// model, when set, prices plans in place of the statistics' measured
+	// one: how tests pin the planner's choices and EXPLAIN's figures.
+	model *catalog.CostModel
+
 	// ds, when set, is the HTAP delta overlay store and the one publisher
 	// of the array state. A query reads the master of its view's state
 	// through readers under the view's overlay (merge-on-read) and
@@ -174,16 +178,6 @@ func (c *ExecContext) recordQuery(engine Engine, elapsed float64) {
 
 // Catalog returns the shared catalog.
 func (c *ExecContext) Catalog() *catalog.Catalog { return c.cat }
-
-// statsGen is the planner statistics' generation: a plan, a memoised
-// statement or a cached result made under one is not reused under
-// another.
-func (c *ExecContext) statsGen() int64 {
-	if st := c.cat.Stats; st != nil {
-		return st.CollectedUnix
-	}
-	return 0
-}
 
 // Generation returns the current generation's ordinal; it increases
 // every time the generation is replaced.
@@ -453,16 +447,20 @@ func (v *ingestView) keySuffix(tag string, versioned bool) string {
 	return tag + strconv.FormatUint(h.Sum64(), 16)
 }
 
-// chunkReach is the set of chunks a statement's selections can read:
-// the §4.2 candidate chunks. Only a new generation changes them, so
-// they are resolved once, the first time live ingest makes anyone ask,
-// and kept with the statement; the result-cache key suffix and the
-// relational engines' overlay fold both narrow the touched set by them.
+// chunkReach is a statement's selections resolved against the array
+// once (core.ResolveSelection): the index lists an array run folds by,
+// the §4.2 candidate chunks — the only chunks whose content the
+// statement can see — and what an array run of them reads
+// (core.ArrayRunWork), which the planner prices. Only a new generation
+// changes any of it. A statement the array plan may run resolves when it
+// is planned; one pinned to a relational engine only when live ingest
+// makes its overlay fold or cache key ask which chunks it reaches.
 type chunkReach struct {
 	sels []core.Selection
 	once sync.Once
-	cand []int // ascending
-	all  bool  // the lookup failed: no narrowing
+	res  *core.ResolvedSelection // nil: no selections
+	work core.ArrayWork
+	err  error
 
 	// last is the touched list narrowed most recently and what it
 	// narrowed to. A delta view's touched list is immutable and replaced
@@ -473,32 +471,40 @@ type chunkReach struct {
 
 type narrowed struct{ touched, hot []int }
 
+// resolve resolves the reach against g's array, the first time it is
+// asked, and counts what an array run under it reads.
+func (r *chunkReach) resolve(c *ExecContext, g *generation) error {
+	r.once.Do(func() {
+		v := c.ingestView(g, nil)
+		defer v.release()
+		arr, err := g.master(c, v.d)
+		if err == nil && len(r.sels) > 0 {
+			r.res, err = core.ResolveSelection(arr, r.sels)
+		}
+		if r.err = err; err == nil {
+			r.work = core.ArrayRunWork(arr, r.res)
+		}
+	})
+	return r.err
+}
+
 // narrow filters v's touched list (ascending, shared) down to the
 // chunks the statement can reach. The result is shared and read-only. A
-// nil reach, no selections, or a failed lookup keep the whole set,
-// which is always correct; nothing touched asks nothing, so a database
-// without ingest never pays the index-list lookups.
+// nil reach, no selections, or a failed resolution keep the whole set,
+// which is always correct; nothing touched asks nothing, so a
+// relational statement on a database without ingest never resolves.
 func (r *chunkReach) narrow(c *ExecContext, v *ingestView) []int {
 	touched := v.d.Touched
-	if r == nil || len(r.sels) == 0 || len(touched) == 0 {
-		return touched
-	}
-	r.once.Do(func() {
-		arr, err := v.g.master(c, v.d)
-		if err == nil {
-			r.cand, err = core.SelectionChunks(arr, r.sels)
-		}
-		r.all = err != nil
-	})
-	if r.all {
+	if r == nil || len(r.sels) == 0 || len(touched) == 0 || r.resolve(c, v.g) != nil {
 		return touched
 	}
 	if n := r.last.Load(); n != nil && len(n.touched) == len(touched) && &n.touched[0] == &touched[0] {
 		return n.hot
 	}
 	n := &narrowed{touched: touched}
+	cand := r.res.Chunks()
 	for _, cn := range touched {
-		if _, ok := slices.BinarySearch(r.cand, cn); ok {
+		if _, ok := slices.BinarySearch(cand, cn); ok {
 			n.hot = append(n.hot, cn)
 		}
 	}
@@ -506,10 +512,18 @@ func (r *chunkReach) narrow(c *ExecContext, v *ingestView) []int {
 	return n.hot
 }
 
-// size is how many chunks the statement reaches. Call after narrow.
+// size is how many chunks the statement reaches.
 func (r *chunkReach) size(arr *array.Array) int {
-	if r == nil || len(r.sels) == 0 || r.all {
+	if r == nil || r.res == nil {
 		return arr.Geometry().NumChunks()
 	}
-	return len(r.cand)
+	return len(r.res.Chunks())
+}
+
+// resolved is the statement's resolved selection, for a run's ScanSpec.
+func (r *chunkReach) resolved() *core.ResolvedSelection {
+	if r == nil {
+		return nil
+	}
+	return r.res
 }

@@ -93,6 +93,9 @@ type QueryResult struct {
 	// read, or the one this execution stored — and so owns their image.
 	// Nil when the result is in no entry (cache off, or too big to keep).
 	entry *cachedResult
+	// ioStart is the pool's counters when the query began; IO is the
+	// difference at its end.
+	ioStart storage.Stats
 }
 
 // cachedResult is what the result cache retains per fingerprint: the
@@ -239,7 +242,7 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 	if err != nil {
 		return nil, err
 	}
-	_, expl, err := e.plan(spec, engine, e.parallelDegree(), nil)
+	_, expl, err := e.plan(e.ctx.gen.Load(), spec, engine, e.parallelDegree())
 	return expl, err
 }
 
@@ -249,33 +252,30 @@ func (e *Executor) ExplainSQLContext(ctx context.Context, sql string, engine Eng
 // the memo.
 func (e *Executor) statement(g *generation, sql string, engine Engine) (st *statement, hit bool, err error) {
 	k := stmtKey{sql: sql, engine: engine, workers: e.parallelDegree()}
-	if st := g.memo.get(k, e.ctx.statsGen()); st != nil {
+	if st := g.memo.get(k); st != nil {
 		return st, true, nil
 	}
 	spec, err := query.ParseAndCompile(sql, e.ctx.Catalog().Schema)
 	if err != nil {
 		return nil, false, err
 	}
-	if st, err = e.prepare(spec, engine, k.workers); err != nil {
+	if st, err = e.prepare(g, spec, engine, k.workers); err != nil {
 		return nil, false, err
 	}
 	g.memo.put(k, st)
 	return st, false, nil
 }
 
-// prepare plans a compiled query into a statement.
-func (e *Executor) prepare(spec *query.Spec, engine Engine, workers int) (*statement, error) {
-	statsGen := e.ctx.statsGen()
-	reach := &chunkReach{sels: spec.Selections}
-	plan, expl, err := e.plan(spec, engine, workers, reach)
+// prepare plans a compiled query into a statement under g.
+func (e *Executor) prepare(g *generation, spec *query.Spec, engine Engine, workers int) (*statement, error) {
+	plan, expl, err := e.plan(g, spec, engine, workers)
 	if err != nil {
 		return nil, err
 	}
-	fp := fingerprint(spec, plan, statsGen)
+	fp := fingerprint(spec, plan)
 	return &statement{
 		spec: spec, plan: plan, expl: expl, est: expl.ChosenCost(),
-		fingerprint: fp, fpHash: fingerprintHash(fp), reach: reach,
-		statsGen: statsGen,
+		fingerprint: fp, fpHash: fingerprintHash(fp), reach: plan.reached(),
 	}, nil
 }
 
@@ -308,12 +308,13 @@ func (e *Executor) SetSlowQueryLog(l *slog.Logger, min time.Duration) {
 func (e *Executor) Execute(spec *query.Spec, engine Engine) (*QueryResult, error) {
 	ctx := context.Background()
 	prof, tr, g := e.beginQuery(ctx, "")
+	io := e.ctx.bp.Stats()
 	planSp := tr.Root.Child("plan")
-	st, err := e.prepare(spec, engine, e.parallelDegree())
+	st, err := e.prepare(g, spec, engine, e.parallelDegree())
 	if err != nil {
 		return nil, err
 	}
-	return e.run(ctx, prof, tr, planSp, st, g)
+	return e.run(ctx, prof, tr, planSp, st, g, io)
 }
 
 // ExecuteSQLContext parses, compiles, and executes a SQL-subset query —
@@ -327,6 +328,7 @@ func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Eng
 		return nil, err
 	}
 	prof, tr, g := e.beginQuery(ctx, sql)
+	io := e.ctx.bp.Stats()
 	planSp := tr.Root.Child("plan")
 	st, hit, err := e.statement(g, sql, engine)
 	if err != nil {
@@ -337,7 +339,7 @@ func (e *Executor) ExecuteSQLContext(ctx context.Context, sql string, engine Eng
 		prof.Memo = "hit"
 	}
 	planSp.Set("memo", prof.Memo)
-	return e.run(ctx, prof, tr, planSp, st, g)
+	return e.run(ctx, prof, tr, planSp, st, g, io)
 }
 
 // beginQuery opens a query's observable lifecycle: the flight-recorder
@@ -372,9 +374,10 @@ func (e *Executor) beginQuery(ctx context.Context, sql string) (*obs.QueryProfil
 // generation the query began, and st was resolved, under. The statement
 // is shared with every other execution of the same text, so everything
 // this run reports — the cache hit, ANALYZE's actuals — goes into its own
-// copy of the explanation.
+// copy of the explanation. io is the pool's counters when the query
+// began: an execution's I/O includes what resolving the statement read.
 func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trace, planSp *obs.Span,
-	st *statement, g *generation) (*QueryResult, error) {
+	st *statement, g *generation, io storage.Stats) (*QueryResult, error) {
 	planSp.End()
 	prof.PlanTime = planSp.Duration
 	spec, plan, est := st.spec, st.plan, st.est
@@ -390,9 +393,10 @@ func (e *Executor) run(ctx context.Context, prof *obs.QueryProfile, tr *obs.Trac
 		Aggs:        spec.Aggs,
 		Plan:        plan.Name(),
 		Explanation: &expl,
+		ioStart:     io,
 	}
 	qr.Metrics.EstCostIO = est.IO
-	qr.Metrics.EstCostCPU = est.CPU
+	qr.Metrics.EstNS = est.NS
 	qr.Metrics.EstRows = est.Rows
 	if spec.Explain && !spec.Analyze {
 		qr.QueryID = ""
@@ -565,7 +569,6 @@ func cachedQueryResult(qr *QueryResult, cr *cachedResult, g *generation, elapsed
 // of a singleflight runs this while its followers wait outside.
 func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryProfile, st *statement, qr *QueryResult, view *ingestView) (*QueryResult, error) {
 	spec, plan, est, expl := st.spec, st.plan, st.est, qr.Explanation
-	ioBefore := e.ctx.BufferPool().Stats()
 	start := time.Now()
 	run := tr.Root.Child("execute")
 	run.Set("plan", plan.Name())
@@ -605,7 +608,7 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 		run.Set("hot_chunks", prof.HotChunks)
 	}
 	metrics.EstCostIO = est.IO
-	metrics.EstCostCPU = est.CPU
+	metrics.EstNS = est.NS
 	metrics.EstRows = est.Rows
 	sortSp := tr.Root.Child("sort")
 	qr.Rows = res.SortedRows()
@@ -617,7 +620,7 @@ func (e *Executor) runPlan(ctx context.Context, tr *obs.Trace, prof *obs.QueryPr
 	res.Release()
 	qr.Metrics = metrics
 	qr.Elapsed = time.Since(start)
-	qr.IO = e.ctx.BufferPool().Stats().Sub(ioBefore)
+	qr.IO = e.ctx.BufferPool().Stats().Sub(qr.ioStart)
 	run.Set("rows", len(qr.Rows))
 	run.Set("physical_reads", qr.IO.PhysicalReads)
 	prof.ArenaBytes = arena.BytesInUse()

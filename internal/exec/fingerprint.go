@@ -10,22 +10,19 @@ import (
 )
 
 // fingerprint renders the normalized semantic key of one planned query:
-// the chosen plan and engine, the group-by shape, the aggregates, the
-// selection predicates with their values, and the catalog-statistics
-// generation that drove the plan choice. Two queries with the same
-// fingerprint materialize the same rows from the same object versions,
-// so the result cache may serve one for the other. Selections are
-// normalized — sorted by (dimension, level) with sorted value lists —
-// so predicate order and value order in the SQL text do not split
-// entries. EXPLAIN/ANALYZE flags are deliberately excluded: an analyzed
-// run and a plain run share an entry.
-func fingerprint(spec *query.Spec, plan Plan, statsGen int64) string {
+// the chosen plan and engine, the group-by shape, the aggregates, and
+// the selection predicates with their values. Two queries with the same
+// fingerprint materialize the same rows, so the result cache — one per
+// catalog generation, retired with it — may serve one for the other.
+// Selections are normalized — sorted by (dimension, level) with sorted
+// value lists — so predicate order and value order in the SQL text do
+// not split entries. EXPLAIN/ANALYZE flags are deliberately excluded: an
+// analyzed run and a plain run share an entry.
+func fingerprint(spec *query.Spec, plan Plan) string {
 	var b strings.Builder
 	b.WriteString(plan.Name())
 	b.WriteByte('|')
 	b.WriteString(plan.Engine().String())
-	b.WriteString("|s")
-	b.WriteString(strconv.FormatInt(statsGen, 10))
 	b.WriteString("|g")
 	for _, g := range spec.Group {
 		b.WriteByte(':')

@@ -256,7 +256,7 @@ func TestGenerationSwap(t *testing.T) {
 						continue
 					}
 					prof, tr, _ := off.beginQuery(bg, s.sql)
-					qr, err := off.run(bg, prof, tr, tr.Root.Child("plan"), st, g)
+					qr, err := off.run(bg, prof, tr, tr.Root.Child("plan"), st, g, bp.Stats())
 					if err != nil {
 						t.Error(err)
 					} else if !core.RowsEqual(qr.Rows, want[state][i]) {

@@ -50,10 +50,6 @@ type statement struct {
 	// array plan's cold cube's: it moves when a chunk in reach is first
 	// ingested into.
 	rowsKey, coldKey keySlot
-
-	// The statistics the plan was chosen under; a lookup under newer ones
-	// misses.
-	statsGen int64
 }
 
 // keySlot is the result-cache key one of a statement's entries is under.
@@ -106,13 +102,10 @@ func (s *sightings) again(k stmtKey) bool {
 	return s.slot[h>>(64-stmtMemoBits)].Swap(h) == h
 }
 
-func (m *stmtMemo) get(k stmtKey, statsGen int64) *statement {
+func (m *stmtMemo) get(k stmtKey) *statement {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st := m.m[k]; st != nil && st.statsGen == statsGen {
-		return st
-	}
-	return nil
+	return m.m[k]
 }
 
 func (m *stmtMemo) put(k stmtKey, st *statement) {

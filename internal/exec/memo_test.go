@@ -79,12 +79,6 @@ func TestStatementMemo(t *testing.T) {
 		t.Fatalf("after BuildArray, again: memo %s", memo) // its text had been seen before
 	}
 
-	// New statistics (ANALYZE) without a generation bump.
-	cat.Stats.CollectedUnix++
-	if memo, _ := memoOf(t, e, testQ2, Auto); memo != "miss" {
-		t.Fatalf("after a statistics refresh: memo %s", memo)
-	}
-
 	// The cold-cache protocol starts from the text again.
 	memoOf(t, e, testQ2, Auto)
 	if err := e.DropCaches(); err != nil {

@@ -162,9 +162,30 @@ func refreshBaseStats(bp *storage.BufferPool, cat *catalog.Catalog) error {
 		}
 		st.FactTuples = ff.NumTuples()
 		st.FactPages = catalog.PagesOf(ff.SizeBytes())
+		if m, err := measureCostModel(bp, ff.Root()); err == nil {
+			st.Model = m
+		}
 	}
 	st.CollectedUnix = time.Now().Unix()
 	return nil
+}
+
+// measureCostModel prices the planner's units of work on this machine
+// and this volume (DESIGN §3b): the engines' inner loops timed on
+// synthetic data, and the pool's page hit and miss timed on page (the
+// fact file's header). A volume that cannot be read leaves the model
+// the statistics had.
+func measureCostModel(bp *storage.BufferPool, page storage.PageID) (*catalog.CostModel, error) {
+	hit, miss, err := bp.MeasurePageCosts(page)
+	if err != nil {
+		return nil, err
+	}
+	k := core.MeasureKernelCosts()
+	return &catalog.CostModel{
+		Version: catalog.CostModelVersion,
+		CellNS:  k.CellNS, ProbeNS: k.ProbeNS, TupleNS: k.TupleNS, WordNS: k.WordNS,
+		PageHitNS: hit, PageMissNS: miss,
+	}, nil
 }
 
 // refreshArrayStats recollects the array section of the planner
@@ -322,9 +343,19 @@ func BuildBitmapIndexes(bp *storage.BufferPool, cat *catalog.Catalog) error {
 			return err
 		}
 		cat.BitmapIndexes[key] = uint64(ref.First)
+		counts := make(map[string]catalog.ValueCount, ix.NumValues())
+		for _, v := range ix.Values() {
+			bm, _ := ix.Get(v)
+			counts[v] = catalog.ValueCount{
+				Tuples:    bm.Count(),
+				FactPages: bm.PagesTouched(uint64(ff.TuplesPerPage())),
+				Bytes:     int64(bm.EncodedLen()),
+			}
+		}
 		cat.Stats.Bitmaps[key] = catalog.BitmapIndexStats{
 			Values: ix.NumValues(),
 			Pages:  int64(pages),
+			Counts: counts,
 		}
 	}
 	return nil

@@ -38,6 +38,10 @@ type Explanation struct {
 	// Selectivity is the estimated combined selectivity S of the
 	// query's selections (1 when there are none or no statistics).
 	Selectivity float64
+	// pricing is the cost model the candidates were priced with and the
+	// share of page reads it expects to miss the pool; a nil model when
+	// no candidate was priced.
+	pricing pricing
 	// Degree is the intra-query parallel degree the chosen plan will run
 	// with: the session's setting clamped to the plan's work units
 	// (chunks / extents). 1 means sequential.
@@ -88,6 +92,9 @@ func (x *Explanation) String() string {
 	if x.Memo != "" {
 		fmt.Fprintf(&b, "memo: %s\n", x.Memo)
 	}
+	if x.pricing.model != nil {
+		fmt.Fprintf(&b, "model: %s\n", x.pricing)
+	}
 	fmt.Fprintf(&b, "candidates:\n")
 	for _, c := range x.Candidates {
 		mark := "  "
@@ -108,7 +115,11 @@ func writePlanDesc(b *strings.Builder, d *PlanDesc, depth int) {
 		fmt.Fprintf(b, " [%s]", d.Detail)
 	}
 	if d.EstRows > 0 || d.EstIO > 0 {
-		fmt.Fprintf(b, " (est rows=%d io=%.1f)", d.EstRows, d.EstIO)
+		fmt.Fprintf(b, " (est rows=%d io=%.1f", d.EstRows, d.EstIO)
+		if d.EstDetail != "" {
+			fmt.Fprintf(b, " %s", d.EstDetail)
+		}
+		b.WriteByte(')')
 	}
 	if d.Analyzed {
 		fmt.Fprintf(b, " (act rows=%d io=%.1f", d.ActRows, d.ActIO)
@@ -126,24 +137,27 @@ func writePlanDesc(b *strings.Builder, d *PlanDesc, depth int) {
 	}
 }
 
-// statsUsable reports whether the catalog's statistics can cost plans.
-func statsUsable(st *catalog.Stats) bool {
-	return st != nil && st.FactTuples > 0 && len(st.Dimensions) > 0
-}
-
-// plan builds the plan for (spec, engine): the forced plan when engine
-// pins one, otherwise the cheapest runnable plan under the cost model
-// (or the legacy heuristic when the catalog carries no statistics).
-// The returned Explanation always describes what happened. workers is
-// the resolved parallel degree. reach is the statement's, for a plan
-// that runs to narrow its overlay fold by.
-func (e *Executor) plan(spec *query.Spec, engine Engine, workers int, reach *chunkReach) (Plan, *Explanation, error) {
+// plan builds the plan for (spec, engine) under g: the forced plan when
+// engine pins one, otherwise the runnable plan the cost model predicts
+// fastest (or the legacy heuristic when the catalog carries no usable
+// statistics). When the array plan may run, the statement's selections
+// are resolved against the array first, once: the array plan's estimate
+// counts from that resolution and every plan runs by it. The returned
+// Explanation always describes what happened. workers is the resolved
+// parallel degree.
+func (e *Executor) plan(g *generation, spec *query.Spec, engine Engine, workers int) (Plan, *Explanation, error) {
 	cat := e.ctx.Catalog()
 	if cat.Schema == nil {
 		return nil, nil, fmt.Errorf("exec: no schema defined")
 	}
 	schema := cat.Schema
 	st := cat.Stats
+	reach := &chunkReach{sels: spec.Selections}
+	if engine == ArrayEngine || engine == Auto && g.hasArray {
+		if err := reach.resolve(e.ctx, g); err != nil {
+			return nil, nil, err
+		}
+	}
 
 	// The one scan every candidate would run: what the query selects and
 	// groups, at the given degree.
@@ -194,39 +208,61 @@ func (e *Executor) plan(spec *query.Spec, engine Engine, workers int, reach *chu
 		// reports those costs.
 		chosen = plans[0]
 		costs := make([]Cost, 0, 3) // array, bitmap, star join
-		if statsUsable(st) {
+		pr, usable := e.ctx.pricing(st)
+		if usable {
 			best := 0
 			for i, p := range plans {
-				if costs = append(costs, p.Estimate(st)); costs[i].Total() < costs[best].Total() {
+				if costs = append(costs, p.Estimate(st, pr)); costs[i].Total() < costs[best].Total() {
 					chosen, best = p, i
 				}
 			}
 		}
-		return chosen, e.explain(&ps.scan, chosen, plans, costs, false, st), nil
+		return chosen, e.explain(&ps, chosen, plans, costs, false, st), nil
 	default:
 		return nil, nil, fmt.Errorf("exec: unknown engine %v", engine)
 	}
-	return chosen, e.explain(&ps.scan, chosen, []Plan{chosen}, nil, forced, st), nil
+	return chosen, e.explain(&ps, chosen, []Plan{chosen}, nil, forced, st), nil
 }
 
-// explain assembles the Explanation for a planning decision over scan.
+// pricing is what plans are priced with under st: the statistics' cost
+// model, or the one a test injected, and the share of page reads the
+// pool is expected to miss on this volume. usable is false when st
+// cannot cost plans at all.
+func (c *ExecContext) pricing(st *catalog.Stats) (pr pricing, usable bool) {
+	if st == nil || st.FactTuples == 0 || len(st.Dimensions) == 0 {
+		return pr, false
+	}
+	pr.model = st.Model
+	if c.model != nil {
+		pr.model = c.model
+	}
+	if pr.model == nil {
+		return pr, false
+	}
+	if vol, frames := c.bp.Disk().NumPages(), uint64(c.bp.Frames()); vol > frames {
+		pr.miss = 1 - float64(frames)/float64(vol)
+	}
+	return pr, true
+}
+
+// explain assembles the Explanation for a planning decision over ps.
 // costs holds the candidates' estimates when the caller has taken them
 // (nil: explain takes them, if the stats are usable).
-func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, costs []Cost, forced bool, st *catalog.Stats) *Explanation {
+func (e *Executor) explain(ps *planScan, chosen Plan, plans []Plan, costs []Cost, forced bool, st *catalog.Stats) *Explanation {
+	pr, usable := e.ctx.pricing(st)
 	x := &Explanation{
 		Chosen:      chosen.Name(),
 		Engine:      chosen.Engine(),
 		Forced:      forced,
-		CostBased:   !forced && statsUsable(st),
+		CostBased:   !forced && usable,
 		Selectivity: 1,
 	}
-	usable := statsUsable(st)
 	for i, p := range plans {
 		var c Cost
 		if i < len(costs) {
 			c = costs[i]
 		} else if usable {
-			c = p.Estimate(st)
+			c = p.Estimate(st, pr)
 		}
 		x.Candidates = append(x.Candidates, Candidate{
 			Name:   p.Name(),
@@ -236,8 +272,11 @@ func (e *Executor) explain(scan *core.ScanSpec, chosen Plan, plans []Plan, costs
 		})
 	}
 	if usable {
-		fr := selectionFractions(st, len(st.Dimensions), scan.Selections)
-		x.Selectivity = combinedSelectivity(fr)
+		x.pricing = pr
+		x.Selectivity = combinedSelectivity(selectionFractions(st, len(st.Dimensions), ps.scan.Selections))
+		if res := ps.reach.resolved(); res != nil {
+			x.Selectivity = res.Selectivity()
+		}
 		sort.SliceStable(x.Candidates, func(i, j int) bool {
 			return x.Candidates[i].Cost.Total() < x.Candidates[j].Cost.Total()
 		})

@@ -3,10 +3,12 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
 
+	"repro/internal/btree"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/datagen"
@@ -73,21 +75,43 @@ func fig8Query(k int) string {
 	return sql + " group by h01"
 }
 
+// testModel is the fixed cost model the planner tests price with, so
+// their choices and EXPLAIN's figures do not move with the machine: the
+// order of what MeasureKernelCosts and MeasurePageCosts report on a
+// 2-vCPU box.
+var testModel = catalog.CostModel{
+	Version: catalog.CostModelVersion,
+	CellNS:  5, ProbeNS: 4, TupleNS: 40, WordNS: 1.5, PageHitNS: 100, PageMissNS: 2000,
+}
+
 // TestPlannerCrossover sweeps selectivity across the paper's Fig 8/9
-// crossover on real data and checks Auto switches engines exactly once,
-// from array to bitmap+fact-file, choosing array at S ≥ 0.01 and
-// bitmap at S = 10^-4 < 0.00024.
+// crossover on real data. At every selecting k the array and bitmap
+// estimates must count the work their forced runs then count — chunks,
+// cells and probes exactly (both come from the statement's one
+// resolution and the chunk directory), as are the array's page pins;
+// tuples fetched within three standard deviations of the count plus
+// 10 % (independence across dimensions is an assumption, the single
+// value's count is not), the bitmap plan's page pins within 10 % plus
+// two — and
+// Auto must choose the plan whose counted work is cheaper under the
+// model. Each k logs one ledger line.
 func TestPlannerCrossover(t *testing.T) {
 	bp, cat := buildFig8DB(t)
 	e := NewExecutor(bp, cat)
+	e.ctx.model = &testModel
+	pr, ok := e.ctx.pricing(cat.Stats)
+	if !ok {
+		t.Fatal("the fixture's statistics cannot price plans")
+	}
 
 	plans := make([]string, 5)
+	expls := make([]*Explanation, 5)
 	for k := 0; k <= 4; k++ {
 		qr, err := e.ExecuteSQLContext(context.Background(), fig8Query(k), Auto)
 		if err != nil {
 			t.Fatalf("k=%d: %v", k, err)
 		}
-		plans[k] = qr.Plan
+		plans[k], expls[k] = qr.Plan, qr.Explanation
 		if x := qr.Explanation; x == nil || !x.CostBased || x.Forced {
 			t.Fatalf("k=%d: explanation %+v not cost-based", k, x)
 		} else {
@@ -106,22 +130,63 @@ func TestPlannerCrossover(t *testing.T) {
 	if plans[0] != "array-consolidate" {
 		t.Errorf("k=0 (S=1): plan %s, want array-consolidate", plans[0])
 	}
-	for k := 1; k <= 2; k++ { // S = 0.1, 0.01: above the crossover
-		if plans[k] != "array-select-consolidate" {
-			t.Errorf("k=%d (S=1e-%d): plan %s, want array-select-consolidate", k, k, plans[k])
-		}
-	}
-	if plans[4] != "bitmap-factfile" { // S = 1e-4: below the crossover
-		t.Errorf("k=4 (S=1e-4): plan %s, want bitmap-factfile", plans[4])
-	}
-	// Monotone: once the planner leaves the array, it never goes back.
-	switched := false
 	for k := 1; k <= 4; k++ {
-		if plans[k] == "bitmap-factfile" {
-			switched = true
-		} else if switched {
-			t.Errorf("non-monotone sweep: %v", plans)
+		est := map[Engine]Cost{}
+		for _, c := range expls[k].Candidates {
+			est[c.Engine] = c.Cost
 		}
+		lookups := btree.Lookups()
+		arr, err := e.ExecuteSQLContext(context.Background(), fig8Query(k), ArrayEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if lookups = btree.Lookups() - lookups; lookups != int64(k) {
+			t.Errorf("k=%d: planning and running the array plan made %d B-tree lookups, want one per selected value", k, lookups)
+		}
+		bm, err := e.ExecuteSQLContext(context.Background(), fig8Query(k), BitmapEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		am := arr.Metrics
+		actArray := Work{
+			Chunks: float64(am.ChunksRead), Cells: float64(am.CellsScanned), Probes: float64(am.Probes),
+			// The chunk pages the run pinned, and the B-tree pages
+			// resolving the statement did.
+			Pages: float64(arr.IO.LogicalReads),
+		}
+		actBitmap := Work{
+			Tuples: float64(bm.Metrics.TuplesFetched),
+			// The whole-bitmap passes and the stored values' literal words
+			// are fixed by the fixture; the estimate counts them exactly.
+			Words: est[BitmapEngine].Work.Words,
+			Pages: float64(bm.IO.LogicalReads),
+		}
+		ea, eb := est[ArrayEngine].Work, est[BitmapEngine].Work
+		if ea.Chunks != actArray.Chunks || ea.Cells != actArray.Cells || ea.Probes != actArray.Probes || ea.Pages != actArray.Pages {
+			t.Errorf("k=%d: array estimate counts %+v, the run %+v", k, ea, actArray)
+		}
+		if d, act := math.Abs(eb.Tuples-actBitmap.Tuples), actBitmap.Tuples; d > 3*math.Sqrt(act)+0.1*act+1 {
+			t.Errorf("k=%d: bitmap estimate fetches %.1f tuples, the run %.0f", k, eb.Tuples, act)
+		}
+		if d, act := math.Abs(eb.Pages-actBitmap.Pages), actBitmap.Pages; d > 0.1*act+2 {
+			t.Errorf("k=%d: bitmap estimate pins %.1f pages, the run %.0f", k, eb.Pages, act)
+		}
+		priceArray := pr.price(actArray, actArray.Pages, max(am.ParallelDegree, 1))
+		priceBitmap := pr.price(actBitmap, actBitmap.Pages, 1)
+		want := "array-select-consolidate"
+		if priceBitmap < priceArray {
+			want = "bitmap-factfile"
+		}
+		if plans[k] != want {
+			t.Errorf("k=%d: Auto chose %s; the runs' counted work prices array %.1fus, bitmap %.1fus",
+				k, plans[k], priceArray/1e3, priceBitmap/1e3)
+		}
+		t.Logf("ledger k=%d plan=%s array est{chunks=%.0f cells=%.0f probes=%.0f pages=%.0f %.1fus} act{chunks=%.0f cells=%.0f probes=%.0f pages=%.0f %.1fus} "+
+			"bitmap est{tuples=%.1f words=%.0f pages=%.1f %.1fus} act{tuples=%.0f pages=%.0f %.1fus}",
+			k, plans[k], ea.Chunks, ea.Cells, ea.Probes, ea.Pages, est[ArrayEngine].NS/1e3,
+			actArray.Chunks, actArray.Cells, actArray.Probes, actArray.Pages, priceArray/1e3,
+			eb.Tuples, eb.Words, eb.Pages, est[BitmapEngine].NS/1e3,
+			actBitmap.Tuples, actBitmap.Pages, priceBitmap/1e3)
 	}
 
 	// Forced engines are never overridden by the cost model, on either
@@ -131,9 +196,9 @@ func TestPlannerCrossover(t *testing.T) {
 		engine Engine
 		plan   string
 	}{
-		{4, ArrayEngine, "array-select-consolidate"}, // bitmap is cheaper here
-		{1, BitmapEngine, "bitmap-factfile"},         // array is cheaper here
-		{1, StarJoinEngine, "starjoin-filter"},       // never cheapest
+		{4, ArrayEngine, "array-select-consolidate"},
+		{1, BitmapEngine, "bitmap-factfile"},
+		{1, StarJoinEngine, "starjoin-filter"}, // never cheapest
 	}
 	for _, c := range forced {
 		qr, err := e.ExecuteSQLContext(context.Background(), fig8Query(c.k), c.engine)
@@ -180,11 +245,17 @@ func fig8Stats() *catalog.Stats {
 	return st
 }
 
-// TestCostModelCrossover checks the cost model alone — on synthetic
-// paper-shaped statistics — orders array vs bitmap the way Figs 8/9 do.
+// TestCostModelCrossover checks the pricing alone, on synthetic
+// paper-shaped statistics without per-value counts: every candidate's
+// time is the model's price of the work it counted, the bitmap plan
+// counts S·|fact| tuples fetched from no more pages than that or the
+// fact file has, and the star join — it reads everything whatever the
+// selectivity — is never cheaper than the bitmap plan on a selective
+// query.
 func TestCostModelCrossover(t *testing.T) {
 	st := fig8Stats()
 	schema := fig8Schema()
+	pr := pricing{model: &testModel}
 
 	specFor := func(k int) *query.Spec {
 		spec := &query.Spec{Group: make(core.GroupSpec, 4)}
@@ -195,33 +266,43 @@ func TestCostModelCrossover(t *testing.T) {
 		}
 		return spec
 	}
+	// The array plan counts from a resolution against real chunks; the
+	// statistics have none, so it is handed one's count.
+	reach := &chunkReach{work: core.ArrayWork{Chunks: 16, Pages: 128, Probes: 6400}}
 	scanOf := func(spec *query.Spec, schema *catalog.StarSchema) planScan {
-		return planScan{schema: schema, scan: core.ScanSpec{Selections: spec.Selections, Group: spec.Group}}
+		return planScan{schema: schema, reach: reach, scan: core.ScanSpec{Selections: spec.Selections, Group: spec.Group}}
 	}
 
-	for _, c := range []struct {
-		k          int
-		bitmapWins bool
-	}{
-		{2, false}, // S = 0.01: array must win
-		{4, true},  // S = 1e-4: bitmap must win
-	} {
-		spec := specFor(c.k)
-		ac := (&arrayPlan{planScan: scanOf(spec, schema)}).Estimate(st)
-		bc := (&bitmapPlan{planScan: scanOf(spec, schema)}).Estimate(st)
-		sc := (&starJoinPlan{planScan: scanOf(spec, schema)}).Estimate(st)
-		if (bc.Total() < ac.Total()) != c.bitmapWins {
-			t.Errorf("k=%d: array %v vs bitmap %v, want bitmapWins=%v", c.k, ac, bc, c.bitmapWins)
+	for _, k := range []int{2, 4} {
+		spec := specFor(k)
+		ap := &arrayPlan{planScan: scanOf(spec, schema)}
+		bp := &bitmapPlan{planScan: scanOf(spec, schema)}
+		sp := &starJoinPlan{planScan: scanOf(spec, schema)}
+		ac, bc, sc := ap.Estimate(st, pr), bp.Estimate(st, pr), sp.Estimate(st, pr)
+		for _, c := range []struct {
+			name string
+			cost Cost
+			deg  int
+		}{{"array", ac, ap.estDeg}, {"bitmap", bc, 1}, {"starjoin", sc, sp.estDeg}} {
+			if want := pr.price(c.cost.Work, c.cost.IO, c.deg); math.Abs(c.cost.NS-want) > 1e-9*want {
+				t.Errorf("k=%d: %s costs %v, its counted work %+v prices %.1fns", k, c.name, c.cost, c.cost.Work, want)
+			}
 		}
-		// The star join reads everything regardless; with both indexes
-		// present it must never be the cheapest on a selective query.
-		if sc.Total() < ac.Total() && sc.Total() < bc.Total() {
-			t.Errorf("k=%d: starjoin %v cheapest (array %v, bitmap %v)", c.k, sc, ac, bc)
+		wantTuples := float64(st.FactTuples) * math.Pow(0.1, float64(k))
+		if math.Abs(bc.Work.Tuples-wantTuples) > 1e-6*wantTuples {
+			t.Errorf("k=%d: bitmap counts %.1f tuples fetched, want S·|fact| = %.1f", k, bc.Work.Tuples, wantTuples)
+		}
+		if bp.estFetch > bc.Work.Tuples || bp.estFetch > float64(st.FactPages) {
+			t.Errorf("k=%d: bitmap fetches %.1f pages for %.1f tuples from a %d-page fact file",
+				k, bp.estFetch, bc.Work.Tuples, st.FactPages)
+		}
+		if sc.Total() < bc.Total() {
+			t.Errorf("k=%d: starjoin %v cheaper than bitmap %v", k, sc, bc)
 		}
 	}
 
 	// Rows estimates follow S·|fact|.
-	if r := (&bitmapPlan{planScan: scanOf(specFor(4), schema)}).Estimate(st).Rows; r != 64 {
+	if r := (&bitmapPlan{planScan: scanOf(specFor(4), schema)}).Estimate(st, pr).Rows; r != 64 {
 		t.Errorf("k=4 estimated rows = %d, want 64", r)
 	}
 }
@@ -289,7 +370,7 @@ func TestExplainDoesNotExecute(t *testing.T) {
 	if cc := x.ChosenCost(); cc.Total() <= 0 {
 		t.Fatalf("chosen cost = %v", cc)
 	}
-	if qr.Metrics.EstCostIO <= 0 && qr.Metrics.EstCostCPU <= 0 {
+	if qr.Metrics.EstCostIO <= 0 && qr.Metrics.EstNS <= 0 {
 		t.Fatalf("estimate not surfaced in metrics: %+v", qr.Metrics)
 	}
 	// Cheapest-first ordering with the chosen plan marked.
@@ -359,7 +440,7 @@ func TestPlannerHeuristicFallback(t *testing.T) {
 func TestStatsCollectedOnLoad(t *testing.T) {
 	_, cat, ds := buildTestDB(t, true, true)
 	st := cat.Stats
-	if !statsUsable(st) {
+	if _, ok := (&ExecContext{bp: storage.NewBufferPool(storage.NewMemDiskManager(), 1)}).pricing(st); !ok {
 		t.Fatalf("stats unusable: %+v", st)
 	}
 	if st.FactTuples != uint64(ds.NumFacts()) || st.FactPages <= 0 {
@@ -453,5 +534,29 @@ func TestInvalidateHandlesBumpsGeneration(t *testing.T) {
 	// Queries still work after both forms of invalidation.
 	if _, err := e.ExecuteSQLContext(context.Background(), testQ2, Auto); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestOneLookupPerSelectedValue: an array-plan statement resolves its
+// index lists once, when it is planned — the estimate counts from that
+// resolution and the run folds by it — so planning and running it make
+// exactly one B-tree lookup per selected value, and a run of the
+// memoised statement makes none.
+func TestOneLookupPerSelectedValue(t *testing.T) {
+	bp, cat, _ := buildTestDB(t, true, true)
+	e := NewExecutor(bp, cat)
+	e.ctx.model = &testModel
+	const sql = `select sum(volume), dim0.h01 from fact, dim0, dim1, dim2
+		where dim0.h02 in ('AA0', 'AA1') and dim1.h12 = 'AA0' and dim2.h22 in ('AA1', 'AA2', 'AA3')
+		group by h01`
+	for run, want := range []int64{6, 6, 0} { // the memo keeps a text from its second sighting
+		lookups := btree.Lookups()
+		qr, err := e.ExecuteSQLContext(context.Background(), sql, ArrayEngine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := btree.Lookups() - lookups; got != want {
+			t.Errorf("run %d (memo %s): %d B-tree lookups, want %d", run, qr.Explanation.Memo, got, want)
+		}
 	}
 }

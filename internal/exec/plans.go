@@ -3,40 +3,80 @@ package exec
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
+	"repro/internal/bitmap"
 	"repro/internal/catalog"
 	"repro/internal/core"
 	"repro/internal/factfile"
 	"repro/internal/storage"
 )
 
-// Cost is a plan cost estimate in the paper's currency: page I/O plus
-// CPU work expressed in page-read equivalents, so one Total orders
-// plans the way the paper's disk-resident experiments do (§5.6).
+// Cost is a plan's estimate: the work it will do, counted from the
+// statement's resolved selection and the statistics, and what that work
+// costs under the calibrated model (DESIGN §3b).
 type Cost struct {
-	IO   float64 // page reads
-	CPU  float64 // CPU work, in page-read equivalents
+	NS   float64 // predicted time, nanoseconds
+	IO   float64 // pages the plan reads, every one as if cold
 	Rows int64   // estimated qualifying fact tuples
+	Work Work
 }
 
 // Total is the scalar the planner minimizes.
-func (c Cost) Total() float64 { return c.IO + c.CPU }
+func (c Cost) Total() float64 { return c.NS }
 
 // String implements fmt.Stringer.
 func (c Cost) String() string {
-	return fmt.Sprintf("cost=%.1f (io=%.1f cpu=%.1f) rows=%d", c.Total(), c.IO, c.CPU, c.Rows)
+	return fmt.Sprintf("cost=%.1fus io=%.1f rows=%d", c.NS/1e3, c.IO, c.Rows)
+}
+
+// Work is what a plan reads and does, in the units the cost model
+// prices. The planner counts it before a run; a run's metrics count the
+// same units.
+type Work struct {
+	Chunks float64 // array chunks read (priced through their pages and cells)
+	Cells  float64 // cells folded by a scan or filter-scan
+	Probes float64 // candidate cells a seek visits
+	Tuples float64 // fact tuples joined: scanned, or fetched through a bitmap
+	Words  float64 // bitmap words set, cleared, ORed, ANDed or scanned
+	Pages  float64 // page pins: B-tree, chunk, bitmap, fact and dimension
+}
+
+// pricing is what the planner prices work with: the cost model and the
+// share of page reads expected to miss the pool — none when the volume
+// fits in it, otherwise the share of the volume it cannot hold.
+type pricing struct {
+	model *catalog.CostModel
+	miss  float64
+}
+
+// price is the predicted time in nanoseconds of w, reading io distinct
+// pages, at parallel degree deg: every pin costs a hit, and the share
+// of the distinct pages the pool misses a read each. The CPU work
+// divides across the workers, the page reads do not (the pool is
+// shared).
+func (pr pricing) price(w Work, io float64, deg int) float64 {
+	m := pr.model
+	cpu := w.Cells*m.CellNS + w.Probes*m.ProbeNS + w.Tuples*m.TupleNS + w.Words*m.WordNS
+	return cpu/float64(max(deg, 1)) + w.Pages*m.PageHitNS + io*pr.miss*m.PageMissNS
+}
+
+// String renders the model and the miss share, as EXPLAIN prints them.
+func (pr pricing) String() string {
+	return fmt.Sprintf("%s miss_share=%.2f", pr.model, pr.miss)
 }
 
 // PlanDesc is one operator of an EXPLAIN plan tree. The Est fields come
 // from planning; the Act fields are filled by Annotate after an EXPLAIN
 // ANALYZE run (Analyzed marks a node that carries actuals).
 type PlanDesc struct {
-	Name     string
-	Detail   string
-	EstRows  int64
-	EstIO    float64
-	Children []PlanDesc
+	Name      string
+	Detail    string
+	EstRows   int64
+	EstIO     float64
+	EstDetail string // operator-specific counted inputs
+	Children  []PlanDesc
 
 	Analyzed  bool
 	ActRows   int64
@@ -76,11 +116,12 @@ type Plan interface {
 	Name() string
 	// Engine is the engine family the plan belongs to.
 	Engine() Engine
-	// Estimate predicts the plan's cost from load-time statistics. It
-	// must tolerate incomplete statistics (missing array or bitmap
-	// sections simply don't arise: the planner only builds plans whose
-	// physical objects exist).
-	Estimate(st *catalog.Stats) Cost
+	// Estimate counts the plan's work from the statement's resolved
+	// selection and the load-time statistics, and prices it. It must
+	// tolerate incomplete statistics (missing array or bitmap sections
+	// simply don't arise: the planner only builds plans whose physical
+	// objects exist).
+	Estimate(st *catalog.Stats, pr pricing) Cost
 	// Run executes the plan. The context is checked inside the operator
 	// loops (between chunk batches and every few thousand tuples), so a
 	// canceled query releases its goroutine promptly. view is the live
@@ -96,21 +137,9 @@ type Plan interface {
 	// probe, or fetch); physical reads land on the leaf that caused
 	// them and wall time on the root.
 	Annotate(d *PlanDesc, rs RunStats)
+	// reached is the statement's resolved selection the plan runs by.
+	reached() *chunkReach
 }
-
-// Cost model constants. IO terms are literal page counts from the
-// statistics; CPU terms convert per-item work to page-read equivalents.
-// The ratios are what matter: they are tuned so the model reproduces
-// the paper's orderings — array wins full consolidations (Figs 4/5),
-// bitmap+fact-file wins high-selectivity selections (Figs 8/9), star
-// join only wins when neither index exists.
-const (
-	cpuCellCost   = 0.0005 // per valid cell visited by a full array scan
-	cpuProbeCost  = 0.0001 // per candidate cell probed by ArraySelectConsolidate
-	cpuTupleCost  = 0.001  // per fact tuple scanned or fetched (join + grouping)
-	btreeProbeIO  = 0.5    // per selection value: attribute B-tree index-list lookup
-	bitmapFloorIO = 0.5    // minimum pages to read one value bitmap
-)
 
 // selectionFractions estimates the per-dimension selected fraction
 // f_d = |values| / distinct(dim, level) from the statistics, 1.0 for
@@ -169,7 +198,7 @@ type planScan struct {
 	// outside the executor, is sequential).
 	scan   core.ScanSpec
 	schema *catalog.StarSchema
-	reach  *chunkReach // the statement's candidate chunks; nil = all
+	reach  *chunkReach // the statement's resolved selection and its work
 
 	est    Cost
 	estSel float64
@@ -177,6 +206,8 @@ type planScan struct {
 	// Estimate; 0 until then.
 	estDeg int
 }
+
+func (p *planScan) reached() *chunkReach { return p.reach }
 
 // chosenDegree reports the parallel degree EXPLAIN shows for the plan.
 func (p *planScan) chosenDegree() int {
@@ -191,8 +222,6 @@ func (p *planScan) chosenDegree() int {
 type arrayPlan struct {
 	planScan
 
-	estChunks  float64 // chunks predicted to be read (select path)
-	estProbes  float64 // candidate cells predicted to be probed
 	haveEst    bool
 	totalChunk int
 }
@@ -206,74 +235,35 @@ func (p *arrayPlan) Name() string {
 
 func (p *arrayPlan) Engine() Engine { return ArrayEngine }
 
-func (p *arrayPlan) Estimate(st *catalog.Stats) Cost {
+// Estimate prices what the statement's reach counted from the chunk
+// directory: the candidate chunks' extents and cells, the probes the
+// kernel will seek, and the B-tree pages the index-list lookups pinned.
+// The rows are the selected share of the valid cells.
+func (p *arrayPlan) Estimate(st *catalog.Stats, pr pricing) Cost {
 	a := st.Array
-	if a == nil {
+	if a == nil || p.reach == nil {
 		return Cost{}
 	}
 	p.haveEst = true
 	p.totalChunk = a.NumChunks
-	if len(p.scan.Selections) == 0 {
-		// Full consolidation decodes every chunk: the compressed payload
-		// is the I/O, one aggregation step per valid cell is the CPU. The
-		// CPU divides across the chunk-parallel workers; the I/O does not
-		// (the buffer pool is shared).
-		p.estDeg = core.ClampWorkers(p.scan.Workers, a.NumChunks)
-		p.est = Cost{
-			IO:   float64(a.EncodedBytes) / storage.PageSize,
-			CPU:  float64(a.ValidCells) * cpuCellCost / float64(p.estDeg),
-			Rows: a.ValidCells,
-		}
-		p.estSel = 1
-		p.estChunks = float64(a.NumChunks)
-		return p.est
+	w := p.reach.work
+	work := Work{
+		Chunks: float64(w.Chunks),
+		Cells:  float64(w.Cells),
+		Probes: float64(w.Probes),
+		Pages:  float64(w.Pages),
 	}
-
-	fr := selectionFractions(st, len(a.DimSizes), p.scan.Selections)
-	p.estSel = combinedSelectivity(fr)
-
-	// §4.2 reads only chunks overlapping the selected members. Members
-	// sharing a hierarchy value are clustered in index order (§5.1), so
-	// m selected members cover at most ceil(m/side)+1 chunks along their
-	// dimension (the +1 is the worst-case block straddle).
-	candChunks := 1.0
-	candCells := 1.0
-	values := 0
-	for d, size := range a.DimSizes {
-		side := a.ChunkShape[d]
-		along := float64((size + side - 1) / side)
-		m := fr[d] * float64(size)
-		if m < 1 {
-			m = 1
-		}
-		candCells *= m
-		if fr[d] < 1 {
-			cand := float64(int(m+float64(side)-1)/side) + 1
-			if cand < along {
-				along = cand
-			}
-		}
-		candChunks *= along
+	p.estSel = 1
+	if res := p.reach.res; res != nil {
+		p.estSel = res.Selectivity()
+		work.Pages += float64(res.Pages)
 	}
-	for _, s := range p.scan.Selections {
-		values += len(s.Values)
-	}
-	p.estChunks = candChunks
-	p.estProbes = candCells
-	p.estDeg = core.ClampWorkers(p.scan.Workers, int(candChunks))
-
-	// Per candidate chunk the kernel probes the cross product or, when
-	// one masked pass over the chunk's cells is cheaper, filter-scans it
-	// (core's chunkKernel.consolidateSelected): charge the cheaper of the
-	// two at the average chunk, so a dense selection never costs more CPU
-	// than the full scan of the chunks it touches.
-	cpu := min(candCells*cpuProbeCost,
-		candChunks*float64(a.ValidCells)/float64(a.NumChunks)*cpuCellCost)
-	perChunk := float64(a.EncodedBytes) / storage.PageSize / float64(a.NumChunks)
+	p.estDeg = core.ClampWorkers(p.scan.Workers, int(w.Chunks))
 	p.est = Cost{
-		IO:   candChunks*perChunk + float64(values)*btreeProbeIO,
-		CPU:  cpu / float64(p.estDeg),
+		NS:   pr.price(work, work.Pages, p.estDeg),
+		IO:   work.Pages,
 		Rows: int64(p.estSel*float64(a.ValidCells) + 0.5),
+		Work: work,
 	}
 	return p.est
 }
@@ -290,7 +280,7 @@ func (p *arrayPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) 
 		return nil, core.Metrics{}, err
 	}
 	scan := p.scan
-	scan.View = cv
+	scan.View, scan.Resolved = cv, p.reach.resolved()
 	if view.rc == nil || len(view.hot) == 0 || len(view.hot) == p.reach.size(arr) {
 		return core.ArrayConsolidate(ctx, arr, scan)
 	}
@@ -335,17 +325,22 @@ func (p *arrayPlan) Explain() PlanDesc {
 		}}
 		return root
 	}
+	w := p.est.Work
 	probe := PlanDesc{
 		Name:    "array-probe",
-		Detail:  fmt.Sprintf("probe ~%.0f candidate cells in ~%.0f of %d chunks", p.estProbes, p.estChunks, p.totalChunk),
+		Detail:  fmt.Sprintf("probe ~%.0f candidate cells in ~%.0f of %d chunks", w.Probes, w.Chunks, p.totalChunk),
 		EstRows: p.est.Rows,
-		EstIO:   p.est.IO,
+		EstIO:   w.Pages,
+	}
+	if res := p.reach.resolved(); res != nil && p.haveEst {
+		probe.EstIO -= float64(res.Pages)
+		probe.EstDetail = fmt.Sprintf("chunks=%.0f cells=%.0f probes=%.0f btree_pages=%d",
+			w.Chunks, w.Cells, w.Probes, res.Pages)
 	}
 	for _, s := range p.scan.Selections {
 		probe.Children = append(probe.Children, PlanDesc{
 			Name:   "index-list",
 			Detail: selectionDetail(p.schema, s),
-			EstIO:  float64(len(s.Values)) * btreeProbeIO,
 		})
 	}
 	root.Children = []PlanDesc{probe}
@@ -408,17 +403,21 @@ func (p *starJoinPlan) Name() string {
 
 func (p *starJoinPlan) Engine() Engine { return StarJoinEngine }
 
-func (p *starJoinPlan) Estimate(st *catalog.Stats) Cost {
-	fr := selectionFractions(st, len(st.Dimensions), p.scan.Selections)
-	p.estSel = combinedSelectivity(fr)
+func (p *starJoinPlan) Estimate(st *catalog.Stats, pr pricing) Cost {
+	p.estSel = tupleShare(st, p.schema, p.scan.Selections)
 	// The star join always scans the whole fact file and hashes every
 	// dimension, whatever the selectivity. The per-tuple join/group CPU
 	// divides across extent-partitioned workers.
 	p.estDeg = core.ClampWorkers(p.scan.Workers, extentUnits(st.FactPages))
+	work := Work{
+		Tuples: float64(st.FactTuples),
+		Pages:  float64(st.FactPages + st.DimensionPages()),
+	}
 	p.est = Cost{
-		IO:   float64(st.FactPages + st.DimensionPages()),
-		CPU:  float64(st.FactTuples) * cpuTupleCost / float64(p.estDeg),
+		NS:   pr.price(work, work.Pages, p.estDeg),
+		IO:   work.Pages,
 		Rows: int64(p.estSel*float64(st.FactTuples) + 0.5),
+		Work: work,
 	}
 	return p.est
 }
@@ -455,6 +454,7 @@ func (p *planScan) relationalInputs(ec *ExecContext, view *ingestView) (*factfil
 	// of their candidate chunks, so a stale one outside them is dropped.
 	arr, cv, err := view.array(ec)
 	scan.View, scan.Overlay = cv, &core.OverlayFold{Arr: arr, Chunks: view.hot}
+	scan.Resolved = p.reach.resolved()
 	return ff, dims, scan, err
 }
 
@@ -520,8 +520,8 @@ func annotateFold(root *PlanDesc, m core.Metrics) {
 type bitmapPlan struct {
 	planScan
 
-	estBits float64 // predicted bitmap pages
-	estFtch float64 // predicted fetch pages
+	estBits  float64 // predicted bitmap pages, index directories included
+	estFetch float64 // predicted fact pages fetched
 }
 
 // chosenDegree is always 1: the engine runs the bitmap plan as one unit
@@ -534,42 +534,121 @@ func (p *bitmapPlan) Name() string { return "bitmap-factfile" }
 
 func (p *bitmapPlan) Engine() Engine { return BitmapEngine }
 
-func (p *bitmapPlan) Estimate(st *catalog.Stats) Cost {
-	fr := selectionFractions(st, len(st.Dimensions), p.scan.Selections)
-	p.estSel = combinedSelectivity(fr)
-	q := p.estSel * float64(st.FactTuples)
-
-	// Bitmap reads: each selection value fetches one bitmap out of its
-	// index blob; amortized per-value pages from the index statistics,
-	// floored (a bitmap read always touches at least part of a page).
-	var bits float64
+// Estimate counts the §4.5 run from the bitmap statistics. The AND's
+// cardinality k is the fact table times each selection's share of it —
+// its values' tuple counts, summed — with the selections independent.
+// The k tuples lie on the fact pages every selection's values touch:
+// counted per value, so a dimension the load order clusters narrows the
+// pages as much as it narrows the tuples, and one it scatters does not
+// narrow them at all. Spread over those pages, k tuples touch
+// P·(1−(1−1/P)^k) of them (Cardenas). The word work is the whole-bitmap
+// passes — set, then per selection clear and AND, then the fetch's scan
+// — plus each value's literal words, ORed in as the encoding is read.
+// Each index read opens with its first page, pinned four times (the
+// header and the directory, each after the blob's length), and each
+// value's range after the length again.
+func (p *bitmapPlan) Estimate(st *catalog.Stats, pr pricing) Cost {
+	n, pages := float64(st.FactTuples), float64(max(st.FactPages, 1))
+	words := float64(bitmap.WordsFor(st.FactTuples))
+	k, cand := n, pages
+	work := Work{Words: words * float64(2+2*len(p.scan.Selections))}
+	p.estBits = 0
+	opened := map[string]bool{}
 	for _, s := range p.scan.Selections {
-		per := bitmapFloorIO
 		d := &p.schema.Dimensions[s.Dim]
-		if s.Level >= 0 && s.Level < len(d.Attrs) && st.Bitmaps != nil {
-			if bs, ok := st.Bitmaps[catalog.BitmapKey(d.Name, d.Attrs[s.Level])]; ok && bs.Values > 0 {
-				if v := float64(bs.Pages) / float64(bs.Values); v > per {
-					per = v
-				}
-			}
+		key := catalog.BitmapKey(d.Name, d.Attrs[s.Level])
+		bs := st.Bitmaps[key]
+		if !opened[key] {
+			opened[key] = true
+			p.estBits++
+			work.Pages += 4
 		}
-		bits += float64(len(s.Values)) * per
+		var tuples, touched float64
+		for _, v := range s.Values {
+			c, ok := valueCount(st, bs, s, v)
+			if !ok {
+				continue
+			}
+			tuples += float64(c.Tuples)
+			touched += float64(c.FactPages)
+			work.Words += float64(c.Bytes) / 8
+			// A payload range at a random offset of the blob's pages.
+			rng := 1 + float64(max(c.Bytes-1, 0))/storage.PageSize
+			p.estBits += rng
+			work.Pages += 1 + rng
+		}
+		k *= min(tuples/n, 1)
+		cand *= min(touched/pages, 1)
 	}
-
-	// Tuple fetches walk the AND-ed bitmap in ascending tuple order, so
-	// they never read more than the fact file's pages (§4.5's sequential
-	// advantage over an unclustered index scan).
-	fetch := q
-	if fp := float64(st.FactPages); fetch > fp {
-		fetch = fp
+	p.estFetch = 0
+	if k > 0 {
+		cand = max(cand, 1)
+		p.estFetch = cand * (1 - math.Pow(1-1/cand, k))
 	}
-	p.estBits, p.estFtch = bits, fetch
+	dims := float64(groupedDimPages(st, p.scan.Group))
+	work.Tuples = k
+	work.Pages += p.estFetch + dims
+	io := p.estBits + p.estFetch + dims
+	p.estSel = k / n
 	p.est = Cost{
-		IO:   bits + fetch,
-		CPU:  q * cpuTupleCost,
-		Rows: int64(q + 0.5),
+		NS:   pr.price(work, io, 1),
+		IO:   io,
+		Rows: int64(k + 0.5),
+		Work: work,
 	}
 	return p.est
+}
+
+// valueCount is the bitmap statistics of one selected value: counted at
+// build time, or, in statistics from before the counts, the selection's
+// even share of the fact table spread at random over its pages. ok is
+// false for a value no tuple carries.
+func valueCount(st *catalog.Stats, bs catalog.BitmapIndexStats, s core.Selection, v string) (catalog.ValueCount, bool) {
+	if bs.Counts != nil {
+		c, ok := bs.Counts[v]
+		return c, ok
+	}
+	distinct, ok := st.AttrDistinctOf(s.Dim, s.Level)
+	if !ok {
+		distinct = 1
+	}
+	tuples := float64(st.FactTuples) / float64(distinct)
+	pages := float64(max(st.FactPages, 1))
+	return catalog.ValueCount{
+		Tuples:    uint64(tuples),
+		FactPages: int64(pages * (1 - math.Pow(1-1/pages, tuples))),
+		Bytes:     bs.Pages * storage.PageSize / int64(max(bs.Values, 1)),
+	}, true
+}
+
+// tupleShare estimates the share of the fact tuples that pass every
+// selection, the selections independent: a selection's share is its
+// values' tuple counts (valueCount) over the fact table.
+func tupleShare(st *catalog.Stats, schema *catalog.StarSchema, sels []core.Selection) float64 {
+	share := 1.0
+	for _, s := range sels {
+		d := &schema.Dimensions[s.Dim]
+		bs := st.Bitmaps[catalog.BitmapKey(d.Name, d.Attrs[s.Level])]
+		var tuples float64
+		for _, v := range s.Values {
+			c, _ := valueCount(st, bs, s, v)
+			tuples += float64(c.Tuples)
+		}
+		share *= min(tuples/float64(max(st.FactTuples, 1)), 1)
+	}
+	return share
+}
+
+// groupedDimPages totals the heap pages of the dimensions a relational
+// run hashes for its grouping.
+func groupedDimPages(st *catalog.Stats, group core.GroupSpec) int64 {
+	var n int64
+	for d, g := range group {
+		if g.Target != core.Collapse && d < len(st.Dimensions) {
+			n += st.Dimensions[d].Pages
+		}
+	}
+	return n
 }
 
 func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView) (*core.Result, core.Metrics, error) {
@@ -585,10 +664,13 @@ func (p *bitmapPlan) Run(ctx context.Context, ec *ExecContext, view *ingestView)
 }
 
 func (p *bitmapPlan) Explain() PlanDesc {
+	w := p.est.Work
 	and := PlanDesc{
-		Name:   "bitmap-and",
-		Detail: fmt.Sprintf("AND %d selection bitmaps", len(p.scan.Selections)),
-		EstIO:  p.estBits,
+		Name:      "bitmap-and",
+		Detail:    fmt.Sprintf("AND %d selection bitmaps", len(p.scan.Selections)),
+		EstRows:   p.est.Rows,
+		EstIO:     p.estBits,
+		EstDetail: fmt.Sprintf("words=%.0f", w.Words),
 	}
 	for _, s := range p.scan.Selections {
 		and.Children = append(and.Children, PlanDesc{
@@ -604,7 +686,7 @@ func (p *bitmapPlan) Explain() PlanDesc {
 			Name:     "factfile-fetch",
 			Detail:   "fetch qualifying tuples in ascending tuple order",
 			EstRows:  p.est.Rows,
-			EstIO:    p.estFtch,
+			EstIO:    p.estFetch,
 			Children: []PlanDesc{and},
 		}},
 	}

@@ -168,6 +168,15 @@ func FuzzCatalogBlob(f *testing.F) {
 	f.Add(bytes.Replace(valid, []byte(`"array_state":`), []byte(`"array_state":3`), 1))
 	f.Add([]byte(`{"dim_heaps":{"a":0,"b":1},"fact_root":2,"array_state":5,"bitmap_indexes":{"x.y":9}}`))
 	f.Add([]byte(`{"array_state":18446744073709551615,"fact_root":4294967296}`))
+	// The statistics' bitmap counts and cost model, well formed and not.
+	if !bytes.Contains(valid, []byte(`"counts":`)) || !bytes.Contains(valid, []byte(`"model":{"version":1,`)) {
+		f.Fatal("the fuzz volume's catalog carries no bitmap counts or cost model")
+	}
+	f.Add(bytes.Replace(valid, []byte(`"model":{"version":1,`), []byte(`"model":{"version":7,`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"cell_ns":`), []byte(`"cell_ns":-`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"tuples":`), []byte(`"tuples":9`), 1))
+	f.Add(bytes.Replace(valid, []byte(`,"bytes":`), []byte(`000,"bytes":`), 1)) // a value's fact pages
+	f.Add(bytes.Replace(valid, []byte(`"counts":{`), []byte(`"counts":{"extra":{"tuples":1},`), 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 4*storage.PageSize-8 {
 			return

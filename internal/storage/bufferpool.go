@@ -216,6 +216,65 @@ func (bp *BufferPool) writeBack(f *frame) error {
 // Disk exposes the underlying disk manager.
 func (bp *BufferPool) Disk() DiskManager { return bp.disk }
 
+// Frames reports how many pages the pool holds at once.
+func (bp *BufferPool) Frames() int { return len(bp.frames) }
+
+// MeasurePageCosts times the pool's two ways of serving a page on this
+// volume, in nanoseconds: a hit pins and unpins page id while the pool
+// holds it (the first pin loads it), a miss reads a page from the volume
+// into a frame's worth of memory — the first commit slot, which every
+// volume has written, read 64 times without caching it. Each figure is
+// the best of three repetitions, so a preempted one does not count.
+func (bp *BufferPool) MeasurePageCosts(id PageID) (hitNS, missNS float64, err error) {
+	const hits, misses = 256, 64
+	buf := make([]byte, PageSize)
+	best := func(units int, f func() error) (float64, error) {
+		var min time.Duration
+		for i := 0; i < 3; i++ {
+			start := time.Now()
+			if err := f(); err != nil {
+				return 0, err
+			}
+			if d := time.Since(start); i == 0 || d < min {
+				min = d
+			}
+		}
+		return max(float64(min.Nanoseconds()), 1) / float64(units), nil
+	}
+	if _, err := bp.FetchPage(id); err != nil {
+		return 0, 0, err
+	}
+	if err := bp.Unpin(id, false); err != nil {
+		return 0, 0, err
+	}
+	hitNS, err = best(hits, func() error {
+		for range hits {
+			bp.mu.Lock()
+			_, err := bp.pin(id)
+			if err == nil {
+				err = bp.unpin(id, false)
+			}
+			bp.mu.Unlock()
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return 0, 0, err
+	}
+	missNS, err = best(misses, func() error {
+		for range misses {
+			if err := bp.disk.ReadPage(0, buf); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	return hitNS, missNS, err
+}
+
 // Stats returns a snapshot of the pool counters.
 func (bp *BufferPool) Stats() Stats {
 	return Stats{

@@ -100,15 +100,15 @@ func (db *DB) LoadFactRows(rows []FactTuple) error {
 // cfg zero value uses per-chunk adaptive compression with the default
 // chunk shape; set Codec to force one codec store-wide.
 //
-// The array is built from the fact file, so a rebuild drops the cells
-// compacted into the array since. Ingested cells address the array they
-// were ingested into by chunk and offset, so a rebuild is refused while
-// any await compaction, and a rebuilt array takes no ingest until it is
-// committed: the delta log replays over the last commit's array.
+// The array is built from the fact file, and ingested cells — pending
+// or compacted — live in the array alone, so a rebuild is refused once
+// any cell was ever ingested: it would drop them. A rebuilt array takes
+// no ingest until it is committed: the delta log replays over the last
+// commit's array.
 func (db *DB) BuildArray(cfg ArrayConfig) error {
 	return db.write(func() error {
-		if len(db.ds.View().Overlay) > 0 {
-			return fmt.Errorf("repro: compact the ingested cells before rebuilding the array")
+		if len(db.ds.View().Touched) > 0 {
+			return fmt.Errorf("repro: the array holds ingested cells the fact file lacks; a rebuild from it would drop them")
 		}
 		rebuild := db.cat.ArrayState != 0
 		if err := exec.BuildArray(db.bp, db.cat, cfg); err != nil {

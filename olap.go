@@ -67,7 +67,7 @@ type (
 	Explanation = exec.Explanation
 	// PlanDesc is one operator of an EXPLAIN plan tree.
 	PlanDesc = exec.PlanDesc
-	// Cost is a plan cost estimate (page I/O + CPU page-equivalents).
+	// Cost is a plan estimate: its counted work and predicted time.
 	Cost = exec.Cost
 	// Stats are buffer pool I/O counters.
 	Stats = storage.Stats

@@ -903,9 +903,32 @@ func (s *sim) compact() {
 	s.compacted(true, true)
 }
 
+// dropCaches runs the cold-cache protocol: the first run of a statement
+// after it is an engine execution, whatever the result cache held
+// before, and its rows are the model's.
 func (s *sim) dropCaches() {
+	sess := s.session(simCombo{degree: 1, cache: true})
+	run := func(st simStatement) *repro.Result {
+		res, err := sess.QueryOn(st.sql, repro.Auto)
+		if err != nil {
+			s.failf("%s: %v", st.sql, err)
+		}
+		return res
+	}
+	if len(s.stmts) > 0 {
+		run(s.stmts[0])
+	}
 	if err := s.db.DropCaches(); err != nil {
 		s.failf("DropCaches: %v", err)
+	}
+	if len(s.stmts) == 0 {
+		return
+	}
+	st := s.stmts[0]
+	if res := run(st); res.Cached {
+		s.failf("%s: the first run after DropCaches was served from the result cache", st.sql)
+	} else if want := s.m.now.rows(st.q); !core.RowsEqual(res.Rows, want) {
+		s.failf("%s after DropCaches: %s", st.sql, core.DiffRows(res.Rows, want))
 	}
 }
 
@@ -939,12 +962,13 @@ func (s *sim) lateLoad() {
 }
 
 // rebuild builds the array again from the fact file, with a random
-// codec: refused while ingested cells await compaction.
+// codec: refused once a cell was ever ingested, pending or compacted,
+// since the fact file does not hold it.
 func (s *sim) rebuild() {
 	err := s.db.BuildArray(repro.ArrayConfig{ChunkShape: s.shape, Codec: simCodecs[s.rng.Intn(len(simCodecs))]})
-	if s.m.undrained > 0 {
+	if s.m.ingested {
 		if err == nil {
-			s.failf("BuildArray with %d ingested cells pending succeeded", s.m.undrained)
+			s.failf("BuildArray after an ingest (%d cells pending) succeeded", s.m.undrained)
 		}
 		s.count("rebuild refused")
 		return
